@@ -10,7 +10,7 @@
 
 GO ?= go
 
-.PHONY: check build vet lint lint-fast lint-deep test race race-short stress bench-smoke bench profile service-smoke fed-smoke experiments chaos crash-smoke crash-chaos fuzz-smoke fuzz-sync cover
+.PHONY: check build vet lint lint-fast lint-deep test race race-short stress bench-smoke bench profile service-smoke experiments chaos crash-smoke crash-chaos fuzz-smoke fuzz-sync cover
 
 check: build vet lint test cover
 
@@ -97,20 +97,17 @@ profile:
 	@echo "profiles written: go tool pprof profiles/cpu.out | go tool trace profiles/trace.out"
 
 # service-smoke boots the long-lived scheduler service (cmd/hadard) in
-# smoke mode under the race detector: loadgen drives a seeded bursty
-# workload through the bounded admission queue in closed loop, and the
-# run fails unless every accepted job completes with zero invariant
-# violations inside the budget.
+# smoke mode under the race detector, once per backend of its one
+# service loop: a single engine, then three member clusters behind the
+# least-queue router. loadgen drives a seeded bursty workload through
+# the bounded admission queue in closed loop, and each run fails unless
+# every accepted job completes with zero invariant violations (engine,
+# member, and federation: single ownership, iteration conservation)
+# inside the budget.
 service-smoke:
-	$(GO) run -race ./cmd/hadard -smoke -smoke-jobs 80 -smoke-model bursty -smoke-seed 1 -smoke-timeout 120s
-
-# fed-smoke is the federated twin of service-smoke: hadard boots three
-# member clusters behind the least-queue router, loadgen drives the same
-# closed-loop bursty workload through the shared front door, and the run
-# fails unless every accepted job completes across the members with
-# federation invariants (single ownership, iteration conservation) clean.
-fed-smoke:
-	$(GO) run -race ./cmd/hadard -clusters 3 -router least-queue -smoke -smoke-jobs 60 -smoke-model bursty -smoke-seed 1 -smoke-timeout 180s
+	$(GO) build -race -o bin/hadard-race ./cmd/hadard
+	bin/hadard-race -smoke -smoke-jobs 80 -smoke-model bursty -smoke-seed 1 -smoke-timeout 120s
+	bin/hadard-race -clusters 3 -router least-queue -smoke -smoke-jobs 60 -smoke-model bursty -smoke-seed 1 -smoke-timeout 180s
 
 # fuzz-smoke gives every fuzz target a short budget. Go fuzzes one
 # target per invocation, so each gets its own run; FUZZTIME=2m for a

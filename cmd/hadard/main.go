@@ -75,35 +75,36 @@ import (
 	"repro/internal/web"
 )
 
+var (
+	schedName  = flag.String("scheduler", "hadar", "scheduler: hadar, hadar-makespan, gavel, tiresias, yarn-cs, allox, ref-fifo, ref-srtf")
+	clusterSel = flag.String("cluster", "sim", "cluster config: sim (60 GPUs) or physical (8 GPUs)")
+	addr       = flag.String("addr", ":8080", "HTTP listen address")
+	clockSel   = flag.String("clock", "virtual", "round pacing: virtual (as fast as possible) or wall")
+	interval   = flag.Duration("interval", 50*time.Millisecond, "wall time per round boundary in -clock wall mode")
+	queue      = flag.Int("queue", 64, "admission queue depth (backpressure beyond this)")
+	roundMin   = flag.Float64("round", 6, "scheduling round length (simulated minutes)")
+	validate   = flag.Bool("validate", true, "run the invariant oracle on every round")
+	addrFile   = flag.String("addr-file", "", "write the bound listen address to this file (use with -addr 127.0.0.1:0)")
+	drainWait  = flag.Duration("drain", 5*time.Second, "graceful-shutdown deadline for in-flight HTTP requests")
+
+	clusters  = flag.Int("clusters", 1, "number of federated member clusters (1 = single-cluster mode)")
+	routerSel = flag.String("router", "least-queue", "federation routing policy: round-robin, least-queue, affinity, price")
+
+	walDir     = flag.String("wal", "", "write-ahead journal directory (empty = no durability)")
+	recoverWAL = flag.Bool("recover", false, "resume from the journal and checkpoint in -wal")
+	fsyncSel   = flag.String("fsync", "group", "journal fsync policy: always, group, or off")
+	fsyncEvery = flag.Duration("fsync-interval", 2*time.Millisecond, "longest a verdict waits for its group fsync (-fsync group)")
+	ckptEvery  = flag.Int("checkpoint-every", 256, "journal records between engine checkpoints")
+
+	smoke        = flag.Bool("smoke", false, "run the internal load-generator smoke test and exit")
+	smokeJobs    = flag.Int("smoke-jobs", 120, "smoke: number of jobs to generate")
+	smokeModel   = flag.String("smoke-model", "bursty", "smoke: arrival model poisson, diurnal, or bursty")
+	smokeRate    = flag.Float64("smoke-rate", 0.05, "smoke: mean arrival rate (jobs per virtual second)")
+	smokeSeed    = flag.Int64("smoke-seed", 1, "smoke: workload seed")
+	smokeTimeout = flag.Duration("smoke-timeout", 120*time.Second, "smoke: wall-clock budget for the whole run")
+)
+
 func main() {
-	var (
-		schedName  = flag.String("scheduler", "hadar", "scheduler: hadar, hadar-makespan, gavel, tiresias, yarn-cs, allox, ref-fifo, ref-srtf")
-		clusterSel = flag.String("cluster", "sim", "cluster config: sim (60 GPUs) or physical (8 GPUs)")
-		addr       = flag.String("addr", ":8080", "HTTP listen address")
-		clockSel   = flag.String("clock", "virtual", "round pacing: virtual (as fast as possible) or wall")
-		interval   = flag.Duration("interval", 50*time.Millisecond, "wall time per round boundary in -clock wall mode")
-		queue      = flag.Int("queue", 64, "admission queue depth (backpressure beyond this)")
-		roundMin   = flag.Float64("round", 6, "scheduling round length (simulated minutes)")
-		validate   = flag.Bool("validate", true, "run the invariant oracle on every round")
-		addrFile   = flag.String("addr-file", "", "write the bound listen address to this file (use with -addr 127.0.0.1:0)")
-		drainWait  = flag.Duration("drain", 5*time.Second, "graceful-shutdown deadline for in-flight HTTP requests")
-
-		clusters  = flag.Int("clusters", 1, "number of federated member clusters (1 = single-cluster mode)")
-		routerSel = flag.String("router", "least-queue", "federation routing policy: round-robin, least-queue, affinity, price")
-
-		walDir     = flag.String("wal", "", "write-ahead journal directory (empty = no durability)")
-		recoverWAL = flag.Bool("recover", false, "resume from the journal and checkpoint in -wal")
-		fsyncSel   = flag.String("fsync", "group", "journal fsync policy: always, group, or off")
-		fsyncEvery = flag.Duration("fsync-interval", 2*time.Millisecond, "longest a verdict waits for its group fsync (-fsync group)")
-		ckptEvery  = flag.Int("checkpoint-every", 256, "journal records between engine checkpoints")
-
-		smoke        = flag.Bool("smoke", false, "run the internal load-generator smoke test and exit")
-		smokeJobs    = flag.Int("smoke-jobs", 120, "smoke: number of jobs to generate")
-		smokeModel   = flag.String("smoke-model", "bursty", "smoke: arrival model poisson, diurnal, or bursty")
-		smokeRate    = flag.Float64("smoke-rate", 0.05, "smoke: mean arrival rate (jobs per virtual second)")
-		smokeSeed    = flag.Int64("smoke-seed", 1, "smoke: workload seed")
-		smokeTimeout = flag.Duration("smoke-timeout", 120*time.Second, "smoke: wall-clock budget for the whole run")
-	)
 	flag.Parse()
 
 	s, err := pickScheduler(*schedName)
@@ -159,15 +160,9 @@ func main() {
 		}
 	}
 
-	// Build either the single-engine service or the federated front
-	// door; everything past this point (smoke, HTTP serving, graceful
-	// shutdown) is mode-agnostic.
-	var (
-		handler http.Handler
-		stopSvc func() error
-		smokeFn func() int
-		banner  string
-	)
+	// The two modes differ only in what is constructed: the service, its
+	// web constructor, its snapshot accessor and its banner. Starting,
+	// smoke, serving and graceful shutdown are one path (run).
 	if *clusters > 1 {
 		router, err := federation.NewRouter(*routerSel)
 		if err != nil {
@@ -176,16 +171,9 @@ func main() {
 		}
 		members := make([]federation.MemberConfig, *clusters)
 		for i := range members {
-			mc, err := pickCluster(*clusterSel)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "hadard: %v\n", err)
-				os.Exit(2)
-			}
-			ms, err := pickScheduler(*schedName)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "hadard: %v\n", err)
-				os.Exit(2)
-			}
+			// pickCluster and pickScheduler accepted these names above.
+			mc, _ := pickCluster(*clusterSel)
+			ms, _ := pickScheduler(*schedName)
 			members[i] = federation.MemberConfig{
 				Name:      fmt.Sprintf("region%d", i),
 				Cluster:   mc,
@@ -193,62 +181,83 @@ func main() {
 				Sim:       simOpts,
 			}
 		}
-		fsvc, err := service.NewFed(members, router, service.FedOptions{
-			Federation:    federation.Options{Validate: *validate},
-			QueueDepth:    *queue,
-			Clock:         opts.Clock,
-			RoundInterval: *interval,
-		})
+		fed, err := federation.New(members, router, federation.Options{Validate: *validate})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "hadard: %v\n", err)
 			os.Exit(1)
 		}
-		fsvc.Start()
-		handler = web.NewFedServer(fsvc).Handler()
-		stopSvc = func() error { _, err := fsvc.Stop(); return err }
-		smokeFn = func() int {
-			return runFedSmoke(fsvc, *smokeJobs, *smokeModel, *smokeRate, *smokeSeed, *smokeTimeout)
+		svc, err := service.NewFed(fed, opts)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "hadard: %v\n", err)
+			os.Exit(1)
 		}
-		banner = fmt.Sprintf("hadard: %s federation — %d x %s clusters (%d GPUs total), %s router, %s clock, queue depth %d",
+		banner := fmt.Sprintf("hadard: %s federation — %d x %s clusters (%d GPUs total), %s router, %s clock, queue depth %d",
 			s.Name(), *clusters, *clusterSel, *clusters*c.TotalGPUs(), router.Name(), *clockSel, *queue)
-	} else {
-		svc, err := service.New(c, s, opts)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hadard: %v\n", err)
-			os.Exit(1)
-		}
-		if r := svc.Recovery(); r != nil {
-			doc, _ := json.Marshal(r)
-			fmt.Printf("hadard: recovered: %s\n", doc)
-		}
-		svc.Start()
-		handler = web.NewLiveServer(svc).Handler()
-		stopSvc = func() error { _, err := svc.Stop(); return err }
-		smokeFn = func() int {
-			return runSmoke(svc, *smokeJobs, *smokeModel, *smokeRate, *smokeSeed, *smokeTimeout)
-		}
-		banner = fmt.Sprintf("hadard: %s on %s cluster (%d GPUs), %s clock, queue depth %d",
-			s.Name(), *clusterSel, c.TotalGPUs(), *clockSel, *queue)
+		os.Exit(run(s.Name(), banner, svc, web.NewFedServer(svc), func(snap *federation.FedSnapshot) progress {
+			perMember := make([]string, len(snap.Members))
+			for i := range snap.Members {
+				perMember[i] = fmt.Sprintf("%s=%d", snap.Members[i].Name, snap.Members[i].Snap.Completed)
+			}
+			return progress{snap.Completed, snap.Cancelled, snap.Now, " (" + strings.Join(perMember, " ") + ")"}
+		}))
 	}
+	svc, err := service.New(c, s, opts)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "hadard: %v\n", err)
+		os.Exit(1)
+	}
+	if r := svc.Recovery(); r != nil {
+		doc, _ := json.Marshal(r)
+		fmt.Printf("hadard: recovered: %s\n", doc)
+	}
+	banner := fmt.Sprintf("hadard: %s on %s cluster (%d GPUs), %s clock, queue depth %d",
+		s.Name(), *clusterSel, c.TotalGPUs(), *clockSel, *queue)
+	os.Exit(run(s.Name(), banner, svc, web.NewLiveServer(svc), func(snap *sim.Snapshot) progress {
+		return progress{snap.Completed, snap.Cancelled, snap.Now, ""}
+	}))
+}
 
+// live is the part of service.Service and service.FedService that run
+// drives: S is the published snapshot type, R the final report.
+type live[S, R any] interface {
+	loadgen.Target
+	Start()
+	Stop() (R, error)
+	Snapshot() *S
+	Stats() service.Stats
+}
+
+// progress is what the smoke run watches in a published snapshot;
+// detail is the per-member completion breakdown of a federation.
+type progress struct {
+	completed, cancelled int
+	now                  float64
+	detail               string
+}
+
+// run starts the service and either smoke-tests it or serves it until
+// SIGINT/SIGTERM, then shuts down gracefully. Returns the process exit
+// code.
+func run[S, R any](scheduler, banner string, svc live[S, R], srvr *web.Server, view func(*S) progress) int {
+	svc.Start()
 	if *smoke {
-		os.Exit(smokeFn())
+		return runSmoke(scheduler, svc, view)
 	}
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "hadard: %v\n", err)
-		os.Exit(1)
+		return 1
 	}
 	if *addrFile != "" {
 		if err := os.WriteFile(*addrFile, []byte(ln.Addr().String()), 0o644); err != nil {
 			fmt.Fprintf(os.Stderr, "hadard: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 	}
 	fmt.Printf("%s — listening on %s\n", banner, ln.Addr())
 
-	srv := &http.Server{Handler: handler}
+	srv := &http.Server{Handler: srvr.Handler()}
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 	serveErr := make(chan error, 1)
@@ -256,7 +265,7 @@ func main() {
 	select {
 	case err := <-serveErr:
 		fmt.Fprintf(os.Stderr, "hadard: %v\n", err)
-		os.Exit(1)
+		return 1
 	case <-ctx.Done():
 	}
 	stopSignals() // a second signal kills immediately
@@ -271,11 +280,12 @@ func main() {
 	if err := srv.Shutdown(drainCtx); err != nil {
 		fmt.Fprintf(os.Stderr, "hadard: http drain: %v\n", err)
 	}
-	if err := stopSvc(); err != nil {
+	if _, err := svc.Stop(); err != nil {
 		fmt.Fprintf(os.Stderr, "hadard: stop: %v\n", err)
-		os.Exit(1)
+		return 1
 	}
 	fmt.Println("hadard: clean shutdown")
+	return 0
 }
 
 // crashFailPoint arms the chaos harness's mid-append kill. When
@@ -353,12 +363,14 @@ type smokeReport struct {
 	WallSeconds float64        `json:"wall_seconds"`
 }
 
-// runSmoke drives a seeded workload through the service, waits for
-// completion, and verifies the run was clean. Returns the process exit
-// code.
-func runSmoke(svc *service.Service, jobs int, modelName string, rate float64, seed int64, budget time.Duration) int {
+// runSmoke drives a seeded workload through the service — a single
+// engine or the federated front door — waits for every accepted job to
+// reach a terminal phase, and verifies the run was clean: Stop fails on
+// any engine-, member- or federation-level invariant violation. Returns
+// the process exit code.
+func runSmoke[S, R any](scheduler string, svc live[S, R], view func(*S) progress) int {
 	var model loadgen.Model
-	switch modelName {
+	switch *smokeModel {
 	case "poisson":
 		model = loadgen.Poisson
 	case "diurnal":
@@ -366,19 +378,19 @@ func runSmoke(svc *service.Service, jobs int, modelName string, rate float64, se
 	case "bursty":
 		model = loadgen.Bursty
 	default:
-		fmt.Fprintf(os.Stderr, "hadard: unknown smoke model %q\n", modelName)
+		fmt.Fprintf(os.Stderr, "hadard: unknown smoke model %q\n", *smokeModel)
 		return 2
 	}
-	cfg := loadgen.Config{
+	budget := *smokeTimeout
+	trace, err := loadgen.Generate(loadgen.Config{
 		Model:     model,
-		Jobs:      jobs,
-		Seed:      seed,
-		Rate:      rate,
+		Jobs:      *smokeJobs,
+		Seed:      *smokeSeed,
+		Rate:      *smokeRate,
 		Amplitude: 0.5,
 		BurstSize: 16,
 		BurstGap:  3600,
-	}
-	trace, err := loadgen.Generate(cfg)
+	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "hadard: smoke: %v\n", err)
 		return 1
@@ -394,20 +406,19 @@ func runSmoke(svc *service.Service, jobs int, modelName string, rate float64, se
 	// the wall budget.
 	deadline := start.Add(budget)
 	for {
-		snap := svc.Snapshot()
-		if snap.Completed+snap.Cancelled >= res.Submitted {
+		p := view(svc.Snapshot())
+		if p.completed+p.cancelled >= res.Submitted {
 			break
 		}
 		if time.Now().After(deadline) {
 			fmt.Fprintf(os.Stderr, "hadard: smoke: %d of %d jobs unfinished after %v\n",
-				res.Submitted-snap.Completed-snap.Cancelled, res.Submitted, budget)
+				res.Submitted-p.completed-p.cancelled, res.Submitted, budget)
 			return 1
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
 
-	report, err := svc.Stop()
-	if err != nil {
+	if _, err := svc.Stop(); err != nil {
 		fmt.Fprintf(os.Stderr, "hadard: smoke: invariant violation or engine failure: %v\n", err)
 		return 1
 	}
@@ -416,15 +427,15 @@ func runSmoke(svc *service.Service, jobs int, modelName string, rate float64, se
 		return 1
 	}
 
-	snap := svc.Snapshot()
+	p := view(svc.Snapshot())
 	out := smokeReport{
-		Scheduler:   report.Scheduler,
+		Scheduler:   scheduler,
 		Model:       model.String(),
 		Drive:       res,
 		SubmitRate:  res.PerSecond(),
 		Stats:       svc.Stats(),
-		Completed:   snap.Completed,
-		SimSeconds:  snap.Now,
+		Completed:   p.completed,
+		SimSeconds:  p.now,
 		WallSeconds: time.Since(start).Seconds(),
 	}
 	enc := json.NewEncoder(os.Stdout)
@@ -433,97 +444,7 @@ func runSmoke(svc *service.Service, jobs int, modelName string, rate float64, se
 		fmt.Fprintf(os.Stderr, "hadard: smoke: %v\n", err)
 		return 1
 	}
-	fmt.Printf("hadard: smoke OK: %d jobs accepted, %d completed, %d rounds, 0 invariant violations\n",
-		res.Submitted, snap.Completed, svc.Stats().Rounds)
-	return 0
-}
-
-// runFedSmoke is runSmoke against the federated front door: the same
-// seeded workload drives the router and the shared-clock loop, waits
-// for every accepted job to reach a terminal phase on its owning
-// member, and fails on any member-level or federation-level invariant
-// violation.
-func runFedSmoke(svc *service.FedService, jobs int, modelName string, rate float64, seed int64, budget time.Duration) int {
-	var model loadgen.Model
-	switch modelName {
-	case "poisson":
-		model = loadgen.Poisson
-	case "diurnal":
-		model = loadgen.Diurnal
-	case "bursty":
-		model = loadgen.Bursty
-	default:
-		fmt.Fprintf(os.Stderr, "hadard: unknown smoke model %q\n", modelName)
-		return 2
-	}
-	cfg := loadgen.Config{
-		Model:     model,
-		Jobs:      jobs,
-		Seed:      seed,
-		Rate:      rate,
-		Amplitude: 0.5,
-		BurstSize: 16,
-		BurstGap:  3600,
-	}
-	trace, err := loadgen.Generate(cfg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "hadard: smoke: %v\n", err)
-		return 1
-	}
-	start := time.Now()
-	res, err := loadgen.Drive(svc, trace, loadgen.DriveOptions{MaxDuration: budget})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "hadard: smoke: drive failed: %v\n", err)
-		return 1
-	}
-
-	deadline := start.Add(budget)
-	for {
-		snap := svc.Snapshot()
-		if snap.Completed+snap.Cancelled >= res.Submitted {
-			break
-		}
-		if time.Now().After(deadline) {
-			fmt.Fprintf(os.Stderr, "hadard: smoke: %d of %d jobs unfinished after %v\n",
-				res.Submitted-snap.Completed-snap.Cancelled, res.Submitted, budget)
-			return 1
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-
-	report, err := svc.Stop()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "hadard: smoke: invariant violation or member failure: %v\n", err)
-		return 1
-	}
-	if res.Submitted == 0 {
-		fmt.Fprintln(os.Stderr, "hadard: smoke: zero accepted submissions")
-		return 1
-	}
-
-	snap := svc.Snapshot()
-	out := smokeReport{
-		Scheduler:   report.Merged.Scheduler,
-		Model:       model.String(),
-		Drive:       res,
-		SubmitRate:  res.PerSecond(),
-		Stats:       svc.Stats(),
-		Completed:   snap.Completed,
-		SimSeconds:  snap.Now,
-		WallSeconds: time.Since(start).Seconds(),
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(out); err != nil {
-		fmt.Fprintf(os.Stderr, "hadard: smoke: %v\n", err)
-		return 1
-	}
-	perMember := make([]string, 0, len(snap.Members))
-	for i := range snap.Members {
-		perMember = append(perMember,
-			fmt.Sprintf("%s=%d", snap.Members[i].Name, snap.Members[i].Snap.Completed))
-	}
-	fmt.Printf("hadard: fed-smoke OK: %d jobs accepted, %d completed (%s), %d boundaries, 0 invariant violations\n",
-		res.Submitted, snap.Completed, strings.Join(perMember, " "), svc.Stats().Rounds)
+	fmt.Printf("hadard: smoke OK: %d jobs accepted, %d completed%s, %d rounds, 0 invariant violations\n",
+		res.Submitted, p.completed, p.detail, svc.Stats().Rounds)
 	return 0
 }

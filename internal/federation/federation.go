@@ -12,7 +12,8 @@
 // that owner for the rest of the job's life.
 //
 // Like sim.Engine, a Federation is single-goroutine: a long-lived
-// service wraps it in one owning goroutine (service.FedService) and
+// service drives it from the one owning goroutine it also uses for a
+// bare engine (internal/service's loop, behind service.NewFed) and
 // publishes immutable FedSnapshots for concurrent readers.
 package federation
 
@@ -68,8 +69,8 @@ type member struct {
 //
 // A Federation is not safe for concurrent use: like the engines it
 // owns, it is single-owner state, mutated only by the goroutine that
-// drives it (see internal/service.FedService) and read through
-// immutable FedSnapshots.
+// drives it (see internal/service.NewFed) and read through immutable
+// FedSnapshots.
 type Federation struct {
 	members []*member
 	router  Router

@@ -39,9 +39,6 @@ type FedSnapshot struct {
 	// Digest is the federation digest: the member engine digests
 	// folded in member order (see Federation.Digest).
 	Digest uint64 `json:"digest"`
-	// Owners maps every submitted job ID to its owning member's name,
-	// so status queries route without touching the federation.
-	Owners map[int]string `json:"owners,omitempty"`
 }
 
 // FreeGPUs is the devices not held in the most recent member rounds.
@@ -57,20 +54,28 @@ func (s *FedSnapshot) Member(name string) *sim.Snapshot {
 	return nil
 }
 
+// Owner returns the member that accepted job id — its name and its
+// engine's snapshot — or ("", nil) for an ID the federation never
+// accepted. The owner is the one member whose Phases knows the ID, so
+// the snapshot carries no owner map of its own.
+func (s *FedSnapshot) Owner(id int) (member string, snap *sim.Snapshot) {
+	for i := range s.Members {
+		if _, ok := s.Members[i].Snap.Phases[id]; ok {
+			return s.Members[i].Name, s.Members[i].Snap
+		}
+	}
+	return "", nil
+}
+
 // FindJob resolves a job ID against the snapshot: the owning member's
 // name, the job's lifecycle phase, its live detail when active, and
 // its final result when finished. ok is false for IDs the federation
 // never accepted.
 func (s *FedSnapshot) FindJob(id int) (member, phase string, js *sim.JobSnapshot, res *metrics.JobResult, ok bool) {
-	member, ok = s.Owners[id]
-	if !ok {
+	member, snap := s.Owner(id)
+	if snap == nil {
 		return "", "", nil, nil, false
 	}
-	snap := s.Member(member)
-	if snap == nil {
-		return member, "", nil, nil, true
-	}
-	phase = snap.Phases[id]
 	for i := range snap.Active {
 		if snap.Active[i].ID == id {
 			js = &snap.Active[i]
@@ -83,7 +88,7 @@ func (s *FedSnapshot) FindJob(id int) (member, phase string, js *sim.JobSnapshot
 			break
 		}
 	}
-	return member, phase, js, res, true
+	return member, snap.Phases[id], js, res, true
 }
 
 // Snapshot publishes an immutable view of the federation. It must be
@@ -104,12 +109,6 @@ func (f *Federation) Snapshot() *FedSnapshot {
 		snap.Active += len(ms.Active)
 		snap.Completed += ms.Completed
 		snap.Cancelled += ms.Cancelled
-	}
-	// Fill owners from the submission-ordered job list, not the owner
-	// map, so the copy is deterministic.
-	snap.Owners = make(map[int]string, len(f.jobs))
-	for _, j := range f.jobs {
-		snap.Owners[j.ID] = f.members[f.owner[j.ID]].name
 	}
 	return snap
 }

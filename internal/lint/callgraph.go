@@ -247,7 +247,12 @@ func (m *Module) node(fn *types.Func) *FuncNode {
 }
 
 // implementers resolves a dynamic call through interface method ifm to
-// every module-declared method that may answer it, in node order.
+// every module-declared method that may answer it, in node order. A
+// method of an instantiated generic interface (backend[S, R]) mentions
+// the caller's type parameters, so no concrete type Implements it;
+// there a type answers when its own method of that name has ifm's
+// signature, which still resolves the methods that mention no type
+// parameter.
 func (m *Module) implementers(ifm *types.Func) []*FuncNode {
 	if cached, ok := m.impls[ifm]; ok {
 		return cached
@@ -256,17 +261,21 @@ func (m *Module) implementers(ifm *types.Func) []*FuncNode {
 	sig, _ := ifm.Type().(*types.Signature)
 	if sig != nil && sig.Recv() != nil {
 		if iface, ok := sig.Recv().Type().Underlying().(*types.Interface); ok {
+			recv, _ := sig.Recv().Type().(*types.Named)
+			generic := recv != nil && recv.TypeArgs().Len() > 0
 			lookupPkg := ifm.Pkg()
 			for _, named := range m.named {
 				ptr := types.NewPointer(named)
-				if !types.Implements(named, iface) && !types.Implements(ptr, iface) {
+				if !generic && !types.Implements(named, iface) && !types.Implements(ptr, iface) {
 					continue
 				}
 				obj, _, _ := types.LookupFieldOrMethod(ptr, true, lookupPkg, ifm.Name())
-				if fn, ok := obj.(*types.Func); ok {
-					if n := m.node(fn); n != nil {
-						out = append(out, n)
-					}
+				fn, ok := obj.(*types.Func)
+				if !ok || generic && !types.Identical(fn.Type(), sig) {
+					continue
+				}
+				if n := m.node(fn); n != nil {
+					out = append(out, n)
 				}
 			}
 		}
@@ -276,16 +285,47 @@ func (m *Module) implementers(ifm *types.Func) []*FuncNode {
 	return out
 }
 
-// callees returns the module nodes a call site may reach: the static
-// callee, or every implementation for an interface call.
-func (m *Module) siteCallees(c *CallSite) []*FuncNode {
-	if c.Iface {
-		return m.implementers(c.Callee)
+// calleeNodes returns the module nodes a call may reach: the static
+// callee, or every implementation for a call dispatched through an
+// interface or a type parameter.
+func (m *Module) calleeNodes(callee *types.Func, iface bool) []*FuncNode {
+	if iface {
+		return m.implementers(callee)
 	}
-	if n := m.node(c.Callee); n != nil {
+	if n := m.node(callee); n != nil {
 		return []*FuncNode{n}
 	}
 	return nil
+}
+
+// guardedMutations returns the guarded (origin) types a call may
+// mutate: its static callee's receiver, or — through an interface or a
+// type parameter — the receivers of the implementers whose summaries
+// mutate them, so an owner that holds its guarded backend behind an
+// interface field is still seen mutating it. An interface counts only
+// when it abstracts single-owner state alone: it is declared in the
+// module (a stdlib interface has implementers the module cannot see)
+// and every module implementer is guarded. Otherwise each
+// sched.Scheduler.Schedule or io.Closer.Close call would read as a
+// mutation of whichever guarded type happens to implement it.
+func (m *Module) guardedMutations(callee *types.Func, iface bool, guarded map[*types.Named]bool) []*types.Named {
+	if iface && m.pkgFor(callee.Pkg()) == nil {
+		return nil
+	}
+	var out []*types.Named
+	for _, n := range m.calleeNodes(callee, iface) {
+		rb := receiverBase(n.Obj)
+		if rb == nil || !guarded[rb.Origin()] {
+			if iface {
+				return nil
+			}
+			continue
+		}
+		if n.mutatesReceiver() {
+			out = append(out, rb.Origin())
+		}
+	}
+	return out
 }
 
 // launchRoots returns the nodes a go-launch starts: the literal's node
@@ -294,13 +334,7 @@ func (m *Module) launchRoots(gl *GoLaunch) []*FuncNode {
 	if gl.Node != nil {
 		return []*FuncNode{gl.Node}
 	}
-	if gl.Iface {
-		return m.implementers(gl.Callee)
-	}
-	if n := m.node(gl.Callee); n != nil {
-		return []*FuncNode{n}
-	}
-	return nil
+	return m.calleeNodes(gl.Callee, gl.Iface)
 }
 
 // closure returns the set of nodes reachable from roots over ordinary
@@ -318,7 +352,7 @@ func (m *Module) closure(roots []*FuncNode) map[*FuncNode]bool {
 		n := work[0]
 		work = work[1:]
 		for _, c := range n.Calls {
-			for _, callee := range m.siteCallees(c) {
+			for _, callee := range m.calleeNodes(c.Callee, c.Iface) {
 				if !seen[callee] {
 					seen[callee] = true
 					work = append(work, callee)
@@ -345,7 +379,7 @@ func (m *Module) closureWithParents(roots []*FuncNode) (map[*FuncNode]bool, map[
 		n := work[0]
 		work = work[1:]
 		for _, c := range n.Calls {
-			for _, callee := range m.siteCallees(c) {
+			for _, callee := range m.calleeNodes(c.Callee, c.Iface) {
 				if !seen[callee] {
 					seen[callee] = true
 					parent[callee] = n

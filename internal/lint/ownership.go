@@ -12,7 +12,8 @@ import (
 // construction, exactly one goroutine — the service run loop launched
 // with `go` — may mutate the value. The analyzer classifies every
 // mutation site (a call to a receiver-mutating method of a guarded
-// type, or a direct field store through a guarded value) by the
+// type — named directly or behind an interface only guarded types
+// implement — or a direct field store through a guarded value) by the
 // goroutine context that reaches it:
 //
 //   - inside a method of a guarded type: internal, covered by the
@@ -173,12 +174,11 @@ func mutationSites(m *Module, g *types.Named, guarded map[*types.Named]bool) []*
 			continue
 		}
 		for _, c := range n.Calls {
-			rb := receiverBase(c.Callee)
-			if rb == nil || rb.Origin() != g.Origin() {
-				continue
-			}
-			if cn := m.node(c.Callee); cn != nil && cn.mutatesReceiver() {
-				sites = append(sites, &mutSite{node: n, pos: c.Expr.Pos()})
+			for _, rb := range m.guardedMutations(c.Callee, c.Iface, guarded) {
+				if rb == g.Origin() {
+					sites = append(sites, &mutSite{node: n, pos: c.Expr.Pos()})
+					break
+				}
 			}
 		}
 		node := n
@@ -212,7 +212,7 @@ func mutationSites(m *Module, g *types.Named, guarded map[*types.Named]bool) []*
 
 // constructorNodes returns the functions that create values of g:
 // composite literals, new(g), or calls whose results contain g (its
-// own constructors and wrappers like RestoreEngine / recoverState).
+// own constructors and wrappers like RestoreEngine / recoverJournal).
 func constructorNodes(m *Module, g *types.Named) []*FuncNode {
 	var out []*FuncNode
 	for _, n := range m.nodes {
@@ -266,16 +266,12 @@ func checkLoopLaunches(p *ModulePass, guarded map[*types.Named]bool) {
 				if !ok {
 					return true
 				}
-				callee, _ := m.resolveCallee(lit.Pkg, call)
+				callee, iface := m.resolveCallee(lit.Pkg, call)
 				if callee == nil {
 					return true
 				}
-				rb := receiverBase(callee)
-				if rb == nil || !guarded[rb.Origin()] {
-					return true
-				}
-				cn := m.node(callee)
-				if cn == nil || !cn.mutatesReceiver() {
+				mutated := m.guardedMutations(callee, iface, guarded)
+				if len(mutated) == 0 {
 					return true
 				}
 				sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
@@ -294,7 +290,7 @@ func checkLoopLaunches(p *ModulePass, guarded map[*types.Named]bool) {
 				p.Reportf(lit.Pkg, call.Pos(),
 					"goroutine launched in a loop mutates single-owner %s %q captured from outside the loop; "+
 						"every iteration shares one owner",
-					rb.Obj().Name(), base.Name())
+					mutated[0].Obj().Name(), base.Name())
 				return true
 			})
 		}

@@ -22,8 +22,7 @@ import (
 //     applied, the error reply is the protocol);
 //   - replies under a nil-journal guard (no WAL configured, nothing to
 //     append);
-//   - functions with no append effect at all (e.g. the federation
-//     front door, which has no WAL by design) are never checked.
+//   - functions with no append effect at all are never checked.
 var analyzerWALOrder = &Analyzer{
 	Name: "walorder",
 	Doc: "verify apply->append->reply ordering at journaling sites: an applied request must " +
@@ -223,18 +222,15 @@ func isErrGuard(cond ast.Expr) bool {
 }
 
 // isApplyCall matches calls to receiver-mutating methods of guarded
-// types: the request being applied to the single-owner engine state.
+// types — directly or through an interface only guarded types
+// implement: the request being applied to the single-owner engine
+// state.
 func (w *walChecker) isApplyCall(n *FuncNode, call *ast.CallExpr) bool {
-	callee, _ := w.m.resolveCallee(n.Pkg, call)
+	callee, iface := w.m.resolveCallee(n.Pkg, call)
 	if callee == nil {
 		return false
 	}
-	rb := receiverBase(callee)
-	if rb == nil || !w.guarded[rb.Origin()] {
-		return false
-	}
-	cn := w.m.node(callee)
-	return cn != nil && cn.mutatesReceiver()
+	return len(w.m.guardedMutations(callee, iface, w.guarded)) > 0
 }
 
 // isAppendCall matches WAL appends. A name containing "append" is not

@@ -247,11 +247,11 @@ func TestDriveAgainstFederatedService(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc, err := service.NewFed(members, router, service.FedOptions{
-		Federation: federation.Options{Validate: true},
-		QueueDepth: 8,
-		RetryAfter: time.Millisecond,
-	})
+	fed, err := federation.New(members, router, federation.Options{Validate: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := service.NewFed(fed, service.Options{QueueDepth: 8, RetryAfter: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,26 +33,18 @@ type Recovery struct {
 	TruncatedBytes int64 `json:"truncated_bytes,omitempty"`
 }
 
-// recoveredState is what initWAL hands back to New.
-type recoveredState struct {
-	eng       *sim.Engine
-	keys      map[string]int
-	applied   int
-	validSize int64
-	info      *Recovery
-}
-
-// recoverState rebuilds the engine from the latest valid checkpoint
-// plus the journal tail. Damage tolerated: missing checkpoint (full
+// recoverJournal rebuilds the engine from the latest valid checkpoint
+// plus the journal tail and reopens the journal for appending after the
+// last valid record. Damage tolerated: missing checkpoint (full
 // replay), corrupt checkpoint (full replay), torn or corrupt final
 // journal record (truncated at the last valid frame), missing journal
 // (fresh start). Damage refused: a journal whose valid prefix
 // contradicts the recorded round digests, which means the replayed
 // schedule would not match what clients observed.
-func recoverState(c *cluster.Cluster, s sched.Scheduler, simOpts sim.Options, cfg WALConfig) (*recoveredState, error) {
+func recoverJournal(c *cluster.Cluster, s sched.Scheduler, simOpts sim.Options, cfg WALConfig) (*journal, map[string]int, error) {
 	scan, err := wal.Scan(journalPath(cfg.Dir))
 	if err != nil {
-		return nil, fmt.Errorf("service: recover: %w", err)
+		return nil, nil, fmt.Errorf("service: recover: %w", err)
 	}
 	info := &Recovery{TruncatedBytes: scan.TruncatedBytes}
 
@@ -71,20 +63,20 @@ func recoverState(c *cluster.Cluster, s sched.Scheduler, simOpts sim.Options, cf
 	case errors.Is(err, wal.ErrCorrupt):
 		info.CheckpointCorrupt = true
 	default:
-		return nil, fmt.Errorf("service: recover: %w", err)
+		return nil, nil, fmt.Errorf("service: recover: %w", err)
 	}
 
-	st := &recoveredState{keys: make(map[string]int), validSize: scan.ValidSize, info: info}
+	j := &journal{cfg: cfg, recovery: info}
+	keys := make(map[string]int)
+	validSize := scan.ValidSize
 	records := scan.Records
 	if haveCkpt {
-		eng, err := sim.RestoreEngine(c, s, simOpts, doc.Engine)
-		if err != nil {
-			return nil, fmt.Errorf("service: recover: %w", err)
+		if j.eng, err = sim.RestoreEngine(c, s, simOpts, doc.Engine); err != nil {
+			return nil, nil, fmt.Errorf("service: recover: %w", err)
 		}
-		st.eng = eng
 		//lint:ignore maprange map-to-map copy; no output depends on visit order
 		for k, id := range doc.Keys {
-			st.keys[k] = id
+			keys[k] = id
 		}
 		info.CheckpointSeq = doc.Seq
 		if doc.Seq > len(records) {
@@ -95,28 +87,34 @@ func recoverState(c *cluster.Cluster, s sched.Scheduler, simOpts sim.Options, cf
 			// checkpoint sequence numbers stay aligned. (A restarted
 			// journal no longer supports VerifyWAL's full replay.)
 			records = nil
-			st.validSize = 0
-			st.applied = 0
+			validSize = 0
 		} else {
 			records = records[doc.Seq:]
-			st.applied = doc.Seq
+			j.applied = doc.Seq
 		}
-	} else {
-		eng, err := sim.NewEngine(c, s, simOpts)
-		if err != nil {
-			return nil, err
-		}
-		st.eng = eng
+	} else if j.eng, err = sim.NewEngine(c, s, simOpts); err != nil {
+		return nil, nil, err
 	}
 
-	rounds, err := replayRecords(st.eng, st.keys, records)
+	rounds, err := replayRecords(j.eng, keys, records)
 	if err != nil {
-		return nil, fmt.Errorf("service: recover: %w", err)
+		return nil, nil, fmt.Errorf("service: recover: %w", err)
 	}
-	st.applied += len(records)
+	j.applied += len(records)
 	info.Replayed = len(records)
 	info.RoundsVerified = rounds
-	return st, nil
+
+	if j.w, err = wal.OpenAppend(journalPath(cfg.Dir), validSize, cfg.Policy, cfg.FailPoint); err != nil {
+		return nil, nil, fmt.Errorf("service: reopen journal: %w", err)
+	}
+	// Re-anchor the checkpoint at the recovered position: this bounds
+	// the next crash's replay and, after a checkpoint-ahead-of-journal
+	// recovery, realigns the checkpoint sequence with the (restarted)
+	// journal frame count.
+	if j.applied > 0 || info.CheckpointSeq > 0 {
+		j.writeCheckpoint(keys)
+	}
+	return j, keys, nil
 }
 
 // replayRecords applies journal records to an engine in order. Every

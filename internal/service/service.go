@@ -1,13 +1,16 @@
-// Package service runs a sim.Engine as a long-lived online scheduler.
+// Package service runs a sim.Engine — or a federation.Federation of
+// them — as a long-lived online scheduler.
 //
 // The batch simulator answers "what would this trace have cost"; the
 // service answers "what is the cluster doing right now". A single
-// goroutine owns the engine and is the only code that ever touches it:
+// goroutine owns the backend and is the only code that ever touches it:
 // it drains a bounded admission queue, processes one round boundary at
-// a time, and publishes an immutable sim.Snapshot through an atomic
+// a time, and publishes an immutable snapshot through an atomic
 // pointer after every boundary. Readers (HTTP handlers, dashboards,
 // load drivers) only ever see published snapshots, so they never
-// contend with the scheduler.
+// contend with the scheduler. That loop is written once (loop);
+// Service and FedService are the same loop over the two backends that
+// share the engine's step contract.
 //
 // Admission control is explicit: Submit and Cancel enqueue requests on
 // a channel of configurable depth. When the queue is full the call
@@ -24,17 +27,16 @@ package service
 import (
 	"errors"
 	"fmt"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/federation"
 	"repro/internal/job"
 	"repro/internal/metrics"
 	"repro/internal/sched"
 	"repro/internal/sim"
-	"repro/internal/wal"
 )
 
 // ClockMode selects how simulated round boundaries map to real time.
@@ -65,7 +67,8 @@ func (m ClockMode) String() string {
 // Options configures the service.
 type Options struct {
 	// Sim configures the underlying engine. Enable Sim.Validate to run
-	// the invariant oracle on every round (sim.ValidatedOptions).
+	// the invariant oracle on every round (sim.ValidatedOptions). NewFed
+	// ignores it: a federation's members carry their own sim.Options.
 	Sim sim.Options
 	// QueueDepth bounds the admission queue: at most this many
 	// submit/cancel requests may be waiting for the engine goroutine
@@ -86,7 +89,8 @@ type Options struct {
 	RequestTimeout time.Duration
 	// WAL, when non-nil, enables the write-ahead journal: accepted
 	// mutations are made durable before their verdicts return, and the
-	// service can recover its exact state after a crash.
+	// service can recover its exact state after a crash. The journal
+	// covers a single engine; NewFed refuses it.
 	WAL *WALConfig
 }
 
@@ -184,14 +188,26 @@ type verdict struct {
 	err     error
 }
 
-// Service fronts one sim.Engine with a goroutine-owned event loop,
-// bounded admission, and lock-free snapshot reads. Create with New,
-// then Start; all exported methods are safe for concurrent use.
-type Service struct {
-	opts Options
-	name string
+// backend is the step contract *sim.Engine and *federation.Federation
+// share: S is the snapshot type the backend publishes, R its final
+// report.
+type backend[S, R any] interface {
+	SubmitJob(j *job.Job) error
+	CancelJob(id int) error
+	HasPendingEvents() bool
+	ProcessNextEvent() error
+	Snapshot() *S
+	Finish() (R, error)
+}
 
-	eng  *sim.Engine // owned by the run goroutine after Start
+// loop fronts one backend with a goroutine-owned event loop, bounded
+// admission, and lock-free snapshot reads. It is the whole of Service
+// and FedService but their Provider views; all exported methods are
+// safe for concurrent use.
+type loop[S, R any] struct {
+	opts Options
+
+	be   backend[S, R] // owned by the run goroutine after Start
 	reqs chan request
 
 	startOnce sync.Once
@@ -199,7 +215,7 @@ type Service struct {
 	stop      chan struct{}
 	stopped   chan struct{}
 
-	snap atomic.Pointer[sim.Snapshot]
+	snap atomic.Pointer[S]
 
 	accepted        atomic.Int64
 	rejectedBusy    atomic.Int64
@@ -213,31 +229,47 @@ type Service struct {
 	// skips the final checkpoint.
 	killed atomic.Bool
 
-	// The fields below are owned by the engine goroutine (or set once
-	// in New before Start).
-	walCfg  WALConfig
-	journal *wal.Writer
+	// The fields below are owned by the run goroutine (or set once
+	// before Start).
+
 	// keys is the idempotency ledger: submission key -> accepted job
-	// ID. It is journaled with submissions and checkpointed.
+	// ID. With a journal it is journaled with submissions and
+	// checkpointed; without one it lives in memory.
 	keys map[string]int
-	// applied counts journal records ever appended or replayed; it is
-	// the checkpoint's replay cursor.
-	applied   int
-	sinceCkpt int
-	// pending holds group-commit verdicts awaiting the batch fsync.
-	pending       []pendingVerdict
-	groupDeadline time.Time
-	// walErr is the sticky journal failure; once set the loop exits
-	// and every later request is refused with it.
-	walErr error
-	// recovery describes what startup recovery did (nil without WAL
-	// recovery).
-	recovery *Recovery
+	// journal holds every piece of durability state; nil without a WAL.
+	journal *journal
 
 	// finalReport/finalErr are written by the run goroutine before it
 	// closes stopped and read only after <-stopped.
-	finalReport *metrics.Report
+	finalReport R
 	finalErr    error
+}
+
+// newLoop wires a backend to an inert loop and publishes its initial
+// snapshot. Auto-assigned IDs (NextID) start high so they stay clear of
+// trace-style sequential IDs chosen by clients.
+func newLoop[S, R any](be backend[S, R], opts Options, j *journal, keys map[string]int) *loop[S, R] {
+	if keys == nil {
+		keys = make(map[string]int)
+	}
+	l := &loop[S, R]{
+		opts:    opts,
+		be:      be,
+		keys:    keys,
+		journal: j,
+		reqs:    make(chan request, opts.QueueDepth),
+		stop:    make(chan struct{}),
+		stopped: make(chan struct{}),
+	}
+	l.nextID.Store(1 << 20)
+	l.snap.Store(be.Snapshot())
+	return l
+}
+
+// Service fronts one sim.Engine. Create with New, then Start.
+type Service struct {
+	*loop[sim.Snapshot, *metrics.Report]
+	name string
 }
 
 // New builds a service over a fresh engine — or, with Options.WAL in
@@ -246,196 +278,43 @@ type Service struct {
 // submitted before Start wait in the admission queue.
 func New(c *cluster.Cluster, s sched.Scheduler, opts Options) (*Service, error) {
 	opts.normalize()
-	svc := &Service{
-		opts:    opts,
-		name:    s.Name(),
-		keys:    make(map[string]int),
-		reqs:    make(chan request, opts.QueueDepth),
-		stop:    make(chan struct{}),
-		stopped: make(chan struct{}),
-	}
+	var (
+		eng  *sim.Engine
+		j    *journal
+		keys map[string]int
+		err  error
+	)
 	if opts.WAL != nil {
-		if err := svc.initWAL(c, s, opts); err != nil {
-			return nil, err
+		if j, keys, err = openJournal(c, s, opts.Sim, *opts.WAL); err == nil {
+			eng = j.eng
 		}
 	} else {
-		eng, err := sim.NewEngine(c, s, opts.Sim)
-		if err != nil {
-			return nil, err
-		}
-		svc.eng = eng
+		eng, err = sim.NewEngine(c, s, opts.Sim)
 	}
-	// Auto-assigned IDs (NextID) start high so they stay clear of
-	// trace-style sequential IDs chosen by clients; after recovery they
-	// additionally stay clear of every ID already journaled.
-	next := int64(1 << 20)
+	if err != nil {
+		return nil, err
+	}
+	svc := &Service{loop: newLoop[sim.Snapshot, *metrics.Report](eng, opts, j, keys), name: s.Name()}
+	// After recovery, auto-assigned IDs additionally stay clear of every
+	// ID already journaled.
+	next := svc.nextID.Load()
 	//lint:ignore maprange max over keys; commutative, order cannot be observed
-	for id := range svc.eng.Snapshot().Phases {
+	for id := range svc.Snapshot().Phases {
 		if int64(id) > next {
 			next = int64(id)
 		}
 	}
 	svc.nextID.Store(next)
-	svc.snap.Store(svc.eng.Snapshot())
 	return svc, nil
-}
-
-// initWAL opens (or recovers) the durability state in opts.WAL.Dir and
-// installs the journal writer.
-func (s *Service) initWAL(c *cluster.Cluster, sch sched.Scheduler, opts Options) error {
-	cfg := *opts.WAL
-	cfg.normalize()
-	s.walCfg = cfg
-	if !cfg.Recover {
-		if _, err := os.Stat(journalPath(cfg.Dir)); err == nil {
-			return fmt.Errorf("service: %s already has a journal; pass Recover to resume it or remove it first",
-				cfg.Dir)
-		}
-		eng, err := sim.NewEngine(c, sch, opts.Sim)
-		if err != nil {
-			return err
-		}
-		w, err := wal.Create(journalPath(cfg.Dir), cfg.Policy, cfg.FailPoint)
-		if err != nil {
-			return fmt.Errorf("service: create journal: %w", err)
-		}
-		s.eng = eng
-		s.journal = w
-		return nil
-	}
-	st, err := recoverState(c, sch, opts.Sim, cfg)
-	if err != nil {
-		return err
-	}
-	w, err := wal.OpenAppend(journalPath(cfg.Dir), st.validSize, cfg.Policy, cfg.FailPoint)
-	if err != nil {
-		return fmt.Errorf("service: reopen journal: %w", err)
-	}
-	s.eng = st.eng
-	s.journal = w
-	s.keys = st.keys
-	s.applied = st.applied
-	s.recovery = st.info
-	// Re-anchor the checkpoint at the recovered position: this bounds
-	// the next crash's replay and, after a checkpoint-ahead-of-journal
-	// recovery, realigns the checkpoint sequence with the (restarted)
-	// journal frame count.
-	if st.applied > 0 || st.info.CheckpointSeq > 0 {
-		s.writeCheckpoint()
-	}
-	return nil
 }
 
 // Recovery reports what startup recovery did, or nil when the service
 // did not recover from a journal.
-func (s *Service) Recovery() *Recovery { return s.recovery }
-
-// Kill simulates a crash: the engine loop exits without draining the
-// admission queue, flushing the journal, or writing a final
-// checkpoint, exactly as if the process had died. Stop afterwards
-// returns ErrKilled. The journal is left as a real crash would leave
-// it, so a new service can Recover from it.
-func (s *Service) Kill() {
-	s.killed.Store(true)
-	s.Start() // an unstarted service can still be killed
-	s.stopOnce.Do(func() { close(s.stop) })
-}
-
-// Start launches the engine goroutine. Safe to call once; later calls
-// are no-ops.
-func (s *Service) Start() {
-	s.startOnce.Do(func() { go s.run() })
-}
-
-// Stop shuts the loop down, drains the admission queue with ErrStopped
-// replies, finalizes the engine, and returns its report. Safe to call
-// multiple times and after an engine failure; every call returns the
-// same result.
-func (s *Service) Stop() (*metrics.Report, error) {
-	s.Start() // a never-started service still terminates cleanly
-	s.stopOnce.Do(func() { close(s.stop) })
-	<-s.stopped
-	return s.finalReport, s.finalErr
-}
-
-// Submit asks the engine to admit the job at the next round boundary.
-// It fails fast with *BusyError when the admission queue is full and
-// with ErrStopped after shutdown; any other error is the engine's
-// validation verdict (bad job, impossible placement, duplicate ID).
-// With a journal enabled the verdict is durable before it returns.
-func (s *Service) Submit(j *job.Job) error {
-	return s.send(request{kind: submitReq, job: j, reply: make(chan verdict, 1)}).err
-}
-
-// SubmitKeyed is Submit with an idempotency key: resubmitting the same
-// key — after a timeout, a crash, or a retried HTTP request — returns
-// the originally accepted job's ID with deduped true instead of
-// admitting a duplicate. The key ledger is journaled and survives
-// recovery.
-func (s *Service) SubmitKeyed(key string, j *job.Job) (id int, deduped bool, err error) {
-	v := s.send(request{kind: submitReq, job: j, key: key, reply: make(chan verdict, 1)})
-	return v.id, v.deduped, v.err
-}
-
-// Cancel withdraws a submitted job (pending or running) at the next
-// boundary. Backpressure and shutdown behave exactly as in Submit.
-func (s *Service) Cancel(id int) error {
-	return s.send(request{kind: cancelReq, id: id, reply: make(chan verdict, 1)}).err
-}
-
-func (s *Service) send(r request) verdict {
-	select {
-	case <-s.stopped:
-		return verdict{err: ErrStopped}
-	default:
+func (s *Service) Recovery() *Recovery {
+	if s.journal == nil {
+		return nil
 	}
-	select {
-	case s.reqs <- r:
-	default:
-		s.rejectedBusy.Add(1)
-		return verdict{err: &BusyError{RetryAfter: s.opts.RetryAfter}}
-	}
-	var deadline <-chan time.Time
-	if s.opts.RequestTimeout > 0 {
-		t := time.NewTimer(s.opts.RequestTimeout)
-		defer t.Stop()
-		deadline = t.C
-	}
-	select {
-	case v := <-r.reply:
-		return v
-	case <-s.stopped:
-		// The loop drains the queue before closing stopped, so a reply
-		// may already be waiting; prefer it over the shutdown signal.
-		select {
-		case v := <-r.reply:
-			return v
-		default:
-			return verdict{err: ErrStopped}
-		}
-	case <-deadline:
-		return verdict{err: &DeadError{Waited: s.opts.RequestTimeout}}
-	}
-}
-
-// NextID returns a fresh job ID from the service's own range, for
-// clients that do not pick their own.
-func (s *Service) NextID() int { return int(s.nextID.Add(1)) }
-
-// Snapshot returns the most recently published immutable view. It
-// never blocks and never observes a half-updated engine.
-func (s *Service) Snapshot() *sim.Snapshot { return s.snap.Load() }
-
-// Stats returns the cumulative admission-control counters.
-func (s *Service) Stats() Stats {
-	return Stats{
-		Accepted:        s.accepted.Load(),
-		RejectedBusy:    s.rejectedBusy.Load(),
-		RejectedInvalid: s.rejectedInvalid.Load(),
-		Cancelled:       s.cancelled.Load(),
-		Deduped:         s.deduped.Load(),
-		Rounds:          s.rounds.Load(),
-	}
+	return s.journal.recovery
 }
 
 // Order implements the web dashboard's Provider interface: a live
@@ -448,190 +327,329 @@ func (s *Service) Report(name string) (*metrics.Report, bool) {
 	if name != s.name {
 		return nil, false
 	}
-	return s.snap.Load().Report, true
+	return s.Snapshot().Report, true
 }
 
-// run is the engine goroutine: the sole owner of s.eng from Start to
-// stopped.
-func (s *Service) run() {
-	defer close(s.stopped)
-	switch s.opts.Clock {
-	case WallClock:
-		s.runWall()
-	default:
-		s.runVirtual()
+// FedService fronts a federation.Federation: the router picks the
+// owning member at the front door, and readers get immutable
+// FedSnapshots. Create with NewFed, then Start.
+type FedService struct {
+	*loop[federation.FedSnapshot, *federation.Report]
+}
+
+// NewFed builds a service over a fresh federation, which it owns from
+// here on. There is no journal for a federation yet (walRecord has no
+// member index and the checkpoint no per-member section), so
+// Options.WAL is an error rather than silently ignored.
+func NewFed(fed *federation.Federation, opts Options) (*FedService, error) {
+	if opts.WAL != nil {
+		return nil, errors.New("service: the journal covers a single engine; a federated service cannot take Options.WAL")
 	}
-	s.shutdown()
+	opts.normalize()
+	return &FedService{newLoop[federation.FedSnapshot, *federation.Report](fed, opts, nil, nil)}, nil
+}
+
+// Order implements the web dashboard's Provider interface: one entry
+// per member, in member order.
+func (s *FedService) Order() []string {
+	snap := s.Snapshot()
+	names := make([]string, 0, len(snap.Members))
+	for i := range snap.Members {
+		names = append(names, snap.Members[i].Name)
+	}
+	return names
+}
+
+// Report implements the Provider interface: the named member's
+// in-progress report from the latest snapshot.
+func (s *FedService) Report(name string) (*metrics.Report, bool) {
+	m := s.Snapshot().Member(name)
+	if m == nil {
+		return nil, false
+	}
+	return m.Report, true
+}
+
+// Kill simulates a crash: the loop exits without draining the
+// admission queue, flushing the journal, or writing a final
+// checkpoint, exactly as if the process had died. Stop afterwards
+// returns ErrKilled. The journal is left as a real crash would leave
+// it, so a new service can Recover from it.
+func (l *loop[S, R]) Kill() {
+	l.killed.Store(true)
+	l.Start() // an unstarted service can still be killed
+	l.stopOnce.Do(func() { close(l.stop) })
+}
+
+// Start launches the run goroutine. Safe to call once; later calls
+// are no-ops.
+func (l *loop[S, R]) Start() {
+	l.startOnce.Do(func() { go l.run() })
+}
+
+// Stop shuts the loop down, drains the admission queue with ErrStopped
+// replies, finalizes the backend, and returns its report. Safe to call
+// multiple times and after a backend failure; every call returns the
+// same result.
+func (l *loop[S, R]) Stop() (R, error) {
+	l.Start() // a never-started service still terminates cleanly
+	l.stopOnce.Do(func() { close(l.stop) })
+	<-l.stopped
+	return l.finalReport, l.finalErr
+}
+
+// Submit asks the backend to admit the job at the next round boundary
+// (a federation routes it to its owning member first). It fails fast
+// with *BusyError when the admission queue is full and with ErrStopped
+// after shutdown; any other error is the backend's validation verdict
+// (bad job, impossible placement, duplicate ID). With a journal enabled
+// the verdict is durable before it returns.
+func (l *loop[S, R]) Submit(j *job.Job) error {
+	return l.send(request{kind: submitReq, job: j, reply: make(chan verdict, 1)}).err
+}
+
+// SubmitKeyed is Submit with an idempotency key: resubmitting the same
+// key — after a timeout, a crash, or a retried HTTP request — returns
+// the originally accepted job's ID with deduped true instead of
+// admitting a duplicate. With a journal the key ledger is journaled
+// and survives recovery.
+func (l *loop[S, R]) SubmitKeyed(key string, j *job.Job) (id int, deduped bool, err error) {
+	v := l.send(request{kind: submitReq, job: j, key: key, reply: make(chan verdict, 1)})
+	return v.id, v.deduped, v.err
+}
+
+// Cancel withdraws a submitted job (pending or running) at the next
+// boundary. Backpressure and shutdown behave exactly as in Submit.
+func (l *loop[S, R]) Cancel(id int) error {
+	return l.send(request{kind: cancelReq, id: id, reply: make(chan verdict, 1)}).err
+}
+
+func (l *loop[S, R]) send(r request) verdict {
+	select {
+	case <-l.stopped:
+		return verdict{err: ErrStopped}
+	default:
+	}
+	select {
+	case l.reqs <- r:
+	default:
+		l.rejectedBusy.Add(1)
+		return verdict{err: &BusyError{RetryAfter: l.opts.RetryAfter}}
+	}
+	var deadline <-chan time.Time
+	if l.opts.RequestTimeout > 0 {
+		t := time.NewTimer(l.opts.RequestTimeout)
+		defer t.Stop()
+		deadline = t.C
+	}
+	select {
+	case v := <-r.reply:
+		return v
+	case <-l.stopped:
+		// The loop drains the queue before closing stopped, so a reply
+		// may already be waiting; prefer it over the shutdown signal.
+		select {
+		case v := <-r.reply:
+			return v
+		default:
+			return verdict{err: ErrStopped}
+		}
+	case <-deadline:
+		return verdict{err: &DeadError{Waited: l.opts.RequestTimeout}}
+	}
+}
+
+// NextID returns a fresh job ID from the service's own range, for
+// clients that do not pick their own.
+func (l *loop[S, R]) NextID() int { return int(l.nextID.Add(1)) }
+
+// Snapshot returns the most recently published immutable view. It
+// never blocks and never observes a half-updated backend.
+func (l *loop[S, R]) Snapshot() *S { return l.snap.Load() }
+
+// Stats returns the cumulative admission-control counters.
+func (l *loop[S, R]) Stats() Stats {
+	return Stats{
+		Accepted:        l.accepted.Load(),
+		RejectedBusy:    l.rejectedBusy.Load(),
+		RejectedInvalid: l.rejectedInvalid.Load(),
+		Cancelled:       l.cancelled.Load(),
+		Deduped:         l.deduped.Load(),
+		Rounds:          l.rounds.Load(),
+	}
+}
+
+// run is the owning goroutine: the sole user of l.be from Start to
+// stopped.
+func (l *loop[S, R]) run() {
+	defer close(l.stopped)
+	switch l.opts.Clock {
+	case WallClock:
+		l.runWall()
+	default:
+		l.runVirtual()
+	}
+	l.shutdown()
 }
 
 // runVirtual drains requests and processes boundaries as fast as
-// possible, blocking only when the engine is idle and the queue empty.
-func (s *Service) runVirtual() {
+// possible, blocking only when the backend is idle and the queue empty.
+func (l *loop[S, R]) runVirtual() {
 	for {
 		// Batch every waiting request into this boundary.
 		for {
 			select {
-			case r := <-s.reqs:
-				s.handle(r)
+			case r := <-l.reqs:
+				l.handle(r)
 				continue
-			case <-s.stop:
+			case <-l.stop:
 				return
 			default:
 			}
 			break
 		}
-		if s.walErr != nil {
+		if l.journal.failure() != nil {
 			return
 		}
-		s.flushGroup(false)
-		if !s.eng.HasPendingEvents() {
+		l.journal.flushGroup(false)
+		if !l.be.HasPendingEvents() {
 			// Idle: nothing to schedule until a request, a pending
 			// group commit, or stop.
 			select {
-			case r := <-s.reqs:
-				s.handle(r)
-			case <-s.groupTimer():
-				s.flushGroup(true)
-			case <-s.stop:
+			case r := <-l.reqs:
+				l.handle(r)
+			case <-l.journal.groupTimer():
+				l.journal.flushGroup(true)
+			case <-l.stop:
 				return
 			}
 			continue
 		}
-		if !s.processBoundary() {
+		if !l.processBoundary() {
 			return
 		}
-		s.maybeCheckpoint()
+		l.journal.maybeCheckpoint(l.keys)
 	}
 }
 
 // runWall paces one boundary per RoundInterval tick, handling requests
 // between ticks.
-func (s *Service) runWall() {
-	tick := time.NewTicker(s.opts.RoundInterval)
+func (l *loop[S, R]) runWall() {
+	tick := time.NewTicker(l.opts.RoundInterval)
 	defer tick.Stop()
 	for {
-		if s.walErr != nil {
+		if l.journal.failure() != nil {
 			return
 		}
 		select {
-		case r := <-s.reqs:
-			s.handle(r)
-		case <-s.groupTimer():
-			s.flushGroup(true)
+		case r := <-l.reqs:
+			l.handle(r)
+		case <-l.journal.groupTimer():
+			l.journal.flushGroup(true)
 		case <-tick.C:
-			if s.eng.HasPendingEvents() && !s.processBoundary() {
+			if l.be.HasPendingEvents() && !l.processBoundary() {
 				return
 			}
-			s.maybeCheckpoint()
-		case <-s.stop:
+			l.journal.maybeCheckpoint(l.keys)
+		case <-l.stop:
 			return
 		}
 	}
 }
 
-// processBoundary advances the engine one boundary, journals it, and
-// publishes a fresh snapshot; false means the engine or journal hit a
+// processBoundary advances the backend one boundary, journals it, and
+// publishes a fresh snapshot; false means the backend or journal hit a
 // sticky error and the loop must exit.
-func (s *Service) processBoundary() bool {
-	if err := s.eng.ProcessNextEvent(); err != nil {
+func (l *loop[S, R]) processBoundary() bool {
+	if err := l.be.ProcessNextEvent(); err != nil {
 		return false
 	}
-	s.rounds.Add(1)
-	s.snap.Store(s.eng.Snapshot())
-	if s.journal != nil {
-		// Round records need no eager fsync: no caller is waiting on
-		// them, and any later synced record makes them durable first
-		// (the journal is strictly sequential). Recovery uses the
-		// recorded digest to prove the replayed schedule identical.
-		rec := walRecord{Type: recRound, Round: s.eng.Round(), Now: s.eng.Now(), Digest: s.eng.Digest()}
-		if s.appendRecord(rec) != nil {
-			return false
-		}
-	}
-	return true
+	l.rounds.Add(1)
+	l.snap.Store(l.be.Snapshot())
+	return l.journal == nil || l.journal.appendRound() == nil
 }
 
-// handle applies one admission-queue request to the engine and commits
+// handle applies one admission-queue request to the backend and commits
 // it to the journal before the verdict is released.
-func (s *Service) handle(r request) {
-	if s.walErr != nil {
-		r.reply <- verdict{err: fmt.Errorf("service: journal failed: %w", s.walErr)}
+func (l *loop[S, R]) handle(r request) {
+	if err := l.journal.failure(); err != nil {
+		r.reply <- verdict{err: fmt.Errorf("service: journal failed: %w", err)}
 		return
 	}
 	switch r.kind {
 	case submitReq:
 		if r.key != "" {
-			if id, ok := s.keys[r.key]; ok {
-				s.deduped.Add(1)
+			if id, ok := l.keys[r.key]; ok {
+				l.deduped.Add(1)
 				r.reply <- verdict{id: id, deduped: true}
 				return
 			}
 		}
-		if err := s.eng.SubmitJob(r.job); err != nil {
-			s.rejectedInvalid.Add(1)
+		if err := l.be.SubmitJob(r.job); err != nil {
+			l.rejectedInvalid.Add(1)
 			r.reply <- verdict{err: err}
 			return
 		}
-		s.accepted.Add(1)
+		l.accepted.Add(1)
 		if r.key != "" {
-			s.keys[r.key] = r.job.ID
+			l.keys[r.key] = r.job.ID
 		}
 		// Publish the queue/phase change immediately so status reads
 		// see accepted-but-not-yet-admitted jobs.
-		s.snap.Store(s.eng.Snapshot())
-		s.commit(walRecord{Type: recSubmit, Key: r.key, Job: r.job}, r.reply, verdict{id: r.job.ID})
+		l.snap.Store(l.be.Snapshot())
+		l.commit(walRecord{Type: recSubmit, Key: r.key, Job: r.job}, r.reply, verdict{id: r.job.ID})
 	case cancelReq:
-		if err := s.eng.CancelJob(r.id); err != nil {
+		if err := l.be.CancelJob(r.id); err != nil {
 			r.reply <- verdict{err: err}
 			return
 		}
-		s.cancelled.Add(1)
-		s.snap.Store(s.eng.Snapshot())
-		s.commit(walRecord{Type: recCancel, ID: r.id}, r.reply, verdict{id: r.id})
+		l.cancelled.Add(1)
+		l.snap.Store(l.be.Snapshot())
+		l.commit(walRecord{Type: recCancel, ID: r.id}, r.reply, verdict{id: r.id})
 	}
 }
 
 // shutdown finalizes the loop. A clean stop drains the queue, flushes
 // deferred group commits, checkpoints, and closes the journal; a Kill
 // or journal failure abandons the journal exactly as a crash would.
-func (s *Service) shutdown() {
-	if s.killed.Load() {
+func (l *loop[S, R]) shutdown() {
+	if l.killed.Load() {
 		// Simulated crash: no drain, no sync, no checkpoint. Waiters
 		// unblock via the stopped channel with ErrStopped.
-		if s.journal != nil {
-			s.journal.Abort()
+		if l.journal != nil {
+			l.journal.w.Abort()
 		}
-		s.finalErr = ErrKilled
+		l.finalErr = ErrKilled
 		return
 	}
 	for {
 		select {
-		case r := <-s.reqs:
+		case r := <-l.reqs:
 			r.reply <- verdict{err: ErrStopped}
 			continue
 		default:
 		}
 		break
 	}
-	if s.walErr != nil {
-		s.flushGroup(true) // delivers the journal error to deferred verdicts
-		s.journal.Abort()
-		s.finalErr = fmt.Errorf("service: journal failed: %w", s.walErr)
+	if err := l.journal.failure(); err != nil {
+		l.journal.flushGroup(true) // delivers the journal error to deferred verdicts
+		l.journal.w.Abort()
+		l.finalErr = fmt.Errorf("service: journal failed: %w", err)
 		return
 	}
-	s.flushGroup(true)
-	if s.journal != nil && s.walErr == nil {
+	l.journal.flushGroup(true)
+	if l.journal != nil && l.journal.err == nil {
 		// Checkpoint before Finish: Finish finalizes the report for
 		// consumption and the engine must be persisted resumable.
-		s.writeCheckpoint()
+		l.journal.writeCheckpoint(l.keys)
 	}
-	// Finish returns the engine's sticky error, if any, so a crashed
+	// Finish returns the backend's sticky error, if any, so a crashed
 	// loop and a clean shutdown take the same path.
-	s.finalReport, s.finalErr = s.eng.Finish()
-	s.snap.Store(s.eng.Snapshot())
-	if s.journal != nil {
-		if err := s.journal.Close(); err != nil && s.finalErr == nil {
-			s.finalErr = fmt.Errorf("service: close journal: %w", err)
+	l.finalReport, l.finalErr = l.be.Finish()
+	l.snap.Store(l.be.Snapshot())
+	if l.journal != nil {
+		if err := l.journal.w.Close(); err != nil && l.finalErr == nil {
+			l.finalErr = fmt.Errorf("service: close journal: %w", err)
 		}
 	}
 }

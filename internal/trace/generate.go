@@ -137,8 +137,14 @@ func nextDiurnal(rng *stats.Rand, now, rate, amplitude float64) float64 {
 
 // FromDemand builds a job of the given model whose best-type (V100 for
 // all catalog entries) runtime equals gpuHours of aggregate GPU time
-// spread over the gang, rounded up to whole epochs.
+// spread over the gang, rounded up to whole epochs. The demand may
+// come from outside the program (an HTTP body, a trace row), so it must
+// be positive, finite, and small enough that the epoch count fits an
+// int on every platform.
 func FromDemand(id int, spec ModelSpec, workers int, gpuHours, arrival float64) (*job.Job, error) {
+	if !(gpuHours > 0) || math.IsInf(gpuHours, 0) {
+		return nil, fmt.Errorf("trace: job %d: GPU-hour demand %v is not positive and finite", id, gpuHours)
+	}
 	best := 0.0
 	for t := gpu.Type(0); t < gpu.NumTypes; t++ {
 		if x := spec.Throughput[t]; x > best {
@@ -152,7 +158,11 @@ func FromDemand(id int, spec ModelSpec, workers int, gpuHours, arrival float64) 
 	// * best)  =>  iters = gpuHours * 3600 * best, independent of gang
 	// size.
 	iters := gpuHours * 3600 * best
-	epochs := int(math.Ceil(iters / float64(spec.ItersPerEpoch)))
+	epochs := math.Ceil(iters / float64(spec.ItersPerEpoch))
+	if epochs > math.MaxInt32 {
+		return nil, fmt.Errorf("trace: job %d: GPU-hour demand %v needs %.3g epochs of %s, more than a job can hold",
+			id, gpuHours, epochs, spec.Name)
+	}
 	if epochs < 1 {
 		epochs = 1
 	}
@@ -161,7 +171,7 @@ func FromDemand(id int, spec ModelSpec, workers int, gpuHours, arrival float64) 
 		Name:          fmt.Sprintf("%s-%d", spec.Name, id),
 		Model:         spec.Name,
 		Workers:       workers,
-		Epochs:        epochs,
+		Epochs:        int(epochs),
 		ItersPerEpoch: spec.ItersPerEpoch,
 		Arrival:       arrival,
 		Throughput:    spec.Throughput,

@@ -330,6 +330,18 @@ func TestFromDemandEpochRounding(t *testing.T) {
 	}
 }
 
+// TestFromDemandRejectsHostileDemand: demand reaches FromDemand from
+// HTTP bodies and trace rows; values that used to wrap into a valid
+// 1-epoch job are errors.
+func TestFromDemandRejectsHostileDemand(t *testing.T) {
+	spec, _ := ModelByName("ResNet-50")
+	for _, hours := range []float64{-5, 0, 1e300, math.Inf(1), math.Inf(-1), math.NaN()} {
+		if j, err := FromDemand(0, spec, 2, hours, 0); err == nil {
+			t.Errorf("FromDemand(gpuHours=%v) = %v, want an error", hours, j)
+		}
+	}
+}
+
 // Property: FromDemand preserves the sampled GPU-hour demand up to one
 // epoch of rounding for any model and gang size.
 func TestFromDemandPreservesDemandProperty(t *testing.T) {

@@ -8,6 +8,8 @@ import (
 	"strconv"
 	"time"
 
+	"repro/internal/federation"
+	"repro/internal/job"
 	"repro/internal/metrics"
 	"repro/internal/service"
 	"repro/internal/sim"
@@ -20,19 +22,61 @@ import (
 // /api/jobs endpoints submit, cancel, and query jobs against the
 // engine through the service's bounded admission queue.
 func NewLiveServer(svc *service.Service) *Server {
-	s := NewServerFrom(svc)
-	live := &liveAPI{svc: svc}
-	s.mux.HandleFunc("GET /api/snapshot", live.handleSnapshot)
-	s.mux.HandleFunc("POST /api/jobs", live.handleSubmit)
-	s.mux.HandleFunc("GET /api/jobs/{id}", live.handleQuery)
-	s.mux.HandleFunc("DELETE /api/jobs/{id}", live.handleCancel)
+	return newLiveServer(&liveAPI{
+		svc: svc,
+		snapshot: func() any {
+			return engineSnapshotResponse{Snapshot: svc.Snapshot(), Stats: svc.Stats()}
+		},
+		owner: func(int) (string, *sim.Snapshot) { return "", svc.Snapshot() },
+	})
+}
+
+// NewFedServer is NewLiveServer for a federated service: the same
+// handlers, with the router picking the owning member at the front
+// door, one dashboard report per member, and the owning member's name
+// in every job response.
+func NewFedServer(svc *service.FedService) *Server {
+	return newLiveServer(&liveAPI{
+		svc: svc,
+		snapshot: func() any {
+			return fedSnapshotResponse{FedSnapshot: svc.Snapshot(), Stats: svc.Stats()}
+		},
+		owner: func(id int) (string, *sim.Snapshot) { return svc.Snapshot().Owner(id) },
+	})
+}
+
+func newLiveServer(api *liveAPI) *Server {
+	s := NewServerFrom(api.svc)
+	s.mux.HandleFunc("GET /api/snapshot", api.handleSnapshot)
+	s.mux.HandleFunc("POST /api/jobs", api.handleSubmit)
+	s.mux.HandleFunc("GET /api/jobs/{id}", api.handleQuery)
+	s.mux.HandleFunc("DELETE /api/jobs/{id}", api.handleCancel)
 	return s
 }
 
-// liveAPI holds the mutating endpoints' shared state.
+// liveAPI is the control API over either service. The two differ only
+// in what they publish, so the snapshot body and the owner lookup are
+// the two things the constructors supply.
 type liveAPI struct {
-	svc *service.Service
+	svc interface {
+		Provider
+		NextID() int
+		Submit(j *job.Job) error
+		SubmitKeyed(key string, j *job.Job) (id int, deduped bool, err error)
+		Cancel(id int) error
+	}
+	// snapshot builds the /api/snapshot body from the latest published
+	// view and the admission counters.
+	snapshot func() any
+	// owner returns the published engine snapshot that would know job
+	// id and, for a federation, the owning member's name; nil when no
+	// member has the job.
+	owner func(id int) (member string, snap *sim.Snapshot)
 }
+
+// maxSubmitBody bounds a POST /api/jobs body; a real one is under 200
+// bytes.
+const maxSubmitBody = 64 << 10
 
 // writeJSON emits one JSON response body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -70,18 +114,21 @@ func writeError(w http.ResponseWriter, err error, fallback int) {
 	}
 }
 
-// snapshotResponse is the /api/snapshot body: the engine snapshot plus
-// the service's admission counters.
-type snapshotResponse struct {
+// engineSnapshotResponse and fedSnapshotResponse are the /api/snapshot
+// bodies: the published snapshot's fields plus the service's admission
+// counters.
+type engineSnapshotResponse struct {
 	*sim.Snapshot
 	Stats service.Stats `json:"stats"`
 }
 
+type fedSnapshotResponse struct {
+	*federation.FedSnapshot
+	Stats service.Stats `json:"stats"`
+}
+
 func (a *liveAPI) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, snapshotResponse{
-		Snapshot: a.svc.Snapshot(),
-		Stats:    a.svc.Stats(),
-	})
+	writeJSON(w, http.StatusOK, a.snapshot())
 }
 
 // submitSpec is the POST /api/jobs body. The job is built from the
@@ -111,8 +158,13 @@ func lookupModel(name string) (trace.ModelSpec, bool) {
 
 func (a *liveAPI) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec submitSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad request body: " + err.Error()})
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBody)).Decode(&spec); err != nil {
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, status, map[string]string{"error": "bad request body: " + err.Error()})
 		return
 	}
 	model, ok := lookupModel(spec.Model)
@@ -132,33 +184,39 @@ func (a *liveAPI) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 		return
 	}
+	status := http.StatusAccepted
+	body := map[string]any{"name": j.Name}
 	if spec.Key != "" {
-		gotID, deduped, err := a.svc.SubmitKeyed(spec.Key, j)
-		if err != nil {
-			writeError(w, err, http.StatusConflict)
-			return
-		}
-		status := http.StatusAccepted
-		if deduped {
+		var deduped bool
+		if id, deduped, err = a.svc.SubmitKeyed(spec.Key, j); deduped {
 			// The key was already accepted (possibly before a crash);
 			// report the original admission rather than a new one.
 			status = http.StatusOK
 		}
-		writeJSON(w, status, map[string]any{"id": gotID, "name": j.Name, "deduped": deduped})
-		return
+		body["deduped"] = deduped
+	} else {
+		err = a.svc.Submit(j)
 	}
-	if err := a.svc.Submit(j); err != nil {
+	if err != nil {
 		writeError(w, err, http.StatusConflict)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, map[string]any{"id": id, "name": j.Name})
+	body["id"] = id
+	// A federation reports which member the router placed the job on:
+	// useful for debugging routing policies from the command line.
+	if member, _ := a.owner(id); member != "" {
+		body["member"] = member
+	}
+	writeJSON(w, status, body)
 }
 
-// queryResponse is the GET /api/jobs/{id} body: the lifecycle phase
-// plus whichever detail exists — the live JobSnapshot for admitted
-// jobs, the final JobResult for finished ones.
+// queryResponse is the GET /api/jobs/{id} body: the owning member
+// (federations only), the lifecycle phase, and whichever detail exists
+// — the live JobSnapshot for admitted jobs, the final JobResult for
+// finished ones.
 type queryResponse struct {
 	ID     int                `json:"id"`
+	Member string             `json:"member,omitempty"`
 	Phase  string             `json:"phase"`
 	Job    *sim.JobSnapshot   `json:"job,omitempty"`
 	Result *metrics.JobResult `json:"result,omitempty"`
@@ -174,13 +232,16 @@ func (a *liveAPI) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad job id: " + err.Error()})
 		return
 	}
-	snap := a.svc.Snapshot()
-	phase, ok := snap.Phases[id]
+	member, snap := a.owner(id)
+	phase, ok := "", false
+	if snap != nil {
+		phase, ok = snap.Phases[id]
+	}
 	if !ok {
 		writeJSON(w, http.StatusNotFound, map[string]string{"error": fmt.Sprintf("unknown job %d", id)})
 		return
 	}
-	resp := queryResponse{ID: id, Phase: phase}
+	resp := queryResponse{ID: id, Member: member, Phase: phase}
 	for i := range snap.Active {
 		if snap.Active[i].ID == id {
 			resp.Job = &snap.Active[i]

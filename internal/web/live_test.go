@@ -2,14 +2,18 @@ package web
 
 import (
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/federation"
 	"repro/internal/policy"
 	"repro/internal/service"
 	"repro/internal/sim"
@@ -25,6 +29,38 @@ func newLiveFixture(t *testing.T) (*service.Service, *httptest.Server) {
 	}
 	svc.Start()
 	ts := httptest.NewServer(NewLiveServer(svc).Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		svc.Stop()
+	})
+	return svc, ts
+}
+
+func newFedFixture(t *testing.T, members int) (*service.FedService, *httptest.Server) {
+	t.Helper()
+	configs := make([]federation.MemberConfig, members)
+	for i := range configs {
+		configs[i] = federation.MemberConfig{
+			Name:      fmt.Sprintf("region%d", i),
+			Cluster:   experiments.SimCluster(),
+			Scheduler: policy.New(policy.SRTF, true),
+			Sim:       sim.ValidatedOptions(),
+		}
+	}
+	router, err := federation.NewRouter("least-queue")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fed, err := federation.New(configs, router, federation.Options{Validate: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := service.NewFed(fed, service.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.Start()
+	ts := httptest.NewServer(NewFedServer(svc).Handler())
 	t.Cleanup(func() {
 		ts.Close()
 		svc.Stop()
@@ -66,55 +102,91 @@ func do(t *testing.T, method, url string) (*http.Response, map[string]any) {
 
 func TestLiveSubmitQueryCancel(t *testing.T) {
 	svc, ts := newLiveFixture(t)
+	caseSubmitQueryCancel(t, ts.URL, false, func(id int) string { return svc.Snapshot().Phases[id] })
+}
 
-	resp, out := postJSON(t, ts.URL+"/api/jobs", `{"model": "ResNet-50", "workers": 2, "gpu_hours": 50000}`)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit status = %d, body %v", resp.StatusCode, out)
-	}
-	id := int(out["id"].(float64))
-	if id < 1<<20 {
-		t.Errorf("auto-assigned ID %d not in the service range", id)
-	}
+func TestFedSubmitQueryCancel(t *testing.T) {
+	svc, ts := newFedFixture(t, 2)
+	caseSubmitQueryCancel(t, ts.URL, true, func(id int) string {
+		_, phase, _, _, _ := svc.Snapshot().FindJob(id)
+		return phase
+	})
+}
 
-	// The engine admits the job at the next boundary; wait for it.
-	deadline := time.Now().Add(10 * time.Second)
-	for svc.Snapshot().Phases[id] != "active" {
-		if time.Now().After(deadline) {
-			t.Fatalf("job %d never became active: phases %v", id, svc.Snapshot().Phases)
+// caseSubmitQueryCancel walks a job through the control API of either
+// service: submit (keyed or not), observe it become active, query it,
+// cancel it. A federation names the owning member in every response; a
+// single engine never mentions one.
+func caseSubmitQueryCancel(t *testing.T, url string, federated bool, phase func(id int) string) {
+	for _, body := range []string{
+		`{"model": "ResNet-50", "workers": 2, "gpu_hours": 50000}`,
+		`{"key": "k", "model": "ResNet-50", "workers": 2, "gpu_hours": 50000}`,
+	} {
+		resp, out := postJSON(t, url+"/api/jobs", body)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit status = %d, body %v", resp.StatusCode, out)
 		}
-		time.Sleep(time.Millisecond)
-	}
+		id := int(out["id"].(float64))
+		if id < 1<<20 {
+			t.Errorf("auto-assigned ID %d not in the service range", id)
+		}
+		member, hasMember := out["member"].(string)
+		if hasMember != federated || (federated && member == "") {
+			t.Errorf("submit %s: member = %q (present %v), federated %v", body, member, hasMember, federated)
+		}
 
-	resp, out = do(t, http.MethodGet, ts.URL+"/api/jobs/"+itoa(id))
-	if resp.StatusCode != http.StatusOK || out["phase"] != "active" {
-		t.Fatalf("query status = %d, body %v", resp.StatusCode, out)
-	}
-	if out["job"] == nil {
-		t.Error("active job query missing live detail")
-	}
+		// The engine admits the job at the next boundary; wait for it.
+		deadline := time.Now().Add(10 * time.Second)
+		for phase(id) != "active" {
+			if time.Now().After(deadline) {
+				t.Fatalf("job %d never became active", id)
+			}
+			time.Sleep(time.Millisecond)
+		}
 
-	resp, out = do(t, http.MethodDelete, ts.URL+"/api/jobs/"+itoa(id))
-	if resp.StatusCode != http.StatusOK || out["cancelled"] != true {
-		t.Fatalf("cancel status = %d, body %v", resp.StatusCode, out)
-	}
-	// Double cancel is a client error.
-	resp, _ = do(t, http.MethodDelete, ts.URL+"/api/jobs/"+itoa(id))
-	if resp.StatusCode != http.StatusConflict {
-		t.Errorf("double cancel status = %d, want 409", resp.StatusCode)
+		resp, out = do(t, http.MethodGet, url+"/api/jobs/"+itoa(id))
+		if resp.StatusCode != http.StatusOK || out["phase"] != "active" {
+			t.Fatalf("query status = %d, body %v", resp.StatusCode, out)
+		}
+		if got, _ := out["member"].(string); got != member {
+			t.Errorf("query reports member %q, submit reported %q", got, member)
+		}
+		if out["job"] == nil {
+			t.Error("active job query missing live detail")
+		}
+
+		resp, out = do(t, http.MethodDelete, url+"/api/jobs/"+itoa(id))
+		if resp.StatusCode != http.StatusOK || out["cancelled"] != true {
+			t.Fatalf("cancel status = %d, body %v", resp.StatusCode, out)
+		}
+		// Double cancel is a client error.
+		resp, _ = do(t, http.MethodDelete, url+"/api/jobs/"+itoa(id))
+		if resp.StatusCode != http.StatusConflict {
+			t.Errorf("double cancel status = %d, want 409", resp.StatusCode)
+		}
 	}
 }
 
 func TestLiveSubmitRejectsBadSpecs(t *testing.T) {
-	_, ts := newLiveFixture(t)
+	svc, ts := newLiveFixture(t)
 	for _, body := range []string{
 		`{"model": "NoSuchNet", "workers": 1, "gpu_hours": 1}`,
 		`{"model": "ResNet-50", "workers": 0, "gpu_hours": 1}`,
 		`not json`,
+		// Hostile demand: each used to wrap into a valid 1-epoch job.
+		`{"model": "ResNet-50", "workers": 2, "gpu_hours": -5}`,
+		`{"model": "ResNet-50", "workers": 2, "gpu_hours": 0}`,
+		`{"model": "ResNet-50", "workers": 2}`,
+		`{"model": "ResNet-50", "workers": 2, "gpu_hours": 1e300}`,
+		`{"model": "ResNet-50", "workers": 2, "gpu_hours": 1e999}`,
 	} {
 		resp, out := postJSON(t, ts.URL+"/api/jobs", body)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("submit %q status = %d, body %v; want 400", body, resp.StatusCode, out)
 		}
+	}
+	if st := svc.Stats(); st.Accepted != 0 {
+		t.Errorf("%d hostile submissions reached the engine", st.Accepted)
 	}
 	resp, _ := do(t, http.MethodGet, ts.URL+"/api/jobs/999999999")
 	if resp.StatusCode != http.StatusNotFound {
@@ -177,7 +249,124 @@ func TestLiveSnapshotAndSummary(t *testing.T) {
 	}
 }
 
+// TestFedSnapshotAndDashboard checks the merged snapshot endpoint and
+// the Provider-backed dashboard pages over a federation.
+func TestFedSnapshotAndDashboard(t *testing.T) {
+	_, ts := newFedFixture(t, 2)
+
+	resp, out := postJSON(t, ts.URL+"/api/jobs", `{"model": "ResNet-18", "workers": 1, "gpu_hours": 10}`)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit status = %d, body %v", resp.StatusCode, out)
+	}
+
+	resp, snap := do(t, http.MethodGet, ts.URL+"/api/snapshot")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("snapshot status = %d", resp.StatusCode)
+	}
+	members, ok := snap["members"].([]any)
+	if !ok || len(members) != 2 {
+		t.Fatalf("snapshot members = %v, want 2 entries", snap["members"])
+	}
+	if snap["router"] != "least-queue" {
+		t.Errorf("snapshot router = %v, want least-queue", snap["router"])
+	}
+	if _, ok := snap["stats"]; !ok {
+		t.Error("snapshot missing admission stats")
+	}
+	if _, ok := snap["owners"]; ok {
+		t.Error("snapshot still carries an owners map; the members' phases already say who owns what")
+	}
+	if got := int(snap["total_gpus"].(float64)); got != 2*experiments.SimCluster().TotalGPUs() {
+		t.Errorf("snapshot total_gpus = %d, want %d", got, 2*experiments.SimCluster().TotalGPUs())
+	}
+
+	// The dashboard renders one section per member.
+	page, err := http.Get(ts.URL + "/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer page.Body.Close()
+	if page.StatusCode != http.StatusOK {
+		t.Errorf("dashboard status = %d", page.StatusCode)
+	}
+
+	resp, _ = do(t, http.MethodGet, ts.URL+"/api/jobs/999999999")
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("unknown job query status = %d, want 404", resp.StatusCode)
+	}
+}
+
 func itoa(n int) string { return strconv.Itoa(n) }
+
+// TestLiveSubmitBodyTooLarge: the submit body is read through a fixed
+// 64 KiB cap, so an oversized POST is a 413, not an unbounded read.
+func TestLiveSubmitBodyTooLarge(t *testing.T) {
+	svc, ts := newLiveFixture(t)
+	body := `{"model": "ResNet-50", "workers": 2, "gpu_hours": 4, "key": "` + strings.Repeat("k", maxSubmitBody) + `"}`
+	resp, out := postJSON(t, ts.URL+"/api/jobs", body)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized submit status = %d, body %v; want 413", resp.StatusCode, out)
+	}
+	if st := svc.Stats(); st.Accepted != 0 {
+		t.Errorf("oversized submission reached the engine: %+v", st)
+	}
+}
+
+// TestLiveEngineBodiesMatchGolden pins the single-engine API bodies
+// byte for byte: testdata/live_engine_api.golden was recorded from the
+// commit before the engine and federation handlers were merged, so the
+// shared handlers cannot have changed what a single-engine client sees.
+// Each exchange is "METHOD path body" then "status response-body".
+func TestLiveEngineBodiesMatchGolden(t *testing.T) {
+	svc, ts := newLiveFixture(t)
+	var got strings.Builder
+	exchange := func(method, path, body string) {
+		t.Helper()
+		req, err := http.NewRequest(method, ts.URL+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&got, "%s %s %s\n%d %s", method, path, body, resp.StatusCode, raw)
+	}
+	// Every snapshot read below happens with the engine idle (all
+	// submitted work finished), so the bodies are deterministic.
+	waitCompleted := func(n int) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for svc.Snapshot().Completed < n {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d jobs never completed", n)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	exchange("POST", "/api/jobs", `{"id": 7, "model": "LSTM", "workers": 1, "gpu_hours": 0.05}`)
+	waitCompleted(1)
+	exchange("POST", "/api/jobs", `{"id": 8, "key": "k1", "model": "ResNet-18", "workers": 2, "gpu_hours": 0.1}`)
+	waitCompleted(2)
+	exchange("POST", "/api/jobs", `{"id": 9, "key": "k1", "model": "ResNet-18", "workers": 2, "gpu_hours": 0.1}`)
+	exchange("POST", "/api/jobs", `{"model": "NoSuchNet", "workers": 1, "gpu_hours": 1}`)
+	exchange("GET", "/api/jobs/7", "")
+	exchange("GET", "/api/jobs/999", "")
+	exchange("GET", "/api/snapshot", "")
+
+	want, err := os.ReadFile("testdata/live_engine_api.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Errorf("single-engine API bodies changed:\n--- got\n%s\n--- want\n%s", got.String(), want)
+	}
+}
 
 // TestLiveSubmitIdempotencyKey: posting the same key twice admits one
 // job and answers the retry with the original ID.
