@@ -2,17 +2,18 @@
 # Scheduling for Deep Learning Cluster".
 #
 # `make check` is the single local entry point and the gate CI runs:
-# build, vet, repolint (the repository's domain-aware static-analysis
-# suite, see internal/lint), the test suite, and per-package coverage
-# floors. CI additionally runs the suite under the race detector (the
-# `race` target) as its own job; run it locally before touching the
-# control plane.
+# build, vet, gofmt and repolint (the repository's domain-aware
+# static-analysis suite, see internal/lint), the test suite, per-package
+# coverage floors, and the benchmark harness's own vet and tests (a
+# nested module `go test ./...` does not reach). CI additionally runs
+# the suite under the race detector (the `race` target) as its own job;
+# run it locally before touching the control plane.
 
 GO ?= go
 
-.PHONY: check build vet lint lint-fast lint-deep test race race-short stress bench-smoke bench profile service-smoke experiments chaos crash-smoke crash-chaos fuzz-smoke fuzz-sync cover
+.PHONY: check build vet lint lint-fast lint-deep test race race-short stress bench-smoke bench-harness bench profile service-smoke experiments chaos crash-smoke crash-chaos fuzz-smoke fuzz-sync cover
 
-check: build vet lint test cover
+check: build vet lint test cover bench-harness
 
 build:
 	$(GO) build ./...
@@ -23,7 +24,9 @@ vet:
 # lint runs go vet plus repolint, the in-tree static-analysis suite
 # enforcing determinism (no wall clock, no global rand, no map-order
 # dependence in scheduler-path packages), numeric safety, concurrency
-# hygiene, and API discipline — in two stages. lint-fast is the cheap
+# hygiene, and API discipline — in two stages. lint-fast is gofmt (the
+# analyzer corpora under internal/lint/testdata are exempt: fixtures
+# keep whatever shape their `// want` lines need) plus the cheap
 # per-package syntactic rules; lint-deep is the interprocedural pass
 # (snapshot escape, goroutine ownership, digest taint, WAL ordering)
 # over the whole-module callgraph, run with per-analyzer timing and a
@@ -34,6 +37,8 @@ LINTBUDGET ?= 90s
 lint: lint-fast lint-deep
 
 lint-fast: vet
+	@out="$$(gofmt -l . | grep -v '^internal/lint/testdata/')"; \
+	if [ -n "$$out" ]; then echo "gofmt: needs formatting:"; echo "$$out"; exit 1; fi
 	$(GO) run ./cmd/repolint -set fast .
 
 lint-deep:
@@ -74,6 +79,14 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench='BenchmarkDPAllocate$$' -benchtime=200x -benchmem . \
 		| $(GO) run ./cmd/benchjson -o /tmp/bench-smoke-dp.json \
 			-require DPAllocate -baseline BENCH_sim.json -regress-op DPAllocate -regress-pct 25
+
+# bench-harness vets and tests benchmark/, the nested module holding
+# hadarbench (BENCHMARK.json's command). It compiles against core, sim,
+# cluster and sched through a replace directive, so a signature change
+# there breaks it without failing anything in this module; this target
+# is what notices.
+bench-harness:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # bench takes real measurements of the scheduling hot path — the DP
 # round, the greedy round, the full 480-job simulation, a single engine

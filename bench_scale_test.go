@@ -54,16 +54,7 @@ func benchScaleContext(b *testing.B, nodes, jobs int) *sched.Context {
 // names.
 func BenchmarkScaleRound(b *testing.B) {
 	run := func(b *testing.B, nodes, jobs int) {
-		ctx := benchScaleContext(b, nodes, jobs)
-		s := core.New(core.DefaultOptions())
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			s.Schedule(ctx)
-		}
-		b.ReportMetric(float64(nodes), "nodes")
-		b.ReportMetric(float64(ctx.Cluster.TotalGPUs()), "gpus")
-		b.ReportMetric(float64(jobs), "jobs")
+		benchRounds(b, benchScaleContext(b, nodes, jobs))
 	}
 	for _, p := range scaleRoundPoints {
 		p := p
@@ -82,5 +73,38 @@ func BenchmarkScaleRound(b *testing.B) {
 			}
 			run(b, p.nodes, scaleFixedJobs)
 		})
+	}
+}
+
+// benchRounds times repeated Hadar rounds over ctx and reports the
+// context's size alongside.
+func benchRounds(b *testing.B, ctx *sched.Context) {
+	s := core.New(core.DefaultOptions())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Schedule(ctx)
+	}
+	b.ReportMetric(float64(ctx.Cluster.NumNodes()), "nodes")
+	b.ReportMetric(float64(ctx.Cluster.TotalGPUs()), "gpus")
+	b.ReportMetric(float64(len(ctx.Jobs)), "jobs")
+}
+
+// BenchmarkStragglerRound is BenchmarkScaleRound with two slow nodes, so
+// no type has uniform speed and every fillType call takes the priced
+// per-node scan instead of the bucket-order fast path. That scan reads
+// one price per free node per probe; its cost is the per-cell price
+// lookup (see DESIGN.md §13, "what was removed and why"). 8 jobs go
+// through the DP, 64 and 480 through the greedy pass.
+func BenchmarkStragglerRound(b *testing.B) {
+	for _, nodes := range []int{250, 1000} {
+		for _, jobs := range []int{8, 64, 480} {
+			b.Run(fmt.Sprintf("nodes=%d/jobs=%d", nodes, jobs), func(b *testing.B) {
+				ctx := benchScaleContext(b, nodes, jobs)
+				ctx.Cluster.SetSpeed(1, 0.6)
+				ctx.Cluster.SetSpeed(nodes/2, 0.8)
+				benchRounds(b, ctx)
+			})
+		}
 	}
 }

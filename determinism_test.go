@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/gavel"
+	"repro/internal/gpu"
 	"repro/internal/policy"
 	"repro/internal/sched"
 	"repro/internal/sim"
@@ -156,6 +157,28 @@ var goldenDigests = map[string]map[int]uint64{
 		96:  0xb71ee4fe0857b27a,
 		480: 0x4598ac0671e4a3b7,
 	},
+	// Hadar on stragglerCluster, where fillType prices node by node
+	// (2 618 and 5 144 rounds).
+	"hadar-straggler": {
+		96:  0x2dd25b40066c2864,
+		240: 0x96b61c246134f374,
+	},
+}
+
+// stragglerCluster has mixed per-node capacities and three slow nodes,
+// so neither of fillType's uniformity conditions holds and every
+// placement goes through the priced per-node scan. SimCluster is
+// uniform in both, and never reaches it.
+func stragglerCluster() *cluster.Cluster {
+	c := cluster.New(
+		gpu.Fleet{gpu.V100: 4}, gpu.Fleet{gpu.V100: 2}, gpu.Fleet{gpu.V100: 4},
+		gpu.Fleet{gpu.P100: 4}, gpu.Fleet{gpu.P100: 3}, gpu.Fleet{gpu.P100: 4},
+		gpu.Fleet{gpu.K80: 4}, gpu.Fleet{gpu.K80: 1, gpu.V100: 1}, gpu.Fleet{gpu.K80: 4},
+	)
+	c.SetSpeed(1, 0.6)
+	c.SetSpeed(4, 0.8)
+	c.SetSpeed(8, 0.5)
+	return c
 }
 
 // TestGoldenScheduleDigests replays the seed trace under every policy
@@ -172,16 +195,24 @@ func TestGoldenScheduleDigests(t *testing.T) {
 		numJobs = 96
 	}
 	schedulers := map[string]func() sched.Scheduler{
-		"hadar":    func() sched.Scheduler { return core.New(core.DefaultOptions()) },
-		"gavel":    func() sched.Scheduler { return gavel.New(gavel.Options{}) },
-		"tiresias": func() sched.Scheduler { return tiresias.New(tiresias.DefaultOptions()) },
-		"yarn-cs":  func() sched.Scheduler { return yarncs.New() },
-		"allox":    func() sched.Scheduler { return allox.New() },
+		"hadar":           func() sched.Scheduler { return core.New(core.DefaultOptions()) },
+		"gavel":           func() sched.Scheduler { return gavel.New(gavel.Options{}) },
+		"tiresias":        func() sched.Scheduler { return tiresias.New(tiresias.DefaultOptions()) },
+		"yarn-cs":         func() sched.Scheduler { return yarncs.New() },
+		"allox":           func() sched.Scheduler { return allox.New() },
+		"hadar-straggler": func() sched.Scheduler { return core.New(core.DefaultOptions()) },
 	}
 	for name, mk := range schedulers {
 		mk := mk
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
+			c, numJobs := experiments.SimCluster(), numJobs
+			if name == "hadar-straggler" {
+				c = stragglerCluster()
+				if numJobs > 240 {
+					numJobs = 240
+				}
+			}
 			cfg := trace.DefaultConfig()
 			cfg.NumJobs = numJobs
 			jobs, err := trace.Generate(cfg)
@@ -189,7 +220,7 @@ func TestGoldenScheduleDigests(t *testing.T) {
 				t.Fatal(err)
 			}
 			rec := newDigestRecorder(mk())
-			if _, err := sim.Run(experiments.SimCluster(), jobs, rec, sim.ValidatedOptions()); err != nil {
+			if _, err := sim.Run(c, jobs, rec, sim.ValidatedOptions()); err != nil {
 				t.Fatal(err)
 			}
 			want, ok := goldenDigests[name][numJobs]

@@ -34,12 +34,6 @@ type State struct {
 	total  int
 	hash   uint64
 
-	// ver counts every mutation of a cell, in both directions: apply and
-	// undo each bump it, so a rollback that restores an old free count
-	// still advances the version. Caches keyed on VersionAt therefore can
-	// never serve a value computed before a rollback as current.
-	ver []uint32
-
 	// nz[t] is a bitmap over node IDs (64 nodes per word, bit order =
 	// node order) of the nodes with free[node,t] > 0, and byFree[t][f] is
 	// a bitmap of the nodes with exactly f free devices of t
@@ -85,7 +79,7 @@ func cellHash(cell int, count int32) uint64 {
 // NewState returns a fully free state for the cluster.
 func NewState(c *Cluster) *State {
 	n := c.NumNodes() * stride
-	s := &State{c: c, free: make([]int32, n), cap: make([]int32, n), ver: make([]uint32, n)}
+	s := &State{c: c, free: make([]int32, n), cap: make([]int32, n)}
 	var maxCap [gpu.NumTypes]int32
 	for i, node := range c.nodes {
 		for t := gpu.Type(0); t < gpu.NumTypes; t++ {
@@ -150,14 +144,10 @@ func (s *State) TotalFree() int { return s.total }
 // the string Key as the memoization key in Hadar's DP subroutine.
 func (s *State) Hash() uint64 { return s.hash }
 
-// VersionAt returns the change counter of the (node, type) cell. It
-// increments on every mutation in either direction — each Allocate or
-// Release placement and each undone journal entry of a Rollback — so a
-// value cached at an older version can never be mistaken for current,
-// even when a rollback restores the exact free count the cache saw.
-func (s *State) VersionAt(node int, t gpu.Type) uint32 {
-	return s.ver[node*stride+int(t)]
-}
+// Capacity returns node id's total accelerator count of type t: the
+// cluster's Capacity read from the state's flat table, not the node's
+// gpu.Fleet map.
+func (s *State) Capacity(id int, t gpu.Type) int { return int(s.cap[id*stride+int(t)]) }
 
 // UniformCap returns the common per-node capacity of type t when every
 // node holding the type has the same capacity, -1 when capacities are
@@ -232,12 +222,10 @@ func (s *State) Scratch() []NodeFree {
 }
 
 // setFree moves one cell from old to now free devices, maintaining the
-// hash, the version counter, and the bitmap indexes. Both apply and
-// undo route through it, so the version advances on rollbacks too.
+// hash and the bitmap indexes.
 func (s *State) setFree(cell int, old, now int32) {
 	s.hash ^= cellHash(cell, old) ^ cellHash(cell, now)
 	s.free[cell] = now
-	s.ver[cell]++
 	t := cell % stride
 	node := cell / stride
 	word, bit := node>>6, uint(node&63)
@@ -382,14 +370,13 @@ func (s *State) CanAllocate(a Alloc) bool {
 
 // Clone returns an independent copy of the state (sharing the immutable
 // cluster and capacity table). Open savepoints do not transfer: the
-// clone starts outside any transaction. The bitmap indexes and version
-// counters are deep-copied, so clones mutate independently.
+// clone starts outside any transaction. The bitmap indexes are
+// deep-copied, so clones mutate independently.
 func (s *State) Clone() *State {
 	out := &State{
 		c:          s.c,
 		free:       append([]int32(nil), s.free...),
 		cap:        s.cap,
-		ver:        append([]uint32(nil), s.ver...),
 		byType:     s.byType,
 		total:      s.total,
 		hash:       s.hash,

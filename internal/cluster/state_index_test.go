@@ -6,51 +6,6 @@ import (
 	"repro/internal/gpu"
 )
 
-// TestVersionAt checks the per-cell change counter: it must advance on
-// every mutation in either direction — including each undo of a
-// rollback — so version-tagged caches can never treat a rolled-back
-// state as unchanged.
-func TestVersionAt(t *testing.T) {
-	s := NewState(scriptCluster())
-	a := Alloc{{Node: 0, Type: gpu.V100, Count: 2}}
-
-	if v := s.VersionAt(0, gpu.V100); v != 0 {
-		t.Fatalf("fresh state version = %d, want 0", v)
-	}
-	if err := s.Allocate(a); err != nil {
-		t.Fatal(err)
-	}
-	if v := s.VersionAt(0, gpu.V100); v != 1 {
-		t.Fatalf("version after Allocate = %d, want 1", v)
-	}
-	if err := s.Release(a); err != nil {
-		t.Fatal(err)
-	}
-	if v := s.VersionAt(0, gpu.V100); v != 2 {
-		t.Fatalf("version after Release = %d, want 2", v)
-	}
-
-	// A rollback restores the old free count but must still bump the
-	// version: same count, different version.
-	freeBefore := s.Free(0, gpu.V100)
-	sp := s.Savepoint()
-	if err := s.Allocate(a); err != nil {
-		t.Fatal(err)
-	}
-	s.Rollback(sp)
-	if got := s.Free(0, gpu.V100); got != freeBefore {
-		t.Fatalf("rollback did not restore free count: %d, want %d", got, freeBefore)
-	}
-	if v := s.VersionAt(0, gpu.V100); v != 4 {
-		t.Fatalf("version after allocate+rollback = %d, want 4 (one bump per direction)", v)
-	}
-
-	// Untouched cells never move.
-	if v := s.VersionAt(1, gpu.V100); v != 0 {
-		t.Fatalf("untouched cell version = %d, want 0", v)
-	}
-}
-
 // TestUniformCap checks the per-type capacity classification on a
 // deliberately mixed cluster.
 func TestUniformCap(t *testing.T) {
@@ -75,7 +30,7 @@ func TestUniformCap(t *testing.T) {
 }
 
 // TestCloneDeepCopiesIndexes mutates a clone and checks the original's
-// indexes and versions are untouched (and vice versa).
+// indexes are untouched (and vice versa).
 func TestCloneDeepCopiesIndexes(t *testing.T) {
 	s := NewState(scriptCluster())
 	a := Alloc{{Node: 1, Type: gpu.V100, Count: 4}}
@@ -85,9 +40,6 @@ func TestCloneDeepCopiesIndexes(t *testing.T) {
 	}
 	if got := s.Free(1, gpu.V100); got != 4 {
 		t.Fatalf("clone mutation leaked into original: free = %d, want 4", got)
-	}
-	if v := s.VersionAt(1, gpu.V100); v != 0 {
-		t.Fatalf("clone mutation bumped original version: %d, want 0", v)
 	}
 	checkCounters(t, s)
 	checkCounters(t, clone)

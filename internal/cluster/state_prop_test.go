@@ -50,6 +50,9 @@ func checkIndexes(t *testing.T, s *State) {
 	for typ := gpu.Type(0); typ < gpu.NumTypes; typ++ {
 		for node := 0; node < s.c.NumNodes(); node++ {
 			f := s.free[node*stride+int(typ)]
+			if got, want := s.Capacity(node, typ), s.c.Capacity(node, typ); got != want {
+				t.Fatalf("State.Capacity(%d, %v) = %d, cluster says %d", node, typ, got, want)
+			}
 			word, bit := node>>6, uint(node&63)
 			wantNZ := f > 0
 			gotNZ := s.nz[typ] != nil && s.nz[typ][word]&(1<<bit) != 0

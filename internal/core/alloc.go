@@ -17,15 +17,12 @@ type candidate struct {
 
 // probe is the free-state-bound working set of one allocation pass (the
 // greedy sweep, one DP search, or the backfill sweep): the state it
-// prices against, the per-cell price cache, and every scratch buffer
-// FIND_ALLOC recycles between calls. The sequential scheduler reuses
-// one probe across rounds; each parallel DP worker owns its own, so
-// workers share nothing mutable.
+// prices against and every scratch buffer FIND_ALLOC recycles between
+// calls. The scheduler reuses one probe across rounds.
 type probe struct {
 	opts *Options
 	pt   *priceTable
 	free *cluster.State
-	pc   priceCache
 	// uniformSpeed caches Cluster.UniformSpeed for the pass: combined
 	// with a uniform per-node capacity it licenses fillType's price-free
 	// scan order.
@@ -52,7 +49,6 @@ type probe struct {
 func (p *probe) bind(opts *Options, pt *priceTable, free *cluster.State) {
 	p.opts, p.pt, p.free = opts, pt, free
 	p.uniformSpeed = free.Cluster().UniformSpeed()
-	p.pc.bind(pt, free)
 	p.retain = nil
 }
 
@@ -131,7 +127,7 @@ func (p *probe) findAlloc(st *sched.JobState, ctx *sched.Context, types []gpu.Ty
 		// anyway, so skipping Canonical here cannot change them.
 		cost := 0.0
 		for _, pl := range a {
-			cost += p.pc.price(pl.Node, pl.Type) * float64(pl.Count)
+			cost += p.pt.price(p.free, pl.Node, pl.Type) * float64(pl.Count)
 		}
 		if n := distinctNodes(a); n > 1 {
 			cost *= 1 + p.opts.CommCost*float64(n-1)
@@ -254,26 +250,13 @@ type fillOption struct {
 
 // appendSingleType is sched.PlaceSingleType building its placements in
 // the shared arena: the returned Alloc aliases arena storage and is
-// only valid until the arena is recycled. The state's bucket index
-// already maintains the consolidation order (free descending, node
-// ascending), so the scan touches at most w nodes and never sorts.
+// only valid until the arena is recycled.
 func appendSingleType(arena *[]cluster.Placement, free *cluster.State, t gpu.Type, w int) (cluster.Alloc, bool) {
 	if free.FreeOfType(t) < w {
 		return nil, false
 	}
 	mark := len(*arena)
-	nodes := free.AppendFreeNodesByFreeDesc(t, w, free.Scratch())
-	need := w
-	for _, n := range nodes {
-		take := n.Free
-		if take > need {
-			take = need
-		}
-		*arena = append(*arena, cluster.Placement{Node: n.Node, Type: t, Count: take})
-		if need -= take; need == 0 {
-			break
-		}
-	}
+	*arena, _ = sched.AppendConsolidated(*arena, free, t, w)
 	return carve(arena, mark), true
 }
 
@@ -339,17 +322,7 @@ func (p *probe) fillType(arena *[]cluster.Placement, need int, t gpu.Type) int {
 		return need
 	}
 	if p.uniformSpeed && p.free.UniformCap(t) > 0 {
-		nodes := p.free.AppendFreeNodesByFreeDesc(t, need, p.free.Scratch())
-		for _, n := range nodes {
-			take := n.Free
-			if take > need {
-				take = need
-			}
-			*arena = append(*arena, cluster.Placement{Node: n.Node, Type: t, Count: take})
-			if need -= take; need == 0 {
-				break
-			}
-		}
+		*arena, need = sched.AppendConsolidated(*arena, p.free, t, need)
 		return need
 	}
 	opts := p.fillScratch[:0]
@@ -357,7 +330,7 @@ func (p *probe) fillType(arena *[]cluster.Placement, need int, t gpu.Type) int {
 	for _, n := range p.free.FreeNodes(t, p.free.Scratch()) {
 		opts = append(opts, fillOption{
 			node:  n.Node,
-			price: p.pc.price(n.Node, t),
+			price: p.pt.price(p.free, n.Node, t),
 			speed: c.Speed(n.Node),
 			avail: n.Free,
 		})

@@ -1,11 +1,8 @@
 package core
 
 import (
-	"math/bits"
-
 	"repro/internal/cluster"
 	"repro/internal/gpu"
-	"repro/internal/parallel"
 	"repro/internal/sched"
 )
 
@@ -23,28 +20,21 @@ type dpResult struct {
 }
 
 // dpMemoKey memoizes on (queue index, free-state hash): the DP's value
-// is a deterministic function of the position, which is also why the
-// parallel split below cannot change any result — more or fewer memo
-// hits only change how often the same value is recomputed.
+// is a deterministic function of the position.
 type dpMemoKey struct {
 	idx  int
 	hash uint64
 }
 
-// dpSearch is one sequential memoized search over a suffix of the
-// queue: its own probe (bound to the state it mutates), its own memo,
-// and its own inconsistency list, so searches running on different
-// goroutines share nothing mutable. Errors are collected rather than
-// reported inline and flushed by the caller in deterministic task
-// order.
+// dpSearch is one round's memoized search over the queue: the
+// scheduler (for its probe, bound to the state the search mutates, and
+// its inconsistency counter), the round's inputs, and the memo.
 type dpSearch struct {
-	p        *probe
+	s        *Scheduler
 	ctx      *sched.Context
 	queue    []*sched.JobState
 	jobTypes [][]gpu.Type
-	skip     []bool
 	memo     map[dpMemoKey]dpResult
-	errs     []error
 }
 
 // rec is Algorithm 2's recursion: branch on "allocate the best
@@ -52,8 +42,7 @@ type dpSearch struct {
 // the probe's shared State under a savepoint and roll it back, so the
 // search allocates nothing per visited node beyond the memo entries
 // themselves. The skip branch is computed first and the allocate branch
-// wins only on strictly greater total payoff; the parallel fold
-// replays this exact comparison.
+// wins only on strictly greater total payoff.
 func (d *dpSearch) rec(idx int, free *cluster.State) dpResult {
 	if idx >= len(d.queue) || free.TotalFree() == 0 {
 		return dpResult{}
@@ -64,15 +53,14 @@ func (d *dpSearch) rec(idx int, free *cluster.State) dpResult {
 	}
 	// Branch 1: skip this job.
 	best := d.rec(idx+1, free)
-	// Branch 2: allocate this job at its best candidate. The prescreen
-	// flag only suppresses probes whose payoff bound already failed the
-	// mu_j > 0 filter below.
+	// Branch 2: allocate this job at its best candidate, if that passes
+	// the admission filter mu_j > 0.
 	st := d.queue[idx]
-	if st.Remaining > 0 && !d.skip[idx] {
-		if cand, ok := d.p.findAlloc(st, d.ctx, d.jobTypes[idx]); ok && cand.payoff > 0 {
+	if st.Remaining > 0 {
+		if cand, ok := d.s.probe.findAlloc(st, d.ctx, d.jobTypes[idx]); ok && cand.payoff > 0 {
 			sp := free.Savepoint()
 			if err := free.Allocate(cand.alloc); err != nil {
-				d.errs = append(d.errs, err)
+				d.s.noteInconsistency(err)
 			} else {
 				sub := d.rec(idx+1, free)
 				total := cand.payoff + sub.payoff
@@ -94,187 +82,14 @@ func (d *dpSearch) rec(idx int, free *cluster.State) dpResult {
 // branch on "allocate its best candidate" vs "skip", memoizing on
 // (queue index, free-state hash), and keep the branch with the larger
 // total payoff (equivalently, minimum cost for the chosen utility).
-// With more than one worker the search fans out across goroutines; the
-// schedule stays byte-identical to the sequential search at every
-// worker count (see dpParallel).
-func (s *Scheduler) dpAllocate(ctx *sched.Context, queue []*sched.JobState, jobTypes [][]gpu.Type, skip []bool, pt *priceTable, out map[int]cluster.Alloc) {
+func (s *Scheduler) dpAllocate(ctx *sched.Context, queue []*sched.JobState, jobTypes [][]gpu.Type, pt *priceTable, out map[int]cluster.Alloc) {
 	root := cluster.NewState(ctx.Cluster)
 	s.probe.bind(&s.opts, pt, root)
-	var final dpResult
-	if s.dpWorkerCount(len(queue)) <= 1 {
-		d := &dpSearch{
-			p: &s.probe, ctx: ctx, queue: queue, jobTypes: jobTypes, skip: skip,
-			memo: make(map[dpMemoKey]dpResult, 64),
-		}
-		final = d.rec(0, root)
-		for _, err := range d.errs {
-			s.noteInconsistency(err)
-		}
-	} else {
-		final = s.dpParallel(ctx, queue, jobTypes, skip, pt, root)
+	d := &dpSearch{
+		s: s, ctx: ctx, queue: queue, jobTypes: jobTypes,
+		memo: make(map[dpMemoKey]dpResult, 64),
 	}
-	for _, p := range final.picks {
+	for _, p := range d.rec(0, root).picks {
 		out[p.id] = p.alloc
 	}
-}
-
-// dpWorkerCount resolves Options.DPWorkers for a queue of n jobs.
-func (s *Scheduler) dpWorkerCount(n int) int {
-	w := s.opts.DPWorkers
-	if w == 0 {
-		w = parallel.DefaultWorkers()
-	}
-	if w > 1 && n < 4 {
-		return 1 // a tiny tree cannot amortize clones and goroutines
-	}
-	return w
-}
-
-// dpNode is one node of the sequentially expanded search-tree prefix.
-type dpNode struct {
-	idx      int
-	terminal bool
-	task     int // leaf: index into the task list; -1 otherwise
-	cand     candidate
-	// skipChild is the position after skipping queue[idx]; allocChild
-	// the position after allocating cand (nil when no candidate passes
-	// the payoff filter at this position).
-	skipChild, allocChild *dpNode
-}
-
-// dpExpander unrolls the top of the DP tree to a fixed depth, cloning
-// the free state at each frontier leaf.
-type dpExpander struct {
-	s        *Scheduler
-	ctx      *sched.Context
-	queue    []*sched.JobState
-	jobTypes [][]gpu.Type
-	skip     []bool
-	depthCut int
-	leaves   []*cluster.State
-	leafIdx  []int
-}
-
-// expand mirrors dpSearch.rec node for node down to depthCut,
-// evaluating findAlloc against the same states the sequential search
-// would see (the probe is bound to the same root state, mutated under
-// the same savepoint discipline). findAlloc is deterministic given the
-// state, so the candidates recorded here are the sequential search's
-// candidates; only the sub-results below the frontier are deferred to
-// the worker tasks.
-func (e *dpExpander) expand(idx, depth int, free *cluster.State) *dpNode {
-	n := &dpNode{idx: idx, task: -1}
-	if idx >= len(e.queue) || free.TotalFree() == 0 {
-		n.terminal = true
-		return n
-	}
-	if depth >= e.depthCut {
-		n.task = len(e.leaves)
-		e.leaves = append(e.leaves, free.Clone())
-		e.leafIdx = append(e.leafIdx, idx)
-		return n
-	}
-	// Skip child first — the sequential visit order — so the fold below
-	// replays the exact comparison sequence.
-	n.skipChild = e.expand(idx+1, depth+1, free)
-	st := e.queue[idx]
-	if st.Remaining > 0 && !e.skip[idx] {
-		if cand, ok := e.s.probe.findAlloc(st, e.ctx, e.jobTypes[idx]); ok && cand.payoff > 0 {
-			sp := free.Savepoint()
-			if err := free.Allocate(cand.alloc); err != nil {
-				e.s.noteInconsistency(err)
-			} else {
-				n.cand = cand
-				n.allocChild = e.expand(idx+1, depth+1, free)
-			}
-			free.Rollback(sp)
-		}
-	}
-	return n
-}
-
-// dpTask is one frontier subtree's outcome.
-type dpTask struct {
-	res  dpResult
-	errs []error
-}
-
-// dpParallel runs the DP across worker goroutines without changing a
-// single decision. The tree is expanded sequentially to a frontier
-// deep enough for ~2x workers leaves, each leaf gets an independent
-// clone of the free state, every frontier subtree runs the plain
-// sequential search on its own goroutine (own probe, own memo — the
-// memo caches a deterministic function of the position, so private
-// memos return exactly what a shared memo would), and the frontier
-// folds back bottom-up with the sequential comparison: skip branch
-// first, allocate branch wins only on strictly greater total payoff.
-// parallel.Map preserves task order, and collected inconsistencies are
-// flushed in that order, so the outcome is byte-identical to the
-// sequential search at any worker count and GOMAXPROCS.
-func (s *Scheduler) dpParallel(ctx *sched.Context, queue []*sched.JobState, jobTypes [][]gpu.Type, skip []bool, pt *priceTable, root *cluster.State) dpResult {
-	workers := s.dpWorkerCount(len(queue))
-	cut := bits.Len(uint(2*workers - 1)) // smallest cut with 2^cut >= 2*workers
-	if cut > 6 {
-		cut = 6
-	}
-	if cut > len(queue) {
-		cut = len(queue)
-	}
-	e := &dpExpander{
-		s: s, ctx: ctx, queue: queue, jobTypes: jobTypes, skip: skip,
-		depthCut: cut,
-	}
-	tree := e.expand(0, 0, root)
-	tasks := make([]int, len(e.leaves))
-	for i := range tasks {
-		tasks[i] = i
-	}
-	results, err := parallel.Map(workers, tasks, func(i int) (dpTask, error) {
-		leaf := e.leaves[i]
-		d := &dpSearch{
-			p: &probe{}, ctx: ctx, queue: queue, jobTypes: jobTypes, skip: skip,
-			memo: make(map[dpMemoKey]dpResult, 64),
-		}
-		d.p.bind(&s.opts, pt, leaf)
-		res := d.rec(e.leafIdx[i], leaf)
-		return dpTask{res: res, errs: d.errs}, nil
-	})
-	if err != nil {
-		// Unreachable: the task function never errors. Fall back to a
-		// fresh sequential search rather than dropping the round.
-		d := &dpSearch{
-			p: &s.probe, ctx: ctx, queue: queue, jobTypes: jobTypes, skip: skip,
-			memo: make(map[dpMemoKey]dpResult, 64),
-		}
-		return d.rec(0, root)
-	}
-	for _, tr := range results {
-		for _, e := range tr.errs {
-			s.noteInconsistency(e)
-		}
-	}
-	return foldDP(tree, queue, results)
-}
-
-// foldDP combines the frontier results bottom-up with the sequential
-// comparison.
-func foldDP(n *dpNode, queue []*sched.JobState, results []dpTask) dpResult {
-	if n.terminal {
-		return dpResult{}
-	}
-	if n.task >= 0 {
-		return results[n.task].res
-	}
-	best := foldDP(n.skipChild, queue, results)
-	if n.allocChild != nil {
-		sub := foldDP(n.allocChild, queue, results)
-		total := n.cand.payoff + sub.payoff
-		if total > best.payoff {
-			picks := make([]pick, 0, len(sub.picks)+1)
-			picks = append(picks, pick{queue[n.idx].Job.ID, n.cand.alloc})
-			picks = append(picks, sub.picks...)
-			best = dpResult{payoff: total, picks: picks}
-		}
-	}
-	return best
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"sort"
 
 	"repro/internal/bug"
@@ -40,13 +39,6 @@ type Options struct {
 	// (Algorithm 2); larger queues fall back to the greedy
 	// payoff-density pass, preserving Fig. 7's scalability.
 	DPJobLimit int
-	// DPWorkers caps the worker goroutines the DP fans its search out
-	// across: the search tree is expanded sequentially to a small
-	// frontier, each frontier subtree runs on its own cloned free state,
-	// and the results fold back with the exact sequential comparison, so
-	// the schedule is byte-identical at every worker count. 0 uses every
-	// available CPU; 1 forces the sequential search.
-	DPWorkers int
 	// TaskLevel enables mixed-accelerator-type gangs (Hadar's core
 	// feature). Disabling it yields a job-level heterogeneity-aware
 	// scheduler for the DESIGN.md ablation.
@@ -96,18 +88,17 @@ type Scheduler struct {
 	// dual subroutine produced that did not fit the free state it was
 	// itself tracking. Always 0 unless there is a placement bug.
 	inconsistencies int
-	// probe is the sequential passes' FIND_ALLOC working set, reused
+	// probe is the allocation passes' FIND_ALLOC working set, reused
 	// across rounds (the scheduler is documented as not safe for
-	// concurrent use). Parallel DP workers build their own probes.
+	// concurrent use).
 	probe probe
 	// Per-round scratch, all recycled between rounds: the
-	// density-ordered queue and its sort entries, the per-job usable
-	// type lists carved from one arena, and the payoff-prescreen flags.
+	// density-ordered queue and its sort entries, and the per-job usable
+	// type lists carved from one arena.
 	queueScratch []*sched.JobState
 	entScratch   []queueEntry
 	typesArena   []gpu.Type
 	typesScratch [][]gpu.Type
-	skipScratch  []bool
 }
 
 // New builds a Hadar scheduler. It panics on invalid options so
@@ -121,9 +112,6 @@ func New(opts Options) *Scheduler {
 	}
 	if opts.DPJobLimit < 0 {
 		bug.Failf("core: negative DPJobLimit %d", opts.DPJobLimit)
-	}
-	if opts.DPWorkers < 0 {
-		bug.Failf("core: negative DPWorkers %d", opts.DPWorkers)
 	}
 	return &Scheduler{opts: opts}
 }
@@ -185,11 +173,10 @@ func (s *Scheduler) Schedule(ctx *sched.Context) map[int]cluster.Alloc {
 	// Usable-type lists are a function of the immutable job alone;
 	// compute them once per round instead of once per FIND_ALLOC call.
 	jobTypes := s.usableTypes(queue)
-	skip := s.payoffPrescreen(ctx, queue, jobTypes, pt)
 	if len(queue) <= s.opts.DPJobLimit {
-		s.dpAllocate(ctx, queue, jobTypes, skip, pt, out)
+		s.dpAllocate(ctx, queue, jobTypes, pt, out)
 	} else {
-		s.greedyAllocate(ctx, queue, jobTypes, skip, pt, out)
+		s.greedyAllocate(ctx, queue, jobTypes, pt, out)
 	}
 	if s.opts.Backfill {
 		s.backfill(ctx, queue, jobTypes, pt, out)
@@ -213,67 +200,6 @@ func (s *Scheduler) usableTypes(queue []*sched.JobState) [][]gpu.Type {
 	}
 	s.typesArena, s.typesScratch = arena, lists
 	return lists
-}
-
-// payoffPrescreen flags, once per round, the queued jobs whose payoff
-// upper bound is safely non-positive: the admission filter mu_j > 0
-// would reject every candidate FIND_ALLOC could produce, so the DP and
-// greedy passes skip the probe outright. The bound pairs the highest
-// utility any allocation can reach — the full gang on the job's fastest
-// usable type at the cluster's best straggler factor, i.e. the minimum
-// completion duration; Utility is positive and non-increasing in
-// duration by contract — with the lowest cost any candidate can be
-// charged: every device costs at least U_min of some usable type (Eq.
-// 5's curve never dips below U_min) and the only discount ever applied
-// is the stickiness factor. A small relative margin absorbs
-// floating-point rounding in the bound itself, so near-zero payoffs
-// still fall through to the exact probe and the schedule is
-// bit-identical with and without the screen. The backfill pass ignores
-// the payoff filter and therefore never consults these flags.
-func (s *Scheduler) payoffPrescreen(ctx *sched.Context, queue []*sched.JobState, jobTypes [][]gpu.Type, pt *priceTable) []bool {
-	if cap(s.skipScratch) < len(queue) {
-		s.skipScratch = make([]bool, len(queue))
-	}
-	skip := s.skipScratch[:len(queue)]
-	maxSpeed := 0.0
-	for _, n := range ctx.Cluster.Nodes() {
-		if n.Speed > maxSpeed {
-			maxSpeed = n.Speed
-		}
-	}
-	for i, st := range queue {
-		skip[i] = false
-		j := st.Job
-		if st.Remaining <= 0 {
-			continue // the passes skip these before probing anyway
-		}
-		_, best, ok := j.BestType()
-		if !ok || best*maxSpeed <= 0 {
-			continue
-		}
-		minU := math.Inf(1)
-		for _, t := range jobTypes[i] {
-			if pt.umax[t] > 0 && pt.umin[t] < minU {
-				minU = pt.umin[t]
-			}
-		}
-		age := ctx.Now - j.Arrival
-		if age < 0 {
-			age = 0
-		}
-		durMin := age + st.Remaining/(float64(j.Workers)*best*maxSpeed)
-		uMax := s.opts.Utility.Value(j, st.Remaining, durMin)
-		costLB := (1 - s.opts.Stickiness) * float64(j.Workers) * minU
-		ub := uMax - costLB
-		margin := costLB
-		if math.IsInf(margin, 1) {
-			margin = 0
-		}
-		if ub < -1e-9*(math.Abs(uMax)+margin+1) {
-			skip[i] = true
-		}
-	}
-	return skip
 }
 
 // backfill offers leftover devices to jobs the payoff filter rejected,
@@ -384,15 +310,15 @@ func (s *Scheduler) orderQueue(ctx *sched.Context) []*sched.JobState {
 // greedyAllocate is the large-queue path: one pass in payoff-density
 // order, allocating each positive-payoff job at its best candidate and
 // repricing as capacity fills.
-func (s *Scheduler) greedyAllocate(ctx *sched.Context, queue []*sched.JobState, jobTypes [][]gpu.Type, skip []bool, pt *priceTable, out map[int]cluster.Alloc) {
+func (s *Scheduler) greedyAllocate(ctx *sched.Context, queue []*sched.JobState, jobTypes [][]gpu.Type, pt *priceTable, out map[int]cluster.Alloc) {
 	free := cluster.NewState(ctx.Cluster)
 	s.probe.bind(&s.opts, pt, free)
 	for i, st := range queue {
 		if free.TotalFree() == 0 {
 			break // every further probe would come back empty-handed
 		}
-		if st.Remaining <= 0 || skip[i] {
-			continue // skip: the payoff bound already failed mu_j > 0
+		if st.Remaining <= 0 {
+			continue
 		}
 		cand, ok := s.probe.findAlloc(st, ctx, jobTypes[i])
 		if !ok || cand.payoff <= 0 {

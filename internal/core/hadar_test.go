@@ -339,6 +339,53 @@ func TestPriceInfiniteForAbsentType(t *testing.T) {
 	}
 }
 
+// TestPriceTracksStateMutations: price reads the free state directly,
+// so on a mixed-capacity cluster it equals at(t, used/cap) bit for bit
+// after every kind of mutation, including a rollback to an earlier free
+// count. Anything that ever caches prices between probes must keep this.
+func TestPriceTracksStateMutations(t *testing.T) {
+	c := cluster.New(
+		gpu.Fleet{gpu.V100: 4}, gpu.Fleet{gpu.V100: 2},
+		gpu.Fleet{gpu.P100: 3}, gpu.Fleet{gpu.K80: 1, gpu.V100: 1},
+	)
+	ctx := mkCtx(c, newState(mkJob(0, 2, 10000, 10, 5, 1)), newState(mkJob(1, 1, 8000, 8, 6, 2)))
+	pt := newPriceTable(ctx, InverseJCT{}, 0, true)
+	free := cluster.NewState(c)
+	a := cluster.Alloc{{Node: 0, Type: gpu.V100, Count: 3}, {Node: 1, Type: gpu.V100, Count: 1}, {Node: 2, Type: gpu.P100, Count: 2}}
+	b := cluster.Alloc{{Node: 1, Type: gpu.V100, Count: 1}, {Node: 3, Type: gpu.V100, Count: 1}, {Node: 3, Type: gpu.K80, Count: 1}}
+	steps := []struct {
+		name string
+		do   func() error
+	}{
+		{"fresh", func() error { return nil }},
+		{"Allocate", func() error { return free.Allocate(a) }},
+		{"Release", func() error { return free.Release(a[:1]) }},
+		{"Savepoint+Allocate+Rollback", func() error {
+			sp := free.Savepoint()
+			err := free.Allocate(b)
+			free.Rollback(sp)
+			return err
+		}},
+	}
+	for _, step := range steps {
+		if err := step.do(); err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		for node := 0; node < c.NumNodes(); node++ {
+			for _, typ := range []gpu.Type{gpu.V100, gpu.P100, gpu.K80} {
+				cap := c.Capacity(node, typ)
+				if cap == 0 {
+					continue
+				}
+				used := cap - free.Free(node, typ)
+				if got, want := pt.price(free, node, typ), pt.at(typ, float64(used)/float64(cap)); got != want {
+					t.Errorf("after %s: price(node %d, %v) = %v, at(%d/%d) = %v", step.name, node, typ, got, used, cap, want)
+				}
+			}
+		}
+	}
+}
+
 func TestPriceBoundsOrdered(t *testing.T) {
 	c := heteroCluster()
 	states := []*sched.JobState{

@@ -19,8 +19,7 @@ type priceTable struct {
 	// per-node capacity of type t present in the cluster, evaluated once
 	// per round in newPriceTable with the exact same expression price
 	// would use, so the per-probe hot path indexes two slices instead of
-	// calling math.Pow. Immutable after construction — parallel DP
-	// workers read it concurrently.
+	// calling math.Pow. Immutable after construction.
 	curve [gpu.NumTypes][][]float64
 }
 
@@ -142,9 +141,11 @@ func defaultEta(ctx *sched.Context) float64 {
 // from the free state: gamma = capacity - free (Eq. 5). Nodes without
 // the type price at +Inf so they are never selected. The value comes
 // from the precomputed curve, indexed by the node's capacity and used
-// count.
+// count. Capacity is read from the state's flat table: Cluster.Capacity
+// is a gpu.Fleet map lookup, and this runs once per free node per probe
+// in fillType's priced scan.
 func (pt *priceTable) price(free *cluster.State, node int, t gpu.Type) float64 {
-	cap := pt.c.Capacity(node, t)
+	cap := free.Capacity(node, t)
 	if cap == 0 {
 		return math.Inf(1)
 	}

@@ -121,15 +121,17 @@ func Validate(j *job.Job, a cluster.Alloc) error {
 	return nil
 }
 
-// consolidate appends placements for up to need devices of type t onto
-// out in consolidation order — most free devices first, ties by lower
-// node ID — and returns the extended allocation plus the unmet need.
-// The state's bucket index already maintains that order, so the scan
-// needs no sort and touches at most need nodes (every listed node
-// contributes at least one device). It runs through the state's shared
-// scratch buffer, so a round's placements do one buffer allocation
-// total.
-func consolidate(st *cluster.State, t gpu.Type, need int, out cluster.Alloc) (cluster.Alloc, int) {
+// AppendConsolidated appends placements for up to need devices of type
+// t onto out in consolidation order — most free devices first, ties by
+// lower node ID — and returns the extended allocation plus the unmet
+// need. Every consolidating placement goes through it: the Place*
+// helpers below, and Hadar's FIND_ALLOC with its candidate arena as
+// out. The state's bucket index already maintains that
+// order, so the scan needs no sort and touches at most need nodes (every
+// listed node contributes at least one device). It runs through the
+// state's shared scratch buffer, so a round's placements do one buffer
+// allocation total.
+func AppendConsolidated(out cluster.Alloc, st *cluster.State, t gpu.Type, need int) (cluster.Alloc, int) {
 	if need == 0 {
 		return out, 0
 	}
@@ -155,7 +157,7 @@ func PlaceSingleType(st *cluster.State, t gpu.Type, w int) (cluster.Alloc, bool)
 	if st.FreeOfType(t) < w {
 		return nil, false
 	}
-	out, need := consolidate(st, t, w, nil)
+	out, need := AppendConsolidated(nil, st, t, w)
 	if need > 0 {
 		return nil, false
 	}
@@ -175,7 +177,7 @@ func PlaceAnyType(st *cluster.State, prefer []gpu.Type, w int) (cluster.Alloc, b
 		if need == 0 {
 			break
 		}
-		out, need = consolidate(st, t, need, out)
+		out, need = AppendConsolidated(out, st, t, need)
 	}
 	if need > 0 {
 		return nil, false

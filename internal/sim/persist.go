@@ -23,12 +23,12 @@ const stateVersion = 1
 // journal's recorded digests — so RestoreEngine requires an exact
 // match. Reporting-only options (Validate, EventLog) may differ freely.
 type optsFingerprint struct {
-	RoundLength         float64   `json:"round_length_s"`
-	UseModelCosts       bool      `json:"use_model_costs"`
-	FlatDelay           float64   `json:"flat_delay_s"`
-	QuantizeCompletions bool      `json:"quantize_completions"`
-	CheckpointContention bool     `json:"checkpoint_contention"`
-	Failures            []Failure `json:"failures,omitempty"`
+	RoundLength          float64   `json:"round_length_s"`
+	UseModelCosts        bool      `json:"use_model_costs"`
+	FlatDelay            float64   `json:"flat_delay_s"`
+	QuantizeCompletions  bool      `json:"quantize_completions"`
+	CheckpointContention bool      `json:"checkpoint_contention"`
+	Failures             []Failure `json:"failures,omitempty"`
 }
 
 func fingerprint(o Options) optsFingerprint {

@@ -166,7 +166,7 @@ func Run(c *cluster.Cluster, jobs []*job.Job, s sched.Scheduler, opts Options) (
 	// submission order among simultaneous events, so admission matches
 	// the sorted-trace batch protocol exactly.
 	ordered := append([]*job.Job(nil), jobs...)
-	sortByArrival(ordered)
+	sort.SliceStable(ordered, func(i, k int) bool { return less(ordered[i], ordered[k]) })
 	for _, j := range ordered {
 		if err := eng.SubmitJob(j); err != nil {
 			return nil, err
@@ -222,14 +222,6 @@ func jobResult(st *sched.JobState, finish float64, n, totalGPUs int) metrics.Job
 		IsolatedDuration: metrics.IsolatedDuration(
 			st.Job.TotalIters(), st.Job.Workers, best, n, totalGPUs),
 		Reallocations: st.Reallocations,
-	}
-}
-
-func sortByArrival(jobs []*job.Job) {
-	for i := 1; i < len(jobs); i++ {
-		for k := i; k > 0 && less(jobs[k], jobs[k-1]); k-- {
-			jobs[k], jobs[k-1] = jobs[k-1], jobs[k]
-		}
 	}
 }
 

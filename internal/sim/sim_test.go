@@ -407,6 +407,43 @@ func TestRunDoesNotMutateInputOrder(t *testing.T) {
 	}
 }
 
+// TestRunAdmitsReverseOrderedTraceInArrivalOrder feeds Run a 20 000-job
+// trace sorted the wrong way round, with eight jobs sharing every
+// arrival time: jobs must still be admitted by ascending (arrival, ID).
+// Reverse order is the worst case for a quadratic sort, which at this
+// size takes seconds; the assertion is on order, not on time.
+func TestRunAdmitsReverseOrderedTraceInArrivalOrder(t *testing.T) {
+	const n = 20000
+	jobs := make([]*job.Job, n)
+	for i := range jobs {
+		id := n - 1 - i
+		jobs[i] = simpleJob(id, 1, 1, float64(id/8))
+	}
+	var buf bytes.Buffer
+	opts := ValidatedOptions()
+	opts.EventLog = &buf
+	if _, err := Run(cluster.Homogeneous(50, gpu.V100, 8), jobs, fifo{}, opts); err != nil {
+		t.Fatal(err)
+	}
+	events, err := ReadEvents(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := 0
+	for _, e := range events {
+		if e.Type != EventArrive {
+			continue
+		}
+		if e.Job != next {
+			t.Fatalf("admission %d was job %d, want job %d", next, e.Job, next)
+		}
+		next++
+	}
+	if next != n {
+		t.Fatalf("%d jobs admitted, want %d", next, n)
+	}
+}
+
 func TestStragglerSlowsJob(t *testing.T) {
 	cFast := cluster.New(gpu.Fleet{gpu.V100: 2})
 	cSlow := cluster.New(gpu.Fleet{gpu.V100: 2})
