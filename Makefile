@@ -26,7 +26,9 @@ vet:
 # dependence in scheduler-path packages), numeric safety, concurrency
 # hygiene, and API discipline — in two stages. lint-fast is gofmt (the
 # analyzer corpora under internal/lint/testdata are exempt: fixtures
-# keep whatever shape their `// want` lines need) plus the cheap
+# keep whatever shape their `// want` lines need), a grep that keeps
+# the policy packages from building a cluster.State of their own (they
+# search the one the caller lends in sched.Context.Free), plus the cheap
 # per-package syntactic rules; lint-deep is the interprocedural pass
 # (snapshot escape, goroutine ownership, digest taint, WAL ordering)
 # over the whole-module callgraph, run with per-analyzer timing and a
@@ -34,11 +36,14 @@ vet:
 # ./cmd/repolint -rules` lists the rule catalogue; suppress
 # site-by-site with `//lint:ignore <rule> <reason>`.
 LINTBUDGET ?= 90s
+POLICY_PKGS := internal/core internal/gavel internal/tiresias internal/yarncs internal/allox internal/policy internal/profiler
 lint: lint-fast lint-deep
 
 lint-fast: vet
 	@out="$$(gofmt -l . | grep -v '^internal/lint/testdata/')"; \
 	if [ -n "$$out" ]; then echo "gofmt: needs formatting:"; echo "$$out"; exit 1; fi
+	@out="$$(grep -rn 'cluster\.NewState(' --include='*.go' $(POLICY_PKGS) | grep -v '_test\.go:')"; \
+	if [ -n "$$out" ]; then echo "policies search ctx.Free, they do not build a state:"; echo "$$out"; exit 1; fi
 	$(GO) run ./cmd/repolint -set fast .
 
 lint-deep:

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/sched"
@@ -42,7 +43,7 @@ const scaleFixedJobs = 480
 func benchScaleContext(b *testing.B, nodes, jobs int) *sched.Context {
 	b.Helper()
 	ctx := benchSchedContext(b, jobs)
-	ctx.Cluster = experiments.ScaleCluster(nodes)
+	ctx.Free = cluster.NewState(experiments.ScaleCluster(nodes))
 	return ctx
 }
 
@@ -85,8 +86,8 @@ func benchRounds(b *testing.B, ctx *sched.Context) {
 	for i := 0; i < b.N; i++ {
 		s.Schedule(ctx)
 	}
-	b.ReportMetric(float64(ctx.Cluster.NumNodes()), "nodes")
-	b.ReportMetric(float64(ctx.Cluster.TotalGPUs()), "gpus")
+	b.ReportMetric(float64(ctx.Free.Cluster().NumNodes()), "nodes")
+	b.ReportMetric(float64(ctx.Free.TotalCapacity()), "gpus")
 	b.ReportMetric(float64(len(ctx.Jobs)), "jobs")
 }
 
@@ -101,8 +102,8 @@ func BenchmarkStragglerRound(b *testing.B) {
 		for _, jobs := range []int{8, 64, 480} {
 			b.Run(fmt.Sprintf("nodes=%d/jobs=%d", nodes, jobs), func(b *testing.B) {
 				ctx := benchScaleContext(b, nodes, jobs)
-				ctx.Cluster.SetSpeed(1, 0.6)
-				ctx.Cluster.SetSpeed(nodes/2, 0.8)
+				ctx.Free.Cluster().SetSpeed(1, 0.6)
+				ctx.Free.Cluster().SetSpeed(nodes/2, 0.8)
 				benchRounds(b, ctx)
 			})
 		}

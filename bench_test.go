@@ -52,7 +52,7 @@ func benchSchedContext(b *testing.B, numJobs int) *sched.Context {
 		Round:       0,
 		RoundLength: 360,
 		Horizon:     horizon,
-		Cluster:     experiments.SimCluster(),
+		Free:        cluster.NewState(experiments.SimCluster()),
 		Jobs:        states,
 	}
 }
@@ -73,7 +73,7 @@ func BenchmarkDPAllocate(b *testing.B) {
 }
 
 // BenchmarkGreedyAllocate exercises the large-queue greedy fallback
-// (greedyAllocate) plus the work-conserving backfill pass.
+// (sweep) plus the work-conserving backfill sweep.
 func BenchmarkGreedyAllocate(b *testing.B) {
 	ctx := benchSchedContext(b, 64)
 	opts := core.DefaultOptions()

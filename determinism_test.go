@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/allox"
@@ -163,6 +164,30 @@ var goldenDigests = map[string]map[int]uint64{
 		96:  0x2dd25b40066c2864,
 		240: 0x96b61c246134f374,
 	},
+	// Every policy on SimCluster under outageWindows: what a policy
+	// reads about a down node (capacity, per-type totals, the type
+	// list, eta's total) is part of the schedule.
+	"hadar-outage":    {96: 0x237f662ada77865},
+	"gavel-outage":    {96: 0x26c1e0cc510ed2b7},
+	"tiresias-outage": {96: 0x4cc3d3f3834750d7},
+	"yarn-cs-outage":  {96: 0xafd69792fa2668ac},
+	"allox-outage":    {96: 0x19502a85ee7652ef},
+}
+
+// outageWindows is two overlapping outages on SimCluster, both starting
+// mid-round so running gangs are killed: every V100 node (0-4) is down
+// for six rounds, inside a longer window that takes one P100 node and
+// one K80 node, and the P100 node fails a second time later.
+func outageWindows() []sim.Failure {
+	out := []sim.Failure{
+		{Node: 7, Start: 2500, End: 9000},
+		{Node: 12, Start: 2500, End: 9000},
+		{Node: 7, Start: 20000, End: 23000},
+	}
+	for n := 0; n < 5; n++ {
+		out = append(out, sim.Failure{Node: n, Start: 3700, End: 5900})
+	}
+	return out
 }
 
 // stragglerCluster has mixed per-node capacities and three slow nodes,
@@ -202,16 +227,23 @@ func TestGoldenScheduleDigests(t *testing.T) {
 		"allox":           func() sched.Scheduler { return allox.New() },
 		"hadar-straggler": func() sched.Scheduler { return core.New(core.DefaultOptions()) },
 	}
+	for _, name := range []string{"hadar", "gavel", "tiresias", "yarn-cs", "allox"} {
+		schedulers[name+"-outage"] = schedulers[name]
+	}
 	for name, mk := range schedulers {
 		mk := mk
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			c, numJobs := experiments.SimCluster(), numJobs
+			c, numJobs, opts := experiments.SimCluster(), numJobs, sim.ValidatedOptions()
 			if name == "hadar-straggler" {
 				c = stragglerCluster()
 				if numJobs > 240 {
 					numJobs = 240
 				}
+			}
+			if strings.HasSuffix(name, "-outage") {
+				opts.Failures = outageWindows()
+				numJobs = 96
 			}
 			cfg := trace.DefaultConfig()
 			cfg.NumJobs = numJobs
@@ -220,7 +252,7 @@ func TestGoldenScheduleDigests(t *testing.T) {
 				t.Fatal(err)
 			}
 			rec := newDigestRecorder(mk())
-			if _, err := sim.Run(c, jobs, rec, sim.ValidatedOptions()); err != nil {
+			if _, err := sim.Run(c, jobs, rec, opts); err != nil {
 				t.Fatal(err)
 			}
 			want, ok := goldenDigests[name][numJobs]

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"log"
 
+	"repro/internal/cluster"
 	"repro/internal/experiments"
 	"repro/internal/gpu"
 	"repro/internal/sched"
@@ -38,7 +39,7 @@ func main() {
 		}
 		ctx := &sched.Context{
 			Now: 0, Round: 0, RoundLength: 360, Horizon: 1e6,
-			Cluster: clus, Jobs: states,
+			Free: cluster.NewState(clus), Jobs: states,
 		}
 		decisions := s.Schedule(ctx)
 		fmt.Printf("  %-8s", s.Name())

@@ -36,7 +36,7 @@ func (s *Scheduler) Schedule(ctx *sched.Context) map[int]cluster.Alloc {
 	if len(ctx.Jobs) == 0 {
 		return out
 	}
-	types := ctx.Cluster.Types()
+	types := ctx.Free.Types()
 	jobs := ctx.Jobs
 
 	// Cost of assigning job j to type r: its estimated remaining
@@ -77,7 +77,7 @@ func (s *Scheduler) Schedule(ctx *sched.Context) map[int]cluster.Alloc {
 			row[idx(ji, ri)] = float64(st.Job.Workers)
 		}
 		A = append(A, row)
-		B = append(B, float64(ctx.Cluster.TotalOfType(t)))
+		B = append(B, float64(ctx.Free.CapacityOfType(t)))
 	}
 	sol, err := lp.Solve(lp.Problem{C: c, A: A, B: B})
 
@@ -116,7 +116,7 @@ func (s *Scheduler) Schedule(ctx *sched.Context) map[int]cluster.Alloc {
 		return pairs[a].ri < pairs[b].ri
 	})
 
-	free := cluster.NewState(ctx.Cluster)
+	defer ctx.Free.Rollback(ctx.Free.Savepoint())
 	assigned := make(map[int]bool, len(jobs))
 	for _, p := range pairs {
 		st := jobs[p.ji]
@@ -124,7 +124,7 @@ func (s *Scheduler) Schedule(ctx *sched.Context) map[int]cluster.Alloc {
 			continue
 		}
 		t := types[p.ri]
-		a, ok := sched.AllocSingleType(free, t, st.Job.Workers)
+		a, ok := sched.AllocSingleType(ctx.Free, t, st.Job.Workers)
 		if !ok {
 			continue
 		}

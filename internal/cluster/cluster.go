@@ -73,11 +73,6 @@ func Merge(clusters ...*Cluster) *Cluster {
 // NumNodes returns the machine count H.
 func (c *Cluster) NumNodes() int { return len(c.nodes) }
 
-// Node returns the node with the given ID. It panics on an invalid ID.
-func (c *Cluster) Node(id int) Node {
-	return c.nodes[id]
-}
-
 // Nodes returns the nodes in ID order. The returned slice must not be
 // modified.
 func (c *Cluster) Nodes() []Node { return c.nodes }
@@ -111,15 +106,6 @@ func (c *Cluster) Capacity(id int, t gpu.Type) int {
 	return c.nodes[id].Capacity.Count(t)
 }
 
-// TotalOfType returns the cluster-wide count of accelerators of type t.
-func (c *Cluster) TotalOfType(t gpu.Type) int {
-	n := 0
-	for _, node := range c.nodes {
-		n += node.Capacity.Count(t)
-	}
-	return n
-}
-
 // TotalGPUs returns the cluster-wide accelerator count across all types.
 func (c *Cluster) TotalGPUs() int {
 	n := 0
@@ -129,16 +115,6 @@ func (c *Cluster) TotalGPUs() int {
 	return n
 }
 
-// Types returns the accelerator types present anywhere in the cluster,
-// in ascending Type order.
-func (c *Cluster) Types() []gpu.Type {
-	total := gpu.Fleet{}
-	for _, node := range c.nodes {
-		total.Add(node.Capacity)
-	}
-	return total.Types()
-}
-
 // String renders a short description, e.g. "cluster[15 nodes, {V100:20 P100:20 K80:20}]".
 func (c *Cluster) String() string {
 	total := gpu.Fleet{}
@@ -146,23 +122,6 @@ func (c *Cluster) String() string {
 		total.Add(node.Capacity)
 	}
 	return fmt.Sprintf("cluster[%d nodes, %s]", len(c.nodes), total)
-}
-
-// Without returns a copy of the cluster in which the given nodes have
-// zero capacity (their IDs remain valid, so allocations elsewhere are
-// unaffected). The simulator uses it to present a failed machine to the
-// schedulers.
-func (c *Cluster) Without(down map[int]bool) *Cluster {
-	out := &Cluster{nodes: make([]Node, len(c.nodes))}
-	copy(out.nodes, c.nodes)
-	for i := range out.nodes {
-		if down[out.nodes[i].ID] {
-			out.nodes[i].Capacity = gpu.Fleet{}
-		} else {
-			out.nodes[i].Capacity = out.nodes[i].Capacity.Clone()
-		}
-	}
-	return out
 }
 
 // Placement assigns Count accelerators of one type on one node to a job.

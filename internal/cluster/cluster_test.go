@@ -22,8 +22,8 @@ func TestNewAssignsIDsAndSpeeds(t *testing.T) {
 		t.Fatalf("NumNodes = %d", c.NumNodes())
 	}
 	for i := 0; i < 2; i++ {
-		if c.Node(i).ID != i {
-			t.Errorf("node %d has ID %d", i, c.Node(i).ID)
+		if c.Nodes()[i].ID != i {
+			t.Errorf("node %d has ID %d", i, c.Nodes()[i].ID)
 		}
 		if c.Speed(i) != 1.0 {
 			t.Errorf("node %d default speed %v", i, c.Speed(i))
@@ -49,21 +49,21 @@ func TestHomogeneousAndMerge(t *testing.T) {
 		t.Errorf("TotalGPUs = %d, want 60", c.TotalGPUs())
 	}
 	for _, typ := range []gpu.Type{gpu.V100, gpu.P100, gpu.K80} {
-		if c.TotalOfType(typ) != 20 {
-			t.Errorf("TotalOfType(%v) = %d, want 20", typ, c.TotalOfType(typ))
+		if got := NewState(c).CapacityOfType(typ); got != 20 {
+			t.Errorf("CapacityOfType(%v) = %d, want 20", typ, got)
 		}
 	}
 	// Merge must reassign IDs contiguously.
 	for i := 0; i < 15; i++ {
-		if c.Node(i).ID != i {
-			t.Errorf("merged node %d has ID %d", i, c.Node(i).ID)
+		if c.Nodes()[i].ID != i {
+			t.Errorf("merged node %d has ID %d", i, c.Nodes()[i].ID)
 		}
 	}
 }
 
 func TestTypesSorted(t *testing.T) {
 	c := paperSimCluster()
-	types := c.Types()
+	types := NewState(c).Types()
 	want := []gpu.Type{gpu.V100, gpu.P100, gpu.K80}
 	if len(types) != len(want) {
 		t.Fatalf("Types = %v", types)
@@ -325,25 +325,84 @@ func TestFreeBoundsProperty(t *testing.T) {
 	}
 }
 
-func TestWithoutZeroesFailedNodes(t *testing.T) {
-	c := New(gpu.Fleet{gpu.V100: 2}, gpu.Fleet{gpu.K80: 3})
-	c.SetSpeed(1, 0.5)
-	view := c.Without(map[int]bool{0: true})
-	if view.Capacity(0, gpu.V100) != 0 {
+func TestSetDownZeroesFailedNode(t *testing.T) {
+	c := New(gpu.Fleet{gpu.V100: 2}, gpu.Fleet{gpu.K80: 3, gpu.V100: 4})
+	s := NewState(c)
+	if err := s.SetDown(0, true); err != nil {
+		t.Fatal(err)
+	}
+	if s.Capacity(0, gpu.V100) != 0 || s.Free(0, gpu.V100) != 0 {
 		t.Error("failed node still has capacity")
 	}
-	if view.Capacity(1, gpu.K80) != 3 {
-		t.Error("healthy node capacity changed")
+	if s.Capacity(1, gpu.K80) != 3 || s.Free(1, gpu.V100) != 4 {
+		t.Error("healthy node changed")
 	}
-	if view.Speed(1) != 0.5 {
-		t.Error("node speed not preserved")
+	if s.CapacityOfType(gpu.V100) != 4 || s.FreeOfType(gpu.V100) != 4 || s.TotalCapacity() != 7 {
+		t.Errorf("totals still count the failed node: V100 capacity %d free %d, total %d",
+			s.CapacityOfType(gpu.V100), s.FreeOfType(gpu.V100), s.TotalCapacity())
 	}
-	// The original cluster must be untouched.
-	if c.Capacity(0, gpu.V100) != 2 {
-		t.Error("Without mutated the original cluster")
+	// Mixed V100 capacities {2, 4} become uniform while node 0 is down.
+	if got := s.UniformCap(gpu.V100); got != 4 {
+		t.Errorf("UniformCap(V100) = %d with node 0 down, want 4", got)
 	}
-	// Node IDs stay stable so allocations elsewhere remain valid.
-	if view.Node(1).ID != 1 || view.NumNodes() != 2 {
-		t.Error("node identity changed")
+	// The cluster itself is untouched, and so is a state built later.
+	if c.Capacity(0, gpu.V100) != 2 || NewState(c).Free(0, gpu.V100) != 2 {
+		t.Error("SetDown mutated the cluster")
 	}
+	a := Alloc{{Node: 0, Type: gpu.V100, Count: 1}}
+	if s.Allocate(a) == nil || s.Release(a) == nil {
+		t.Error("a down node accepted an allocation or a release")
+	}
+	if err := s.SetDown(0, false); err != nil {
+		t.Fatal(err)
+	}
+	if s.Hash() != NewState(c).Hash() || s.UniformCap(gpu.V100) != -1 || s.Free(0, gpu.V100) != 2 {
+		t.Error("marking the node up did not restore the fully free state")
+	}
+	// With the only K80 node down the type is gone from the view.
+	if err := s.SetDown(1, true); err != nil {
+		t.Fatal(err)
+	}
+	if ts := s.Types(); len(ts) != 1 || ts[0] != gpu.V100 || s.UniformCap(gpu.K80) != 0 {
+		t.Errorf("Types() = %v, UniformCap(K80) = %d with the K80 node down", ts, s.UniformCap(gpu.K80))
+	}
+	checkCounters(t, s)
+}
+
+func TestSetDownRefusals(t *testing.T) {
+	s := NewState(New(gpu.Fleet{gpu.V100: 2}, gpu.Fleet{gpu.K80: 3}))
+	if s.SetDown(2, true) == nil || s.SetDown(-1, false) == nil {
+		t.Error("outage mark on a node the cluster does not have was accepted")
+	}
+	a := Alloc{{Node: 0, Type: gpu.V100, Count: 1}}
+	if err := s.Allocate(a); err != nil {
+		t.Fatal(err)
+	}
+	before := s.Hash()
+	if s.SetDown(0, true) == nil || s.Hash() != before {
+		t.Error("node with a device allocated was marked down")
+	}
+	if err := s.Release(a); err != nil {
+		t.Fatal(err)
+	}
+	sp := s.Savepoint()
+	if s.SetDown(0, true) == nil {
+		t.Error("node marked down inside a transaction")
+	}
+	s.Rollback(sp)
+	if err := s.SetDown(0, true); err != nil {
+		t.Fatal(err)
+	}
+	sp = s.Savepoint()
+	if s.SetDown(0, false) == nil {
+		t.Error("node marked up inside a transaction")
+	}
+	if err := s.SetDown(0, true); err != nil {
+		t.Errorf("re-marking a down node down is a no-op, got %v", err)
+	}
+	s.Rollback(sp)
+	if err := s.SetDown(0, false); err != nil {
+		t.Fatal(err)
+	}
+	checkCounters(t, s)
 }

@@ -26,13 +26,25 @@ import (
 // Savepoints nest with stack discipline — the most recent open savepoint
 // must be rolled back or committed first. A State is not safe for
 // concurrent use.
+//
+// A node outage is a mark on the state, not a second cluster: after
+// SetDown every accessor answers as NewState would for a cluster in
+// which that node holds no devices.
 type State struct {
 	c      *Cluster
-	free   []int32 // node*gpu.NumTypes + type
-	cap    []int32 // same layout; immutable after NewState
+	free   []int32 // node*gpu.NumTypes + type; 0 on a down node
+	cap    []int32 // same layout; the cluster's capacities, immutable after NewState
 	byType [gpu.NumTypes]int
 	total  int
 	hash   uint64
+
+	// down[node] is the outage mark. capOfType[t] and capTotal are the
+	// capacity totals over the up nodes, and capNodes[t][c] the number of
+	// up nodes holding exactly c >= 1 devices of t.
+	down      []bool
+	capOfType [gpu.NumTypes]int
+	capTotal  int
+	capNodes  [gpu.NumTypes][]int32
 
 	// nz[t] is a bitmap over node IDs (64 nodes per word, bit order =
 	// node order) of the nodes with free[node,t] > 0, and byFree[t][f] is
@@ -43,12 +55,6 @@ type State struct {
 	// touching nodes that have nothing free and without sorting.
 	nz     [gpu.NumTypes][]uint64
 	byFree [gpu.NumTypes][][]uint64
-
-	// uniformCap[t] is the common per-node capacity of type t when every
-	// node holding the type has the same capacity, -1 when capacities
-	// are mixed, and 0 when no node has the type. Immutable after
-	// NewState.
-	uniformCap [gpu.NumTypes]int32
 
 	// Undo journal, recorded only while at least one savepoint is open.
 	journal []journalEntry
@@ -78,50 +84,36 @@ func cellHash(cell int, count int32) uint64 {
 
 // NewState returns a fully free state for the cluster.
 func NewState(c *Cluster) *State {
-	n := c.NumNodes() * stride
-	s := &State{c: c, free: make([]int32, n), cap: make([]int32, n)}
+	nodes := c.NumNodes()
+	s := &State{c: c, free: make([]int32, nodes*stride), cap: make([]int32, nodes*stride), down: make([]bool, nodes)}
 	var maxCap [gpu.NumTypes]int32
 	for i, node := range c.nodes {
 		for t := gpu.Type(0); t < gpu.NumTypes; t++ {
-			count := node.Capacity[t]
-			if count == 0 {
-				continue
-			}
-			cell := i*stride + int(t)
-			s.free[cell] = int32(count)
-			s.cap[cell] = int32(count)
-			s.byType[t] += count
-			s.total += count
-			if int32(count) > maxCap[t] {
-				maxCap[t] = int32(count)
-			}
-			switch {
-			case s.uniformCap[t] == 0:
-				s.uniformCap[t] = int32(count)
-			case s.uniformCap[t] != int32(count):
-				s.uniformCap[t] = -1
+			count := int32(node.Capacity[t])
+			s.cap[i*stride+int(t)] = count
+			if count > maxCap[t] {
+				maxCap[t] = count
 			}
 		}
 	}
-	for cell, f := range s.free {
-		s.hash ^= cellHash(cell, f)
-	}
-	words := (c.NumNodes() + 63) / 64
-	for t := gpu.Type(0); t < gpu.NumTypes; t++ {
-		if maxCap[t] == 0 {
+	words := (nodes + 63) / 64
+	for t, most := range maxCap {
+		s.capNodes[t] = make([]int32, most+1)
+		if most == 0 {
 			continue
 		}
 		s.nz[t] = make([]uint64, words)
-		s.byFree[t] = make([][]uint64, maxCap[t]+1)
-		for f := int32(1); f <= maxCap[t]; f++ {
+		s.byFree[t] = make([][]uint64, most+1)
+		for f := int32(1); f <= most; f++ {
 			s.byFree[t][f] = make([]uint64, words)
 		}
-		for node := 0; node < c.NumNodes(); node++ {
-			if f := s.free[node*stride+int(t)]; f > 0 {
-				s.nz[t][node>>6] |= 1 << uint(node&63)
-				s.byFree[t][f][node>>6] |= 1 << uint(node&63)
-			}
-		}
+	}
+	// Every node starts with nothing free, as if down, and is brought up.
+	for cell := range s.free {
+		s.hash ^= cellHash(cell, 0)
+	}
+	for id := range c.nodes {
+		s.mark(id, false)
 	}
 	return s
 }
@@ -144,15 +136,109 @@ func (s *State) TotalFree() int { return s.total }
 // the string Key as the memoization key in Hadar's DP subroutine.
 func (s *State) Hash() uint64 { return s.hash }
 
-// Capacity returns node id's total accelerator count of type t: the
-// cluster's Capacity read from the state's flat table, not the node's
-// gpu.Fleet map.
-func (s *State) Capacity(id int, t gpu.Type) int { return int(s.cap[id*stride+int(t)]) }
+// Capacity returns node id's total accelerator count of type t — 0
+// while the node is down — read from the state's flat table, not the
+// node's gpu.Fleet map.
+func (s *State) Capacity(id int, t gpu.Type) int {
+	if s.down[id] {
+		return 0
+	}
+	return int(s.cap[id*stride+int(t)])
+}
+
+// CapacityOfType returns the accelerator count of type t over the up
+// nodes.
+func (s *State) CapacityOfType(t gpu.Type) int { return s.capOfType[t] }
+
+// TotalCapacity returns the accelerator count over the up nodes across
+// all types.
+func (s *State) TotalCapacity() int { return s.capTotal }
+
+// Types returns the accelerator types some up node holds, ascending.
+func (s *State) Types() []gpu.Type {
+	var out []gpu.Type
+	for t := gpu.Type(0); t < gpu.NumTypes; t++ {
+		if s.capOfType[t] > 0 {
+			out = append(out, t)
+		}
+	}
+	return out
+}
+
+// CapacityCounts returns, indexed by per-node capacity c, the number of
+// up nodes holding exactly c devices of type t (index 0 is unused). The
+// returned slice must not be modified.
+func (s *State) CapacityCounts(t gpu.Type) []int32 { return s.capNodes[t] }
 
 // UniformCap returns the common per-node capacity of type t when every
-// node holding the type has the same capacity, -1 when capacities are
-// mixed, and 0 when no node has the type.
-func (s *State) UniformCap(t gpu.Type) int { return int(s.uniformCap[t]) }
+// up node holding the type has the same capacity, -1 when capacities
+// are mixed, and 0 when no up node has the type.
+func (s *State) UniformCap(t gpu.Type) int {
+	uniform := 0
+	for c, n := range s.capNodes[t] {
+		if n == 0 {
+			continue
+		}
+		if uniform != 0 {
+			return -1
+		}
+		uniform = c
+	}
+	return uniform
+}
+
+// SetDown marks node id down or up. A down node reads capacity 0 and
+// free 0, so nothing can be allocated on or released to it and no scan
+// lists it; marking it up restores its capacity, fully free. Marking a
+// node the way it already is does nothing. It is an error to change a
+// mark inside a transaction (rollback could not undo it) or to take
+// down a node that still has devices allocated: the owner releases
+// those first.
+func (s *State) SetDown(id int, down bool) error {
+	if id < 0 || id >= len(s.down) {
+		return fmt.Errorf("cluster: outage mark on invalid node %d", id)
+	}
+	if s.down[id] == down {
+		return nil
+	}
+	if len(s.marks) > 0 {
+		return fmt.Errorf("cluster: outage mark on node %d inside a transaction", id)
+	}
+	if down {
+		for cell := id * stride; cell < (id+1)*stride; cell++ {
+			if s.free[cell] != s.cap[cell] {
+				return fmt.Errorf("cluster: node %d marked down with %d %s allocated",
+					id, s.cap[cell]-s.free[cell], gpu.Type(cell%stride))
+			}
+		}
+	}
+	s.mark(id, down)
+	return nil
+}
+
+// mark moves node id, whose devices are all free or all withheld,
+// between down (nothing free, out of the capacity summaries) and up
+// (everything free).
+func (s *State) mark(id int, down bool) {
+	s.down[id] = down
+	sign := int32(1)
+	if down {
+		sign = -1
+	}
+	for t := 0; t < stride; t++ {
+		cell := id*stride + t
+		if count := s.cap[cell]; count > 0 {
+			delta := sign * count
+			s.apply(cell, delta)
+			s.capOfType[t] += int(delta)
+			s.capTotal += int(delta)
+			s.capNodes[t][count] += sign
+		}
+	}
+}
+
+// Savepoints returns the number of open savepoints.
+func (s *State) Savepoints() int { return len(s.marks) }
 
 // NodeFree pairs a node ID with a free device count, for placement
 // scans.
@@ -344,7 +430,7 @@ func (s *State) Release(a Alloc) error {
 			return fmt.Errorf("cluster: release with invalid type %v", p.Type)
 		}
 		cell := p.Node*stride + int(p.Type)
-		if int(s.free[cell])+p.Count > int(s.cap[cell]) {
+		if int(s.free[cell])+p.Count > s.Capacity(p.Node, p.Type) {
 			s.Rollback(sp)
 			return fmt.Errorf("cluster: release of %d %s on node %d exceeds capacity",
 				p.Count, p.Type, p.Node)
@@ -370,17 +456,22 @@ func (s *State) CanAllocate(a Alloc) bool {
 
 // Clone returns an independent copy of the state (sharing the immutable
 // cluster and capacity table). Open savepoints do not transfer: the
-// clone starts outside any transaction. The bitmap indexes are
-// deep-copied, so clones mutate independently.
+// clone starts outside any transaction. The bitmap indexes and outage
+// marks are deep-copied, so clones mutate independently.
 func (s *State) Clone() *State {
 	out := &State{
-		c:          s.c,
-		free:       append([]int32(nil), s.free...),
-		cap:        s.cap,
-		byType:     s.byType,
-		total:      s.total,
-		hash:       s.hash,
-		uniformCap: s.uniformCap,
+		c:         s.c,
+		free:      append([]int32(nil), s.free...),
+		cap:       s.cap,
+		byType:    s.byType,
+		total:     s.total,
+		hash:      s.hash,
+		down:      append([]bool(nil), s.down...),
+		capOfType: s.capOfType,
+		capTotal:  s.capTotal,
+	}
+	for t := range s.capNodes {
+		out.capNodes[t] = append([]int32(nil), s.capNodes[t]...)
 	}
 	for t := range s.nz {
 		if s.nz[t] == nil {

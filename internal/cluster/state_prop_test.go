@@ -11,7 +11,8 @@ import (
 // op scripts, checking after every step that the incrementally
 // maintained counters and hash agree with a from-scratch recompute, and
 // that any interleaving of Allocate/Release/Savepoint/Rollback/Commit
-// round-trips exactly to the free counts it started from.
+// and outage marks round-trips exactly to the free counts it started
+// from.
 
 // checkCounters recomputes byType, total, and the Zobrist hash from the
 // flat free array and compares them to the incrementally maintained
@@ -42,16 +43,34 @@ func checkCounters(t *testing.T, s *State) {
 }
 
 // checkIndexes recomputes the non-zero and per-free-count bitmap
-// indexes from the flat free array and compares them to the
-// incrementally maintained ones, then checks the consolidation-order
-// iterator against a from-scratch sort.
+// indexes from the flat free array, and the capacity table and its
+// per-type summaries from the cluster and the outage marks, and
+// compares them to the incrementally maintained ones; then checks the
+// consolidation-order iterator against a from-scratch sort.
 func checkIndexes(t *testing.T, s *State) {
 	t.Helper()
+	capTotal := 0
 	for typ := gpu.Type(0); typ < gpu.NumTypes; typ++ {
+		capOfType, uniform := 0, 0
+		capNodes := make([]int32, len(s.capNodes[typ]))
 		for node := 0; node < s.c.NumNodes(); node++ {
 			f := s.free[node*stride+int(typ)]
-			if got, want := s.Capacity(node, typ), s.c.Capacity(node, typ); got != want {
-				t.Fatalf("State.Capacity(%d, %v) = %d, cluster says %d", node, typ, got, want)
+			want := s.c.Capacity(node, typ)
+			if s.down[node] {
+				want = 0
+			}
+			if got := s.Capacity(node, typ); got != want {
+				t.Fatalf("State.Capacity(%d, %v) = %d, want %d (down: %v)", node, typ, got, want, s.down[node])
+			}
+			if want > 0 {
+				capOfType += want
+				capNodes[want]++
+				switch {
+				case uniform == 0:
+					uniform = want
+				case uniform != want:
+					uniform = -1
+				}
 			}
 			word, bit := node>>6, uint(node&63)
 			wantNZ := f > 0
@@ -64,6 +83,18 @@ func checkIndexes(t *testing.T, s *State) {
 				if want := int(f) == cnt; got != want {
 					t.Fatalf("byFree[%v][%d] bit for node %d = %v, want %v (free %d)", typ, cnt, node, got, want, f)
 				}
+			}
+		}
+		if got := s.CapacityOfType(typ); got != capOfType {
+			t.Fatalf("CapacityOfType(%v) = %d, recomputed %d", typ, got, capOfType)
+		}
+		capTotal += capOfType
+		if got := s.UniformCap(typ); got != uniform {
+			t.Fatalf("UniformCap(%v) = %d, recomputed %d", typ, got, uniform)
+		}
+		for c, n := range s.CapacityCounts(typ) {
+			if n != capNodes[c] {
+				t.Fatalf("CapacityCounts(%v)[%d] = %d, recomputed %d", typ, c, n, capNodes[c])
 			}
 		}
 		// The bucket iterator must equal a brute-force consolidation sort
@@ -89,6 +120,9 @@ func checkIndexes(t *testing.T, s *State) {
 				t.Fatalf("AppendFreeNodesByFreeDesc(%v, 1) = %+v, want [%+v]", typ, truncated, want[0])
 			}
 		}
+	}
+	if got := s.TotalCapacity(); got != capTotal {
+		t.Fatalf("TotalCapacity() = %d, recomputed %d", got, capTotal)
 	}
 }
 
@@ -142,8 +176,19 @@ func runStateScript(t *testing.T, data []byte) {
 
 	var stack []frame
 	var held []Alloc // allocations currently applied, in apply order
+	heldOn := func(node int) bool {
+		for _, a := range held {
+			for _, p := range a {
+				if p.Count > 0 && p.Node == node {
+					return true
+				}
+			}
+		}
+		return false
+	}
 	for len(data) > 0 {
-		switch next() % 9 {
+		op := next() % 11
+		switch op {
 		case 0, 1, 2: // Allocate
 			a := randomAlloc()
 			before := s.Hash()
@@ -208,6 +253,26 @@ func runStateScript(t *testing.T, data []byte) {
 			if s.Key() != key || s.Hash() != hash {
 				t.Fatal("commit changed the free state")
 			}
+		case 9, 10: // Mark a node (possibly invalid) down (9) or up (10)
+			node := int(next()) % (c.NumNodes() + 1)
+			down := op == 9
+			// Marking a node the way it already is does nothing, anywhere;
+			// a real change is refused inside a transaction, and so is
+			// taking down a node that has devices allocated.
+			noop := node < c.NumNodes() && s.down[node] == down
+			refuse := node == c.NumNodes() || (!noop && (len(stack) > 0 || (down && heldOn(node))))
+			before := s.Hash()
+			err := s.SetDown(node, down)
+			if refuse != (err != nil) {
+				t.Fatalf("SetDown(%d, %v) with %d savepoints open, held on node %v: err = %v, want refusal %v",
+					node, down, len(stack), node < c.NumNodes() && heldOn(node), err, refuse)
+			}
+			if (refuse || noop) && s.Hash() != before {
+				t.Fatalf("refused or no-op SetDown(%d, %v) mutated state", node, down)
+			}
+		}
+		if s.Savepoints() != len(stack) {
+			t.Fatalf("Savepoints() = %d, script has %d open", s.Savepoints(), len(stack))
 		}
 		checkCounters(t, s)
 	}
@@ -224,6 +289,11 @@ func runStateScript(t *testing.T, data []byte) {
 	for _, a := range held {
 		if err := s.Release(a); err != nil {
 			t.Fatalf("final release failed: %v", err)
+		}
+	}
+	for node := 0; node < c.NumNodes(); node++ {
+		if err := s.SetDown(node, false); err != nil {
+			t.Fatalf("final mark-up failed: %v", err)
 		}
 	}
 	checkCounters(t, s)
@@ -256,9 +326,11 @@ func TestStateTransactionProperty(t *testing.T) {
 // search for op interleavings that break the transactional invariants.
 func FuzzStateTransactions(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{6, 0, 0, 1, 2, 7})                   // savepoint, alloc, rollback
-	f.Add([]byte{0, 1, 0, 0, 3, 6, 0, 2, 1, 1, 8})    // alloc, release, savepoint, alloc, commit
-	f.Add([]byte{6, 6, 0, 0, 0, 4, 8, 7, 5, 9, 9, 9}) // nested savepoints
+	f.Add([]byte{6, 0, 0, 1, 2, 7})                       // savepoint, alloc, rollback
+	f.Add([]byte{0, 1, 0, 0, 3, 6, 0, 2, 1, 1, 8})        // alloc, release, savepoint, alloc, commit
+	f.Add([]byte{6, 6, 0, 0, 0, 4, 8, 7, 5, 9, 9, 9})     // nested savepoints
+	f.Add([]byte{9, 2, 0, 0, 2, 0, 1, 6, 9, 1, 7, 10, 2}) // node 2 down, alloc on it, mark inside a savepoint, node 2 up
+	f.Add([]byte{0, 0, 1, 0, 3, 9, 1, 3, 0, 9, 1, 10, 1}) // alloc on node 1, down refused, release, down, up
 	f.Fuzz(func(t *testing.T, data []byte) {
 		runStateScript(t, data)
 	})

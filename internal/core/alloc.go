@@ -15,40 +15,44 @@ type candidate struct {
 	payoff float64 // mu_j = utility - cost
 }
 
-// probe is the free-state-bound working set of one allocation pass (the
-// greedy sweep, one DP search, or the backfill sweep): the state it
+// probe is the free-state-bound working set of one Schedule call (the
+// greedy sweep or DP search, then the backfill sweep): the state it
 // prices against and every scratch buffer FIND_ALLOC recycles between
 // calls. The scheduler reuses one probe across rounds.
 type probe struct {
 	opts *Options
 	pt   *priceTable
 	free *cluster.State
-	// uniformSpeed caches Cluster.UniformSpeed for the pass: combined
-	// with a uniform per-node capacity it licenses fillType's price-free
-	// scan order.
-	uniformSpeed bool
+	// uniformFill[t] licenses fillType's price-free scan order for type
+	// t: every node runs at the same speed and every up node holding t
+	// has the same capacity. Fixed for the round: outage marks cannot
+	// change inside the savepoint Schedule holds.
+	uniformFill [gpu.NumTypes]bool
 
 	// FIND_ALLOC working storage: fillScratch is the node-scan buffer
 	// fillType's fallback path selects candidate nodes in, candArena is
 	// the backing store candidate placements are carved from, and
 	// candScratch is the candidate list itself. All are recycled on
 	// every findAlloc call. retain backs the winning allocations the
-	// pass hands out: it only grows within a pass (so carved winners
+	// round hands out: it only grows between binds (so carved winners
 	// stay valid for the whole round) and is re-based by bind, keeping a
-	// pass at O(log n) heap allocations instead of one per probe.
+	// round at O(log n) heap allocations instead of one per probe.
 	fillScratch []fillOption
 	candArena   []cluster.Placement
 	candScratch []cluster.Alloc
 	retain      []cluster.Placement
 }
 
-// bind points the probe at a pass's options, price table, and free
+// bind points the probe at a round's options, price table, and free
 // state. The retain arena is re-based (not truncated): allocations
-// carved during the previous pass may have escaped into that round's
-// decision map, so their backing array must never be overwritten.
+// carved during the previous round have escaped into its decision map,
+// so their backing array must never be overwritten.
 func (p *probe) bind(opts *Options, pt *priceTable, free *cluster.State) {
 	p.opts, p.pt, p.free = opts, pt, free
-	p.uniformSpeed = free.Cluster().UniformSpeed()
+	uniformSpeed := free.Cluster().UniformSpeed()
+	for t := range p.uniformFill {
+		p.uniformFill[t] = uniformSpeed && free.UniformCap(gpu.Type(t)) > 0
+	}
 	p.retain = nil
 }
 
@@ -111,7 +115,7 @@ func (p *probe) findAlloc(st *sched.JobState, ctx *sched.Context, types []gpu.Ty
 	bestIdx := -1
 	var best candidate
 	for i, a := range cands {
-		rate := sched.Rate(j, ctx.Cluster, a)
+		rate := sched.Rate(j, p.free.Cluster(), a)
 		if rate <= 0 {
 			continue
 		}
@@ -202,13 +206,13 @@ func distinctNodes(a cluster.Alloc) int {
 	return n
 }
 
-// retainCanonical copies a into the pass's retain arena in canonical
+// retainCanonical copies a into the round's retain arena in canonical
 // form — zero counts dropped, same-(node,type) entries merged, sorted
 // by (node, type) — and returns the carved copy. It matches
 // Alloc.Canonical for the non-negative placement lists the candidate
 // generators emit, without the intermediate map or the per-call heap
 // allocation: the arena grows geometrically, and earlier carves stay
-// valid because the arena is never truncated below them within a pass.
+// valid because the arena is never truncated below them within a round.
 func (p *probe) retainCanonical(a cluster.Alloc) cluster.Alloc {
 	mark := len(p.retain)
 	for _, pl := range a {
@@ -321,7 +325,7 @@ func (p *probe) fillType(arena *[]cluster.Placement, need int, t gpu.Type) int {
 	if need == 0 || p.free.FreeOfType(t) == 0 {
 		return need
 	}
-	if p.uniformSpeed && p.free.UniformCap(t) > 0 {
+	if p.uniformFill[t] {
 		*arena, need = sched.AppendConsolidated(*arena, p.free, t, need)
 		return need
 	}

@@ -81,15 +81,19 @@ func (d *dpSearch) rec(idx int, free *cluster.State) dpResult {
 // dpAllocate is Algorithm 2's dynamic program: for each job in order,
 // branch on "allocate its best candidate" vs "skip", memoizing on
 // (queue index, free-state hash), and keep the branch with the larger
-// total payoff (equivalently, minimum cost for the chosen utility).
-func (s *Scheduler) dpAllocate(ctx *sched.Context, queue []*sched.JobState, jobTypes [][]gpu.Type, pt *priceTable, out map[int]cluster.Alloc) {
-	root := cluster.NewState(ctx.Cluster)
-	s.probe.bind(&s.opts, pt, root)
+// total payoff (equivalently, minimum cost for the chosen utility). The
+// search returns the state as it found it; the winning picks are then
+// allocated on it in the order the search allocated them.
+func (s *Scheduler) dpAllocate(ctx *sched.Context, queue []*sched.JobState, jobTypes [][]gpu.Type, out map[int]cluster.Alloc) {
 	d := &dpSearch{
 		s: s, ctx: ctx, queue: queue, jobTypes: jobTypes,
 		memo: make(map[dpMemoKey]dpResult, 64),
 	}
-	for _, p := range d.rec(0, root).picks {
+	for _, p := range d.rec(0, ctx.Free).picks {
+		if err := ctx.Free.Allocate(p.alloc); err != nil {
+			s.noteInconsistency(err)
+			continue
+		}
 		out[p.id] = p.alloc
 	}
 }

@@ -29,7 +29,7 @@ func Example() {
 	scheduler := core.New(core.DefaultOptions())
 	decisions := scheduler.Schedule(&sched.Context{
 		Now: 0, RoundLength: 360, Horizon: 1e6,
-		Cluster: clus, Jobs: []*sched.JobState{state},
+		Free: cluster.NewState(clus), Jobs: []*sched.JobState{state},
 	})
 	fmt.Println(decisions[1])
 	// Output: [n0:V100x2 n1:K80x1]

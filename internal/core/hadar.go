@@ -173,13 +173,18 @@ func (s *Scheduler) Schedule(ctx *sched.Context) map[int]cluster.Alloc {
 	// Usable-type lists are a function of the immutable job alone;
 	// compute them once per round instead of once per FIND_ALLOC call.
 	jobTypes := s.usableTypes(queue)
+	// Every pass searches the lent state: the primal-dual pass leaves
+	// its decisions allocated on it, backfill continues from there, and
+	// the one rollback hands it back as found.
+	defer ctx.Free.Rollback(ctx.Free.Savepoint())
+	s.probe.bind(&s.opts, pt, ctx.Free)
 	if len(queue) <= s.opts.DPJobLimit {
-		s.dpAllocate(ctx, queue, jobTypes, pt, out)
+		s.dpAllocate(ctx, queue, jobTypes, out)
 	} else {
-		s.greedyAllocate(ctx, queue, jobTypes, pt, out)
+		s.sweep(ctx, queue, jobTypes, out, false)
 	}
 	if s.opts.Backfill {
-		s.backfill(ctx, queue, jobTypes, pt, out)
+		s.sweep(ctx, queue, jobTypes, out, true)
 	}
 	return out
 }
@@ -200,52 +205,6 @@ func (s *Scheduler) usableTypes(queue []*sched.JobState) [][]gpu.Type {
 	}
 	s.typesArena, s.typesScratch = arena, lists
 	return lists
-}
-
-// backfill offers leftover devices to jobs the payoff filter rejected,
-// in the same priority order, making the schedule work-conserving.
-func (s *Scheduler) backfill(ctx *sched.Context, queue []*sched.JobState, jobTypes [][]gpu.Type, pt *priceTable, out map[int]cluster.Alloc) {
-	free := cluster.NewState(ctx.Cluster)
-	// Replay prior decisions in job-ID order so that, if the pass below
-	// ever produced jointly infeasible decisions, the same one is blamed
-	// on every run.
-	ids := make([]int, 0, len(out))
-	for id := range out {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		if err := free.Allocate(out[id]); err != nil {
-			// The primal-dual pass produced jointly infeasible decisions;
-			// surface the bug and leave the decisions as-is.
-			s.noteInconsistency(err)
-			return
-		}
-	}
-	s.probe.bind(&s.opts, pt, free)
-	for i, st := range queue {
-		if free.TotalFree() == 0 {
-			break // nothing left to offer anyone
-		}
-		if st.Remaining <= 0 {
-			continue
-		}
-		if _, ok := out[st.Job.ID]; ok {
-			continue
-		}
-		if free.TotalFree() < st.Job.Workers {
-			continue
-		}
-		cand, ok := s.probe.findAlloc(st, ctx, jobTypes[i])
-		if !ok {
-			continue
-		}
-		if err := free.Allocate(cand.alloc); err != nil {
-			s.noteInconsistency(err)
-			continue
-		}
-		out[st.Job.ID] = cand.alloc
-	}
 }
 
 // queueEntry pairs a job with its queue-ordering density for the
@@ -307,22 +266,24 @@ func (s *Scheduler) orderQueue(ctx *sched.Context) []*sched.JobState {
 	return queue
 }
 
-// greedyAllocate is the large-queue path: one pass in payoff-density
-// order, allocating each positive-payoff job at its best candidate and
-// repricing as capacity fills.
-func (s *Scheduler) greedyAllocate(ctx *sched.Context, queue []*sched.JobState, jobTypes [][]gpu.Type, pt *priceTable, out map[int]cluster.Alloc) {
-	free := cluster.NewState(ctx.Cluster)
-	s.probe.bind(&s.opts, pt, free)
+// sweep is one pass over the queue in payoff-density order, allocating
+// each job not yet decided at its best candidate and repricing as
+// capacity fills. As the large-queue primal-dual pass it admits only
+// positive payoffs (the filter mu_j > 0); as the backfill pass it admits
+// every feasible candidate, offering the leftover devices to the jobs
+// the filter rejected, which makes the schedule work-conserving.
+func (s *Scheduler) sweep(ctx *sched.Context, queue []*sched.JobState, jobTypes [][]gpu.Type, out map[int]cluster.Alloc, backfill bool) {
+	free := ctx.Free
 	for i, st := range queue {
 		if free.TotalFree() == 0 {
 			break // every further probe would come back empty-handed
 		}
-		if st.Remaining <= 0 {
+		if _, decided := out[st.Job.ID]; decided || st.Remaining <= 0 || free.TotalFree() < st.Job.Workers {
 			continue
 		}
 		cand, ok := s.probe.findAlloc(st, ctx, jobTypes[i])
-		if !ok || cand.payoff <= 0 {
-			continue // admission filter mu_j > 0
+		if !ok || (cand.payoff <= 0 && !backfill) {
+			continue
 		}
 		if err := free.Allocate(cand.alloc); err != nil {
 			s.noteInconsistency(err)

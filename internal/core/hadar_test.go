@@ -35,7 +35,7 @@ func mkCtx(c *cluster.Cluster, states ...*sched.JobState) *sched.Context {
 	}
 	return &sched.Context{
 		Now: 0, Round: 0, RoundLength: 360, Horizon: horizon,
-		Cluster: c, Jobs: states,
+		Free: cluster.NewState(c), Jobs: states,
 	}
 }
 

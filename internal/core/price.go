@@ -12,11 +12,10 @@ import (
 // bounds U_max^r / U_min^r (Eq. 6-7) and the marginal price function
 // k_h^r(gamma) (Eq. 5), evaluated against the current free state.
 type priceTable struct {
-	c           *cluster.Cluster
 	umax, umin  [gpu.NumTypes]float64
 	exponential bool
 	// curve[t][cap][used] caches at(t, used/cap) for every distinct
-	// per-node capacity of type t present in the cluster, evaluated once
+	// per-node capacity of type t among the up nodes, evaluated once
 	// per round in newPriceTable with the exact same expression price
 	// would use, so the per-probe hot path indexes two slices instead of
 	// calling math.Pow. Immutable after construction.
@@ -28,7 +27,7 @@ type priceTable struct {
 // (the online algorithm recomputes the bounds "based on the current
 // workload of the cluster").
 func newPriceTable(ctx *sched.Context, u Utility, eta float64, exponential bool) *priceTable {
-	pt := &priceTable{c: ctx.Cluster, exponential: exponential}
+	pt := &priceTable{exponential: exponential}
 	for t := gpu.Type(0); t < gpu.NumTypes; t++ {
 		pt.umax[t] = 0
 		pt.umin[t] = math.Inf(1)
@@ -84,7 +83,7 @@ func newPriceTable(ctx *sched.Context, u Utility, eta float64, exponential bool)
 			pt.umin[t] = pt.umax[t] / math.E
 		}
 	}
-	pt.fillCurves()
+	pt.fillCurves(ctx.Free)
 	return pt
 }
 
@@ -92,20 +91,15 @@ func newPriceTable(ctx *sched.Context, u Utility, eta float64, exponential bool)
 // distinct node capacity, used count): the per-probe price lookup then
 // reduces to two slice indexes. Each entry is computed with exactly the
 // expression price would evaluate lazily, so cached and direct values
-// are bit-identical.
-func (pt *priceTable) fillCurves() {
-	for node := 0; node < pt.c.NumNodes(); node++ {
-		for t := gpu.Type(0); t < gpu.NumTypes; t++ {
-			cap := pt.c.Capacity(node, t)
-			if cap == 0 {
-				continue
-			}
-			if len(pt.curve[t]) <= cap {
-				grown := make([][]float64, cap+1)
-				copy(grown, pt.curve[t])
-				pt.curve[t] = grown
-			}
-			if pt.curve[t][cap] != nil {
+// are bit-identical. The distinct capacities come from the state's own
+// per-capacity node counts, so the cost is independent of the node
+// count.
+func (pt *priceTable) fillCurves(free *cluster.State) {
+	for t := gpu.Type(0); t < gpu.NumTypes; t++ {
+		counts := free.CapacityCounts(t)
+		pt.curve[t] = make([][]float64, len(counts))
+		for cap, nodes := range counts {
+			if nodes == 0 {
 				continue
 			}
 			row := make([]float64, cap+1)
@@ -121,7 +115,7 @@ func (pt *priceTable) fillCurves() {
 // objective bounded (Theorem 2's proof requires
 // 1/eta <= t_max_j * W_j / total capacity for all jobs).
 func defaultEta(ctx *sched.Context) float64 {
-	total := float64(ctx.Cluster.TotalGPUs())
+	total := float64(ctx.Free.TotalCapacity())
 	eta := 1.0
 	for _, st := range ctx.Jobs {
 		j := st.Job

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/gpu"
 	"repro/internal/metrics"
 	"repro/internal/sched"
@@ -17,8 +18,8 @@ func TestSimClusterMatchesPaper(t *testing.T) {
 		t.Errorf("NumNodes = %d, want 15", c.NumNodes())
 	}
 	for _, typ := range []gpu.Type{gpu.V100, gpu.P100, gpu.K80} {
-		if got := c.TotalOfType(typ); got != 20 {
-			t.Errorf("TotalOfType(%v) = %d, want 20", typ, got)
+		if got := cluster.NewState(c).CapacityOfType(typ); got != 20 {
+			t.Errorf("CapacityOfType(%v) = %d, want 20", typ, got)
 		}
 	}
 }
@@ -30,8 +31,8 @@ func TestPhysicalClusterMatchesPaper(t *testing.T) {
 	}
 	want := map[gpu.Type]int{gpu.T4: 2, gpu.K520: 2, gpu.K80: 2, gpu.V100: 2}
 	for typ, n := range want {
-		if got := c.TotalOfType(typ); got != n {
-			t.Errorf("TotalOfType(%v) = %d, want %d", typ, got, n)
+		if got := cluster.NewState(c).CapacityOfType(typ); got != n {
+			t.Errorf("CapacityOfType(%v) = %d, want %d", typ, got, n)
 		}
 	}
 }
@@ -39,14 +40,14 @@ func TestPhysicalClusterMatchesPaper(t *testing.T) {
 func TestScaledSimClusterProportions(t *testing.T) {
 	c := ScaledSimCluster(12)
 	for _, typ := range []gpu.Type{gpu.V100, gpu.P100, gpu.K80} {
-		if got := c.TotalOfType(typ); got != 12 {
-			t.Errorf("TotalOfType(%v) = %d, want 12", typ, got)
+		if got := cluster.NewState(c).CapacityOfType(typ); got != 12 {
+			t.Errorf("CapacityOfType(%v) = %d, want 12", typ, got)
 		}
 	}
 	// Non-multiple of 4 still lands exactly.
 	c = ScaledSimCluster(6)
-	if c.TotalOfType(gpu.V100) != 6 {
-		t.Errorf("scaled(6) V100 = %d", c.TotalOfType(gpu.V100))
+	if cluster.NewState(c).CapacityOfType(gpu.V100) != 6 {
+		t.Errorf("scaled(6) V100 = %d", cluster.NewState(c).CapacityOfType(gpu.V100))
 	}
 }
 

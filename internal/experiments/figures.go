@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/checkpoint"
+	"repro/internal/cluster"
 	"repro/internal/gpu"
 	"repro/internal/job"
 	"repro/internal/parallel"
@@ -291,7 +292,7 @@ func Fig7(seed int64, maxJobs int) (*Fig7Result, error) {
 		}
 		ctx := &sched.Context{
 			Now: 0, Round: 0, RoundLength: checkpoint.RoundSeconds,
-			Horizon: 1e7, Cluster: c, Jobs: states,
+			Horizon: 1e7, Free: cluster.NewState(c), Jobs: states,
 		}
 		point := Fig7Point{Jobs: jobs, Nodes: c.NumNodes(), GPUs: c.TotalGPUs()}
 		point.HadarLatency = timeDecision(NewHadar(), ctx)

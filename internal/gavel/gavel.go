@@ -81,7 +81,7 @@ func (s *Scheduler) Schedule(ctx *sched.Context) map[int]cluster.Alloc {
 		priority float64
 	}
 	var pairs []pair
-	types := ctx.Cluster.Types()
+	types := ctx.Free.Types()
 	for _, st := range ctx.Jobs {
 		frac, ok := y[classKey(st.Job)]
 		if !ok {
@@ -111,12 +111,12 @@ func (s *Scheduler) Schedule(ctx *sched.Context) map[int]cluster.Alloc {
 		return pairs[a].t < pairs[b].t
 	})
 
-	free := cluster.NewState(ctx.Cluster)
+	defer ctx.Free.Rollback(ctx.Free.Savepoint())
 	for _, p := range pairs {
 		if _, done := out[p.st.Job.ID]; done {
 			continue
 		}
-		a, ok := sched.AllocSingleType(free, p.t, p.st.Job.Workers)
+		a, ok := sched.AllocSingleType(ctx.Free, p.t, p.st.Job.Workers)
 		if !ok {
 			continue
 		}
@@ -150,7 +150,7 @@ func (s *Scheduler) allocationMatrix(ctx *sched.Context) map[string][]float64 {
 		return s.cacheY
 	}
 
-	types := ctx.Cluster.Types()
+	types := ctx.Free.Types()
 	ng, nr := len(keys), len(types)
 	// Variables: Y[g][r] laid out row-major, then lambda.
 	nv := ng*nr + 1
@@ -187,7 +187,7 @@ func (s *Scheduler) allocationMatrix(ctx *sched.Context) map[string][]float64 {
 		// Forbid types that cannot host the gang or that the job cannot
 		// use: Y_gr <= 0.
 		for r, t := range types {
-			if j.Speed(t) <= 0 || ctx.Cluster.TotalOfType(t) < j.Workers {
+			if j.Speed(t) <= 0 || ctx.Free.CapacityOfType(t) < j.Workers {
 				r3 := row()
 				r3[idx(g, r)] = 1
 				A = append(A, r3)
@@ -202,7 +202,7 @@ func (s *Scheduler) allocationMatrix(ctx *sched.Context) map[string][]float64 {
 			rc[idx(g, r)] = float64(counts[k]) * float64(rep[k].Workers)
 		}
 		A = append(A, rc)
-		B = append(B, float64(ctx.Cluster.TotalOfType(t)))
+		B = append(B, float64(ctx.Free.CapacityOfType(t)))
 	}
 	c := make([]float64, nv)
 	c[lambdaIdx] = 1

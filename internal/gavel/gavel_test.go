@@ -21,7 +21,7 @@ func newState(j *job.Job) *sched.JobState {
 }
 
 func mkCtx(c *cluster.Cluster, states ...*sched.JobState) *sched.Context {
-	return &sched.Context{Now: 0, RoundLength: 360, Horizon: 1e6, Cluster: c, Jobs: states}
+	return &sched.Context{Now: 0, RoundLength: 360, Horizon: 1e6, Free: cluster.NewState(c), Jobs: states}
 }
 
 func heteroCluster() *cluster.Cluster {
@@ -281,9 +281,10 @@ func TestAllocationMatrixFractionsValid(t *testing.T) {
 			t.Errorf("job %d time fractions sum to %v > 1", st.Job.ID, sum)
 		}
 	}
-	for _, t2 := range c.Types() {
-		if capUsed[t2] > float64(c.TotalOfType(t2))+1e-6 {
-			t.Errorf("type %v over-subscribed: %v > %d", t2, capUsed[t2], c.TotalOfType(t2))
+	free := cluster.NewState(c)
+	for _, t2 := range free.Types() {
+		if capUsed[t2] > float64(free.CapacityOfType(t2))+1e-6 {
+			t.Errorf("type %v over-subscribed: %v > %d", t2, capUsed[t2], free.CapacityOfType(t2))
 		}
 	}
 }

@@ -257,6 +257,9 @@ func Replay(in Instance, s sched.Scheduler) (utility, alpha float64, err error) 
 	}
 	alpha = 1
 	horizon := float64(in.Rounds) * in.RoundLength
+	// One state for the replay: lent to the scheduler, then used to
+	// validate its decisions under a savepoint.
+	free := cluster.NewState(in.Cluster)
 	for round := 0; round < in.Rounds; round++ {
 		now := float64(round) * in.RoundLength
 		var active []*sched.JobState
@@ -272,7 +275,7 @@ func Replay(in Instance, s sched.Scheduler) (utility, alpha float64, err error) 
 		}
 		ctx := &sched.Context{
 			Now: now, Round: round, RoundLength: in.RoundLength,
-			Horizon: horizon, Cluster: in.Cluster, Jobs: active,
+			Horizon: horizon, Free: free, Jobs: active,
 		}
 		decisions := s.Schedule(ctx)
 		if h, ok := s.(*core.Scheduler); ok {
@@ -280,7 +283,7 @@ func Replay(in Instance, s sched.Scheduler) (utility, alpha float64, err error) 
 				alpha = a
 			}
 		}
-		free := cluster.NewState(in.Cluster)
+		sp := free.Savepoint()
 		for id, a := range decisions {
 			i, ok := idx[id]
 			if !ok {
@@ -295,6 +298,7 @@ func Replay(in Instance, s sched.Scheduler) (utility, alpha float64, err error) 
 				}
 			}
 		}
+		free.Rollback(sp)
 		for _, st := range active {
 			i := idx[st.Job.ID]
 			a := decisions[st.Job.ID].Canonical()

@@ -196,12 +196,10 @@ func (e *Estimator) Schedule(ctx *sched.Context) map[int]cluster.Alloc {
 	// Build shadow contexts with estimated profiles.
 	shadow := &sched.Context{
 		Now: ctx.Now, Round: ctx.Round, RoundLength: ctx.RoundLength,
-		Horizon: ctx.Horizon, Cluster: ctx.Cluster,
+		Horizon: ctx.Horizon, Free: ctx.Free,
 	}
 	shadowJobs := make([]*sched.JobState, len(ctx.Jobs))
-	realByID := make(map[int]*sched.JobState, len(ctx.Jobs))
 	for i, st := range ctx.Jobs {
-		realByID[st.Job.ID] = st
 		beliefs := e.beliefs(st.Job)
 		tp := make(map[gpu.Type]float64, len(beliefs))
 		for t := gpu.Type(0); t < gpu.NumTypes; t++ {
@@ -221,9 +219,11 @@ func (e *Estimator) Schedule(ctx *sched.Context) map[int]cluster.Alloc {
 
 	// Exploration: a running job with unprofiled types is redirected to
 	// one of them when the devices are free under the chosen decision.
-	free := cluster.NewState(ctx.Cluster)
-	consistent := true
-	// Replay the decisions in submission order, not map order: the
+	// The inner policy handed the state back as it found it, so its
+	// decisions are booked again here, under this wrapper's savepoint.
+	free := ctx.Free
+	defer free.Rollback(free.Savepoint())
+	// Book the decisions in submission order, not map order: the
 	// allocator mutates shared free-node state, and the exploration
 	// pass below reads it.
 	for _, st := range ctx.Jobs {
@@ -234,13 +234,9 @@ func (e *Estimator) Schedule(ctx *sched.Context) map[int]cluster.Alloc {
 		if err := free.Allocate(a); err != nil {
 			// Inner scheduler over-allocated; pass the decision
 			// through unmodified and let the simulator reject it.
-			consistent = false
-			break
+			e.remember(ctx, decisions)
+			return decisions
 		}
-	}
-	if !consistent {
-		e.remember(ctx, decisions)
-		return decisions
 	}
 	for _, st := range ctx.Jobs {
 		alloc, ok := decisions[st.Job.ID]
@@ -248,15 +244,8 @@ func (e *Estimator) Schedule(ctx *sched.Context) map[int]cluster.Alloc {
 			continue
 		}
 		for _, t := range e.Unprofiled(st.Job) {
-			if free.FreeOfType(t) < st.Job.Workers {
-				continue
-			}
-			if probe, okP := sched.PlaceSingleType(free, t, st.Job.Workers); okP {
-				if err := free.Allocate(probe); err == nil {
-					if err := free.Release(alloc); err != nil {
-						// Shouldn't happen; keep the original decision.
-						break
-					}
+			if probe, okP := sched.AllocSingleType(free, t, st.Job.Workers); okP {
+				if err := free.Release(alloc); err == nil {
 					decisions[st.Job.ID] = probe
 				}
 				break

@@ -144,10 +144,11 @@ func TestExplorationVisitsTypes(t *testing.T) {
 	st := &sched.JobState{Job: j, Remaining: j.TotalIters(), RoundsByType: map[gpu.Type]float64{}}
 	e := New(core.New(core.DefaultOptions()), DefaultOptions())
 	seen := map[gpu.Type]bool{}
+	free := cluster.NewState(c)
 	for round := 0; round < 6; round++ {
 		ctx := &sched.Context{
 			Now: float64(round) * 360, Round: round, RoundLength: 360,
-			Horizon: 1e7, Cluster: c,
+			Horizon: 1e7, Free: free,
 			Jobs: []*sched.JobState{st},
 		}
 		out := e.Schedule(ctx)

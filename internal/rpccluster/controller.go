@@ -79,18 +79,21 @@ func DefaultOptions() Options {
 // the paper's fail-fast prototype, the controller tolerates worker
 // failures: calls carry deadlines and bounded retries, a per-round
 // heartbeat marks unresponsive workers down (hiding them from the
-// scheduler exactly as the simulator's cluster.Without does), and jobs
-// stranded on a dead worker are rolled back to their last checkpoint
-// and requeued instead of aborting the run.
+// scheduler with the same outage mark the simulator puts on the lent
+// free state), and jobs stranded on a dead worker are rolled back to
+// their last checkpoint and requeued instead of aborting the run.
 type Controller struct {
 	opts      Options
 	retry     RetryPolicy
 	nodes     []NodeSpec
 	transport Transport
-	clus      *cluster.Cluster
-	sched     sched.Scheduler
-	health    *health
-	rng       *rand.Rand
+	// free is the free-capacity state lent to the scheduler each round:
+	// fully free (the controller books devices on the workers, not
+	// here) except for the nodes the health tracker has down.
+	free   *cluster.State
+	sched  sched.Scheduler
+	health *health
+	rng    *rand.Rand
 
 	// leads maps job ID -> node tracking the job's global progress.
 	leads map[int]int
@@ -132,7 +135,7 @@ func NewController(s sched.Scheduler, nodes []NodeSpec, opts Options) (*Controll
 		opts:     opts,
 		retry:    opts.Retry.normalize(),
 		nodes:    nodes,
-		clus:     clus,
+		free:     cluster.NewState(clus),
 		sched:    s,
 		health:   newHealth(len(nodes), opts.ProbeThreshold),
 		rng:      rand.New(rand.NewSource(opts.FaultSeed)),
@@ -239,7 +242,7 @@ func (c *Controller) Run(jobs []*job.Job) (rep *metrics.Report, retErr error) {
 			RoundsByType: make(map[gpu.Type]float64),
 		}
 	}
-	report := &metrics.Report{Scheduler: c.sched.Name() + "+rpc", TotalGPUs: c.clus.TotalGPUs()}
+	report := &metrics.Report{Scheduler: c.sched.Name() + "+rpc", TotalGPUs: c.free.Cluster().TotalGPUs()}
 	c.faults = &report.Faults
 	c.leads = map[int]int{}
 	c.lastCkpt = map[int]float64{}
@@ -272,13 +275,11 @@ func (c *Controller) Run(jobs []*job.Job) (rep *metrics.Report, retErr error) {
 		// progress rolls back to its last checkpoint (iterations since
 		// then are lost, and accounted), and the job requeues for this
 		// round's scheduling decision.
-		if down := c.health.downSet(); down != nil {
-			for _, st := range active {
-				for _, p := range st.Alloc.Canonical() {
-					if down[p.Node] {
-						c.recoverJob(st)
-						break
-					}
+		for _, st := range active {
+			for _, p := range st.Alloc {
+				if c.health.isDown(p.Node) {
+					c.recoverJob(st)
+					break
 				}
 			}
 		}
@@ -344,17 +345,18 @@ func (c *Controller) Run(jobs []*job.Job) (rep *metrics.Report, retErr error) {
 			break
 		}
 
-		// Scheduling decision on live state. Down nodes are hidden from
-		// the scheduler with the same Without semantics the simulator
-		// uses for injected outages.
-		viewCluster := c.clus
-		if down := c.health.downSet(); down != nil {
-			viewCluster = c.clus.Without(down)
+		// Scheduling decision on live state. Down nodes are marked on
+		// the lent state, the same outage semantics the simulator uses
+		// for injected outages.
+		for n := range c.nodes {
+			if err := c.free.SetDown(n, c.health.isDown(n)); err != nil {
+				return nil, fmt.Errorf("rpccluster: %w", err)
+			}
 		}
 		ctx := &sched.Context{
 			Now: roundStart, Round: round, RoundLength: c.opts.RoundLength,
 			Horizon: roundStart + horizonEstimate(active),
-			Cluster: viewCluster, Jobs: append([]*sched.JobState(nil), active...),
+			Free:    c.free, Jobs: append([]*sched.JobState(nil), active...),
 		}
 		t0 := time.Now()
 		decisions := c.sched.Schedule(ctx)
@@ -668,7 +670,7 @@ func modelBytes(model string) float64 {
 // returned, leaving the job consistent at its checkpoint.
 func (c *Controller) launchJob(st *sched.JobState, nowSim float64) error {
 	placements := st.Alloc.Canonical()
-	rate := sched.Rate(st.Job, c.clus, st.Alloc)
+	rate := sched.Rate(st.Job, c.free.Cluster(), st.Alloc)
 	delay := checkpoint.DefaultDelay
 	if c.opts.UseModelCosts {
 		delay = checkpoint.Delay(st.Job.Model, true)
@@ -724,7 +726,7 @@ func (c *Controller) result(st *sched.JobState, finish float64, n int) metrics.J
 		Arrival: st.Job.Arrival, Start: st.StartTime, Finish: finish,
 		TotalIters: st.Job.TotalIters(),
 		IsolatedDuration: metrics.IsolatedDuration(
-			st.Job.TotalIters(), st.Job.Workers, best, n, c.clus.TotalGPUs()),
+			st.Job.TotalIters(), st.Job.Workers, best, n, c.free.Cluster().TotalGPUs()),
 		Reallocations: st.Reallocations,
 	}
 }

@@ -77,10 +77,7 @@ func TestHealthTracker(t *testing.T) {
 		t.Error("second consecutive failure did not mark node down")
 	}
 	if !h.isDown(0) || h.isDown(1) {
-		t.Errorf("down set wrong: %v", h.downSet())
-	}
-	if set := h.downSet(); !set[0] || len(set) != 1 {
-		t.Errorf("downSet = %v, want {0}", set)
+		t.Errorf("isDown = %v, %v, want only node 0 down", h.isDown(0), h.isDown(1))
 	}
 	cameUp, restarted, sync := h.ok(0, 42)
 	if !cameUp || restarted || !sync {

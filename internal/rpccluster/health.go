@@ -69,18 +69,3 @@ func (h *health) ok(node int, incarnation int64) (cameUp, restarted, sync bool) 
 
 // isDown reports a node's current state.
 func (h *health) isDown(node int) bool { return h.nodes[node].down }
-
-// downSet returns the down nodes as the map cluster.Without consumes,
-// or nil when everything is healthy.
-func (h *health) downSet() map[int]bool {
-	var set map[int]bool
-	for i := range h.nodes {
-		if h.nodes[i].down {
-			if set == nil {
-				set = make(map[int]bool)
-			}
-			set[i] = true
-		}
-	}
-	return set
-}

@@ -61,8 +61,11 @@ type Context struct {
 	// Horizon is the estimated end of the scheduling window T used by
 	// Hadar's price bounds; the simulator grows it as needed.
 	Horizon float64
-	// Cluster describes the machines.
-	Cluster *cluster.Cluster
+	// Free is the caller's one free-capacity state, lent for the call:
+	// every device of every up node free, a down node reading capacity 0
+	// and free 0. It is the only source of capacity; Free.Cluster() is
+	// the static description (node speeds and count), outages not applied.
+	Free *cluster.State
 	// Jobs lists every arrived, unfinished job in arrival order.
 	Jobs []*JobState
 }
@@ -72,6 +75,10 @@ type Context struct {
 // (or zero-worker allocations) are paused. Each returned allocation must
 // respect gang scheduling (exactly Job.Workers workers) and, jointly,
 // the cluster capacity; the simulator validates both.
+//
+// A policy searches directly on ctx.Free, under one savepoint it rolls
+// back before returning, and builds no state of its own: the state's
+// hash and savepoint depth are the same after the call as before it.
 type Scheduler interface {
 	Name() string
 	Schedule(ctx *Context) map[int]cluster.Alloc

@@ -25,7 +25,8 @@ func (fifo) Name() string { return "test-fifo" }
 
 func (fifo) Schedule(ctx *sched.Context) map[int]cluster.Alloc {
 	out := make(map[int]cluster.Alloc)
-	free := cluster.NewState(ctx.Cluster)
+	free := ctx.Free
+	defer free.Rollback(free.Savepoint())
 	for _, st := range ctx.Jobs {
 		if st.Running() && free.Allocate(st.Alloc) == nil {
 			out[st.Job.ID] = st.Alloc

@@ -73,15 +73,20 @@ type withdrawEvent struct{ id int }
 // it in a single goroutine (see internal/service) and publishes
 // immutable Snapshots for readers.
 type Engine struct {
-	c         *cluster.Cluster
 	s         sched.Scheduler
 	opts      Options
 	report    *metrics.Report
 	log       *eventLogger
 	chk       *invariant.Checker
 	rateModel func(j *job.Job, a cluster.Alloc) float64
+	// freeState is the run's one free-capacity state: lent to the
+	// scheduler every round, then used to validate what it returned;
+	// fully free between rounds, except for the nodes marked down.
 	freeState *cluster.State
 	totalGPUs int
+	// typeTotals is the full cluster's per-type device count (outages
+	// not applied): SubmitJob's "can this ever be placed" test.
+	typeTotals [gpu.NumTypes]int
 
 	queue           eventq.EventQueue
 	pendingArrivals int
@@ -102,11 +107,10 @@ type Engine struct {
 // and options. The engine starts empty at t=0; submit jobs with
 // SubmitJob.
 func NewEngine(c *cluster.Cluster, s sched.Scheduler, opts Options) (*Engine, error) {
-	if err := opts.normalize(); err != nil {
+	if err := opts.normalize(c.NumNodes()); err != nil {
 		return nil, err
 	}
 	e := &Engine{
-		c:         c,
 		s:         s,
 		opts:      opts,
 		report:    &metrics.Report{Scheduler: s.Name(), TotalGPUs: c.TotalGPUs()},
@@ -117,6 +121,9 @@ func NewEngine(c *cluster.Cluster, s sched.Scheduler, opts Options) (*Engine, er
 		cancelRequested: make(map[int]bool),
 		phase:           make(map[int]JobPhase),
 		prevDown:        map[int]bool{},
+	}
+	for t := range e.typeTotals {
+		e.typeTotals[t] = e.freeState.CapacityOfType(gpu.Type(t))
 	}
 	// Correctness oracle, enabled by Options.Validate: observes every
 	// round's decisions and progress accounting and fails the run on
@@ -145,7 +152,7 @@ func (e *Engine) SubmitJob(j *job.Job) error {
 	}
 	usable := 0
 	for _, t := range sched.UsableTypes(j) {
-		usable += e.c.TotalOfType(t)
+		usable += e.typeTotals[t]
 	}
 	if usable < j.Workers {
 		return fmt.Errorf("sim: %v can never be placed (needs %d workers, %d usable devices)",
@@ -342,20 +349,22 @@ func (e *Engine) runRound() error {
 	// progress accounting uses any outage overlapping the round.
 	viewDown := downNodes(e.opts.Failures, e.now, 1e-9)
 	surpriseDown := downNodes(e.opts.Failures, e.now, e.opts.RoundLength)
-	viewCluster := e.c
-	if len(viewDown) > 0 {
-		viewCluster = e.c.Without(viewDown)
-	}
-	for _, n := range sortedNodeIDs(viewDown) {
+	for _, n := range sortedIntKeys(viewDown) {
 		if !e.prevDown[n] {
+			if err := e.freeState.SetDown(n, true); err != nil {
+				return err
+			}
 			e.report.Faults.NodeDown++
 			if err := e.log.emit(Event{Time: e.now, Round: e.round, Type: EventNodeDown, Job: -1, Node: n}); err != nil {
 				return err
 			}
 		}
 	}
-	for _, n := range sortedNodeIDs(e.prevDown) {
+	for _, n := range sortedIntKeys(e.prevDown) {
 		if !viewDown[n] {
+			if err := e.freeState.SetDown(n, false); err != nil {
+				return err
+			}
 			e.report.Faults.NodeUp++
 			if err := e.log.emit(Event{Time: e.now, Round: e.round, Type: EventNodeUp, Job: -1, Node: n}); err != nil {
 				return err
@@ -372,9 +381,10 @@ func (e *Engine) runRound() error {
 		Round:       e.round,
 		RoundLength: e.opts.RoundLength,
 		Horizon:     horizon(e.now, e.active, e.opts.RoundLength),
-		Cluster:     viewCluster,
+		Free:        e.freeState,
 		Jobs:        append([]*sched.JobState(nil), e.active...),
 	}
+	lentHash := e.freeState.Hash()
 	//lint:ignore wallclock DecisionTime reports the scheduler's real compute latency; it never feeds back into simulated time
 	start := time.Now()
 	decisions := e.s.Schedule(ctx)
@@ -382,6 +392,10 @@ func (e *Engine) runRound() error {
 	e.report.DecisionTime += time.Since(start)
 	e.report.Decisions++
 	e.report.Rounds++
+	if e.freeState.Hash() != lentHash || e.freeState.Savepoints() != 0 {
+		return fmt.Errorf("sim: %s did not return the lent free state as found (%d savepoints open, %d devices booked)",
+			e.s.Name(), e.freeState.Savepoints(), e.freeState.TotalCapacity()-e.freeState.TotalFree())
+	}
 	e.foldDigest(ctx.Round, decisions)
 
 	// Validate the joint decision.
@@ -389,9 +403,9 @@ func (e *Engine) runRound() error {
 	for _, st := range e.active {
 		activeByID[st.Job.ID] = st
 	}
-	// Validate against the persistent state: down nodes keep their
-	// capacity there (the schedulers saw them with zero capacity via
-	// viewCluster), so placements on them are rejected explicitly.
+	// Validate against the same state the scheduler searched, under the
+	// engine's own savepoint: a down node has nothing free there, so a
+	// placement on it fails like any other over-allocation.
 	sp := e.freeState.Savepoint()
 	decisionIDs := make([]int, 0, len(decisions))
 	for id := range decisions {
@@ -411,12 +425,6 @@ func (e *Engine) runRound() error {
 			return fmt.Errorf("sim: %s: %w", e.s.Name(), err)
 		}
 		if alloc.Workers() > 0 {
-			for _, p := range alloc {
-				if p.Count > 0 && e.prevDown[p.Node] {
-					return fmt.Errorf("sim: %s over-allocated: node %d is down, has 0 free %s, need %d",
-						e.s.Name(), p.Node, p.Type, p.Count)
-				}
-			}
 			if err := e.freeState.Allocate(alloc); err != nil {
 				return fmt.Errorf("sim: %s over-allocated: %w", e.s.Name(), err)
 			}
@@ -523,7 +531,7 @@ func (e *Engine) runRound() error {
 			delay = e.opts.RoundLength
 		}
 		window := e.opts.RoundLength - delay
-		rate := sched.Rate(st.Job, e.c, newAlloc)
+		rate := sched.Rate(st.Job, e.freeState.Cluster(), newAlloc)
 		// A node failing during the round kills the gang's progress
 		// for the whole round: the work since the last checkpoint is
 		// lost and the job re-places at the next boundary.

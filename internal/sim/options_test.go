@@ -28,10 +28,18 @@ func TestNormalizeRejectsBadOptions(t *testing.T) {
 			Failures: []Failure{{Node: 1, Start: 200, End: 100}}}, "failure window"},
 		{"negative failure start", Options{RoundLength: 360,
 			Failures: []Failure{{Node: 0, Start: -1, End: 100}}}, "failure window"},
+		// An outage on a machine the cluster does not have used to be
+		// accepted, counted and logged.
+		{"failure one past the last node", Options{RoundLength: 360,
+			Failures: []Failure{{Node: 1, Start: 0, End: 100}, {Node: 2, Start: 0, End: 100}}}, "on node 2 of 2"},
+		{"failure far past the last node", Options{RoundLength: 360,
+			Failures: []Failure{{Node: 99, Start: 0, End: 1000}}}, "on node 99 of 2"},
+		{"failure on a negative node", Options{RoundLength: 360,
+			Failures: []Failure{{Node: -1, Start: 0, End: 100}}}, "on node -1 of 2"},
 	}
 	for _, tc := range cases {
 		opts := tc.opts
-		err := opts.normalize()
+		err := opts.normalize(2)
 		if err == nil {
 			t.Errorf("%s: normalize accepted %+v", tc.name, tc.opts)
 			continue
@@ -39,12 +47,21 @@ func TestNormalizeRejectsBadOptions(t *testing.T) {
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
 		}
+		// NewEngine, and RestoreEngine through it, refuse the same options.
+		if _, err := NewEngine(twoNodeCluster(), fifo{}, tc.opts); err == nil {
+			t.Errorf("%s: NewEngine accepted %+v", tc.name, tc.opts)
+		}
+	}
+	ok := DefaultOptions()
+	ok.Failures = []Failure{{Node: 0, Start: 0, End: 100}, {Node: 1, Start: 50, End: 100}}
+	if _, err := NewEngine(twoNodeCluster(), fifo{}, ok); err != nil {
+		t.Errorf("NewEngine refused outages on both nodes of a two-node cluster: %v", err)
 	}
 }
 
 func TestNormalizeAppliesDefaults(t *testing.T) {
 	opts := Options{RoundLength: 360}
-	if err := opts.normalize(); err != nil {
+	if err := opts.normalize(1); err != nil {
 		t.Fatal(err)
 	}
 	if opts.MaxRounds != 2_000_000 {
@@ -56,7 +73,7 @@ func TestNormalizeAppliesDefaults(t *testing.T) {
 
 	// Explicit settings survive normalization untouched.
 	opts = Options{RoundLength: 100, FlatDelay: 99, MaxRounds: 7, StallLimit: 3}
-	if err := opts.normalize(); err != nil {
+	if err := opts.normalize(1); err != nil {
 		t.Fatal(err)
 	}
 	if opts.MaxRounds != 7 || opts.StallLimit != 3 || opts.FlatDelay != 99 {

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/gpu"
-	"repro/internal/invariant"
 	"repro/internal/job"
 	"repro/internal/metrics"
 	"repro/internal/sched"
@@ -163,6 +162,8 @@ func (e *Engine) MarshalState() ([]byte, error) {
 	return data, nil
 }
 
+// sortedIntKeys returns the keys of a set in ascending order, so
+// checkpoints and event emission iterate deterministically.
 func sortedIntKeys(m map[int]bool) []int {
 	out := make([]int, 0, len(m))
 	for k := range m {
@@ -268,6 +269,10 @@ func RestoreEngine(c *cluster.Cluster, s sched.Scheduler, opts Options, data []b
 		e.cancelRequested[id] = true
 	}
 	for _, n := range st.PrevDown {
+		// SetDown rejects a node the cluster does not have.
+		if err := e.freeState.SetDown(n, true); err != nil {
+			return nil, fmt.Errorf("sim: restore: prev_down: %w", err)
+		}
 		e.prevDown[n] = true
 	}
 	report := &metrics.Report{}
@@ -279,11 +284,8 @@ func RestoreEngine(c *cluster.Cluster, s sched.Scheduler, opts Options, data []b
 			report.TotalGPUs, c.TotalGPUs())
 	}
 	e.report = report
-	// A fresh invariant checker (when Validate is on) picks up at the
-	// next round; per-round checks are self-contained and the final
-	// report check runs against the restored report and job list.
-	if opts.Validate {
-		e.chk = invariant.NewChecker(c)
-	}
+	// NewEngine's fresh invariant checker (when Validate is on) picks up
+	// at the next round; per-round checks are self-contained and the
+	// final report check runs against the restored report and job list.
 	return e, nil
 }

@@ -185,6 +185,8 @@ func TestRestoreRejections(t *testing.T) {
 		{"changed options", data, nil, nil, otherOpts, "options changed"},
 		{"phase misalignment", mutate(t, func(m map[string]interface{}) { m["phases"] = []interface{}{} }), nil, nil, Options{}, "phases"},
 		{"cluster mismatch", data, smallCluster, nil, Options{}, "GPUs"},
+		{"prev_down past the cluster", mutate(t, func(m map[string]interface{}) { m["prev_down"] = []interface{}{1, 2} }), nil, nil, Options{}, "prev_down"},
+		{"negative prev_down", mutate(t, func(m map[string]interface{}) { m["prev_down"] = []interface{}{-1} }), nil, nil, Options{}, "prev_down"},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -210,6 +212,67 @@ func TestRestoreRejections(t *testing.T) {
 				t.Errorf("error %q does not mention %q", err, tc.wantSub)
 			}
 		})
+	}
+}
+
+// TestRestoreMidOutage checkpoints an engine while a node is down and
+// requires the restored engine to carry the outage mark: its digest
+// after every further round equals the uninterrupted run's, through the
+// node coming back and a second outage.
+func TestRestoreMidOutage(t *testing.T) {
+	opts := ValidatedOptions()
+	opts.Failures = []Failure{
+		{Node: 0, Start: 400, End: 3000},
+		{Node: 1, Start: 5000, End: 6000},
+	}
+	mk := func() *Engine {
+		e, err := NewEngine(twoNodeCluster(), fifo{}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 6; i++ {
+			if err := e.SubmitJob(simpleJob(i, 1+i%3, 30000, float64(i)*300)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return e
+	}
+	step := func(e *Engine) bool {
+		ok, err := e.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ok
+	}
+	orig, uninterrupted := mk(), mk()
+	for orig.Round() < 4 {
+		step(orig)
+		step(uninterrupted)
+	}
+	data, err := orig.MarshalState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(data), `"prev_down":[0]`) {
+		t.Fatalf("checkpoint at t=%v is not mid-outage: %s", orig.Now(), data)
+	}
+	restored, err := RestoreEngine(twoNodeCluster(), fifo{}, opts, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for step(uninterrupted) {
+		if !step(restored) {
+			t.Fatalf("restored engine drained at round %d, uninterrupted still running", restored.Round())
+		}
+		if restored.Digest() != uninterrupted.Digest() {
+			t.Fatalf("round %d: restored digest %#x, uninterrupted %#x",
+				uninterrupted.Round(), restored.Digest(), uninterrupted.Digest())
+		}
+	}
+	want, got := driveEngine(t, uninterrupted), driveEngine(t, restored)
+	if got.Faults != want.Faults || got.Makespan != want.Makespan {
+		t.Errorf("restored run: faults %+v makespan %v, uninterrupted %+v / %v",
+			got.Faults, got.Makespan, want.Faults, want.Makespan)
 	}
 }
 

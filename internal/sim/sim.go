@@ -93,17 +93,6 @@ func downNodes(failures []Failure, now, round float64) map[int]bool {
 	return down
 }
 
-// sortedNodeIDs returns the keys of a down-node set in ascending order
-// so event emission and validation iterate deterministically.
-func sortedNodeIDs(m map[int]bool) []int {
-	ids := make([]int, 0, len(m))
-	for n := range m {
-		ids = append(ids, n)
-	}
-	sort.Ints(ids)
-	return ids
-}
-
 // DefaultOptions returns the paper's simulation settings.
 func DefaultOptions() Options {
 	return Options{
@@ -122,7 +111,9 @@ func ValidatedOptions() Options {
 	return o
 }
 
-func (o *Options) normalize() error {
+// normalize validates the options against a cluster of the given node
+// count and fills in defaults.
+func (o *Options) normalize(nodes int) error {
 	if o.RoundLength <= 0 {
 		return fmt.Errorf("sim: non-positive round length %v", o.RoundLength)
 	}
@@ -136,8 +127,8 @@ func (o *Options) normalize() error {
 		o.StallLimit = 5000
 	}
 	for _, f := range o.Failures {
-		if f.End <= f.Start || f.Start < 0 {
-			return fmt.Errorf("sim: invalid failure window [%v, %v) on node %d", f.Start, f.End, f.Node)
+		if f.End <= f.Start || f.Start < 0 || f.Node < 0 || f.Node >= nodes {
+			return fmt.Errorf("sim: invalid failure window [%v, %v) on node %d of %d", f.Start, f.End, f.Node, nodes)
 		}
 	}
 	return nil

@@ -21,7 +21,8 @@ func (fifo) Name() string { return "test-fifo" }
 
 func (fifo) Schedule(ctx *sched.Context) map[int]cluster.Alloc {
 	out := make(map[int]cluster.Alloc)
-	free := cluster.NewState(ctx.Cluster)
+	free := ctx.Free
+	defer free.Rollback(free.Savepoint())
 	for _, st := range ctx.Jobs {
 		if st.Running() && free.Allocate(st.Alloc) == nil {
 			out[st.Job.ID] = st.Alloc
@@ -38,6 +39,38 @@ func (fifo) Schedule(ctx *sched.Context) map[int]cluster.Alloc {
 		}
 	}
 	return out
+}
+
+// leaky books its first job on the lent state and returns without
+// rolling back; stuck opens a savepoint and never closes it. Both break
+// the lending contract of sched.Scheduler.
+type leaky struct{ fifo }
+
+func (leaky) Name() string { return "test-leaky" }
+func (leaky) Schedule(ctx *sched.Context) map[int]cluster.Alloc {
+	a, _ := sched.AllocAnyType(ctx.Free, sched.UsableTypes(ctx.Jobs[0].Job), ctx.Jobs[0].Job.Workers)
+	return map[int]cluster.Alloc{ctx.Jobs[0].Job.ID: a}
+}
+
+type stuck struct{ fifo }
+
+func (stuck) Name() string { return "test-stuck" }
+func (s stuck) Schedule(ctx *sched.Context) map[int]cluster.Alloc {
+	out := s.fifo.Schedule(ctx)
+	ctx.Free.Savepoint()
+	return out
+}
+
+// TestEngineRejectsUnreturnedState: the engine checks, every round,
+// that the policy handed the lent state back as it found it, and names
+// the policy that did not.
+func TestEngineRejectsUnreturnedState(t *testing.T) {
+	for _, s := range []sched.Scheduler{leaky{}, stuck{}} {
+		_, err := Run(twoNodeCluster(), []*job.Job{simpleJob(0, 2, 1000, 0)}, s, ValidatedOptions())
+		if err == nil || !strings.Contains(err.Error(), s.Name()+" did not return the lent free state") {
+			t.Errorf("%s: err = %v, want the lending contract violation", s.Name(), err)
+		}
+	}
 }
 
 // churn reallocates every running job between two fixed placements each
@@ -586,7 +619,7 @@ type capacityProbe struct {
 
 func (p capacityProbe) Name() string { return "test-capacity-probe" }
 func (p capacityProbe) Schedule(ctx *sched.Context) map[int]cluster.Alloc {
-	*p.caps = append(*p.caps, ctx.Cluster.Capacity(0, gpu.V100))
+	*p.caps = append(*p.caps, ctx.Free.Capacity(0, gpu.V100))
 	return p.inner.Schedule(ctx)
 }
 

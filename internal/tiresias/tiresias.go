@@ -86,7 +86,8 @@ func (s *Scheduler) Schedule(ctx *sched.Context) map[int]cluster.Alloc {
 		return queue[a].Job.ID < queue[b].Job.ID
 	})
 
-	free := cluster.NewState(ctx.Cluster)
+	free := ctx.Free
+	defer free.Rollback(free.Savepoint())
 	for _, st := range queue {
 		// Keep the current placement while its lease lasts, to limit
 		// checkpoint churn; preemption still happens when a higher-queue

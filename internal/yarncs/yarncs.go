@@ -30,7 +30,8 @@ func (*Scheduler) Name() string { return "yarn-cs" }
 // queue past a job that does not fit).
 func (*Scheduler) Schedule(ctx *sched.Context) map[int]cluster.Alloc {
 	out := make(map[int]cluster.Alloc)
-	free := cluster.NewState(ctx.Cluster)
+	free := ctx.Free
+	defer free.Rollback(free.Savepoint())
 
 	// Non-preemptive: running jobs are untouchable.
 	for _, st := range ctx.Jobs {
@@ -85,7 +86,7 @@ func place(free *cluster.State, st *sched.JobState) (cluster.Alloc, bool) {
 			continue
 		}
 		prefer = append(prefer, t)
-		mixable += free.Cluster().TotalOfType(t)
+		mixable += free.CapacityOfType(t)
 		if f := free.FreeOfType(t); f >= st.Job.Workers && f > bestFree {
 			bestFree = f
 			bestType = t
@@ -96,7 +97,7 @@ func place(free *cluster.State, st *sched.JobState) (cluster.Alloc, bool) {
 	}
 	// Can any single type ever host this gang? If yes, wait for it.
 	for _, t := range prefer {
-		if free.Cluster().TotalOfType(t) >= st.Job.Workers {
+		if free.CapacityOfType(t) >= st.Job.Workers {
 			return nil, false
 		}
 	}

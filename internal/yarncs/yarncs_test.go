@@ -22,7 +22,7 @@ func newState(j *job.Job) *sched.JobState {
 }
 
 func mkCtx(c *cluster.Cluster, states ...*sched.JobState) *sched.Context {
-	return &sched.Context{Now: 0, RoundLength: 360, Horizon: 1e6, Cluster: c, Jobs: states}
+	return &sched.Context{Now: 0, RoundLength: 360, Horizon: 1e6, Free: cluster.NewState(c), Jobs: states}
 }
 
 func TestFIFOOrder(t *testing.T) {
