@@ -56,12 +56,15 @@ race:
 	$(GO) test -race ./...
 
 # race-short runs the concurrent control plane — scheduler service,
-# federation (shared clock + copy-on-publish snapshots), web API, load
-# generator, live RPC cluster — under the race detector in short mode.
-# The quick local gate before touching any of those packages; `race` is
-# the full-suite version CI runs.
+# federation (shared clock + share-on-publish snapshots), web API, load
+# generator, live RPC cluster — under the race detector in short mode,
+# plus the engine's own snapshot tests: a reader goroutine encodes held
+# snapshots while the engine keeps appending to what they share. The
+# quick local gate before touching any of those packages; `race` is the
+# full-suite version CI runs.
 race-short:
 	$(GO) test -race -short ./internal/federation ./internal/service ./internal/web ./internal/loadgen ./internal/rpccluster
+	$(GO) test -race -short -run 'Snapshot|Finish' ./internal/sim
 
 # stress re-runs the live control plane's suite several times under the
 # race detector: the heartbeat/reconnect/chaos paths are the only truly

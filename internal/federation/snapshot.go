@@ -8,17 +8,19 @@ import (
 // MemberSnapshot is one member's frozen view inside a FedSnapshot.
 type MemberSnapshot struct {
 	// Name labels the member; Snap is the member engine's immutable
-	// copy-on-publish snapshot.
+	// share-on-publish snapshot.
 	Name string        `json:"name"`
 	Snap *sim.Snapshot `json:"snapshot"`
 }
 
 // FedSnapshot is an immutable point-in-time view of the whole
-// federation, built by copy-on-publish from the member snapshots: every
-// field is a value or a deep copy, so a published *FedSnapshot can be
-// read from any goroutine without synchronization while the federation
-// keeps stepping. The aggregate fields are sums/maxima over members;
-// the member detail is retained for per-region dashboards.
+// federation, built from the member snapshots: every field is a value
+// or an immutable member snapshot (each as cheap to publish as
+// sim.Snapshot, whatever the member's history), so a published
+// *FedSnapshot can be read from any goroutine without synchronization
+// while the federation keeps stepping. The aggregate fields are
+// sums/maxima over members; the member detail is retained for
+// per-region dashboards.
 type FedSnapshot struct {
 	// Now is the shared clock (the furthest any member has advanced);
 	// Router names the routing policy.
@@ -60,7 +62,7 @@ func (s *FedSnapshot) Member(name string) *sim.Snapshot {
 // the snapshot carries no owner map of its own.
 func (s *FedSnapshot) Owner(id int) (member string, snap *sim.Snapshot) {
 	for i := range s.Members {
-		if _, ok := s.Members[i].Snap.Phases[id]; ok {
+		if _, ok := s.Members[i].Snap.Phases.Get(id); ok {
 			return s.Members[i].Name, s.Members[i].Snap
 		}
 	}
@@ -82,13 +84,8 @@ func (s *FedSnapshot) FindJob(id int) (member, phase string, js *sim.JobSnapshot
 			break
 		}
 	}
-	for i := range snap.Report.Jobs {
-		if snap.Report.Jobs[i].ID == id {
-			res = &snap.Report.Jobs[i]
-			break
-		}
-	}
-	return member, snap.Phases[id], js, res, true
+	phase, _ = snap.Phases.Get(id)
+	return member, phase, js, snap.Result(id), true
 }
 
 // Snapshot publishes an immutable view of the federation. It must be

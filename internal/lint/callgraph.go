@@ -32,6 +32,10 @@ type Module struct {
 	named []*types.Named
 	// impls caches interface-method -> implementing-method resolution.
 	impls map[*types.Func][]*FuncNode
+	// appendOnly and immutable are the sharing contracts declared in
+	// doc comments (contracts.go); the alias analysis reads them.
+	appendOnly map[*types.Var]bool
+	immutable  map[*types.Named]bool
 }
 
 // FuncNode is one function in the callgraph: a declared function or
@@ -59,6 +63,12 @@ type FuncNode struct {
 
 	// roots caches the intra-procedural alias sets (modref.go).
 	roots map[types.Object]paramSet
+	// kills records, per struct-valued local, the fields the body
+	// overwrites before it can return, with what (modref.go).
+	kills map[types.Object]map[*types.Var][]ast.Expr
+	// rewrites marks the parameters through which the function writes
+	// shared-by-contract storage in place (frozen.go).
+	rewrites paramSet
 }
 
 // CallSite is one resolved call expression.
@@ -147,6 +157,8 @@ func BuildModule(pkgs []*Package) *Module {
 		}
 	}
 	sort.Slice(m.nodes, func(i, j int) bool { return m.nodes[i].Pos() < m.nodes[j].Pos() })
+	m.appendOnly = appendOnlyFields(m)
+	m.immutable = immutableTypes(m)
 	computeSummaries(m)
 	return m
 }

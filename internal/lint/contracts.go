@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"go/ast"
 	"go/types"
 	"strings"
 )
@@ -14,7 +15,14 @@ import (
 //     after construction (ownership, walorder);
 //   - a struct type whose name ends in "Snapshot" or whose doc
 //     contains "immutable after publish" is a SNAPSHOT: once returned
-//     to a reader it must not alias any mutable state (snapescape).
+//     to a reader it must not alias any mutable state (snapescape);
+//   - a slice field whose comment contains "append-only" is
+//     APPEND-ONLY: the only write to it, once anything else can see
+//     it, is x.F = append(x.F, ...), so a capacity-clamped prefix
+//     x.F[:n:n] is as good as a copy and a snapshot may hold one;
+//   - a type whose doc contains "immutable after construction" is
+//     IMMUTABLE: nothing reachable from a value is written once the
+//     function that built it returns, so a snapshot may share one.
 
 // flatDoc lower-cases a doc comment and collapses all whitespace so
 // markers match across line breaks.
@@ -43,6 +51,49 @@ func snapshotTypes(m *Module) map[*types.Named]bool {
 		}
 		if strings.HasSuffix(named.Obj().Name(), "Snapshot") ||
 			strings.Contains(flatDoc(m.docOf(named)), "immutable after publish") {
+			out[named] = true
+		}
+	}
+	return out
+}
+
+// appendOnlyFields returns the module's append-only slice fields.
+func appendOnlyFields(m *Module) map[*types.Var]bool {
+	out := map[*types.Var]bool{}
+	for _, pkg := range m.Pkgs {
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(x ast.Node) bool {
+				st, ok := x.(*ast.StructType)
+				if !ok {
+					return true
+				}
+				for _, field := range st.Fields.List {
+					if !strings.Contains(flatDoc(field.Doc.Text()+" "+field.Comment.Text()), "append-only") {
+						continue
+					}
+					for _, name := range field.Names {
+						v, _ := pkg.Info.Defs[name].(*types.Var)
+						if v == nil {
+							continue
+						}
+						if _, ok := v.Type().Underlying().(*types.Slice); ok {
+							out[v] = true
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	return out
+}
+
+// immutableTypes returns the module's immutable-after-construction
+// types.
+func immutableTypes(m *Module) map[*types.Named]bool {
+	out := map[*types.Named]bool{}
+	for _, named := range m.named {
+		if strings.Contains(flatDoc(m.docOf(named)), "immutable after construction") {
 			out[named] = true
 		}
 	}

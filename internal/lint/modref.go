@@ -203,6 +203,171 @@ func (m *Module) rootSets(n *FuncNode) map[types.Object]paramSet {
 	return roots
 }
 
+// fieldKills finds the struct-valued locals whose fields the body
+// overwrites before it can return — `v := *r; v.F = ...; return &v`,
+// the shape of a view or clone constructor — and with what. A field
+// counts when some assignment to it is a statement of the function's
+// own block ahead of every return and its value does not mention v;
+// every other assignment to that field, at any depth, then joins the
+// list, so the field's alias set is the union of all it is ever given
+// rather than of what v was copied from. Taking &v before the
+// overwrite and publishing that is the accepted soundness gap.
+func (n *FuncNode) fieldKills() map[types.Object]map[*types.Var][]ast.Expr {
+	if n.kills != nil {
+		return n.kills
+	}
+	n.kills = map[types.Object]map[*types.Var][]ast.Expr{}
+	body := n.body()
+	if body == nil {
+		return n.kills
+	}
+	// target resolves v.F on a struct-valued local.
+	target := func(lhs ast.Expr) (types.Object, *types.Var) {
+		sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr)
+		if !ok {
+			return nil, nil
+		}
+		id, ok := ast.Unparen(sel.X).(*ast.Ident)
+		if !ok {
+			return nil, nil
+		}
+		v := n.structLocal(id)
+		if v == nil {
+			return nil, nil
+		}
+		field, _ := n.Pkg.Info.ObjectOf(sel.Sel).(*types.Var)
+		return v, field
+	}
+	mentions := func(e ast.Expr, obj types.Object) bool {
+		found := false
+		ast.Inspect(e, func(x ast.Node) bool {
+			if id, ok := x.(*ast.Ident); ok && n.Pkg.Info.Uses[id] == obj {
+				found = true
+			}
+			return !found
+		})
+		return found
+	}
+	returns := func(stmt ast.Stmt) bool {
+		found := false
+		ast.Inspect(stmt, func(x ast.Node) bool {
+			switch x.(type) {
+			case *ast.FuncLit:
+				return false
+			case *ast.ReturnStmt:
+				found = true
+			}
+			return !found
+		})
+		return found
+	}
+	for _, stmt := range body.List {
+		if returns(stmt) {
+			break
+		}
+		as, ok := stmt.(*ast.AssignStmt)
+		if !ok || len(as.Lhs) != len(as.Rhs) {
+			continue
+		}
+		for i, lhs := range as.Lhs {
+			if v, field := target(lhs); field != nil && !mentions(as.Rhs[i], v) {
+				if n.kills[v] == nil {
+					n.kills[v] = map[*types.Var][]ast.Expr{}
+				}
+				n.kills[v][field] = nil // values collected below
+			}
+		}
+	}
+	if len(n.kills) == 0 {
+		return n.kills
+	}
+	ast.Inspect(body, func(x ast.Node) bool {
+		as, ok := x.(*ast.AssignStmt)
+		if !ok || len(as.Lhs) != len(as.Rhs) {
+			return true
+		}
+		for i, lhs := range as.Lhs {
+			v, field := target(lhs)
+			if _, killed := n.kills[v][field]; killed {
+				n.kills[v][field] = append(n.kills[v][field], as.Rhs[i])
+			}
+		}
+		return true
+	})
+	return n.kills
+}
+
+// structLocal resolves id to a struct-valued (not pointer) variable the
+// function's own body declares — storage nothing outside it names — or
+// nil.
+func (n *FuncNode) structLocal(id *ast.Ident) *types.Var {
+	v, ok := n.Pkg.Info.Uses[id].(*types.Var)
+	if !ok || !n.declares(v) {
+		return nil
+	}
+	if _, ok := v.Type().Underlying().(*types.Struct); !ok {
+		return nil
+	}
+	return v
+}
+
+// declares reports whether v is a variable of the function's body: not
+// a parameter, a field, or an enclosing scope's.
+func (n *FuncNode) declares(v *types.Var) bool {
+	body := n.body()
+	return body != nil && v.Pos() >= body.Pos() && v.Pos() < body.End()
+}
+
+// unionAliases is aliases over a list of expressions.
+func (m *Module) unionAliases(n *FuncNode, exprs []ast.Expr) paramSet {
+	var s paramSet
+	for _, e := range exprs {
+		s |= m.aliases(n, e)
+	}
+	return s
+}
+
+// killedAliases is aliases for a struct-valued local with overwritten
+// fields: per reference-bearing field, what it was overwritten with, or
+// what the local was copied from.
+func (m *Module) killedAliases(n *FuncNode, obj types.Object, kills map[*types.Var][]ast.Expr) paramSet {
+	st := obj.Type().Underlying().(*types.Struct)
+	var s paramSet
+	for i := 0; i < st.NumFields(); i++ {
+		f := st.Field(i)
+		if !containsRef(f.Type()) {
+			continue
+		}
+		if values, killed := kills[f]; killed {
+			s |= m.unionAliases(n, values)
+		} else {
+			s |= n.roots[obj]
+		}
+	}
+	return s
+}
+
+// clampedPrefix reports whether e is x.F[lo:n:n] over an append-only
+// field F: a view no append through either side can reach into.
+func (m *Module) clampedPrefix(n *FuncNode, e *ast.SliceExpr) bool {
+	if !e.Slice3 || e.High == nil || e.Max == nil || types.ExprString(e.High) != types.ExprString(e.Max) {
+		return false
+	}
+	sel, ok := ast.Unparen(e.X).(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	field, _ := n.Pkg.Info.ObjectOf(sel.Sel).(*types.Var)
+	return field != nil && m.appendOnly[field]
+}
+
+// isImmutable reports whether t (through one pointer) is one of the
+// module's immutable-after-construction types.
+func (m *Module) isImmutable(t types.Type) bool {
+	named := namedOf(t)
+	return named != nil && m.immutable[named.Origin()]
+}
+
 // body returns the node's statement body.
 func (n *FuncNode) body() *ast.BlockStmt {
 	if n.Decl != nil {
@@ -217,6 +382,9 @@ func (n *FuncNode) body() *ast.BlockStmt {
 // aliases computes which parameters the value of e may alias (share
 // mutable backing store with), relative to node n's root sets.
 func (m *Module) aliases(n *FuncNode, e ast.Expr) paramSet {
+	if m.isImmutable(n.Pkg.TypeOf(e)) {
+		return 0 // shared by contract: nothing behind it is ever written
+	}
 	switch x := ast.Unparen(e).(type) {
 	case *ast.Ident:
 		obj := n.Pkg.Info.Uses[x]
@@ -226,11 +394,19 @@ func (m *Module) aliases(n *FuncNode, e ast.Expr) paramSet {
 		if obj == nil {
 			return 0
 		}
+		if kills, ok := n.fieldKills()[obj]; ok {
+			return m.killedAliases(n, obj, kills)
+		}
 		return n.roots[obj]
 	case *ast.SelectorExpr:
 		if sel, ok := n.Pkg.Info.Selections[x]; ok && sel.Kind() == types.FieldVal {
 			if !containsRef(sel.Type()) {
 				return 0
+			}
+			if id, ok := ast.Unparen(x.X).(*ast.Ident); ok {
+				if values, killed := n.fieldKills()[n.Pkg.Info.Uses[id]][sel.Obj().(*types.Var)]; killed {
+					return m.unionAliases(n, values)
+				}
 			}
 			return m.aliases(n, x.X)
 		}
@@ -241,6 +417,9 @@ func (m *Module) aliases(n *FuncNode, e ast.Expr) paramSet {
 		}
 		return m.aliases(n, x.X)
 	case *ast.SliceExpr:
+		if m.clampedPrefix(n, x) {
+			return 0
+		}
 		return m.aliases(n, x.X)
 	case *ast.StarExpr:
 		if !containsRef(n.Pkg.TypeOf(x)) {
@@ -275,10 +454,17 @@ func (m *Module) aliases(n *FuncNode, e ast.Expr) paramSet {
 		callee, _ := m.resolveCallee(n.Pkg, x)
 		if callee == nil {
 			// append returns its first argument's backing array and
-			// holds references to every appended element.
+			// holds references to every appended element — which, for
+			// a spread `src...` of reference-free elements, are copies
+			// that share nothing with src.
 			if id, ok := ast.Unparen(x.Fun).(*ast.Ident); ok && id.Name == "append" && len(x.Args) > 0 {
 				var s paramSet
-				for _, a := range x.Args {
+				for i, a := range x.Args {
+					if i > 0 && x.Ellipsis.IsValid() {
+						if sl, ok := n.Pkg.TypeOf(a).Underlying().(*types.Slice); ok && !containsRef(sl.Elem()) {
+							continue
+						}
+					}
 					s |= m.aliases(n, a)
 				}
 				return s

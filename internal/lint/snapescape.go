@@ -5,21 +5,29 @@ import (
 	"go/types"
 )
 
-// analyzerSnapEscape proves copy-on-publish: no mutable reference
-// (slice backing array, map, pointer field) stored into a published
-// Snapshot/FedSnapshot value may alias the live engine state the
-// publishing function can reach through its receiver or parameters.
-// A snapshot handed to a reader over an atomic pointer is only
-// immutable if every reference-bearing field was deep-copied; one
-// shared map turns every reader into a data race and every published
-// view into a lie.
+// analyzerSnapEscape proves that publishing freezes: no mutable
+// reference (slice backing array, map, pointer field) stored into a
+// published Snapshot/FedSnapshot value may alias the live engine state
+// the publishing function can reach through its receiver or
+// parameters. A snapshot handed to a reader over an atomic pointer is
+// only immutable if every reference-bearing field was deep-copied or is
+// shared under one of the two contracts that make sharing as good as a
+// copy — a capacity-clamped prefix of an append-only slice field, a
+// value of an immutable-after-construction type (contracts.go) — and
+// those hold only while nothing writes such storage in place, which the
+// rule checks module-wide (frozen.go). One shared map, or one in-place
+// sort of a shared slice, turns every reader into a data race and every
+// published view into a lie.
 var analyzerSnapEscape = &Analyzer{
 	Name: "snapescape",
-	Doc: "prove copy-on-publish for snapshot types: a reference-bearing value stored into a " +
-		"published *Snapshot must not alias live state reachable from the publisher's receiver " +
-		"or parameters; deep-copy (Clone) it instead",
+	Doc: "prove that publishing freezes: a reference-bearing value stored into a published " +
+		"*Snapshot must not alias live state reachable from the publisher's receiver or " +
+		"parameters — deep-copy (Clone) it, or share it as a clamped prefix x.F[:n:n] of an " +
+		"\"append-only\" slice field or as a value of an \"immutable after construction\" type; " +
+		"and nothing anywhere writes such shared storage in place",
 	RunModule: func(p *ModulePass) {
 		m := p.Mod
+		checkFrozen(p)
 		snaps := snapshotTypes(m)
 		if len(snaps) == 0 {
 			return

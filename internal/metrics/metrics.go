@@ -108,7 +108,9 @@ func (f FaultStats) String() string {
 type Report struct {
 	// Scheduler is the policy name.
 	Scheduler string
-	// Jobs holds one result per completed job.
+	// Jobs holds one result per completed job. On a live engine's report
+	// it is append-only, in completion order: published views share it by
+	// capacity-clamped prefix (View), so no element is ever rewritten.
 	Jobs []JobResult
 	// Makespan is the latest finish time (max_j f_j).
 	Makespan float64
@@ -137,11 +139,12 @@ type Report struct {
 	// recoveries, lost work); all zero on a fault-free run.
 	Faults FaultStats
 	// RoundHeld records, per executed round, how many workers held
-	// devices — the cluster occupancy time series.
+	// devices — the cluster occupancy time series. Append-only, shared
+	// with published views like Jobs.
 	RoundHeld []int
 	// RoundStarts records each round's start time, aligned with
 	// RoundHeld (rounds may be skipped while the cluster idles between
-	// arrivals).
+	// arrivals). Append-only, shared with published views like Jobs.
 	RoundStarts []float64
 }
 
@@ -274,9 +277,36 @@ func (r *Report) CompletionAt(t float64) float64 {
 	return float64(n) / float64(len(r.Jobs))
 }
 
-// SortJobsByID orders the results deterministically.
+// SortJobsByID orders the results deterministically, in place: for a
+// report its caller built and still owns alone. A report whose slices
+// views share (a live engine's) is sorted through SortedByID instead.
 func (r *Report) SortJobsByID() {
 	sort.Slice(r.Jobs, func(a, b int) bool { return r.Jobs[a].ID < r.Jobs[b].ID })
+}
+
+// View returns a shallow copy that shares r's three append-only slices
+// by capacity-clamped prefix: the view sees exactly the elements present
+// now, an append through r lands beyond the view's length (or in a new
+// array), and an append through the view must reallocate, so neither
+// side can write what the other reads. It costs one small allocation
+// however long the history is, which is what makes publishing a
+// snapshot every round affordable.
+func (r *Report) View() *Report {
+	v := *r
+	v.Jobs = r.Jobs[:len(r.Jobs):len(r.Jobs)]
+	v.RoundHeld = r.RoundHeld[:len(r.RoundHeld):len(r.RoundHeld)]
+	v.RoundStarts = r.RoundStarts[:len(r.RoundStarts):len(r.RoundStarts)]
+	return &v
+}
+
+// SortedByID returns a view of r whose Jobs are an exact-size copy in
+// ID order, leaving r's own completion order untouched.
+func (r *Report) SortedByID() *Report {
+	v := r.View()
+	v.Jobs = make([]JobResult, len(r.Jobs))
+	copy(v.Jobs, r.Jobs)
+	v.SortJobsByID()
+	return v
 }
 
 // Clone returns a deep copy: the copy shares no slices with the

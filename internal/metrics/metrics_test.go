@@ -176,6 +176,39 @@ func TestSortJobsByID(t *testing.T) {
 	}
 }
 
+// TestViewSharesWithoutAliasing pins the share-on-publish contract: a
+// view sees exactly what the report held when it was taken, whichever
+// side appends afterwards, and SortedByID orders a copy.
+func TestViewSharesWithoutAliasing(t *testing.T) {
+	r := &Report{Scheduler: "test", Rounds: 2}
+	r.Jobs = append(make([]JobResult, 0, 8), JobResult{ID: 2}, JobResult{ID: 0})
+	r.RoundHeld = append(make([]int, 0, 8), 3, 4)
+	r.RoundStarts = append(make([]float64, 0, 8), 0, 360)
+	v := r.View()
+	if cap(v.Jobs) != 2 || cap(v.RoundHeld) != 2 || cap(v.RoundStarts) != 2 {
+		t.Fatalf("view capacities %d/%d/%d, want all clamped to 2", cap(v.Jobs), cap(v.RoundHeld), cap(v.RoundStarts))
+	}
+	// The report grows in its own array; the view grows into a new one.
+	r.Jobs = append(r.Jobs, JobResult{ID: 1})
+	r.RoundHeld = append(r.RoundHeld, 5)
+	r.Rounds = 3
+	v.Jobs = append(v.Jobs, JobResult{ID: 9})
+	v.RoundHeld = append(v.RoundHeld, 9)
+	if len(r.Jobs) != 3 || r.Jobs[2].ID != 1 || r.RoundHeld[2] != 5 {
+		t.Errorf("an append through the view reached the report: %+v %v", r.Jobs, r.RoundHeld)
+	}
+	if len(v.Jobs) != 3 || v.Jobs[0].ID != 2 || v.Jobs[2].ID != 9 || v.RoundHeld[2] != 9 || v.Rounds != 2 {
+		t.Errorf("an append through the report reached the view: %+v %v rounds=%d", v.Jobs, v.RoundHeld, v.Rounds)
+	}
+	sorted := r.SortedByID()
+	if sorted.Jobs[0].ID != 0 || sorted.Jobs[1].ID != 1 || sorted.Jobs[2].ID != 2 || cap(sorted.Jobs) != 3 {
+		t.Errorf("SortedByID = %+v (cap %d), want IDs 0, 1, 2 in an array of 3", sorted.Jobs, cap(sorted.Jobs))
+	}
+	if r.Jobs[0].ID != 2 || r.Jobs[1].ID != 0 || r.Jobs[2].ID != 1 {
+		t.Errorf("SortedByID reordered the report itself: %+v", r.Jobs)
+	}
+}
+
 func TestStringMentionsScheduler(t *testing.T) {
 	s := sampleReport().String()
 	if len(s) == 0 || s[:4] != "test" {

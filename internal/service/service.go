@@ -297,14 +297,9 @@ func New(c *cluster.Cluster, s sched.Scheduler, opts Options) (*Service, error) 
 	svc := &Service{loop: newLoop[sim.Snapshot, *metrics.Report](eng, opts, j, keys), name: s.Name()}
 	// After recovery, auto-assigned IDs additionally stay clear of every
 	// ID already journaled.
-	next := svc.nextID.Load()
-	//lint:ignore maprange max over keys; commutative, order cannot be observed
-	for id := range svc.Snapshot().Phases {
-		if int64(id) > next {
-			next = int64(id)
-		}
+	if id, ok := svc.Snapshot().Phases.MaxID(); ok && int64(id) > svc.nextID.Load() {
+		svc.nextID.Store(int64(id))
 	}
-	svc.nextID.Store(next)
 	return svc, nil
 }
 
@@ -322,7 +317,7 @@ func (s *Service) Recovery() *Recovery {
 func (s *Service) Order() []string { return []string{s.name} }
 
 // Report implements the Provider interface against the latest
-// snapshot's deep-copied report.
+// snapshot's report view.
 func (s *Service) Report(name string) (*metrics.Report, bool) {
 	if name != s.name {
 		return nil, false

@@ -142,6 +142,12 @@ type harness struct {
 
 type newHarness func(*testing.T, Options) harness
 
+// phaseOf is the snapshot's phase for the job, "" when it knows none.
+func phaseOf(s *sim.Snapshot, id int) string {
+	phase, _ := s.Phases.Get(id)
+	return phase
+}
+
 func engineHarness(t *testing.T, opts Options) harness {
 	svc := newTestService(t, opts)
 	return harness{
@@ -154,7 +160,7 @@ func engineHarness(t *testing.T, opts Options) harness {
 			return len(rep.Jobs), err
 		},
 		counts: func() (int, int) { s := svc.Snapshot(); return s.Completed, s.Cancelled },
-		phase:  func(id int) string { return svc.Snapshot().Phases[id] },
+		phase:  func(id int) string { return phaseOf(svc.Snapshot(), id) },
 		queued: func() int { return len(svc.reqs) },
 		order:  []string{"test-fifo"},
 	}

@@ -55,7 +55,7 @@ func TestServiceWALKillAndRecover(t *testing.T) {
 	// recover the job still active with its cancel pending, which is not
 	// what the phase check below is about.
 	waitFor(t, svc, "some rounds and the cancel applied", func(s *sim.Snapshot) bool {
-		return s.Round >= 3 && s.Phases[acked["key-3"]] == "cancelled"
+		return s.Round >= 3 && phaseOf(s, acked["key-3"]) == "cancelled"
 	})
 
 	svc.Kill()
@@ -73,11 +73,11 @@ func TestServiceWALKillAndRecover(t *testing.T) {
 	}
 	snap := rec.Snapshot()
 	for key, id := range acked {
-		if _, ok := snap.Phases[id]; !ok {
+		if _, ok := snap.Phases.Get(id); !ok {
 			t.Errorf("acked job %d (%s) lost by recovery", id, key)
 		}
 	}
-	if phase := snap.Phases[acked["key-3"]]; phase != "cancelled" {
+	if phase := phaseOf(snap, acked["key-3"]); phase != "cancelled" {
 		t.Errorf("cancelled job recovered in phase %q", phase)
 	}
 
@@ -151,7 +151,7 @@ func TestServiceWALCheckpointBoundsReplay(t *testing.T) {
 	}
 	snap := rec.Snapshot()
 	for i := 0; i < 4; i++ {
-		if _, ok := snap.Phases[i]; !ok {
+		if _, ok := snap.Phases.Get(i); !ok {
 			t.Errorf("job %d lost across checkpointed recovery", i)
 		}
 	}
@@ -200,7 +200,7 @@ func TestServiceWALTornTailRecovery(t *testing.T) {
 	}
 	snap := rec.Snapshot()
 	for i := 0; i < 3; i++ {
-		if _, ok := snap.Phases[i]; !ok {
+		if _, ok := snap.Phases.Get(i); !ok {
 			t.Errorf("job %d lost to the torn tail", i)
 		}
 	}
@@ -245,7 +245,7 @@ func TestServiceWALCorruptCheckpointFallsBack(t *testing.T) {
 	}
 	snap := rec.Snapshot()
 	for i := 0; i < 3; i++ {
-		if _, ok := snap.Phases[i]; !ok {
+		if _, ok := snap.Phases.Get(i); !ok {
 			t.Errorf("job %d lost despite full replay", i)
 		}
 	}
@@ -300,7 +300,7 @@ func TestServiceWALFailPointCrash(t *testing.T) {
 	}
 	snap := rec.Snapshot()
 	for _, id := range acked {
-		if _, ok := snap.Phases[id]; !ok {
+		if _, ok := snap.Phases.Get(id); !ok {
 			t.Errorf("acked job %d lost after injected crash", id)
 		}
 	}
@@ -384,14 +384,14 @@ func TestServiceWALCleanShutdownResume(t *testing.T) {
 	if got := rec.Recovery().Replayed; got != 0 {
 		t.Errorf("clean shutdown still replayed %d records", got)
 	}
-	if _, ok := rec.Snapshot().Phases[0]; !ok {
+	if _, ok := rec.Snapshot().Phases.Get(0); !ok {
 		t.Error("job 0 lost across clean shutdown")
 	}
 	rec.Start()
 	if err := rec.Cancel(0); err != nil {
 		t.Fatalf("cancel after resume: %v", err)
 	}
-	waitFor(t, rec, "cancelled", func(s *sim.Snapshot) bool { return s.Phases[0] == "cancelled" })
+	waitFor(t, rec, "cancelled", func(s *sim.Snapshot) bool { return phaseOf(s, 0) == "cancelled" })
 	if _, err := rec.Stop(); err != nil {
 		t.Fatal(err)
 	}

@@ -91,7 +91,6 @@ type Engine struct {
 	queue           eventq.EventQueue
 	pendingArrivals int
 	cancelRequested map[int]bool
-	phase           map[int]JobPhase
 	all             []*job.Job
 	active          []*sched.JobState
 	prevDown        map[int]bool
@@ -101,6 +100,15 @@ type Engine struct {
 	cancelled       int
 	digest          uint64
 	err             error
+
+	// live holds the phase of every pending or active job and done every
+	// terminal one: together, each job in all exactly once. live is
+	// bounded by the queue; done only grows, and every published snapshot
+	// shares it (see terminalIndex). Both start empty and unallocated.
+	live map[int]JobPhase
+	done terminalIndex
+	// maxID is the largest ID in all.
+	maxID int
 }
 
 // NewEngine builds an engine over the cluster with the given scheduler
@@ -119,7 +127,6 @@ func NewEngine(c *cluster.Cluster, s sched.Scheduler, opts Options) (*Engine, er
 		totalGPUs: c.TotalGPUs(),
 
 		cancelRequested: make(map[int]bool),
-		phase:           make(map[int]JobPhase),
 		prevDown:        map[int]bool{},
 	}
 	for t := range e.typeTotals {
@@ -158,7 +165,7 @@ func (e *Engine) SubmitJob(j *job.Job) error {
 		return fmt.Errorf("sim: %v can never be placed (needs %d workers, %d usable devices)",
 			j, j.Workers, usable)
 	}
-	if _, ok := e.phase[j.ID]; ok {
+	if _, ok := e.Phase(j.ID); ok {
 		return fmt.Errorf("sim: duplicate job ID %d", j.ID)
 	}
 	st := &sched.JobState{
@@ -166,8 +173,7 @@ func (e *Engine) SubmitJob(j *job.Job) error {
 		Remaining:    j.TotalIters(),
 		RoundsByType: make(map[gpu.Type]float64),
 	}
-	e.phase[j.ID] = JobPending
-	e.all = append(e.all, j)
+	e.track(j, JobPending)
 	arrival := j.Arrival
 	if arrival < e.now {
 		arrival = e.now
@@ -175,6 +181,25 @@ func (e *Engine) SubmitJob(j *job.Job) error {
 	e.queue.Push(arrival, arriveEvent{st: st})
 	e.pendingArrivals++
 	return nil
+}
+
+// track records a submitted job as live in the given phase.
+func (e *Engine) track(j *job.Job, phase JobPhase) {
+	if e.live == nil {
+		e.live = make(map[int]JobPhase)
+	}
+	e.live[j.ID] = phase
+	if len(e.all) == 0 || j.ID > e.maxID {
+		e.maxID = j.ID
+	}
+	e.all = append(e.all, j)
+}
+
+// retire moves a job from the live phases to the terminal index; ref is
+// its index in the report's Jobs, or cancelledRef.
+func (e *Engine) retire(id, ref int) {
+	delete(e.live, id)
+	e.done = e.done.with(id, ref)
 }
 
 // CancelJob enqueues a withdrawal event for the job at the current
@@ -186,7 +211,7 @@ func (e *Engine) CancelJob(id int) error {
 	if e.err != nil {
 		return e.err
 	}
-	phase, ok := e.phase[id]
+	phase, ok := e.Phase(id)
 	if !ok {
 		return fmt.Errorf("sim: cancel of unknown job %d", id)
 	}
@@ -306,10 +331,10 @@ func (e *Engine) admitDue() error {
 		case arriveEvent:
 			e.pendingArrivals--
 			id := p.st.Job.ID
-			if e.phase[id] == JobCancelled {
+			if _, ok := e.live[id]; !ok {
 				continue // withdrawn before arrival
 			}
-			e.phase[id] = JobActive
+			e.live[id] = JobActive
 			e.active = append(e.active, p.st)
 			if err := e.log.emit(Event{Time: ev.Time, Round: e.round,
 				Type: EventArrive, Job: id, Node: -1}); err != nil {
@@ -317,10 +342,11 @@ func (e *Engine) admitDue() error {
 			}
 		case withdrawEvent:
 			delete(e.cancelRequested, p.id)
-			if e.phase[p.id] == JobFinished {
+			phase, ok := e.live[p.id]
+			if !ok {
 				continue // finished before the withdrawal took effect
 			}
-			if e.phase[p.id] == JobActive {
+			if phase == JobActive {
 				for i, st := range e.active {
 					if st.Job.ID == p.id {
 						e.active = append(e.active[:i], e.active[i+1:]...)
@@ -328,7 +354,7 @@ func (e *Engine) admitDue() error {
 					}
 				}
 			}
-			e.phase[p.id] = JobCancelled
+			e.retire(p.id, cancelledRef)
 			e.cancelled++
 			if err := e.log.emit(Event{Time: ev.Time, Round: e.round,
 				Type: EventCancel, Job: p.id, Node: -1}); err != nil {
@@ -584,8 +610,8 @@ func (e *Engine) runRound() error {
 			if e.opts.QuantizeCompletions {
 				finish = e.now + e.opts.RoundLength
 			}
+			e.retire(st.Job.ID, len(e.report.Jobs))
 			e.report.Jobs = append(e.report.Jobs, jobResult(st, finish, len(e.all), e.totalGPUs))
-			e.phase[st.Job.ID] = JobFinished
 			if err := e.log.emit(Event{Time: finish, Round: e.round, Type: EventFinish,
 				Job: st.Job.ID, Node: -1}); err != nil {
 				return err
@@ -682,22 +708,24 @@ func (e *Engine) foldDigest(round int, decisions map[int]cluster.Alloc) {
 // have identical digests.
 func (e *Engine) Digest() uint64 { return e.digest }
 
-// Finish sorts the report and, when the oracle is enabled, validates
-// it against every submitted job. Finish does not stop the engine: more
-// jobs may be submitted and processed afterwards, and Finish called
-// again.
+// Finish returns the report so far with its jobs sorted by ID and, when
+// the oracle is enabled, validated against every submitted job. The
+// result is the caller's: the engine's own report stays in completion
+// order (published snapshots share it), so Finish does not stop the
+// engine — more jobs may be submitted and processed afterwards, and
+// Finish called again, without the earlier result changing.
 func (e *Engine) Finish() (*metrics.Report, error) {
 	if e.err != nil {
 		return nil, e.err
 	}
-	e.report.SortJobsByID()
+	report := e.report.SortedByID()
 	if e.chk != nil {
-		e.chk.CheckReport(e.report, e.all)
+		e.chk.CheckReport(report, e.all)
 		if err := e.chk.Err(); err != nil {
 			return nil, e.fail(fmt.Errorf("sim: %s: %w", e.s.Name(), err))
 		}
 	}
-	return e.report, nil
+	return report, nil
 }
 
 // Now returns the engine's current simulated time in seconds.
@@ -731,6 +759,11 @@ func (e *Engine) Err() error { return e.err }
 
 // Phase reports the lifecycle stage of a submitted job.
 func (e *Engine) Phase(id int) (JobPhase, bool) {
-	p, ok := e.phase[id]
-	return p, ok
+	if p, ok := e.live[id]; ok {
+		return p, true
+	}
+	if t, ok := e.done.get(id); ok {
+		return t.phase(), true
+	}
+	return 0, false
 }

@@ -118,7 +118,7 @@ func (e *Engine) MarshalState() ([]byte, error) {
 	}
 	st.Phases = make([]JobPhase, len(e.all))
 	for i, j := range e.all {
-		st.Phases[i] = e.phase[j.ID]
+		st.Phases[i], _ = e.Phase(j.ID)
 	}
 	st.Active = make([]activeJobState, 0, len(e.active))
 	for _, a := range e.active {
@@ -220,8 +220,8 @@ func RestoreEngine(c *cluster.Cluster, s sched.Scheduler, opts Options, data []b
 			return nil, fmt.Errorf("sim: restore: duplicate job ID %d", j.ID)
 		}
 		byID[j.ID] = j
-		e.all = append(e.all, j)
-		e.phase[j.ID] = st.Phases[i]
+		// Terminal jobs move on to the index once the report is restored.
+		e.track(j, st.Phases[i])
 	}
 	for _, as := range st.Active {
 		j, ok := byID[as.ID]
@@ -284,6 +284,29 @@ func RestoreEngine(c *cluster.Cluster, s sched.Scheduler, opts Options, data []b
 			report.TotalGPUs, c.TotalGPUs())
 	}
 	e.report = report
+	// Terminal jobs leave the live phases for the index: the finished in
+	// report order (a job's ref is its position there), then the
+	// cancelled. A finished job still live afterwards has no result.
+	for i := range report.Jobs {
+		id := report.Jobs[i].ID
+		if p, ok := e.live[id]; !ok || p != JobFinished {
+			return nil, fmt.Errorf("sim: restore: report has a result for job %d, which is not (or not only once) finished", id)
+		}
+		e.retire(id, i)
+	}
+	for i, j := range st.Jobs {
+		switch st.Phases[i] {
+		case JobPending, JobActive:
+		case JobFinished:
+			if _, ok := e.live[j.ID]; ok {
+				return nil, fmt.Errorf("sim: restore: finished job %d has no result in the report", j.ID)
+			}
+		case JobCancelled:
+			e.retire(j.ID, cancelledRef)
+		default:
+			return nil, fmt.Errorf("sim: restore: job %d has unknown phase %d", j.ID, st.Phases[i])
+		}
+	}
 	// NewEngine's fresh invariant checker (when Validate is on) picks up
 	// at the next round; per-round checks are self-contained and the
 	// final report check runs against the restored report and job list.

@@ -187,6 +187,15 @@ func TestRestoreRejections(t *testing.T) {
 		{"cluster mismatch", data, smallCluster, nil, Options{}, "GPUs"},
 		{"prev_down past the cluster", mutate(t, func(m map[string]interface{}) { m["prev_down"] = []interface{}{1, 2} }), nil, nil, Options{}, "prev_down"},
 		{"negative prev_down", mutate(t, func(m map[string]interface{}) { m["prev_down"] = []interface{}{-1} }), nil, nil, Options{}, "prev_down"},
+		{"finished job with no result", mutate(t, func(m map[string]interface{}) {
+			m["report"].(map[string]interface{})["Jobs"] = []interface{}{}
+		}), nil, nil, Options{}, "no result"},
+		{"result for an unfinished job", mutate(t, func(m map[string]interface{}) {
+			m["phases"].([]interface{})[0] = float64(JobActive)
+		}), nil, nil, Options{}, "not (or not only once) finished"},
+		{"unknown phase", mutate(t, func(m map[string]interface{}) {
+			m["phases"].([]interface{})[4] = float64(9)
+		}), nil, nil, Options{}, "unknown phase"},
 	}
 	for _, tc := range cases {
 		tc := tc

@@ -1,0 +1,140 @@
+package sim
+
+import (
+	"cmp"
+	"slices"
+	"strconv"
+)
+
+// terminalEntry records how one job ended: ref is the job's index in
+// the engine report's Jobs when it finished, cancelledRef when it was
+// withdrawn.
+type terminalEntry struct{ id, ref int }
+
+const cancelledRef = -1
+
+func (e terminalEntry) phase() JobPhase {
+	if e.ref == cancelledRef {
+		return JobCancelled
+	}
+	return JobFinished
+}
+
+// terminalIndex maps every terminal job's ID to its terminalEntry. It
+// is immutable after construction: with returns a new index and writes
+// neither the receiver's run headers nor any run, so the engine hands
+// the same value to every snapshot it publishes and readers need no
+// lock. The entries live in runs sorted by ID whose lengths strictly
+// decrease (the logarithmic method: an insert merges the trailing runs
+// no longer than what it has gathered so far into one fresh run), so an
+// index of n jobs has at most ⌈log₂ n⌉+1 runs, a lookup is a binary
+// search per run, and a job is copied O(log n) times over its life.
+type terminalIndex struct {
+	runs [][]terminalEntry
+	n    int
+}
+
+// with returns the index extended by one terminal job.
+func (t terminalIndex) with(id, ref int) terminalIndex {
+	k, size := len(t.runs), 1
+	for k > 0 && len(t.runs[k-1]) <= size {
+		k--
+		size += len(t.runs[k])
+	}
+	run := make([]terminalEntry, 0, size)
+	for _, r := range t.runs[k:] {
+		run = append(run, r...)
+	}
+	run = append(run, terminalEntry{id: id, ref: ref})
+	slices.SortFunc(run, func(a, b terminalEntry) int { return cmp.Compare(a.id, b.id) })
+	runs := make([][]terminalEntry, k+1)
+	copy(runs, t.runs[:k])
+	runs[k] = run
+	return terminalIndex{runs: runs, n: t.n + 1}
+}
+
+// get looks a terminal job up.
+func (t terminalIndex) get(id int) (terminalEntry, bool) {
+	for _, run := range t.runs {
+		i, ok := slices.BinarySearchFunc(run, id, func(e terminalEntry, id int) int { return cmp.Compare(e.id, id) })
+		if ok {
+			return run[i], true
+		}
+	}
+	return terminalEntry{}, false
+}
+
+// PhaseView answers "what stage is job id in" for every job an engine
+// had been given when a snapshot was published. It holds a small map of
+// the jobs then pending or active — bounded by the queue, built per
+// publish — and the engine's terminalIndex by value, so a publish costs
+// nothing per job that has already ended. A nil *PhaseView is the view
+// of an engine that was never given a job.
+type PhaseView struct {
+	live  map[int]string
+	done  terminalIndex
+	maxID int
+}
+
+// Get returns the job's lifecycle stage ("pending", "active",
+// "finished", "cancelled"); ok is false for an ID never submitted.
+func (v *PhaseView) Get(id int) (phase string, ok bool) {
+	if v == nil {
+		return "", false
+	}
+	if p, ok := v.live[id]; ok {
+		return p, true
+	}
+	if e, ok := v.done.get(id); ok {
+		return e.phase().String(), true
+	}
+	return "", false
+}
+
+// Len is the number of jobs the view knows.
+func (v *PhaseView) Len() int {
+	if v == nil {
+		return 0
+	}
+	return len(v.live) + v.done.n
+}
+
+// MaxID returns the largest job ID the view knows; ok is false when it
+// knows none.
+func (v *PhaseView) MaxID() (id int, ok bool) {
+	if v == nil {
+		return 0, false
+	}
+	return v.maxID, true
+}
+
+// MarshalJSON emits the view as the JSON object encoding/json writes
+// for the equivalent map[int]string — keys in string order — which is
+// what this field was before it became a view.
+func (v *PhaseView) MarshalJSON() ([]byte, error) {
+	type kv struct{ key, phase string }
+	kvs := make([]kv, 0, v.Len())
+	//lint:ignore maprange collected here, sorted by key below
+	for id, p := range v.live {
+		kvs = append(kvs, kv{strconv.Itoa(id), p})
+	}
+	for _, run := range v.done.runs {
+		for _, e := range run {
+			kvs = append(kvs, kv{strconv.Itoa(e.id), e.phase().String()})
+		}
+	}
+	slices.SortFunc(kvs, func(a, b kv) int { return cmp.Compare(a.key, b.key) })
+	buf := make([]byte, 0, 24*len(kvs)+2)
+	buf = append(buf, '{')
+	for i, e := range kvs {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = append(buf, '"')
+		buf = append(buf, e.key...)
+		buf = append(buf, `":"`...)
+		buf = append(buf, e.phase...)
+		buf = append(buf, '"')
+	}
+	return append(buf, '}'), nil
+}

@@ -5,8 +5,8 @@ import (
 )
 
 // JobSnapshot is the frozen state of one unfinished job at snapshot
-// time. Every field is a value or a deep copy: holding a JobSnapshot
-// never aliases engine-owned memory.
+// time. Every field is a value: holding a JobSnapshot never aliases
+// engine-owned memory.
 type JobSnapshot struct {
 	ID      int     `json:"id"`
 	Model   string  `json:"model"`
@@ -29,11 +29,15 @@ type JobSnapshot struct {
 }
 
 // Snapshot is an immutable point-in-time view of an Engine, built by
-// copy-on-publish: Engine.Snapshot deep-copies everything a reader
-// could see, so a published *Snapshot can be read from any goroutine
-// without synchronization while the engine keeps stepping. A long-lived
-// service publishes one per round through an atomic pointer; dashboard
-// and API readers therefore never contend with the scheduler.
+// share-on-publish: what changes in place (the active jobs, the
+// pending/active phases) is copied, and what only ever grows is shared
+// — the report's slices by capacity-clamped prefix, the terminal jobs
+// through an index that is never written after it is built. A publish
+// therefore costs O(live jobs), not O(history), and a published
+// *Snapshot can still be read from any goroutine without
+// synchronization while the engine keeps stepping. A long-lived service
+// publishes one per round through an atomic pointer; dashboard and API
+// readers therefore never contend with the scheduler.
 type Snapshot struct {
 	// Now is the simulated time (seconds); Round the next round index.
 	Now   float64 `json:"now_s"`
@@ -57,15 +61,28 @@ type Snapshot struct {
 	Digest uint64 `json:"digest"`
 	// Phases maps every submitted job ID to its lifecycle stage
 	// ("pending", "active", "finished", "cancelled"), so status queries
-	// resolve against the snapshot instead of the engine.
-	Phases map[int]string `json:"phases,omitempty"`
-	// Report is a deep copy of the metrics accumulated so far
-	// (completed jobs, utilization series, fault counters).
+	// resolve against the snapshot instead of the engine; nil before the
+	// first submission.
+	Phases *PhaseView `json:"phases,omitempty"`
+	// Report is a view of the metrics accumulated so far (completed
+	// jobs in completion order, utilization series, fault counters).
 	Report *metrics.Report `json:"-"`
 }
 
 // FreeGPUs is the devices not held in the most recent round.
 func (s *Snapshot) FreeGPUs() int { return s.TotalGPUs - s.HeldGPUs }
+
+// Result returns the finished job's result, or nil when the job has not
+// finished (or was cancelled, or never submitted).
+func (s *Snapshot) Result(id int) *metrics.JobResult {
+	if s.Phases == nil {
+		return nil
+	}
+	if e, ok := s.Phases.done.get(id); ok && e.ref != cancelledRef {
+		return &s.Report.Jobs[e.ref]
+	}
+	return nil
+}
 
 // Snapshot publishes an immutable view of the engine's current state.
 // It must be called from the goroutine driving the engine (between
@@ -80,16 +97,16 @@ func (e *Engine) Snapshot() *Snapshot {
 		Completed: len(e.report.Jobs),
 		Cancelled: e.cancelled,
 		Digest:    e.digest,
-		Report:    e.report.Clone(),
+		HeldGPUs:  e.HeldGPUs(),
+		Report:    e.report.View(),
 	}
-	if n := len(e.report.RoundHeld); n > 0 {
-		snap.HeldGPUs = e.report.RoundHeld[n-1]
-	}
-	// Iterate the submission-ordered slice, not the phase map, so the
-	// copy is deterministic.
-	snap.Phases = make(map[int]string, len(e.all))
-	for _, j := range e.all {
-		snap.Phases[j.ID] = e.phase[j.ID].String()
+	if len(e.all) > 0 {
+		live := make(map[int]string, len(e.live))
+		//lint:ignore maprange map-to-map copy; no order to observe
+		for id, p := range e.live {
+			live[id] = p.String()
+		}
+		snap.Phases = &PhaseView{live: live, done: e.done, maxID: e.maxID}
 	}
 	snap.Active = make([]JobSnapshot, 0, len(e.active))
 	for _, st := range e.active {

@@ -235,7 +235,7 @@ func (a *liveAPI) handleQuery(w http.ResponseWriter, r *http.Request) {
 	member, snap := a.owner(id)
 	phase, ok := "", false
 	if snap != nil {
-		phase, ok = snap.Phases[id]
+		phase, ok = snap.Phases.Get(id)
 	}
 	if !ok {
 		writeJSON(w, http.StatusNotFound, map[string]string{"error": fmt.Sprintf("unknown job %d", id)})
@@ -248,12 +248,7 @@ func (a *liveAPI) handleQuery(w http.ResponseWriter, r *http.Request) {
 			break
 		}
 	}
-	for i := range snap.Report.Jobs {
-		if snap.Report.Jobs[i].ID == id {
-			resp.Result = &snap.Report.Jobs[i]
-			break
-		}
-	}
+	resp.Result = snap.Result(id)
 	writeJSON(w, http.StatusOK, resp)
 }
 

@@ -102,7 +102,10 @@ func do(t *testing.T, method, url string) (*http.Response, map[string]any) {
 
 func TestLiveSubmitQueryCancel(t *testing.T) {
 	svc, ts := newLiveFixture(t)
-	caseSubmitQueryCancel(t, ts.URL, false, func(id int) string { return svc.Snapshot().Phases[id] })
+	caseSubmitQueryCancel(t, ts.URL, false, func(id int) string {
+		phase, _ := svc.Snapshot().Phases.Get(id)
+		return phase
+	})
 }
 
 func TestFedSubmitQueryCancel(t *testing.T) {
@@ -136,13 +139,7 @@ func caseSubmitQueryCancel(t *testing.T, url string, federated bool, phase func(
 		}
 
 		// The engine admits the job at the next boundary; wait for it.
-		deadline := time.Now().Add(10 * time.Second)
-		for phase(id) != "active" {
-			if time.Now().After(deadline) {
-				t.Fatalf("job %d never became active", id)
-			}
-			time.Sleep(time.Millisecond)
-		}
+		waitPhase(t, phase, id, "active")
 
 		resp, out = do(t, http.MethodGet, url+"/api/jobs/"+itoa(id))
 		if resp.StatusCode != http.StatusOK || out["phase"] != "active" {
@@ -164,6 +161,35 @@ func caseSubmitQueryCancel(t *testing.T, url string, federated bool, phase func(
 		if resp.StatusCode != http.StatusConflict {
 			t.Errorf("double cancel status = %d, want 409", resp.StatusCode)
 		}
+		// Once withdrawn the job is known, terminal, and has no result.
+		waitPhase(t, phase, id, "cancelled")
+		resp, out = do(t, http.MethodGet, url+"/api/jobs/"+itoa(id))
+		if resp.StatusCode != http.StatusOK || out["phase"] != "cancelled" || out["result"] != nil || out["job"] != nil {
+			t.Errorf("cancelled job query status = %d, body %v; want phase only", resp.StatusCode, out)
+		}
+	}
+	// A job that runs to completion answers with its result, by ID.
+	resp, out := postJSON(t, url+"/api/jobs", `{"model": "ResNet-50", "workers": 1, "gpu_hours": 0.01}`)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit status = %d, body %v", resp.StatusCode, out)
+	}
+	id := int(out["id"].(float64))
+	waitPhase(t, phase, id, "finished")
+	resp, out = do(t, http.MethodGet, url+"/api/jobs/"+itoa(id))
+	result, _ := out["result"].(map[string]any)
+	if resp.StatusCode != http.StatusOK || out["phase"] != "finished" || out["job"] != nil || result["ID"] != float64(id) {
+		t.Errorf("finished job query status = %d, body %v; want the result of job %d", resp.StatusCode, out, id)
+	}
+}
+
+func waitPhase(t *testing.T, phase func(id int) string, id int, want string) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for phase(id) != want {
+		if time.Now().After(deadline) {
+			t.Fatalf("job %d never became %s", id, want)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
