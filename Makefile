@@ -118,17 +118,19 @@ profile:
 	@echo "profiles written: go tool pprof profiles/cpu.out | go tool trace profiles/trace.out"
 
 # service-smoke boots the long-lived scheduler service (cmd/hadard) in
-# smoke mode under the race detector, once per backend of its one
-# service loop: a single engine, then three member clusters behind the
-# least-queue router. loadgen drives a seeded bursty workload through
-# the bounded admission queue in closed loop, and each run fails unless
-# every accepted job completes with zero invariant violations (engine,
-# member, and federation: single ownership, iteration conservation)
-# inside the budget.
+# smoke mode under the race detector: a single cluster, then three
+# member clusters behind the least-queue router, then the same three
+# with a write-ahead journal. loadgen drives a seeded bursty workload
+# through the bounded admission queue in closed loop, and each run fails
+# unless every accepted job completes with zero invariant violations
+# (engine, member, and federation: single ownership, iteration
+# conservation) inside the budget.
 service-smoke:
 	$(GO) build -race -o bin/hadard-race ./cmd/hadard
 	bin/hadard-race -smoke -smoke-jobs 80 -smoke-model bursty -smoke-seed 1 -smoke-timeout 120s
 	bin/hadard-race -clusters 3 -router least-queue -smoke -smoke-jobs 60 -smoke-model bursty -smoke-seed 1 -smoke-timeout 180s
+	@dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; set -x; \
+	bin/hadard-race -clusters 3 -router least-queue -wal "$$dir" -smoke -smoke-jobs 60 -smoke-model bursty -smoke-seed 1 -smoke-timeout 180s
 
 # fuzz-smoke gives every fuzz target a short budget. Go fuzzes one
 # target per invocation, so each gets its own run; FUZZTIME=2m for a
@@ -158,6 +160,8 @@ fuzz-smoke: fuzz-sync
 	$(GO) test -run='^$$' -fuzz='^FuzzReadTraceJSON$$' -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -run='^$$' -fuzz='^FuzzStateTransactions$$' -fuzztime=$(FUZZTIME) ./internal/cluster
 	$(GO) test -run='^$$' -fuzz='^FuzzSimRun$$' -fuzztime=$(FUZZTIME) ./internal/sim
+	$(GO) test -run='^$$' -fuzz='^FuzzScan$$' -fuzztime=$(FUZZTIME) ./internal/wal
+	$(GO) test -run='^$$' -fuzz='^FuzzReplayRecords$$' -fuzztime=$(FUZZTIME) ./internal/service
 
 # cover prints per-package statement coverage and enforces floors on
 # the packages the correctness story leans on: the Hadar core, the
@@ -193,10 +197,12 @@ chaos:
 # journal: a race-instrumented hadard is SIGKILLed (and torn mid-append
 # via the crash failpoint) at seeded points, restarted with -recover,
 # and must lose no acknowledged job, admit no duplicate, and replay to
-# byte-identical per-round schedule digests.
+# byte-identical per-round schedule digests — once as a single cluster,
+# once as three members behind one front door.
 crash-smoke:
 	$(GO) build -race -o bin/hadard-race ./cmd/hadard
 	$(GO) run ./cmd/crashchaos -hadard bin/hadard-race -seeds 4 -jobs 24 -timeout 120s
+	$(GO) run ./cmd/crashchaos -hadard bin/hadard-race -clusters 3 -seeds 4 -jobs 24 -timeout 120s
 
 # crash-chaos is the full sweep: >= 20 seeds, each killing the server
 # once or twice at a seed-derived point before finishing cleanly.

@@ -16,14 +16,16 @@
 //   - no duplicate admissions: resubmitting every key yields
 //     deduped=true with the originally acknowledged job ID;
 //   - digest equality: a full fresh-engine replay of the journal
-//     (service.VerifyWAL) reproduces every per-round schedule digest,
+//     (service.VerifyFedWAL) reproduces every per-round schedule digest,
 //     and its final digest matches the live engine's last snapshot —
 //     the recovered schedule is byte-identical to an uninterrupted run.
+//
+// -clusters N puts N members behind hadard's front door; same contract.
 //
 // Usage (normally via `make crash-smoke` or `make crash-chaos`):
 //
 //	crashchaos -hadard bin/hadard [-seeds 20] [-first-seed 1]
-//	           [-jobs 32] [-dir DIR] [-timeout 90s] [-v]
+//	           [-jobs 32] [-clusters 1] [-dir DIR] [-timeout 90s] [-v]
 package main
 
 import (
@@ -40,6 +42,7 @@ import (
 	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/federation"
 	"repro/internal/job"
 	"repro/internal/loadgen"
 	"repro/internal/policy"
@@ -53,6 +56,7 @@ func main() {
 		seeds     = flag.Int("seeds", 20, "number of seeded kill/restart iterations")
 		firstSeed = flag.Int64("first-seed", 1, "first seed; iteration i uses first-seed+i")
 		jobCount  = flag.Int("jobs", 32, "jobs per iteration")
+		clusters  = flag.Int("clusters", 1, "hadard's -clusters: member clusters behind the front door")
 		baseDir   = flag.String("dir", "", "working directory (default: a temp dir)")
 		budget    = flag.Duration("timeout", 90*time.Second, "wall-clock budget per iteration")
 		verbose   = flag.Bool("v", false, "stream server output and per-step progress")
@@ -85,6 +89,7 @@ func main() {
 			bin:     bin,
 			dir:     filepath.Join(dir, fmt.Sprintf("seed-%d", seed)),
 			jobs:    *jobCount,
+			members: *clusters,
 			ledger:  make(map[string]int),
 			client:  &http.Client{Timeout: 10 * time.Second},
 			verbose: *verbose,
@@ -117,6 +122,7 @@ type seedRun struct {
 	bin     string
 	dir     string // per-seed scratch: WAL dir, addr file, logs
 	jobs    int
+	members int // hadard's -clusters
 	kills   int
 	ledger  map[string]int // acked idempotency key -> job ID
 	client  *http.Client
@@ -254,11 +260,14 @@ func (r *seedRun) run(budget time.Duration) error {
 	return r.verifyJournal(snap)
 }
 
-// verifyJournal replays the whole journal on a fresh engine and checks
+// verifyJournal replays the whole journal on a fresh federation and checks
 // it against the client-side ledger and the live run's final digest.
 func (r *seedRun) verifyJournal(snap snapDoc) error {
-	simOpts := serverSimOptions()
-	vr, err := service.VerifyWAL(experiments.SimCluster(), policy.New(policy.SRTF, true), simOpts, r.walDir())
+	fed, err := r.serverFederation()
+	if err != nil {
+		return err
+	}
+	vr, err := service.VerifyFedWAL(fed, r.walDir())
 	if err != nil {
 		return fmt.Errorf("journal replay: %w", err)
 	}
@@ -290,14 +299,23 @@ func (r *seedRun) verifyJournal(snap snapDoc) error {
 	return nil
 }
 
-// serverSimOptions mirrors the engine options the hadard invocation
-// uses; VerifyWAL must build an identical engine or the replayed
-// digests diverge for configuration rather than correctness reasons.
-func serverSimOptions() sim.Options {
+// serverRouter is the -router every federated hadard under test gets.
+var serverRouter = federation.LeastQueue{}
+
+// serverFederation mirrors the federation the hadard invocation builds;
+// the replay must run against an identical one or the replayed digests
+// diverge for configuration rather than correctness reasons.
+func (r *seedRun) serverFederation() (*federation.Federation, error) {
 	opts := sim.DefaultOptions()
 	opts.RoundLength = 6 * 60
 	opts.Validate = true
-	return opts
+	members := make([]federation.MemberConfig, r.members)
+	for i := range members {
+		members[i] = federation.MemberConfig{
+			Cluster: experiments.SimCluster(), Scheduler: policy.New(policy.SRTF, true), Sim: opts,
+		}
+	}
+	return federation.New(members, serverRouter, federation.Options{Validate: true})
 }
 
 // startServer boots hadard on a fresh port, with -recover after the
@@ -313,6 +331,7 @@ func (r *seedRun) startServer(recover, tornWrite bool) error {
 		"-addr", "127.0.0.1:0", "-addr-file", addrFile,
 		"-wal", r.walDir(), "-fsync", "off", "-checkpoint-every", "16",
 		"-queue", "64",
+		"-clusters", fmt.Sprint(r.members), "-router", serverRouter.Name(),
 	}
 	if recover {
 		args = append(args, "-recover")
@@ -387,10 +406,9 @@ func (r *seedRun) waitExit(clean bool) error {
 
 // snapDoc is the slice of /api/snapshot the harness reads.
 type snapDoc struct {
-	Completed int            `json:"completed"`
-	Cancelled int            `json:"cancelled"`
-	Digest    uint64         `json:"digest"`
-	Phases    map[int]string `json:"phases"`
+	Completed int    `json:"completed"`
+	Cancelled int    `json:"cancelled"`
+	Digest    uint64 `json:"digest"`
 }
 
 func (r *seedRun) snapshot() (snapDoc, error) {
@@ -408,15 +426,16 @@ func (r *seedRun) snapshot() (snapDoc, error) {
 
 // checkRecovered asserts zero acked-job loss right after a restart:
 // every admission the client has seen acknowledged must exist in the
-// recovered engine, in some lifecycle phase.
+// recovered service, in some lifecycle phase.
 func (r *seedRun) checkRecovered() error {
-	snap, err := r.snapshot()
-	if err != nil {
-		return err
-	}
 	for key, id := range r.ledger {
-		if _, ok := snap.Phases[id]; !ok {
-			return fmt.Errorf("acked job %d (key %q) lost in recovery", id, key)
+		resp, err := r.client.Get(fmt.Sprintf("%s/api/jobs/%d", r.addr, id))
+		if err != nil {
+			return err
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			return fmt.Errorf("acked job %d (key %q) lost in recovery: status %d", id, key, resp.StatusCode)
 		}
 	}
 	r.logf("recovery holds all %d acked jobs", len(r.ledger))

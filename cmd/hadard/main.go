@@ -15,8 +15,9 @@
 // member clusters, each with its own scheduler instance, advanced on
 // one shared clock, with the -router policy picking the owning member
 // for every submission at the front door. The same HTTP surface is
-// served; job queries additionally report the owning member. -wal is
-// single-cluster only.
+// served; job queries additionally report the owning member. Every
+// other flag, -wal and -recover included, means the same for one
+// cluster and for many.
 //
 // The HTTP surface combines the dashboard (/, /jobs, /api/summary)
 // with the live control API:
@@ -27,13 +28,14 @@
 //	GET    /api/snapshot  full cluster snapshot + admission stats
 //
 // With -wal DIR every accepted mutation is journaled before its HTTP
-// response, and -recover resumes from the journal after a crash: the
-// engine is rebuilt from the latest checkpoint plus a replay of the
-// journal tail, with every replayed round digest-verified against the
-// original run. SIGINT/SIGTERM trigger a graceful shutdown — in-flight
-// HTTP requests drain, the queue is rejected-and-emptied, the journal
-// is flushed, and a final checkpoint is written, so the next -recover
-// replays nothing.
+// response, and -recover resumes from the journal after a crash: every
+// member engine is rebuilt from the latest checkpoint plus a replay of
+// the journal tail — submissions go back to the member that accepted
+// them, the router is not asked again — with every replayed round
+// digest-verified against the original run. SIGINT/SIGTERM trigger a
+// graceful shutdown — in-flight HTTP requests drain, the queue is
+// rejected-and-emptied, the journal is flushed, and a final checkpoint
+// is written, so the next -recover replays nothing.
 //
 // The HADARD_CRASH_AFTER_BYTES environment variable arms a crash
 // failpoint for the chaos harness (cmd/crashchaos): the journal append
@@ -140,10 +142,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "hadard: -clusters must be at least 1, got %d\n", *clusters)
 		os.Exit(2)
 	}
-	if *clusters > 1 && *walDir != "" {
-		fmt.Fprintln(os.Stderr, "hadard: -wal is not supported with -clusters > 1 (the journal covers a single engine)")
-		os.Exit(2)
-	}
 	if *walDir != "" {
 		pol, err := wal.ParsePolicy(*fsyncSel)
 		if err != nil {
@@ -160,88 +158,65 @@ func main() {
 		}
 	}
 
-	// The two modes differ only in what is constructed: the service, its
-	// web constructor, its snapshot accessor and its banner. Starting,
-	// smoke, serving and graceful shutdown are one path (run).
+	// The two modes differ only in the federation and the banner.
+	var svc *service.Service
 	if *clusters > 1 {
-		router, err := federation.NewRouter(*routerSel)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hadard: %v\n", err)
-			os.Exit(2)
-		}
-		members := make([]federation.MemberConfig, *clusters)
-		for i := range members {
-			// pickCluster and pickScheduler accepted these names above.
-			mc, _ := pickCluster(*clusterSel)
-			ms, _ := pickScheduler(*schedName)
-			members[i] = federation.MemberConfig{
-				Name:      fmt.Sprintf("region%d", i),
-				Cluster:   mc,
-				Scheduler: ms,
-				Sim:       simOpts,
-			}
-		}
-		fed, err := federation.New(members, router, federation.Options{Validate: *validate})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hadard: %v\n", err)
-			os.Exit(1)
-		}
-		svc, err := service.NewFed(fed, opts)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hadard: %v\n", err)
-			os.Exit(1)
-		}
-		banner := fmt.Sprintf("hadard: %s federation — %d x %s clusters (%d GPUs total), %s router, %s clock, queue depth %d",
-			s.Name(), *clusters, *clusterSel, *clusters*c.TotalGPUs(), router.Name(), *clockSel, *queue)
-		os.Exit(run(s.Name(), banner, svc, web.NewFedServer(svc), func(snap *federation.FedSnapshot) progress {
-			perMember := make([]string, len(snap.Members))
-			for i := range snap.Members {
-				perMember[i] = fmt.Sprintf("%s=%d", snap.Members[i].Name, snap.Members[i].Snap.Completed)
-			}
-			return progress{snap.Completed, snap.Cancelled, snap.Now, " (" + strings.Join(perMember, " ") + ")"}
-		}))
+		svc, err = service.NewFed(newFederation(simOpts), opts)
+	} else {
+		svc, err = service.New(c, s, opts)
 	}
-	svc, err := service.New(c, s, opts)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "hadard: %v\n", err)
 		os.Exit(1)
+	}
+	banner := fmt.Sprintf("hadard: %s on %s cluster (%d GPUs), %s clock, queue depth %d",
+		s.Name(), *clusterSel, c.TotalGPUs(), *clockSel, *queue)
+	if *clusters > 1 {
+		banner = fmt.Sprintf("hadard: %s federation — %d x %s clusters (%d GPUs total), %s router, %s clock, queue depth %d",
+			s.Name(), *clusters, *clusterSel, *clusters*c.TotalGPUs(), svc.Snapshot().Router, *clockSel, *queue)
 	}
 	if r := svc.Recovery(); r != nil {
 		doc, _ := json.Marshal(r)
 		fmt.Printf("hadard: recovered: %s\n", doc)
 	}
-	banner := fmt.Sprintf("hadard: %s on %s cluster (%d GPUs), %s clock, queue depth %d",
-		s.Name(), *clusterSel, c.TotalGPUs(), *clockSel, *queue)
-	os.Exit(run(s.Name(), banner, svc, web.NewLiveServer(svc), func(snap *sim.Snapshot) progress {
-		return progress{snap.Completed, snap.Cancelled, snap.Now, ""}
-	}))
+	os.Exit(run(s.Name(), banner, svc))
 }
 
-// live is the part of service.Service and service.FedService that run
-// drives: S is the published snapshot type, R the final report.
-type live[S, R any] interface {
-	loadgen.Target
-	Start()
-	Stop() (R, error)
-	Snapshot() *S
-	Stats() service.Stats
-}
-
-// progress is what the smoke run watches in a published snapshot;
-// detail is the per-member completion breakdown of a federation.
-type progress struct {
-	completed, cancelled int
-	now                  float64
-	detail               string
+// newFederation builds -clusters members, each with its own cluster and
+// scheduler instance, behind -router; it exits on a flag it cannot honour.
+func newFederation(simOpts sim.Options) *federation.Federation {
+	router, err := federation.NewRouter(*routerSel)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "hadard: %v\n", err)
+		os.Exit(2)
+	}
+	members := make([]federation.MemberConfig, *clusters)
+	for i := range members {
+		// main has already accepted these names.
+		mc, _ := pickCluster(*clusterSel)
+		ms, _ := pickScheduler(*schedName)
+		members[i] = federation.MemberConfig{
+			Name:      fmt.Sprintf("region%d", i),
+			Cluster:   mc,
+			Scheduler: ms,
+			Sim:       simOpts,
+		}
+	}
+	fed, err := federation.New(members, router, federation.Options{Validate: *validate})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "hadard: %v\n", err)
+		os.Exit(1)
+	}
+	return fed
 }
 
 // run starts the service and either smoke-tests it or serves it until
 // SIGINT/SIGTERM, then shuts down gracefully. Returns the process exit
 // code.
-func run[S, R any](scheduler, banner string, svc live[S, R], srvr *web.Server, view func(*S) progress) int {
+func run(scheduler, banner string, svc *service.Service) int {
 	svc.Start()
 	if *smoke {
-		return runSmoke(scheduler, svc, view)
+		return runSmoke(scheduler, svc)
 	}
 
 	ln, err := net.Listen("tcp", *addr)
@@ -257,7 +232,7 @@ func run[S, R any](scheduler, banner string, svc live[S, R], srvr *web.Server, v
 	}
 	fmt.Printf("%s — listening on %s\n", banner, ln.Addr())
 
-	srv := &http.Server{Handler: srvr.Handler()}
+	srv := &http.Server{Handler: web.NewLiveServer(svc).Handler()}
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 	serveErr := make(chan error, 1)
@@ -368,7 +343,7 @@ type smokeReport struct {
 // reach a terminal phase, and verifies the run was clean: Stop fails on
 // any engine-, member- or federation-level invariant violation. Returns
 // the process exit code.
-func runSmoke[S, R any](scheduler string, svc live[S, R], view func(*S) progress) int {
+func runSmoke(scheduler string, svc *service.Service) int {
 	var model loadgen.Model
 	switch *smokeModel {
 	case "poisson":
@@ -406,13 +381,13 @@ func runSmoke[S, R any](scheduler string, svc live[S, R], view func(*S) progress
 	// the wall budget.
 	deadline := start.Add(budget)
 	for {
-		p := view(svc.Snapshot())
-		if p.completed+p.cancelled >= res.Submitted {
+		snap := svc.Snapshot()
+		if snap.Completed+snap.Cancelled >= res.Submitted {
 			break
 		}
 		if time.Now().After(deadline) {
 			fmt.Fprintf(os.Stderr, "hadard: smoke: %d of %d jobs unfinished after %v\n",
-				res.Submitted-p.completed-p.cancelled, res.Submitted, budget)
+				res.Submitted-snap.Completed-snap.Cancelled, res.Submitted, budget)
 			return 1
 		}
 		time.Sleep(20 * time.Millisecond)
@@ -427,15 +402,15 @@ func runSmoke[S, R any](scheduler string, svc live[S, R], view func(*S) progress
 		return 1
 	}
 
-	p := view(svc.Snapshot())
+	snap := svc.Snapshot()
 	out := smokeReport{
 		Scheduler:   scheduler,
 		Model:       model.String(),
 		Drive:       res,
 		SubmitRate:  res.PerSecond(),
 		Stats:       svc.Stats(),
-		Completed:   p.completed,
-		SimSeconds:  p.now,
+		Completed:   snap.Completed,
+		SimSeconds:  snap.Now,
 		WallSeconds: time.Since(start).Seconds(),
 	}
 	enc := json.NewEncoder(os.Stdout)
@@ -444,7 +419,16 @@ func runSmoke[S, R any](scheduler string, svc live[S, R], view func(*S) progress
 		fmt.Fprintf(os.Stderr, "hadard: smoke: %v\n", err)
 		return 1
 	}
+	// A federation's line adds the per-member completion breakdown.
+	detail := ""
+	if len(snap.Members) > 1 {
+		perMember := make([]string, len(snap.Members))
+		for i := range snap.Members {
+			perMember[i] = fmt.Sprintf("%s=%d", snap.Members[i].Name, snap.Members[i].Snap.Completed)
+		}
+		detail = " (" + strings.Join(perMember, " ") + ")"
+	}
 	fmt.Printf("hadard: smoke OK: %d jobs accepted, %d completed%s, %d rounds, 0 invariant violations\n",
-		res.Submitted, p.completed, p.detail, svc.Stats().Rounds)
+		res.Submitted, snap.Completed, detail, svc.Stats().Rounds)
 	return 0
 }

@@ -18,7 +18,7 @@ type staticRouter struct{ n int }
 
 func (staticRouter) Name() string { return "static-mod" }
 
-func (s staticRouter) Route(j *job.Job, views []federation.View) int {
+func (s staticRouter) Route(j *job.Job, views []federation.View, next int) int {
 	want := j.ID % s.n
 	for _, view := range views {
 		if view.Index == want {

@@ -12,16 +12,18 @@
 // that owner for the rest of the job's life.
 //
 // Like sim.Engine, a Federation is single-goroutine: a long-lived
-// service drives it from the one owning goroutine it also uses for a
-// bare engine (internal/service's loop, behind service.NewFed) and
+// service drives it from its one owning goroutine (internal/service —
+// every service owns a Federation, of one member or of many) and
 // publishes immutable FedSnapshots for concurrent readers.
 package federation
 
 import (
 	"fmt"
 	"reflect"
+	"sort"
 
 	"repro/internal/cluster"
+	"repro/internal/gpu"
 	"repro/internal/job"
 	"repro/internal/metrics"
 	"repro/internal/sched"
@@ -54,11 +56,20 @@ type Options struct {
 	Validate bool
 }
 
-// member pairs a config with its live engine.
+// member pairs a config with its live engine and the static capacity
+// figures every routing view starts from.
 type member struct {
 	name string
 	cfg  MemberConfig
 	eng  *sim.Engine
+
+	// typeTotal is the fleet's device count per accelerator type and
+	// totalGPUs their sum, fixed at New.
+	typeTotal [gpu.NumTypes]int
+	totalGPUs int
+	// outages is cfg.Sim.Failures ordered by node, so that a view walks
+	// each node's windows together and counts a down node once.
+	outages []sim.Failure
 }
 
 // Federation owns N member engines, a router, and the shared-clock
@@ -69,7 +80,7 @@ type member struct {
 //
 // A Federation is not safe for concurrent use: like the engines it
 // owns, it is single-owner state, mutated only by the goroutine that
-// drives it (see internal/service.NewFed) and read through immutable
+// drives it (see internal/service) and read through immutable
 // FedSnapshots.
 type Federation struct {
 	members []*member
@@ -81,6 +92,10 @@ type Federation struct {
 	// iteration order for snapshots and invariant sweeps).
 	owner map[int]int
 	jobs  []*job.Job
+	// next is the routing cursor handed to the Router: one past the
+	// member that accepted the previous submission. Only an accepted
+	// submission moves it, and it is checkpointed.
+	next int
 
 	// lastWork is the completed-iterations watermark of the previous
 	// full invariant audit; cancelSeen tracks whether a cancellation
@@ -126,7 +141,15 @@ func New(configs []MemberConfig, router Router, opts Options) (*Federation, erro
 		if err != nil {
 			return nil, fmt.Errorf("federation: member %s: %w", name, err)
 		}
-		f.members = append(f.members, &member{name: name, cfg: cfg, eng: eng})
+		m := &member{name: name, cfg: cfg, eng: eng, totalGPUs: cfg.Cluster.TotalGPUs()}
+		for _, n := range cfg.Cluster.Nodes() {
+			for t := gpu.Type(0); t < gpu.NumTypes; t++ {
+				m.typeTotal[t] += n.Capacity[t]
+			}
+		}
+		m.outages = append(m.outages, cfg.Sim.Failures...)
+		sort.SliceStable(m.outages, func(a, b int) bool { return m.outages[a].Node < m.outages[b].Node })
+		f.members = append(f.members, m)
 	}
 	return f, nil
 }
@@ -145,9 +168,6 @@ func (f *Federation) Members() int { return len(f.members) }
 
 // MemberName returns the label of member i.
 func (f *Federation) MemberName(i int) string { return f.members[i].name }
-
-// RouterName returns the active routing policy's name.
-func (f *Federation) RouterName() string { return f.router.Name() }
 
 // Err returns the sticky error that poisoned the federation, if any.
 func (f *Federation) Err() error { return f.err }
@@ -182,30 +202,46 @@ func (f *Federation) SubmitJob(j *job.Job) error {
 	if err != nil {
 		return err
 	}
+	return f.SubmitTo(idx, j)
+}
+
+// SubmitTo submits the job to member idx without consulting the Router
+// and, once the member accepts it, records ownership and advances the
+// routing cursor: the second half of SubmitJob, and how a journal replay
+// returns a submission to the member that accepted it.
+func (f *Federation) SubmitTo(idx int, j *job.Job) error {
+	if f.err != nil {
+		return f.err
+	}
+	if idx < 0 || idx >= len(f.members) {
+		return fmt.Errorf("federation: member %d outside [0, %d)", idx, len(f.members))
+	}
+	if _, dup := f.owner[j.ID]; dup {
+		return fmt.Errorf("federation: duplicate job ID %d", j.ID)
+	}
 	if err := f.members[idx].eng.SubmitJob(j); err != nil {
 		return err
 	}
 	f.owner[j.ID] = idx
 	f.jobs = append(f.jobs, j)
+	f.next = idx + 1
 	return nil
 }
 
 // RouteJob runs the routing decision for a job without submitting it:
 // it builds the per-member views, filters to members that can place
 // the job (preferring ones healthy right now), and asks the Router to
-// pick. Exposed so callers can audit routing decisions.
+// pick. It changes nothing, so callers can audit routing decisions.
 func (f *Federation) RouteJob(j *job.Job) (int, error) {
-	if f.err != nil {
-		return 0, f.err
-	}
-	if _, dup := f.owner[j.ID]; dup {
-		return 0, fmt.Errorf("federation: duplicate job ID %d", j.ID)
-	}
 	now := f.Now()
+	var speed [gpu.NumTypes]float64
+	for t := gpu.Type(0); t < gpu.NumTypes; t++ {
+		speed[t] = j.Speed(t)
+	}
 	views := make([]View, 0, len(f.members))
 	healthy := 0
 	for i, m := range f.members {
-		v := m.view(i, j, now)
+		v := m.view(i, j.Workers, &speed, now)
 		if !v.Eligible {
 			continue
 		}
@@ -229,7 +265,7 @@ func (f *Federation) RouteJob(j *job.Job) (int, error) {
 		}
 		views = up
 	}
-	idx := f.router.Route(j, views)
+	idx := f.router.Route(j, views, f.next)
 	if idx < 0 || idx >= len(f.members) {
 		return 0, fmt.Errorf("federation: router %s picked invalid member %d", f.router.Name(), idx)
 	}
@@ -284,7 +320,7 @@ func (f *Federation) HasPendingEvents() bool {
 // members — the shared clock's next tick. ok is false when every
 // member is idle.
 func (f *Federation) PeekNextEventTime() (t float64, ok bool) {
-	i := f.nextMember()
+	i := f.NextMember()
 	if i < 0 {
 		return 0, false
 	}
@@ -292,10 +328,10 @@ func (f *Federation) PeekNextEventTime() (t float64, ok bool) {
 	return t, true
 }
 
-// nextMember picks the member the shared-clock loop advances next: the
-// one with the earliest PeekNextEventTime, ties broken by lowest
-// member index. Returns -1 when no member has pending events.
-func (f *Federation) nextMember() int {
+// NextMember is the member ProcessNextEvent advances next: the one with
+// the earliest PeekNextEventTime, ties broken by lowest member index.
+// Returns -1 when no member has pending events.
+func (f *Federation) NextMember() int {
 	best := -1
 	var bestT float64
 	for i, m := range f.members {
@@ -319,7 +355,7 @@ func (f *Federation) ProcessNextEvent() error {
 	if f.err != nil {
 		return f.err
 	}
-	i := f.nextMember()
+	i := f.NextMember()
 	if i < 0 {
 		return nil // idle: nothing queued anywhere
 	}

@@ -422,8 +422,8 @@ func TestFederationFrontDoorErrors(t *testing.T) {
 // badRouter always returns an out-of-range member index.
 type badRouter struct{}
 
-func (badRouter) Name() string                                  { return "bad" }
-func (badRouter) Route(j *job.Job, views []federation.View) int { return 99 }
+func (badRouter) Name() string                                            { return "bad" }
+func (badRouter) Route(j *job.Job, views []federation.View, next int) int { return 99 }
 
 // TestFederationCancelForwarding submits jobs to a 2-member federation,
 // cancels a subset mid-run through the front door, and checks the

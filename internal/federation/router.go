@@ -6,7 +6,6 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/invariant"
 	"repro/internal/job"
-	"repro/internal/sched"
 )
 
 // View is the routing-relevant state of one member at submission time.
@@ -44,86 +43,76 @@ type View struct {
 	Healthy  bool
 }
 
-// view builds the member's routing view for one job at the shared
-// clock's current time.
-func (m *member) view(idx int, j *job.Job, now float64) View {
+// view builds the member's routing view, at the shared clock's current
+// time, for a job of the given gang size and per-type throughput
+// (speed[t] > 0 marks a usable type), in O(types + failure windows).
+func (m *member) view(idx, workers int, speed *[gpu.NumTypes]float64, now float64) View {
 	v := View{
 		Index:      idx,
 		Name:       m.name,
-		TotalGPUs:  m.cfg.Cluster.TotalGPUs(),
+		TotalGPUs:  m.totalGPUs,
 		QueueDepth: m.eng.PendingJobs() + m.eng.ActiveJobs(),
 	}
-	down := m.downNodes(now)
-	usable := sched.UsableTypes(j)
-	best, _, hasBest := j.BestType()
-	for _, n := range m.cfg.Cluster.Nodes() {
-		nodeUp := !down[n.ID]
-		for t := gpu.Type(0); t < gpu.NumTypes; t++ {
-			c := n.Capacity[t]
-			if c == 0 {
-				continue
-			}
-			if nodeUp {
-				v.UpGPUs += c
-			}
-			for _, ut := range usable {
-				if ut != t {
-					continue
-				}
-				v.UsableTotal += c
-				if nodeUp {
-					v.UsableUp += c
-					if hasBest && t == best {
-						v.BestUp += c
-					}
-				}
+	up := m.upAt(now)
+	pr, priced := m.cfg.Scheduler.(invariant.PriceReporter)
+	util := 0.0
+	if priced && v.TotalGPUs > 0 {
+		util = float64(m.eng.HeldGPUs()) / float64(v.TotalGPUs)
+	}
+	best := 0.0
+	for t := gpu.Type(0); t < gpu.NumTypes; t++ {
+		v.UpGPUs += up[t]
+		if speed[t] <= 0 {
+			continue
+		}
+		v.UsableTotal += m.typeTotal[t]
+		v.UsableUp += up[t]
+		if speed[t] > best {
+			best, v.BestUp = speed[t], up[t]
+		}
+		if priced {
+			if p := pr.PriceAt(t, util); !v.HasPrice || p < v.Price {
+				v.Price, v.HasPrice = p, true
 			}
 		}
 	}
-	v.Eligible = v.UsableTotal >= j.Workers
-	v.Healthy = v.UsableUp >= j.Workers
-	if pr, ok := m.cfg.Scheduler.(invariant.PriceReporter); ok {
-		util := 0.0
-		if v.TotalGPUs > 0 {
-			util = float64(m.eng.HeldGPUs()) / float64(v.TotalGPUs)
-		}
-		for i, t := range usable {
-			p := pr.PriceAt(t, util)
-			if i == 0 || p < v.Price {
-				v.Price = p
-			}
-		}
-		v.HasPrice = len(usable) > 0
-	}
+	v.Eligible = v.UsableTotal >= workers
+	v.Healthy = v.UsableUp >= workers
 	return v
 }
 
-// downNodes evaluates the member's configured failure windows at the
-// given instant, mirroring the engine's scheduler-visible outage view
-// (a node is down when a window covers [now, now+epsilon)).
-func (m *member) downNodes(now float64) map[int]bool {
-	var down map[int]bool
-	for _, fail := range m.cfg.Sim.Failures {
-		if fail.Start < now+1e-9 && fail.End > now {
-			if down == nil {
-				down = make(map[int]bool)
-			}
-			down[fail.Node] = true
+// upAt is the per-type device count on nodes outside every configured
+// failure window at the given instant, mirroring the engine's
+// scheduler-visible outage view (a node is down when a window covers
+// [now, now+epsilon)).
+func (m *member) upAt(now float64) [gpu.NumTypes]int {
+	up := m.typeTotal
+	down := -1 // the node last subtracted; outages are ordered by node
+	for _, w := range m.outages {
+		if w.Node == down || w.Start >= now+1e-9 || w.End <= now {
+			continue
+		}
+		down = w.Node
+		for t := gpu.Type(0); t < gpu.NumTypes; t++ {
+			up[t] -= m.cfg.Cluster.Capacity(w.Node, t)
 		}
 	}
-	return down
+	return up
 }
 
 // Router picks the member that will own a job. Route receives only
 // eligible views (healthy ones when any exist) and must return the
-// Index field of one of them. Implementations must be deterministic:
-// the same job against the same views always yields the same pick.
+// Index field of one of them. Implementations are pure functions of
+// their arguments and keep no state: a route that is only audited, or
+// whose job the member then refuses, must not change the next one, and
+// a recovered federation must route as the crashed one would have.
 type Router interface {
 	// Name identifies the policy in snapshots and CLI flags.
 	Name() string
 	// Route picks a member for the job from the candidate views. The
-	// views slice is ordered by member index and never empty.
-	Route(j *job.Job, views []View) int
+	// views slice is ordered by member index and never empty; next is
+	// one past the member that accepted the previous submission.
+	Route(j *job.Job, views []View, next int) int
 }
 
 // RouterNames lists the built-in policies accepted by NewRouter, in
@@ -137,7 +126,7 @@ func RouterNames() []string {
 func NewRouter(name string) (Router, error) {
 	switch name {
 	case "round-robin", "rr":
-		return &RoundRobin{}, nil
+		return RoundRobin{}, nil
 	case "least-queue", "queue":
 		return LeastQueue{}, nil
 	case "affinity":
@@ -149,32 +138,22 @@ func NewRouter(name string) (Router, error) {
 }
 
 // RoundRobin cycles through the members, skipping ineligible ones: the
-// chosen member is the first candidate at or after the rotating
+// chosen member is the first candidate at or after the federation's
 // cursor. With every member eligible it degenerates to strict
 // round-robin.
-type RoundRobin struct {
-	next int
-}
+type RoundRobin struct{}
 
 // Name implements Router.
-func (r *RoundRobin) Name() string { return "round-robin" }
+func (RoundRobin) Name() string { return "round-robin" }
 
 // Route implements Router.
-func (r *RoundRobin) Route(j *job.Job, views []View) int {
-	pick := views[0]
-	found := false
+func (RoundRobin) Route(j *job.Job, views []View, next int) int {
 	for _, v := range views {
-		if v.Index >= r.next {
-			pick = v
-			found = true
-			break
+		if v.Index >= next {
+			return v.Index
 		}
 	}
-	if !found {
-		pick = views[0] // wrap around
-	}
-	r.next = pick.Index + 1
-	return pick.Index
+	return views[0].Index // wrap around
 }
 
 // LeastQueue routes to the member with the shallowest backlog
@@ -185,7 +164,7 @@ type LeastQueue struct{}
 func (LeastQueue) Name() string { return "least-queue" }
 
 // Route implements Router.
-func (LeastQueue) Route(j *job.Job, views []View) int {
+func (LeastQueue) Route(j *job.Job, views []View, next int) int {
 	pick := views[0]
 	for _, v := range views[1:] {
 		if v.QueueDepth < pick.QueueDepth {
@@ -205,7 +184,7 @@ type Affinity struct{}
 func (Affinity) Name() string { return "affinity" }
 
 // Route implements Router.
-func (Affinity) Route(j *job.Job, views []View) int {
+func (Affinity) Route(j *job.Job, views []View, next int) int {
 	pick := views[0]
 	for _, v := range views[1:] {
 		if v.BestUp > pick.BestUp ||
@@ -228,7 +207,7 @@ type PriceAware struct{}
 func (PriceAware) Name() string { return "price" }
 
 // Route implements Router.
-func (PriceAware) Route(j *job.Job, views []View) int {
+func (PriceAware) Route(j *job.Job, views []View, next int) int {
 	pick := views[0]
 	for _, v := range views[1:] {
 		if better(v, pick) {

@@ -63,8 +63,10 @@ func TestRouteJobAllUnhealthyFallsBack(t *testing.T) {
 // federation's router-output validation.
 type rogueRouter struct{ pick int }
 
-func (r rogueRouter) Name() string                                  { return "rogue" }
-func (r rogueRouter) Route(j *job.Job, views []federation.View) int { return r.pick }
+func (r rogueRouter) Name() string { return "rogue" }
+func (r rogueRouter) Route(j *job.Job, views []federation.View, next int) int {
+	return r.pick
+}
 
 // TestRouteJobValidatesRouterPick pins the guard between the router
 // contract and the member slice: an out-of-range pick must surface as
@@ -100,7 +102,7 @@ func TestAffinityTieBreak(t *testing.T) {
 		{"later equal view never displaces", []federation.View{v(1, 3, 8), v(0, 3, 8)}, 1},
 	}
 	for _, tc := range cases {
-		if got := r.Route(rtJob, tc.views); got != tc.want {
+		if got := r.Route(rtJob, tc.views, 0); got != tc.want {
 			t.Errorf("%s: Route = %d, want %d", tc.name, got, tc.want)
 		}
 	}

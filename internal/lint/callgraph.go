@@ -259,12 +259,7 @@ func (m *Module) node(fn *types.Func) *FuncNode {
 }
 
 // implementers resolves a dynamic call through interface method ifm to
-// every module-declared method that may answer it, in node order. A
-// method of an instantiated generic interface (backend[S, R]) mentions
-// the caller's type parameters, so no concrete type Implements it;
-// there a type answers when its own method of that name has ifm's
-// signature, which still resolves the methods that mention no type
-// parameter.
+// every module-declared method that may answer it, in node order.
 func (m *Module) implementers(ifm *types.Func) []*FuncNode {
 	if cached, ok := m.impls[ifm]; ok {
 		return cached
@@ -273,21 +268,17 @@ func (m *Module) implementers(ifm *types.Func) []*FuncNode {
 	sig, _ := ifm.Type().(*types.Signature)
 	if sig != nil && sig.Recv() != nil {
 		if iface, ok := sig.Recv().Type().Underlying().(*types.Interface); ok {
-			recv, _ := sig.Recv().Type().(*types.Named)
-			generic := recv != nil && recv.TypeArgs().Len() > 0
 			lookupPkg := ifm.Pkg()
 			for _, named := range m.named {
 				ptr := types.NewPointer(named)
-				if !generic && !types.Implements(named, iface) && !types.Implements(ptr, iface) {
+				if !types.Implements(named, iface) && !types.Implements(ptr, iface) {
 					continue
 				}
 				obj, _, _ := types.LookupFieldOrMethod(ptr, true, lookupPkg, ifm.Name())
-				fn, ok := obj.(*types.Func)
-				if !ok || generic && !types.Identical(fn.Type(), sig) {
-					continue
-				}
-				if n := m.node(fn); n != nil {
-					out = append(out, n)
+				if fn, ok := obj.(*types.Func); ok {
+					if n := m.node(fn); n != nil {
+						out = append(out, n)
+					}
 				}
 			}
 		}

@@ -86,12 +86,8 @@ func FanOutFresh(cores []*Core) {
 	}
 }
 
-// coreView and shardView are what the two backends below publish.
-type coreView struct{ round int }
-type shardView struct{ steps int }
-
-// View publishes the core's state (non-mutating).
-func (c *Core) View() *coreView { return &coreView{round: c.round} }
+// Progress reads the core's state (non-mutating).
+func (c *Core) Progress() int { return c.round }
 
 // Shard is a second guarded backend. A Shard is not safe for
 // concurrent use: after Start, one goroutine owns it.
@@ -100,35 +96,34 @@ type Shard struct{ steps int }
 // Step advances the shard (mutating).
 func (s *Shard) Step() { s.steps++ }
 
-// View publishes the shard's state (non-mutating).
-func (s *Shard) View() *shardView { return &shardView{steps: s.steps} }
+// Progress reads the shard's state (non-mutating).
+func (s *Shard) Progress() int { return s.steps }
 
-// backend is the step contract Core and Shard share, parameterised by
-// the view each publishes. Only guarded types implement it, so a call
-// through it mutates single-owner state even though no call site names
-// a guarded type.
-type backend[S any] interface {
+// backend is the step contract Core and Shard share. Only guarded types
+// implement it, so a call through it mutates single-owner state even
+// though no call site names a guarded type.
+type backend interface {
 	Step()
-	View() *S
+	Progress() int
 }
 
 // Owner is the run loop written once over either backend, which it
 // holds behind an interface-typed field.
-type Owner[S any] struct {
-	be   backend[S]
+type Owner struct {
+	be   backend
 	reqs chan int
 }
 
 // NewCoreOwner wires a fresh core to an inert owner.
-func NewCoreOwner() *Owner[coreView] {
-	return &Owner[coreView]{be: &Core{}, reqs: make(chan int, 1)}
+func NewCoreOwner() *Owner {
+	return &Owner{be: &Core{}, reqs: make(chan int, 1)}
 }
 
 // Start launches the owning goroutine.
-func (o *Owner[S]) Start() { go o.run() }
+func (o *Owner) Start() { go o.run() }
 
 // run is the owner loop: stepping the backend here is legal.
-func (o *Owner[S]) run() {
+func (o *Owner) run() {
 	for range o.reqs {
 		o.be.Step()
 	}
@@ -137,9 +132,9 @@ func (o *Owner[S]) run() {
 // Poke steps the backend from the exported API while the run loop
 // owns it. The callee is an interface method; the analyzer resolves it
 // to the guarded implementers.
-func (o *Owner[S]) Poke() {
+func (o *Owner) Poke() {
 	o.be.Step() // want "ownership: .*mutates single-owner (Core|Shard) outside its owning goroutine"
 }
 
 // Peek only reads through the interface.
-func (o *Owner[S]) Peek() *S { return o.be.View() }
+func (o *Owner) Peek() int { return o.be.Progress() }

@@ -80,34 +80,31 @@ func (s *Server) ack(r request) {
 	r.reply <- nil // want "walorder: reply sent before WAL append"
 }
 
-// engineState is what an Engine publishes.
-type engineState struct{ n int }
+// Applied reads the engine's state (non-mutating).
+func (e *Engine) Applied() int { return e.n }
 
-// State publishes the engine's state (non-mutating).
-func (e *Engine) State() *engineState { return &engineState{n: e.n} }
-
-// backend is the apply contract a generic loop holds its engine
-// behind, parameterised by the published state. Only the guarded
-// Engine implements it, so Apply through it is still the apply step.
-type backend[S any] interface {
+// backend is the apply contract a loop holds its engine behind. Only
+// the guarded Engine implements it, so Apply through it is still the
+// apply step.
+type backend interface {
 	Apply(x int) error
-	State() *S
+	Applied() int
 }
 
-// Loop is the server written once over any backend: no call site in
-// it names the guarded type.
-type Loop[S any] struct {
-	be      backend[S]
+// Loop is the server written over any backend: no call site in it
+// names the guarded type.
+type Loop struct {
+	be      backend
 	journal *Journal
 }
 
 // NewEngineLoop wires a fresh engine to a loop.
-func NewEngineLoop(j *Journal) *Loop[engineState] {
-	return &Loop[engineState]{be: &Engine{}, journal: j}
+func NewEngineLoop(j *Journal) *Loop {
+	return &Loop{be: &Engine{}, journal: j}
 }
 
 // HandleGood follows the contract through the interface field.
-func (l *Loop[S]) HandleGood(r request) {
+func (l *Loop) HandleGood(r request) {
 	if err := l.be.Apply(r.x); err != nil {
 		r.reply <- err
 		return
@@ -125,7 +122,7 @@ func (l *Loop[S]) HandleGood(r request) {
 
 // HandleBad acknowledges before the append. The apply is an interface
 // call; the analyzer resolves it to the guarded implementer.
-func (l *Loop[S]) HandleBad(r request) {
+func (l *Loop) HandleBad(r request) {
 	if err := l.be.Apply(r.x); err != nil {
 		r.reply <- err
 		return

@@ -220,8 +220,8 @@ func TestDriveAgainstLiveService(t *testing.T) {
 	if err != nil {
 		t.Fatalf("oracle or engine failure: %v", err)
 	}
-	if len(report.Jobs) != res.Submitted {
-		t.Errorf("final report has %d jobs, want %d", len(report.Jobs), res.Submitted)
+	if len(report.Merged.Jobs) != res.Submitted {
+		t.Errorf("final report has %d jobs, want %d", len(report.Merged.Jobs), res.Submitted)
 	}
 	if rate := res.PerSecond(); rate <= 0 {
 		t.Errorf("sustained rate = %v, want > 0", rate)
@@ -229,8 +229,8 @@ func TestDriveAgainstLiveService(t *testing.T) {
 }
 
 // TestDriveAgainstFederatedService drives the same closed loop against
-// the federated front door: the driver needs no changes (FedService
-// satisfies Target and KeyedTarget), the router spreads the burst
+// the federated front door: the driver needs no changes (it is the same
+// service.Service), the router spreads the burst
 // across members, and every accepted job completes on its owning
 // member with per-member completions summing to the total.
 func TestDriveAgainstFederatedService(t *testing.T) {

@@ -7,10 +7,8 @@ import (
 	"path/filepath"
 	"time"
 
-	"repro/internal/cluster"
+	"repro/internal/federation"
 	"repro/internal/job"
-	"repro/internal/sched"
-	"repro/internal/sim"
 	"repro/internal/wal"
 )
 
@@ -58,10 +56,10 @@ func journalPath(dir string) string    { return filepath.Join(dir, "journal.wal"
 func checkpointPath(dir string) string { return filepath.Join(dir, "checkpoint.ckpt") }
 
 // Journal record types. Submission and cancellation records are
-// appended after the engine accepts the mutation and before the caller
-// sees the verdict; round records are appended after every processed
-// boundary and carry the engine's chained digest so recovery can prove
-// the replayed schedule is byte-identical to the original.
+// appended after the federation accepts the mutation and before the
+// caller sees the verdict; round records are appended after every
+// processed boundary and carry the federation's digest so recovery can
+// prove the replayed schedule is byte-identical to the original.
 const (
 	recSubmit = "submit"
 	recCancel = "cancel"
@@ -76,23 +74,42 @@ type walRecord struct {
 	Job *job.Job `json:"job,omitempty"`
 	// ID is the cancellation target.
 	ID int `json:"id,omitempty"`
-	// Round/Now/Digest describe the engine immediately after a
-	// processed boundary.
+	// Member is the member that accepted the submission or that the
+	// boundary stepped. Replay submits to it and never asks the Router,
+	// which reads state (a scheduler's last prices) a restored member
+	// lacks until its next round. Member 0 is left out, so a federation
+	// of one writes the journal a bare engine used to.
+	Member int `json:"member,omitempty"`
+	// Round and Now are the stepped member's immediately after a
+	// processed boundary, Digest the federation's (Federation.Digest;
+	// for one member, that engine's).
 	Round  int     `json:"round,omitempty"`
 	Now    float64 `json:"now_s,omitempty"`
 	Digest uint64  `json:"digest,omitempty"`
 }
 
+// roundRecord describes the boundary that member just processed, from
+// the snapshot taken after it; recovery compares the replay's to the
+// journal's.
+func roundRecord(member int, snap *federation.FedSnapshot) walRecord {
+	ms := snap.Members[member].Snap
+	return walRecord{Type: recRound, Member: member, Round: ms.Round, Now: ms.Now, Digest: snap.Digest}
+}
+
 // checkpointDoc is the payload of the checkpoint file: the serialized
-// engine plus the service-level state that must survive with it.
+// federation plus the service-level state that must survive with it.
 type checkpointDoc struct {
 	// Seq is the number of journal records the checkpointed state
 	// embodies; recovery replays the journal from this index.
 	Seq int `json:"seq"`
 	// Keys is the idempotent-submission ledger (key -> job ID).
 	Keys map[string]int `json:"keys,omitempty"`
-	// Engine is sim.Engine.MarshalState output.
-	Engine json.RawMessage `json:"engine"`
+	// State is one sim.Engine.MarshalState section per member plus the
+	// routing cursor.
+	federation.State
+	// Engine is what a service older than the member sections wrote in
+	// their place: its one engine, which restores as member 0.
+	Engine json.RawMessage `json:"engine,omitempty"`
 }
 
 // pendingVerdict is a group-commit deferral: the mutation is applied
@@ -109,9 +126,8 @@ type pendingVerdict struct {
 type journal struct {
 	cfg WALConfig
 	w   *wal.Writer
-	// eng is the journaled engine — the same value the loop drives as
-	// its backend — for round records and checkpoints.
-	eng *sim.Engine
+	// fed is the journaled federation, for checkpoints.
+	fed *federation.Federation
 	// applied counts journal records ever appended or replayed; it is
 	// the checkpoint's replay cursor.
 	applied   int
@@ -127,27 +143,23 @@ type journal struct {
 	recovery *Recovery
 }
 
-// openJournal opens (or, with cfg.Recover, recovers) the durability
-// state in cfg.Dir: the engine it journals, the writer positioned after
-// the last valid record, and the recovered idempotency ledger.
-func openJournal(c *cluster.Cluster, sch sched.Scheduler, simOpts sim.Options, cfg WALConfig) (*journal, map[string]int, error) {
+// openJournal opens the durability state in cfg.Dir for a fresh
+// federation: a new journal or, with cfg.Recover, the existing one,
+// restoring fed and keys to the journaled state.
+func openJournal(fed *federation.Federation, keys map[string]int, cfg WALConfig) (*journal, error) {
 	cfg.normalize()
 	if cfg.Recover {
-		return recoverJournal(c, sch, simOpts, cfg)
+		return recoverJournal(fed, keys, cfg)
 	}
 	if _, err := os.Stat(journalPath(cfg.Dir)); err == nil {
-		return nil, nil, fmt.Errorf("service: %s already has a journal; pass Recover to resume it or remove it first",
+		return nil, fmt.Errorf("service: %s already has a journal; pass Recover to resume it or remove it first",
 			cfg.Dir)
-	}
-	eng, err := sim.NewEngine(c, sch, simOpts)
-	if err != nil {
-		return nil, nil, err
 	}
 	w, err := wal.Create(journalPath(cfg.Dir), cfg.Policy, cfg.FailPoint)
 	if err != nil {
-		return nil, nil, fmt.Errorf("service: create journal: %w", err)
+		return nil, fmt.Errorf("service: create journal: %w", err)
 	}
-	return &journal{cfg: cfg, w: w, eng: eng}, nil, nil
+	return &journal{cfg: cfg, w: w, fed: fed}, nil
 }
 
 // failure returns the sticky journal error, nil without a journal.
@@ -163,16 +175,16 @@ func (j *journal) failure() error {
 // commit appends it to the journal and either replies immediately
 // (SyncAlways fsyncs inside Append; SyncOff trades durability for
 // latency) or defers the reply until the next group sync.
-func (l *loop[S, R]) commit(rec walRecord, reply chan verdict, v verdict) {
-	if l.journal == nil {
+func (s *Service) commit(rec walRecord, reply chan verdict, v verdict) {
+	if s.journal == nil {
 		reply <- v
 		return
 	}
-	if err := l.journal.appendRecord(rec); err != nil {
+	if err := s.journal.appendRecord(rec); err != nil {
 		reply <- verdict{err: fmt.Errorf("service: journal append: %w", err)}
 		return
 	}
-	if j := l.journal; j.w.Policy() == wal.SyncGroup {
+	if j := s.journal; j.w.Policy() == wal.SyncGroup {
 		if len(j.pending) == 0 {
 			j.groupDeadline = time.Now().Add(j.cfg.GroupInterval)
 		}
@@ -198,15 +210,6 @@ func (j *journal) appendRecord(rec walRecord) error {
 	j.applied++
 	j.sinceCkpt++
 	return nil
-}
-
-// appendRound journals the boundary the engine just processed. Round
-// records need no eager fsync: no caller is waiting on them, and any
-// later synced record makes them durable first (the journal is
-// strictly sequential). Recovery uses the recorded digest to prove the
-// replayed schedule identical.
-func (j *journal) appendRound() error {
-	return j.appendRecord(walRecord{Type: recRound, Round: j.eng.Round(), Now: j.eng.Now(), Digest: j.eng.Digest()})
 }
 
 // groupTimer returns a channel that fires when the oldest deferred
@@ -247,7 +250,7 @@ func (j *journal) flushGroup(force bool) {
 	j.pending = j.pending[:0]
 }
 
-// maybeCheckpoint writes an engine checkpoint once enough journal
+// maybeCheckpoint writes a checkpoint once enough journal
 // records have accumulated since the last one. Checkpoint failures are
 // not fatal: the journal remains the source of truth and recovery
 // simply replays a longer tail.
@@ -258,14 +261,14 @@ func (j *journal) maybeCheckpoint(keys map[string]int) {
 	j.writeCheckpoint(keys)
 }
 
-// writeCheckpoint persists the engine and key ledger at the current
+// writeCheckpoint persists the federation and key ledger at the current
 // journal position.
 func (j *journal) writeCheckpoint(keys map[string]int) {
-	state, err := j.eng.MarshalState()
+	state, err := j.fed.MarshalState()
 	if err != nil {
-		return // a poisoned engine has nothing worth persisting
+		return // a poisoned federation has nothing worth persisting
 	}
-	doc := checkpointDoc{Seq: j.applied, Keys: keys, Engine: state}
+	doc := checkpointDoc{Seq: j.applied, Keys: keys, State: state}
 	payload, err := json.Marshal(&doc)
 	if err != nil {
 		return

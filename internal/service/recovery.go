@@ -7,6 +7,7 @@ import (
 	"os"
 
 	"repro/internal/cluster"
+	"repro/internal/federation"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/wal"
@@ -33,18 +34,18 @@ type Recovery struct {
 	TruncatedBytes int64 `json:"truncated_bytes,omitempty"`
 }
 
-// recoverJournal rebuilds the engine from the latest valid checkpoint
-// plus the journal tail and reopens the journal for appending after the
-// last valid record. Damage tolerated: missing checkpoint (full
-// replay), corrupt checkpoint (full replay), torn or corrupt final
-// journal record (truncated at the last valid frame), missing journal
-// (fresh start). Damage refused: a journal whose valid prefix
-// contradicts the recorded round digests, which means the replayed
-// schedule would not match what clients observed.
-func recoverJournal(c *cluster.Cluster, s sched.Scheduler, simOpts sim.Options, cfg WALConfig) (*journal, map[string]int, error) {
+// recoverJournal restores fed from the latest valid checkpoint plus the
+// journal tail, fills keys with the recovered ledger, and reopens the
+// journal for appending after the last valid record. Damage tolerated:
+// missing checkpoint (full replay), corrupt checkpoint (full replay),
+// torn or corrupt final journal record (truncated at the last valid
+// frame), missing journal (fresh start). Damage refused: a journal
+// whose valid prefix contradicts the recorded round digests, which
+// means the replayed schedule would not match what clients observed.
+func recoverJournal(fed *federation.Federation, keys map[string]int, cfg WALConfig) (*journal, error) {
 	scan, err := wal.Scan(journalPath(cfg.Dir))
 	if err != nil {
-		return nil, nil, fmt.Errorf("service: recover: %w", err)
+		return nil, fmt.Errorf("service: recover: %w", err)
 	}
 	info := &Recovery{TruncatedBytes: scan.TruncatedBytes}
 
@@ -63,16 +64,18 @@ func recoverJournal(c *cluster.Cluster, s sched.Scheduler, simOpts sim.Options, 
 	case errors.Is(err, wal.ErrCorrupt):
 		info.CheckpointCorrupt = true
 	default:
-		return nil, nil, fmt.Errorf("service: recover: %w", err)
+		return nil, fmt.Errorf("service: recover: %w", err)
 	}
 
-	j := &journal{cfg: cfg, recovery: info}
-	keys := make(map[string]int)
+	j := &journal{cfg: cfg, fed: fed, recovery: info}
 	validSize := scan.ValidSize
 	records := scan.Records
 	if haveCkpt {
-		if j.eng, err = sim.RestoreEngine(c, s, simOpts, doc.Engine); err != nil {
-			return nil, nil, fmt.Errorf("service: recover: %w", err)
+		if doc.Engine != nil {
+			doc.Members = []json.RawMessage{doc.Engine}
+		}
+		if err := fed.RestoreState(doc.State); err != nil {
+			return nil, fmt.Errorf("service: recover: %w", err)
 		}
 		//lint:ignore maprange map-to-map copy; no output depends on visit order
 		for k, id := range doc.Keys {
@@ -92,20 +95,18 @@ func recoverJournal(c *cluster.Cluster, s sched.Scheduler, simOpts sim.Options, 
 			records = records[doc.Seq:]
 			j.applied = doc.Seq
 		}
-	} else if j.eng, err = sim.NewEngine(c, s, simOpts); err != nil {
-		return nil, nil, err
 	}
 
-	rounds, err := replayRecords(j.eng, keys, records)
+	tally, err := replayRecords(fed, keys, records)
 	if err != nil {
-		return nil, nil, fmt.Errorf("service: recover: %w", err)
+		return nil, fmt.Errorf("service: recover: %w", err)
 	}
 	j.applied += len(records)
 	info.Replayed = len(records)
-	info.RoundsVerified = rounds
+	info.RoundsVerified = tally.Rounds
 
 	if j.w, err = wal.OpenAppend(journalPath(cfg.Dir), validSize, cfg.Policy, cfg.FailPoint); err != nil {
-		return nil, nil, fmt.Errorf("service: reopen journal: %w", err)
+		return nil, fmt.Errorf("service: reopen journal: %w", err)
 	}
 	// Re-anchor the checkpoint at the recovered position: this bounds
 	// the next crash's replay and, after a checkpoint-ahead-of-journal
@@ -114,52 +115,64 @@ func recoverJournal(c *cluster.Cluster, s sched.Scheduler, simOpts sim.Options, 
 	if j.applied > 0 || info.CheckpointSeq > 0 {
 		j.writeCheckpoint(keys)
 	}
-	return j, keys, nil
+	return j, nil
 }
 
-// replayRecords applies journal records to an engine in order. Every
-// record was journaled only after the live engine accepted the same
-// mutation against the same state, so replay must accept them too;
-// round records additionally carry the digest the live engine computed,
-// and a mismatch aborts the replay.
-func replayRecords(eng *sim.Engine, keys map[string]int, records [][]byte) (roundsVerified int, err error) {
+// replayRecords applies journal records to a federation in order. Every
+// record was journaled only after the live federation accepted the same
+// mutation against the same state, so replay must accept them too. A
+// submission goes to the member the record names — never through the
+// Router — and a round record must name the member the shared clock
+// steps next and carry the round and digest the replay then reaches;
+// any disagreement aborts the replay. A refused submission or
+// cancellation leaves the federation and the ledger as they were. The
+// tally counts what was applied, in VerifyResult's Rounds, Submitted
+// and Cancelled; every counted round was digest-verified.
+func replayRecords(fed *federation.Federation, keys map[string]int, records [][]byte) (tally VerifyResult, err error) {
 	for i, payload := range records {
 		var rec walRecord
 		if err := json.Unmarshal(payload, &rec); err != nil {
-			return roundsVerified, fmt.Errorf("record %d: %w", i, err)
+			return tally, fmt.Errorf("record %d: %w", i, err)
 		}
 		switch rec.Type {
 		case recSubmit:
 			if rec.Job == nil {
-				return roundsVerified, fmt.Errorf("record %d: submit without job", i)
+				return tally, fmt.Errorf("record %d: submit without job", i)
 			}
-			if err := eng.SubmitJob(rec.Job); err != nil {
-				return roundsVerified, fmt.Errorf("record %d: replay submit %d: %w", i, rec.Job.ID, err)
+			if err := fed.SubmitTo(rec.Member, rec.Job); err != nil {
+				return tally, fmt.Errorf("record %d: replay submit %d: %w", i, rec.Job.ID, err)
 			}
 			if rec.Key != "" {
 				keys[rec.Key] = rec.Job.ID
 			}
+			tally.Submitted++
 		case recCancel:
-			if err := eng.CancelJob(rec.ID); err != nil {
-				return roundsVerified, fmt.Errorf("record %d: replay cancel %d: %w", i, rec.ID, err)
+			if err := fed.CancelJob(rec.ID); err != nil {
+				return tally, fmt.Errorf("record %d: replay cancel %d: %w", i, rec.ID, err)
 			}
+			tally.Cancelled++
 		case recRound:
-			if err := eng.ProcessNextEvent(); err != nil {
-				return roundsVerified, fmt.Errorf("record %d: replay round %d: %w", i, rec.Round, err)
+			if next := fed.NextMember(); next < 0 || next != rec.Member {
+				return tally, fmt.Errorf("record %d: journal stepped member %d, replay would step %d (-1: nothing pending)",
+					i, rec.Member, next)
 			}
-			if eng.Round() != rec.Round {
-				return roundsVerified, fmt.Errorf("record %d: replay reached round %d, journal recorded %d", i, eng.Round(), rec.Round)
+			if err := fed.ProcessNextEvent(); err != nil {
+				return tally, fmt.Errorf("record %d: replay round %d: %w", i, rec.Round, err)
 			}
-			if eng.Digest() != rec.Digest {
-				return roundsVerified, fmt.Errorf("record %d: round %d digest %#x diverges from journal %#x",
-					i, rec.Round, eng.Digest(), rec.Digest)
+			got := roundRecord(rec.Member, fed.Snapshot())
+			if got.Round != rec.Round {
+				return tally, fmt.Errorf("record %d: replay reached round %d, journal recorded %d", i, got.Round, rec.Round)
 			}
-			roundsVerified++
+			if got.Digest != rec.Digest {
+				return tally, fmt.Errorf("record %d: round %d digest %#x diverges from journal %#x",
+					i, rec.Round, got.Digest, rec.Digest)
+			}
+			tally.Rounds++
 		default:
-			return roundsVerified, fmt.Errorf("record %d: unknown type %q", i, rec.Type)
+			return tally, fmt.Errorf("record %d: unknown type %q", i, rec.Type)
 		}
 	}
-	return roundsVerified, nil
+	return tally, nil
 }
 
 // VerifyResult is VerifyWAL's summary of a full-journal replay.
@@ -171,8 +184,9 @@ type VerifyResult struct {
 	// Submitted and Cancelled count mutation records.
 	Submitted int `json:"submitted"`
 	Cancelled int `json:"cancelled"`
-	// Digest is the engine's chained digest after replaying the whole
-	// journal — the schedule an uninterrupted run would have produced.
+	// Digest is the federation's digest (for one member, its engine's
+	// chained digest) after replaying the whole journal — the schedule
+	// an uninterrupted run would have produced.
 	Digest uint64 `json:"digest"`
 	// Jobs maps idempotency keys to job IDs, for cross-checking a
 	// client-side ledger.
@@ -187,35 +201,26 @@ type VerifyResult struct {
 // the uninterrupted run; the chaos harness compares its digest against
 // the recovered service's to prove crash-and-recover changed nothing.
 func VerifyWAL(c *cluster.Cluster, s sched.Scheduler, simOpts sim.Options, dir string) (*VerifyResult, error) {
+	fed, err := single(c, s, simOpts)
+	if err != nil {
+		return nil, err
+	}
+	return VerifyFedWAL(fed, dir)
+}
+
+// VerifyFedWAL is VerifyWAL against a fresh federation built like the
+// one the journaling service was given; Digest is Federation.Digest.
+func VerifyFedWAL(fed *federation.Federation, dir string) (*VerifyResult, error) {
 	scan, err := wal.Scan(journalPath(dir))
 	if err != nil {
 		return nil, fmt.Errorf("service: verify: %w", err)
 	}
-	eng, err := sim.NewEngine(c, s, simOpts)
-	if err != nil {
-		return nil, err
-	}
-	res := &VerifyResult{
-		Records:        len(scan.Records),
-		Jobs:           make(map[string]int),
-		TruncatedBytes: scan.TruncatedBytes,
-	}
-	rounds, err := replayRecords(eng, res.Jobs, scan.Records)
+	jobs := make(map[string]int)
+	res, err := replayRecords(fed, jobs, scan.Records)
 	if err != nil {
 		return nil, fmt.Errorf("service: verify: %w", err)
 	}
-	res.Rounds = rounds
-	for _, payload := range scan.Records {
-		var rec walRecord
-		if json.Unmarshal(payload, &rec) == nil {
-			switch rec.Type {
-			case recSubmit:
-				res.Submitted++
-			case recCancel:
-				res.Cancelled++
-			}
-		}
-	}
-	res.Digest = eng.Digest()
-	return res, nil
+	res.Records, res.Jobs, res.TruncatedBytes = len(scan.Records), jobs, scan.TruncatedBytes
+	res.Digest = fed.Digest()
+	return &res, nil
 }

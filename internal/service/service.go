@@ -1,16 +1,15 @@
-// Package service runs a sim.Engine — or a federation.Federation of
-// them — as a long-lived online scheduler.
+// Package service runs a federation.Federation — one sim.Engine or
+// many behind one front door — as a long-lived online scheduler.
 //
 // The batch simulator answers "what would this trace have cost"; the
 // service answers "what is the cluster doing right now". A single
-// goroutine owns the backend and is the only code that ever touches it:
-// it drains a bounded admission queue, processes one round boundary at
-// a time, and publishes an immutable snapshot through an atomic
+// goroutine owns the federation and is the only code that ever touches
+// it: it drains a bounded admission queue, processes one round boundary
+// at a time, and publishes an immutable snapshot through an atomic
 // pointer after every boundary. Readers (HTTP handlers, dashboards,
 // load drivers) only ever see published snapshots, so they never
-// contend with the scheduler. That loop is written once (loop);
-// Service and FedService are the same loop over the two backends that
-// share the engine's step contract.
+// contend with the scheduler. A single cluster is a federation of one:
+// there is one Service, one loop and one journal format.
 //
 // Admission control is explicit: Submit and Cancel enqueue requests on
 // a channel of configurable depth. When the queue is full the call
@@ -66,7 +65,7 @@ func (m ClockMode) String() string {
 
 // Options configures the service.
 type Options struct {
-	// Sim configures the underlying engine. Enable Sim.Validate to run
+	// Sim configures the engine New builds. Enable Sim.Validate to run
 	// the invariant oracle on every round (sim.ValidatedOptions). NewFed
 	// ignores it: a federation's members carry their own sim.Options.
 	Sim sim.Options
@@ -89,8 +88,7 @@ type Options struct {
 	RequestTimeout time.Duration
 	// WAL, when non-nil, enables the write-ahead journal: accepted
 	// mutations are made durable before their verdicts return, and the
-	// service can recover its exact state after a crash. The journal
-	// covers a single engine; NewFed refuses it.
+	// service can recover its exact state after a crash.
 	WAL *WALConfig
 }
 
@@ -188,26 +186,13 @@ type verdict struct {
 	err     error
 }
 
-// backend is the step contract *sim.Engine and *federation.Federation
-// share: S is the snapshot type the backend publishes, R its final
-// report.
-type backend[S, R any] interface {
-	SubmitJob(j *job.Job) error
-	CancelJob(id int) error
-	HasPendingEvents() bool
-	ProcessNextEvent() error
-	Snapshot() *S
-	Finish() (R, error)
-}
-
-// loop fronts one backend with a goroutine-owned event loop, bounded
-// admission, and lock-free snapshot reads. It is the whole of Service
-// and FedService but their Provider views; all exported methods are
-// safe for concurrent use.
-type loop[S, R any] struct {
+// Service fronts one federation with a goroutine-owned event loop,
+// bounded admission, and lock-free snapshot reads. Create with New or
+// NewFed, then Start. All exported methods are safe for concurrent use.
+type Service struct {
 	opts Options
 
-	be   backend[S, R] // owned by the run goroutine after Start
+	fed  *federation.Federation // owned by the run goroutine after Start
 	reqs chan request
 
 	startOnce sync.Once
@@ -215,7 +200,7 @@ type loop[S, R any] struct {
 	stop      chan struct{}
 	stopped   chan struct{}
 
-	snap atomic.Pointer[S]
+	snap atomic.Pointer[federation.FedSnapshot]
 
 	accepted        atomic.Int64
 	rejectedBusy    atomic.Int64
@@ -241,66 +226,60 @@ type loop[S, R any] struct {
 
 	// finalReport/finalErr are written by the run goroutine before it
 	// closes stopped and read only after <-stopped.
-	finalReport R
+	finalReport *federation.Report
 	finalErr    error
 }
 
-// newLoop wires a backend to an inert loop and publishes its initial
-// snapshot. Auto-assigned IDs (NextID) start high so they stay clear of
-// trace-style sequential IDs chosen by clients.
-func newLoop[S, R any](be backend[S, R], opts Options, j *journal, keys map[string]int) *loop[S, R] {
-	if keys == nil {
-		keys = make(map[string]int)
+// New builds a service over a single cluster: a federation of one
+// member, named after its scheduler, behind the front door every
+// service has. See NewFed for the journal and recovery.
+func New(c *cluster.Cluster, s sched.Scheduler, opts Options) (*Service, error) {
+	fed, err := single(c, s, opts.Sim)
+	if err != nil {
+		return nil, err
 	}
-	l := &loop[S, R]{
+	return NewFed(fed, opts)
+}
+
+// single is the federation New serves: one member, named after its
+// scheduler, so the Provider view lists what a bare engine's would.
+func single(c *cluster.Cluster, s sched.Scheduler, simOpts sim.Options) (*federation.Federation, error) {
+	return federation.New([]federation.MemberConfig{{Name: s.Name(), Cluster: c, Scheduler: s, Sim: simOpts}},
+		federation.RoundRobin{}, federation.Options{})
+}
+
+// NewFed builds a service over a fresh federation, which it owns from
+// here on — or, with Options.WAL in Recover mode, over that federation
+// restored from the journal and checkpoint in WAL.Dir. The service is
+// inert until Start; requests submitted before Start wait in the
+// admission queue.
+func NewFed(fed *federation.Federation, opts Options) (*Service, error) {
+	opts.normalize()
+	s := &Service{
 		opts:    opts,
-		be:      be,
-		keys:    keys,
-		journal: j,
+		fed:     fed,
+		keys:    make(map[string]int),
 		reqs:    make(chan request, opts.QueueDepth),
 		stop:    make(chan struct{}),
 		stopped: make(chan struct{}),
 	}
-	l.nextID.Store(1 << 20)
-	l.snap.Store(be.Snapshot())
-	return l
-}
-
-// Service fronts one sim.Engine. Create with New, then Start.
-type Service struct {
-	*loop[sim.Snapshot, *metrics.Report]
-	name string
-}
-
-// New builds a service over a fresh engine — or, with Options.WAL in
-// Recover mode, over the engine reconstructed from the journal and
-// checkpoint in WAL.Dir. The service is inert until Start; requests
-// submitted before Start wait in the admission queue.
-func New(c *cluster.Cluster, s sched.Scheduler, opts Options) (*Service, error) {
-	opts.normalize()
-	var (
-		eng  *sim.Engine
-		j    *journal
-		keys map[string]int
-		err  error
-	)
 	if opts.WAL != nil {
-		if j, keys, err = openJournal(c, s, opts.Sim, *opts.WAL); err == nil {
-			eng = j.eng
+		var err error
+		if s.journal, err = openJournal(fed, s.keys, *opts.WAL); err != nil {
+			return nil, err
 		}
-	} else {
-		eng, err = sim.NewEngine(c, s, opts.Sim)
 	}
-	if err != nil {
-		return nil, err
+	s.snap.Store(fed.Snapshot())
+	// Auto-assigned IDs start high, clear of trace-style sequential IDs
+	// chosen by clients and, after recovery, of every journaled ID.
+	next := 1 << 20
+	for _, m := range s.Snapshot().Members {
+		if id, ok := m.Snap.Phases.MaxID(); ok && id > next {
+			next = id
+		}
 	}
-	svc := &Service{loop: newLoop[sim.Snapshot, *metrics.Report](eng, opts, j, keys), name: s.Name()}
-	// After recovery, auto-assigned IDs additionally stay clear of every
-	// ID already journaled.
-	if id, ok := svc.Snapshot().Phases.MaxID(); ok && int64(id) > svc.nextID.Load() {
-		svc.nextID.Store(int64(id))
-	}
-	return svc, nil
+	s.nextID.Store(int64(next))
+	return s, nil
 }
 
 // Recovery reports what startup recovery did, or nil when the service
@@ -312,41 +291,9 @@ func (s *Service) Recovery() *Recovery {
 	return s.journal.recovery
 }
 
-// Order implements the web dashboard's Provider interface: a live
-// service exposes exactly one scheduler.
-func (s *Service) Order() []string { return []string{s.name} }
-
-// Report implements the Provider interface against the latest
-// snapshot's report view.
-func (s *Service) Report(name string) (*metrics.Report, bool) {
-	if name != s.name {
-		return nil, false
-	}
-	return s.Snapshot().Report, true
-}
-
-// FedService fronts a federation.Federation: the router picks the
-// owning member at the front door, and readers get immutable
-// FedSnapshots. Create with NewFed, then Start.
-type FedService struct {
-	*loop[federation.FedSnapshot, *federation.Report]
-}
-
-// NewFed builds a service over a fresh federation, which it owns from
-// here on. There is no journal for a federation yet (walRecord has no
-// member index and the checkpoint no per-member section), so
-// Options.WAL is an error rather than silently ignored.
-func NewFed(fed *federation.Federation, opts Options) (*FedService, error) {
-	if opts.WAL != nil {
-		return nil, errors.New("service: the journal covers a single engine; a federated service cannot take Options.WAL")
-	}
-	opts.normalize()
-	return &FedService{newLoop[federation.FedSnapshot, *federation.Report](fed, opts, nil, nil)}, nil
-}
-
 // Order implements the web dashboard's Provider interface: one entry
-// per member, in member order.
-func (s *FedService) Order() []string {
+// per member, in member order (for New, the scheduler's name).
+func (s *Service) Order() []string {
 	snap := s.Snapshot()
 	names := make([]string, 0, len(snap.Members))
 	for i := range snap.Members {
@@ -357,7 +304,7 @@ func (s *FedService) Order() []string {
 
 // Report implements the Provider interface: the named member's
 // in-progress report from the latest snapshot.
-func (s *FedService) Report(name string) (*metrics.Report, bool) {
+func (s *Service) Report(name string) (*metrics.Report, bool) {
 	m := s.Snapshot().Member(name)
 	if m == nil {
 		return nil, false
@@ -370,37 +317,37 @@ func (s *FedService) Report(name string) (*metrics.Report, bool) {
 // checkpoint, exactly as if the process had died. Stop afterwards
 // returns ErrKilled. The journal is left as a real crash would leave
 // it, so a new service can Recover from it.
-func (l *loop[S, R]) Kill() {
-	l.killed.Store(true)
-	l.Start() // an unstarted service can still be killed
-	l.stopOnce.Do(func() { close(l.stop) })
+func (s *Service) Kill() {
+	s.killed.Store(true)
+	s.Start() // an unstarted service can still be killed
+	s.stopOnce.Do(func() { close(s.stop) })
 }
 
 // Start launches the run goroutine. Safe to call once; later calls
 // are no-ops.
-func (l *loop[S, R]) Start() {
-	l.startOnce.Do(func() { go l.run() })
+func (s *Service) Start() {
+	s.startOnce.Do(func() { go s.run() })
 }
 
 // Stop shuts the loop down, drains the admission queue with ErrStopped
-// replies, finalizes the backend, and returns its report. Safe to call
-// multiple times and after a backend failure; every call returns the
+// replies, finalizes the federation, and returns its report. Safe to call
+// multiple times and after a federation failure; every call returns the
 // same result.
-func (l *loop[S, R]) Stop() (R, error) {
-	l.Start() // a never-started service still terminates cleanly
-	l.stopOnce.Do(func() { close(l.stop) })
-	<-l.stopped
-	return l.finalReport, l.finalErr
+func (s *Service) Stop() (*federation.Report, error) {
+	s.Start() // a never-started service still terminates cleanly
+	s.stopOnce.Do(func() { close(s.stop) })
+	<-s.stopped
+	return s.finalReport, s.finalErr
 }
 
-// Submit asks the backend to admit the job at the next round boundary
-// (a federation routes it to its owning member first). It fails fast
-// with *BusyError when the admission queue is full and with ErrStopped
-// after shutdown; any other error is the backend's validation verdict
-// (bad job, impossible placement, duplicate ID). With a journal enabled
-// the verdict is durable before it returns.
-func (l *loop[S, R]) Submit(j *job.Job) error {
-	return l.send(request{kind: submitReq, job: j, reply: make(chan verdict, 1)}).err
+// Submit asks the federation to route the job to a member and admit it
+// at that member's next round boundary. It fails fast with *BusyError
+// when the admission queue is full and with ErrStopped after shutdown;
+// any other error is the validation verdict (bad job, impossible
+// placement, duplicate ID). With a journal enabled the verdict is
+// durable before it returns.
+func (s *Service) Submit(j *job.Job) error {
+	return s.send(request{kind: submitReq, job: j, reply: make(chan verdict, 1)}).err
 }
 
 // SubmitKeyed is Submit with an idempotency key: resubmitting the same
@@ -408,39 +355,39 @@ func (l *loop[S, R]) Submit(j *job.Job) error {
 // the originally accepted job's ID with deduped true instead of
 // admitting a duplicate. With a journal the key ledger is journaled
 // and survives recovery.
-func (l *loop[S, R]) SubmitKeyed(key string, j *job.Job) (id int, deduped bool, err error) {
-	v := l.send(request{kind: submitReq, job: j, key: key, reply: make(chan verdict, 1)})
+func (s *Service) SubmitKeyed(key string, j *job.Job) (id int, deduped bool, err error) {
+	v := s.send(request{kind: submitReq, job: j, key: key, reply: make(chan verdict, 1)})
 	return v.id, v.deduped, v.err
 }
 
 // Cancel withdraws a submitted job (pending or running) at the next
 // boundary. Backpressure and shutdown behave exactly as in Submit.
-func (l *loop[S, R]) Cancel(id int) error {
-	return l.send(request{kind: cancelReq, id: id, reply: make(chan verdict, 1)}).err
+func (s *Service) Cancel(id int) error {
+	return s.send(request{kind: cancelReq, id: id, reply: make(chan verdict, 1)}).err
 }
 
-func (l *loop[S, R]) send(r request) verdict {
+func (s *Service) send(r request) verdict {
 	select {
-	case <-l.stopped:
+	case <-s.stopped:
 		return verdict{err: ErrStopped}
 	default:
 	}
 	select {
-	case l.reqs <- r:
+	case s.reqs <- r:
 	default:
-		l.rejectedBusy.Add(1)
-		return verdict{err: &BusyError{RetryAfter: l.opts.RetryAfter}}
+		s.rejectedBusy.Add(1)
+		return verdict{err: &BusyError{RetryAfter: s.opts.RetryAfter}}
 	}
 	var deadline <-chan time.Time
-	if l.opts.RequestTimeout > 0 {
-		t := time.NewTimer(l.opts.RequestTimeout)
+	if s.opts.RequestTimeout > 0 {
+		t := time.NewTimer(s.opts.RequestTimeout)
 		defer t.Stop()
 		deadline = t.C
 	}
 	select {
 	case v := <-r.reply:
 		return v
-	case <-l.stopped:
+	case <-s.stopped:
 		// The loop drains the queue before closing stopped, so a reply
 		// may already be waiting; prefer it over the shutdown signal.
 		select {
@@ -450,201 +397,206 @@ func (l *loop[S, R]) send(r request) verdict {
 			return verdict{err: ErrStopped}
 		}
 	case <-deadline:
-		return verdict{err: &DeadError{Waited: l.opts.RequestTimeout}}
+		return verdict{err: &DeadError{Waited: s.opts.RequestTimeout}}
 	}
 }
 
 // NextID returns a fresh job ID from the service's own range, for
 // clients that do not pick their own.
-func (l *loop[S, R]) NextID() int { return int(l.nextID.Add(1)) }
+func (s *Service) NextID() int { return int(s.nextID.Add(1)) }
 
 // Snapshot returns the most recently published immutable view. It
-// never blocks and never observes a half-updated backend.
-func (l *loop[S, R]) Snapshot() *S { return l.snap.Load() }
+// never blocks and never observes a half-updated federation.
+func (s *Service) Snapshot() *federation.FedSnapshot { return s.snap.Load() }
 
 // Stats returns the cumulative admission-control counters.
-func (l *loop[S, R]) Stats() Stats {
+func (s *Service) Stats() Stats {
 	return Stats{
-		Accepted:        l.accepted.Load(),
-		RejectedBusy:    l.rejectedBusy.Load(),
-		RejectedInvalid: l.rejectedInvalid.Load(),
-		Cancelled:       l.cancelled.Load(),
-		Deduped:         l.deduped.Load(),
-		Rounds:          l.rounds.Load(),
+		Accepted:        s.accepted.Load(),
+		RejectedBusy:    s.rejectedBusy.Load(),
+		RejectedInvalid: s.rejectedInvalid.Load(),
+		Cancelled:       s.cancelled.Load(),
+		Deduped:         s.deduped.Load(),
+		Rounds:          s.rounds.Load(),
 	}
 }
 
-// run is the owning goroutine: the sole user of l.be from Start to
+// run is the owning goroutine: the sole user of s.fed from Start to
 // stopped.
-func (l *loop[S, R]) run() {
-	defer close(l.stopped)
-	switch l.opts.Clock {
+func (s *Service) run() {
+	defer close(s.stopped)
+	switch s.opts.Clock {
 	case WallClock:
-		l.runWall()
+		s.runWall()
 	default:
-		l.runVirtual()
+		s.runVirtual()
 	}
-	l.shutdown()
+	s.shutdown()
 }
 
 // runVirtual drains requests and processes boundaries as fast as
-// possible, blocking only when the backend is idle and the queue empty.
-func (l *loop[S, R]) runVirtual() {
+// possible, blocking only when the federation is idle and the queue empty.
+func (s *Service) runVirtual() {
 	for {
 		// Batch every waiting request into this boundary.
 		for {
 			select {
-			case r := <-l.reqs:
-				l.handle(r)
+			case r := <-s.reqs:
+				s.handle(r)
 				continue
-			case <-l.stop:
+			case <-s.stop:
 				return
 			default:
 			}
 			break
 		}
-		if l.journal.failure() != nil {
+		if s.journal.failure() != nil {
 			return
 		}
-		l.journal.flushGroup(false)
-		if !l.be.HasPendingEvents() {
+		s.journal.flushGroup(false)
+		if !s.fed.HasPendingEvents() {
 			// Idle: nothing to schedule until a request, a pending
 			// group commit, or stop.
 			select {
-			case r := <-l.reqs:
-				l.handle(r)
-			case <-l.journal.groupTimer():
-				l.journal.flushGroup(true)
-			case <-l.stop:
+			case r := <-s.reqs:
+				s.handle(r)
+			case <-s.journal.groupTimer():
+				s.journal.flushGroup(true)
+			case <-s.stop:
 				return
 			}
 			continue
 		}
-		if !l.processBoundary() {
+		if !s.processBoundary() {
 			return
 		}
-		l.journal.maybeCheckpoint(l.keys)
+		s.journal.maybeCheckpoint(s.keys)
 	}
 }
 
 // runWall paces one boundary per RoundInterval tick, handling requests
 // between ticks.
-func (l *loop[S, R]) runWall() {
-	tick := time.NewTicker(l.opts.RoundInterval)
+func (s *Service) runWall() {
+	tick := time.NewTicker(s.opts.RoundInterval)
 	defer tick.Stop()
 	for {
-		if l.journal.failure() != nil {
+		if s.journal.failure() != nil {
 			return
 		}
 		select {
-		case r := <-l.reqs:
-			l.handle(r)
-		case <-l.journal.groupTimer():
-			l.journal.flushGroup(true)
+		case r := <-s.reqs:
+			s.handle(r)
+		case <-s.journal.groupTimer():
+			s.journal.flushGroup(true)
 		case <-tick.C:
-			if l.be.HasPendingEvents() && !l.processBoundary() {
+			if s.fed.HasPendingEvents() && !s.processBoundary() {
 				return
 			}
-			l.journal.maybeCheckpoint(l.keys)
-		case <-l.stop:
+			s.journal.maybeCheckpoint(s.keys)
+		case <-s.stop:
 			return
 		}
 	}
 }
 
-// processBoundary advances the backend one boundary, journals it, and
-// publishes a fresh snapshot; false means the backend or journal hit a
-// sticky error and the loop must exit.
-func (l *loop[S, R]) processBoundary() bool {
-	if err := l.be.ProcessNextEvent(); err != nil {
+// processBoundary advances the federation one boundary, publishes a
+// fresh snapshot, and journals the boundary; false means the federation
+// or journal hit a sticky error and the loop must exit. Round records
+// need no eager fsync: no caller waits on them, and any later synced
+// record makes them durable first (the journal is sequential).
+func (s *Service) processBoundary() bool {
+	member := s.fed.NextMember()
+	if err := s.fed.ProcessNextEvent(); err != nil {
 		return false
 	}
-	l.rounds.Add(1)
-	l.snap.Store(l.be.Snapshot())
-	return l.journal == nil || l.journal.appendRound() == nil
+	s.rounds.Add(1)
+	snap := s.fed.Snapshot()
+	s.snap.Store(snap)
+	return s.journal == nil || s.journal.appendRecord(roundRecord(member, snap)) == nil
 }
 
-// handle applies one admission-queue request to the backend and commits
+// handle applies one admission-queue request to the federation and commits
 // it to the journal before the verdict is released.
-func (l *loop[S, R]) handle(r request) {
-	if err := l.journal.failure(); err != nil {
+func (s *Service) handle(r request) {
+	if err := s.journal.failure(); err != nil {
 		r.reply <- verdict{err: fmt.Errorf("service: journal failed: %w", err)}
 		return
 	}
 	switch r.kind {
 	case submitReq:
 		if r.key != "" {
-			if id, ok := l.keys[r.key]; ok {
-				l.deduped.Add(1)
+			if id, ok := s.keys[r.key]; ok {
+				s.deduped.Add(1)
 				r.reply <- verdict{id: id, deduped: true}
 				return
 			}
 		}
-		if err := l.be.SubmitJob(r.job); err != nil {
-			l.rejectedInvalid.Add(1)
+		if err := s.fed.SubmitJob(r.job); err != nil {
+			s.rejectedInvalid.Add(1)
 			r.reply <- verdict{err: err}
 			return
 		}
-		l.accepted.Add(1)
+		s.accepted.Add(1)
 		if r.key != "" {
-			l.keys[r.key] = r.job.ID
+			s.keys[r.key] = r.job.ID
 		}
 		// Publish the queue/phase change immediately so status reads
 		// see accepted-but-not-yet-admitted jobs.
-		l.snap.Store(l.be.Snapshot())
-		l.commit(walRecord{Type: recSubmit, Key: r.key, Job: r.job}, r.reply, verdict{id: r.job.ID})
+		s.snap.Store(s.fed.Snapshot())
+		member, _ := s.fed.Owner(r.job.ID)
+		s.commit(walRecord{Type: recSubmit, Key: r.key, Job: r.job, Member: member}, r.reply, verdict{id: r.job.ID})
 	case cancelReq:
-		if err := l.be.CancelJob(r.id); err != nil {
+		if err := s.fed.CancelJob(r.id); err != nil {
 			r.reply <- verdict{err: err}
 			return
 		}
-		l.cancelled.Add(1)
-		l.snap.Store(l.be.Snapshot())
-		l.commit(walRecord{Type: recCancel, ID: r.id}, r.reply, verdict{id: r.id})
+		s.cancelled.Add(1)
+		s.snap.Store(s.fed.Snapshot())
+		s.commit(walRecord{Type: recCancel, ID: r.id}, r.reply, verdict{id: r.id})
 	}
 }
 
 // shutdown finalizes the loop. A clean stop drains the queue, flushes
 // deferred group commits, checkpoints, and closes the journal; a Kill
 // or journal failure abandons the journal exactly as a crash would.
-func (l *loop[S, R]) shutdown() {
-	if l.killed.Load() {
+func (s *Service) shutdown() {
+	if s.killed.Load() {
 		// Simulated crash: no drain, no sync, no checkpoint. Waiters
 		// unblock via the stopped channel with ErrStopped.
-		if l.journal != nil {
-			l.journal.w.Abort()
+		if s.journal != nil {
+			s.journal.w.Abort()
 		}
-		l.finalErr = ErrKilled
+		s.finalErr = ErrKilled
 		return
 	}
 	for {
 		select {
-		case r := <-l.reqs:
+		case r := <-s.reqs:
 			r.reply <- verdict{err: ErrStopped}
 			continue
 		default:
 		}
 		break
 	}
-	if err := l.journal.failure(); err != nil {
-		l.journal.flushGroup(true) // delivers the journal error to deferred verdicts
-		l.journal.w.Abort()
-		l.finalErr = fmt.Errorf("service: journal failed: %w", err)
+	if err := s.journal.failure(); err != nil {
+		s.journal.flushGroup(true) // delivers the journal error to deferred verdicts
+		s.journal.w.Abort()
+		s.finalErr = fmt.Errorf("service: journal failed: %w", err)
 		return
 	}
-	l.journal.flushGroup(true)
-	if l.journal != nil && l.journal.err == nil {
+	s.journal.flushGroup(true)
+	if s.journal != nil && s.journal.err == nil {
 		// Checkpoint before Finish: Finish finalizes the report for
-		// consumption and the engine must be persisted resumable.
-		l.journal.writeCheckpoint(l.keys)
+		// consumption and the federation must be persisted resumable.
+		s.journal.writeCheckpoint(s.keys)
 	}
-	// Finish returns the backend's sticky error, if any, so a crashed
+	// Finish returns the federation's sticky error, if any, so a crashed
 	// loop and a clean shutdown take the same path.
-	l.finalReport, l.finalErr = l.be.Finish()
-	l.snap.Store(l.be.Snapshot())
-	if l.journal != nil {
-		if err := l.journal.w.Close(); err != nil && l.finalErr == nil {
-			l.finalErr = fmt.Errorf("service: close journal: %w", err)
+	s.finalReport, s.finalErr = s.fed.Finish()
+	s.snap.Store(s.fed.Snapshot())
+	if s.journal != nil {
+		if err := s.journal.w.Close(); err != nil && s.finalErr == nil {
+			s.finalErr = fmt.Errorf("service: close journal: %w", err)
 		}
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"repro/internal/federation"
 	"repro/internal/gpu"
 	"repro/internal/job"
-	"repro/internal/metrics"
 	"repro/internal/sched"
 	"repro/internal/sim"
 )
@@ -57,23 +56,41 @@ func twoNodeCluster() *cluster.Cluster {
 	return cluster.New(gpu.Fleet{gpu.V100: 4}, gpu.Fleet{gpu.V100: 4, gpu.K80: 2})
 }
 
-func newTestService(t *testing.T, opts Options) *Service {
-	t.Helper()
-	if !opts.Sim.Validate {
-		opts.Sim = sim.ValidatedOptions()
-	}
-	svc, err := New(twoNodeCluster(), fifo{}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return svc
+// shape is one federation the shared cases run a service over: the
+// single cluster New builds, or members two-node clusters behind a
+// named router (NewFed).
+type shape struct {
+	members int
+	router  string // "" for New's federation of one
 }
 
-// newTestFederation builds n validated two-node members behind the
-// least-queue router.
-func newTestFederation(t *testing.T, n int) *federation.Federation {
+var (
+	oneCluster = shape{members: 1}
+	twoRegions = shape{members: 2, router: "least-queue"}
+)
+
+// walShapes is what every durability case runs on: one member, and
+// three members behind each built-in router.
+func walShapes() []shape {
+	shapes := []shape{oneCluster}
+	for _, router := range federation.RouterNames() {
+		shapes = append(shapes, shape{members: 3, router: router})
+	}
+	return shapes
+}
+
+func (sh shape) String() string {
+	if sh.router == "" {
+		return "one-cluster"
+	}
+	return fmt.Sprintf("%d-members-%s", sh.members, sh.router)
+}
+
+// federation builds the shape's fresh federation of validated two-node
+// members.
+func (sh shape) federation(t *testing.T) *federation.Federation {
 	t.Helper()
-	members := make([]federation.MemberConfig, n)
+	members := make([]federation.MemberConfig, sh.members)
 	for i := range members {
 		members[i] = federation.MemberConfig{
 			Name:      fmt.Sprintf("region%d", i),
@@ -82,7 +99,7 @@ func newTestFederation(t *testing.T, n int) *federation.Federation {
 			Sim:       sim.ValidatedOptions(),
 		}
 	}
-	router, err := federation.NewRouter("least-queue")
+	router, err := federation.NewRouter(sh.router)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,6 +108,64 @@ func newTestFederation(t *testing.T, n int) *federation.Federation {
 		t.Fatal(err)
 	}
 	return fed
+}
+
+// build makes an unstarted service of this shape; every call builds a
+// fresh federation, so a second call with Recover set is a restart.
+func (sh shape) build(t *testing.T, opts Options) (*Service, error) {
+	t.Helper()
+	if sh.router != "" {
+		return NewFed(sh.federation(t), opts)
+	}
+	if !opts.Sim.Validate {
+		opts.Sim = sim.ValidatedOptions()
+	}
+	return New(twoNodeCluster(), fifo{}, opts)
+}
+
+// service is build for a configuration that must be accepted.
+func (sh shape) service(t *testing.T, opts Options) *Service {
+	t.Helper()
+	svc, err := sh.build(t, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return svc
+}
+
+// verify replays the journal in dir against a fresh federation of this
+// shape.
+func (sh shape) verify(t *testing.T, dir string) *VerifyResult {
+	t.Helper()
+	var res *VerifyResult
+	var err error
+	if sh.router == "" {
+		res, err = VerifyWAL(twoNodeCluster(), fifo{}, sim.ValidatedOptions(), dir)
+	} else {
+		res, err = VerifyFedWAL(sh.federation(t), dir)
+	}
+	if err != nil {
+		t.Fatalf("verify journal: %v", err)
+	}
+	return res
+}
+
+// order is the Provider view's expected list: the scheduler's name for
+// a single cluster, the member names otherwise.
+func (sh shape) order() []string {
+	if sh.router == "" {
+		return []string{"test-fifo"}
+	}
+	names := make([]string, sh.members)
+	for i := range names {
+		names[i] = fmt.Sprintf("region%d", i)
+	}
+	return names
+}
+
+func newTestService(t *testing.T, opts Options) *Service {
+	t.Helper()
+	return oneCluster.service(t, opts)
 }
 
 // poll waits until cond holds or the deadline passes.
@@ -105,229 +180,184 @@ func poll(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// waitFor polls the engine snapshot until cond holds or the deadline
+// waitFor polls the published snapshot until cond holds or the deadline
 // passes.
-func waitFor(t *testing.T, svc *Service, what string, cond func(*sim.Snapshot) bool) {
+func waitFor(t *testing.T, svc *Service, what string, cond func(*federation.FedSnapshot) bool) {
 	t.Helper()
 	poll(t, what, func() bool { return cond(svc.Snapshot()) })
 }
 
-// The shared cases below are one table over two backends: every
-// case* function runs against the single engine (TestService...) and
-// against a federation of two (TestFedService...) through the harness
-// value, which hides the only things that differ — the snapshot and
-// report types.
-type harness struct {
-	svc interface {
-		Start()
-		Kill()
-		Submit(*job.Job) error
-		SubmitKeyed(string, *job.Job) (int, bool, error)
-		Cancel(int) error
-		Stats() Stats
-		Order() []string
-		Report(string) (*metrics.Report, bool)
-	}
-	// stop is Stop reduced to the number of jobs in the final report.
-	stop func() (jobs int, err error)
-	// counts and phase read the latest published snapshot; phase is ""
-	// for a job the backend never accepted.
-	counts func() (completed, cancelled int)
-	phase  func(id int) string
-	// queued is the admission queue's current length.
-	queued func() int
-	// order is the Provider view's expected scheduler list.
-	order []string
+func waitCompleted(t *testing.T, svc *Service, n int) {
+	t.Helper()
+	waitFor(t, svc, fmt.Sprintf("%d completions", n), func(s *federation.FedSnapshot) bool { return s.Completed == n })
 }
 
-type newHarness func(*testing.T, Options) harness
-
-// phaseOf is the snapshot's phase for the job, "" when it knows none.
-func phaseOf(s *sim.Snapshot, id int) string {
-	phase, _ := s.Phases.Get(id)
+// phaseOf is the snapshot's phase for the job, "" when no member knows
+// it.
+func phaseOf(s *federation.FedSnapshot, id int) string {
+	_, phase, _, _, _ := s.FindJob(id)
 	return phase
 }
 
-func engineHarness(t *testing.T, opts Options) harness {
-	svc := newTestService(t, opts)
-	return harness{
-		svc: svc,
-		stop: func() (int, error) {
-			rep, err := svc.Stop()
-			if rep == nil {
-				return 0, err
-			}
-			return len(rep.Jobs), err
-		},
-		counts: func() (int, int) { s := svc.Snapshot(); return s.Completed, s.Cancelled },
-		phase:  func(id int) string { return phaseOf(svc.Snapshot(), id) },
-		queued: func() int { return len(svc.reqs) },
-		order:  []string{"test-fifo"},
+// rounds is the number of boundaries the members have processed.
+func rounds(s *federation.FedSnapshot) int {
+	n := 0
+	for _, m := range s.Members {
+		n += m.Snap.Round
 	}
+	return n
 }
 
-func fedHarness(t *testing.T, opts Options) harness {
+// drained reports a federation with nothing queued or running.
+func drained(s *federation.FedSnapshot) bool { return s.Pending == 0 && s.Active == 0 }
+
+// stopJobs is Stop reduced to the number of jobs in the final report,
+// which must carry one report per member.
+func stopJobs(t *testing.T, svc *Service) (jobs int, err error) {
 	t.Helper()
-	svc, err := NewFed(newTestFederation(t, 2), opts)
-	if err != nil {
-		t.Fatal(err)
+	rep, err := svc.Stop()
+	if rep == nil {
+		return 0, err
 	}
-	return harness{
-		svc: svc,
-		stop: func() (int, error) {
-			rep, err := svc.Stop()
-			if rep == nil {
-				return 0, err
-			}
-			if len(rep.Members) != 2 {
-				t.Errorf("report has %d members, want 2", len(rep.Members))
-			}
-			return len(rep.Merged.Jobs), err
-		},
-		counts: func() (int, int) { s := svc.Snapshot(); return s.Completed, s.Cancelled },
-		phase: func(id int) string {
-			_, phase, _, _, _ := svc.Snapshot().FindJob(id)
-			return phase
-		},
-		queued: func() int { return len(svc.reqs) },
-		order:  []string{"region0", "region1"},
+	if got, want := len(rep.Members), len(svc.Snapshot().Members); got != want {
+		t.Errorf("report has %d members, want %d", got, want)
 	}
+	return len(rep.Merged.Jobs), err
 }
 
-func (b harness) waitCompleted(t *testing.T, n int) {
-	t.Helper()
-	poll(t, fmt.Sprintf("%d completions", n), func() bool { c, _ := b.counts(); return c == n })
-}
+// The shared cases below run once over a single cluster
+// (TestService...) and once over a federation of two
+// (TestFedService...): the same Service, the same assertions.
 
-func TestServiceRunsJobsToCompletion(t *testing.T)    { caseLifecycle(t, engineHarness) }
-func TestFedServiceRunsJobsToCompletion(t *testing.T) { caseLifecycle(t, fedHarness) }
+func TestServiceRunsJobsToCompletion(t *testing.T)    { caseLifecycle(t, oneCluster) }
+func TestFedServiceRunsJobsToCompletion(t *testing.T) { caseLifecycle(t, twoRegions) }
 
-func caseLifecycle(t *testing.T, mk newHarness) {
-	b := mk(t, Options{})
-	b.svc.Start()
+func caseLifecycle(t *testing.T, sh shape) {
+	svc := sh.service(t, Options{})
+	svc.Start()
 	for i := 0; i < 6; i++ {
-		if err := b.svc.Submit(simpleJob(i, 1+i%2, 5000)); err != nil {
+		if err := svc.Submit(simpleJob(i, 1+i%2, 5000)); err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
 	}
-	b.waitCompleted(t, 6)
-	jobs, err := b.stop()
+	waitCompleted(t, svc, 6)
+	jobs, err := stopJobs(t, svc)
 	if err != nil {
 		t.Fatalf("stop: %v", err)
 	}
 	if jobs != 6 {
 		t.Errorf("report has %d jobs, want 6", jobs)
 	}
-	st := b.svc.Stats()
+	st := svc.Stats()
 	if st.Accepted != 6 || st.RejectedInvalid != 0 || st.Rounds == 0 {
 		t.Errorf("stats = %+v, want 6 accepted, 0 invalid, >0 rounds", st)
 	}
 	// A second Stop returns the same result.
-	if again, err := b.stop(); err != nil || again != jobs {
+	if again, err := stopJobs(t, svc); err != nil || again != jobs {
 		t.Errorf("second Stop = (%d jobs, %v), want (%d, nil)", again, err, jobs)
 	}
 }
 
-func TestServiceValidationErrorsReachCaller(t *testing.T) { caseValidationErrors(t, engineHarness) }
+func TestServiceValidationErrorsReachCaller(t *testing.T) { caseValidationErrors(t, oneCluster) }
 func TestFedServiceValidationAndLifecycleErrors(t *testing.T) {
-	caseValidationErrors(t, fedHarness)
+	caseValidationErrors(t, twoRegions)
 }
 
-func caseValidationErrors(t *testing.T, mk newHarness) {
-	b := mk(t, Options{})
-	b.svc.Start()
-	if err := b.svc.Submit(simpleJob(0, 1, 100)); err != nil {
+func caseValidationErrors(t *testing.T, sh shape) {
+	svc := sh.service(t, Options{})
+	svc.Start()
+	if err := svc.Submit(simpleJob(0, 1, 100)); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.svc.Submit(simpleJob(0, 1, 100)); err == nil {
+	if err := svc.Submit(simpleJob(0, 1, 100)); err == nil {
 		t.Error("duplicate ID accepted")
 	}
-	if err := b.svc.Submit(simpleJob(1, 99, 100)); err == nil {
+	if err := svc.Submit(simpleJob(1, 99, 100)); err == nil {
 		t.Error("unplaceable gang accepted")
 	}
-	if err := b.svc.Cancel(42); err == nil {
+	if err := svc.Cancel(42); err == nil {
 		t.Error("cancel of unknown job accepted")
 	}
-	if st := b.svc.Stats(); st.Accepted != 1 || st.RejectedInvalid != 2 {
+	if st := svc.Stats(); st.Accepted != 1 || st.RejectedInvalid != 2 {
 		t.Errorf("stats = %+v, want 1 accepted, 2 invalid", st)
 	}
-	if _, err := b.stop(); err != nil {
+	if _, err := stopJobs(t, svc); err != nil {
 		t.Fatalf("stop: %v", err)
 	}
-	if err := b.svc.Submit(simpleJob(9, 1, 100)); !errors.Is(err, ErrStopped) {
+	if err := svc.Submit(simpleJob(9, 1, 100)); !errors.Is(err, ErrStopped) {
 		t.Errorf("submit after stop = %v, want ErrStopped", err)
 	}
-	if err := b.svc.Cancel(0); !errors.Is(err, ErrStopped) {
+	if err := svc.Cancel(0); !errors.Is(err, ErrStopped) {
 		t.Errorf("cancel after stop = %v, want ErrStopped", err)
 	}
 }
 
-func TestServiceCancelReflectedInSnapshot(t *testing.T)    { caseCancel(t, engineHarness) }
-func TestFedServiceCancelReflectedInSnapshot(t *testing.T) { caseCancel(t, fedHarness) }
+func TestServiceCancelReflectedInSnapshot(t *testing.T)    { caseCancel(t, oneCluster) }
+func TestFedServiceCancelReflectedInSnapshot(t *testing.T) { caseCancel(t, twoRegions) }
 
-func caseCancel(t *testing.T, mk newHarness) {
-	b := mk(t, Options{})
-	b.svc.Start()
+func caseCancel(t *testing.T, sh shape) {
+	svc := sh.service(t, Options{})
+	svc.Start()
 	// A job far too long to complete within the test: the virtual
 	// clock burns rounds in microseconds, so anything finite enough to
 	// finish can race past the poller's "active" observation window.
-	if err := b.svc.Submit(simpleJob(0, 2, 1e12)); err != nil {
+	if err := svc.Submit(simpleJob(0, 2, 1e12)); err != nil {
 		t.Fatal(err)
 	}
-	poll(t, "job 0 active", func() bool { return b.phase(0) == "active" })
-	if err := b.svc.Cancel(0); err != nil {
+	poll(t, "job 0 active", func() bool { return phaseOf(svc.Snapshot(), 0) == "active" })
+	if err := svc.Cancel(0); err != nil {
 		t.Fatalf("cancel: %v", err)
 	}
-	poll(t, "job 0 cancelled", func() bool { return b.phase(0) == "cancelled" })
-	if completed, cancelled := b.counts(); cancelled != 1 || completed != 0 {
-		t.Errorf("snapshot counts = %d cancelled %d completed, want 1/0", cancelled, completed)
+	poll(t, "job 0 cancelled", func() bool { return phaseOf(svc.Snapshot(), 0) == "cancelled" })
+	if snap := svc.Snapshot(); snap.Cancelled != 1 || snap.Completed != 0 {
+		t.Errorf("snapshot counts = %d cancelled %d completed, want 1/0", snap.Cancelled, snap.Completed)
 	}
-	if _, err := b.stop(); err != nil {
+	if _, err := stopJobs(t, svc); err != nil {
 		t.Fatalf("stop after cancel: %v", err)
 	}
-	if st := b.svc.Stats(); st.Cancelled != 1 {
+	if st := svc.Stats(); st.Cancelled != 1 {
 		t.Errorf("stats.Cancelled = %d, want 1", st.Cancelled)
 	}
 }
 
-func TestServiceSubmitKeyedDedupInMemory(t *testing.T) { caseIdempotencyLedger(t, engineHarness) }
-func TestFedServiceIdempotencyLedger(t *testing.T)     { caseIdempotencyLedger(t, fedHarness) }
+func TestServiceSubmitKeyedDedupInMemory(t *testing.T) { caseIdempotencyLedger(t, oneCluster) }
+func TestFedServiceIdempotencyLedger(t *testing.T)     { caseIdempotencyLedger(t, twoRegions) }
 
-func caseIdempotencyLedger(t *testing.T, mk newHarness) {
-	b := mk(t, Options{})
-	b.svc.Start()
-	defer b.stop()
-	id1, deduped, err := b.svc.SubmitKeyed("job-a", simpleJob(1, 1, 1e6))
+func caseIdempotencyLedger(t *testing.T, sh shape) {
+	svc := sh.service(t, Options{})
+	svc.Start()
+	defer stopJobs(t, svc)
+	id1, deduped, err := svc.SubmitKeyed("job-a", simpleJob(1, 1, 1e6))
 	if err != nil || deduped {
 		t.Fatalf("first keyed submit = (%d, %v, %v)", id1, deduped, err)
 	}
-	id2, deduped, err := b.svc.SubmitKeyed("job-a", simpleJob(2, 1, 1e6))
+	id2, deduped, err := svc.SubmitKeyed("job-a", simpleJob(2, 1, 1e6))
 	if err != nil || !deduped || id2 != id1 {
 		t.Fatalf("second keyed submit = (%d, %v, %v), want (%d, true, nil)", id2, deduped, err, id1)
 	}
-	if got := b.svc.Stats().Deduped; got != 1 {
+	if got := svc.Stats().Deduped; got != 1 {
 		t.Errorf("deduped counter %d, want 1", got)
 	}
 	// The duplicate's job was never admitted.
-	if phase := b.phase(2); phase != "" {
+	if phase := phaseOf(svc.Snapshot(), 2); phase != "" {
 		t.Errorf("deduped submission still admitted job 2 (phase %q)", phase)
 	}
 }
 
-func TestServiceBackpressure(t *testing.T)    { caseBackpressure(t, engineHarness) }
-func TestFedServiceBackpressure(t *testing.T) { caseBackpressure(t, fedHarness) }
+func TestServiceBackpressure(t *testing.T)    { caseBackpressure(t, oneCluster) }
+func TestFedServiceBackpressure(t *testing.T) { caseBackpressure(t, twoRegions) }
 
 // caseBackpressure fills the admission queue of an unstarted service
 // (requests park in the channel awaiting the loop) and checks the
 // overflow call bounces with a retry hint instead of blocking.
-func caseBackpressure(t *testing.T, mk newHarness) {
-	b := mk(t, Options{QueueDepth: 2, RetryAfter: 7 * time.Millisecond})
+func caseBackpressure(t *testing.T, sh shape) {
+	svc := sh.service(t, Options{QueueDepth: 2, RetryAfter: 7 * time.Millisecond})
 	replies := make(chan error, 2)
-	go func() { replies <- b.svc.Submit(simpleJob(0, 1, 100)) }()
-	go func() { replies <- b.svc.Submit(simpleJob(1, 1, 100)) }()
-	poll(t, "a full queue", func() bool { return b.queued() == 2 })
+	go func() { replies <- svc.Submit(simpleJob(0, 1, 100)) }()
+	go func() { replies <- svc.Submit(simpleJob(1, 1, 100)) }()
+	poll(t, "a full queue", func() bool { return len(svc.reqs) == 2 })
 
-	err := b.svc.Submit(simpleJob(2, 1, 100))
+	err := svc.Submit(simpleJob(2, 1, 100))
 	var busy *BusyError
 	if !errors.As(err, &busy) {
 		t.Fatalf("overflow submit returned %v, want *BusyError", err)
@@ -335,35 +365,35 @@ func caseBackpressure(t *testing.T, mk newHarness) {
 	if busy.RetryAfter != 7*time.Millisecond {
 		t.Errorf("RetryAfter = %v, want 7ms", busy.RetryAfter)
 	}
-	if st := b.svc.Stats(); st.RejectedBusy != 1 {
+	if st := svc.Stats(); st.RejectedBusy != 1 {
 		t.Errorf("RejectedBusy = %d, want 1", st.RejectedBusy)
 	}
 
 	// Starting the loop drains the parked requests successfully.
-	b.svc.Start()
+	svc.Start()
 	for i := 0; i < 2; i++ {
 		if err := <-replies; err != nil {
 			t.Errorf("parked submit %d failed: %v", i, err)
 		}
 	}
-	if _, err := b.stop(); err != nil {
+	if _, err := stopJobs(t, svc); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestServiceWallClock(t *testing.T)    { caseWallClock(t, engineHarness) }
-func TestFedServiceWallClock(t *testing.T) { caseWallClock(t, fedHarness) }
+func TestServiceWallClock(t *testing.T)    { caseWallClock(t, oneCluster) }
+func TestFedServiceWallClock(t *testing.T) { caseWallClock(t, twoRegions) }
 
-func caseWallClock(t *testing.T, mk newHarness) {
-	b := mk(t, Options{Clock: WallClock, RoundInterval: time.Millisecond})
-	b.svc.Start()
+func caseWallClock(t *testing.T, sh shape) {
+	svc := sh.service(t, Options{Clock: WallClock, RoundInterval: time.Millisecond})
+	svc.Start()
 	for i := 0; i < 4; i++ {
-		if err := b.svc.Submit(simpleJob(i, 1, 2000)); err != nil {
+		if err := svc.Submit(simpleJob(i, 1, 2000)); err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
 	}
-	b.waitCompleted(t, 4)
-	jobs, err := b.stop()
+	waitCompleted(t, svc, 4)
+	jobs, err := stopJobs(t, svc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,27 +402,27 @@ func caseWallClock(t *testing.T, mk newHarness) {
 	}
 }
 
-func TestServiceProvider(t *testing.T)    { caseProvider(t, engineHarness) }
-func TestFedServiceProvider(t *testing.T) { caseProvider(t, fedHarness) }
+func TestServiceProvider(t *testing.T)    { caseProvider(t, oneCluster) }
+func TestFedServiceProvider(t *testing.T) { caseProvider(t, twoRegions) }
 
 // caseProvider checks the web dashboard Provider view of a live
 // service: one entry per scheduler (engine) or member (federation),
 // each resolving to a snapshot-backed report.
-func caseProvider(t *testing.T, mk newHarness) {
-	b := mk(t, Options{})
-	b.svc.Start()
-	defer b.stop()
-	if err := b.svc.Submit(simpleJob(0, 1, 1000)); err != nil {
+func caseProvider(t *testing.T, sh shape) {
+	svc := sh.service(t, Options{})
+	svc.Start()
+	defer stopJobs(t, svc)
+	if err := svc.Submit(simpleJob(0, 1, 1000)); err != nil {
 		t.Fatal(err)
 	}
-	b.waitCompleted(t, 1)
-	order := b.svc.Order()
-	if !slices.Equal(order, b.order) {
-		t.Fatalf("Order() = %v, want %v", order, b.order)
+	waitCompleted(t, svc, 1)
+	order := svc.Order()
+	if !slices.Equal(order, sh.order()) {
+		t.Fatalf("Order() = %v, want %v", order, sh.order())
 	}
 	jobs := 0
 	for _, name := range order {
-		rep, ok := b.svc.Report(name)
+		rep, ok := svc.Report(name)
 		if !ok || rep == nil {
 			t.Fatalf("Report(%q) = (%v, %v)", name, rep, ok)
 		}
@@ -401,33 +431,33 @@ func caseProvider(t *testing.T, mk newHarness) {
 	if jobs != 1 {
 		t.Errorf("reports hold %d jobs, want the 1 completed", jobs)
 	}
-	if _, ok := b.svc.Report("nonexistent"); ok {
+	if _, ok := svc.Report("nonexistent"); ok {
 		t.Error("Report accepted an unknown name")
 	}
 }
 
-func TestServiceKill(t *testing.T)    { caseKill(t, engineHarness) }
-func TestFedServiceKill(t *testing.T) { caseKill(t, fedHarness) }
+func TestServiceKill(t *testing.T)    { caseKill(t, oneCluster) }
+func TestFedServiceKill(t *testing.T) { caseKill(t, twoRegions) }
 
 // caseKill: a simulated crash ends the loop with ErrKilled and no
 // final report, whichever backend it drives.
-func caseKill(t *testing.T, mk newHarness) {
-	b := mk(t, Options{})
-	b.svc.Start()
-	if err := b.svc.Submit(simpleJob(0, 1, 1e12)); err != nil {
+func caseKill(t *testing.T, sh shape) {
+	svc := sh.service(t, Options{})
+	svc.Start()
+	if err := svc.Submit(simpleJob(0, 1, 1e12)); err != nil {
 		t.Fatal(err)
 	}
-	b.svc.Kill()
-	if jobs, err := b.stop(); !errors.Is(err, ErrKilled) || jobs != 0 {
+	svc.Kill()
+	if jobs, err := stopJobs(t, svc); !errors.Is(err, ErrKilled) || jobs != 0 {
 		t.Errorf("stop after kill = (%d jobs, %v), want (0, ErrKilled)", jobs, err)
 	}
-	if err := b.svc.Submit(simpleJob(1, 1, 100)); !errors.Is(err, ErrStopped) {
+	if err := svc.Submit(simpleJob(1, 1, 100)); !errors.Is(err, ErrStopped) {
 		t.Errorf("submit after kill = %v, want ErrStopped", err)
 	}
 }
 
-func TestServiceConcurrentClients(t *testing.T)    { caseConcurrentClients(t, engineHarness) }
-func TestFedServiceConcurrentClients(t *testing.T) { caseConcurrentClients(t, fedHarness) }
+func TestServiceConcurrentClients(t *testing.T)    { caseConcurrentClients(t, oneCluster) }
+func TestFedServiceConcurrentClients(t *testing.T) { caseConcurrentClients(t, twoRegions) }
 
 // caseConcurrentClients is the shared-clock/snapshot race test:
 // submitters, cancellers, and snapshot readers hammer the service from
@@ -435,9 +465,9 @@ func TestFedServiceConcurrentClients(t *testing.T) { caseConcurrentClients(t, fe
 // -race (make race-short / make race) it proves the copy-on-publish
 // snapshot path and the single-owner loop share no unsynchronized
 // state.
-func caseConcurrentClients(t *testing.T, mk newHarness) {
-	b := mk(t, Options{QueueDepth: 256})
-	b.svc.Start()
+func caseConcurrentClients(t *testing.T, sh shape) {
+	svc := sh.service(t, Options{QueueDepth: 256})
+	svc.Start()
 	const (
 		writers    = 4
 		perWriter  = 10
@@ -455,9 +485,9 @@ func caseConcurrentClients(t *testing.T, mk newHarness) {
 				id := w*perWriter + i
 				var err error
 				if i%2 == 0 {
-					_, _, err = b.svc.SubmitKeyed(fmt.Sprintf("w%d-%d", w, i), simpleJob(id, 1, 2000))
+					_, _, err = svc.SubmitKeyed(fmt.Sprintf("w%d-%d", w, i), simpleJob(id, 1, 2000))
 				} else {
-					err = b.svc.Submit(simpleJob(id, 1, 2000))
+					err = svc.Submit(simpleJob(id, 1, 2000))
 				}
 				var busy *BusyError
 				if errors.As(err, &busy) {
@@ -485,7 +515,7 @@ func caseConcurrentClients(t *testing.T, mk newHarness) {
 					return
 				default:
 				}
-				_ = b.svc.Cancel(i % total)
+				_ = svc.Cancel(i % total)
 				time.Sleep(time.Millisecond)
 			}
 		}()
@@ -504,38 +534,29 @@ func caseConcurrentClients(t *testing.T, mk newHarness) {
 				default:
 				}
 				for id := 0; id < total; id++ {
-					if phase := b.phase(id); phase != "" {
+					if phase := phaseOf(svc.Snapshot(), id); phase != "" {
 						known[id] = true
 					} else if known[id] {
 						t.Errorf("job %d vanished from the published snapshot", id)
 						return
 					}
 				}
-				if completed, cancelled := b.counts(); completed+cancelled > total {
-					t.Errorf("impossible snapshot: %d completed + %d cancelled of %d", completed, cancelled, total)
+				if snap := svc.Snapshot(); snap.Completed+snap.Cancelled > total {
+					t.Errorf("impossible snapshot: %d completed + %d cancelled of %d", snap.Completed, snap.Cancelled, total)
 					return
 				}
-				_ = b.svc.Stats()
+				_ = svc.Stats()
 			}
 		}()
 	}
 	poll(t, "all terminal", func() bool {
-		completed, cancelled := b.counts()
-		return completed+cancelled >= total
+		snap := svc.Snapshot()
+		return snap.Completed+snap.Cancelled >= total
 	})
 	close(stop)
 	wg.Wait()
-	if _, err := b.stop(); err != nil {
+	if _, err := stopJobs(t, svc); err != nil {
 		t.Fatalf("stop: %v", err)
-	}
-}
-
-// TestNewFedRefusesWAL: the journal covers a single engine, and a
-// federated service must say so rather than run without durability.
-func TestNewFedRefusesWAL(t *testing.T) {
-	_, err := NewFed(newTestFederation(t, 2), Options{WAL: &WALConfig{Dir: t.TempDir()}})
-	if err == nil {
-		t.Fatal("NewFed accepted Options.WAL")
 	}
 }
 

@@ -4,35 +4,68 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
-	"repro/internal/sim"
+	"repro/internal/federation"
 	"repro/internal/wal"
 )
 
 func walOptions(dir string, cfg WALConfig) Options {
 	cfg.Dir = dir
-	return Options{Sim: sim.ValidatedOptions(), WAL: &cfg}
+	return Options{WAL: &cfg}
 }
 
-func newWALService(t *testing.T, dir string, cfg WALConfig) *Service {
-	t.Helper()
-	svc, err := New(twoNodeCluster(), fifo{}, walOptions(dir, cfg))
-	if err != nil {
-		t.Fatal(err)
+// overWALShapes runs one durability case on every walShapes entry: the
+// journal, the checkpoint and recovery are the same code for one member
+// and for many, and every case must hold for both.
+func overWALShapes(t *testing.T, body func(t *testing.T, sh shape)) {
+	for _, sh := range walShapes() {
+		t.Run(sh.String(), func(t *testing.T) { body(t, sh) })
 	}
-	return svc
+}
+
+// memberDigests is the per-member digest chain heads of a snapshot.
+func memberDigests(s *federation.FedSnapshot) []uint64 {
+	out := make([]uint64, len(s.Members))
+	for i, m := range s.Members {
+		out[i] = m.Snap.Digest
+	}
+	return out
+}
+
+// copyWALDir copies the journal and checkpoint — what a crash leaves —
+// into a fresh directory.
+func copyWALDir(t *testing.T, src string) string {
+	t.Helper()
+	dst := t.TempDir()
+	for _, name := range []string{"journal.wal", "checkpoint.ckpt"} {
+		data, err := os.ReadFile(filepath.Join(src, name))
+		if errors.Is(err, os.ErrNotExist) {
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dst
 }
 
 // TestServiceWALKillAndRecover is the core durability contract: every
 // submission acknowledged before a crash survives recovery, the
 // recovered engine's schedule digest matches an uninterrupted replay of
 // the journal, and the idempotency ledger still answers retried keys.
-func TestServiceWALKillAndRecover(t *testing.T) {
+func TestServiceWALKillAndRecover(t *testing.T) { overWALShapes(t, caseWALKillAndRecover) }
+
+func caseWALKillAndRecover(t *testing.T, sh shape) {
 	dir := t.TempDir()
-	svc := newWALService(t, dir, WALConfig{Policy: wal.SyncOff})
+	svc := sh.service(t, walOptions(dir, WALConfig{Policy: wal.SyncOff}))
 	svc.Start()
 
 	acked := make(map[string]int)
@@ -54,8 +87,8 @@ func TestServiceWALKillAndRecover(t *testing.T) {
 	// for that boundary: a Kill landing before it would (correctly)
 	// recover the job still active with its cancel pending, which is not
 	// what the phase check below is about.
-	waitFor(t, svc, "some rounds and the cancel applied", func(s *sim.Snapshot) bool {
-		return s.Round >= 3 && phaseOf(s, acked["key-3"]) == "cancelled"
+	waitFor(t, svc, "some rounds and the cancel applied", func(s *federation.FedSnapshot) bool {
+		return rounds(s) >= 3 && phaseOf(s, acked["key-3"]) == "cancelled"
 	})
 
 	svc.Kill()
@@ -63,7 +96,7 @@ func TestServiceWALKillAndRecover(t *testing.T) {
 		t.Fatalf("Stop after Kill = %v, want ErrKilled", err)
 	}
 
-	rec := newWALService(t, dir, WALConfig{Policy: wal.SyncOff, Recover: true})
+	rec := sh.service(t, walOptions(dir, WALConfig{Policy: wal.SyncOff, Recover: true}))
 	info := rec.Recovery()
 	if info == nil {
 		t.Fatal("recovered service has no Recovery info")
@@ -73,7 +106,7 @@ func TestServiceWALKillAndRecover(t *testing.T) {
 	}
 	snap := rec.Snapshot()
 	for key, id := range acked {
-		if _, ok := snap.Phases.Get(id); !ok {
+		if phaseOf(snap, id) == "" {
 			t.Errorf("acked job %d (%s) lost by recovery", id, key)
 		}
 	}
@@ -101,25 +134,23 @@ func TestServiceWALKillAndRecover(t *testing.T) {
 			t.Fatalf("cancel %s after recovery: %v", key, err)
 		}
 	}
-	waitFor(t, rec, "recovered run drains", func(s *sim.Snapshot) bool {
-		return s.Pending == 0 && len(s.Active) == 0
-	})
+	waitFor(t, rec, "recovered run drains", drained)
 	if _, err := rec.Stop(); err != nil {
 		t.Fatalf("stop recovered service: %v", err)
 	}
 
 	// The journal is the canonical operation sequence; replaying it on
-	// a fresh engine is the uninterrupted run. Its digest must equal
+	// a fresh federation is the uninterrupted run. Its digest must equal
 	// the crashed-and-recovered service's final digest.
-	res, err := VerifyWAL(twoNodeCluster(), fifo{}, sim.ValidatedOptions(), dir)
-	if err != nil {
-		t.Fatalf("VerifyWAL: %v", err)
-	}
+	res := sh.verify(t, dir)
 	if got := rec.Snapshot().Digest; res.Digest != got {
 		t.Errorf("uninterrupted replay digest %#x, recovered service %#x", res.Digest, got)
 	}
 	if res.Submitted != len(acked) {
 		t.Errorf("journal has %d submissions, want %d", res.Submitted, len(acked))
+	}
+	if res.Cancelled != len(acked) {
+		t.Errorf("journal has %d cancellations, want %d", res.Cancelled, len(acked))
 	}
 	for key, id := range acked {
 		if res.Jobs[key] != id {
@@ -128,273 +159,353 @@ func TestServiceWALKillAndRecover(t *testing.T) {
 	}
 }
 
+// TestFedServiceWALKillAndRecover recovers one crash image twice — from
+// the checkpoint plus the journal tail, and from the whole journal with
+// the checkpoint removed — and requires both to reach the live run's
+// per-member digests, answer every acknowledged key from the ledger,
+// and keep routing and scheduling identically afterwards.
+func TestFedServiceWALKillAndRecover(t *testing.T) { overWALShapes(t, caseWALRecoverBothWays) }
+
+func caseWALRecoverBothWays(t *testing.T, sh shape) {
+	dir := t.TempDir()
+	svc := sh.service(t, walOptions(dir, WALConfig{Policy: wal.SyncAlways, CheckpointEvery: 8}))
+	svc.Start()
+	acked := make(map[string]int)
+	for i := 0; i < 9; i++ {
+		key := fmt.Sprintf("key-%d", i)
+		id, _, err := svc.SubmitKeyed(key, simpleJob(i, 1+i%2, float64(20000+5000*i)))
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		acked[key] = id
+	}
+	waitFor(t, svc, "a few completions", func(s *federation.FedSnapshot) bool { return s.Completed >= 3 })
+	svc.Kill()
+	svc.Stop()
+	// Kill lands between loop iterations and the loop publishes before
+	// it appends, so the last published snapshot is the journaled state.
+	live := svc.Snapshot()
+
+	tail, full := copyWALDir(t, dir), copyWALDir(t, dir)
+	if err := os.Remove(checkpointPath(full)); err != nil {
+		t.Fatalf("crash image has no checkpoint to remove: %v", err)
+	}
+	var final [][]uint64
+	for _, image := range []struct {
+		name, dir string
+		fromCkpt  bool
+	}{{"checkpoint+tail", tail, true}, {"full journal", full, false}} {
+		rec := sh.service(t, walOptions(image.dir, WALConfig{Policy: wal.SyncAlways, Recover: true}))
+		info := rec.Recovery()
+		if (info.CheckpointSeq > 0) != image.fromCkpt {
+			t.Errorf("%s: recovery %+v, want from checkpoint = %v", image.name, info, image.fromCkpt)
+		}
+		if got, want := memberDigests(rec.Snapshot()), memberDigests(live); !slices.Equal(got, want) {
+			t.Errorf("%s: recovered member digests %x, live run %x", image.name, got, want)
+		}
+		rec.Start()
+		for key, want := range acked {
+			if id, deduped, err := rec.SubmitKeyed(key, simpleJob(100, 1, 100)); err != nil || !deduped || id != want {
+				t.Errorf("%s: resubmitted %s = (%d, %v, %v), want (%d, true, nil)", image.name, key, id, deduped, err, want)
+			}
+		}
+		// Then the same three fresh jobs, one at a time into an idle
+		// federation, so what routes and schedules them is the recovered
+		// state alone — cursor, clocks, member history — not timing.
+		waitFor(t, rec, "the recovered backlog to drain", func(s *federation.FedSnapshot) bool {
+			return s.Completed == 9 && drained(s)
+		})
+		for i := 9; i < 12; i++ {
+			if err := rec.Submit(simpleJob(i, 1, 30000)); err != nil {
+				t.Fatalf("%s: submit %d after recovery: %v", image.name, i, err)
+			}
+			waitFor(t, rec, "the job to finish", func(s *federation.FedSnapshot) bool { return phaseOf(s, i) == "finished" })
+		}
+		waitCompleted(t, rec, 12)
+		if _, err := rec.Stop(); err != nil {
+			t.Fatalf("%s: stop: %v", image.name, err)
+		}
+		if res := sh.verify(t, image.dir); res.Digest != rec.Snapshot().Digest {
+			t.Errorf("%s: replay digest %#x, recovered service %#x", image.name, res.Digest, rec.Snapshot().Digest)
+		}
+		final = append(final, memberDigests(rec.Snapshot()))
+	}
+	if !slices.Equal(final[0], final[1]) {
+		t.Errorf("the two recoveries diverged afterwards: %x vs %x", final[0], final[1])
+	}
+}
+
 // TestServiceWALCheckpointBoundsReplay forces a checkpoint after every
 // record and checks recovery starts from it instead of replaying the
 // whole journal.
 func TestServiceWALCheckpointBoundsReplay(t *testing.T) {
-	dir := t.TempDir()
-	svc := newWALService(t, dir, WALConfig{Policy: wal.SyncAlways, CheckpointEvery: 1})
-	svc.Start()
-	for i := 0; i < 4; i++ {
-		if err := svc.Submit(simpleJob(i, 1, 20000)); err != nil {
+	overWALShapes(t, func(t *testing.T, sh shape) {
+		dir := t.TempDir()
+		svc := sh.service(t, walOptions(dir, WALConfig{Policy: wal.SyncAlways, CheckpointEvery: 1}))
+		svc.Start()
+		for i := 0; i < 4; i++ {
+			if err := svc.Submit(simpleJob(i, 1, 20000)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		waitFor(t, svc, "rounds with checkpoints", func(s *federation.FedSnapshot) bool { return rounds(s) >= 5 })
+		svc.Kill()
+		svc.Stop()
+
+		rec := sh.service(t, walOptions(dir, WALConfig{Policy: wal.SyncAlways, Recover: true}))
+		info := rec.Recovery()
+		if info.CheckpointSeq == 0 {
+			t.Error("recovery did not use the checkpoint")
+		}
+		snap := rec.Snapshot()
+		for i := 0; i < 4; i++ {
+			if phaseOf(snap, i) == "" {
+				t.Errorf("job %d lost across checkpointed recovery", i)
+			}
+		}
+		rec.Start()
+		waitFor(t, rec, "drain", drained)
+		if _, err := rec.Stop(); err != nil {
 			t.Fatal(err)
 		}
-	}
-	waitFor(t, svc, "rounds with checkpoints", func(s *sim.Snapshot) bool { return s.Round >= 5 })
-	svc.Kill()
-	svc.Stop()
-
-	rec := newWALService(t, dir, WALConfig{Policy: wal.SyncAlways, Recover: true})
-	info := rec.Recovery()
-	if info.CheckpointSeq == 0 {
-		t.Error("recovery did not use the checkpoint")
-	}
-	snap := rec.Snapshot()
-	for i := 0; i < 4; i++ {
-		if _, ok := snap.Phases.Get(i); !ok {
-			t.Errorf("job %d lost across checkpointed recovery", i)
+		if res, got := sh.verify(t, dir), rec.Snapshot().Digest; res.Digest != got {
+			t.Errorf("replay digest %#x != recovered digest %#x", res.Digest, got)
 		}
-	}
-	rec.Start()
-	waitFor(t, rec, "drain", func(s *sim.Snapshot) bool { return s.Pending == 0 && len(s.Active) == 0 })
-	if _, err := rec.Stop(); err != nil {
-		t.Fatal(err)
-	}
-	res, err := VerifyWAL(twoNodeCluster(), fifo{}, sim.ValidatedOptions(), dir)
-	if err != nil {
-		t.Fatalf("VerifyWAL: %v", err)
-	}
-	if got := rec.Snapshot().Digest; res.Digest != got {
-		t.Errorf("replay digest %#x != recovered digest %#x", res.Digest, got)
-	}
+	})
 }
 
 // TestServiceWALTornTailRecovery damages the journal tail the way a
 // kill mid-write would and checks recovery truncates and resumes.
 func TestServiceWALTornTailRecovery(t *testing.T) {
-	dir := t.TempDir()
-	svc := newWALService(t, dir, WALConfig{Policy: wal.SyncOff})
-	svc.Start()
-	for i := 0; i < 3; i++ {
-		if err := svc.Submit(simpleJob(i, 1, 5000)); err != nil {
+	overWALShapes(t, func(t *testing.T, sh shape) {
+		dir := t.TempDir()
+		svc := sh.service(t, walOptions(dir, WALConfig{Policy: wal.SyncOff}))
+		svc.Start()
+		for i := 0; i < 3; i++ {
+			if err := svc.Submit(simpleJob(i, 1, 5000)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		waitFor(t, svc, "work", func(s *federation.FedSnapshot) bool { return rounds(s) >= 2 })
+		svc.Kill()
+		svc.Stop()
+
+		// Simulate a torn final frame: half a frame header plus garbage.
+		f, err := os.OpenFile(journalPath(dir), os.O_APPEND|os.O_WRONLY, 0o644)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	waitFor(t, svc, "work", func(s *sim.Snapshot) bool { return s.Round >= 2 })
-	svc.Kill()
-	svc.Stop()
-
-	// Simulate a torn final frame: half a frame header plus garbage.
-	f, err := os.OpenFile(journalPath(dir), os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write([]byte{42, 0, 0}); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	rec := newWALService(t, dir, WALConfig{Policy: wal.SyncOff, Recover: true})
-	if rec.Recovery().TruncatedBytes == 0 {
-		t.Error("recovery did not report the torn tail")
-	}
-	snap := rec.Snapshot()
-	for i := 0; i < 3; i++ {
-		if _, ok := snap.Phases.Get(i); !ok {
-			t.Errorf("job %d lost to the torn tail", i)
+		if _, err := f.Write([]byte{42, 0, 0}); err != nil {
+			t.Fatal(err)
 		}
-	}
-	rec.Start()
-	waitFor(t, rec, "drain", func(s *sim.Snapshot) bool { return s.Pending == 0 && len(s.Active) == 0 })
-	if _, err := rec.Stop(); err != nil {
-		t.Fatal(err)
-	}
+		f.Close()
+
+		rec := sh.service(t, walOptions(dir, WALConfig{Policy: wal.SyncOff, Recover: true}))
+		if rec.Recovery().TruncatedBytes == 0 {
+			t.Error("recovery did not report the torn tail")
+		}
+		snap := rec.Snapshot()
+		for i := 0; i < 3; i++ {
+			if phaseOf(snap, i) == "" {
+				t.Errorf("job %d lost to the torn tail", i)
+			}
+		}
+		rec.Start()
+		waitFor(t, rec, "drain", drained)
+		if _, err := rec.Stop(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestServiceWALCorruptCheckpointFallsBack flips a checkpoint byte and
 // checks recovery falls back to a full-journal replay.
 func TestServiceWALCorruptCheckpointFallsBack(t *testing.T) {
-	dir := t.TempDir()
-	svc := newWALService(t, dir, WALConfig{Policy: wal.SyncAlways, CheckpointEvery: 1})
-	svc.Start()
-	for i := 0; i < 3; i++ {
-		if err := svc.Submit(simpleJob(i, 1, 20000)); err != nil {
+	overWALShapes(t, func(t *testing.T, sh shape) {
+		dir := t.TempDir()
+		svc := sh.service(t, walOptions(dir, WALConfig{Policy: wal.SyncAlways, CheckpointEvery: 1}))
+		svc.Start()
+		for i := 0; i < 3; i++ {
+			if err := svc.Submit(simpleJob(i, 1, 20000)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		waitFor(t, svc, "checkpointed rounds", func(s *federation.FedSnapshot) bool { return rounds(s) >= 3 })
+		svc.Kill()
+		svc.Stop()
+
+		data, err := os.ReadFile(checkpointPath(dir))
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	waitFor(t, svc, "checkpointed rounds", func(s *sim.Snapshot) bool { return s.Round >= 3 })
-	svc.Kill()
-	svc.Stop()
-
-	data, err := os.ReadFile(checkpointPath(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)-1] ^= 0xff
-	if err := os.WriteFile(checkpointPath(dir), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	rec := newWALService(t, dir, WALConfig{Policy: wal.SyncAlways, Recover: true})
-	info := rec.Recovery()
-	if !info.CheckpointCorrupt {
-		t.Error("recovery did not flag the corrupt checkpoint")
-	}
-	if info.CheckpointSeq != 0 {
-		t.Errorf("CheckpointSeq = %d after corrupt checkpoint, want 0", info.CheckpointSeq)
-	}
-	snap := rec.Snapshot()
-	for i := 0; i < 3; i++ {
-		if _, ok := snap.Phases.Get(i); !ok {
-			t.Errorf("job %d lost despite full replay", i)
+		data[len(data)-1] ^= 0xff
+		if err := os.WriteFile(checkpointPath(dir), data, 0o644); err != nil {
+			t.Fatal(err)
 		}
-	}
-	rec.Stop()
+
+		rec := sh.service(t, walOptions(dir, WALConfig{Policy: wal.SyncAlways, Recover: true}))
+		info := rec.Recovery()
+		if !info.CheckpointCorrupt {
+			t.Error("recovery did not flag the corrupt checkpoint")
+		}
+		if info.CheckpointSeq != 0 {
+			t.Errorf("CheckpointSeq = %d after corrupt checkpoint, want 0", info.CheckpointSeq)
+		}
+		snap := rec.Snapshot()
+		for i := 0; i < 3; i++ {
+			if phaseOf(snap, i) == "" {
+				t.Errorf("job %d lost despite full replay", i)
+			}
+		}
+		rec.Stop()
+	})
 }
 
 // TestServiceWALFailPointCrash injects a crash mid-append: the caller
 // whose record tore gets an error (never a false ack), the loop dies
 // like a crashed process, and recovery preserves every acked job.
 func TestServiceWALFailPointCrash(t *testing.T) {
-	dir := t.TempDir()
-	var appends int
-	fp := func(offset int64, frame []byte) int {
-		// Tear the frame once the journal has a few records; count
-		// only mutation-sized frames so the test stays robust.
-		appends++
-		if appends == 4 {
-			return len(frame) / 3
+	overWALShapes(t, func(t *testing.T, sh shape) {
+		dir := t.TempDir()
+		var appends int
+		fp := func(offset int64, frame []byte) int {
+			// Tear the frame once the journal has a few records; count
+			// only mutation-sized frames so the test stays robust.
+			appends++
+			if appends == 4 {
+				return len(frame) / 3
+			}
+			return -1
 		}
-		return -1
-	}
-	svc, err := New(twoNodeCluster(), fifo{}, walOptions(dir, WALConfig{Policy: wal.SyncOff, FailPoint: fp}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc.Start()
+		svc := sh.service(t, walOptions(dir, WALConfig{Policy: wal.SyncOff, FailPoint: fp}))
+		svc.Start()
 
-	var acked []int
-	var crashed bool
-	for i := 0; i < 10; i++ {
-		err := svc.Submit(simpleJob(i, 1, 50000))
-		if err == nil {
-			acked = append(acked, i)
-			continue
+		var acked []int
+		var crashed bool
+		for i := 0; i < 10; i++ {
+			err := svc.Submit(simpleJob(i, 1, 50000))
+			if err == nil {
+				acked = append(acked, i)
+				continue
+			}
+			if errors.Is(err, wal.ErrCrashInjected) || strings.Contains(err.Error(), "journal") || errors.Is(err, ErrStopped) {
+				crashed = true
+				break
+			}
+			t.Fatalf("submit %d: unexpected error %v", i, err)
 		}
-		if errors.Is(err, wal.ErrCrashInjected) || strings.Contains(err.Error(), "journal") || errors.Is(err, ErrStopped) {
-			crashed = true
-			break
+		if !crashed {
+			t.Fatal("fail point never fired")
 		}
-		t.Fatalf("submit %d: unexpected error %v", i, err)
-	}
-	if !crashed {
-		t.Fatal("fail point never fired")
-	}
-	if _, err := svc.Stop(); err == nil {
-		t.Error("Stop after an injected crash reported success")
-	}
+		if _, err := svc.Stop(); err == nil {
+			t.Error("Stop after an injected crash reported success")
+		}
 
-	rec := newWALService(t, dir, WALConfig{Policy: wal.SyncOff, Recover: true})
-	if rec.Recovery().TruncatedBytes == 0 {
-		t.Error("torn frame left no truncated tail")
-	}
-	snap := rec.Snapshot()
-	for _, id := range acked {
-		if _, ok := snap.Phases.Get(id); !ok {
-			t.Errorf("acked job %d lost after injected crash", id)
+		rec := sh.service(t, walOptions(dir, WALConfig{Policy: wal.SyncOff, Recover: true}))
+		if rec.Recovery().TruncatedBytes == 0 {
+			t.Error("torn frame left no truncated tail")
 		}
-	}
-	rec.Stop()
+		snap := rec.Snapshot()
+		for _, id := range acked {
+			if phaseOf(snap, id) == "" {
+				t.Errorf("acked job %d lost after injected crash", id)
+			}
+		}
+		rec.Stop()
+	})
 }
 
 // TestServiceWALGroupCommit exercises the deferred-verdict path: under
 // SyncGroup every verdict waits for a batch fsync but still arrives.
 func TestServiceWALGroupCommit(t *testing.T) {
-	dir := t.TempDir()
-	svc := newWALService(t, dir, WALConfig{Policy: wal.SyncGroup, GroupInterval: time.Millisecond})
-	svc.Start()
-	errs := make(chan error, 8)
-	for i := 0; i < 8; i++ {
-		i := i
-		go func() { errs <- svc.Submit(simpleJob(i, 1, 5000)) }()
-	}
-	for i := 0; i < 8; i++ {
-		if err := <-errs; err != nil {
-			t.Fatalf("group-commit submit: %v", err)
+	overWALShapes(t, func(t *testing.T, sh shape) {
+		dir := t.TempDir()
+		svc := sh.service(t, walOptions(dir, WALConfig{Policy: wal.SyncGroup, GroupInterval: time.Millisecond}))
+		svc.Start()
+		errs := make(chan error, 8)
+		for i := 0; i < 8; i++ {
+			i := i
+			go func() { errs <- svc.Submit(simpleJob(i, 1, 5000)) }()
 		}
-	}
-	waitFor(t, svc, "completion", func(s *sim.Snapshot) bool { return s.Completed == 8 })
-	if _, err := svc.Stop(); err != nil {
-		t.Fatal(err)
-	}
-	res, err := VerifyWAL(twoNodeCluster(), fifo{}, sim.ValidatedOptions(), dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Submitted != 8 {
-		t.Errorf("journal has %d submissions, want 8", res.Submitted)
-	}
+		for i := 0; i < 8; i++ {
+			if err := <-errs; err != nil {
+				t.Fatalf("group-commit submit: %v", err)
+			}
+		}
+		waitCompleted(t, svc, 8)
+		if _, err := svc.Stop(); err != nil {
+			t.Fatal(err)
+		}
+		if res := sh.verify(t, dir); res.Submitted != 8 {
+			t.Errorf("journal has %d submissions, want 8", res.Submitted)
+		}
+	})
 }
 
 // TestServiceWALRefusesExistingJournal: without Recover, New must not
 // silently clobber a journal left by a previous run.
 func TestServiceWALRefusesExistingJournal(t *testing.T) {
-	dir := t.TempDir()
-	svc := newWALService(t, dir, WALConfig{Policy: wal.SyncOff})
-	svc.Start()
-	if err := svc.Submit(simpleJob(0, 1, 100)); err != nil {
-		t.Fatal(err)
-	}
-	svc.Stop()
-	if _, err := New(twoNodeCluster(), fifo{}, walOptions(dir, WALConfig{Policy: wal.SyncOff})); err == nil {
-		t.Fatal("New overwrote an existing journal without Recover")
-	}
+	overWALShapes(t, func(t *testing.T, sh shape) {
+		dir := t.TempDir()
+		svc := sh.service(t, walOptions(dir, WALConfig{Policy: wal.SyncOff}))
+		svc.Start()
+		if err := svc.Submit(simpleJob(0, 1, 100)); err != nil {
+			t.Fatal(err)
+		}
+		svc.Stop()
+		if _, err := sh.build(t, walOptions(dir, WALConfig{Policy: wal.SyncOff})); err == nil {
+			t.Fatal("New overwrote an existing journal without Recover")
+		}
+	})
 }
 
 // TestServiceWALRecoverFreshDir: Recover on an empty directory is a
 // fresh start, so operators can always pass -recover.
 func TestServiceWALRecoverFreshDir(t *testing.T) {
-	dir := t.TempDir()
-	svc := newWALService(t, dir, WALConfig{Policy: wal.SyncAlways, Recover: true})
-	svc.Start()
-	if err := svc.Submit(simpleJob(0, 1, 1000)); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, svc, "completion", func(s *sim.Snapshot) bool { return s.Completed == 1 })
-	if _, err := svc.Stop(); err != nil {
-		t.Fatal(err)
-	}
+	overWALShapes(t, func(t *testing.T, sh shape) {
+		svc := sh.service(t, walOptions(t.TempDir(), WALConfig{Policy: wal.SyncAlways, Recover: true}))
+		svc.Start()
+		if err := svc.Submit(simpleJob(0, 1, 1000)); err != nil {
+			t.Fatal(err)
+		}
+		waitCompleted(t, svc, 1)
+		if _, err := svc.Stop(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestServiceWALCleanShutdownResume: a graceful Stop checkpoints, and a
 // later Recover resumes without replaying anything.
 func TestServiceWALCleanShutdownResume(t *testing.T) {
-	dir := t.TempDir()
-	svc := newWALService(t, dir, WALConfig{Policy: wal.SyncAlways})
-	svc.Start()
-	if err := svc.Submit(simpleJob(0, 2, 1e7)); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, svc, "progress", func(s *sim.Snapshot) bool { return s.Round >= 2 })
-	if _, err := svc.Stop(); err != nil {
-		t.Fatal(err)
-	}
+	overWALShapes(t, func(t *testing.T, sh shape) {
+		dir := t.TempDir()
+		svc := sh.service(t, walOptions(dir, WALConfig{Policy: wal.SyncAlways}))
+		svc.Start()
+		if err := svc.Submit(simpleJob(0, 2, 1e7)); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, svc, "progress", func(s *federation.FedSnapshot) bool { return rounds(s) >= 2 })
+		if _, err := svc.Stop(); err != nil {
+			t.Fatal(err)
+		}
 
-	rec := newWALService(t, dir, WALConfig{Policy: wal.SyncAlways, Recover: true})
-	if got := rec.Recovery().Replayed; got != 0 {
-		t.Errorf("clean shutdown still replayed %d records", got)
-	}
-	if _, ok := rec.Snapshot().Phases.Get(0); !ok {
-		t.Error("job 0 lost across clean shutdown")
-	}
-	rec.Start()
-	if err := rec.Cancel(0); err != nil {
-		t.Fatalf("cancel after resume: %v", err)
-	}
-	waitFor(t, rec, "cancelled", func(s *sim.Snapshot) bool { return phaseOf(s, 0) == "cancelled" })
-	if _, err := rec.Stop(); err != nil {
-		t.Fatal(err)
-	}
+		rec := sh.service(t, walOptions(dir, WALConfig{Policy: wal.SyncAlways, Recover: true}))
+		if got := rec.Recovery().Replayed; got != 0 {
+			t.Errorf("clean shutdown still replayed %d records", got)
+		}
+		if phaseOf(rec.Snapshot(), 0) == "" {
+			t.Error("job 0 lost across clean shutdown")
+		}
+		rec.Start()
+		if err := rec.Cancel(0); err != nil {
+			t.Fatalf("cancel after resume: %v", err)
+		}
+		waitFor(t, rec, "cancelled", func(s *federation.FedSnapshot) bool { return phaseOf(s, 0) == "cancelled" })
+		if _, err := rec.Stop(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 func TestServiceStopBeforeStart(t *testing.T) {
@@ -423,22 +534,27 @@ func TestServiceDeadError(t *testing.T) {
 }
 
 // TestServiceNextIDClearsRecoveredIDs: after recovery NextID must not
-// collide with journaled IDs from the service range.
+// collide with journaled IDs from the service range, whichever member
+// holds them.
 func TestServiceNextIDClearsRecoveredIDs(t *testing.T) {
-	dir := t.TempDir()
-	svc := newWALService(t, dir, WALConfig{Policy: wal.SyncAlways})
-	svc.Start()
-	id := svc.NextID()
-	j := simpleJob(id, 1, 1e7)
-	if err := svc.Submit(j); err != nil {
-		t.Fatal(err)
-	}
-	svc.Kill()
-	svc.Stop()
+	overWALShapes(t, func(t *testing.T, sh shape) {
+		dir := t.TempDir()
+		svc := sh.service(t, walOptions(dir, WALConfig{Policy: wal.SyncAlways}))
+		svc.Start()
+		var id int
+		for i := 0; i < sh.members; i++ {
+			id = svc.NextID()
+			if err := svc.Submit(simpleJob(id, 1, 1e7)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		svc.Kill()
+		svc.Stop()
 
-	rec := newWALService(t, dir, WALConfig{Policy: wal.SyncAlways, Recover: true})
-	if next := rec.NextID(); next <= id {
-		t.Errorf("NextID after recovery = %d, collides with journaled %d", next, id)
-	}
-	rec.Stop()
+		rec := sh.service(t, walOptions(dir, WALConfig{Policy: wal.SyncAlways, Recover: true}))
+		if next := rec.NextID(); next <= id {
+			t.Errorf("NextID after recovery = %d, collides with journaled %d", next, id)
+		}
+		rec.Stop()
+	})
 }

@@ -750,6 +750,10 @@ func (e *Engine) HeldGPUs() int {
 	return 0
 }
 
+// Jobs returns every submitted job in submission order: a read-only,
+// capacity-clamped view of the engine's append-only list.
+func (e *Engine) Jobs() []*job.Job { return e.all[:len(e.all):len(e.all)] }
+
 // Round returns the next round index (rounds consumed so far,
 // including idle fast-forwards).
 func (e *Engine) Round() int { return e.round }

@@ -1,8 +1,10 @@
 package wal
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -363,4 +365,85 @@ func TestOpenAppendOnFreshPath(t *testing.T) {
 	if len(res.Records) != 1 || string(res.Records[0]) != "first" {
 		t.Fatalf("records = %q", res.Records)
 	}
+}
+
+// FuzzScan appends arbitrary bytes to a journal holding two good
+// records — a torn frame, a lying length, a bad checksum, more valid
+// frames — and to an empty file. Scan must not panic or misreport: the
+// good records survive in order, every byte is either in the valid
+// prefix or counted as truncated, and a writer reopened at ValidSize
+// appends a record the next Scan returns after exactly what this one
+// returned.
+func FuzzScan(f *testing.F) {
+	frame := func(payload string) []byte {
+		b := make([]byte, frameHead, frameHead+len(payload))
+		binary.LittleEndian.PutUint32(b[0:4], uint32(len(payload)))
+		binary.LittleEndian.PutUint32(b[4:8], crc32.ChecksumIEEE([]byte(payload)))
+		return append(b, payload...)
+	}
+	f.Add([]byte{}, true)
+	f.Add(frame("third"), true)
+	f.Add(frame("third")[:5], true)
+	f.Add(append(frame("third"), 0xff), true)
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0}, true)
+	f.Add([]byte{4, 0, 0, 0, 1, 2, 3, 4, 'd', 'a', 't', 'a'}, true)
+	f.Add(magic[:], false)
+	f.Add(magic[:3], false)
+	f.Add(append(append([]byte{}, magic[:]...), frame("only")...), false)
+	f.Add([]byte("definitely not a journal"), false)
+
+	f.Fuzz(func(t *testing.T, tail []byte, afterGood bool) {
+		path := filepath.Join(t.TempDir(), "journal.wal")
+		var good []string
+		if afterGood {
+			good = []string{"first", "second"}
+			writeRecords(t, path, SyncOff, good...)
+		}
+		file, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := file.Write(tail); err != nil {
+			t.Fatal(err)
+		}
+		file.Close()
+
+		res, err := Scan(path)
+		if err != nil {
+			if afterGood || !errors.Is(err, ErrNotJournal) {
+				t.Fatalf("Scan: %v", err)
+			}
+			return // a foreign file is refused, not scanned
+		}
+		if len(res.Records) < len(good) {
+			t.Fatalf("Scan kept %d records, lost some of the %d good ones", len(res.Records), len(good))
+		}
+		for i, want := range good {
+			if string(res.Records[i]) != want {
+				t.Fatalf("record %d = %q, want %q", i, res.Records[i], want)
+			}
+		}
+		if size := fileSize(t, path); res.ValidSize+res.TruncatedBytes != size {
+			t.Fatalf("valid %d + truncated %d != file size %d", res.ValidSize, res.TruncatedBytes, size)
+		}
+		w, err := OpenAppend(path, res.ValidSize, SyncOff, nil)
+		if err != nil {
+			t.Fatalf("OpenAppend at %d: %v", res.ValidSize, err)
+		}
+		if err := w.Append([]byte("after")); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		again, err := Scan(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(again.Records) != len(res.Records)+1 || again.TruncatedBytes != 0 ||
+			string(again.Records[len(res.Records)]) != "after" {
+			t.Fatalf("after reopening at the valid size: %d records (was %d), %d truncated bytes",
+				len(again.Records), len(res.Records), again.TruncatedBytes)
+		}
+	})
 }

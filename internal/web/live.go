@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/federation"
-	"repro/internal/job"
 	"repro/internal/metrics"
 	"repro/internal/service"
 	"repro/internal/sim"
@@ -18,35 +17,14 @@ import (
 
 // NewLiveServer serves the dashboard plus the live control API for a
 // running scheduler service: the Provider-backed pages (/, /jobs,
-// /api/summary, SVGs) render the service's latest snapshot, and the
-// /api/jobs endpoints submit, cancel, and query jobs against the
-// engine through the service's bounded admission queue.
+// /api/summary, SVGs) render the service's latest snapshot, one report
+// per member, and the /api/jobs endpoints submit, cancel, and query
+// jobs through the service's bounded admission queue. Several members
+// answer as a federation (member names, merged snapshot); a single
+// cluster answers as the engine it is.
 func NewLiveServer(svc *service.Service) *Server {
-	return newLiveServer(&liveAPI{
-		svc: svc,
-		snapshot: func() any {
-			return engineSnapshotResponse{Snapshot: svc.Snapshot(), Stats: svc.Stats()}
-		},
-		owner: func(int) (string, *sim.Snapshot) { return "", svc.Snapshot() },
-	})
-}
-
-// NewFedServer is NewLiveServer for a federated service: the same
-// handlers, with the router picking the owning member at the front
-// door, one dashboard report per member, and the owning member's name
-// in every job response.
-func NewFedServer(svc *service.FedService) *Server {
-	return newLiveServer(&liveAPI{
-		svc: svc,
-		snapshot: func() any {
-			return fedSnapshotResponse{FedSnapshot: svc.Snapshot(), Stats: svc.Stats()}
-		},
-		owner: func(id int) (string, *sim.Snapshot) { return svc.Snapshot().Owner(id) },
-	})
-}
-
-func newLiveServer(api *liveAPI) *Server {
-	s := NewServerFrom(api.svc)
+	s := NewServerFrom(svc)
+	api := liveAPI{svc}
 	s.mux.HandleFunc("GET /api/snapshot", api.handleSnapshot)
 	s.mux.HandleFunc("POST /api/jobs", api.handleSubmit)
 	s.mux.HandleFunc("GET /api/jobs/{id}", api.handleQuery)
@@ -54,25 +32,8 @@ func newLiveServer(api *liveAPI) *Server {
 	return s
 }
 
-// liveAPI is the control API over either service. The two differ only
-// in what they publish, so the snapshot body and the owner lookup are
-// the two things the constructors supply.
-type liveAPI struct {
-	svc interface {
-		Provider
-		NextID() int
-		Submit(j *job.Job) error
-		SubmitKeyed(key string, j *job.Job) (id int, deduped bool, err error)
-		Cancel(id int) error
-	}
-	// snapshot builds the /api/snapshot body from the latest published
-	// view and the admission counters.
-	snapshot func() any
-	// owner returns the published engine snapshot that would know job
-	// id and, for a federation, the owning member's name; nil when no
-	// member has the job.
-	owner func(id int) (member string, snap *sim.Snapshot)
-}
+// liveAPI is the control API over a service.
+type liveAPI struct{ svc *service.Service }
 
 // maxSubmitBody bounds a POST /api/jobs body; a real one is under 200
 // bytes.
@@ -114,21 +75,21 @@ func writeError(w http.ResponseWriter, err error, fallback int) {
 	}
 }
 
-// engineSnapshotResponse and fedSnapshotResponse are the /api/snapshot
-// bodies: the published snapshot's fields plus the service's admission
-// counters.
-type engineSnapshotResponse struct {
-	*sim.Snapshot
-	Stats service.Stats `json:"stats"`
-}
-
-type fedSnapshotResponse struct {
-	*federation.FedSnapshot
-	Stats service.Stats `json:"stats"`
-}
-
-func (a *liveAPI) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, a.snapshot())
+// handleSnapshot answers with the published view — the federation's, or
+// a single cluster's one engine's — plus the admission counters.
+func (a liveAPI) handleSnapshot(w http.ResponseWriter, r *http.Request) {
+	fed, stats := a.svc.Snapshot(), a.svc.Stats()
+	if len(fed.Members) == 1 {
+		writeJSON(w, http.StatusOK, struct {
+			*sim.Snapshot
+			Stats service.Stats `json:"stats"`
+		}{fed.Members[0].Snap, stats})
+		return
+	}
+	writeJSON(w, http.StatusOK, struct {
+		*federation.FedSnapshot
+		Stats service.Stats `json:"stats"`
+	}{fed, stats})
 }
 
 // submitSpec is the POST /api/jobs body. The job is built from the
@@ -156,7 +117,7 @@ func lookupModel(name string) (trace.ModelSpec, bool) {
 	return trace.ModelSpec{}, false
 }
 
-func (a *liveAPI) handleSubmit(w http.ResponseWriter, r *http.Request) {
+func (a liveAPI) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec submitSpec
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBody)).Decode(&spec); err != nil {
 		status := http.StatusBadRequest
@@ -204,8 +165,8 @@ func (a *liveAPI) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	body["id"] = id
 	// A federation reports which member the router placed the job on:
 	// useful for debugging routing policies from the command line.
-	if member, _ := a.owner(id); member != "" {
-		body["member"] = member
+	if fed := a.svc.Snapshot(); len(fed.Members) > 1 {
+		body["member"], _ = fed.Owner(id)
 	}
 	writeJSON(w, status, body)
 }
@@ -226,33 +187,25 @@ func jobID(r *http.Request) (int, error) {
 	return strconv.Atoi(r.PathValue("id"))
 }
 
-func (a *liveAPI) handleQuery(w http.ResponseWriter, r *http.Request) {
+func (a liveAPI) handleQuery(w http.ResponseWriter, r *http.Request) {
 	id, err := jobID(r)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad job id: " + err.Error()})
 		return
 	}
-	member, snap := a.owner(id)
-	phase, ok := "", false
-	if snap != nil {
-		phase, ok = snap.Phases.Get(id)
-	}
+	fed := a.svc.Snapshot()
+	member, phase, js, res, ok := fed.FindJob(id)
 	if !ok {
 		writeJSON(w, http.StatusNotFound, map[string]string{"error": fmt.Sprintf("unknown job %d", id)})
 		return
 	}
-	resp := queryResponse{ID: id, Member: member, Phase: phase}
-	for i := range snap.Active {
-		if snap.Active[i].ID == id {
-			resp.Job = &snap.Active[i]
-			break
-		}
+	if len(fed.Members) == 1 {
+		member = "" // a single cluster never mentions members
 	}
-	resp.Result = snap.Result(id)
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, queryResponse{ID: id, Member: member, Phase: phase, Job: js, Result: res})
 }
 
-func (a *liveAPI) handleCancel(w http.ResponseWriter, r *http.Request) {
+func (a liveAPI) handleCancel(w http.ResponseWriter, r *http.Request) {
 	id, err := jobID(r)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad job id: " + err.Error()})

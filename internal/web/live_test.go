@@ -36,7 +36,7 @@ func newLiveFixture(t *testing.T) (*service.Service, *httptest.Server) {
 	return svc, ts
 }
 
-func newFedFixture(t *testing.T, members int) (*service.FedService, *httptest.Server) {
+func newFedFixture(t *testing.T, members int) (*service.Service, *httptest.Server) {
 	t.Helper()
 	configs := make([]federation.MemberConfig, members)
 	for i := range configs {
@@ -60,7 +60,7 @@ func newFedFixture(t *testing.T, members int) (*service.FedService, *httptest.Se
 		t.Fatal(err)
 	}
 	svc.Start()
-	ts := httptest.NewServer(NewFedServer(svc).Handler())
+	ts := httptest.NewServer(NewLiveServer(svc).Handler())
 	t.Cleanup(func() {
 		ts.Close()
 		svc.Stop()
@@ -102,18 +102,21 @@ func do(t *testing.T, method, url string) (*http.Response, map[string]any) {
 
 func TestLiveSubmitQueryCancel(t *testing.T) {
 	svc, ts := newLiveFixture(t)
-	caseSubmitQueryCancel(t, ts.URL, false, func(id int) string {
-		phase, _ := svc.Snapshot().Phases.Get(id)
-		return phase
-	})
+	caseSubmitQueryCancel(t, ts.URL, false, phaseIn(svc))
 }
 
 func TestFedSubmitQueryCancel(t *testing.T) {
 	svc, ts := newFedFixture(t, 2)
-	caseSubmitQueryCancel(t, ts.URL, true, func(id int) string {
+	caseSubmitQueryCancel(t, ts.URL, true, phaseIn(svc))
+}
+
+// phaseIn reads a job's phase from the service's latest snapshot, ""
+// when no member knows the job.
+func phaseIn(svc *service.Service) func(id int) string {
+	return func(id int) string {
 		_, phase, _, _, _ := svc.Snapshot().FindJob(id)
 		return phase
-	})
+	}
 }
 
 // caseSubmitQueryCancel walks a job through the control API of either
