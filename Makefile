@@ -159,6 +159,7 @@ fuzz-smoke: fuzz-sync
 	$(GO) test -run='^$$' -fuzz='^FuzzReadPhillyCSV$$' -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -run='^$$' -fuzz='^FuzzReadTraceJSON$$' -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -run='^$$' -fuzz='^FuzzStateTransactions$$' -fuzztime=$(FUZZTIME) ./internal/cluster
+	$(GO) test -run='^$$' -fuzz='^FuzzAppendCanonical$$' -fuzztime=$(FUZZTIME) ./internal/cluster
 	$(GO) test -run='^$$' -fuzz='^FuzzSimRun$$' -fuzztime=$(FUZZTIME) ./internal/sim
 	$(GO) test -run='^$$' -fuzz='^FuzzScan$$' -fuzztime=$(FUZZTIME) ./internal/wal
 	$(GO) test -run='^$$' -fuzz='^FuzzReplayRecords$$' -fuzztime=$(FUZZTIME) ./internal/service

@@ -41,9 +41,8 @@ func benchSchedContext(b *testing.B, numJobs int) *sched.Context {
 	horizon := 0.0
 	for i, j := range jobs {
 		states[i] = &sched.JobState{
-			Job:          j,
-			Remaining:    j.TotalIters(),
-			RoundsByType: make(map[gpu.Type]float64),
+			Job:       j,
+			Remaining: j.TotalIters(),
 		}
 		horizon += j.MaxDuration()
 	}

@@ -34,7 +34,6 @@ func main() {
 		for i, j := range jobs {
 			states[i] = &sched.JobState{
 				Job: j, Remaining: j.TotalIters(),
-				RoundsByType: make(map[gpu.Type]float64),
 			}
 		}
 		ctx := &sched.Context{

@@ -11,7 +11,7 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/bug"
@@ -145,15 +145,27 @@ func (a Alloc) Workers() int {
 	return n
 }
 
-// NumNodes returns how many distinct nodes the allocation spans.
+// NumNodes returns how many distinct nodes the allocation spans. It
+// allocates nothing: allocations span few placements, so the quadratic
+// scan is cheaper than a set.
 func (a Alloc) NumNodes() int {
-	seen := map[int]bool{}
-	for _, p := range a {
-		if p.Count > 0 {
-			seen[p.Node] = true
+	n := 0
+	for i, p := range a {
+		if p.Count <= 0 {
+			continue
+		}
+		seen := false
+		for _, q := range a[:i] {
+			if q.Count > 0 && q.Node == p.Node {
+				seen = true
+				break
+			}
+		}
+		if !seen {
+			n++
 		}
 	}
-	return len(seen)
+	return n
 }
 
 // Types returns the distinct accelerator types used, ascending.
@@ -170,40 +182,66 @@ func (a Alloc) Types() []gpu.Type {
 // Canonical returns an equivalent allocation with zero-count placements
 // dropped, same-(node,type) placements merged, and entries sorted by
 // (node, type). Canonical forms compare with Equal.
-func (a Alloc) Canonical() Alloc {
-	merged := map[[2]int]int{}
+func (a Alloc) Canonical() Alloc { return a.AppendCanonical(nil) }
+
+// AppendCanonical appends a's canonical form (see Canonical) onto dst
+// and returns the extended slice; dst grows at most once, so appending
+// into a buffer with room for len(a) more placements allocates nothing.
+// Zero counts are dropped, the rest insertion-sorted by (node, type) —
+// placement lists are short — and same-(node,type) neighbours merged.
+func (a Alloc) AppendCanonical(dst Alloc) Alloc {
+	mark := len(dst)
+	dst = slices.Grow(dst, len(a))
 	for _, p := range a {
 		if p.Count > 0 {
-			merged[[2]int{p.Node, int(p.Type)}] += p.Count
+			dst = append(dst, p)
 		}
 	}
-	out := make(Alloc, 0, len(merged))
-	//lint:ignore maprange the result is fully sorted by (node, type) immediately below
-	for k, count := range merged {
-		out = append(out, Placement{Node: k[0], Type: gpu.Type(k[1]), Count: count})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Node != out[j].Node {
-			return out[i].Node < out[j].Node
+	out := dst[mark:]
+	for i := 1; i < len(out); i++ {
+		for k := i; k > 0 && placementLess(out[k], out[k-1]); k-- {
+			out[k], out[k-1] = out[k-1], out[k]
 		}
-		return out[i].Type < out[j].Type
-	})
-	return out
+	}
+	w := 0
+	for _, p := range out {
+		if w > 0 && out[w-1].Node == p.Node && out[w-1].Type == p.Type {
+			out[w-1].Count += p.Count
+			continue
+		}
+		out[w] = p
+		w++
+	}
+	return dst[:mark+w]
 }
 
-// Equal reports whether two allocations place the same counts on the
-// same (node, type) pairs, regardless of entry order or splitting.
-func (a Alloc) Equal(b Alloc) bool {
-	ca, cb := a.Canonical(), b.Canonical()
-	if len(ca) != len(cb) {
-		return false
-	}
-	for i := range ca {
-		if ca[i] != cb[i] {
+// placementLess orders placements by (node, type).
+func placementLess(p, q Placement) bool {
+	return p.Node < q.Node || (p.Node == q.Node && p.Type < q.Type)
+}
+
+// isCanonical reports whether a is already in canonical form: positive
+// counts, strictly ascending (node, type).
+func (a Alloc) isCanonical() bool {
+	for i, p := range a {
+		if p.Count <= 0 || (i > 0 && !placementLess(a[i-1], p)) {
 			return false
 		}
 	}
 	return true
+}
+
+// Equal reports whether two allocations place the same counts on the
+// same (node, type) pairs, regardless of entry order or splitting. It
+// allocates nothing when both sides are already canonical.
+func (a Alloc) Equal(b Alloc) bool {
+	if !a.isCanonical() {
+		a = a.Canonical()
+	}
+	if !b.isCanonical() {
+		b = b.Canonical()
+	}
+	return slices.Equal(a, b)
 }
 
 // Clone returns an independent copy.

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/cluster"
 	"repro/internal/gpu"
 	"repro/internal/sched"
@@ -33,27 +35,29 @@ type probe struct {
 	// fillType's fallback path selects candidate nodes in, candArena is
 	// the backing store candidate placements are carved from, and
 	// candScratch is the candidate list itself. All are recycled on
-	// every findAlloc call. retain backs the winning allocations the
-	// round hands out: it only grows between binds (so carved winners
-	// stay valid for the whole round) and is re-based by bind, keeping a
-	// round at O(log n) heap allocations instead of one per probe.
+	// every findAlloc call. retainArena backs the allocations the round
+	// hands out (see retain): it only grows between binds (so carved
+	// allocations stay valid for the whole round) and is re-based by
+	// bind, so a steady round allocates it once instead of once per
+	// placed job.
 	fillScratch []fillOption
 	candArena   []cluster.Placement
 	candScratch []cluster.Alloc
-	retain      []cluster.Placement
+	retainArena cluster.Alloc
 }
 
 // bind points the probe at a round's options, price table, and free
 // state. The retain arena is re-based (not truncated): allocations
 // carved during the previous round have escaped into its decision map,
-// so their backing array must never be overwritten.
+// so their backing array must never be overwritten. The new one is sized
+// to what the previous round carved, so a steady round makes it once.
 func (p *probe) bind(opts *Options, pt *priceTable, free *cluster.State) {
 	p.opts, p.pt, p.free = opts, pt, free
 	uniformSpeed := free.Cluster().UniformSpeed()
 	for t := range p.uniformFill {
 		p.uniformFill[t] = uniformSpeed && free.UniformCap(gpu.Type(t)) > 0
 	}
-	p.retain = nil
+	p.retainArena = make(cluster.Alloc, 0, len(p.retainArena))
 }
 
 // findAlloc is the paper's FIND_ALLOC subroutine (Algorithm 2, lines
@@ -71,9 +75,10 @@ func (p *probe) bind(opts *Options, pt *priceTable, free *cluster.State) {
 // candidate list, duplicate candidates are pruned before pricing (on
 // uniform clusters the cheapest-node and most-consolidated scans often
 // coincide, and a duplicate can never win: the winner is the first
-// index attaining the best payoff), and the winner is carved from the
-// grow-only retain arena, so a call performs no steady-state heap
-// allocation at all.
+// index attaining the best payoff), and the winner is returned straight
+// from the candidate arena, so a call performs no steady-state heap
+// allocation at all. The winner is therefore only valid until the next
+// findAlloc call: a caller that keeps it passes it through retain first.
 func (p *probe) findAlloc(st *sched.JobState, ctx *sched.Context, types []gpu.Type) (candidate, bool) {
 	j := st.Job
 	cands := p.candScratch[:0]
@@ -133,7 +138,7 @@ func (p *probe) findAlloc(st *sched.JobState, ctx *sched.Context, types []gpu.Ty
 		for _, pl := range a {
 			cost += p.pt.price(p.free, pl.Node, pl.Type) * float64(pl.Count)
 		}
-		if n := distinctNodes(a); n > 1 {
+		if n := a.NumNodes(); n > 1 {
 			cost *= 1 + p.opts.CommCost*float64(n-1)
 		}
 		if i == current {
@@ -148,11 +153,19 @@ func (p *probe) findAlloc(st *sched.JobState, ctx *sched.Context, types []gpu.Ty
 	if bestIdx < 0 {
 		return candidate{}, false
 	}
-	// The winner leaves the candidate arena as a canonical copy carved
-	// from the retain arena; the candidate arena itself is recycled by
-	// the next call.
-	best.alloc = p.retainCanonical(cands[bestIdx])
+	best.alloc = cands[bestIdx]
 	return best, true
+}
+
+// retain copies a winner out of the candidate arena, in canonical form,
+// into the round's retain arena and returns the carved copy: what the
+// passes allocate on the state and hand out. The arena grows
+// geometrically, and earlier carves stay valid because it is never
+// truncated below them within a round.
+func (p *probe) retain(a cluster.Alloc) cluster.Alloc {
+	mark := len(p.retainArena)
+	p.retainArena = a.AppendCanonical(p.retainArena)
+	return p.retainArena[mark:len(p.retainArena):len(p.retainArena)]
 }
 
 // appendCand adds a to the candidate list unless an identical placement
@@ -161,86 +174,13 @@ func (p *probe) findAlloc(st *sched.JobState, ctx *sched.Context, types []gpu.Ty
 // identically, and the first index attaining the best payoff wins.
 func appendCand(cands []cluster.Alloc, a cluster.Alloc) []cluster.Alloc {
 	for _, b := range cands {
-		if rawEqual(b, a) {
+		// Entry by entry, no canonicalization: candidate generators emit
+		// deterministic orders, so duplicates really are elementwise equal.
+		if slices.Equal(b, a) {
 			return cands
 		}
 	}
 	return append(cands, a)
-}
-
-// rawEqual reports whether two placement lists are identical entry by
-// entry (no canonicalization: candidate generators emit deterministic
-// orders, so duplicates really are elementwise equal).
-func rawEqual(a, b cluster.Alloc) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// distinctNodes counts the distinct nodes of a placement list without
-// allocating (allocations span few placements, so the quadratic scan is
-// cheaper than a map).
-func distinctNodes(a cluster.Alloc) int {
-	n := 0
-	for i, p := range a {
-		if p.Count == 0 {
-			continue
-		}
-		seen := false
-		for _, q := range a[:i] {
-			if q.Count > 0 && q.Node == p.Node {
-				seen = true
-				break
-			}
-		}
-		if !seen {
-			n++
-		}
-	}
-	return n
-}
-
-// retainCanonical copies a into the round's retain arena in canonical
-// form — zero counts dropped, same-(node,type) entries merged, sorted
-// by (node, type) — and returns the carved copy. It matches
-// Alloc.Canonical for the non-negative placement lists the candidate
-// generators emit, without the intermediate map or the per-call heap
-// allocation: the arena grows geometrically, and earlier carves stay
-// valid because the arena is never truncated below them within a round.
-func (p *probe) retainCanonical(a cluster.Alloc) cluster.Alloc {
-	mark := len(p.retain)
-	for _, pl := range a {
-		if pl.Count > 0 {
-			p.retain = append(p.retain, pl)
-		}
-	}
-	out := p.retain[mark:]
-	// Insertion sort by (node, type): placement lists are short.
-	for i := 1; i < len(out); i++ {
-		for k := i; k > 0 && (out[k].Node < out[k-1].Node ||
-			(out[k].Node == out[k-1].Node && out[k].Type < out[k-1].Type)); k-- {
-			out[k], out[k-1] = out[k-1], out[k]
-		}
-	}
-	// Merge adjacent duplicates in place, then give the freed tail back
-	// to the arena.
-	w := 0
-	for _, pl := range out {
-		if w > 0 && out[w-1].Node == pl.Node && out[w-1].Type == pl.Type {
-			out[w-1].Count += pl.Count
-			continue
-		}
-		out[w] = pl
-		w++
-	}
-	p.retain = p.retain[:mark+w]
-	return cluster.Alloc(p.retain[mark : mark+w : mark+w])
 }
 
 // fillOption is one candidate node in fillType's price-ordered fallback

@@ -6,17 +6,21 @@ import (
 	"repro/internal/sched"
 )
 
-// pick is one (job, allocation) decision of the DP.
+// pick is one (job, allocation) decision of the DP, linked to the picks
+// realizing the rest of its branch's total. Results share their tails,
+// so a branch that wins adds one node instead of copying a list.
 type pick struct {
 	id    int
 	alloc cluster.Alloc
+	next  int // see dpResult.picks
 }
 
 // dpResult is the best total payoff achievable from a DP position plus
-// the picks realizing it.
+// the picks realizing it: 1 + the index of the first in dpSearch.picks,
+// 0 when there are none (so the zero dpResult is the empty one).
 type dpResult struct {
 	payoff float64
-	picks  []pick
+	picks  int
 }
 
 // dpMemoKey memoizes on (queue index, free-state hash): the DP's value
@@ -28,13 +32,17 @@ type dpMemoKey struct {
 
 // dpSearch is one round's memoized search over the queue: the
 // scheduler (for its probe, bound to the state the search mutates, and
-// its inconsistency counter), the round's inputs, and the memo.
+// its inconsistency counter), the round's inputs, the memo, and the
+// arena the pick lists live in. The scheduler owns one and resets it for
+// every search, so a steady round reuses the memo's and the arena's
+// storage.
 type dpSearch struct {
 	s        *Scheduler
 	ctx      *sched.Context
 	queue    []*sched.JobState
 	jobTypes [][]gpu.Type
 	memo     map[dpMemoKey]dpResult
+	picks    []pick
 }
 
 // rec is Algorithm 2's recursion: branch on "allocate the best
@@ -58,17 +66,17 @@ func (d *dpSearch) rec(idx int, free *cluster.State) dpResult {
 	st := d.queue[idx]
 	if st.Remaining > 0 {
 		if cand, ok := d.s.probe.findAlloc(st, d.ctx, d.jobTypes[idx]); ok && cand.payoff > 0 {
+			// The recursion's probes recycle the candidate arena.
+			alloc := d.s.probe.retain(cand.alloc)
 			sp := free.Savepoint()
-			if err := free.Allocate(cand.alloc); err != nil {
+			if err := free.Allocate(alloc); err != nil {
 				d.s.noteInconsistency(err)
 			} else {
 				sub := d.rec(idx+1, free)
 				total := cand.payoff + sub.payoff
 				if total > best.payoff {
-					picks := make([]pick, 0, len(sub.picks)+1)
-					picks = append(picks, pick{st.Job.ID, cand.alloc})
-					picks = append(picks, sub.picks...)
-					best = dpResult{payoff: total, picks: picks}
+					d.picks = append(d.picks, pick{st.Job.ID, alloc, sub.picks})
+					best = dpResult{payoff: total, picks: len(d.picks)}
 				}
 			}
 			free.Rollback(sp)
@@ -85,11 +93,15 @@ func (d *dpSearch) rec(idx int, free *cluster.State) dpResult {
 // search returns the state as it found it; the winning picks are then
 // allocated on it in the order the search allocated them.
 func (s *Scheduler) dpAllocate(ctx *sched.Context, queue []*sched.JobState, jobTypes [][]gpu.Type, out map[int]cluster.Alloc) {
-	d := &dpSearch{
-		s: s, ctx: ctx, queue: queue, jobTypes: jobTypes,
-		memo: make(map[dpMemoKey]dpResult, 64),
+	d := &s.dp
+	d.s, d.ctx, d.queue, d.jobTypes = s, ctx, queue, jobTypes
+	if d.memo == nil {
+		d.memo = make(map[dpMemoKey]dpResult, 64)
 	}
-	for _, p := range d.rec(0, ctx.Free).picks {
+	clear(d.memo)
+	d.picks = d.picks[:0]
+	for i := d.rec(0, ctx.Free).picks; i != 0; i = d.picks[i-1].next {
+		p := d.picks[i-1]
 		if err := ctx.Free.Allocate(p.alloc); err != nil {
 			s.noteInconsistency(err)
 			continue

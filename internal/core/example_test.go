@@ -22,10 +22,7 @@ func Example() {
 		ID: 1, Model: "toy", Workers: 3, Epochs: 80, ItersPerEpoch: 3600,
 		Throughput: map[gpu.Type]float64{gpu.V100: 13.34, gpu.K80: 10},
 	}
-	state := &sched.JobState{
-		Job: j, Remaining: j.TotalIters(),
-		RoundsByType: make(map[gpu.Type]float64),
-	}
+	state := &sched.JobState{Job: j, Remaining: j.TotalIters()}
 	scheduler := core.New(core.DefaultOptions())
 	decisions := scheduler.Schedule(&sched.Context{
 		Now: 0, RoundLength: 360, Horizon: 1e6,

@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/bug"
 	"repro/internal/cluster"
@@ -81,8 +82,12 @@ func DefaultOptions() Options {
 // to admit and place jobs with positive payoff. It implements
 // sched.Scheduler and is not safe for concurrent use.
 type Scheduler struct {
-	opts       Options
-	lastAlpha  float64
+	opts      Options
+	lastAlpha float64
+	// prices is the round's price table, refilled in place by every
+	// Schedule; lastPrices points at it once a round has run (nil
+	// before), so what it reports is valid until the next Schedule.
+	prices     priceTable
 	lastPrices *priceTable
 	// inconsistencies counts internal allocation failures: decisions the
 	// dual subroutine produced that did not fit the free state it was
@@ -92,6 +97,8 @@ type Scheduler struct {
 	// across rounds (the scheduler is documented as not safe for
 	// concurrent use).
 	probe probe
+	// dp is the DP's memo and pick arena, reset by every search.
+	dp dpSearch
 	// Per-round scratch, all recycled between rounds: the
 	// density-ordered queue and its sort entries, and the per-job usable
 	// type lists carved from one arena.
@@ -161,11 +168,14 @@ func (s *Scheduler) noteInconsistency(err error) {
 
 // Schedule implements sched.Scheduler.
 func (s *Scheduler) Schedule(ctx *sched.Context) map[int]cluster.Alloc {
-	out := make(map[int]cluster.Alloc)
 	if len(ctx.Jobs) == 0 {
-		return out
+		return make(map[int]cluster.Alloc)
 	}
-	pt := newPriceTable(ctx, s.opts.Utility, s.opts.Eta, s.opts.ExponentialPrice)
+	// Every placed job holds at least one free device, so the map is
+	// sized once instead of growing through the passes.
+	out := make(map[int]cluster.Alloc, min(len(ctx.Jobs), ctx.Free.TotalFree()))
+	pt := &s.prices
+	pt.fill(ctx, s.opts.Utility, s.opts.Eta, s.opts.ExponentialPrice)
 	s.lastAlpha = pt.alpha()
 	s.lastPrices = pt
 
@@ -214,22 +224,19 @@ type queueEntry struct {
 	density float64
 }
 
-// queueByDensity orders entries by descending density, ties by
-// ascending job ID. Job IDs are unique, so the order is total and
-// sort.Sort (unstable) produces the same permutation a stable sort
-// would.
-type queueByDensity []queueEntry
-
-func (q queueByDensity) Len() int      { return len(q) }
-func (q queueByDensity) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q queueByDensity) Less(i, j int) bool {
-	if q[i].density > q[j].density {
-		return true
+// byDensity orders entries by descending density, ties by ascending job
+// ID. Job IDs are unique, so the order is total and an unstable sort
+// produces the same permutation a stable sort would. It is a
+// package-level function, not a closure or a sort.Interface, so sorting
+// allocates nothing.
+func byDensity(a, b queueEntry) int {
+	switch {
+	case a.density > b.density:
+		return -1
+	case a.density < b.density:
+		return 1
 	}
-	if q[i].density < q[j].density {
-		return false
-	}
-	return q[i].st.Job.ID < q[j].st.Job.ID
+	return cmp.Compare(a.st.Job.ID, b.st.Job.ID)
 }
 
 // orderQueue sorts jobs by descending payoff density: the utility of an
@@ -257,7 +264,7 @@ func (s *Scheduler) orderQueue(ctx *sched.Context) []*sched.JobState {
 		}
 		ents = append(ents, queueEntry{st: st, density: d})
 	}
-	sort.Sort(queueByDensity(ents))
+	slices.SortFunc(ents, byDensity)
 	queue := s.queueScratch[:0]
 	for _, e := range ents {
 		queue = append(queue, e.st)
@@ -285,10 +292,11 @@ func (s *Scheduler) sweep(ctx *sched.Context, queue []*sched.JobState, jobTypes 
 		if !ok || (cand.payoff <= 0 && !backfill) {
 			continue
 		}
-		if err := free.Allocate(cand.alloc); err != nil {
+		alloc := s.probe.retain(cand.alloc)
+		if err := free.Allocate(alloc); err != nil {
 			s.noteInconsistency(err)
 			continue
 		}
-		out[st.Job.ID] = cand.alloc
+		out[st.Job.ID] = alloc
 	}
 }

@@ -40,10 +40,15 @@ func mkCtx(c *cluster.Cluster, states ...*sched.JobState) *sched.Context {
 }
 
 func newState(j *job.Job) *sched.JobState {
-	return &sched.JobState{
-		Job: j, Remaining: j.TotalIters(),
-		RoundsByType: map[gpu.Type]float64{},
-	}
+	return &sched.JobState{Job: j, Remaining: j.TotalIters()}
+}
+
+// newPriceTable fills a fresh, one-off price table for ctx, the way
+// Schedule refills the scheduler's own.
+func newPriceTable(ctx *sched.Context, u Utility, eta float64, exponential bool) *priceTable {
+	pt := &priceTable{}
+	pt.fill(ctx, u, eta, exponential)
+	return pt
 }
 
 func validateDecision(t *testing.T, c *cluster.Cluster, states []*sched.JobState, out map[int]cluster.Alloc) {

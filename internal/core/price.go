@@ -16,18 +16,20 @@ type priceTable struct {
 	exponential bool
 	// curve[t][cap][used] caches at(t, used/cap) for every distinct
 	// per-node capacity of type t among the up nodes, evaluated once
-	// per round in newPriceTable with the exact same expression price
-	// would use, so the per-probe hot path indexes two slices instead of
-	// calling math.Pow. Immutable after construction.
+	// per round in fill with the exact same expression price would use,
+	// so the per-probe hot path indexes two slices instead of calling
+	// math.Pow. Fixed for the round; the rows are refilled in place.
 	curve [gpu.NumTypes][][]float64
 }
 
-// newPriceTable computes the round's utility bounds from the active job
-// set, following Eq. 6-8 with remaining work substituted for total work
-// (the online algorithm recomputes the bounds "based on the current
-// workload of the cluster").
-func newPriceTable(ctx *sched.Context, u Utility, eta float64, exponential bool) *priceTable {
-	pt := &priceTable{exponential: exponential}
+// fill recomputes the table for a round: the utility bounds from the
+// active job set, following Eq. 6-8 with remaining work substituted for
+// total work (the online algorithm recomputes the bounds "based on the
+// current workload of the cluster"), then the curves. The scheduler owns
+// one table and refills it every round, so it stays valid until the
+// next Schedule.
+func (pt *priceTable) fill(ctx *sched.Context, u Utility, eta float64, exponential bool) {
+	pt.exponential = exponential
 	for t := gpu.Type(0); t < gpu.NumTypes; t++ {
 		pt.umax[t] = 0
 		pt.umin[t] = math.Inf(1)
@@ -61,7 +63,10 @@ func newPriceTable(ctx *sched.Context, u Utility, eta float64, exponential bool)
 			horizonDur = age + tmax
 		}
 		uWorst := u.Value(j, rem, horizonDur) / (4 * eta * tmax * w)
-		for _, t := range sched.UsableTypes(j) {
+		for t := gpu.Type(0); t < gpu.NumTypes; t++ {
+			if j.Speed(t) <= 0 {
+				continue
+			}
 			if uBest > pt.umax[t] {
 				pt.umax[t] = uBest
 			}
@@ -84,7 +89,6 @@ func newPriceTable(ctx *sched.Context, u Utility, eta float64, exponential bool)
 		}
 	}
 	pt.fillCurves(ctx.Free)
-	return pt
 }
 
 // fillCurves evaluates the marginal price function once per (type,
@@ -93,20 +97,27 @@ func newPriceTable(ctx *sched.Context, u Utility, eta float64, exponential bool)
 // expression price would evaluate lazily, so cached and direct values
 // are bit-identical. The distinct capacities come from the state's own
 // per-capacity node counts, so the cost is independent of the node
-// count.
+// count. A row is made the first time its capacity has an up node and
+// overwritten from then on; rows of capacities no up node has are never
+// read (price gives a down node +Inf), so they may hold stale values.
 func (pt *priceTable) fillCurves(free *cluster.State) {
 	for t := gpu.Type(0); t < gpu.NumTypes; t++ {
 		counts := free.CapacityCounts(t)
-		pt.curve[t] = make([][]float64, len(counts))
+		if len(pt.curve[t]) != len(counts) {
+			pt.curve[t] = make([][]float64, len(counts))
+		}
 		for cap, nodes := range counts {
 			if nodes == 0 {
 				continue
 			}
-			row := make([]float64, cap+1)
-			for used := 0; used <= cap; used++ {
+			row := pt.curve[t][cap]
+			if row == nil {
+				row = make([]float64, cap+1)
+				pt.curve[t][cap] = row
+			}
+			for used := range row {
 				row[used] = pt.at(t, float64(used)/float64(cap))
 			}
-			pt.curve[t][cap] = row
 		}
 	}
 }

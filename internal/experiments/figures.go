@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/cluster"
-	"repro/internal/gpu"
 	"repro/internal/job"
 	"repro/internal/parallel"
 	"repro/internal/sched"
@@ -287,7 +286,6 @@ func Fig7(seed int64, maxJobs int) (*Fig7Result, error) {
 		for i, j := range tr {
 			states[i] = &sched.JobState{
 				Job: j, Remaining: j.TotalIters(),
-				RoundsByType: map[gpu.Type]float64{},
 			}
 		}
 		ctx := &sched.Context{

@@ -91,10 +91,7 @@ func (s *Scheduler) Schedule(ctx *sched.Context) map[int]cluster.Alloc {
 			if st.Job.Speed(t) <= 0 || frac[t] <= 0 {
 				continue
 			}
-			received := s.opts.Epsilon
-			if st.RoundsByType != nil {
-				received += st.RoundsByType[t]
-			}
+			received := s.opts.Epsilon + st.RoundsByType[t]
 			pairs = append(pairs, pair{st: st, t: t, priority: frac[t] / received})
 		}
 	}

@@ -248,7 +248,6 @@ func Replay(in Instance, s sched.Scheduler) (utility, alpha float64, err error) 
 	for i, j := range in.Jobs {
 		states[i] = &sched.JobState{
 			Job: j, Remaining: j.TotalIters(),
-			RoundsByType: make(map[gpu.Type]float64),
 		}
 	}
 	finished := make([]float64, len(in.Jobs))

@@ -141,7 +141,7 @@ func TestExplorationVisitsTypes(t *testing.T) {
 		gpu.Fleet{gpu.V100: 2}, gpu.Fleet{gpu.P100: 2}, gpu.Fleet{gpu.K80: 2},
 	)
 	j := testJob(0)
-	st := &sched.JobState{Job: j, Remaining: j.TotalIters(), RoundsByType: map[gpu.Type]float64{}}
+	st := &sched.JobState{Job: j, Remaining: j.TotalIters()}
 	e := New(core.New(core.DefaultOptions()), DefaultOptions())
 	seen := map[gpu.Type]bool{}
 	free := cluster.NewState(c)

@@ -239,7 +239,6 @@ func (c *Controller) Run(jobs []*job.Job) (rep *metrics.Report, retErr error) {
 		}
 		states[i] = &sched.JobState{
 			Job: j, Remaining: j.TotalIters(),
-			RoundsByType: make(map[gpu.Type]float64),
 		}
 	}
 	report := &metrics.Report{Scheduler: c.sched.Name() + "+rpc", TotalGPUs: c.free.Cluster().TotalGPUs()}

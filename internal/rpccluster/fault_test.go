@@ -180,8 +180,7 @@ func TestReleaseJobRemainingSemantics(t *testing.T) {
 	j := faultJob(1, 1, 1e9, 0)
 	st := &sched.JobState{
 		Job: j, Remaining: j.TotalIters(),
-		Alloc:        cluster.Alloc{{Node: 0, Type: gpu.V100, Count: 1}},
-		RoundsByType: map[gpu.Type]float64{},
+		Alloc: cluster.Alloc{{Node: 0, Type: gpu.V100, Count: 1}},
 	}
 	if err := ctl.launchJob(st, 0); err != nil {
 		t.Fatal(err)

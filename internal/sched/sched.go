@@ -32,8 +32,9 @@ type JobState struct {
 	// allocation.
 	Rounds int
 	// RoundsByType counts rounds per accelerator type (Gavel's priority
-	// denominator). A mixed-type round increments every type used.
-	RoundsByType map[gpu.Type]float64
+	// denominator), indexed by gpu.Type. A mixed-type round increments
+	// every type used.
+	RoundsByType [gpu.NumTypes]float64
 	// Started reports whether the job has ever been allocated;
 	// StartTime is the time of its first allocation.
 	Started   bool
@@ -79,6 +80,12 @@ type Context struct {
 // A policy searches directly on ctx.Free, under one savepoint it rolls
 // back before returning, and builds no state of its own: the state's
 // hash and savepoint depth are the same after the call as before it.
+//
+// Both sides lend memory for one round only. The caller reuses ctx and
+// its Jobs slice for the next call, so a policy does not keep them. The
+// returned allocations may live in the policy's own buffers, which it
+// may reuse from its next Schedule call on, so a caller that keeps an
+// allocation longer copies it (the engine copies the ones that changed).
 type Scheduler interface {
 	Name() string
 	Schedule(ctx *Context) map[int]cluster.Alloc

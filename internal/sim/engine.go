@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"sort"
 	"time"
@@ -109,6 +108,28 @@ type Engine struct {
 	done terminalIndex
 	// maxID is the largest ID in all.
 	maxID int
+
+	// Round scratch, made by the first round and reused by every round
+	// after it (NewEngine stays cheap: the sim benchmarks pay it as
+	// set-up every repetition). ctx is lent to the scheduler for the call
+	// only; its Jobs is a copy of active, which the round compacts in
+	// place. activeByID indexes active for validation, decisionIDs holds
+	// the decision map's keys sorted (validation and the digest walk
+	// them in that order), applied is the per-job record between the two
+	// apply passes, and canon the digest's canonicalisation buffer.
+	ctx         sched.Context
+	activeByID  map[int]*sched.JobState
+	decisionIDs []int
+	applied     []appliedJob
+	canon       cluster.Alloc
+}
+
+// appliedJob is one active job between runRound's two apply passes: its
+// allocation before this round and whether the decision changed it.
+type appliedJob struct {
+	st      *sched.JobState
+	prev    cluster.Alloc
+	changed bool
 }
 
 // NewEngine builds an engine over the cluster with the given scheduler
@@ -127,7 +148,6 @@ func NewEngine(c *cluster.Cluster, s sched.Scheduler, opts Options) (*Engine, er
 		totalGPUs: c.TotalGPUs(),
 
 		cancelRequested: make(map[int]bool),
-		prevDown:        map[int]bool{},
 	}
 	for t := range e.typeTotals {
 		e.typeTotals[t] = e.freeState.CapacityOfType(gpu.Type(t))
@@ -158,8 +178,10 @@ func (e *Engine) SubmitJob(j *job.Job) error {
 		return fmt.Errorf("sim: %w", err)
 	}
 	usable := 0
-	for _, t := range sched.UsableTypes(j) {
-		usable += e.typeTotals[t]
+	for t, n := range e.typeTotals {
+		if j.Speed(gpu.Type(t)) > 0 {
+			usable += n
+		}
 	}
 	if usable < j.Workers {
 		return fmt.Errorf("sim: %v can never be placed (needs %d workers, %d usable devices)",
@@ -169,9 +191,8 @@ func (e *Engine) SubmitJob(j *job.Job) error {
 		return fmt.Errorf("sim: duplicate job ID %d", j.ID)
 	}
 	st := &sched.JobState{
-		Job:          j,
-		Remaining:    j.TotalIters(),
-		RoundsByType: make(map[gpu.Type]float64),
+		Job:       j,
+		Remaining: j.TotalIters(),
 	}
 	e.track(j, JobPending)
 	arrival := j.Arrival
@@ -397,18 +418,16 @@ func (e *Engine) runRound() error {
 			}
 		}
 	}
-	e.prevDown = viewDown
-	if e.prevDown == nil {
-		e.prevDown = map[int]bool{}
-	}
+	e.prevDown = viewDown // nil without outages: reading it is fine
 
-	ctx := &sched.Context{
+	ctx := &e.ctx
+	*ctx = sched.Context{
 		Now:         e.now,
 		Round:       e.round,
 		RoundLength: e.opts.RoundLength,
 		Horizon:     horizon(e.now, e.active, e.opts.RoundLength),
 		Free:        e.freeState,
-		Jobs:        append([]*sched.JobState(nil), e.active...),
+		Jobs:        append(ctx.Jobs[:0], e.active...),
 	}
 	lentHash := e.freeState.Hash()
 	//lint:ignore wallclock DecisionTime reports the scheduler's real compute latency; it never feeds back into simulated time
@@ -422,25 +441,28 @@ func (e *Engine) runRound() error {
 		return fmt.Errorf("sim: %s did not return the lent free state as found (%d savepoints open, %d devices booked)",
 			e.s.Name(), e.freeState.Savepoints(), e.freeState.TotalCapacity()-e.freeState.TotalFree())
 	}
-	e.foldDigest(ctx.Round, decisions)
+	e.decisionIDs = e.decisionIDs[:0]
+	for id := range decisions {
+		e.decisionIDs = append(e.decisionIDs, id)
+	}
+	sort.Ints(e.decisionIDs)
+	e.foldDigest(ctx.Round, e.decisionIDs, decisions)
 
 	// Validate the joint decision.
-	activeByID := make(map[int]*sched.JobState, len(e.active))
+	if e.activeByID == nil {
+		e.activeByID = make(map[int]*sched.JobState, len(e.active))
+	}
+	clear(e.activeByID)
 	for _, st := range e.active {
-		activeByID[st.Job.ID] = st
+		e.activeByID[st.Job.ID] = st
 	}
 	// Validate against the same state the scheduler searched, under the
 	// engine's own savepoint: a down node has nothing free there, so a
 	// placement on it fails like any other over-allocation.
 	sp := e.freeState.Savepoint()
-	decisionIDs := make([]int, 0, len(decisions))
-	for id := range decisions {
-		decisionIDs = append(decisionIDs, id)
-	}
-	sort.Ints(decisionIDs)
-	for _, id := range decisionIDs {
+	for _, id := range e.decisionIDs {
 		alloc := decisions[id]
-		st, ok := activeByID[id]
+		st, ok := e.activeByID[id]
 		if !ok {
 			if alloc.Workers() > 0 {
 				return fmt.Errorf("sim: %s allocated to unknown or inactive job %d", e.s.Name(), id)
@@ -460,14 +482,12 @@ func (e *Engine) runRound() error {
 
 	// Apply decisions. First pass: detect reallocations and, when
 	// contention modeling is on, count how many reallocated jobs
-	// checkpoint through each node this round.
-	type appliedJob struct {
-		st      *sched.JobState
-		alloc   cluster.Alloc
-		prev    cluster.Alloc
-		changed bool
-	}
-	applied := make([]appliedJob, 0, len(e.active))
+	// checkpoint through each node this round. The decision is compared
+	// with the held allocation in place; only a change is copied out of
+	// the scheduler's memory (in canonical form), so the engine never
+	// holds scheduler-owned memory past the round, and an unchanged job —
+	// the common case — costs no allocation.
+	e.applied = e.applied[:0]
 	var nodeCheckpoints map[int]int
 	if e.opts.CheckpointContention {
 		// Only allocated when contention modeling is on: the common
@@ -475,25 +495,28 @@ func (e *Engine) runRound() error {
 		nodeCheckpoints = map[int]int{}
 	}
 	for _, st := range e.active {
-		newAlloc := decisions[st.Job.ID].Canonical()
 		prev := st.Alloc
-		changed := !newAlloc.Equal(prev)
-		st.Alloc = newAlloc
-		applied = append(applied, appliedJob{st: st, alloc: newAlloc, prev: prev, changed: changed})
+		decided := decisions[st.Job.ID]
+		changed := !decided.Equal(prev)
+		if changed {
+			st.Alloc = decided.Canonical()
+		}
+		e.applied = append(e.applied, appliedJob{st: st, prev: prev, changed: changed})
 		if e.opts.CheckpointContention && changed {
 			for _, p := range prev.Canonical() {
 				nodeCheckpoints[p.Node]++
 			}
-			for _, p := range newAlloc {
+			for _, p := range st.Alloc {
 				nodeCheckpoints[p.Node]++
 			}
 		}
 	}
 
-	// Second pass: advance each allocated job.
+	// Second pass: advance each allocated job, compacting the active set
+	// in place (kept never overtakes the pass).
 	anyAllocated := false
 	heldThisRound := 0
-	var stillActive []*sched.JobState
+	kept := e.active[:0]
 	var obs []invariant.JobRound
 	observe := func(st *sched.JobState, alloc cluster.Alloc, before, window float64, killed bool) {
 		obs = append(obs, invariant.JobRound{
@@ -502,8 +525,8 @@ func (e *Engine) runRound() error {
 			Window: window, Killed: killed,
 		})
 	}
-	for _, aj := range applied {
-		st, newAlloc, prev, changed := aj.st, aj.alloc, aj.prev, aj.changed
+	for _, aj := range e.applied {
+		st, newAlloc, prev, changed := aj.st, aj.st.Alloc, aj.prev, aj.changed
 		remBefore := st.Remaining
 		w := newAlloc.Workers()
 		if w == 0 {
@@ -516,15 +539,15 @@ func (e *Engine) runRound() error {
 			if e.chk != nil {
 				observe(st, nil, remBefore, 0, false)
 			}
-			stillActive = append(stillActive, st)
+			kept = append(kept, st)
 			continue
 		}
 		anyAllocated = true
 		if !st.Started {
 			st.Started = true
 			st.StartTime = e.now
-			if err := e.log.emit(Event{Time: e.now, Round: e.round, Type: EventStart,
-				Job: st.Job.ID, Node: -1, Alloc: newAlloc.String()}); err != nil {
+			if err := e.log.emitAlloc(Event{Time: e.now, Round: e.round, Type: EventStart,
+				Job: st.Job.ID, Node: -1}, newAlloc); err != nil {
 				return err
 			}
 		}
@@ -537,8 +560,8 @@ func (e *Engine) runRound() error {
 		if realloc {
 			e.report.JobRoundReallocs++
 			st.Reallocations++
-			if err := e.log.emit(Event{Time: e.now, Round: e.round, Type: EventRealloc,
-				Job: st.Job.ID, Node: -1, Alloc: newAlloc.String()}); err != nil {
+			if err := e.log.emitAlloc(Event{Time: e.now, Round: e.round, Type: EventRealloc,
+				Job: st.Job.ID, Node: -1}, newAlloc); err != nil {
 				return err
 			}
 		}
@@ -580,13 +603,21 @@ func (e *Engine) runRound() error {
 				if e.chk != nil {
 					observe(st, newAlloc, remBefore, window, true)
 				}
-				stillActive = append(stillActive, st)
+				kept = append(kept, st)
 				continue
 			}
 		}
 		st.Rounds++
-		for _, t := range newAlloc.Types() {
-			st.RoundsByType[t]++
+		var used uint
+		for _, p := range newAlloc {
+			if p.Count > 0 {
+				used |= 1 << p.Type
+			}
+		}
+		for t := range st.RoundsByType {
+			if used&(1<<t) != 0 {
+				st.RoundsByType[t]++
+			}
 		}
 
 		if rate <= 0 {
@@ -595,7 +626,7 @@ func (e *Engine) runRound() error {
 			if e.chk != nil {
 				observe(st, newAlloc, remBefore, window, false)
 			}
-			stillActive = append(stillActive, st)
+			kept = append(kept, st)
 			continue
 		}
 		if st.Remaining <= rate*window {
@@ -635,9 +666,10 @@ func (e *Engine) runRound() error {
 		if e.chk != nil {
 			observe(st, newAlloc, remBefore, window, false)
 		}
-		stillActive = append(stillActive, st)
+		kept = append(kept, st)
 	}
-	e.active = stillActive
+	clear(e.active[len(kept):]) // finished jobs leave no pointer behind
+	e.active = kept
 	if e.chk != nil {
 		e.chk.CheckRound(invariant.Round{
 			Index: e.round, Now: e.now, Length: e.opts.RoundLength,
@@ -663,43 +695,47 @@ func (e *Engine) runRound() error {
 	return nil
 }
 
+// FNV-64a parameters (hash/fnv's, folded inline by fnvWrite).
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnvWrite folds v's 8 little-endian bytes into the FNV-64a state h.
+func fnvWrite(h uint64, v int) uint64 {
+	u := uint64(v)
+	for i := 0; i < 8; i++ {
+		h ^= uint64(byte(u >> (8 * i)))
+		h *= fnvPrime64
+	}
+	return h
+}
+
 // foldDigest chains this round's canonical decisions into the engine's
 // running schedule digest: an FNV-64a hash of the round index and each
 // allocated job's ID and sorted (node, type, count) placements, chained
-// across rounds so reordering cannot cancel out. The scheme is
-// identical to the golden-digest recorder in determinism_test.go; only
-// integer decision data enters the hash, so the digest is stable across
-// platforms and Go versions as long as the schedule itself is. Recovery
-// uses it as its oracle: a journal replay must reproduce the digest
-// recorded after every round, byte for byte.
-func (e *Engine) foldDigest(round int, decisions map[int]cluster.Alloc) {
-	h := fnv.New64a()
-	write := func(v int) {
-		var b [8]byte
-		u := uint64(v)
-		for i := range b {
-			b[i] = byte(u >> (8 * i))
-		}
-		h.Write(b[:])
-	}
-	write(round)
-	ids := make([]int, 0, len(decisions))
-	for id := range decisions {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
+// across rounds so reordering cannot cancel out. ids are the decision
+// map's keys, ascending. The scheme is identical to the golden-digest
+// recorder in determinism_test.go; only integer decision data enters the
+// hash, so the digest is stable across platforms and Go versions as long
+// as the schedule itself is. Recovery uses it as its oracle: a journal
+// replay must reproduce the digest recorded after every round, byte for
+// byte.
+func (e *Engine) foldDigest(round int, ids []int, decisions map[int]cluster.Alloc) {
+	h := fnvWrite(fnvOffset64, round)
 	for _, id := range ids {
 		if decisions[id].Workers() == 0 {
 			continue
 		}
-		write(id)
-		for _, p := range decisions[id].Canonical() {
-			write(p.Node)
-			write(int(p.Type))
-			write(p.Count)
+		h = fnvWrite(h, id)
+		e.canon = decisions[id].AppendCanonical(e.canon[:0])
+		for _, p := range e.canon {
+			h = fnvWrite(h, p.Node)
+			h = fnvWrite(h, int(p.Type))
+			h = fnvWrite(h, p.Count)
 		}
 	}
-	e.digest = e.digest*1099511628211 + h.Sum64()
+	e.digest = e.digest*fnvPrime64 + h
 }
 
 // Digest returns the chained per-round schedule digest over every

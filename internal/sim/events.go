@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+
+	"repro/internal/cluster"
 )
 
 // EventType labels one simulator event.
@@ -69,6 +71,16 @@ func (l *eventLogger) emit(e Event) error {
 		return fmt.Errorf("sim: event log: %w", err)
 	}
 	return nil
+}
+
+// emitAlloc emits e with its Alloc field rendered from a. The rendering
+// is skipped, with the event, when there is no logger.
+func (l *eventLogger) emitAlloc(e Event, a cluster.Alloc) error {
+	if l == nil {
+		return nil
+	}
+	e.Alloc = a.String()
+	return l.emit(e)
 }
 
 // ReadEvents parses an event log produced via Options.EventLog.

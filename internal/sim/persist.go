@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"repro/internal/cluster"
-	"repro/internal/gpu"
 	"repro/internal/job"
 	"repro/internal/metrics"
 	"repro/internal/sched"
@@ -54,8 +53,8 @@ type activeJobState struct {
 	Remaining float64 `json:"remaining_iters"`
 	Attained  float64 `json:"attained_gpu_s"`
 	Rounds    int     `json:"rounds"`
-	// RoundsByType is dense, indexed by gpu.Type; zero entries restore
-	// to an absent map key, matching how the engine builds the map.
+	// RoundsByType is dense, indexed by gpu.Type, like the in-memory
+	// array it stores.
 	RoundsByType  []float64     `json:"rounds_by_type"`
 	Alloc         cluster.Alloc `json:"alloc,omitempty"`
 	Started       bool          `json:"started"`
@@ -127,14 +126,11 @@ func (e *Engine) MarshalState() ([]byte, error) {
 			Remaining:     a.Remaining,
 			Attained:      a.Attained,
 			Rounds:        a.Rounds,
-			RoundsByType:  make([]float64, gpu.NumTypes),
+			RoundsByType:  append([]float64(nil), a.RoundsByType[:]...),
 			Alloc:         a.Alloc,
 			Started:       a.Started,
 			StartTime:     a.StartTime,
 			Reallocations: a.Reallocations,
-		}
-		for t := gpu.Type(0); t < gpu.NumTypes; t++ {
-			as.RoundsByType[t] = a.RoundsByType[t]
 		}
 		st.Active = append(st.Active, as)
 	}
@@ -233,15 +229,15 @@ func RestoreEngine(c *cluster.Cluster, s sched.Scheduler, opts Options, data []b
 			Remaining:     as.Remaining,
 			Attained:      as.Attained,
 			Rounds:        as.Rounds,
-			RoundsByType:  make(map[gpu.Type]float64),
 			Alloc:         as.Alloc,
 			Started:       as.Started,
 			StartTime:     as.StartTime,
 			Reallocations: as.Reallocations,
 		}
+		// Entries past the known types, or not positive, read as 0.
 		for t, v := range as.RoundsByType {
-			if v > 0 {
-				js.RoundsByType[gpu.Type(t)] = v
+			if t < len(js.RoundsByType) && v > 0 {
+				js.RoundsByType[t] = v
 			}
 		}
 		e.active = append(e.active, js)
@@ -253,11 +249,7 @@ func RestoreEngine(c *cluster.Cluster, s sched.Scheduler, opts Options, data []b
 			if !ok {
 				return nil, fmt.Errorf("sim: restore: queued arrival for unknown job %d", ev.ID)
 			}
-			e.queue.Push(ev.Time, arriveEvent{st: &sched.JobState{
-				Job:          j,
-				Remaining:    j.TotalIters(),
-				RoundsByType: make(map[gpu.Type]float64),
-			}})
+			e.queue.Push(ev.Time, arriveEvent{st: &sched.JobState{Job: j, Remaining: j.TotalIters()}})
 			e.pendingArrivals++
 		case "withdraw":
 			e.queue.Push(ev.Time, withdrawEvent{id: ev.ID})
@@ -272,6 +264,9 @@ func RestoreEngine(c *cluster.Cluster, s sched.Scheduler, opts Options, data []b
 		// SetDown rejects a node the cluster does not have.
 		if err := e.freeState.SetDown(n, true); err != nil {
 			return nil, fmt.Errorf("sim: restore: prev_down: %w", err)
+		}
+		if e.prevDown == nil {
+			e.prevDown = make(map[int]bool, len(st.PrevDown))
 		}
 		e.prevDown[n] = true
 	}

@@ -18,7 +18,7 @@ func mkJob(id, workers int, arrival float64) *job.Job {
 }
 
 func newState(j *job.Job) *sched.JobState {
-	return &sched.JobState{Job: j, Remaining: j.TotalIters(), RoundsByType: map[gpu.Type]float64{}}
+	return &sched.JobState{Job: j, Remaining: j.TotalIters()}
 }
 
 func mkCtx(c *cluster.Cluster, states ...*sched.JobState) *sched.Context {
