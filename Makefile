@@ -11,7 +11,7 @@
 
 GO ?= go
 
-.PHONY: check build vet lint lint-fast lint-deep test race race-short stress bench-smoke bench-harness bench profile service-smoke experiments chaos crash-smoke crash-chaos fuzz-smoke fuzz-sync cover
+.PHONY: check build vet lint lint-fast lint-deep test test-386 race race-short stress bench-smoke bench-harness bench profile service-smoke experiments chaos crash-smoke crash-chaos fuzz-smoke fuzz-sync cover
 
 check: build vet lint test cover bench-harness
 
@@ -51,6 +51,15 @@ lint-deep:
 
 test:
 	$(GO) test ./...
+
+# test-386 runs the byte-exact fixtures on a 32-bit port (32-bit int,
+# pure-Go math): the golden schedule digests, the journals and the
+# checkpoint a parent commit wrote, and the seeds of the hand-written
+# throughput codec. Cross-compiled, so it runs on any amd64 host.
+test-386:
+	GOARCH=386 $(GO) test -run '^TestGoldenScheduleDigests$$' .
+	GOARCH=386 $(GO) test -run '^(TestParentJournalRecovers|TestOneMemberJournalMatchesParentBytes)$$' ./internal/service
+	GOARCH=386 $(GO) test -run '^(FuzzRatesJSON|TestRates.*|TestValidateRejectsUndefinedType)$$' ./internal/job
 
 race:
 	$(GO) test -race ./...
@@ -163,6 +172,7 @@ fuzz-smoke: fuzz-sync
 	$(GO) test -run='^$$' -fuzz='^FuzzSimRun$$' -fuzztime=$(FUZZTIME) ./internal/sim
 	$(GO) test -run='^$$' -fuzz='^FuzzScan$$' -fuzztime=$(FUZZTIME) ./internal/wal
 	$(GO) test -run='^$$' -fuzz='^FuzzReplayRecords$$' -fuzztime=$(FUZZTIME) ./internal/service
+	$(GO) test -run='^$$' -fuzz='^FuzzRatesJSON$$' -fuzztime=$(FUZZTIME) ./internal/job
 
 # cover prints per-package statement coverage and enforces floors on
 # the packages the correctness story leans on: the Hadar core, the

@@ -33,7 +33,7 @@ func main() {
 		return &job.Job{
 			ID: id, Model: "tiny", Workers: workers,
 			Epochs: int(iters), ItersPerEpoch: 1,
-			Throughput: map[gpu.Type]float64{
+			Throughput: job.Rates{
 				gpu.V100: 8 + rng.Uniform(0, 4),
 				gpu.K80:  1 + rng.Uniform(0, 3),
 			},

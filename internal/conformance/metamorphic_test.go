@@ -71,13 +71,15 @@ func TestArrivalPermutationInvariance(t *testing.T) {
 	}
 }
 
-// relabelJob builds a job whose throughput map is the image of j's
-// under the type permutation p.
+// relabelJob builds a job whose throughputs are the image of j's under
+// the type permutation p.
 func relabelJob(j *job.Job, p map[gpu.Type]gpu.Type) *job.Job {
 	out := *j
-	out.Throughput = make(map[gpu.Type]float64, len(j.Throughput))
+	out.Throughput = job.Rates{}
 	for t, v := range j.Throughput {
-		out.Throughput[p[t]] = v
+		if v > 0 {
+			out.Throughput[p[gpu.Type(t)]] = v
+		}
 	}
 	return &out
 }
@@ -134,7 +136,7 @@ func TestTypeRelabelIsomorphism(t *testing.T) {
 			jobs = append(jobs, relabelJob(&job.Job{
 				ID: i, Model: "relabel", Workers: s.workers, Arrival: s.arrival,
 				Epochs: int(s.iters), ItersPerEpoch: 1,
-				Throughput: map[gpu.Type]float64{gpu.V100: s.v, gpu.P100: s.pp, gpu.K80: s.k},
+				Throughput: job.Rates{gpu.V100: s.v, gpu.P100: s.pp, gpu.K80: s.k},
 			}, id))
 		}
 		return jobs

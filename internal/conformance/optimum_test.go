@@ -35,7 +35,7 @@ func randomTinyInstance(rng *rand.Rand) offline.Instance {
 		jobs[i] = &job.Job{
 			ID: i, Model: "rand-tiny", Workers: workers,
 			Epochs: iters, ItersPerEpoch: 1,
-			Throughput: map[gpu.Type]float64{gpu.V100: v, gpu.P100: p, gpu.K80: k},
+			Throughput: job.Rates{gpu.V100: v, gpu.P100: p, gpu.K80: k},
 		}
 	}
 	return offline.Instance{

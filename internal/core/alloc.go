@@ -36,10 +36,9 @@ type probe struct {
 	// the backing store candidate placements are carved from, and
 	// candScratch is the candidate list itself. All are recycled on
 	// every findAlloc call. retainArena backs the allocations the round
-	// hands out (see retain): it only grows between binds (so carved
-	// allocations stay valid for the whole round) and is re-based by
-	// bind, so a steady round allocates it once instead of once per
-	// placed job.
+	// hands out (see retain): it only grows between binds, so carved
+	// allocations stay valid for the whole round, and bind truncates it,
+	// so a steady round allocates nothing for it.
 	fillScratch []fillOption
 	candArena   []cluster.Placement
 	candScratch []cluster.Alloc
@@ -47,17 +46,16 @@ type probe struct {
 }
 
 // bind points the probe at a round's options, price table, and free
-// state. The retain arena is re-based (not truncated): allocations
-// carved during the previous round have escaped into its decision map,
-// so their backing array must never be overwritten. The new one is sized
-// to what the previous round carved, so a steady round makes it once.
+// state, and truncates the retain arena: the allocations the previous
+// round carved from it were lent to the caller only until this call
+// (sched.Scheduler), so their storage is reused.
 func (p *probe) bind(opts *Options, pt *priceTable, free *cluster.State) {
 	p.opts, p.pt, p.free = opts, pt, free
 	uniformSpeed := free.Cluster().UniformSpeed()
 	for t := range p.uniformFill {
 		p.uniformFill[t] = uniformSpeed && free.UniformCap(gpu.Type(t)) > 0
 	}
-	p.retainArena = make(cluster.Alloc, 0, len(p.retainArena))
+	p.retainArena = p.retainArena[:0]
 }
 
 // findAlloc is the paper's FIND_ALLOC subroutine (Algorithm 2, lines
@@ -161,7 +159,8 @@ func (p *probe) findAlloc(st *sched.JobState, ctx *sched.Context, types []gpu.Ty
 // into the round's retain arena and returns the carved copy: what the
 // passes allocate on the state and hand out. The arena grows
 // geometrically, and earlier carves stay valid because it is never
-// truncated below them within a round.
+// truncated within a round: a growth moves later carves to a new array
+// and leaves the earlier ones where they were.
 func (p *probe) retain(a cluster.Alloc) cluster.Alloc {
 	mark := len(p.retainArena)
 	p.retainArena = a.AppendCanonical(p.retainArena)

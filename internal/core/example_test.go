@@ -20,7 +20,7 @@ func Example() {
 	)
 	j := &job.Job{
 		ID: 1, Model: "toy", Workers: 3, Epochs: 80, ItersPerEpoch: 3600,
-		Throughput: map[gpu.Type]float64{gpu.V100: 13.34, gpu.K80: 10},
+		Throughput: job.Rates{gpu.V100: 13.34, gpu.K80: 10},
 	}
 	state := &sched.JobState{Job: j, Remaining: j.TotalIters()}
 	scheduler := core.New(core.DefaultOptions())

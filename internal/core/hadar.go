@@ -99,9 +99,11 @@ type Scheduler struct {
 	probe probe
 	// dp is the DP's memo and pick arena, reset by every search.
 	dp dpSearch
-	// Per-round scratch, all recycled between rounds: the
+	// Per-round scratch, all recycled between rounds: the decision map
+	// Schedule returns (lent to the caller until the next call), the
 	// density-ordered queue and its sort entries, and the per-job usable
 	// type lists carved from one arena.
+	decisions    map[int]cluster.Alloc
 	queueScratch []*sched.JobState
 	entScratch   []queueEntry
 	typesArena   []gpu.Type
@@ -166,14 +168,18 @@ func (s *Scheduler) noteInconsistency(err error) {
 	}
 }
 
-// Schedule implements sched.Scheduler.
+// Schedule implements sched.Scheduler. The returned map and its
+// allocations are the scheduler's own: the next call clears the map and
+// overwrites the allocations.
 func (s *Scheduler) Schedule(ctx *sched.Context) map[int]cluster.Alloc {
-	if len(ctx.Jobs) == 0 {
-		return make(map[int]cluster.Alloc)
+	if s.decisions == nil {
+		s.decisions = make(map[int]cluster.Alloc)
 	}
-	// Every placed job holds at least one free device, so the map is
-	// sized once instead of growing through the passes.
-	out := make(map[int]cluster.Alloc, min(len(ctx.Jobs), ctx.Free.TotalFree()))
+	out := s.decisions
+	clear(out)
+	if len(ctx.Jobs) == 0 {
+		return out
+	}
 	pt := &s.prices
 	pt.fill(ctx, s.opts.Utility, s.opts.Eta, s.opts.ExponentialPrice)
 	s.lastAlpha = pt.alpha()

@@ -24,7 +24,7 @@ func mkJob(id, workers int, iters float64, v100, p100, k80 float64) *job.Job {
 	return &job.Job{
 		ID: id, Model: "test", Workers: workers,
 		Epochs: int(iters), ItersPerEpoch: 1,
-		Throughput: map[gpu.Type]float64{gpu.V100: v100, gpu.P100: p100, gpu.K80: k80},
+		Throughput: job.Rates{gpu.V100: v100, gpu.P100: p100, gpu.K80: k80},
 	}
 }
 
@@ -154,7 +154,9 @@ func TestStickinessKeepsAllocation(t *testing.T) {
 	st := newState(j)
 	s := New(DefaultOptions())
 	ctx := mkCtx(c, st)
-	first := s.Schedule(ctx)[0]
+	// The result is lent until the next Schedule call, which overwrites
+	// it, so it is copied before that call, as the engine does.
+	first := s.Schedule(ctx)[0].Clone()
 	if first.Workers() == 0 {
 		t.Fatal("job not scheduled")
 	}

@@ -34,7 +34,7 @@ func MotivationJobs() []*job.Job {
 		return &job.Job{
 			ID: id, Name: fmt.Sprintf("J%d", id+1), Model: "toy",
 			Workers: workers, Epochs: epochs, ItersPerEpoch: itersPerEpoch,
-			Throughput: map[gpu.Type]float64{gpu.V100: v100, gpu.P100: p100, gpu.K80: k80},
+			Throughput: job.Rates{gpu.V100: v100, gpu.P100: p100, gpu.K80: k80},
 		}
 	}
 	return []*job.Job{

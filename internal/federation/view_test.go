@@ -109,7 +109,7 @@ func TestViewMatchesNodeScan(t *testing.T) {
 		}
 		m := f.members[0]
 		for probe := 0; probe < 8; probe++ {
-			j := &job.Job{ID: probe, Workers: 1 + rng.Intn(12), Throughput: map[gpu.Type]float64{}}
+			j := &job.Job{ID: probe, Workers: 1 + rng.Intn(12), Throughput: job.Rates{}}
 			for typ := gpu.Type(0); typ < gpu.NumTypes; typ++ {
 				if rng.Intn(2) == 0 {
 					j.Throughput[typ] = float64(1 + rng.Intn(4)) // ties are likely

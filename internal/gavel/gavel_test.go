@@ -12,7 +12,7 @@ import (
 func mkJob(id, workers int, model string, v100, p100, k80 float64) *job.Job {
 	return &job.Job{
 		ID: id, Model: model, Workers: workers, Epochs: 100, ItersPerEpoch: 100,
-		Throughput: map[gpu.Type]float64{gpu.V100: v100, gpu.P100: p100, gpu.K80: k80},
+		Throughput: job.Rates{gpu.V100: v100, gpu.P100: p100, gpu.K80: k80},
 	}
 }
 

@@ -19,7 +19,7 @@ func testJob(id, workers int) *job.Job {
 	return &job.Job{
 		ID: id, Name: "j", Model: "unit-test", Workers: workers,
 		Epochs: 100, ItersPerEpoch: 10,
-		Throughput: map[gpu.Type]float64{gpu.V100: 10, gpu.K80: 2},
+		Throughput: job.Rates{gpu.V100: 10, gpu.K80: 2},
 	}
 }
 

@@ -32,10 +32,10 @@ type Job struct {
 	ItersPerEpoch int
 	// Arrival is a_j, the submission time in seconds from trace start.
 	Arrival float64
-	// Throughput maps accelerator type r to X_j^r, the iterations per
-	// second one worker achieves on that type. Types absent from the map
-	// cannot run this job.
-	Throughput map[gpu.Type]float64
+	// Throughput holds X_j^r per accelerator type r, the iterations per
+	// second one worker achieves on that type. Types at 0 cannot run this
+	// job.
+	Throughput Rates
 }
 
 // TotalIters returns E_j * N_j, the iterations required to finish.
@@ -43,17 +43,23 @@ func (j *Job) TotalIters() float64 {
 	return float64(j.Epochs) * float64(j.ItersPerEpoch)
 }
 
-// Speed returns X_j^r for the given type, or 0 if the job cannot use it.
-func (j *Job) Speed(t gpu.Type) float64 { return j.Throughput[t] }
+// Speed returns X_j^r for the given type, or 0 if the job cannot use it
+// or t names no defined type.
+func (j *Job) Speed(t gpu.Type) float64 {
+	if !t.Valid() {
+		return 0
+	}
+	return j.Throughput[t]
+}
 
 // BestType returns the accelerator type with the highest throughput for
 // this job and that throughput. It returns ok=false if the job has no
 // usable type.
 func (j *Job) BestType() (best gpu.Type, speed float64, ok bool) {
 	speed = 0
-	for t := gpu.Type(0); t < gpu.NumTypes; t++ {
-		if x := j.Throughput[t]; x > speed {
-			best, speed, ok = t, x, true
+	for t, x := range &j.Throughput {
+		if x > speed {
+			best, speed, ok = gpu.Type(t), x, true
 		}
 	}
 	return best, speed, ok
@@ -63,9 +69,9 @@ func (j *Job) BestType() (best gpu.Type, speed float64, ok bool) {
 // usable types and the corresponding type. ok=false if none.
 func (j *Job) WorstType() (worst gpu.Type, speed float64, ok bool) {
 	speed = math.Inf(1)
-	for t := gpu.Type(0); t < gpu.NumTypes; t++ {
-		if x := j.Throughput[t]; x > 0 && x < speed {
-			worst, speed, ok = t, x, true
+	for t, x := range &j.Throughput {
+		if x > 0 && x < speed {
+			worst, speed, ok = gpu.Type(t), x, true
 		}
 	}
 	if !ok {
@@ -120,9 +126,9 @@ func (j *Job) Validate() error {
 		return fmt.Errorf("job %d: invalid arrival %v", j.ID, j.Arrival)
 	}
 	usable := false
-	for t, x := range j.Throughput {
+	for t, x := range &j.Throughput {
 		if x < 0 || math.IsNaN(x) || math.IsInf(x, 0) {
-			return fmt.Errorf("job %d: invalid throughput %v on %v", j.ID, x, t)
+			return fmt.Errorf("job %d: invalid throughput %v on %v", j.ID, x, gpu.Type(t))
 		}
 		if x > 0 {
 			usable = true

@@ -17,7 +17,7 @@ func sample() *Job {
 		Epochs:        10,
 		ItersPerEpoch: 100,
 		Arrival:       5,
-		Throughput: map[gpu.Type]float64{
+		Throughput: Rates{
 			gpu.V100: 10,
 			gpu.P100: 5,
 			gpu.K80:  1,
@@ -54,7 +54,7 @@ func TestBestWorstType(t *testing.T) {
 }
 
 func TestBestTypeNoUsable(t *testing.T) {
-	j := &Job{Workers: 1, Epochs: 1, ItersPerEpoch: 1, Throughput: map[gpu.Type]float64{}}
+	j := &Job{Workers: 1, Epochs: 1, ItersPerEpoch: 1, Throughput: Rates{}}
 	if _, _, ok := j.BestType(); ok {
 		t.Error("BestType reported usable type on empty throughput map")
 	}
@@ -104,7 +104,7 @@ func TestValidateErrors(t *testing.T) {
 		{"NaN arrival", func(j *Job) { j.Arrival = math.NaN() }},
 		{"negative throughput", func(j *Job) { j.Throughput[gpu.V100] = -1 }},
 		{"NaN throughput", func(j *Job) { j.Throughput[gpu.V100] = math.NaN() }},
-		{"no usable type", func(j *Job) { j.Throughput = map[gpu.Type]float64{gpu.V100: 0} }},
+		{"no usable type", func(j *Job) { j.Throughput = Rates{gpu.V100: 0} }},
 	}
 	for _, c := range cases {
 		j := sample()
@@ -144,7 +144,7 @@ func TestDurationOrderingProperty(t *testing.T) {
 		xa, xb, xc := float64(a)+1, float64(b)+1, float64(c)+1
 		j := &Job{
 			Workers: int(w%8) + 1, Epochs: 10, ItersPerEpoch: 10,
-			Throughput: map[gpu.Type]float64{gpu.V100: xa, gpu.P100: xb, gpu.K80: xc},
+			Throughput: Rates{gpu.V100: xa, gpu.P100: xb, gpu.K80: xc},
 		}
 		return j.MinDuration() <= j.MaxDuration()+1e-9
 	}
@@ -159,9 +159,9 @@ func TestDurationScalingProperty(t *testing.T) {
 		speed := float64(x%100) + 1
 		scale := float64(k%10) + 1
 		j1 := &Job{Workers: 2, Epochs: 5, ItersPerEpoch: 20,
-			Throughput: map[gpu.Type]float64{gpu.V100: speed}}
+			Throughput: Rates{gpu.V100: speed}}
 		j2 := &Job{Workers: 2, Epochs: 5, ItersPerEpoch: 20,
-			Throughput: map[gpu.Type]float64{gpu.V100: speed * scale}}
+			Throughput: Rates{gpu.V100: speed * scale}}
 		return math.Abs(j1.MinDuration()/scale-j2.MinDuration()) < 1e-9
 	}
 	if err := quick.Check(prop, nil); err != nil {

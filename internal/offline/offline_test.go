@@ -13,7 +13,7 @@ func tinyJob(id, workers int, iters float64, v100, k80 float64) *job.Job {
 	return &job.Job{
 		ID: id, Model: "tiny", Workers: workers,
 		Epochs: int(iters), ItersPerEpoch: 1,
-		Throughput: map[gpu.Type]float64{gpu.V100: v100, gpu.K80: k80},
+		Throughput: job.Rates{gpu.V100: v100, gpu.K80: k80},
 	}
 }
 

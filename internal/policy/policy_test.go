@@ -16,7 +16,7 @@ func mkJob(id, workers int, iters, arrival float64) *job.Job {
 	return &job.Job{
 		ID: id, Model: "m", Workers: workers, Epochs: int(iters), ItersPerEpoch: 1,
 		Arrival:    arrival,
-		Throughput: map[gpu.Type]float64{gpu.V100: 10, gpu.K80: 2},
+		Throughput: job.Rates{gpu.V100: 10, gpu.K80: 2},
 	}
 }
 

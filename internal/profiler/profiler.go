@@ -201,14 +201,13 @@ func (e *Estimator) Schedule(ctx *sched.Context) map[int]cluster.Alloc {
 	shadowJobs := make([]*sched.JobState, len(ctx.Jobs))
 	for i, st := range ctx.Jobs {
 		beliefs := e.beliefs(st.Job)
-		tp := make(map[gpu.Type]float64, len(beliefs))
+		shadowJob := *st.Job
+		shadowJob.Throughput = job.Rates{}
 		for t := gpu.Type(0); t < gpu.NumTypes; t++ {
 			if b, ok := beliefs[t]; ok {
-				tp[t] = b.rate
+				shadowJob.Throughput[t] = b.rate
 			}
 		}
-		shadowJob := *st.Job
-		shadowJob.Throughput = tp
 		shadowState := *st
 		shadowState.Job = &shadowJob
 		shadowJobs[i] = &shadowState

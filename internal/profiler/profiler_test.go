@@ -16,7 +16,7 @@ import (
 func testJob(id int) *job.Job {
 	return &job.Job{
 		ID: id, Model: "LSTM", Workers: 2, Epochs: 1000, ItersPerEpoch: 100,
-		Throughput: map[gpu.Type]float64{gpu.V100: 10, gpu.P100: 6, gpu.K80: 2},
+		Throughput: job.Rates{gpu.V100: 10, gpu.P100: 6, gpu.K80: 2},
 	}
 }
 

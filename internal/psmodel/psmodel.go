@@ -19,6 +19,7 @@ import (
 	"math"
 
 	"repro/internal/gpu"
+	"repro/internal/job"
 )
 
 // Accelerator describes a device type's sustained training throughput.
@@ -195,15 +196,18 @@ func (c Config) Throughput(m Model, t gpu.Type) (float64, error) {
 
 // ThroughputMatrix derives the full X_j^r profile for a model across
 // every configured accelerator type, the scheduler input of Table I.
-func (c Config) ThroughputMatrix(m Model) (map[gpu.Type]float64, error) {
+func (c Config) ThroughputMatrix(m Model) (job.Rates, error) {
 	if err := c.Validate(); err != nil {
-		return nil, err
+		return job.Rates{}, err
 	}
-	out := make(map[gpu.Type]float64, len(c.Accelerators))
-	for t := range c.Accelerators {
+	var out job.Rates
+	for t := gpu.Type(0); t < gpu.NumTypes; t++ {
+		if _, ok := c.Accelerators[t]; !ok {
+			continue
+		}
 		x, err := c.Throughput(m, t)
 		if err != nil {
-			return nil, err
+			return job.Rates{}, err
 		}
 		out[t] = x
 	}

@@ -118,11 +118,8 @@ func TestThroughputMatrixCompleteAndPositive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(matrix) != len(cfg.Accelerators) {
-			t.Errorf("%s matrix has %d types", m.Name, len(matrix))
-		}
-		for typ, x := range matrix {
-			if x <= 0 || math.IsInf(x, 0) || math.IsNaN(x) {
+		for typ := range cfg.Accelerators {
+			if x := matrix[typ]; x <= 0 || math.IsInf(x, 0) || math.IsNaN(x) {
 				t.Errorf("%s on %v: invalid throughput %v", m.Name, typ, x)
 			}
 		}

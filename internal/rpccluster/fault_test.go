@@ -25,7 +25,7 @@ func faultJob(id, workers int, iters, arrival float64) *job.Job {
 	return &job.Job{
 		ID: id, Name: "chaos", Model: "unit-test", Workers: workers,
 		Epochs: int(iters), ItersPerEpoch: 1, Arrival: arrival,
-		Throughput: map[gpu.Type]float64{gpu.V100: 10, gpu.P100: 6, gpu.K80: 2},
+		Throughput: job.Rates{gpu.V100: 10, gpu.P100: 6, gpu.K80: 2},
 	}
 }
 

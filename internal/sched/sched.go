@@ -83,9 +83,10 @@ type Context struct {
 //
 // Both sides lend memory for one round only. The caller reuses ctx and
 // its Jobs slice for the next call, so a policy does not keep them. The
-// returned allocations may live in the policy's own buffers, which it
-// may reuse from its next Schedule call on, so a caller that keeps an
-// allocation longer copies it (the engine copies the ones that changed).
+// returned map and its allocations may live in the policy's own
+// buffers, valid until the next Schedule call, which may clear and
+// overwrite them; a caller that keeps a decision longer copies it (the
+// engine copies the allocations that changed).
 type Scheduler interface {
 	Name() string
 	Schedule(ctx *Context) map[int]cluster.Alloc

@@ -12,7 +12,7 @@ import (
 func testJob() *job.Job {
 	return &job.Job{
 		ID: 1, Model: "LSTM", Workers: 3, Epochs: 10, ItersPerEpoch: 10,
-		Throughput: map[gpu.Type]float64{gpu.V100: 10, gpu.P100: 6, gpu.K80: 2},
+		Throughput: job.Rates{gpu.V100: 10, gpu.P100: 6, gpu.K80: 2},
 	}
 }
 
@@ -56,7 +56,7 @@ func TestRateAppliesNodeSpeed(t *testing.T) {
 
 func TestRateUnusableTypeIsZero(t *testing.T) {
 	j := testJob()
-	j.Throughput = map[gpu.Type]float64{gpu.V100: 10}
+	j.Throughput = job.Rates{gpu.V100: 10}
 	c := testCluster()
 	a := cluster.Alloc{{Node: 0, Type: gpu.V100, Count: 2}, {Node: 2, Type: gpu.K80, Count: 1}}
 	if got := Rate(j, c, a); got != 0 {
@@ -81,7 +81,7 @@ func TestValidateGang(t *testing.T) {
 
 func TestValidateUnusableType(t *testing.T) {
 	j := testJob()
-	j.Throughput = map[gpu.Type]float64{gpu.V100: 10}
+	j.Throughput = job.Rates{gpu.V100: 10}
 	a := cluster.Alloc{{Node: 0, Type: gpu.V100, Count: 2}, {Node: 2, Type: gpu.K80, Count: 1}}
 	if err := Validate(j, a); err == nil {
 		t.Error("unusable type accepted")

@@ -48,7 +48,7 @@ func simpleJob(id, workers int, iters float64) *job.Job {
 	return &job.Job{
 		ID: id, Name: "j", Model: "unit-test", Workers: workers,
 		Epochs: int(iters), ItersPerEpoch: 1,
-		Throughput: map[gpu.Type]float64{gpu.V100: 10, gpu.K80: 2},
+		Throughput: job.Rates{gpu.V100: 10, gpu.K80: 2},
 	}
 }
 

@@ -32,16 +32,15 @@ func TestNewEngineAllocBudget(t *testing.T) {
 
 // roundAllocs is what one ProcessNextEvent allocates on average once an
 // engine is warm, over a window of 200 rounds of the BenchmarkEngineStep
-// shape: measured 6 (Go 1.24), 364 at the parent of PR 25. A steady
-// round makes 5, all inside core.Scheduler.Schedule: the decision map it
-// returns, sized up front (4: the map, its directory, table and group
-// array), and the retain arena its placements are carved from (1). A
-// round in which a job finishes adds its terminal-index entry and report
-// row, and the next round copies each allocation that changed (1 each).
-// The engine's own share — context, job list, active index, decision
-// IDs, apply records, digest — reuses scratch and is 0. The margin of 2
-// absorbs a map implementation that allocates differently.
-const roundAllocs = 8
+// shape: measured 1 (Go 1.24). A steady round makes none: the
+// scheduler lends its decision map and retain arena until the next call
+// (core's TestWarmScheduleAllocatesNothing), and the engine's share —
+// context, job list, active index, decision IDs, apply records, digest
+// — reuses scratch. What remains is per change: the engine copies each
+// allocation that changed out of the lent arena, and a finishing job
+// adds its terminal-index entry and report row (1 each). The margin of
+// 1 absorbs a window with more changes.
+const roundAllocs = 2
 
 func TestRoundAllocBudget(t *testing.T) {
 	cfg := trace.DefaultConfig()

@@ -56,7 +56,7 @@ func FuzzSimRun(f *testing.F) {
 			jobs[i] = &job.Job{
 				ID: i, Model: "fuzz", Workers: workers, Arrival: arrival,
 				Epochs: iters, ItersPerEpoch: 1,
-				Throughput: map[gpu.Type]float64{gpu.V100: v, gpu.P100: p, gpu.K80: k},
+				Throughput: job.Rates{gpu.V100: v, gpu.P100: p, gpu.K80: k},
 			}
 		}
 

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/checkpoint"
-	"repro/internal/gpu"
 	"repro/internal/job"
 	"repro/internal/sched"
 )
@@ -134,7 +133,7 @@ func TestHorizonEdgeCases(t *testing.T) {
 	unusable := &job.Job{
 		ID: 1, Name: "stuck", Model: "unit-test", Workers: 1,
 		Epochs: 10, ItersPerEpoch: 1,
-		Throughput: map[gpu.Type]float64{},
+		Throughput: job.Rates{},
 	}
 	if !math.IsInf(unusable.MaxDuration(), 1) {
 		t.Fatal("test premise broken: unusable job has finite MaxDuration")

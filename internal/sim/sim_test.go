@@ -133,7 +133,7 @@ func simpleJob(id, workers int, iters float64, arrival float64) *job.Job {
 	return &job.Job{
 		ID: id, Name: "j", Model: "unit-test", Workers: workers,
 		Epochs: int(iters), ItersPerEpoch: 1, Arrival: arrival,
-		Throughput: map[gpu.Type]float64{gpu.V100: 10, gpu.K80: 2},
+		Throughput: job.Rates{gpu.V100: 10, gpu.K80: 2},
 	}
 }
 
@@ -373,7 +373,7 @@ func TestUnusableTypeCountsExcluded(t *testing.T) {
 	// Job can only use V100 but the cluster is K80-rich: unplaceable.
 	c := cluster.New(gpu.Fleet{gpu.V100: 1, gpu.K80: 8})
 	j := simpleJob(0, 2, 100, 0)
-	j.Throughput = map[gpu.Type]float64{gpu.V100: 10}
+	j.Throughput = job.Rates{gpu.V100: 10}
 	_, err := Run(c, []*job.Job{j}, fifo{}, ValidatedOptions())
 	if err == nil {
 		t.Error("job unplaceable on usable types accepted")

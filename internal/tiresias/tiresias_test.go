@@ -13,7 +13,7 @@ func mkJob(id, workers int, arrival float64) *job.Job {
 	return &job.Job{
 		ID: id, Model: "m", Workers: workers, Epochs: 100, ItersPerEpoch: 100,
 		Arrival:    arrival,
-		Throughput: map[gpu.Type]float64{gpu.V100: 10, gpu.P100: 5, gpu.K80: 2},
+		Throughput: job.Rates{gpu.V100: 10, gpu.P100: 5, gpu.K80: 2},
 	}
 }
 

@@ -146,8 +146,8 @@ func FromDemand(id int, spec ModelSpec, workers int, gpuHours, arrival float64) 
 		return nil, fmt.Errorf("trace: job %d: GPU-hour demand %v is not positive and finite", id, gpuHours)
 	}
 	best := 0.0
-	for t := gpu.Type(0); t < gpu.NumTypes; t++ {
-		if x := spec.Throughput[t]; x > best {
+	for _, x := range spec.Throughput {
+		if x > best {
 			best = x
 		}
 	}
@@ -228,10 +228,10 @@ type jobJSON struct {
 func Write(w io.Writer, jobs []*job.Job) error {
 	out := make([]jobJSON, len(jobs))
 	for i, j := range jobs {
-		tp := make(map[string]float64, len(j.Throughput))
-		for t := gpu.Type(0); t < gpu.NumTypes; t++ {
-			if x, ok := j.Throughput[t]; ok {
-				tp[t.String()] = x
+		tp := make(map[string]float64, gpu.NumTypes)
+		for t, x := range &j.Throughput {
+			if x > 0 {
+				tp[gpu.Type(t).String()] = x
 			}
 		}
 		out[i] = jobJSON{
@@ -261,7 +261,7 @@ func Read(r io.Reader) ([]*job.Job, error) {
 			names = append(names, name)
 		}
 		sort.Strings(names)
-		tp := make(map[gpu.Type]float64, len(jj.Throughput))
+		var tp job.Rates
 		for _, name := range names {
 			t, err := gpu.Parse(name)
 			if err != nil {

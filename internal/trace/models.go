@@ -7,7 +7,6 @@ package trace
 
 import (
 	"fmt"
-	"maps"
 
 	"repro/internal/bug"
 	"repro/internal/gpu"
@@ -74,49 +73,49 @@ type ModelSpec struct {
 	Dataset       string
 	Size          SizeClass
 	ItersPerEpoch int
-	Throughput    map[gpu.Type]float64
+	Throughput    job.Rates
 }
 
 var catalog = []ModelSpec{
 	{
 		Name: "ResNet-50", Task: "Image Classification", Dataset: "ImageNet",
 		Size: XLarge, ItersPerEpoch: 1000,
-		Throughput: map[gpu.Type]float64{
+		Throughput: job.Rates{
 			gpu.V100: 60, gpu.P100: 30, gpu.K80: 6, gpu.T4: 25, gpu.K520: 4,
 		},
 	},
 	{
 		Name: "ResNet-18", Task: "Image Classification", Dataset: "CIFAR-10",
 		Size: Small, ItersPerEpoch: 400,
-		Throughput: map[gpu.Type]float64{
+		Throughput: job.Rates{
 			gpu.V100: 300, gpu.P100: 180, gpu.K80: 60, gpu.T4: 150, gpu.K520: 40,
 		},
 	},
 	{
 		Name: "LSTM", Task: "Language Modeling", Dataset: "Wikitext-2",
 		Size: Large, ItersPerEpoch: 600,
-		Throughput: map[gpu.Type]float64{
+		Throughput: job.Rates{
 			gpu.V100: 80, gpu.P100: 48, gpu.K80: 16, gpu.T4: 40, gpu.K520: 10,
 		},
 	},
 	{
 		Name: "CycleGAN", Task: "Image-to-Image Translation", Dataset: "monet2photo",
 		Size: Medium, ItersPerEpoch: 250,
-		Throughput: map[gpu.Type]float64{
+		Throughput: job.Rates{
 			gpu.V100: 30, gpu.P100: 18, gpu.K80: 7.5, gpu.T4: 15, gpu.K520: 5,
 		},
 	},
 	{
 		Name: "Transformer", Task: "Language Translation", Dataset: "Multi30K (de-en)",
 		Size: Large, ItersPerEpoch: 600,
-		Throughput: map[gpu.Type]float64{
+		Throughput: job.Rates{
 			gpu.V100: 100, gpu.P100: 55, gpu.K80: 20, gpu.T4: 50, gpu.K520: 13,
 		},
 	},
 }
 
-// Catalog returns the Table II workloads. The returned specs share the
-// package's throughput maps and must not be modified.
+// Catalog returns the Table II workloads. The returned slice is the
+// package's own and must not be modified.
 func Catalog() []ModelSpec { return catalog }
 
 // ModelByName finds a catalog entry by its Table II name.
@@ -145,14 +144,13 @@ func ModelsForClass(s SizeClass) []ModelSpec {
 // CatalogWithThroughputs returns a copy of the Table II catalog with
 // each model's throughput profile replaced by the supplied derivation
 // (e.g. one computed from first principles by internal/psmodel). Models
-// absent from the map keep their calibrated defaults. The returned
-// specs own their throughput maps.
-func CatalogWithThroughputs(derived map[string]map[gpu.Type]float64) []ModelSpec {
+// absent from the map keep their calibrated defaults.
+func CatalogWithThroughputs(derived map[string]job.Rates) []ModelSpec {
 	out := make([]ModelSpec, len(catalog))
 	copy(out, catalog)
 	for i := range out {
 		if tp, ok := derived[out[i].Name]; ok {
-			out[i].Throughput = maps.Clone(tp)
+			out[i].Throughput = tp
 		}
 	}
 	return out
