@@ -28,8 +28,10 @@ vet:
 # analyzer corpora under internal/lint/testdata are exempt: fixtures
 # keep whatever shape their `// want` lines need), a grep that keeps
 # the policy packages from building a cluster.State of their own (they
-# search the one the caller lends in sched.Context.Free), plus the cheap
-# per-package syntactic rules; lint-deep is the interprocedural pass
+# search the one the caller lends in sched.Context.Free), a grep that
+# keeps experiments.Policies the only name-to-policy map (no `case
+# "hadar..."` switch in non-test code), plus the cheap per-package
+# syntactic rules; lint-deep is the interprocedural pass
 # (snapshot escape, goroutine ownership, digest taint, WAL ordering)
 # over the whole-module callgraph, run with per-analyzer timing and a
 # wall-time budget so it cannot silently blow up CI. `go run
@@ -44,6 +46,8 @@ lint-fast: vet
 	if [ -n "$$out" ]; then echo "gofmt: needs formatting:"; echo "$$out"; exit 1; fi
 	@out="$$(grep -rn 'cluster\.NewState(' --include='*.go' $(POLICY_PKGS) | grep -v '_test\.go:')"; \
 	if [ -n "$$out" ]; then echo "policies search ctx.Free, they do not build a state:"; echo "$$out"; exit 1; fi
+	@out="$$(grep -rn 'case "hadar' --include='*.go' . | grep -v '_test\.go:')"; \
+	if [ -n "$$out" ]; then echo "look policy names up in experiments.Policies, do not switch on them:"; echo "$$out"; exit 1; fi
 	$(GO) run ./cmd/repolint -set fast .
 
 lint-deep:

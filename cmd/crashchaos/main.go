@@ -45,7 +45,6 @@ import (
 	"repro/internal/federation"
 	"repro/internal/job"
 	"repro/internal/loadgen"
-	"repro/internal/policy"
 	"repro/internal/service"
 	"repro/internal/sim"
 )
@@ -302,17 +301,24 @@ func (r *seedRun) verifyJournal(snap snapDoc) error {
 // serverRouter is the -router every federated hadard under test gets.
 var serverRouter = federation.LeastQueue{}
 
+// serverPolicy is the -scheduler every hadard under test gets.
+const serverPolicy = "ref-srtf"
+
 // serverFederation mirrors the federation the hadard invocation builds;
 // the replay must run against an identical one or the replayed digests
 // diverge for configuration rather than correctness reasons.
 func (r *seedRun) serverFederation() (*federation.Federation, error) {
+	pol, err := experiments.LookupPolicy(serverPolicy)
+	if err != nil {
+		return nil, err
+	}
 	opts := sim.DefaultOptions()
 	opts.RoundLength = 6 * 60
 	opts.Validate = true
 	members := make([]federation.MemberConfig, r.members)
 	for i := range members {
 		members[i] = federation.MemberConfig{
-			Cluster: experiments.SimCluster(), Scheduler: policy.New(policy.SRTF, true), Sim: opts,
+			Cluster: experiments.SimCluster(), Scheduler: pol.New(), Sim: opts,
 		}
 	}
 	return federation.New(members, serverRouter, federation.Options{Validate: true})
@@ -327,7 +333,7 @@ func (r *seedRun) startServer(recover, tornWrite bool) error {
 		return err
 	}
 	args := []string{
-		"-scheduler", "ref-srtf", "-cluster", "sim", "-clock", "virtual",
+		"-scheduler", serverPolicy, "-cluster", "sim", "-clock", "virtual",
 		"-addr", "127.0.0.1:0", "-addr-file", addrFile,
 		"-wal", r.walDir(), "-fsync", "off", "-checkpoint-every", "16",
 		"-queue", "64",

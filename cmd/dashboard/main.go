@@ -17,8 +17,6 @@ import (
 	"fmt"
 	"net/http"
 	"os"
-	"strconv"
-	"strings"
 
 	"repro/internal/experiments"
 	"repro/internal/sched"
@@ -26,38 +24,6 @@ import (
 	"repro/internal/trace"
 	"repro/internal/web"
 )
-
-// failList collects repeated -fail flags as outage windows.
-type failList []sim.Failure
-
-func (f *failList) String() string {
-	var parts []string
-	for _, w := range *f {
-		parts = append(parts, fmt.Sprintf("%d:%g:%g", w.Node, w.Start, w.End))
-	}
-	return strings.Join(parts, ",")
-}
-
-func (f *failList) Set(s string) error {
-	parts := strings.Split(s, ":")
-	if len(parts) != 3 {
-		return fmt.Errorf("want node:start:end, got %q", s)
-	}
-	node, err := strconv.Atoi(parts[0])
-	if err != nil {
-		return fmt.Errorf("bad node in %q: %v", s, err)
-	}
-	start, err := strconv.ParseFloat(parts[1], 64)
-	if err != nil {
-		return fmt.Errorf("bad start in %q: %v", s, err)
-	}
-	end, err := strconv.ParseFloat(parts[2], 64)
-	if err != nil {
-		return fmt.Errorf("bad end in %q: %v", s, err)
-	}
-	*f = append(*f, sim.Failure{Node: node, Start: start, End: end})
-	return nil
-}
 
 func main() {
 	var (
@@ -67,7 +33,7 @@ func main() {
 		pattern = flag.String("pattern", "static", "arrival pattern: static or poisson")
 		rate    = flag.Float64("rate", 2.0/3600, "poisson arrival rate (jobs/second)")
 	)
-	var fails failList
+	var fails experiments.FailList
 	flag.Var(&fails, "fail", "inject a node outage node:start:end in seconds (repeatable)")
 	flag.Parse()
 

@@ -11,13 +11,14 @@
 //	       [-wal DIR] [-recover] [-fsync always|group|off]
 //	       [-fsync-interval 2ms] [-checkpoint-every 256]
 //
-// With -clusters N (N > 1) the daemon runs a federation: N independent
-// member clusters, each with its own scheduler instance, advanced on
-// one shared clock, with the -router policy picking the owning member
-// for every submission at the front door. The same HTTP surface is
-// served; job queries additionally report the owning member. Every
-// other flag, -wal and -recover included, means the same for one
-// cluster and for many.
+// -scheduler takes any name in experiments.Policies (`hadard -h` lists
+// them). With -clusters N (N > 1) the daemon runs a federation: N
+// independent member clusters, each with its own scheduler instance,
+// advanced on one shared clock, with the -router policy picking the
+// owning member for every submission at the front door. The same HTTP
+// surface is served; job queries additionally report the owning
+// member. Every other flag, -wal and -recover included, means the same
+// for one cluster and for many.
 //
 // The HTTP surface combines the dashboard (/, /jobs, /api/summary)
 // with the live control API:
@@ -64,13 +65,9 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/allox"
-	"repro/internal/cluster"
 	"repro/internal/experiments"
 	"repro/internal/federation"
 	"repro/internal/loadgen"
-	"repro/internal/policy"
-	"repro/internal/sched"
 	"repro/internal/service"
 	"repro/internal/sim"
 	"repro/internal/wal"
@@ -78,7 +75,7 @@ import (
 )
 
 var (
-	schedName  = flag.String("scheduler", "hadar", "scheduler: hadar, hadar-makespan, gavel, tiresias, yarn-cs, allox, ref-fifo, ref-srtf")
+	schedName  = flag.String("scheduler", "hadar", "scheduler: "+experiments.PolicyNames())
 	clusterSel = flag.String("cluster", "sim", "cluster config: sim (60 GPUs) or physical (8 GPUs)")
 	addr       = flag.String("addr", ":8080", "HTTP listen address")
 	clockSel   = flag.String("clock", "virtual", "round pacing: virtual (as fast as possible) or wall")
@@ -109,12 +106,13 @@ var (
 func main() {
 	flag.Parse()
 
-	s, err := pickScheduler(*schedName)
+	pol, err := experiments.LookupPolicy(*schedName)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "hadard: %v\n", err)
 		os.Exit(2)
 	}
-	c, err := pickCluster(*clusterSel)
+	s := pol.New()
+	c, err := experiments.LookupCluster(*clusterSel)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "hadard: %v\n", err)
 		os.Exit(2)
@@ -161,7 +159,7 @@ func main() {
 	// The two modes differ only in the federation and the banner.
 	var svc *service.Service
 	if *clusters > 1 {
-		svc, err = service.NewFed(newFederation(simOpts), opts)
+		svc, err = service.NewFed(newFederation(pol, simOpts), opts)
 	} else {
 		svc, err = service.New(c, s, opts)
 	}
@@ -183,8 +181,8 @@ func main() {
 }
 
 // newFederation builds -clusters members, each with its own cluster and
-// scheduler instance, behind -router; it exits on a flag it cannot honour.
-func newFederation(simOpts sim.Options) *federation.Federation {
+// instance of pol, behind -router; it exits on a flag it cannot honour.
+func newFederation(pol experiments.Policy, simOpts sim.Options) *federation.Federation {
 	router, err := federation.NewRouter(*routerSel)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "hadard: %v\n", err)
@@ -192,13 +190,12 @@ func newFederation(simOpts sim.Options) *federation.Federation {
 	}
 	members := make([]federation.MemberConfig, *clusters)
 	for i := range members {
-		// main has already accepted these names.
-		mc, _ := pickCluster(*clusterSel)
-		ms, _ := pickScheduler(*schedName)
+		// main has already accepted this name.
+		mc, _ := experiments.LookupCluster(*clusterSel)
 		members[i] = federation.MemberConfig{
 			Name:      fmt.Sprintf("region%d", i),
 			Cluster:   mc,
-			Scheduler: ms,
+			Scheduler: pol.New(),
 			Sim:       simOpts,
 		}
 	}
@@ -292,38 +289,6 @@ func crashFailPoint() wal.FailPoint {
 		close(tripped)
 		return int(after % int64(len(frame)+1))
 	}
-}
-
-func pickScheduler(name string) (sched.Scheduler, error) {
-	switch name {
-	case "hadar":
-		return experiments.NewHadar(), nil
-	case "hadar-makespan":
-		return experiments.NewHadarMakespan(), nil
-	case "gavel":
-		return experiments.NewGavel(), nil
-	case "tiresias":
-		return experiments.NewTiresias(), nil
-	case "yarn-cs":
-		return experiments.NewYARNCS(), nil
-	case "allox":
-		return allox.New(), nil
-	case "ref-fifo":
-		return policy.New(policy.FIFO, true), nil
-	case "ref-srtf":
-		return policy.New(policy.SRTF, true), nil
-	}
-	return nil, fmt.Errorf("unknown scheduler %q", name)
-}
-
-func pickCluster(name string) (*cluster.Cluster, error) {
-	switch name {
-	case "sim":
-		return experiments.SimCluster(), nil
-	case "physical":
-		return experiments.PhysicalCluster(), nil
-	}
-	return nil, fmt.Errorf("unknown cluster %q", name)
 }
 
 // smokeReport is the JSON document the smoke run prints for CI logs.

@@ -9,10 +9,10 @@
 //	         [-fail node:start:end]...
 //	         [-cpuprofile cpu.out] [-memprofile mem.out] [-exectrace trace.out]
 //
-// Schedulers: hadar, hadar-makespan, gavel, tiresias, yarn-cs.
-// With -trace, jobs are loaded from a tracegen JSON file instead of
-// being synthesized. Each -fail injects one machine outage window
-// (seconds); the flag repeats for multiple outages.
+// -scheduler takes any name in experiments.Policies (`hadarsim -h`
+// lists them). With -trace, jobs are loaded from a tracegen JSON file
+// instead of being synthesized. Each -fail injects one machine outage
+// window (seconds); the flag repeats for multiple outages.
 //
 // The profiling flags capture the simulation loop only (setup and
 // report printing excluded): -cpuprofile and -memprofile write pprof
@@ -28,50 +28,13 @@ import (
 	"runtime"
 	"runtime/pprof"
 	rtrace "runtime/trace"
-	"strconv"
-	"strings"
 
-	"repro/internal/allox"
 	"repro/internal/experiments"
 	"repro/internal/job"
 	"repro/internal/metrics"
-	"repro/internal/policy"
-	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
-
-// failList collects repeated -fail flags as outage windows.
-type failList []sim.Failure
-
-func (f *failList) String() string {
-	var parts []string
-	for _, w := range *f {
-		parts = append(parts, fmt.Sprintf("%d:%g:%g", w.Node, w.Start, w.End))
-	}
-	return strings.Join(parts, ",")
-}
-
-func (f *failList) Set(s string) error {
-	parts := strings.Split(s, ":")
-	if len(parts) != 3 {
-		return fmt.Errorf("want node:start:end, got %q", s)
-	}
-	node, err := strconv.Atoi(parts[0])
-	if err != nil {
-		return fmt.Errorf("bad node in %q: %v", s, err)
-	}
-	start, err := strconv.ParseFloat(parts[1], 64)
-	if err != nil {
-		return fmt.Errorf("bad start in %q: %v", s, err)
-	}
-	end, err := strconv.ParseFloat(parts[2], 64)
-	if err != nil {
-		return fmt.Errorf("bad end in %q: %v", s, err)
-	}
-	*f = append(*f, sim.Failure{Node: node, Start: start, End: end})
-	return nil
-}
 
 // runProfiled brackets fn with whichever profilers were requested: CPU
 // profile and execution trace around the run, heap profile (after a
@@ -117,7 +80,7 @@ func runProfiled(cpu, mem, trc string, fn func() (*metrics.Report, error)) (*met
 
 func main() {
 	var (
-		schedName  = flag.String("scheduler", "hadar", "scheduler: hadar, hadar-makespan, gavel, tiresias, yarn-cs, allox, ref-fifo, ref-srtf")
+		schedName  = flag.String("scheduler", "hadar", "scheduler: "+experiments.PolicyNames())
 		clusterSel = flag.String("cluster", "sim", "cluster config: sim (60 GPUs) or physical (8 GPUs)")
 		n          = flag.Int("jobs", 480, "number of synthesized jobs (ignored with -trace)")
 		seed       = flag.Int64("seed", 1, "random seed")
@@ -132,43 +95,22 @@ func main() {
 		memProf    = flag.String("memprofile", "", "write a post-simulation heap profile to this file")
 		execTrace  = flag.String("exectrace", "", "write a runtime execution trace of the simulation to this file")
 	)
-	var fails failList
+	var fails experiments.FailList
 	flag.Var(&fails, "fail", "inject a node outage node:start:end in seconds (repeatable)")
 	flag.Parse()
 
-	var s sched.Scheduler
-	switch *schedName {
-	case "hadar":
-		s = experiments.NewHadar()
-	case "hadar-makespan":
-		s = experiments.NewHadarMakespan()
-	case "gavel":
-		s = experiments.NewGavel()
-	case "tiresias":
-		s = experiments.NewTiresias()
-	case "yarn-cs":
-		s = experiments.NewYARNCS()
-	case "allox":
-		s = allox.New()
-	case "ref-fifo":
-		s = policy.New(policy.FIFO, true)
-	case "ref-srtf":
-		s = policy.New(policy.SRTF, true)
-	default:
-		fmt.Fprintf(os.Stderr, "hadarsim: unknown scheduler %q\n", *schedName)
+	pol, err := experiments.LookupPolicy(*schedName)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "hadarsim: %v\n", err)
 		os.Exit(2)
 	}
-
-	c := experiments.SimCluster()
-	if *clusterSel == "physical" {
-		c = experiments.PhysicalCluster()
-	} else if *clusterSel != "sim" {
-		fmt.Fprintf(os.Stderr, "hadarsim: unknown cluster %q\n", *clusterSel)
+	c, err := experiments.LookupCluster(*clusterSel)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "hadarsim: %v\n", err)
 		os.Exit(2)
 	}
 
 	var jobs []*job.Job
-	var err error
 	if *traceFile != "" {
 		f, ferr := os.Open(*traceFile)
 		if ferr != nil {
@@ -202,6 +144,7 @@ func main() {
 		defer f.Close()
 		opts.EventLog = f
 	}
+	s := pol.New()
 	report, err := runProfiled(*cpuProf, *memProf, *execTrace, func() (*metrics.Report, error) {
 		return sim.Run(c, jobs, s, opts)
 	})

@@ -9,9 +9,11 @@
 //	            [-timescale 36000] [-round 6] [-model-costs]
 //	            [-drop 0] [-latency 0] [-chaos-seed 1]
 //
-// With the default timescale, one wall-clock second represents ten
-// simulated hours, so the Table III workload replays in a few seconds
-// while still exercising live launch/preempt/checkpoint RPCs.
+// -scheduler takes any name in experiments.Policies (`livecluster -h`
+// lists them). With the default timescale, one wall-clock second
+// represents ten simulated hours, so the Table III workload replays in
+// a few seconds while still exercising live launch/preempt/checkpoint
+// RPCs.
 //
 // -drop and -latency inject RPC faults (a drop probability and a
 // delay probability with delays up to half the call timeout) through a
@@ -29,13 +31,12 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/gpu"
 	"repro/internal/rpccluster"
-	"repro/internal/sched"
 	"repro/internal/trace"
 )
 
 func main() {
 	var (
-		schedName  = flag.String("scheduler", "hadar", "hadar, hadar-makespan, gavel, tiresias, yarn-cs")
+		schedName  = flag.String("scheduler", "hadar", "scheduler: "+experiments.PolicyNames())
 		jobs       = flag.Int("jobs", 10, "number of prototype jobs")
 		seed       = flag.Int64("seed", 7, "workload seed")
 		timescale  = flag.Float64("timescale", 36000, "simulated seconds per wall-clock second")
@@ -47,22 +48,12 @@ func main() {
 	)
 	flag.Parse()
 
-	var s sched.Scheduler
-	switch *schedName {
-	case "hadar":
-		s = experiments.NewHadar()
-	case "hadar-makespan":
-		s = experiments.NewHadarMakespan()
-	case "gavel":
-		s = experiments.NewGavel()
-	case "tiresias":
-		s = experiments.NewTiresias()
-	case "yarn-cs":
-		s = experiments.NewYARNCS()
-	default:
-		fmt.Fprintf(os.Stderr, "livecluster: unknown scheduler %q\n", *schedName)
+	pol, err := experiments.LookupPolicy(*schedName)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "livecluster: %v\n", err)
 		os.Exit(2)
 	}
+	s := pol.New()
 
 	// The prototype fleet: 8 GPUs across four machine types.
 	nodeTypes := []gpu.Type{gpu.T4, gpu.K520, gpu.K80, gpu.V100}

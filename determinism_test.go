@@ -7,18 +7,13 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/allox"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/gavel"
 	"repro/internal/gpu"
-	"repro/internal/policy"
 	"repro/internal/sched"
 	"repro/internal/sim"
-	"repro/internal/tiresias"
 	"repro/internal/trace"
-	"repro/internal/yarncs"
 )
 
 // TestSchedulerDeterminism runs the seed Philly-like trace through every
@@ -34,17 +29,9 @@ func TestSchedulerDeterminism(t *testing.T) {
 	if testing.Short() {
 		numJobs = 96
 	}
-	schedulers := map[string]func() sched.Scheduler{
-		"hadar":           func() sched.Scheduler { return core.New(core.DefaultOptions()) },
-		"gavel":           func() sched.Scheduler { return gavel.New(gavel.Options{}) },
-		"tiresias":        func() sched.Scheduler { return tiresias.New(tiresias.DefaultOptions()) },
-		"yarn-cs":         func() sched.Scheduler { return yarncs.New() },
-		"allox":           func() sched.Scheduler { return allox.New() },
-		"ref-srtf-sticky": func() sched.Scheduler { return policy.New(policy.SRTF, true) },
-	}
-	for name, mk := range schedulers {
-		mk := mk
-		t.Run(name, func(t *testing.T) {
+	for _, p := range experiments.Policies {
+		mk := p.New
+		t.Run(mk().Name(), func(t *testing.T) {
 			t.Parallel()
 			first := scheduleFingerprint(t, mk(), numJobs)
 			second := scheduleFingerprint(t, mk(), numJobs)
@@ -158,6 +145,18 @@ var goldenDigests = map[string]map[int]uint64{
 		96:  0xb71ee4fe0857b27a,
 		480: 0x4598ac0671e4a3b7,
 	},
+	"hadar-makespan": {
+		96:  0x84033596d382806f,
+		480: 0x3198654896cb004c,
+	},
+	"ref-fifo-sticky": {
+		96:  0xa9d182e7c76d699c,
+		480: 0xb669ecca83e4d124,
+	},
+	"ref-srtf-sticky": {
+		96:  0x127d6434e9875dbc,
+		480: 0x9bfc8f921412d0fb,
+	},
 	// Hadar on stragglerCluster, where fillType prices node by node
 	// (2 618 and 5 144 rounds).
 	"hadar-straggler": {
@@ -167,11 +166,14 @@ var goldenDigests = map[string]map[int]uint64{
 	// Every policy on SimCluster under outageWindows: what a policy
 	// reads about a down node (capacity, per-type totals, the type
 	// list, eta's total) is part of the schedule.
-	"hadar-outage":    {96: 0x237f662ada77865},
-	"gavel-outage":    {96: 0x26c1e0cc510ed2b7},
-	"tiresias-outage": {96: 0x4cc3d3f3834750d7},
-	"yarn-cs-outage":  {96: 0xafd69792fa2668ac},
-	"allox-outage":    {96: 0x19502a85ee7652ef},
+	"hadar-outage":           {96: 0x237f662ada77865},
+	"gavel-outage":           {96: 0x26c1e0cc510ed2b7},
+	"tiresias-outage":        {96: 0x4cc3d3f3834750d7},
+	"yarn-cs-outage":         {96: 0xafd69792fa2668ac},
+	"allox-outage":           {96: 0x19502a85ee7652ef},
+	"hadar-makespan-outage":  {96: 0xedefa62d8c67bc29},
+	"ref-fifo-sticky-outage": {96: 0x479283602d93bf4d},
+	"ref-srtf-sticky-outage": {96: 0x6c5e327a72970d44},
 }
 
 // outageWindows is two overlapping outages on SimCluster, both starting
@@ -219,16 +221,13 @@ func TestGoldenScheduleDigests(t *testing.T) {
 	if testing.Short() {
 		numJobs = 96
 	}
-	schedulers := map[string]func() sched.Scheduler{
-		"hadar":           func() sched.Scheduler { return core.New(core.DefaultOptions()) },
-		"gavel":           func() sched.Scheduler { return gavel.New(gavel.Options{}) },
-		"tiresias":        func() sched.Scheduler { return tiresias.New(tiresias.DefaultOptions()) },
-		"yarn-cs":         func() sched.Scheduler { return yarncs.New() },
-		"allox":           func() sched.Scheduler { return allox.New() },
-		"hadar-straggler": func() sched.Scheduler { return core.New(core.DefaultOptions()) },
-	}
-	for _, name := range []string{"hadar", "gavel", "tiresias", "yarn-cs", "allox"} {
-		schedulers[name+"-outage"] = schedulers[name]
+	// Every table policy on SimCluster, with and without outages, named
+	// by the policy it builds, plus Hadar on stragglerCluster.
+	schedulers := map[string]func() sched.Scheduler{"hadar-straggler": experiments.NewHadar}
+	for _, p := range experiments.Policies {
+		name := p.New().Name()
+		schedulers[name] = p.New
+		schedulers[name+"-outage"] = p.New
 	}
 	for name, mk := range schedulers {
 		mk := mk

@@ -4,30 +4,25 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/allox"
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/gavel"
 	"repro/internal/job"
 	"repro/internal/metrics"
 	"repro/internal/sched"
 	"repro/internal/sim"
-	"repro/internal/tiresias"
 	"repro/internal/trace"
-	"repro/internal/yarncs"
 )
 
-// policies returns a fresh instance of every scheduling policy under
-// test, keyed by name. Fresh instances matter: schedulers carry
-// per-run state (leases, service counters, memoization).
+// policies returns the constructor of every row of experiments.Policies,
+// keyed by the name the policy reports. Fresh instances matter:
+// schedulers carry per-run state (leases, service counters,
+// memoization).
 func policies() map[string]func() sched.Scheduler {
-	return map[string]func() sched.Scheduler{
-		"hadar":    func() sched.Scheduler { return core.New(core.DefaultOptions()) },
-		"gavel":    func() sched.Scheduler { return gavel.New(gavel.Options{}) },
-		"tiresias": func() sched.Scheduler { return tiresias.New(tiresias.DefaultOptions()) },
-		"yarn-cs":  func() sched.Scheduler { return yarncs.New() },
-		"allox":    func() sched.Scheduler { return allox.New() },
+	out := make(map[string]func() sched.Scheduler, len(experiments.Policies))
+	for _, p := range experiments.Policies {
+		out[p.New().Name()] = p.New
 	}
+	return out
 }
 
 // seededTrace generates a deterministic workload for the given seed and

@@ -3,11 +3,14 @@
 // the four schedulers under comparison, and provides one harness
 // function per table and figure in Section IV. Each harness returns a
 // typed result plus a formatted table mirroring the paper's rows/series.
+//
+// It also holds Policies, the one name-to-policy table every binary and
+// every cross-policy test ranges over, beside the -cluster and -fail
+// flag parsers the binaries share.
 package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/cluster"
@@ -93,15 +96,6 @@ func NewHadarMakespan() sched.Scheduler {
 	return core.New(opts)
 }
 
-// NewHadarFTF returns Hadar with the finish-time-fairness utility for
-// the given workload size and cluster.
-func NewHadarFTF(jobs, totalGPUs int) sched.Scheduler {
-	opts := core.DefaultOptions()
-	opts.Utility = core.FinishTimeFairness{Jobs: jobs, TotalGPUs: totalGPUs}
-	opts.NameSuffix = "-ftf"
-	return core.New(opts)
-}
-
 // NewGavel returns the Gavel baseline in its paper configuration.
 func NewGavel() sched.Scheduler { return gavel.New(gavel.Options{}) }
 
@@ -141,18 +135,16 @@ func RunComparison(c *cluster.Cluster, jobs []*job.Job, scheds []sched.Scheduler
 	return cmp, nil
 }
 
-// Speedup returns how many times larger metric(b) is than metric(a),
-// i.e. the paper's "Hadar improves X by N x over B" with a as Hadar.
-func (c *Comparison) Speedup(a, b string, metric func(*metrics.Report) float64) float64 {
-	ra, rb := c.Reports[a], c.Reports[b]
-	if ra == nil || rb == nil {
-		return 0
+// without returns order minus name, keeping order: a comparison's
+// baselines are its Order without the Hadar series.
+func without(order []string, name string) []string {
+	out := make([]string, 0, len(order))
+	for _, n := range order {
+		if n != name {
+			out = append(out, n)
+		}
 	}
-	va := metric(ra)
-	if va <= 0 {
-		return 0
-	}
-	return metric(rb) / va
+	return out
 }
 
 // Table renders the headline metrics of every scheduler.
@@ -167,13 +159,4 @@ func (c *Comparison) Table() string {
 			100*r.Utilization(), 100*r.Occupancy(), r.AvgFTF(), r.AvgQueueDelay()/3600)
 	}
 	return sb.String()
-}
-
-// SortedNames returns scheduler names ordered by ascending average JCT.
-func (c *Comparison) SortedNames() []string {
-	names := append([]string(nil), c.Order...)
-	sort.Slice(names, func(a, b int) bool {
-		return c.Reports[names[a]].AvgJCT() < c.Reports[names[b]].AvgJCT()
-	})
-	return names
 }

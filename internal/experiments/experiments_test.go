@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/gpu"
-	"repro/internal/metrics"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -243,19 +242,11 @@ func TestComparisonHelpers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	names := cmp.SortedNames()
-	if len(names) != 2 {
-		t.Fatalf("SortedNames = %v", names)
+	if got := strings.Join(cmp.Order, ","); got != "hadar,gavel" {
+		t.Errorf("Order = %s, want input order hadar,gavel", got)
 	}
-	if cmp.Reports[names[0]].AvgJCT() > cmp.Reports[names[1]].AvgJCT() {
-		t.Error("SortedNames not ascending by avg JCT")
-	}
-	sp := cmp.Speedup("hadar", "gavel", func(r *metrics.Report) float64 { return r.AvgJCT() })
-	if sp <= 0 {
-		t.Errorf("Speedup = %v", sp)
-	}
-	if cmp.Speedup("nope", "gavel", func(r *metrics.Report) float64 { return 1 }) != 0 {
-		t.Error("Speedup with unknown scheduler should be 0")
+	if got := without(cmp.Order, "hadar"); len(got) != 1 || got[0] != "gavel" {
+		t.Errorf("baselines = %v, want [gavel]", got)
 	}
 	if !strings.Contains(cmp.Table(), "avgJCT") {
 		t.Error("Table header missing")

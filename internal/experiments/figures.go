@@ -118,10 +118,7 @@ func (f *Fig3Result) String() string {
 		sb.WriteByte('\n')
 	}
 	sb.WriteString(f.Cmp.Table())
-	for _, base := range []string{"gavel", "tiresias", "yarn-cs"} {
-		if _, ok := f.Cmp.Reports[base]; !ok {
-			continue
-		}
+	for _, base := range without(f.Cmp.Order, "hadar") {
 		fmt.Fprintf(&sb, "Hadar avg-JCT speedup vs %-9s: %.2fx (median %.2fx)\n",
 			base,
 			f.Cmp.Reports[base].AvgJCT()/f.Cmp.Reports["hadar"].AvgJCT(),

@@ -71,7 +71,7 @@ func (sw *SeedSweep) String() string {
 		fmt.Fprintf(&sb, "%-12s %14.2f %24s\n", name,
 			stats.Mean(xs)/3600, fmt.Sprintf("[%.2f, %.2f]", lo/3600, hi/3600))
 	}
-	for _, base := range []string{"gavel", "tiresias", "yarn-cs"} {
+	for _, base := range without(sw.Order, "hadar") {
 		xs, ok := sw.Speedup[base]
 		if !ok {
 			continue

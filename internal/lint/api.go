@@ -42,13 +42,13 @@ var stdoutPrinters = map[string]bool{
 }
 
 // analyzerPrint forbids writing to stdout from library code: fmt.Print*
-// (and the print/println builtins) belong in cmd/ and examples/, where
-// the binary owns its output stream. Library code printing directly
-// corrupts machine-read exports and the dashboard's responses.
+// (and the print/println builtins) belong in cmd/, where the binary
+// owns its output stream. Library code printing directly corrupts
+// machine-read exports and the dashboard's responses.
 var analyzerPrint = &Analyzer{
 	Name: "printrule",
-	Doc: "forbid fmt.Print/Println/Printf and the print/println builtins outside cmd/ and " +
-		"examples/; library code must write through an injected io.Writer",
+	Doc: "forbid fmt.Print/Println/Printf and the print/println builtins outside cmd/; " +
+		"library code must write through an injected io.Writer",
 	Run: func(p *Pass) {
 		inspectAll(p, func(n ast.Node) bool {
 			switch e := n.(type) {

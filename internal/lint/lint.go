@@ -162,7 +162,9 @@ var schedulerPath = []string{
 	"repro/internal/gavel",
 	"repro/internal/tiresias",
 	"repro/internal/yarncs",
+	"repro/internal/allox",
 	"repro/internal/policy",
+	"repro/internal/profiler",
 	"repro/internal/invariant",
 	"repro/internal/trace",
 	"repro/internal/eventq",
@@ -224,7 +226,7 @@ func DefaultConfig() *Config {
 			// internal/bug is the designated invariant-violation hook.
 			"panicrule": {"repro/internal/bug"},
 			// Binaries own their stdout.
-			"printrule": {"repro/cmd/...", "repro/examples/..."},
+			"printrule": {"repro/cmd/..."},
 		},
 	}
 }

@@ -175,10 +175,13 @@ func sortedIntKeys(m map[int]bool) []int {
 // continues exactly where the checkpointed one stopped — same clock,
 // same admission order, same pending events, same chained digest — so
 // replaying the journal tail after it reproduces the original run's
-// per-round digests. Every scheduler in the repository derives its
-// decisions from the per-round Context and the JobStates restored here
-// (cross-round scheduler fields are caches or reporting), which is what
-// makes a fresh scheduler instance safe.
+// per-round digests. A fresh scheduler instance is safe only for a
+// policy that derives its decisions from the per-round Context and the
+// JobStates restored here, its cross-round fields being caches or
+// reporting. Every policy in experiments.Policies does, which
+// conformance's TestRestoreResumesEveryPolicy checks. profiler.Estimator
+// does not: its throughput beliefs are learned across rounds and not
+// checkpointed, so a restored engine diverges at its first step.
 func RestoreEngine(c *cluster.Cluster, s sched.Scheduler, opts Options, data []byte) (*Engine, error) {
 	var st engineState
 	if err := json.Unmarshal(data, &st); err != nil {
