@@ -11,7 +11,7 @@
 
 GO ?= go
 
-.PHONY: check build vet lint lint-fast lint-deep test test-386 race race-short stress bench-smoke bench-harness bench profile service-smoke experiments chaos crash-smoke crash-chaos fuzz-smoke fuzz-sync cover
+.PHONY: check build vet lint lint-fast lint-deep test test-386 race race-short stress bench-smoke bench-harness bench profile service-smoke experiments chaos crash-smoke fuzz-smoke fuzz-sync cover
 
 check: build vet lint test cover bench-harness
 
@@ -30,9 +30,11 @@ vet:
 # the policy packages from building a cluster.State of their own (they
 # search the one the caller lends in sched.Context.Free), a grep that
 # keeps experiments.Policies the only name-to-policy map (no `case
-# "hadar..."` switch in non-test code), plus the cheap per-package
+# "hadar..."` switch in non-test code), a grep that keeps crash
+# failpoints out of the program (TestCrashEnumeration drives every
+# crash through wal.FS instead), plus the cheap per-package
 # syntactic rules; lint-deep is the interprocedural pass
-# (snapshot escape, goroutine ownership, digest taint, WAL ordering)
+# (snapshot escape, goroutine ownership, digest taint)
 # over the whole-module callgraph, run with per-analyzer timing and a
 # wall-time budget so it cannot silently blow up CI. `go run
 # ./cmd/repolint -rules` lists the rule catalogue; suppress
@@ -48,6 +50,8 @@ lint-fast: vet
 	if [ -n "$$out" ]; then echo "policies search ctx.Free, they do not build a state:"; echo "$$out"; exit 1; fi
 	@out="$$(grep -rn 'case "hadar' --include='*.go' . | grep -v '_test\.go:')"; \
 	if [ -n "$$out" ]; then echo "look policy names up in experiments.Policies, do not switch on them:"; echo "$$out"; exit 1; fi
+	@out="$$(grep -rnE 'CRASH_AFTER_BYTES|FailPoint' --include='*.go' . | grep -v '_test\.go:')"; \
+	if [ -n "$$out" ]; then echo "crashes are enumerated through wal.FS in tests, not armed in the program:"; echo "$$out"; exit 1; fi
 	$(GO) run ./cmd/repolint -set fast .
 
 lint-deep:
@@ -208,19 +212,13 @@ experiments:
 chaos:
 	$(GO) test -race -run 'TestChaosMatrix' -count=1 ./internal/rpccluster -args -chaosseeds=5
 
-# crash-smoke is the CI-sized kill/restart loop for the write-ahead
-# journal: a race-instrumented hadard is SIGKILLed (and torn mid-append
-# via the crash failpoint) at seeded points, restarted with -recover,
-# and must lose no acknowledged job, admit no duplicate, and replay to
-# byte-identical per-round schedule digests — once as a single cluster,
-# once as three members behind one front door.
+# crash-smoke SIGKILLs a race-instrumented hadard with a journal once,
+# restarts it with -recover, and requires every acknowledged job back,
+# every key to dedup and a clean SIGTERM exit — once as a single
+# cluster, once as three members behind one front door. The crash space
+# itself is enumerated in process by TestCrashEnumeration
+# (internal/service), which `test` and both race targets run.
 crash-smoke:
 	$(GO) build -race -o bin/hadard-race ./cmd/hadard
-	$(GO) run ./cmd/crashchaos -hadard bin/hadard-race -seeds 4 -jobs 24 -timeout 120s
-	$(GO) run ./cmd/crashchaos -hadard bin/hadard-race -clusters 3 -seeds 4 -jobs 24 -timeout 120s
-
-# crash-chaos is the full sweep: >= 20 seeds, each killing the server
-# once or twice at a seed-derived point before finishing cleanly.
-crash-chaos:
-	$(GO) build -o bin/hadard ./cmd/hadard
-	$(GO) run ./cmd/crashchaos -hadard bin/hadard -seeds 20 -jobs 32 -timeout 120s
+	$(GO) run ./cmd/crashchaos -hadard bin/hadard-race -clusters 1
+	$(GO) run ./cmd/crashchaos -hadard bin/hadard-race -clusters 3

@@ -38,11 +38,6 @@
 // rejected-and-emptied, the journal is flushed, and a final checkpoint
 // is written, so the next -recover replays nothing.
 //
-// The HADARD_CRASH_AFTER_BYTES environment variable arms a crash
-// failpoint for the chaos harness (cmd/crashchaos): the journal append
-// that would cross that byte offset is torn partway through its frame
-// and the process exits hard — a SIGKILL landing inside write(2).
-//
 // Smoke mode (-smoke) swaps the HTTP server for an internal closed-loop
 // load drive: it generates a seeded workload, pushes it through the
 // admission queue as fast as the engine absorbs it, waits for every
@@ -60,7 +55,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -152,7 +146,6 @@ func main() {
 			GroupInterval:   *fsyncEvery,
 			CheckpointEvery: *ckptEvery,
 			Recover:         *recoverWAL,
-			FailPoint:       crashFailPoint(),
 		}
 	}
 
@@ -258,37 +251,6 @@ func run(scheduler, banner string, svc *service.Service) int {
 	}
 	fmt.Println("hadard: clean shutdown")
 	return 0
-}
-
-// crashFailPoint arms the chaos harness's mid-append kill. When
-// HADARD_CRASH_AFTER_BYTES=N is set, the journal append that would
-// cross byte offset N is torn at a threshold-derived position inside
-// the frame and the process exits hard a moment later, emulating a
-// SIGKILL that lands inside write(2). The short grace lets the torn
-// bytes reach the file before the exit.
-func crashFailPoint() wal.FailPoint {
-	env := os.Getenv("HADARD_CRASH_AFTER_BYTES")
-	if env == "" {
-		return nil
-	}
-	after, err := strconv.ParseInt(env, 10, 64)
-	if err != nil || after < 0 {
-		fmt.Fprintf(os.Stderr, "hadard: bad HADARD_CRASH_AFTER_BYTES %q\n", env)
-		os.Exit(2)
-	}
-	tripped := make(chan struct{})
-	go func() {
-		<-tripped
-		time.Sleep(10 * time.Millisecond)
-		os.Exit(137)
-	}()
-	return func(offset int64, frame []byte) int {
-		if offset+int64(len(frame)) <= after {
-			return -1
-		}
-		close(tripped)
-		return int(after % int64(len(frame)+1))
-	}
 }
 
 // smokeReport is the JSON document the smoke run prints for CI logs.

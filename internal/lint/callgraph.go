@@ -10,7 +10,7 @@ import (
 )
 
 // This file builds the whole-module view the interprocedural analyzers
-// (snapescape, ownership, digesttaint, walorder) share: a callgraph
+// (snapescape, ownership, digesttaint) share: a callgraph
 // over every declared function and method, with interface calls
 // resolved to the module's implementations and `go`-launched function
 // literals split out as goroutine roots. It stays zero-dependency:

@@ -12,7 +12,7 @@ import (
 //
 //   - a type whose doc contains "single-owner" or "not safe for
 //     concurrent use" is GUARDED: exactly one goroutine may mutate it
-//     after construction (ownership, walorder);
+//     after construction (ownership);
 //   - a struct type whose name ends in "Snapshot" or whose doc
 //     contains "immutable after publish" is a SNAPSHOT: once returned
 //     to a reader it must not alias any mutable state (snapescape);

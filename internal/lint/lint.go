@@ -217,10 +217,6 @@ func DefaultConfig() *Config {
 			"floateq":    {"repro/internal/..."},
 			"gostop":     {"repro/internal/rpccluster"},
 			"panicrule":  {"repro/internal/..."},
-			// The WAL apply->append->reply contract lives in the
-			// service's journaling sites; elsewhere the rule has
-			// nothing to say.
-			"walorder": {"repro/internal/service", "repro/internal/wal"},
 		},
 		Skip: map[string][]string{
 			// internal/bug is the designated invariant-violation hook.
@@ -255,7 +251,6 @@ func AnalyzersDeep() []*Analyzer {
 		analyzerSnapEscape,
 		analyzerOwnership,
 		analyzerDigestTaint,
-		analyzerWALOrder,
 	}
 }
 

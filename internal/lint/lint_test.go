@@ -245,7 +245,7 @@ func TestAnalyzerSetsAndTimings(t *testing.T) {
 			t.Errorf("deep analyzer %s must have a module pass", a.Name)
 		}
 	}
-	pkg := loadCorpus(t, "walorder", "example.com/corpus/walorder")
+	pkg := loadCorpus(t, "ownership", "example.com/corpus/ownership")
 	_, timings := RunTimed([]*Package{pkg}, deep, nil)
 	if len(timings) != len(deep) {
 		t.Fatalf("RunTimed returned %d timings for %d analyzers", len(timings), len(deep))

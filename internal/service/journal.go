@@ -38,9 +38,9 @@ type WALConfig struct {
 	// empty. Without Recover, New refuses a Dir that already has a
 	// journal rather than silently overwriting it.
 	Recover bool
-	// FailPoint, when non-nil, is passed to the journal writer for
-	// crash-injection tests (see wal.FailPoint).
-	FailPoint wal.FailPoint
+	// FS receives every write the journal and checkpoints make (see
+	// wal.FS); nil is the operating system. Tests record and fault it.
+	FS wal.FS
 }
 
 func (c *WALConfig) normalize() {
@@ -155,7 +155,7 @@ func openJournal(fed *federation.Federation, keys map[string]int, cfg WALConfig)
 		return nil, fmt.Errorf("service: %s already has a journal; pass Recover to resume it or remove it first",
 			cfg.Dir)
 	}
-	w, err := wal.Create(journalPath(cfg.Dir), cfg.Policy, cfg.FailPoint)
+	w, err := wal.Create(journalPath(cfg.Dir), cfg.Policy, cfg.FS)
 	if err != nil {
 		return nil, fmt.Errorf("service: create journal: %w", err)
 	}
@@ -194,10 +194,25 @@ func (s *Service) commit(rec walRecord, reply chan verdict, v verdict) {
 	reply <- v
 }
 
+// release delivers a verdict that journals nothing — a deduplicated
+// retry — once what it reports is durable: at once, unless group-commit
+// verdicts are waiting, when the original may be in that unsynced batch
+// and the verdict joins it.
+func (j *journal) release(reply chan verdict, v verdict) {
+	if j == nil || len(j.pending) == 0 {
+		reply <- v
+		return
+	}
+	j.pending = append(j.pending, pendingVerdict{reply: reply, v: v})
+}
+
 // appendRecord marshals and appends one journal frame, tracking the
 // absolute record count for checkpoint addressing. A failed append
 // poisons the journal path: err sticks and the run loop exits.
 func (j *journal) appendRecord(rec walRecord) error {
+	if j.err != nil {
+		return j.err
+	}
 	payload, err := json.Marshal(&rec)
 	if err != nil {
 		j.err = err
@@ -273,7 +288,7 @@ func (j *journal) writeCheckpoint(keys map[string]int) {
 	if err != nil {
 		return
 	}
-	if wal.WriteCheckpoint(checkpointPath(j.cfg.Dir), payload) == nil {
+	if wal.WriteCheckpointFS(j.cfg.FS, checkpointPath(j.cfg.Dir), payload) == nil {
 		j.sinceCkpt = 0
 	}
 }

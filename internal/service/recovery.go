@@ -14,7 +14,7 @@ import (
 )
 
 // Recovery describes what a WAL recovery did; Service.Recovery exposes
-// it for logging and for the chaos harness's assertions.
+// it for hadard's startup log and for the crash tests' assertions.
 type Recovery struct {
 	// CheckpointSeq is the journal index the loaded checkpoint
 	// embodied (0 when recovery started from a fresh engine).
@@ -105,7 +105,7 @@ func recoverJournal(fed *federation.Federation, keys map[string]int, cfg WALConf
 	info.Replayed = len(records)
 	info.RoundsVerified = tally.Rounds
 
-	if j.w, err = wal.OpenAppend(journalPath(cfg.Dir), validSize, cfg.Policy, cfg.FailPoint); err != nil {
+	if j.w, err = wal.OpenAppend(journalPath(cfg.Dir), validSize, cfg.Policy, cfg.FS); err != nil {
 		return nil, fmt.Errorf("service: reopen journal: %w", err)
 	}
 	// Re-anchor the checkpoint at the recovered position: this bounds
@@ -198,8 +198,8 @@ type VerifyResult struct {
 // VerifyWAL replays the entire journal in dir from a fresh engine —
 // ignoring any checkpoint — and digest-verifies every round record.
 // The journal is the canonical operation sequence, so this replay IS
-// the uninterrupted run; the chaos harness compares its digest against
-// the recovered service's to prove crash-and-recover changed nothing.
+// the uninterrupted run; comparing its digest with the recovered
+// service's proves crash-and-recover changed nothing.
 func VerifyWAL(c *cluster.Cluster, s sched.Scheduler, simOpts sim.Options, dir string) (*VerifyResult, error) {
 	fed, err := single(c, s, simOpts)
 	if err != nil {

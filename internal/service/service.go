@@ -527,7 +527,7 @@ func (s *Service) handle(r request) {
 		if r.key != "" {
 			if id, ok := s.keys[r.key]; ok {
 				s.deduped.Add(1)
-				r.reply <- verdict{id: id, deduped: true}
+				s.journal.release(r.reply, verdict{id: id, deduped: true})
 				return
 			}
 		}
@@ -578,14 +578,15 @@ func (s *Service) shutdown() {
 		}
 		break
 	}
+	// Deferred group commits are acked only if this sync succeeds; a
+	// failed sync fails the journal and hands them the error.
+	s.journal.flushGroup(true)
 	if err := s.journal.failure(); err != nil {
-		s.journal.flushGroup(true) // delivers the journal error to deferred verdicts
 		s.journal.w.Abort()
 		s.finalErr = fmt.Errorf("service: journal failed: %w", err)
 		return
 	}
-	s.journal.flushGroup(true)
-	if s.journal != nil && s.journal.err == nil {
+	if s.journal != nil {
 		// Checkpoint before Finish: Finish finalizes the report for
 		// consumption and the federation must be persisted resumable.
 		s.journal.writeCheckpoint(s.keys)

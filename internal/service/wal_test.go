@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -361,23 +362,62 @@ func TestServiceWALCorruptCheckpointFallsBack(t *testing.T) {
 	})
 }
 
-// TestServiceWALFailPointCrash injects a crash mid-append: the caller
-// whose record tore gets an error (never a false ack), the loop dies
-// like a crashed process, and recovery preserves every acked job.
+// tearFS is the OS with one journal append torn: the fourth record
+// written after the header keeps a third of its frame and reports
+// ENOSPC, as a disk that filled mid-append would.
+// The journal writer stays on the engine goroutine, so no lock.
+type tearFS struct{ appends int }
+
+type tearFile struct {
+	*os.File
+	fs      *tearFS
+	journal bool
+	header  bool
+}
+
+func (t *tearFS) OpenFile(name string, flag int) (wal.File, error) {
+	f, err := os.OpenFile(name, flag, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	return &tearFile{File: f, fs: t, journal: filepath.Base(name) == "journal.wal", header: flag&os.O_TRUNC != 0}, nil
+}
+
+func (t *tearFS) Rename(oldpath, newpath string) error { return os.Rename(oldpath, newpath) }
+
+func (t *tearFS) Remove(name string) error { return os.Remove(name) }
+
+func (t *tearFS) SyncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
+}
+
+func (f *tearFile) Write(p []byte) (int, error) {
+	if !f.journal {
+		return f.File.Write(p)
+	}
+	if f.header { // a fresh journal's first write is its header
+		f.header = false
+		return f.File.Write(p)
+	}
+	if f.fs.appends++; f.fs.appends == 4 {
+		n, _ := f.File.Write(p[:len(p)/3])
+		return n, syscall.ENOSPC
+	}
+	return f.File.Write(p)
+}
+
+// TestServiceWALFailPointCrash tears an append mid-frame: the caller
+// whose record tore gets an error (never a false ack), the loop fails
+// stop, and recovery preserves every acked job and reports the tail.
 func TestServiceWALFailPointCrash(t *testing.T) {
 	overWALShapes(t, func(t *testing.T, sh shape) {
 		dir := t.TempDir()
-		var appends int
-		fp := func(offset int64, frame []byte) int {
-			// Tear the frame once the journal has a few records; count
-			// only mutation-sized frames so the test stays robust.
-			appends++
-			if appends == 4 {
-				return len(frame) / 3
-			}
-			return -1
-		}
-		svc := sh.service(t, walOptions(dir, WALConfig{Policy: wal.SyncOff, FailPoint: fp}))
+		svc := sh.service(t, walOptions(dir, WALConfig{Policy: wal.SyncOff, FS: &tearFS{}}))
 		svc.Start()
 
 		var acked []int
@@ -388,17 +428,17 @@ func TestServiceWALFailPointCrash(t *testing.T) {
 				acked = append(acked, i)
 				continue
 			}
-			if errors.Is(err, wal.ErrCrashInjected) || strings.Contains(err.Error(), "journal") || errors.Is(err, ErrStopped) {
+			if errors.Is(err, syscall.ENOSPC) || strings.Contains(err.Error(), "journal") || errors.Is(err, ErrStopped) {
 				crashed = true
 				break
 			}
 			t.Fatalf("submit %d: unexpected error %v", i, err)
 		}
 		if !crashed {
-			t.Fatal("fail point never fired")
+			t.Fatal("torn append never fired")
 		}
 		if _, err := svc.Stop(); err == nil {
-			t.Error("Stop after an injected crash reported success")
+			t.Error("Stop after a torn append reported success")
 		}
 
 		rec := sh.service(t, walOptions(dir, WALConfig{Policy: wal.SyncOff, Recover: true}))
@@ -408,7 +448,7 @@ func TestServiceWALFailPointCrash(t *testing.T) {
 		snap := rec.Snapshot()
 		for _, id := range acked {
 			if phaseOf(snap, id) == "" {
-				t.Errorf("acked job %d lost after injected crash", id)
+				t.Errorf("acked job %d lost after a torn append", id)
 			}
 		}
 		rec.Stop()

@@ -16,6 +16,10 @@
 // requires fsync; the Writer's SyncPolicy chooses how eagerly to pay
 // for that.
 //
+// Every byte the package writes goes through an FS (nil means the
+// operating system), so a test can record each write, sync, rename and
+// directory sync and rebuild what any crash instant would leave behind.
+//
 // The package knows nothing about record semantics — payloads are
 // opaque bytes. internal/service defines the submit/cancel/round record
 // encoding on top.
@@ -52,11 +56,6 @@ var ErrNotJournal = errors.New("wal: file is not a journal (bad magic)")
 
 // ErrCorrupt reports a checkpoint file that failed its integrity check.
 var ErrCorrupt = errors.New("wal: corrupt checkpoint")
-
-// ErrCrashInjected is returned by Append when the configured FailPoint
-// cut the write short: the process is simulating a mid-append crash and
-// must not journal anything further.
-var ErrCrashInjected = errors.New("wal: injected crash during append")
 
 // SyncPolicy selects when appended frames are fsynced to stable
 // storage.
@@ -102,12 +101,61 @@ func ParsePolicy(s string) (SyncPolicy, error) {
 	return 0, fmt.Errorf("wal: unknown fsync policy %q (want always, group, or off)", s)
 }
 
-// FailPoint simulates a crash mid-append for chaos testing. Before each
-// frame write it receives the file offset the frame would start at and
-// the full frame bytes; returning keep >= 0 writes only the first keep
-// bytes of the frame (a torn write) and makes Append return
-// ErrCrashInjected. Returning keep < 0 lets the write proceed normally.
-type FailPoint func(offset int64, frame []byte) (keep int)
+// FS is where the journal and checkpoints are written: file creation,
+// writes, syncs, truncation, renames, removal and directory syncs. A
+// nil FS is the operating system. Reads (Scan, ReadCheckpoint) always
+// use the operating system: recovery reads what a crash left on disk.
+type FS interface {
+	// OpenFile opens name for writing; flag takes os.OpenFile's bits
+	// (O_CREATE, O_TRUNC, O_APPEND, O_WRONLY), the mode is 0644.
+	OpenFile(name string, flag int) (File, error)
+	Rename(oldpath, newpath string) error
+	Remove(name string) error
+	// SyncDir makes dir's entries — files created, renamed or removed
+	// in it — durable.
+	SyncDir(dir string) error
+}
+
+// File is a file opened through an FS. Every Write lands at the end of
+// the file: the package only ever writes a fresh file front to back or
+// appends to one.
+type File interface {
+	Write(p []byte) (int, error)
+	Sync() error
+	Truncate(size int64) error
+	Close() error
+}
+
+// osFS is the FS a nil FS means.
+type osFS struct{}
+
+func orOS(fsys FS) FS {
+	if fsys == nil {
+		return osFS{}
+	}
+	return fsys
+}
+
+func (osFS) OpenFile(name string, flag int) (File, error) {
+	f, err := os.OpenFile(name, flag, 0o644)
+	if err != nil {
+		return nil, err // not a nil *os.File inside a non-nil File
+	}
+	return f, nil
+}
+
+func (osFS) Rename(oldpath, newpath string) error { return os.Rename(oldpath, newpath) }
+
+func (osFS) Remove(name string) error { return os.Remove(name) }
+
+func (osFS) SyncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
+}
 
 // ScanResult describes the valid contents of a journal file.
 type ScanResult struct {
@@ -194,20 +242,19 @@ func Scan(path string) (*ScanResult, error) {
 // for concurrent use; the scheduler service confines it to the engine
 // goroutine.
 type Writer struct {
-	f         *os.File
-	off       int64
-	unsynced  bool
-	policy    SyncPolicy
-	failPoint FailPoint
-	crashed   bool
-	buf       []byte
+	f        File
+	off      int64
+	unsynced bool
+	policy   SyncPolicy
+	buf      []byte
 }
 
 // Create makes a fresh journal at path (truncating anything there),
 // writes the header, and syncs it along with the containing directory
-// so the file itself survives a crash.
-func Create(path string, policy SyncPolicy, fp FailPoint) (*Writer, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_TRUNC, 0o644)
+// so the file itself survives a crash. fsys nil writes to the OS.
+func Create(path string, policy SyncPolicy, fsys FS) (*Writer, error) {
+	fsys = orOS(fsys)
+	f, err := fsys.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC)
 	if err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
@@ -219,22 +266,22 @@ func Create(path string, policy SyncPolicy, fp FailPoint) (*Writer, error) {
 		f.Close()
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	if err := syncDir(filepath.Dir(path)); err != nil {
+	if err := fsys.SyncDir(filepath.Dir(path)); err != nil {
 		f.Close()
-		return nil, err
+		return nil, fmt.Errorf("wal: sync dir: %w", err)
 	}
-	return &Writer{f: f, off: headerSize, policy: policy, failPoint: fp}, nil
+	return &Writer{f: f, off: headerSize, policy: policy}, nil
 }
 
 // OpenAppend reopens an existing journal for appending after recovery:
 // it truncates the file to validSize (dropping any torn tail Scan
 // found) and positions the writer at the end. validSize comes from
 // Scan; passing 0 for a file that never got its header rebuilds it.
-func OpenAppend(path string, validSize int64, policy SyncPolicy, fp FailPoint) (*Writer, error) {
+func OpenAppend(path string, validSize int64, policy SyncPolicy, fsys FS) (*Writer, error) {
 	if validSize < headerSize {
-		return Create(path, policy, fp)
+		return Create(path, policy, fsys)
 	}
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
+	f, err := orOS(fsys).OpenFile(path, os.O_WRONLY|os.O_APPEND)
 	if err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
@@ -242,26 +289,17 @@ func OpenAppend(path string, validSize int64, policy SyncPolicy, fp FailPoint) (
 		f.Close()
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	if _, err := f.Seek(validSize, io.SeekStart); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("wal: %w", err)
-	}
 	if err := f.Sync(); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	return &Writer{f: f, off: validSize, policy: policy, failPoint: fp}, nil
+	return &Writer{f: f, off: validSize, policy: policy}, nil
 }
 
 // Append frames the payload and writes it with a single write call.
 // Under SyncAlways it also fsyncs before returning, so a nil result
-// means the record is on stable storage. If the configured FailPoint
-// fires, only part of the frame reaches the file and Append returns
-// ErrCrashInjected.
+// means the record is on stable storage.
 func (w *Writer) Append(payload []byte) error {
-	if w.crashed {
-		return ErrCrashInjected
-	}
 	if len(payload) > MaxRecord {
 		return fmt.Errorf("wal: record of %d bytes exceeds MaxRecord", len(payload))
 	}
@@ -271,22 +309,7 @@ func (w *Writer) Append(payload []byte) error {
 	binary.LittleEndian.PutUint32(fh[4:8], crc32.ChecksumIEEE(payload))
 	w.buf = append(w.buf, fh[:]...)
 	w.buf = append(w.buf, payload...)
-
-	frame := w.buf
-	if w.failPoint != nil {
-		if keep := w.failPoint(w.off, frame); keep >= 0 {
-			if keep > len(frame) {
-				keep = len(frame)
-			}
-			w.crashed = true
-			if keep > 0 {
-				n, _ := w.f.Write(frame[:keep])
-				w.off += int64(n)
-			}
-			return ErrCrashInjected
-		}
-	}
-	n, err := w.f.Write(frame)
+	n, err := w.f.Write(w.buf)
 	w.off += int64(n)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
@@ -301,7 +324,7 @@ func (w *Writer) Append(payload []byte) error {
 // Sync flushes appended frames to stable storage. A no-op when nothing
 // is pending or the policy is SyncOff.
 func (w *Writer) Sync() error {
-	if !w.unsynced || w.policy == SyncOff || w.crashed {
+	if !w.unsynced || w.policy == SyncOff {
 		return nil
 	}
 	if err := w.f.Sync(); err != nil {
@@ -320,9 +343,6 @@ func (w *Writer) Policy() SyncPolicy { return w.policy }
 // Close syncs (regardless of policy, so a graceful shutdown is always
 // durable) and closes the file.
 func (w *Writer) Close() error {
-	if w.crashed {
-		return w.f.Close()
-	}
 	if err := w.f.Sync(); err != nil {
 		w.f.Close()
 		return fmt.Errorf("wal: %w", err)
@@ -341,9 +361,13 @@ func (w *Writer) Abort() {
 // renamed over the target, then the directory is synced. A crash at
 // any point leaves either the old checkpoint or the new one, never a
 // torn mixture.
-func WriteCheckpoint(path string, payload []byte) error {
+func WriteCheckpoint(path string, payload []byte) error { return WriteCheckpointFS(nil, path, payload) }
+
+// WriteCheckpointFS is WriteCheckpoint through fsys (nil: the OS).
+func WriteCheckpointFS(fsys FS, path string, payload []byte) error {
+	fsys = orOS(fsys)
 	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	f, err := fsys.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
@@ -356,23 +380,26 @@ func WriteCheckpoint(path string, payload []byte) error {
 	}
 	if err != nil {
 		f.Close()
-		os.Remove(tmp)
+		fsys.Remove(tmp)
 		return fmt.Errorf("wal: %w", err)
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
-		os.Remove(tmp)
+		fsys.Remove(tmp)
 		return fmt.Errorf("wal: %w", err)
 	}
 	if err := f.Close(); err != nil {
-		os.Remove(tmp)
+		fsys.Remove(tmp)
 		return fmt.Errorf("wal: %w", err)
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
+	if err := fsys.Rename(tmp, path); err != nil {
+		fsys.Remove(tmp)
 		return fmt.Errorf("wal: %w", err)
 	}
-	return syncDir(filepath.Dir(path))
+	if err := fsys.SyncDir(filepath.Dir(path)); err != nil {
+		return fmt.Errorf("wal: sync dir: %w", err)
+	}
+	return nil
 }
 
 // ReadCheckpoint loads and verifies a checkpoint written by
@@ -402,18 +429,4 @@ func ReadCheckpoint(path string) ([]byte, error) {
 		return nil, fmt.Errorf("%w: %s: checksum mismatch", ErrCorrupt, path)
 	}
 	return payload, nil
-}
-
-// syncDir fsyncs a directory so a just-created or just-renamed file's
-// directory entry is durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("wal: sync %s: %w", dir, err)
-	}
-	return nil
 }

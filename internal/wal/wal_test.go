@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"syscall"
 	"testing"
 )
 
@@ -59,156 +60,160 @@ func TestScanRoundTrip(t *testing.T) {
 	}
 }
 
-// TestScanDamagedTails drives Scan through every tail-damage shape a
-// killed process can leave behind and checks the valid prefix survives.
+// cutKind names what cutting a journal to cut bytes tears; ends[k] is
+// the length of the journal holding its first k frames.
+func cutKind(cut int, ends []int) string {
+	switch {
+	case cut == 0:
+		return "empty_file"
+	case cut < headerSize:
+		return "killed_mid-header"
+	case cut == headerSize:
+		return "header_only"
+	}
+	k := len(ends) - 1
+	for ends[k] > cut {
+		k--
+	}
+	switch {
+	case cut == ends[k]:
+		return "whole_frames"
+	case cut < ends[k]+frameHead:
+		return "torn_frame_header"
+	}
+	return "torn_payload"
+}
+
+// TestScanDamagedTails cuts a 3-record journal at every length from 0
+// to its size — whatever a kill during any of its writes can leave —
+// and then damages the whole journal in the ways a cut cannot. Every
+// cut scans as exactly the whole frames below it, with valid and
+// truncated bytes adding up to the cut, and every damaged journal
+// reopens at its valid size and appends a record the next Scan returns.
 func TestScanDamagedTails(t *testing.T) {
-	cases := []struct {
+	recs := []string{"record-0", "record-1", "record-2"}
+	src := filepath.Join(t.TempDir(), "journal.wal")
+	writeRecords(t, src, SyncOff, recs...)
+	whole, err := os.ReadFile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ends := []int{headerSize}
+	for _, r := range recs {
+		ends = append(ends, ends[len(ends)-1]+frameHead+len(r))
+	}
+	cuts := make(map[string][]int)
+	for cut := 0; cut <= len(whole); cut++ {
+		kind := cutKind(cut, ends)
+		cuts[kind] = append(cuts[kind], cut)
+	}
+	for _, kind := range []string{"empty_file", "killed_mid-header", "header_only", "whole_frames", "torn_frame_header", "torn_payload"} {
+		t.Run(kind, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "journal.wal")
+			for _, cut := range cuts[kind] {
+				if err := os.WriteFile(path, whole[:cut], 0o644); err != nil {
+					t.Fatal(err)
+				}
+				res, err := Scan(path)
+				if err != nil {
+					t.Fatalf("cut %d: %v", cut, err)
+				}
+				kept := 0
+				for kept < len(recs) && ends[kept+1] <= cut {
+					kept++
+				}
+				if res.ValidSize+res.TruncatedBytes != int64(cut) {
+					t.Fatalf("cut %d: valid %d + truncated %d", cut, res.ValidSize, res.TruncatedBytes)
+				}
+				if cut >= headerSize && res.ValidSize != int64(ends[kept]) {
+					t.Fatalf("cut %d: ValidSize %d, want %d", cut, res.ValidSize, ends[kept])
+				}
+				checkScanAndReopen(t, path, res, recs[:kept])
+			}
+		})
+	}
+
+	for _, tc := range []struct {
 		name string
 		// damage mutates a 3-record journal file in place.
 		damage      func(t *testing.T, path string)
 		wantRecords int
-		wantErr     error
 	}{
-		{
-			name:        "missing file",
-			damage:      func(t *testing.T, path string) { os.Remove(path) },
-			wantRecords: 0,
-		},
-		{
-			name: "empty file",
-			damage: func(t *testing.T, path string) {
-				if err := os.Truncate(path, 0); err != nil {
-					t.Fatal(err)
-				}
-			},
-			wantRecords: 0,
-		},
-		{
-			name: "killed mid-header",
-			damage: func(t *testing.T, path string) {
-				if err := os.Truncate(path, 3); err != nil {
-					t.Fatal(err)
-				}
-			},
-			wantRecords: 0,
-		},
-		{
-			name:        "header only",
-			damage:      func(t *testing.T, path string) { truncateTo(t, path, headerSize) },
-			wantRecords: 0,
-		},
-		{
-			name: "torn frame header",
-			damage: func(t *testing.T, path string) {
-				truncateTo(t, path, fileSize(t, path)-int64(len("record-2"))-3)
-			},
-			wantRecords: 2,
-		},
-		{
-			name: "torn payload",
-			damage: func(t *testing.T, path string) {
-				truncateTo(t, path, fileSize(t, path)-2)
-			},
-			wantRecords: 2,
-		},
-		{
-			name: "corrupt final crc",
-			damage: func(t *testing.T, path string) {
-				flipLastByte(t, path)
-			},
-			wantRecords: 2,
-		},
-		{
-			name: "garbage appended after valid frames",
-			damage: func(t *testing.T, path string) {
-				f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
-				if err != nil {
-					t.Fatal(err)
-				}
-				// A plausible-length frame header with a wrong checksum.
-				if _, err := f.Write([]byte{2, 0, 0, 0, 9, 9, 9, 9, 'x', 'y'}); err != nil {
-					t.Fatal(err)
-				}
-				f.Close()
-			},
-			wantRecords: 3,
-		},
-		{
-			name: "implausible length field",
-			damage: func(t *testing.T, path string) {
-				f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := f.Write([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0}); err != nil {
-					t.Fatal(err)
-				}
-				f.Close()
-			},
-			wantRecords: 3,
-		},
-		{
-			name: "not a journal",
-			damage: func(t *testing.T, path string) {
-				if err := os.WriteFile(path, []byte("definitely not a journal"), 0o644); err != nil {
-					t.Fatal(err)
-				}
-			},
-			wantErr: ErrNotJournal,
-		},
-	}
-	for _, tc := range cases {
-		tc := tc
+		{"missing file", func(t *testing.T, path string) { os.Remove(path) }, 0},
+		{"corrupt final crc", flipLastByte, 2},
+		// A plausible-length frame header with a wrong checksum.
+		{"garbage appended after valid frames", appendBytes(2, 0, 0, 0, 9, 9, 9, 9, 'x', 'y'), 3},
+		{"implausible length field", appendBytes(0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0), 3},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "journal.wal")
-			writeRecords(t, path, SyncOff, "record-0", "record-1", "record-2")
+			writeRecords(t, path, SyncOff, recs...)
 			tc.damage(t, path)
 			res, err := Scan(path)
-			if tc.wantErr != nil {
-				if !errors.Is(err, tc.wantErr) {
-					t.Fatalf("Scan = %v, want %v", err, tc.wantErr)
-				}
-				return
-			}
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(res.Records) != tc.wantRecords {
-				t.Fatalf("scanned %d records, want %d", len(res.Records), tc.wantRecords)
-			}
-			for i, r := range res.Records {
-				if want := fmt.Sprintf("record-%d", i); string(r) != want {
-					t.Errorf("record %d = %q, want %q", i, r, want)
-				}
-			}
-
-			// Recovery must be able to append after the damage: reopen at
-			// the valid prefix, append, and rescan.
-			w, err := OpenAppend(path, res.ValidSize, SyncAlways, nil)
-			if err != nil {
-				t.Fatalf("OpenAppend after damage: %v", err)
-			}
-			next := fmt.Sprintf("record-%d", tc.wantRecords)
-			if err := w.Append([]byte(next)); err != nil {
-				t.Fatal(err)
-			}
-			if err := w.Close(); err != nil {
-				t.Fatal(err)
-			}
-			res2, err := Scan(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(res2.Records) != tc.wantRecords+1 {
-				t.Fatalf("after append: %d records, want %d", len(res2.Records), tc.wantRecords+1)
-			}
-			if got := string(res2.Records[tc.wantRecords]); got != next {
-				t.Errorf("appended record = %q, want %q", got, next)
-			}
-			if res2.TruncatedBytes != 0 {
-				t.Errorf("TruncatedBytes = %d after recovery append", res2.TruncatedBytes)
-			}
+			checkScanAndReopen(t, path, res, recs[:tc.wantRecords])
 		})
+	}
+
+	t.Run("not a journal", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "journal.wal")
+		if err := os.WriteFile(path, []byte("definitely not a journal"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Scan(path); !errors.Is(err, ErrNotJournal) {
+			t.Fatalf("Scan = %v, want %v", err, ErrNotJournal)
+		}
+	})
+}
+
+// checkScanAndReopen asserts a scan returned exactly want, then reopens
+// the journal at the scan's valid size, appends, and rescans: recovery
+// must be able to append after any damage.
+func checkScanAndReopen(t *testing.T, path string, res *ScanResult, want []string) {
+	t.Helper()
+	if len(res.Records) != len(want) {
+		t.Fatalf("scanned %d records, want %d", len(res.Records), len(want))
+	}
+	for i, r := range res.Records {
+		if string(r) != want[i] {
+			t.Fatalf("record %d = %q, want %q", i, r, want[i])
+		}
+	}
+	w, err := OpenAppend(path, res.ValidSize, SyncAlways, nil)
+	if err != nil {
+		t.Fatalf("OpenAppend after damage: %v", err)
+	}
+	next := fmt.Sprintf("record-%d", len(want))
+	if err := w.Append([]byte(next)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	res2, err := Scan(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res2.Records) != len(want)+1 || string(res2.Records[len(want)]) != next || res2.TruncatedBytes != 0 {
+		t.Fatalf("after reopen and append: %d records (want %d ending %q), %d truncated bytes",
+			len(res2.Records), len(want)+1, next, res2.TruncatedBytes)
+	}
+}
+
+// appendBytes returns a damage that appends b to the journal.
+func appendBytes(b ...byte) func(t *testing.T, path string) {
+	return func(t *testing.T, path string) {
+		t.Helper()
+		f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write(b); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
 	}
 }
 
@@ -231,31 +236,49 @@ func flipLastByte(t *testing.T, path string) {
 	}
 }
 
-// TestFailPointTornWrite injects a mid-append crash and checks the torn
-// frame is invisible to Scan while every earlier record survives.
+// tearFS is the OS with one journal write torn: the write after the
+// header keeps only the first half of its frame and reports ENOSPC, as
+// a disk that filled mid-append would.
+type tearFS struct {
+	osFS
+	writes int
+}
+
+type tearFile struct {
+	File
+	fs *tearFS
+}
+
+func (t *tearFS) OpenFile(name string, flag int) (File, error) {
+	f, err := t.osFS.OpenFile(name, flag)
+	if err != nil {
+		return nil, err
+	}
+	return &tearFile{File: f, fs: t}, nil
+}
+
+func (f *tearFile) Write(p []byte) (int, error) {
+	if f.fs.writes++; f.fs.writes == 3 { // header, first record, then tear
+		n, _ := f.File.Write(p[:len(p)/2])
+		return n, syscall.ENOSPC
+	}
+	return f.File.Write(p)
+}
+
+// TestFailPointTornWrite tears an append partway through its frame and
+// checks the caller gets the write error, the torn frame is invisible
+// to Scan, and every earlier record survives.
 func TestFailPointTornWrite(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.wal")
-	cut := false
-	fp := func(offset int64, frame []byte) int {
-		if offset > headerSize && !cut { // tear the second record
-			cut = true
-			return len(frame) / 2
-		}
-		return -1
-	}
-	w, err := Create(path, SyncOff, fp)
+	w, err := Create(path, SyncOff, &tearFS{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Append([]byte("survives")); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append([]byte("torn-in-half")); !errors.Is(err, ErrCrashInjected) {
-		t.Fatalf("Append under fail point = %v, want ErrCrashInjected", err)
-	}
-	// A crashed writer refuses further work.
-	if err := w.Append([]byte("after")); !errors.Is(err, ErrCrashInjected) {
-		t.Fatalf("Append after crash = %v, want ErrCrashInjected", err)
+	if err := w.Append([]byte("torn-in-half")); !errors.Is(err, syscall.ENOSPC) {
+		t.Fatalf("Append of a torn frame = %v, want ENOSPC", err)
 	}
 	w.Abort()
 
