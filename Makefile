@@ -62,11 +62,14 @@ test:
 
 # test-386 runs the byte-exact fixtures on a 32-bit port (32-bit int,
 # pure-Go math): the golden schedule digests, the journals and the
-# checkpoint a parent commit wrote, and the seeds of the hand-written
-# throughput codec. Cross-compiled, so it runs on any amd64 host.
+# checkpoints a parent commit wrote, the checkpoint writer against its
+# reference encoder, and the seeds of the hand-written throughput codec.
+# Cross-compiled, so it runs on any amd64 host.
 test-386:
 	GOARCH=386 $(GO) test -run '^TestGoldenScheduleDigests$$' .
-	GOARCH=386 $(GO) test -run '^(TestParentJournalRecovers|TestOneMemberJournalMatchesParentBytes)$$' ./internal/service
+	GOARCH=386 $(GO) test -run '^(TestParentJournalRecovers|TestOneMemberJournalMatchesParentBytes|TestCheckpointRoundTripsParentBytes)$$' ./internal/service
+	GOARCH=386 $(GO) test -run '^(TestAppendStateMatchesReference|FuzzRestoreEngine)$$' ./internal/sim
+	GOARCH=386 $(GO) test -run '^TestAppendStateIsStateJSON$$' ./internal/federation
 	GOARCH=386 $(GO) test -run '^(FuzzRatesJSON|TestRates.*|TestValidateRejectsUndefinedType)$$' ./internal/job
 
 race:
@@ -178,6 +181,7 @@ fuzz-smoke: fuzz-sync
 	$(GO) test -run='^$$' -fuzz='^FuzzStateTransactions$$' -fuzztime=$(FUZZTIME) ./internal/cluster
 	$(GO) test -run='^$$' -fuzz='^FuzzAppendCanonical$$' -fuzztime=$(FUZZTIME) ./internal/cluster
 	$(GO) test -run='^$$' -fuzz='^FuzzSimRun$$' -fuzztime=$(FUZZTIME) ./internal/sim
+	$(GO) test -run='^$$' -fuzz='^FuzzRestoreEngine$$' -fuzztime=$(FUZZTIME) ./internal/sim
 	$(GO) test -run='^$$' -fuzz='^FuzzScan$$' -fuzztime=$(FUZZTIME) ./internal/wal
 	$(GO) test -run='^$$' -fuzz='^FuzzReplayRecords$$' -fuzztime=$(FUZZTIME) ./internal/service
 	$(GO) test -run='^$$' -fuzz='^FuzzRatesJSON$$' -fuzztime=$(FUZZTIME) ./internal/job

@@ -3,6 +3,7 @@ package federation
 import (
 	"encoding/json"
 	"fmt"
+	"strconv"
 
 	"repro/internal/sim"
 )
@@ -18,25 +19,45 @@ type State struct {
 	Next int `json:"next,omitempty"`
 }
 
-// MarshalState serializes the federation: from the driving goroutine,
-// between steps, on a healthy federation (as Engine.MarshalState).
-func (f *Federation) MarshalState() (State, error) {
+// Punctuation spliced between member sections.
+var (
+	membersOpen = []byte(`"members":[`)
+	comma       = []byte(",")
+	membersEnd  = []byte("]")
+	objectEnd   = []byte("}")
+)
+
+// AppendState appends the federation's serialized state to parts as
+// the members of a JSON object and its closing brace: "members", one
+// sim.Engine.AppendState section per member, then "next" unless the
+// cursor is 0. The caller has written the object's opening, so a
+// checkpoint can put members of its own first; after a bare "{" the
+// parts' concatenation is the JSON of a State. Call it from the driving
+// goroutine, between steps, on a healthy federation (as
+// Engine.AppendState).
+func (f *Federation) AppendState(parts [][]byte) ([][]byte, error) {
 	if f.err != nil {
-		return State{}, fmt.Errorf("federation: cannot checkpoint a failed federation: %w", f.err)
+		return nil, fmt.Errorf("federation: cannot checkpoint a failed federation: %w", f.err)
 	}
-	st := State{Members: make([]json.RawMessage, len(f.members)), Next: f.next}
+	parts = append(parts, membersOpen)
 	for i, m := range f.members {
-		section, err := m.eng.MarshalState()
-		if err != nil {
-			return State{}, fmt.Errorf("federation: member %s: %w", m.name, err)
+		if i > 0 {
+			parts = append(parts, comma)
 		}
-		st.Members[i] = section
+		var err error
+		if parts, err = m.eng.AppendState(parts); err != nil {
+			return nil, fmt.Errorf("federation: member %s: %w", m.name, err)
+		}
 	}
-	return st, nil
+	parts = append(parts, membersEnd)
+	if f.next != 0 {
+		parts = append(parts, strconv.AppendInt([]byte(`,"next":`), int64(f.next), 10))
+	}
+	return append(parts, objectEnd), nil
 }
 
 // RestoreState replaces the engines of a federation nothing has been
-// submitted to with engines rebuilt from MarshalState output — member i
+// submitted to with engines rebuilt from AppendState output — member i
 // from section i, through sim.RestoreEngine with that member's own
 // cluster, scheduler and options — and rebuilds ownership from the jobs
 // each restored engine knows. A state that does not fit is refused and

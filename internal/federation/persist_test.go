@@ -1,6 +1,7 @@
 package federation_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"slices"
 	"strings"
@@ -8,7 +9,88 @@ import (
 
 	"repro/internal/federation"
 	"repro/internal/job"
+	"repro/internal/sim"
 )
+
+// encodeState is f's checkpoint encoding: AppendState's parts after an
+// opening brace, joined.
+func encodeState(t *testing.T, f *federation.Federation) []byte {
+	t.Helper()
+	parts, err := f.AppendState([][]byte{[]byte("{")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bytes.Join(parts, nil)
+}
+
+// stateOf checkpoints f and reads the bytes back, as recovery reads a
+// checkpoint file.
+func stateOf(t *testing.T, f *federation.Federation) federation.State {
+	t.Helper()
+	var st federation.State
+	if err := json.Unmarshal(encodeState(t, f), &st); err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// TestAppendStateIsStateJSON checkpoints a three-member federation
+// every four events and requires the spliced parts to be the bytes the
+// encoder they replaced wrote: json.Marshal of a State holding the same
+// member sections. Each member's section is pinned to its own reference
+// encoder in internal/sim; this pins the splice around them, through a
+// pending cancel, a down node and a routing cursor past 0.
+func TestAppendStateIsStateJSON(t *testing.T) {
+	f := newFed(t, 3, "round-robin", func(i int) []sim.Failure {
+		return []sim.Failure{{Node: i, Start: 3700, End: 9 * 3600}}
+	})
+	jobs := genJobs(t, 48, 7)
+	var shapes []string
+	for event := 0; len(jobs) > 0 || f.HasPendingEvents(); event++ {
+		if len(jobs) > 0 {
+			if err := f.SubmitJob(jobs[0]); err != nil {
+				t.Fatal(err)
+			}
+			jobs = jobs[1:]
+		}
+		if err := f.ProcessNextEvent(); err != nil {
+			t.Fatal(err)
+		}
+		if event%9 == 0 {
+			for _, m := range f.Snapshot().Members {
+				if len(m.Snap.Active) > 0 {
+					if err := f.CancelJob(m.Snap.Active[0].ID); err != nil {
+						t.Fatal(err)
+					}
+					break
+				}
+			}
+		}
+		if event%4 != 0 {
+			continue
+		}
+		got := encodeState(t, f)
+		var st federation.State
+		if err := json.Unmarshal(got, &st); err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(&st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("event %d: spliced state differs from json.Marshal of its State:\n got %.200s\nwant %.200s", event, got, want)
+		}
+		for _, shape := range []string{`"cancel_requested":[`, `"prev_down":[`, `"next":`} {
+			if bytes.Contains(got, []byte(shape)) && !slices.Contains(shapes, shape) {
+				shapes = append(shapes, shape)
+			}
+		}
+	}
+	if len(shapes) != 3 {
+		t.Errorf("the checkpoints only held %q", shapes)
+	}
+}
 
 // TestRouteJobChangesNothing: RouteJob is an audit — asking twice gives
 // the same member — and a submission the member refuses (never
@@ -76,21 +158,8 @@ func TestRestoreStateResumes(t *testing.T) {
 			if !cancelled {
 				t.Fatal("nothing active to cancel at the checkpoint")
 			}
-			st, err := live.MarshalState()
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Through bytes, as a checkpoint file would carry it.
-			raw, err := json.Marshal(st)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var back federation.State
-			if err := json.Unmarshal(raw, &back); err != nil {
-				t.Fatal(err)
-			}
 			restored := newFed(t, 3, router, nil)
-			if err := restored.RestoreState(back); err != nil {
+			if err := restored.RestoreState(stateOf(t, live)); err != nil {
 				t.Fatal(err)
 			}
 			for _, j := range jobs[:25] {
@@ -166,10 +235,7 @@ func TestRestoreStateRefusals(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	good, err := src.MarshalState()
-	if err != nil {
-		t.Fatal(err)
-	}
+	good := stateOf(t, src)
 	cases := []struct {
 		name  string
 		state federation.State

@@ -66,6 +66,9 @@ type FuncNode struct {
 	// kills records, per struct-valued local, the fields the body
 	// overwrites before it can return, with what (modref.go).
 	kills map[types.Object]map[*types.Var][]ast.Expr
+	// resolving holds the killed fields whose alias sets are being
+	// computed (killedField).
+	resolving map[localField]bool
 	// rewrites marks the parameters through which the function writes
 	// shared-by-contract storage in place (frozen.go).
 	rewrites paramSet

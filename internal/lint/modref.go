@@ -339,12 +339,35 @@ func (m *Module) killedAliases(n *FuncNode, obj types.Object, kills map[*types.V
 			continue
 		}
 		if values, killed := kills[f]; killed {
-			s |= m.unionAliases(n, values)
+			s |= m.killedField(n, obj, f, values)
 		} else {
 			s |= n.roots[obj]
 		}
 	}
 	return s
+}
+
+// killedField is the union of aliases over the values a killed field
+// v.F is ever given. A value that reads v.F itself — v.F = append(v.F,
+// x) — adds only what else it holds: v.F's own set is the one being
+// computed, so that reference reads as empty instead of recursing.
+func (m *Module) killedField(n *FuncNode, v types.Object, f *types.Var, values []ast.Expr) paramSet {
+	k := localField{v, f}
+	if n.resolving[k] {
+		return 0
+	}
+	if n.resolving == nil {
+		n.resolving = map[localField]bool{}
+	}
+	n.resolving[k] = true
+	defer delete(n.resolving, k)
+	return m.unionAliases(n, values)
+}
+
+// localField is field F of a struct-valued local v.
+type localField struct {
+	v types.Object
+	f *types.Var
 }
 
 // clampedPrefix reports whether e is x.F[lo:n:n] over an append-only
@@ -404,8 +427,9 @@ func (m *Module) aliases(n *FuncNode, e ast.Expr) paramSet {
 				return 0
 			}
 			if id, ok := ast.Unparen(x.X).(*ast.Ident); ok {
-				if values, killed := n.fieldKills()[n.Pkg.Info.Uses[id]][sel.Obj().(*types.Var)]; killed {
-					return m.unionAliases(n, values)
+				obj, field := n.Pkg.Info.Uses[id], sel.Obj().(*types.Var)
+				if values, killed := n.fieldKills()[obj][field]; killed {
+					return m.killedField(n, obj, field, values)
 				}
 			}
 			return m.aliases(n, x.X)

@@ -39,6 +39,19 @@ func (l *Log) MaybeView(clamp bool) *Log {
 	return &v
 }
 
+// GrownView rebuilds Scratch by growing it in a loop: the field's
+// aliases are those of every value it is given, its own growth
+// included, so the view shares nothing.
+func (l *Log) GrownView() *Log {
+	v := *l
+	v.Rows = l.Rows[:len(l.Rows):len(l.Rows)]
+	v.Scratch = nil
+	for _, r := range l.Scratch {
+		v.Scratch = append(v.Scratch, r)
+	}
+	return &v
+}
+
 // SortRows sorts in place: fine for a log its caller built and still
 // owns alone, a finding on one a view may share (see the call sites).
 func (l *Log) SortRows() { sort.Ints(l.Rows) }

@@ -99,17 +99,23 @@ func roundRecord(member int, snap *federation.FedSnapshot) walRecord {
 // checkpointDoc is the payload of the checkpoint file: the serialized
 // federation plus the service-level state that must survive with it.
 type checkpointDoc struct {
-	// Seq is the number of journal records the checkpointed state
-	// embodies; recovery replays the journal from this index.
-	Seq int `json:"seq"`
-	// Keys is the idempotent-submission ledger (key -> job ID).
-	Keys map[string]int `json:"keys,omitempty"`
-	// State is one sim.Engine.MarshalState section per member plus the
+	checkpointHead
+	// State is one sim.Engine.AppendState section per member plus the
 	// routing cursor.
 	federation.State
 	// Engine is what a service older than the member sections wrote in
 	// their place: its one engine, which restores as member 0.
 	Engine json.RawMessage `json:"engine,omitempty"`
+}
+
+// checkpointHead is the members of a checkpoint ahead of the
+// federation's.
+type checkpointHead struct {
+	// Seq is the number of journal records the checkpointed state
+	// embodies; recovery replays the journal from this index.
+	Seq int `json:"seq"`
+	// Keys is the idempotent-submission ledger (key -> job ID).
+	Keys map[string]int `json:"keys,omitempty"`
 }
 
 // pendingVerdict is a group-commit deferral: the mutation is applied
@@ -277,18 +283,20 @@ func (j *journal) maybeCheckpoint(keys map[string]int) {
 }
 
 // writeCheckpoint persists the federation and key ledger at the current
-// journal position.
+// journal position: the JSON of a checkpointDoc, streamed from the
+// federation's state parts. Success or not, the next periodic attempt
+// waits another CheckpointEvery records, so a disk that refuses
+// checkpoints does not cost every boundary a full encode and write.
 func (j *journal) writeCheckpoint(keys map[string]int) {
-	state, err := j.fed.MarshalState()
-	if err != nil {
-		return // a poisoned federation has nothing worth persisting
-	}
-	doc := checkpointDoc{Seq: j.applied, Keys: keys, State: state}
-	payload, err := json.Marshal(&doc)
+	j.sinceCkpt = 0
+	head, err := json.Marshal(&checkpointHead{Seq: j.applied, Keys: keys})
 	if err != nil {
 		return
 	}
-	if wal.WriteCheckpointFS(j.cfg.FS, checkpointPath(j.cfg.Dir), payload) == nil {
-		j.sinceCkpt = 0
+	head[len(head)-1] = ',' // the federation's members follow
+	parts, err := j.fed.AppendState([][]byte{head})
+	if err != nil {
+		return // a poisoned federation has nothing worth persisting
 	}
+	wal.WriteCheckpointFS(j.cfg.FS, checkpointPath(j.cfg.Dir), parts)
 }

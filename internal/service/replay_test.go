@@ -179,11 +179,8 @@ func TestPriceRoutedRecoveryReplaysToRecordedMember(t *testing.T) {
 
 	// The tail: submissions routed on live prices, no round after them.
 	restored := hadarFederation(t)
-	state, err := d.svc.fed.MarshalState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := restored.RestoreState(state); err != nil {
+	_, doc := readCheckpointFile(t, checkpointPath(dir))
+	if err := restored.RestoreState(doc.State); err != nil {
 		t.Fatal(err)
 	}
 	rerouted := 0

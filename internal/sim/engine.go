@@ -90,7 +90,6 @@ type Engine struct {
 	queue           eventq.EventQueue
 	pendingArrivals int
 	cancelRequested map[int]bool
-	all             []*job.Job
 	active          []*sched.JobState
 	prevDown        map[int]bool
 	now             float64
@@ -100,6 +99,10 @@ type Engine struct {
 	digest          uint64
 	err             error
 
+	// all is every submitted job in submission order. It is append-only,
+	// and the jobs in it are never written: Jobs() shares it by clamped
+	// prefix and the encoded-history cache encodes each job once.
+	all []*job.Job
 	// live holds the phase of every pending or active job and done every
 	// terminal one: together, each job in all exactly once. live is
 	// bounded by the queue; done only grows, and every published snapshot
@@ -108,6 +111,10 @@ type Engine struct {
 	done terminalIndex
 	// maxID is the largest ID in all.
 	maxID int
+
+	// encoded is the JSON of all and of the report's three append-only
+	// slices, as far as the last checkpoint took them (AppendState).
+	encoded encodedHistory
 
 	// Round scratch, made by the first round and reused by every round
 	// after it (NewEngine stays cheap: the sim benchmarks pay it as
@@ -169,7 +176,9 @@ func NewEngine(c *cluster.Cluster, s sched.Scheduler, opts Options) (*Engine, er
 // first round boundary at or after that time. Jobs may be submitted at
 // any point of the engine's lifetime, which is what makes the
 // simulator an online system: an idle engine picks the work back up on
-// the next ProcessNextEvent.
+// the next ProcessNextEvent. Once accepted, j belongs to the engine:
+// the caller must not change it afterwards (snapshots, checkpoints and
+// journal replay all read it as it was submitted).
 func (e *Engine) SubmitJob(j *job.Job) error {
 	if e.err != nil {
 		return e.err

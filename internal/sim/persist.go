@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"sort"
@@ -97,13 +98,153 @@ type engineState struct {
 }
 
 // MarshalState serializes the engine's full scheduling state for a
-// checkpoint. It must be called from the goroutine driving the engine,
+// checkpoint: the concatenation of AppendState's parts.
+func (e *Engine) MarshalState() ([]byte, error) {
+	parts, err := e.AppendState(nil)
+	if err != nil {
+		return nil, err
+	}
+	return bytes.Join(parts, nil), nil
+}
+
+// Punctuation spliced between state parts.
+var (
+	jsonNull     = []byte("null")
+	openBracket  = []byte("[")
+	closeBracket = []byte("]")
+	roundStarts  = []byte(`,"RoundStarts":`)
+	closeState   = []byte("}}") // the report, then the state
+)
+
+// AppendState appends the engine's serialized state to parts as byte
+// slices whose concatenation is the JSON of an engineState. The four
+// append-only histories — the submitted jobs and the report's results,
+// per-round occupancy and round starts — come from the engine's
+// encoded-history cache, so a call encodes only what was appended since
+// the previous one; the rest (the header, phases, active set, queue,
+// report scalars) is encoded fresh. The parts stay valid after the
+// engine steps on: the cached ones are prefixes the cache only appends
+// past. It must be called from the goroutine driving the engine,
 // between steps, on a healthy engine (a poisoned engine has nothing
 // worth persisting).
-func (e *Engine) MarshalState() ([]byte, error) {
+func (e *Engine) AppendState(parts [][]byte) ([][]byte, error) {
 	if e.err != nil {
 		return nil, fmt.Errorf("sim: cannot checkpoint a failed engine: %w", e.err)
 	}
+	st, err := e.liveState()
+	if err != nil {
+		return nil, err
+	}
+	// The histories are left nil, so they encode as null: cut there.
+	fresh, err := json.Marshal(&st)
+	if err != nil {
+		return nil, fmt.Errorf("sim: marshal state: %w", err)
+	}
+	head, mid, err := cutNulls(fresh, `,"jobs":`, `,"report":`, `}`)
+	if err != nil {
+		return nil, err
+	}
+	r := *e.report
+	r.Jobs, r.RoundHeld, r.RoundStarts = nil, nil, nil
+	scalars, err := json.Marshal(&r)
+	if err != nil {
+		return nil, fmt.Errorf("sim: marshal report: %w", err)
+	}
+	rhead, rmid, err := cutNulls(scalars, `,"Jobs":`, `,"RoundHeld":`, `,"RoundStarts":null}`)
+	if err != nil {
+		return nil, err
+	}
+	c := &e.encoded
+	parts = append(parts, head)
+	if parts, err = appendList(parts, &c.jobs, e.all); err != nil {
+		return nil, fmt.Errorf("sim: marshal state: %w", err)
+	}
+	parts = append(parts, mid, rhead)
+	if parts, err = appendList(parts, &c.results, e.report.Jobs); err != nil {
+		return nil, fmt.Errorf("sim: marshal report: %w", err)
+	}
+	parts = append(parts, rmid)
+	if parts, err = appendList(parts, &c.held, e.report.RoundHeld); err != nil {
+		return nil, fmt.Errorf("sim: marshal report: %w", err)
+	}
+	parts = append(parts, roundStarts)
+	if parts, err = appendList(parts, &c.starts, e.report.RoundStarts); err != nil {
+		return nil, fmt.Errorf("sim: marshal report: %w", err)
+	}
+	return append(parts, closeState), nil
+}
+
+// cutNulls cuts the encoded object b, which holds first:null somewhere
+// and ends with last:null followed by end, around those two nulls: head
+// runs through first, mid from after its null through last. The first
+// occurrence of first is the member: inside an encoded string every
+// quote is escaped, so no string holds a comma before a bare quote.
+func cutNulls(b []byte, first, last, end string) (head, mid []byte, err error) {
+	i := bytes.Index(b, []byte(first+"null,"))
+	tail := last + "null" + end
+	if i < 0 || !bytes.HasSuffix(b, []byte(tail)) {
+		return nil, nil, fmt.Errorf("sim: marshal state: %.60q lacks %snull or %s", b, first, tail)
+	}
+	i += len(first)
+	return b[:i], b[i+len("null") : len(b)-len("null"+end)], nil
+}
+
+// encodedHistory is the engine's encoded-history cache: the JSON of its
+// four append-only slices, each extended by a checkpoint only by the
+// elements appended since the previous one.
+type encodedHistory struct {
+	jobs, results, held, starts encodedList
+}
+
+// encodedList is the JSON encoding of a prefix of an append-only slice:
+// its first n elements, comma-separated, without brackets.
+type encodedList struct {
+	buf []byte
+	n   int
+	enc *json.Encoder // writes to the list itself
+}
+
+// Write appends an encoder's output to buf.
+func (l *encodedList) Write(p []byte) (int, error) {
+	l.buf = append(l.buf, p...)
+	return len(p), nil
+}
+
+// appendList brings l up to date with s, which must have grown only by
+// appends since the previous call, and appends s's JSON to parts: null
+// for a nil slice, as encoding/json writes it. The new elements are
+// encoded as one slice, which is as fast as encoding/json gets; the
+// part handed out is capacity-clamped, so later calls append past it,
+// never into it.
+func appendList[T any](parts [][]byte, l *encodedList, s []T) ([][]byte, error) {
+	if s == nil {
+		return append(parts, jsonNull), nil
+	}
+	if l.n < len(s) {
+		if l.enc == nil {
+			l.enc = json.NewEncoder(l)
+		}
+		mark := len(l.buf)
+		if err := l.enc.Encode(s[l.n:]); err != nil {
+			l.buf = l.buf[:mark]
+			return nil, err
+		}
+		// Encode wrote "[e,…,e]\n": its bracket becomes the comma after
+		// the prefix, or goes, and so does the "]\n".
+		if l.n > 0 {
+			l.buf[mark] = ','
+			l.buf = l.buf[:len(l.buf)-2]
+		} else {
+			l.buf = append(l.buf[:0], l.buf[1:len(l.buf)-2]...)
+		}
+		l.n = len(s)
+	}
+	return append(parts, openBracket, l.buf[:len(l.buf):len(l.buf)], closeBracket), nil
+}
+
+// liveState is the part of the engine's state that is not append-only
+// history, in the serialized form: everything but Jobs and Report.
+func (e *Engine) liveState() (engineState, error) {
 	st := engineState{
 		Version:   stateVersion,
 		Scheduler: e.s.Name(),
@@ -113,7 +254,6 @@ func (e *Engine) MarshalState() ([]byte, error) {
 		Stalled:   e.stalled,
 		Cancelled: e.cancelled,
 		Digest:    e.digest,
-		Jobs:      e.all,
 	}
 	st.Phases = make([]JobPhase, len(e.all))
 	for i, j := range e.all {
@@ -141,21 +281,12 @@ func (e *Engine) MarshalState() ([]byte, error) {
 		case withdrawEvent:
 			st.Queue = append(st.Queue, queuedEvent{Time: ev.Time, Kind: "withdraw", ID: p.id})
 		default:
-			return nil, fmt.Errorf("sim: unknown queued event payload %T", ev.Payload)
+			return st, fmt.Errorf("sim: unknown queued event payload %T", ev.Payload)
 		}
 	}
 	st.CancelRequested = sortedIntKeys(e.cancelRequested)
 	st.PrevDown = sortedIntKeys(e.prevDown)
-	report, err := json.Marshal(e.report)
-	if err != nil {
-		return nil, fmt.Errorf("sim: marshal report: %w", err)
-	}
-	st.Report = report
-	data, err := json.Marshal(&st)
-	if err != nil {
-		return nil, fmt.Errorf("sim: marshal state: %w", err)
-	}
-	return data, nil
+	return st, nil
 }
 
 // sortedIntKeys returns the keys of a set in ascending order, so

@@ -26,6 +26,7 @@
 package wal
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -361,24 +362,42 @@ func (w *Writer) Abort() {
 // renamed over the target, then the directory is synced. A crash at
 // any point leaves either the old checkpoint or the new one, never a
 // torn mixture.
-func WriteCheckpoint(path string, payload []byte) error { return WriteCheckpointFS(nil, path, payload) }
+func WriteCheckpoint(path string, payload []byte) error {
+	return WriteCheckpointFS(nil, path, [][]byte{payload})
+}
 
-// WriteCheckpointFS is WriteCheckpoint through fsys (nil: the OS).
-func WriteCheckpointFS(fsys FS, path string, payload []byte) error {
+// ckptBuffer is how many bytes WriteCheckpointFS gathers per write: a
+// small checkpoint is one write, a large one a few per buffer length.
+const ckptBuffer = 64 << 10
+
+// WriteCheckpointFS is WriteCheckpoint through fsys (nil: the OS) of
+// the payload that is the concatenation of parts. The parts are
+// streamed after a header whose CRC one pass over them computes, so the
+// payload is never gathered into one buffer.
+func WriteCheckpointFS(fsys FS, path string, parts [][]byte) error {
 	fsys = orOS(fsys)
 	tmp := path + ".tmp"
 	f, err := fsys.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
+	var size int
+	var sum uint32
+	for _, p := range parts {
+		size += len(p)
+		sum = crc32.Update(sum, crc32.IEEETable, p)
+	}
 	var fh [headerSize + frameHead]byte
 	copy(fh[:headerSize], ckptMagic[:])
-	binary.LittleEndian.PutUint32(fh[headerSize:headerSize+4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(fh[headerSize+4:], crc32.ChecksumIEEE(payload))
-	if _, err := f.Write(fh[:]); err == nil {
-		_, err = f.Write(payload)
+	binary.LittleEndian.PutUint32(fh[headerSize:headerSize+4], uint32(size))
+	binary.LittleEndian.PutUint32(fh[headerSize+4:], sum)
+	// A bufio.Writer's first error sticks, and Flush returns it.
+	w := bufio.NewWriterSize(f, ckptBuffer)
+	w.Write(fh[:])
+	for _, p := range parts {
+		w.Write(p)
 	}
-	if err != nil {
+	if err := w.Flush(); err != nil {
 		f.Close()
 		fsys.Remove(tmp)
 		return fmt.Errorf("wal: %w", err)
