@@ -7,11 +7,12 @@
 # coverage floors, and the benchmark harness's own vet and tests (a
 # nested module `go test ./...` does not reach). CI additionally runs
 # the suite under the race detector (the `race` target) as its own job;
-# run it locally before touching the control plane.
+# run it locally before touching the service, federation or web
+# packages.
 
 GO ?= go
 
-.PHONY: check build vet lint lint-fast lint-deep test test-386 race race-short stress bench-smoke bench-harness bench profile service-smoke experiments chaos crash-smoke fuzz-smoke fuzz-sync cover
+.PHONY: check build vet lint lint-fast lint-deep test test-386 race race-short bench-smoke bench-harness bench profile service-smoke experiments crash-smoke fuzz-smoke fuzz-sync cover
 
 check: build vet lint test cover bench-harness
 
@@ -75,22 +76,16 @@ test-386:
 race:
 	$(GO) test -race ./...
 
-# race-short runs the concurrent control plane — scheduler service,
+# race-short runs the concurrent packages — scheduler service,
 # federation (shared clock + share-on-publish snapshots), web API, load
-# generator, live RPC cluster — under the race detector in short mode,
-# plus the engine's own snapshot tests: a reader goroutine encodes held
-# snapshots while the engine keeps appending to what they share. The
-# quick local gate before touching any of those packages; `race` is the
-# full-suite version CI runs.
+# generator — under the race detector in short mode, plus the engine's
+# own snapshot tests: a reader goroutine encodes held snapshots while
+# the engine keeps appending to what they share. The quick local gate
+# before touching any of those packages; `race` is the full-suite
+# version CI runs.
 race-short:
-	$(GO) test -race -short ./internal/federation ./internal/service ./internal/web ./internal/loadgen ./internal/rpccluster
+	$(GO) test -race -short ./internal/federation ./internal/service ./internal/web ./internal/loadgen
 	$(GO) test -race -short -run 'Snapshot|Finish' ./internal/sim
-
-# stress re-runs the live control plane's suite several times under the
-# race detector: the heartbeat/reconnect/chaos paths are the only truly
-# concurrent code, and their races only show up across repeated runs.
-stress:
-	$(GO) test -race -count=5 ./internal/rpccluster
 
 # bench-smoke runs the allocation-state microbenchmarks and the small
 # (60/250-node) scalability points once each, then gates the result:
@@ -209,12 +204,6 @@ cover:
 # experiments regenerates the paper's tables and figures at full scale.
 experiments:
 	$(GO) run ./cmd/experiments -all
-
-# chaos sweeps the fault-injection harness over a seed matrix: every
-# seed runs the live control plane under RPC drops, injected latency,
-# and a worker crash + restart, and must still complete every job.
-chaos:
-	$(GO) test -race -run 'TestChaosMatrix' -count=1 ./internal/rpccluster -args -chaosseeds=5
 
 # crash-smoke SIGKILLs a race-instrumented hadard with a journal once,
 # restarts it with -recover, and requires every acknowledged job back,

@@ -20,8 +20,7 @@ type FailureScenarioResult struct {
 
 // FailureScenario runs the static trace through every scheduler twice —
 // once clean, once with two rolling node outages (a V100 node and a K80
-// node, eight hours each) — mirroring the robustness experiments of the
-// prototype control plane on the simulator side.
+// node, eight hours each).
 func FailureScenario(setup Setup) (*FailureScenarioResult, error) {
 	jobs, err := setup.staticTrace()
 	if err != nil {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"go/ast"
 	"go/printer"
-	"go/token"
 	"go/types"
 )
 
@@ -106,102 +105,6 @@ var analyzerLockCopy = &Analyzer{
 			return true
 		})
 	},
-}
-
-// hasCancellationPath reports whether a goroutine body observes some
-// form of stop signal: a context.Context value, a channel receive, a
-// select statement, or a return-on-error loop around a call that a
-// shutdown unblocks. The heuristic accepts the first three shapes;
-// anything else needs a suppression explaining how the goroutine ends.
-func hasCancellationPath(p *Pass, body ast.Node) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		switch e := n.(type) {
-		case *ast.SelectStmt:
-			found = true
-		case *ast.UnaryExpr:
-			if e.Op == token.ARROW {
-				found = true
-			}
-		case *ast.Ident:
-			if t := p.Pkg.TypeOf(e); t != nil && isContext(t) {
-				found = true
-			}
-		}
-		return !found
-	})
-	return found
-}
-
-func isContext(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "context" && obj.Name() == "Context"
-}
-
-// analyzerGoStop requires every goroutine launched in the live control
-// plane to have a visible cancellation or deadline path. A goroutine
-// with no way to stop outlives the run, keeps connections and workers
-// pinned, and turns clean shutdowns into leaks the race detector then
-// reports at random places.
-var analyzerGoStop = &Analyzer{
-	Name: "gostop",
-	Doc: "require goroutines in the control plane to observe a cancellation path (context, " +
-		"channel receive, or select); suppress only with the reason the goroutine is bounded",
-	Run: func(p *Pass) {
-		inspectAll(p, func(n ast.Node) bool {
-			gs, ok := n.(*ast.GoStmt)
-			if !ok {
-				return true
-			}
-			var body ast.Node
-			switch fn := gs.Call.Fun.(type) {
-			case *ast.FuncLit:
-				body = fn.Body
-			default:
-				// A named function or method: find its declaration in
-				// this package; foreign callees cannot be inspected and
-				// must carry a suppression.
-				if decl := localDecl(p, gs.Call.Fun); decl != nil {
-					body = decl.Body
-				}
-			}
-			if body == nil || !hasCancellationPath(p, body) {
-				p.Reportf(gs.Pos(), "goroutine without a visible cancellation/deadline path")
-			}
-			return true
-		})
-	},
-}
-
-// localDecl resolves a call target to a function declared in the
-// current package, if it is one.
-func localDecl(p *Pass, fun ast.Expr) *ast.FuncDecl {
-	var obj types.Object
-	switch f := fun.(type) {
-	case *ast.Ident:
-		obj = p.Pkg.Info.Uses[f]
-	case *ast.SelectorExpr:
-		obj = p.Pkg.Info.Uses[f.Sel]
-	}
-	fn, ok := obj.(*types.Func)
-	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != p.Pkg.Path {
-		return nil
-	}
-	for _, file := range p.Pkg.Files {
-		for _, d := range file.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok && p.Pkg.Info.Defs[fd.Name] == fn {
-				return fd
-			}
-		}
-	}
-	return nil
 }
 
 // exprString renders an expression for receiver matching.

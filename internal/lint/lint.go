@@ -13,9 +13,9 @@
 //     float math compared against tolerances — raw ==/!= between
 //     floats and undocumented cross-round accumulation are bugs in
 //     waiting;
-//   - concurrency hygiene: the live control plane is the only
-//     concurrent subsystem; copied locks, uncancellable goroutines and
-//     unpaired Lock/Unlock are how it breaks;
+//   - concurrency hygiene: the scheduler service, its federation and
+//     the web front door share state across goroutines; copied locks
+//     and unpaired Lock/Unlock are how that breaks;
 //   - API discipline: library code must not panic outside the
 //     designated invariant-violation hook (internal/bug) and must not
 //     write to stdout outside cmd/.
@@ -174,19 +174,18 @@ var schedulerPath = []string{
 
 // reportingPath lists packages whose *output* must be reproducible run
 // to run (metrics tables, exported CSV/JSON, dashboard rendering, the
-// control plane's reconciliation), even though they are not priced
-// into the schedule itself. service and loadgen belong here, not in
+// service's snapshots), even though they are not priced into the
+// schedule itself. service and loadgen belong here, not in
 // schedulerPath: their seeded workloads and snapshots must replay
 // identically, but their pacing (wall-clock rounds, retry backoff) is
-// legitimately real-time, like rpccluster's. wal is here too: its
-// frames and checkpoints must be byte-reproducible, but fsync pacing
-// (group-commit deadlines) is wall-clock by nature, so it stays out of
-// the wallclock rule's scope below.
+// legitimately real-time. wal is here too: its frames and checkpoints
+// must be byte-reproducible, but fsync pacing (group-commit deadlines)
+// is wall-clock by nature, so it stays out of the wallclock rule's
+// scope below.
 var reportingPath = []string{
 	"repro/internal/metrics",
 	"repro/internal/export",
 	"repro/internal/web",
-	"repro/internal/rpccluster",
 	"repro/internal/service",
 	"repro/internal/loadgen",
 	"repro/internal/stats",
@@ -200,9 +199,9 @@ func DefaultConfig() *Config {
 	return &Config{
 		Only: map[string][]string{
 			// Wall-clock reads are forbidden where simulated time is the
-			// only legitimate clock. rpccluster is excluded: the live
-			// control plane's deadlines, backoff, and round pacing are
-			// genuinely wall-clock driven.
+			// only legitimate clock. Of reportingPath only metrics and
+			// export are in scope: service, loadgen and wal pace rounds,
+			// retries and fsyncs on the wall clock by design.
 			"wallclock": append(append([]string(nil), schedulerPath...),
 				"repro/internal/metrics", "repro/internal/export"),
 			// The linter lints itself: analyzer output ordering must be
@@ -215,7 +214,6 @@ func DefaultConfig() *Config {
 			// and dual-price arithmetic live.
 			"floataccum": {"repro/internal/core", "repro/internal/invariant", "repro/internal/sim"},
 			"floateq":    {"repro/internal/..."},
-			"gostop":     {"repro/internal/rpccluster"},
 			"panicrule":  {"repro/internal/..."},
 		},
 		Skip: map[string][]string{
@@ -237,7 +235,6 @@ func AnalyzersFast() []*Analyzer {
 		analyzerFloatEq,
 		analyzerFloatAccum,
 		analyzerLockCopy,
-		analyzerGoStop,
 		analyzerDeferUnlock,
 		analyzerPanic,
 		analyzerPrint,

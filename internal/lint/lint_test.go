@@ -3,6 +3,7 @@ package lint
 import (
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -181,7 +182,8 @@ func TestMatchPath(t *testing.T) {
 
 // TestRepositoryClean asserts the live tree is diagnostic-clean under
 // the default configuration, so a regression fails `go test`, not just
-// `make lint`.
+// `make lint`, and that every scope the configuration names still
+// matches a package.
 func TestRepositoryClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module")
@@ -199,6 +201,25 @@ func TestRepositoryClean(t *testing.T) {
 	}
 	if len(diags) > 0 {
 		t.Errorf("%d diagnostics in the live tree; fix them or add a justified //lint:ignore", len(diags))
+	}
+
+	// A scope entry naming a package that no longer exists silently
+	// scopes a rule to nothing: every exact path must name a loaded
+	// package and every "/..." pattern must match at least one.
+	cfg := DefaultConfig()
+	scopes := map[string][]string{"schedulerPath": schedulerPath, "reportingPath": reportingPath}
+	for rule, patterns := range cfg.Only {
+		scopes["Only["+rule+"]"] = patterns
+	}
+	for rule, patterns := range cfg.Skip {
+		scopes["Skip["+rule+"]"] = patterns
+	}
+	for where, patterns := range scopes {
+		for _, pattern := range patterns {
+			if !slices.ContainsFunc(pkgs, func(pkg *Package) bool { return matchPath(pattern, pkg.Path) }) {
+				t.Errorf("%s names %q, which matches no package in the module", where, pattern)
+			}
+		}
 	}
 }
 

@@ -179,6 +179,19 @@ func TestDriveGivesUpOnStuckService(t *testing.T) {
 	}
 }
 
+// waitCompleted polls the published snapshot until n jobs have
+// completed; only the 30 s deadline can fail the test.
+func waitCompleted(t *testing.T, svc *service.Service, n int) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for svc.Snapshot().Completed < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d jobs completed in time", svc.Snapshot().Completed, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestDriveAgainstLiveService is the in-repo version of the CI smoke:
 // a closed-loop drive against a real service with the invariant oracle
 // checking every round, sized to stay fast under -race.
@@ -209,13 +222,7 @@ func TestDriveAgainstLiveService(t *testing.T) {
 		t.Fatalf("submitted %d of %d jobs", res.Submitted, len(jobs))
 	}
 
-	deadline := time.Now().Add(30 * time.Second)
-	for svc.Snapshot().Completed < res.Submitted {
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d jobs completed in time", svc.Snapshot().Completed, res.Submitted)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitCompleted(t, svc, res.Submitted)
 	report, err := svc.Stop()
 	if err != nil {
 		t.Fatalf("oracle or engine failure: %v", err)
@@ -272,13 +279,7 @@ func TestDriveAgainstFederatedService(t *testing.T) {
 		t.Fatalf("submitted %d of %d jobs", res.Submitted, len(jobs))
 	}
 
-	deadline := time.Now().Add(30 * time.Second)
-	for svc.Snapshot().Completed < res.Submitted {
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d jobs completed in time", svc.Snapshot().Completed, res.Submitted)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitCompleted(t, svc, res.Submitted)
 	report, err := svc.Stop()
 	if err != nil {
 		t.Fatalf("oracle or federation failure: %v", err)

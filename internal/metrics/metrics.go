@@ -71,24 +71,23 @@ func IsolatedDuration(totalIters float64, workers int, bestThroughput float64, n
 
 // FaultStats counts fault-tolerance events observed during a run. The
 // simulator fills in the outage-level counters (node transitions, lost
-// work, recoveries); the live control plane (rpccluster) additionally
-// populates the RPC-level ones. All counters stay zero on a fault-free
-// run, so reports from healthy runs are unchanged by their presence.
+// work, recoveries). All counters stay zero on a fault-free run, so
+// reports from healthy runs are unchanged by their presence.
 type FaultStats struct {
-	// RPCRetries counts transient call failures that were retried.
-	RPCRetries int
-	// RPCTimeouts counts calls abandoned at the per-call deadline.
+	// RPCRetries and RPCTimeouts are always zero: nothing in the
+	// program fills them. They stay because they are part of the
+	// report encoded in engine checkpoints, so dropping them is a
+	// checkpoint format change.
+	RPCRetries  int
 	RPCTimeouts int
-	// NodeDown and NodeUp count node outage begin/end transitions as
-	// observed by the control plane (heartbeat probes) or simulator.
+	// NodeDown and NodeUp count node outage begin/end transitions.
 	NodeDown int
 	NodeUp   int
 	// Recoveries counts job-rounds rolled back because a worker holding
 	// part of the job's gang failed mid-round.
 	Recoveries int
 	// LostIterations sums training iterations discarded by failures:
-	// progress past the last checkpoint (live cluster) or the killed
-	// round's forgone work (simulator).
+	// the killed round's forgone work.
 	LostIterations float64
 }
 

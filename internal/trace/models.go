@@ -141,21 +141,6 @@ func ModelsForClass(s SizeClass) []ModelSpec {
 	return out
 }
 
-// CatalogWithThroughputs returns a copy of the Table II catalog with
-// each model's throughput profile replaced by the supplied derivation
-// (e.g. one computed from first principles by internal/psmodel). Models
-// absent from the map keep their calibrated defaults.
-func CatalogWithThroughputs(derived map[string]job.Rates) []ModelSpec {
-	out := make([]ModelSpec, len(catalog))
-	copy(out, catalog)
-	for i := range out {
-		if tp, ok := derived[out[i].Name]; ok {
-			out[i].Throughput = tp
-		}
-	}
-	return out
-}
-
 // GenerateWithCatalog synthesizes a trace like Generate but samples
 // models from the supplied catalog instead of the built-in one. Every
 // spec must cover at least one accelerator type per size class.

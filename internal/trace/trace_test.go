@@ -8,7 +8,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/gpu"
-	"repro/internal/job"
 )
 
 func TestCatalogMatchesTableII(t *testing.T) {
@@ -493,25 +492,6 @@ func TestSustainableRate(t *testing.T) {
 	}
 	if (Stats{}).SustainableRatePerHour(32) != 0 {
 		t.Error("empty stats rate nonzero")
-	}
-}
-
-func TestCatalogWithThroughputs(t *testing.T) {
-	derived := map[string]job.Rates{
-		"LSTM": {gpu.V100: 42, gpu.K80: 7},
-	}
-	specs := CatalogWithThroughputs(derived)
-	if len(specs) != len(Catalog()) {
-		t.Fatalf("catalog size changed: %d", len(specs))
-	}
-	for _, m := range specs {
-		if m.Name == "LSTM" {
-			if m.Throughput[gpu.V100] != 42 || m.Throughput[gpu.K80] != 7 {
-				t.Errorf("derived profile not applied: %v", m.Throughput)
-			}
-		} else if m.Throughput[gpu.V100] == 42 {
-			t.Errorf("%s profile clobbered", m.Name)
-		}
 	}
 }
 

@@ -196,6 +196,19 @@ func waitPhase(t *testing.T, phase func(id int) string, id int, want string) {
 	}
 }
 
+// waitCompleted polls the published snapshot until n jobs have
+// completed; only the 10 s deadline can fail the test.
+func waitCompleted(t *testing.T, svc *service.Service, n int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for svc.Snapshot().Completed < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d jobs never completed", n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestLiveSubmitRejectsBadSpecs(t *testing.T) {
 	svc, ts := newLiveFixture(t)
 	for _, body := range []string{
@@ -233,13 +246,7 @@ func TestLiveSnapshotAndSummary(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted || out["id"].(float64) != 7 {
 		t.Fatalf("submit status = %d, body %v", resp.StatusCode, out)
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for svc.Snapshot().Completed < 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("job 7 never completed")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitCompleted(t, svc, 1)
 
 	resp, out = do(t, http.MethodGet, ts.URL+"/api/snapshot")
 	if resp.StatusCode != http.StatusOK {
@@ -368,20 +375,10 @@ func TestLiveEngineBodiesMatchGolden(t *testing.T) {
 	}
 	// Every snapshot read below happens with the engine idle (all
 	// submitted work finished), so the bodies are deterministic.
-	waitCompleted := func(n int) {
-		t.Helper()
-		deadline := time.Now().Add(10 * time.Second)
-		for svc.Snapshot().Completed < n {
-			if time.Now().After(deadline) {
-				t.Fatalf("%d jobs never completed", n)
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
 	exchange("POST", "/api/jobs", `{"id": 7, "model": "LSTM", "workers": 1, "gpu_hours": 0.05}`)
-	waitCompleted(1)
+	waitCompleted(t, svc, 1)
 	exchange("POST", "/api/jobs", `{"id": 8, "key": "k1", "model": "ResNet-18", "workers": 2, "gpu_hours": 0.1}`)
-	waitCompleted(2)
+	waitCompleted(t, svc, 2)
 	exchange("POST", "/api/jobs", `{"id": 9, "key": "k1", "model": "ResNet-18", "workers": 2, "gpu_hours": 0.1}`)
 	exchange("POST", "/api/jobs", `{"model": "NoSuchNet", "workers": 1, "gpu_hours": 1}`)
 	exchange("GET", "/api/jobs/7", "")
