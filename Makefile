@@ -12,7 +12,7 @@
 
 GO ?= go
 
-.PHONY: check build vet lint lint-fast lint-deep test test-386 race race-short bench-smoke bench-harness bench profile service-smoke experiments crash-smoke fuzz-smoke fuzz-sync cover
+.PHONY: check build vet lint test test-386 race race-short bench-smoke bench-harness bench profile service-smoke experiments crash-smoke fuzz-smoke fuzz-sync cover
 
 check: build vet lint test cover bench-harness
 
@@ -22,29 +22,23 @@ build:
 vet:
 	$(GO) vet ./...
 
-# lint runs go vet plus repolint, the in-tree static-analysis suite
-# enforcing determinism (no wall clock, no global rand, no map-order
-# dependence in scheduler-path packages), numeric safety, concurrency
-# hygiene, and API discipline — in two stages. lint-fast is gofmt (the
-# analyzer corpora under internal/lint/testdata are exempt: fixtures
-# keep whatever shape their `// want` lines need), a grep that keeps
-# the policy packages from building a cluster.State of their own (they
-# search the one the caller lends in sched.Context.Free), a grep that
-# keeps experiments.Policies the only name-to-policy map (no `case
-# "hadar..."` switch in non-test code), a grep that keeps crash
-# failpoints out of the program (TestCrashEnumeration drives every
-# crash through wal.FS instead), plus the cheap per-package
-# syntactic rules; lint-deep is the interprocedural pass
-# (snapshot escape, goroutine ownership, digest taint)
-# over the whole-module callgraph, run with per-analyzer timing and a
-# wall-time budget so it cannot silently blow up CI. `go run
-# ./cmd/repolint -rules` lists the rule catalogue; suppress
-# site-by-site with `//lint:ignore <rule> <reason>`.
-LINTBUDGET ?= 90s
+# lint is go vet (its copylocks check is the repository's guard against
+# copied locks), then gofmt (the analyzer corpora under
+# internal/lint/testdata are exempt: fixtures keep whatever shape their
+# `// want` lines need), then three greps — the policy packages must not
+# build a cluster.State of their own (they search the one the caller
+# lends in sched.Context.Free), experiments.Policies must stay the only
+# name-to-policy map (no `case "hadar..."` switch in non-test code), and
+# crash failpoints stay out of the program (TestCrashEnumeration drives
+# every crash through wal.FS instead) — and last repolint, the in-tree
+# static-analysis suite: determinism (no wall clock, no global rand, no
+# map-order dependence in scheduler-path packages, and none anywhere on
+# a dataflow path into a schedule digest), numeric safety, lock hygiene
+# and API discipline, in one pass. `go run ./cmd/repolint -rules` lists
+# the rule catalogue; suppress site-by-site with `//lint:ignore <rule>
+# <reason>`.
 POLICY_PKGS := internal/core internal/gavel internal/tiresias internal/yarncs internal/allox internal/policy internal/profiler
-lint: lint-fast lint-deep
-
-lint-fast: vet
+lint: vet
 	@out="$$(gofmt -l . | grep -v '^internal/lint/testdata/')"; \
 	if [ -n "$$out" ]; then echo "gofmt: needs formatting:"; echo "$$out"; exit 1; fi
 	@out="$$(grep -rn 'cluster\.NewState(' --include='*.go' $(POLICY_PKGS) | grep -v '_test\.go:')"; \
@@ -53,10 +47,7 @@ lint-fast: vet
 	if [ -n "$$out" ]; then echo "look policy names up in experiments.Policies, do not switch on them:"; echo "$$out"; exit 1; fi
 	@out="$$(grep -rnE 'CRASH_AFTER_BYTES|FailPoint' --include='*.go' . | grep -v '_test\.go:')"; \
 	if [ -n "$$out" ]; then echo "crashes are enumerated through wal.FS in tests, not armed in the program:"; echo "$$out"; exit 1; fi
-	$(GO) run ./cmd/repolint -set fast .
-
-lint-deep:
-	$(GO) run ./cmd/repolint -set deep -verbose -budget $(LINTBUDGET) .
+	$(GO) run ./cmd/repolint .
 
 test:
 	$(GO) test ./...

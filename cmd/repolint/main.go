@@ -4,17 +4,13 @@
 //
 // Usage:
 //
-//	repolint [-rules] [-set fast|deep|all] [-verbose] [-budget d] [module-root]
+//	repolint [-rules] [module-root]
 //
 // The module root defaults to the current directory (it must hold
-// go.mod). -set selects the fast syntactic rules, the deep
-// interprocedural rules, or (default) both; CI runs the two sets as
-// separate cached stages. -verbose prints per-analyzer wall time to
-// stderr, and -budget fails the run when the analyzers' summed wall
-// time exceeds the given duration, so the interprocedural pass cannot
-// silently blow up CI. Exit status is 0 when the tree is
-// diagnostic-clean, 1 when diagnostics were reported or the budget was
-// exceeded, and 2 on a load or type-check failure.
+// go.mod). Every analyzer runs in one pass: the per-package rules, then
+// digesttaint over the whole-module callgraph. Exit status is 0 when
+// the tree is diagnostic-clean, 1 when diagnostics were reported, and 2
+// on a load or type-check failure.
 //
 // Suppress a finding site-by-site with a mandatory reason:
 //
@@ -28,37 +24,20 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"repro/internal/lint"
 )
 
 func main() {
 	listRules := flag.Bool("rules", false, "list the analyzers and exit")
-	set := flag.String("set", "all", "analyzer set to run: fast (syntactic), deep (interprocedural), or all")
-	verbose := flag.Bool("verbose", false, "print per-analyzer wall time to stderr")
-	budget := flag.Duration("budget", 0, "fail when summed analyzer wall time exceeds this duration (0 = no budget)")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: repolint [-rules] [-set fast|deep|all] [-verbose] [-budget d] [module-root]\n")
+		fmt.Fprintf(os.Stderr, "usage: repolint [-rules] [module-root]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
 
-	var analyzers []*lint.Analyzer
-	switch *set {
-	case "fast":
-		analyzers = lint.AnalyzersFast()
-	case "deep":
-		analyzers = lint.AnalyzersDeep()
-	case "all":
-		analyzers = lint.Analyzers()
-	default:
-		fmt.Fprintf(os.Stderr, "repolint: unknown -set %q (want fast, deep, or all)\n", *set)
-		os.Exit(2)
-	}
-
 	if *listRules {
-		for _, a := range analyzers {
+		for _, a := range lint.Analyzers() {
 			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
 		}
 		return
@@ -73,31 +52,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "repolint:", err)
 		os.Exit(2)
 	}
-	diags, timings := lint.RunTimed(pkgs, analyzers, lint.DefaultConfig())
-	var total time.Duration
-	for _, t := range timings {
-		total += t.Elapsed
-	}
-	if *verbose {
-		for _, t := range timings {
-			fmt.Fprintf(os.Stderr, "repolint: %-12s %8.1fms\n", t.Name, float64(t.Elapsed.Microseconds())/1000)
-		}
-		fmt.Fprintf(os.Stderr, "repolint: %-12s %8.1fms\n", "total", float64(total.Microseconds())/1000)
-	}
+	diags := lint.Run(pkgs, lint.Analyzers(), lint.DefaultConfig())
 	for _, d := range diags {
 		fmt.Println(d)
 	}
-	fail := false
 	if len(diags) > 0 {
 		fmt.Fprintf(os.Stderr, "repolint: %d diagnostics\n", len(diags))
-		fail = true
-	}
-	if *budget > 0 && total > *budget {
-		fmt.Fprintf(os.Stderr, "repolint: analyzer wall time %s exceeded budget %s\n",
-			total.Round(time.Millisecond), *budget)
-		fail = true
-	}
-	if fail {
 		os.Exit(1)
 	}
 }

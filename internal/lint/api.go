@@ -53,7 +53,7 @@ var analyzerPrint = &Analyzer{
 		inspectAll(p, func(n ast.Node) bool {
 			switch e := n.(type) {
 			case *ast.SelectorExpr:
-				if pkg, name := pkgFuncObj(p, e); pkg == "fmt" && stdoutPrinters[name] {
+				if pkg, name := pkgFuncObj(p.Pkg, e); pkg == "fmt" && stdoutPrinters[name] {
 					p.Reportf(e.Pos(), "fmt.%s writes to stdout from library code; take an io.Writer", name)
 				}
 			case *ast.CallExpr:

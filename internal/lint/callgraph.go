@@ -9,21 +9,16 @@ import (
 	"strings"
 )
 
-// This file builds the whole-module view the interprocedural analyzers
-// (snapescape, ownership, digesttaint) share: a callgraph
-// over every declared function and method, with interface calls
-// resolved to the module's implementations and `go`-launched function
-// literals split out as goroutine roots. It stays zero-dependency:
-// everything is derived from the go/types information the loader
-// already computed.
+// This file builds the whole-module view digesttaint needs: a
+// callgraph over every declared function and method, with interface
+// calls resolved to the module's implementations. It stays
+// zero-dependency: everything is derived from the go/types information
+// the loader already computed.
 
 // Module is the interprocedural view over one set of loaded packages.
 type Module struct {
-	Pkgs []*Package
-
-	// nodes holds every function node in deterministic (position)
-	// order: declared functions and methods first-class, plus one
-	// synthetic node per go-launched function literal.
+	// nodes holds every declared function and method with a body, in
+	// deterministic (position) order.
 	nodes []*FuncNode
 	// byObj maps a declared function/method object to its node.
 	byObj map[*types.Func]*FuncNode
@@ -32,46 +27,17 @@ type Module struct {
 	named []*types.Named
 	// impls caches interface-method -> implementing-method resolution.
 	impls map[*types.Func][]*FuncNode
-	// appendOnly and immutable are the sharing contracts declared in
-	// doc comments (contracts.go); the alias analysis reads them.
-	appendOnly map[*types.Var]bool
-	immutable  map[*types.Named]bool
 }
 
-// FuncNode is one function in the callgraph: a declared function or
-// method (Obj/Decl set) or a go-launched function literal (Lit/Parent
-// set, Obj nil).
+// FuncNode is one declared function or method in the callgraph.
 type FuncNode struct {
-	Obj    *types.Func
-	Decl   *ast.FuncDecl
-	Lit    *ast.FuncLit
-	Parent *FuncNode
-	Pkg    *Package
+	Obj  *types.Func
+	Decl *ast.FuncDecl
+	Pkg  *Package
 
-	// Calls are the resolved call sites executed on this node's own
-	// goroutine (calls inside nested go-launched literals belong to
-	// the literal's node, not this one).
+	// Calls are the resolved call sites in the body, function literals
+	// and `go` statements included.
 	Calls []*CallSite
-	// GoLaunches are the `go` statements in the body: each one starts
-	// a new goroutine context.
-	GoLaunches []*GoLaunch
-
-	// Summaries computed by the mod-ref fixpoint (modref.go).
-	// Index 0 is the receiver when present; parameters follow.
-	mutates  []bool
-	aliasRet paramSet
-
-	// roots caches the intra-procedural alias sets (modref.go).
-	roots map[types.Object]paramSet
-	// kills records, per struct-valued local, the fields the body
-	// overwrites before it can return, with what (modref.go).
-	kills map[types.Object]map[*types.Var][]ast.Expr
-	// resolving holds the killed fields whose alias sets are being
-	// computed (killedField).
-	resolving map[localField]bool
-	// rewrites marks the parameters through which the function writes
-	// shared-by-contract storage in place (frozen.go).
-	rewrites paramSet
 }
 
 // CallSite is one resolved call expression.
@@ -79,30 +45,11 @@ type CallSite struct {
 	Expr   *ast.CallExpr
 	Callee *types.Func // static callee, or the interface method
 	Iface  bool        // dynamic dispatch through an interface
-	InLoop bool
 }
-
-// GoLaunch is one `go` statement.
-type GoLaunch struct {
-	Site   *ast.GoStmt
-	Callee *types.Func // go m(...): the launched function, nil for literals
-	Iface  bool
-	Node   *FuncNode // go func(){...}(): the literal's synthetic node
-	Loop   ast.Node  // innermost enclosing for/range statement, nil outside loops
-}
-
-// InLoop reports whether the launch executes once per loop iteration.
-func (gl *GoLaunch) InLoop() bool { return gl.Loop != nil }
 
 // Name renders the node for diagnostics: pkg-relative, method
-// receivers included, go-literals named after their parent.
+// receivers included.
 func (n *FuncNode) Name() string {
-	if n.Obj == nil {
-		if n.Parent != nil {
-			return n.Parent.Name() + ".go-func"
-		}
-		return "go-func"
-	}
 	if recv := n.Obj.Type().(*types.Signature).Recv(); recv != nil {
 		return fmt.Sprintf("(%s).%s", types.TypeString(recv.Type(), types.RelativeTo(n.Pkg.Types)), n.Obj.Name())
 	}
@@ -110,21 +57,15 @@ func (n *FuncNode) Name() string {
 }
 
 // Pos is the node's declaration position.
-func (n *FuncNode) Pos() token.Pos {
-	if n.Decl != nil {
-		return n.Decl.Pos()
-	}
-	if n.Lit != nil {
-		return n.Lit.Pos()
-	}
-	return token.NoPos
-}
+func (n *FuncNode) Pos() token.Pos { return n.Decl.Pos() }
+
+// body returns the node's statement body.
+func (n *FuncNode) body() *ast.BlockStmt { return n.Decl.Body }
 
 // BuildModule indexes the packages into a callgraph. The packages must
 // share one FileSet (as LoadModule and LoadDir guarantee).
 func BuildModule(pkgs []*Package) *Module {
 	m := &Module{
-		Pkgs:  pkgs,
 		byObj: map[*types.Func]*FuncNode{},
 		impls: map[*types.Func][]*FuncNode{},
 	}
@@ -153,65 +94,21 @@ func BuildModule(pkgs []*Package) *Module {
 					continue
 				}
 				node := &FuncNode{Obj: obj, Decl: fd, Pkg: pkg}
+				ast.Inspect(fd.Body, func(x ast.Node) bool {
+					if call, ok := x.(*ast.CallExpr); ok {
+						if callee, iface := m.resolveCallee(pkg, call); callee != nil {
+							node.Calls = append(node.Calls, &CallSite{Expr: call, Callee: callee, Iface: iface})
+						}
+					}
+					return true
+				})
 				m.nodes = append(m.nodes, node)
 				m.byObj[obj] = node
-				m.attribute(node, fd.Body, nil)
 			}
 		}
 	}
 	sort.Slice(m.nodes, func(i, j int) bool { return m.nodes[i].Pos() < m.nodes[j].Pos() })
-	m.appendOnly = appendOnlyFields(m)
-	m.immutable = immutableTypes(m)
-	computeSummaries(m)
 	return m
-}
-
-// attribute walks body, recording call sites and go-launches on node.
-// Nested go-launched literals get their own synthetic nodes; all other
-// function literals (deferred, stored, immediately invoked) run on the
-// same goroutine for our purposes and stay attributed to node.
-func (m *Module) attribute(node *FuncNode, body ast.Node, loop ast.Node) {
-	ast.Inspect(body, func(x ast.Node) bool {
-		switch s := x.(type) {
-		case *ast.ForStmt:
-			if s.Init != nil {
-				m.attribute(node, s.Init, loop)
-			}
-			if s.Cond != nil {
-				m.attribute(node, s.Cond, loop)
-			}
-			if s.Post != nil {
-				m.attribute(node, s.Post, loop)
-			}
-			m.attribute(node, s.Body, s)
-			return false
-		case *ast.RangeStmt:
-			m.attribute(node, s.X, loop)
-			m.attribute(node, s.Body, s)
-			return false
-		case *ast.GoStmt:
-			gl := &GoLaunch{Site: s, Loop: loop}
-			if lit, ok := ast.Unparen(s.Call.Fun).(*ast.FuncLit); ok {
-				child := &FuncNode{Lit: lit, Parent: node, Pkg: node.Pkg}
-				m.nodes = append(m.nodes, child)
-				gl.Node = child
-				m.attribute(child, lit.Body, nil)
-			} else {
-				gl.Callee, gl.Iface = m.resolveCallee(node.Pkg, s.Call)
-			}
-			node.GoLaunches = append(node.GoLaunches, gl)
-			for _, a := range s.Call.Args {
-				m.attribute(node, a, loop)
-			}
-			return false
-		case *ast.CallExpr:
-			if callee, iface := m.resolveCallee(node.Pkg, s); callee != nil {
-				node.Calls = append(node.Calls, &CallSite{Expr: s, Callee: callee, Iface: iface, InLoop: loop != nil})
-			}
-			return true
-		}
-		return true
-	})
 }
 
 // resolveCallee resolves a call expression to its static callee (a
@@ -247,9 +144,6 @@ func (m *Module) resolveCallee(pkg *Package, call *ast.CallExpr) (*types.Func, b
 // node returns the FuncNode for a declared function object, nil for
 // functions outside the module.
 func (m *Module) node(fn *types.Func) *FuncNode {
-	if fn == nil {
-		return nil
-	}
 	if n, ok := m.byObj[fn]; ok {
 		return n
 	}
@@ -293,8 +187,11 @@ func (m *Module) implementers(ifm *types.Func) []*FuncNode {
 
 // calleeNodes returns the module nodes a call may reach: the static
 // callee, or every implementation for a call dispatched through an
-// interface or a type parameter.
+// interface or a type parameter; none for an unresolved (nil) callee.
 func (m *Module) calleeNodes(callee *types.Func, iface bool) []*FuncNode {
+	if callee == nil {
+		return nil
+	}
 	if iface {
 		return m.implementers(callee)
 	}
@@ -304,80 +201,15 @@ func (m *Module) calleeNodes(callee *types.Func, iface bool) []*FuncNode {
 	return nil
 }
 
-// guardedMutations returns the guarded (origin) types a call may
-// mutate: its static callee's receiver, or — through an interface or a
-// type parameter — the receivers of the implementers whose summaries
-// mutate them, so an owner that holds its guarded backend behind an
-// interface field is still seen mutating it. An interface counts only
-// when it abstracts single-owner state alone: it is declared in the
-// module (a stdlib interface has implementers the module cannot see)
-// and every module implementer is guarded. Otherwise each
-// sched.Scheduler.Schedule or io.Closer.Close call would read as a
-// mutation of whichever guarded type happens to implement it.
-func (m *Module) guardedMutations(callee *types.Func, iface bool, guarded map[*types.Named]bool) []*types.Named {
-	if iface && m.pkgFor(callee.Pkg()) == nil {
-		return nil
-	}
-	var out []*types.Named
-	for _, n := range m.calleeNodes(callee, iface) {
-		rb := receiverBase(n.Obj)
-		if rb == nil || !guarded[rb.Origin()] {
-			if iface {
-				return nil
-			}
-			continue
-		}
-		if n.mutatesReceiver() {
-			out = append(out, rb.Origin())
-		}
-	}
-	return out
-}
-
-// launchRoots returns the nodes a go-launch starts: the literal's node
-// or the resolved (possibly interface) callee nodes.
-func (m *Module) launchRoots(gl *GoLaunch) []*FuncNode {
-	if gl.Node != nil {
-		return []*FuncNode{gl.Node}
-	}
-	return m.calleeNodes(gl.Callee, gl.Iface)
-}
-
-// closure returns the set of nodes reachable from roots over ordinary
-// call edges (go-launch edges excluded: they change goroutine).
-func (m *Module) closure(roots []*FuncNode) map[*FuncNode]bool {
-	seen := map[*FuncNode]bool{}
-	var work []*FuncNode
-	for _, r := range roots {
-		if r != nil && !seen[r] {
-			seen[r] = true
-			work = append(work, r)
-		}
-	}
-	for len(work) > 0 {
-		n := work[0]
-		work = work[1:]
-		for _, c := range n.Calls {
-			for _, callee := range m.calleeNodes(c.Callee, c.Iface) {
-				if !seen[callee] {
-					seen[callee] = true
-					work = append(work, callee)
-				}
-			}
-		}
-	}
-	return seen
-}
-
-// closureWithParents is closure plus a parent edge per reached node,
-// for rendering call-chain evidence in diagnostics.
-func (m *Module) closureWithParents(roots []*FuncNode) (map[*FuncNode]bool, map[*FuncNode]*FuncNode) {
-	seen := map[*FuncNode]bool{}
+// closure returns the nodes reachable from roots over call edges, each
+// mapped to the node it was first reached from (nil for a root), for
+// rendering call-chain evidence in diagnostics.
+func (m *Module) closure(roots []*FuncNode) map[*FuncNode]*FuncNode {
 	parent := map[*FuncNode]*FuncNode{}
-	var work []*FuncNode
+	work := []*FuncNode{}
 	for _, r := range roots {
-		if r != nil && !seen[r] {
-			seen[r] = true
+		if _, seen := parent[r]; !seen {
+			parent[r] = nil
 			work = append(work, r)
 		}
 	}
@@ -386,15 +218,14 @@ func (m *Module) closureWithParents(roots []*FuncNode) (map[*FuncNode]bool, map[
 		work = work[1:]
 		for _, c := range n.Calls {
 			for _, callee := range m.calleeNodes(c.Callee, c.Iface) {
-				if !seen[callee] {
-					seen[callee] = true
+				if _, seen := parent[callee]; !seen {
 					parent[callee] = n
 					work = append(work, callee)
 				}
 			}
 		}
 	}
-	return seen, parent
+	return parent
 }
 
 // chain renders the call path from a root to n, e.g. "Schedule -> explore".
@@ -410,67 +241,4 @@ func chain(parent map[*FuncNode]*FuncNode, n *FuncNode) string {
 		names[i], names[j] = names[j], names[i]
 	}
 	return strings.Join(names, " -> ")
-}
-
-// receiverBase returns the named type of a method's receiver (through
-// one pointer), or nil.
-func receiverBase(fn *types.Func) *types.Named {
-	sig, _ := fn.Type().(*types.Signature)
-	if sig == nil || sig.Recv() == nil {
-		return nil
-	}
-	t := sig.Recv().Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, _ := t.(*types.Named)
-	return named
-}
-
-// docOf returns the doc comment attached to a named type's
-// declaration, checking both the TypeSpec and its parent GenDecl.
-func (m *Module) docOf(named *types.Named) string {
-	obj := named.Obj()
-	pkg := m.pkgFor(obj.Pkg())
-	if pkg == nil {
-		return ""
-	}
-	for _, f := range pkg.Files {
-		if f.Pos() > obj.Pos() || obj.Pos() > f.End() {
-			continue
-		}
-		for _, decl := range f.Decls {
-			gd, ok := decl.(*ast.GenDecl)
-			if !ok || gd.Tok != token.TYPE {
-				continue
-			}
-			for _, spec := range gd.Specs {
-				ts, ok := spec.(*ast.TypeSpec)
-				if !ok || ts.Name.Pos() != obj.Pos() {
-					continue
-				}
-				if ts.Doc != nil {
-					return ts.Doc.Text()
-				}
-				if gd.Doc != nil {
-					return gd.Doc.Text()
-				}
-				return ""
-			}
-		}
-	}
-	return ""
-}
-
-// pkgFor maps a types.Package back to the loaded Package.
-func (m *Module) pkgFor(tp *types.Package) *Package {
-	if tp == nil {
-		return nil
-	}
-	for _, p := range m.Pkgs {
-		if p.Types == tp {
-			return p
-		}
-	}
-	return nil
 }

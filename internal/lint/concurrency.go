@@ -7,106 +7,6 @@ import (
 	"go/types"
 )
 
-// containsLock reports whether a value of type t holds (directly or
-// through nested struct fields or arrays) a sync primitive that must
-// not be copied after first use.
-func containsLock(t types.Type, seen map[types.Type]bool) bool {
-	if t == nil || seen[t] {
-		return false
-	}
-	seen[t] = true
-	if named, ok := t.(*types.Named); ok {
-		obj := named.Obj()
-		if obj.Pkg() != nil && obj.Pkg().Path() == "sync" {
-			switch obj.Name() {
-			case "Mutex", "RWMutex", "WaitGroup", "Once", "Cond", "Pool", "Map":
-				return true
-			}
-		}
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if containsLock(u.Field(i).Type(), seen) {
-				return true
-			}
-		}
-	case *types.Array:
-		return containsLock(u.Elem(), seen)
-	}
-	return false
-}
-
-// lockName renders a lock-containing type for diagnostics.
-func lockName(p *Pass, t types.Type) string {
-	return types.TypeString(t, types.RelativeTo(p.Pkg.Types))
-}
-
-// analyzerLockCopy detects by-value copies of types containing
-// sync.Mutex, sync.WaitGroup, or the other non-copyable sync
-// primitives: value receivers, value parameters, value results, plain
-// assignments, and ranging by value over slices of such types. Copying
-// the lock forks its state, so the copy guards nothing.
-var analyzerLockCopy = &Analyzer{
-	Name: "lockcopy",
-	Doc: "detect by-value copies of types containing sync.Mutex/WaitGroup (receivers, params, " +
-		"results, assignments, range values); a copied lock guards nothing — pass a pointer",
-	Run: func(p *Pass) {
-		checkField := func(kind string, fl *ast.FieldList) {
-			if fl == nil {
-				return
-			}
-			for _, f := range fl.List {
-				t := p.Pkg.TypeOf(f.Type)
-				if t == nil {
-					continue
-				}
-				if _, isPtr := t.Underlying().(*types.Pointer); isPtr {
-					continue
-				}
-				if containsLock(t, map[types.Type]bool{}) {
-					p.Reportf(f.Type.Pos(), "%s copies lock: %s contains a sync primitive; use a pointer", kind, lockName(p, t))
-				}
-			}
-		}
-		inspectAll(p, func(n ast.Node) bool {
-			switch s := n.(type) {
-			case *ast.FuncDecl:
-				checkField("receiver", s.Recv)
-				checkField("parameter", s.Type.Params)
-				checkField("result", s.Type.Results)
-			case *ast.FuncLit:
-				checkField("parameter", s.Type.Params)
-				checkField("result", s.Type.Results)
-			case *ast.AssignStmt:
-				for i, rhs := range s.Rhs {
-					if len(s.Lhs) != len(s.Rhs) {
-						break
-					}
-					switch rhs.(type) {
-					case *ast.Ident, *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
-					default:
-						continue // composite literals etc. construct fresh values
-					}
-					t := p.Pkg.TypeOf(rhs)
-					if t != nil && containsLock(t, map[types.Type]bool{}) {
-						p.Reportf(s.Rhs[i].Pos(), "assignment copies lock: %s contains a sync primitive", lockName(p, t))
-					}
-				}
-			case *ast.RangeStmt:
-				if s.Value == nil {
-					return true
-				}
-				t := p.Pkg.TypeOf(s.Value)
-				if t != nil && containsLock(t, map[types.Type]bool{}) {
-					p.Reportf(s.Value.Pos(), "range value copies lock: %s contains a sync primitive; range by index", lockName(p, t))
-				}
-			}
-			return true
-		})
-	},
-}
-
 // exprString renders an expression for receiver matching.
 func exprString(p *Pass, e ast.Expr) string {
 	var buf bytes.Buffer

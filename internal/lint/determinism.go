@@ -9,12 +9,8 @@ import (
 // pkgFuncObj resolves a selector to a package-level function and
 // returns its package path and name, or "" when it is anything else
 // (method, field, variable, type).
-func pkgFuncObj(p *Pass, sel *ast.SelectorExpr) (pkgPath, name string) {
-	obj, ok := p.Pkg.Info.Uses[sel.Sel]
-	if !ok {
-		return "", ""
-	}
-	fn, ok := obj.(*types.Func)
+func pkgFuncObj(pkg *Package, sel *ast.SelectorExpr) (pkgPath, name string) {
+	fn, ok := pkg.Info.Uses[sel.Sel].(*types.Func)
 	if !ok || fn.Pkg() == nil {
 		return "", ""
 	}
@@ -45,7 +41,7 @@ var analyzerWallClock = &Analyzer{
 			if !ok {
 				return true
 			}
-			if pkg, name := pkgFuncObj(p, sel); pkg == "time" {
+			if pkg, name := pkgFuncObj(p.Pkg, sel); pkg == "time" {
 				switch name {
 				case "Now", "Since", "Until":
 					p.Reportf(sel.Pos(), "wall-clock read time.%s in deterministic package %s", name, p.Pkg.Types.Name())
@@ -78,7 +74,7 @@ var analyzerGlobalRand = &Analyzer{
 			if !ok {
 				return true
 			}
-			pkg, name := pkgFuncObj(p, sel)
+			pkg, name := pkgFuncObj(p.Pkg, sel)
 			if (pkg == "math/rand" || pkg == "math/rand/v2") && !globalRandAllowed[name] {
 				p.Reportf(sel.Pos(), "global math/rand function rand.%s; use a seeded *rand.Rand", name)
 			}

@@ -27,17 +27,13 @@ var analyzerDigestTaint = &Analyzer{
 		"global rand draws anywhere on that dataflow path",
 	RunModule: func(p *ModulePass) {
 		m := p.Mod
-		folds := foldSites(m)
-		if len(folds) == 0 {
-			return
-		}
 		reported := map[token.Pos]bool{}
-		for _, fold := range folds {
+		for _, fold := range foldSites(m) {
 			roots := []*FuncNode{fold.node}
 			roots = append(roots, producers(m, fold.node)...)
-			reach, parents := m.closureWithParents(roots)
+			parents := m.closure(roots)
 			var nodes []*FuncNode
-			for n := range reach {
+			for n := range parents {
 				nodes = append(nodes, n)
 			}
 			sort.Slice(nodes, func(i, j int) bool { return nodes[i].Pos() < nodes[j].Pos() })
@@ -60,10 +56,7 @@ type foldSite struct {
 func foldSites(m *Module) []*foldSite {
 	var out []*foldSite
 	for _, n := range m.nodes {
-		if n.body() == nil {
-			continue
-		}
-		if n.Obj != nil && strings.EqualFold(n.Obj.Name(), "digest") {
+		if strings.EqualFold(n.Obj.Name(), "digest") {
 			out = append(out, &foldSite{node: n, pos: n.Pos()})
 			continue
 		}
@@ -107,29 +100,13 @@ func terminalName(e ast.Expr) string {
 // single-assignment locals, with interface callees expanded to every
 // module implementation.
 func producers(m *Module, fold *FuncNode) []*FuncNode {
-	if fold.Obj == nil {
-		return nil
-	}
 	var out []*FuncNode
-	seen := map[*FuncNode]bool{}
-	add := func(ns []*FuncNode) {
-		for _, n := range ns {
-			if n != nil && !seen[n] {
-				seen[n] = true
-				out = append(out, n)
-			}
-		}
-	}
 	for _, caller := range m.nodes {
-		if caller.body() == nil {
-			continue
-		}
 		for _, c := range caller.Calls {
-			if c.Callee != fold.Obj && c.Callee.Origin() != fold.Obj {
-				continue
-			}
-			for _, arg := range c.Expr.Args {
-				add(argProducers(m, caller, arg))
+			if c.Callee == fold.Obj || c.Callee.Origin() == fold.Obj {
+				for _, arg := range c.Expr.Args {
+					out = append(out, argProducers(m, caller, arg)...)
+				}
 			}
 		}
 	}
@@ -141,14 +118,7 @@ func producers(m *Module, fold *FuncNode) []*FuncNode {
 func argProducers(m *Module, caller *FuncNode, arg ast.Expr) []*FuncNode {
 	switch x := ast.Unparen(arg).(type) {
 	case *ast.CallExpr:
-		if callee, iface := m.resolveCallee(caller.Pkg, x); callee != nil {
-			if iface {
-				return m.implementers(callee)
-			}
-			if n := m.node(callee); n != nil {
-				return []*FuncNode{n}
-			}
-		}
+		return m.calleeNodes(m.resolveCallee(caller.Pkg, x))
 	case *ast.Ident:
 		obj := caller.Pkg.Info.Uses[x]
 		if obj == nil {
@@ -172,14 +142,8 @@ func argProducers(m *Module, caller *FuncNode, arg ast.Expr) []*FuncNode {
 				if def != obj {
 					continue
 				}
-				if call, ok := ast.Unparen(as.Rhs[min(i, len(as.Rhs)-1)]).(*ast.CallExpr); ok {
-					if callee, iface := m.resolveCallee(caller.Pkg, call); callee != nil {
-						if iface {
-							out = append(out, m.implementers(callee)...)
-						} else if n := m.node(callee); n != nil {
-							out = append(out, n)
-						}
-					}
+				if call, ok := ast.Unparen(as.Rhs[i]).(*ast.CallExpr); ok {
+					out = append(out, m.calleeNodes(m.resolveCallee(caller.Pkg, call))...)
 				}
 			}
 			return true
@@ -342,9 +306,6 @@ func isErrorType(t types.Type) bool {
 // the digest dataflow path, skipping sites the syntactic rules already
 // police under the active config.
 func scanTaintedFunc(p *ModulePass, n *FuncNode, parents map[*FuncNode]*FuncNode, foldAt string, reported map[token.Pos]bool) {
-	if n.body() == nil {
-		return
-	}
 	covered := func(rule string) bool {
 		return p.Cfg != nil && p.Cfg.inScope(rule, n.Pkg.Path)
 	}
@@ -357,7 +318,6 @@ func scanTaintedFunc(p *ModulePass, n *FuncNode, parents map[*FuncNode]*FuncNode
 		args = append(args, via, foldAt)
 		p.Reportf(n.Pkg, pos, format+" on digest dataflow path %s (fold at %s)", args...)
 	}
-	info := n.Pkg.Info
 	ast.Inspect(n.body(), func(x ast.Node) bool {
 		switch s := x.(type) {
 		case *ast.RangeStmt:
@@ -376,29 +336,14 @@ func scanTaintedFunc(p *ModulePass, n *FuncNode, parents map[*FuncNode]*FuncNode
 			}
 			report(s.Pos(), "unsorted range over map %s", types.TypeString(t, types.RelativeTo(n.Pkg.Types)))
 		case *ast.SelectorExpr:
-			obj, ok := info.Uses[s.Sel]
-			if !ok {
-				return true
-			}
-			fn, ok := obj.(*types.Func)
-			if !ok || fn.Pkg() == nil || fn.Type().(*types.Signature).Recv() != nil {
-				return true
-			}
-			switch fn.Pkg().Path() {
+			switch pkg, name := pkgFuncObj(n.Pkg, s); pkg {
 			case "time":
-				if covered("wallclock") {
-					return true
-				}
-				switch fn.Name() {
-				case "Now", "Since", "Until":
-					report(s.Pos(), "wall-clock read time.%s", fn.Name())
+				if !covered("wallclock") && (name == "Now" || name == "Since" || name == "Until") {
+					report(s.Pos(), "wall-clock read time.%s", name)
 				}
 			case "math/rand", "math/rand/v2":
-				if covered("globalrand") {
-					return true
-				}
-				if !globalRandAllowed[fn.Name()] {
-					report(s.Pos(), "global math/rand draw rand.%s", fn.Name())
+				if !covered("globalrand") && !globalRandAllowed[name] {
+					report(s.Pos(), "global math/rand draw rand.%s", name)
 				}
 			}
 		}

@@ -8,17 +8,24 @@
 //   - determinism: the golden schedule digests and the differential /
 //     metamorphic oracles (internal/conformance) require bit-identical
 //     replays, which a single wall-clock read, global-RNG call, or
-//     unsorted map iteration silently destroys;
+//     unsorted map iteration silently destroys — inside the scheduler
+//     path (the per-package rules) and anywhere on a dataflow path
+//     into a digest fold (digesttaint, the one whole-module rule);
 //   - numeric safety: the dual-price arithmetic (Eq. 5-8) is exact
 //     float math compared against tolerances — raw ==/!= between
 //     floats and undocumented cross-round accumulation are bugs in
 //     waiting;
 //   - concurrency hygiene: the scheduler service, its federation and
-//     the web front door share state across goroutines; copied locks
-//     and unpaired Lock/Unlock are how that breaks;
+//     the web front door share state across goroutines; an unpaired
+//     Lock/Unlock is how that breaks (copied locks are go vet's
+//     copylocks check, which `make lint` runs first);
 //   - API discipline: library code must not panic outside the
 //     designated invariant-violation hook (internal/bug) and must not
 //     write to stdout outside cmd/.
+//
+// Snapshot sharing and single-goroutine ownership are not checked
+// here: the tests that drive published snapshots and the service loop
+// catch every seeded break of those contracts (DESIGN.md §15).
 //
 // Diagnostics are suppressed site-by-site with
 //
@@ -32,12 +39,13 @@
 package lint
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/token"
+	"slices"
 	"sort"
 	"strings"
-	"time"
 )
 
 // Diagnostic is one finding, resolved to a file position.
@@ -69,9 +77,9 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // ModulePass is the whole-module context handed to
-// Analyzer.RunModule: the callgraph plus the active config, so
-// interprocedural analyzers can both scope their findings and avoid
-// double-reporting sites the syntactic rules already cover.
+// Analyzer.RunModule: the callgraph plus the active config, so a
+// module rule can both scope its findings and avoid double-reporting
+// sites the per-package rules already cover.
 type ModulePass struct {
 	Mod  *Module
 	Cfg  *Config
@@ -104,8 +112,7 @@ type Analyzer struct {
 	// Run inspects one type-checked package and reports findings.
 	Run func(p *Pass)
 	// RunModule inspects the whole loaded module at once, with the
-	// callgraph and dataflow summaries available. Exactly one of Run
-	// and RunModule is set.
+	// callgraph available. Exactly one of Run and RunModule is set.
 	RunModule func(p *ModulePass)
 }
 
@@ -202,12 +209,12 @@ func DefaultConfig() *Config {
 			// only legitimate clock. Of reportingPath only metrics and
 			// export are in scope: service, loadgen and wal pace rounds,
 			// retries and fsyncs on the wall clock by design.
-			"wallclock": append(append([]string(nil), schedulerPath...),
-				"repro/internal/metrics", "repro/internal/export"),
+			//
 			// The linter lints itself: analyzer output ordering must be
-			// deterministic (findings are diffed in CI), so map ranges
-			// and global rand are policed here too. wallclock stays out:
-			// RunTimed legitimately measures real analyzer latency.
+			// deterministic (findings are diffed in CI), so the wall
+			// clock, map ranges and global rand are policed here too.
+			"wallclock": append(append([]string(nil), schedulerPath...),
+				"repro/internal/metrics", "repro/internal/export", "repro/internal/lint"),
 			"globalrand": append(append([]string(nil), detScope...), "repro/internal/lint"),
 			"maprange":   append(append([]string(nil), detScope...), "repro/internal/lint"),
 			// Cross-round accumulation matters where exact conservation
@@ -225,35 +232,20 @@ func DefaultConfig() *Config {
 	}
 }
 
-// AnalyzersFast returns the per-package syntactic rules: cheap AST
-// walks with no interprocedural state, suitable for a fast CI stage.
-func AnalyzersFast() []*Analyzer {
+// Analyzers returns the full rule suite in a stable order: the
+// per-package rules, then the module rule.
+func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		analyzerWallClock,
 		analyzerGlobalRand,
 		analyzerMapRange,
 		analyzerFloatEq,
 		analyzerFloatAccum,
-		analyzerLockCopy,
 		analyzerDeferUnlock,
 		analyzerPanic,
 		analyzerPrint,
-	}
-}
-
-// AnalyzersDeep returns the whole-module interprocedural rules built
-// on the callgraph and mod-ref summaries.
-func AnalyzersDeep() []*Analyzer {
-	return []*Analyzer{
-		analyzerSnapEscape,
-		analyzerOwnership,
 		analyzerDigestTaint,
 	}
-}
-
-// Analyzers returns the full rule suite in a stable order.
-func Analyzers() []*Analyzer {
-	return append(AnalyzersFast(), AnalyzersDeep()...)
 }
 
 // AnalyzerNames returns the rule names, for directive validation.
@@ -312,38 +304,22 @@ func parseDirectives(fset *token.FileSet, f *ast.File, known map[string]bool) []
 	return out
 }
 
-// Timing is one analyzer's wall-clock cost for a run, reported by
-// `repolint -verbose` and checked against the CI timing budget.
-type Timing struct {
-	Name    string
-	Elapsed time.Duration
-}
-
 // Run executes the analyzers over the packages under the config and
 // returns the surviving diagnostics sorted by position: findings not
 // covered by a directive, malformed directives, and unused directives.
 func Run(pkgs []*Package, analyzers []*Analyzer, cfg *Config) []Diagnostic {
-	diags, _ := RunTimed(pkgs, analyzers, cfg)
-	return diags
-}
-
-// RunTimed is Run plus per-analyzer wall-clock timings in suite order.
-func RunTimed(pkgs []*Package, analyzers []*Analyzer, cfg *Config) ([]Diagnostic, []Timing) {
 	// Directive rule names validate against the full suite, not just
-	// the analyzers running now, so a fast-only pass does not report
-	// suppressions of deep rules as unknown (and vice versa).
+	// the analyzers running now, so running a subset does not report
+	// suppressions of the other rules as unknown.
 	known := AnalyzerNames()
 	running := map[string]bool{}
 	for _, a := range analyzers {
-		known[a.Name] = true
 		running[a.Name] = true
 	}
 
 	var raw []Diagnostic
-	var timings []Timing
 	var mod *Module
 	for _, a := range analyzers {
-		start := time.Now()
 		if a.Run != nil {
 			for _, pkg := range pkgs {
 				if !cfg.inScope(a.Name, pkg.Path) {
@@ -358,7 +334,6 @@ func RunTimed(pkgs []*Package, analyzers []*Analyzer, cfg *Config) ([]Diagnostic
 			}
 			a.RunModule(&ModulePass{Mod: mod, Cfg: cfg, diag: &raw, rule: a.Name})
 		}
-		timings = append(timings, Timing{Name: a.Name, Elapsed: time.Since(start)})
 	}
 
 	// Index directives by (file, line): a directive covers its own line
@@ -397,7 +372,7 @@ func RunTimed(pkgs []*Package, analyzers []*Analyzer, cfg *Config) ([]Diagnostic
 	}
 	for _, d := range dirs {
 		// A directive for rules that are not all running now cannot be
-		// judged stale: the deep pass owns deep-rule directives.
+		// judged stale: the run that includes them owns it.
 		allRunning := true
 		for _, r := range sortedRules(d.rules) {
 			if !running[r] {
@@ -415,7 +390,7 @@ func RunTimed(pkgs []*Package, analyzers []*Analyzer, cfg *Config) ([]Diagnostic
 		}
 	}
 
-	return sortDiagnostics(out), timings
+	return sortDiagnostics(out)
 }
 
 // sortedRules returns a directive's rule names in sorted order.
@@ -429,18 +404,9 @@ func sortedRules(rules map[string]bool) []string {
 }
 
 func sortDiagnostics(out []Diagnostic) []Diagnostic {
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
-		}
-		if a.Pos.Column != b.Pos.Column {
-			return a.Pos.Column < b.Pos.Column
-		}
-		return a.Rule < b.Rule
+	slices.SortFunc(out, func(a, b Diagnostic) int {
+		return cmp.Or(cmp.Compare(a.Pos.Filename, b.Pos.Filename), cmp.Compare(a.Pos.Line, b.Pos.Line),
+			cmp.Compare(a.Pos.Column, b.Pos.Column), cmp.Compare(a.Rule, b.Rule))
 	})
 	return out
 }

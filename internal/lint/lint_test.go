@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"os"
 	"path/filepath"
 	"regexp"
 	"slices"
@@ -95,8 +96,19 @@ func analyzerByName(t *testing.T, name string) *Analyzer {
 // TestAnalyzerCorpora runs each analyzer alone over its golden corpus:
 // the known-bad snippets must produce exactly the diagnostics the want
 // comments record, and the known-clean snippets in the same files must
-// stay silent.
+// stay silent. Every corpus directory must belong to a live analyzer
+// (or be the directives corpus), so a corpus cannot outlive its rule.
 func TestAnalyzerCorpora(t *testing.T) {
+	entries, err := os.ReadDir(filepath.Join("testdata", "src"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := AnalyzerNames()
+	for _, e := range entries {
+		if !names[e.Name()] && e.Name() != "directives" {
+			t.Errorf("testdata/src/%s is neither a live analyzer's corpus nor the directives corpus", e.Name())
+		}
+	}
 	for _, a := range Analyzers() {
 		t.Run(a.Name, func(t *testing.T) {
 			pkg := loadCorpus(t, a.Name, "example.com/corpus/"+a.Name)
@@ -241,42 +253,6 @@ func TestAnalyzerMetadata(t *testing.T) {
 		}
 		if a.Name == "lintdirective" {
 			t.Errorf("lintdirective is reserved for the suppression machinery")
-		}
-	}
-}
-
-// TestAnalyzerSetsAndTimings pins the fast/deep partition behind
-// `repolint -set` and the RunTimed plumbing behind -verbose/-budget:
-// the sets are disjoint, together they are the whole suite, fast rules
-// are purely syntactic (no module pass), deep rules are purely
-// interprocedural, and RunTimed reports one timing per analyzer in
-// suite order.
-func TestAnalyzerSetsAndTimings(t *testing.T) {
-	fast, deep := AnalyzersFast(), AnalyzersDeep()
-	if len(fast)+len(deep) != len(Analyzers()) {
-		t.Fatalf("fast (%d) + deep (%d) analyzers != whole suite (%d)", len(fast), len(deep), len(Analyzers()))
-	}
-	for _, a := range fast {
-		if a.RunModule != nil || a.Run == nil {
-			t.Errorf("fast analyzer %s must be per-package syntactic", a.Name)
-		}
-	}
-	for _, a := range deep {
-		if a.RunModule == nil {
-			t.Errorf("deep analyzer %s must have a module pass", a.Name)
-		}
-	}
-	pkg := loadCorpus(t, "ownership", "example.com/corpus/ownership")
-	_, timings := RunTimed([]*Package{pkg}, deep, nil)
-	if len(timings) != len(deep) {
-		t.Fatalf("RunTimed returned %d timings for %d analyzers", len(timings), len(deep))
-	}
-	for i, tm := range timings {
-		if tm.Name != deep[i].Name {
-			t.Errorf("timing %d is %q, want suite order %q", i, tm.Name, deep[i].Name)
-		}
-		if tm.Elapsed < 0 {
-			t.Errorf("timing %s is negative: %v", tm.Name, tm.Elapsed)
 		}
 	}
 }

@@ -78,8 +78,6 @@ func (l *loader) check(e *entry) (*Package, error) {
 		Defs:       map[*ast.Ident]types.Object{},
 		Uses:       map[*ast.Ident]types.Object{},
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Implicits:  map[ast.Node]types.Object{},
-		Instances:  map[*ast.Ident]types.Instance{},
 	}
 	conf := types.Config{Importer: l}
 	tp, err := conf.Check(e.path, l.fset, e.files, info)

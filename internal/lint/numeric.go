@@ -133,26 +133,14 @@ func children(n ast.Node) []ast.Node {
 	}
 	switch s := n.(type) {
 	case *ast.ForStmt:
-		if s.Init != nil {
-			out = append(out, s.Init)
-		}
-		if s.Cond != nil {
-			out = append(out, s.Cond)
-		}
-		if s.Post != nil {
-			out = append(out, s.Post)
-		}
+		add(s.Init)
+		add(s.Cond)
+		add(s.Post)
 		add(s.Body)
 	case *ast.RangeStmt:
-		if s.Key != nil {
-			out = append(out, s.Key)
-		}
-		if s.Value != nil {
-			out = append(out, s.Value)
-		}
-		if s.X != nil {
-			out = append(out, s.X)
-		}
+		add(s.Key)
+		add(s.Value)
+		add(s.X)
 		add(s.Body)
 	}
 	return out
