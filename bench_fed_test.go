@@ -11,64 +11,6 @@ import (
 	"repro/internal/trace"
 )
 
-// BenchmarkFederationStep measures one ProcessNextEvent call on a
-// federation — pick the member with the earliest pending event, advance
-// it — at 1, 4, and 16 members. Each member is the paper's 15-node
-// simulated cluster with its own Hadar instance; a 64-job trace is
-// routed through the least-queue front door. The 1-member point is the
-// federation's wrapper overhead over BenchmarkEngineStep; the larger
-// points show how the shared-clock loop scales with member count.
-func BenchmarkFederationStep(b *testing.B) {
-	cfg := trace.DefaultConfig()
-	cfg.NumJobs = 64
-	jobs, err := trace.Generate(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, members := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("members=%d", members), func(b *testing.B) {
-			newFed := func() *federation.Federation {
-				configs := make([]federation.MemberConfig, members)
-				for i := range configs {
-					configs[i] = federation.MemberConfig{
-						Name:      fmt.Sprintf("region%d", i),
-						Cluster:   experiments.SimCluster(),
-						Scheduler: core.New(core.DefaultOptions()),
-						Sim:       sim.DefaultOptions(),
-					}
-				}
-				router, err := federation.NewRouter("least-queue")
-				if err != nil {
-					b.Fatal(err)
-				}
-				fed, err := federation.New(configs, router, federation.Options{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, j := range jobs {
-					if err := fed.SubmitJob(j); err != nil {
-						b.Fatal(err)
-					}
-				}
-				return fed
-			}
-			fed := newFed()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if !fed.HasPendingEvents() {
-					b.StopTimer()
-					fed = newFed()
-					b.StartTimer()
-				}
-				if err := fed.ProcessNextEvent(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkFederationRouteJob measures the front door's routing decision
 // alone — views, eligibility filter, router pick; nothing is submitted —
 // on a federation of one (the tax every single-cluster submission pays

@@ -24,42 +24,24 @@ import (
 
 // --- Allocation-state hot-path microbenchmarks (DESIGN.md
 // "Allocation-state layer"). These isolate the per-round scheduling
-// inner loop: the memoized DP dual subroutine, the greedy fallback, and
-// a full end-to-end simulation at paper scale.
+// inner loop: the memoized DP dual subroutine and the greedy fallback.
+// End-to-end simulation cost is hadarbench's sim-paper-480 workload.
 
-// benchSchedContext builds a single-round scheduling context over the
-// paper's 15-node simulated cluster with numJobs pending jobs.
-func benchSchedContext(b *testing.B, numJobs int) *sched.Context {
+// roundContext is experiments.RoundContext over the paper's default
+// trace seed, failing b on a trace error.
+func roundContext(b *testing.B, c *cluster.Cluster, numJobs int) *sched.Context {
 	b.Helper()
-	cfg := trace.DefaultConfig()
-	cfg.NumJobs = numJobs
-	jobs, err := trace.Generate(cfg)
+	ctx, err := experiments.RoundContext(c, numJobs, trace.DefaultConfig().Seed)
 	if err != nil {
 		b.Fatal(err)
 	}
-	states := make([]*sched.JobState, len(jobs))
-	horizon := 0.0
-	for i, j := range jobs {
-		states[i] = &sched.JobState{
-			Job:       j,
-			Remaining: j.TotalIters(),
-		}
-		horizon += j.MaxDuration()
-	}
-	return &sched.Context{
-		Now:         0,
-		Round:       0,
-		RoundLength: 360,
-		Horizon:     horizon,
-		Free:        cluster.NewState(experiments.SimCluster()),
-		Jobs:        states,
-	}
+	return ctx
 }
 
 // BenchmarkDPAllocate exercises Algorithm 2's exact memoized DP
 // (dpAllocate) on a queue that fits under DPJobLimit.
 func BenchmarkDPAllocate(b *testing.B) {
-	ctx := benchSchedContext(b, 10)
+	ctx := roundContext(b, experiments.SimCluster(), 10)
 	opts := core.DefaultOptions()
 	opts.DPJobLimit = 10
 	opts.Backfill = false
@@ -74,7 +56,7 @@ func BenchmarkDPAllocate(b *testing.B) {
 // BenchmarkGreedyAllocate exercises the large-queue greedy fallback
 // (sweep) plus the work-conserving backfill sweep.
 func BenchmarkGreedyAllocate(b *testing.B) {
-	ctx := benchSchedContext(b, 64)
+	ctx := roundContext(b, experiments.SimCluster(), 64)
 	opts := core.DefaultOptions()
 	opts.DPJobLimit = 0
 	s := core.New(opts)
@@ -82,67 +64,6 @@ func BenchmarkGreedyAllocate(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Schedule(ctx)
-	}
-}
-
-// BenchmarkSimulate480Jobs runs the full seed experiment end to end:
-// Hadar on the 480-job Philly-like trace over the paper's simulated
-// cluster.
-func BenchmarkSimulate480Jobs(b *testing.B) {
-	cfg := trace.DefaultConfig()
-	cfg.NumJobs = 480
-	jobs, err := trace.Generate(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r, err := sim.Run(experiments.SimCluster(), jobs, core.New(core.DefaultOptions()), sim.DefaultOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			b.ReportMetric(r.AvgJCT()/3600, "avgJCT-h")
-		}
-	}
-}
-
-// BenchmarkEngineStep measures one ProcessNextEvent call — the
-// steppable engine's unit of work, one round boundary — with Hadar on
-// a 64-job backlog over the paper's simulated cluster. The engine is
-// rebuilt (outside the timer) whenever it drains.
-func BenchmarkEngineStep(b *testing.B) {
-	cfg := trace.DefaultConfig()
-	cfg.NumJobs = 64
-	jobs, err := trace.Generate(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	newEngine := func() *sim.Engine {
-		eng, err := sim.NewEngine(experiments.SimCluster(), core.New(core.DefaultOptions()), sim.DefaultOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, j := range jobs {
-			if err := eng.SubmitJob(j); err != nil {
-				b.Fatal(err)
-			}
-		}
-		return eng
-	}
-	eng := newEngine()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !eng.HasPendingEvents() {
-			b.StopTimer()
-			eng = newEngine()
-			b.StartTimer()
-		}
-		if err := eng.ProcessNextEvent(); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 
@@ -263,7 +184,8 @@ func BenchmarkFig6Makespan(b *testing.B) {
 
 // BenchmarkFig7Scalability regenerates Fig. 7: scheduling-decision
 // latency of Hadar vs Gavel as the active job count doubles from 32 to
-// 512 (2048 at full scale via cmd/experiments).
+// 512 (2048 at full scale via cmd/experiments), plus Hadar's node-count
+// sweep.
 func BenchmarkFig7Scalability(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res, err := experiments.Fig7(1, 512)
@@ -271,7 +193,8 @@ func BenchmarkFig7Scalability(b *testing.B) {
 			b.Fatal(err)
 		}
 		if i == b.N-1 {
-			last := res.Points[len(res.Points)-1]
+			jobs := res.Sweep("jobs-sweep")
+			last := jobs[len(jobs)-1]
 			b.ReportMetric(float64(last.HadarLatency.Microseconds()), "hadar-us-at-512-jobs")
 			b.ReportMetric(float64(last.GavelLatency.Microseconds()), "gavel-us-at-512-jobs")
 		}

@@ -9,17 +9,10 @@
 // misspelled -bench pattern fails the make target instead of silently
 // producing an empty report.
 //
-// Beyond the JSON report it can also gate and post-process a run:
-//
-//   - -require op1,op2 fails the run unless every named op is present,
-//     so a renamed benchmark cannot silently drop out of the report.
-//   - -baseline FILE -regress-op OP -regress-pct N fails if OP's ns/op
-//     regressed more than N percent against the committed baseline
-//     report.
-//   - -scale-csv FILE merges the ScaleRound/... sweep entries into the
-//     scalability CSV (series nodes-prop / nodes-fixed), preserving any
-//     rows of other series already in the file (the jobs-sweep series
-//     written by cmd/experiments).
+// -require op1,op2 fails the run unless every named op is present, so
+// a renamed benchmark cannot silently drop out of the report. The
+// report records ns/op but gates nothing on it: timings move with the
+// machine, so the repository's gates are allocation counts in tests.
 //
 // Usage:
 //
@@ -28,13 +21,11 @@ package main
 
 import (
 	"bufio"
-	"encoding/csv"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -42,7 +33,7 @@ import (
 // entry is one parsed benchmark result line.
 type entry struct {
 	// Op is the benchmark name with the "Benchmark" prefix and the
-	// -GOMAXPROCS suffix stripped: "BenchmarkEngineStep-8" → "EngineStep".
+	// -GOMAXPROCS suffix stripped: "BenchmarkDPAllocate-8" → "DPAllocate".
 	Op         string  `json:"op"`
 	Iterations int64   `json:"iterations"`
 	NsPerOp    float64 `json:"ns_per_op"`
@@ -133,135 +124,9 @@ func checkRequired(entries []entry, required string) error {
 	return nil
 }
 
-// checkRegression compares op's ns/op against the baseline JSON report
-// and errors if it regressed more than pct percent. A missing baseline
-// file or an op absent from the baseline is an error too: a silently
-// skipped gate is worse than a failing one.
-func checkRegression(entries []entry, baselineFile, op string, pct float64) error {
-	if baselineFile == "" || op == "" {
-		return nil
-	}
-	data, err := os.ReadFile(baselineFile)
-	if err != nil {
-		return fmt.Errorf("baseline: %w", err)
-	}
-	var baseline []entry
-	if err := json.Unmarshal(data, &baseline); err != nil {
-		return fmt.Errorf("baseline %s: %w", baselineFile, err)
-	}
-	find := func(es []entry, op string) (entry, bool) {
-		for _, e := range es {
-			if e.Op == op {
-				return e, true
-			}
-		}
-		return entry{}, false
-	}
-	base, ok := find(baseline, op)
-	if !ok {
-		return fmt.Errorf("baseline %s has no entry for op %q", baselineFile, op)
-	}
-	cur, ok := find(entries, op)
-	if !ok {
-		return fmt.Errorf("benchmark output has no entry for op %q", op)
-	}
-	if base.NsPerOp <= 0 {
-		return fmt.Errorf("baseline ns/op for %q is %v", op, base.NsPerOp)
-	}
-	worse := 100 * (cur.NsPerOp - base.NsPerOp) / base.NsPerOp
-	fmt.Fprintf(os.Stderr, "benchjson: %s ns/op %.0f vs baseline %.0f (%+.1f%%, limit +%.0f%%)\n",
-		op, cur.NsPerOp, base.NsPerOp, worse, pct)
-	if worse > pct {
-		return fmt.Errorf("%s regressed %.1f%% (> %.0f%%) against %s", op, worse, pct, baselineFile)
-	}
-	return nil
-}
-
-// scaleCSVHeader mirrors export.Fig7Header (cmd/benchjson stays
-// dependency-free so it keeps working from a piped `go run`).
-var scaleCSVHeader = []string{"series", "nodes", "gpus", "jobs", "hadar_latency_us", "gavel_latency_us"}
-
-// scaleRows converts ScaleRound benchmark entries into CSV rows. The
-// benchmark reports nodes/gpus/jobs via b.ReportMetric, so the sub-name
-// only contributes the series ("prop" or "fixed").
-func scaleRows(entries []entry) [][]string {
-	var rows [][]string
-	for _, e := range entries {
-		rest, ok := strings.CutPrefix(e.Op, "ScaleRound/")
-		if !ok {
-			continue
-		}
-		series, _, ok := strings.Cut(rest, "/")
-		if !ok {
-			continue
-		}
-		itoa := func(unit string) string {
-			return strconv.Itoa(int(e.Metrics[unit]))
-		}
-		rows = append(rows, []string{
-			"nodes-" + series, itoa("nodes"), itoa("gpus"), itoa("jobs"),
-			strconv.FormatFloat(e.NsPerOp/1e3, 'f', -1, 64), "",
-		})
-	}
-	sort.Slice(rows, func(i, k int) bool {
-		if rows[i][0] != rows[k][0] {
-			return rows[i][0] < rows[k][0]
-		}
-		a, _ := strconv.Atoi(rows[i][1])
-		b, _ := strconv.Atoi(rows[k][1])
-		return a < b
-	})
-	return rows
-}
-
-// mergeScaleCSV rewrites file with the benchmark rows replacing any
-// previous rows of the same series, keeping rows of other series (the
-// exporter's jobs-sweep) intact. A file with a different header — the
-// pre-unified schema — is replaced wholesale.
-func mergeScaleCSV(file string, rows [][]string) error {
-	if len(rows) == 0 {
-		return fmt.Errorf("no ScaleRound entries in benchmark output")
-	}
-	replaced := map[string]bool{}
-	for _, r := range rows {
-		replaced[r[0]] = true
-	}
-	var kept [][]string
-	if data, err := os.ReadFile(file); err == nil {
-		old, err := csv.NewReader(strings.NewReader(string(data))).ReadAll()
-		if err == nil && len(old) > 0 && strings.Join(old[0], ",") == strings.Join(scaleCSVHeader, ",") {
-			for _, r := range old[1:] {
-				if len(r) > 0 && !replaced[r[0]] {
-					kept = append(kept, r)
-				}
-			}
-		}
-	}
-	f, err := os.Create(file)
-	if err != nil {
-		return err
-	}
-	w := csv.NewWriter(f)
-	all := append(append([][]string{scaleCSVHeader}, kept...), rows...)
-	if err := w.WriteAll(all); err != nil {
-		f.Close()
-		return err
-	}
-	w.Flush()
-	if err := w.Error(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 func main() {
 	out := flag.String("o", "BENCH_sim.json", "output JSON file")
 	require := flag.String("require", "", "comma-separated op names that must be present")
-	baseline := flag.String("baseline", "", "baseline JSON report to compare against")
-	regressOp := flag.String("regress-op", "", "op whose ns/op is gated against the baseline")
-	regressPct := flag.Float64("regress-pct", 25, "max allowed ns/op regression percent")
-	scaleCSV := flag.String("scale-csv", "", "merge ScaleRound entries into this scalability CSV")
 	flag.Parse()
 
 	entries, err := convert(os.Stdin, os.Stdout)
@@ -286,16 +151,5 @@ func main() {
 	if err := checkRequired(entries, *require); err != nil {
 		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
 		os.Exit(1)
-	}
-	if err := checkRegression(entries, *baseline, *regressOp, *regressPct); err != nil {
-		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-		os.Exit(1)
-	}
-	if *scaleCSV != "" {
-		if err := mergeScaleCSV(*scaleCSV, scaleRows(entries)); err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: scale-csv: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "benchjson: merged scalability rows into %s\n", *scaleCSV)
 	}
 }

@@ -1,26 +1,24 @@
 package main
 
 import (
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
 
 func TestParseLine(t *testing.T) {
-	e, ok := parseLine("BenchmarkEngineStep-8 \t     4096\t    271234 ns/op\t   24265 B/op\t     538 allocs/op")
+	e, ok := parseLine("BenchmarkScaleRound/prop/nodes=60-8 \t     4096\t    271234 ns/op\t   24265 B/op\t     538 allocs/op")
 	if !ok {
 		t.Fatal("benchmark line not recognized")
 	}
-	if e.Op != "EngineStep" || e.Iterations != 4096 || e.NsPerOp != 271234 {
+	if e.Op != "ScaleRound/prop/nodes=60" || e.Iterations != 4096 || e.NsPerOp != 271234 {
 		t.Errorf("parsed %+v", e)
 	}
 	if e.BytesPerOp == nil || *e.BytesPerOp != 24265 || e.AllocsPerOp == nil || *e.AllocsPerOp != 538 {
 		t.Errorf("memory stats not parsed: %+v", e)
 	}
 
-	e, ok = parseLine("BenchmarkSimulate480Jobs-8   1  5e+09 ns/op  3.21 avgJCT-h")
-	if !ok || e.Metrics["avgJCT-h"] != 3.21 {
+	e, ok = parseLine("BenchmarkFig5FTF-8   1  5e+09 ns/op  3.21 hadar-avgFTF")
+	if !ok || e.Metrics["hadar-avgFTF"] != 3.21 {
 		t.Errorf("custom metric not parsed: %+v ok=%v", e, ok)
 	}
 
@@ -65,83 +63,10 @@ func TestCheckRequired(t *testing.T) {
 	if err := checkRequired(entries, "DPAllocate,ScaleRound/prop/nodes=60"); err != nil {
 		t.Errorf("present ops reported missing: %v", err)
 	}
-	if err := checkRequired(entries, "DPAllocate,EngineStep"); err == nil {
-		t.Error("missing op EngineStep not reported")
+	if err := checkRequired(entries, "DPAllocate,StragglerRound/nodes=250/jobs=8"); err == nil {
+		t.Error("missing op StragglerRound/nodes=250/jobs=8 not reported")
 	}
 	if err := checkRequired(entries, ""); err != nil {
 		t.Errorf("empty requirement errored: %v", err)
-	}
-}
-
-func TestCheckRegression(t *testing.T) {
-	dir := t.TempDir()
-	base := filepath.Join(dir, "baseline.json")
-	if err := os.WriteFile(base, []byte(`[{"op":"DPAllocate","iterations":100,"ns_per_op":1000}]`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	ok := []entry{{Op: "DPAllocate", NsPerOp: 1100}}
-	if err := checkRegression(ok, base, "DPAllocate", 25); err != nil {
-		t.Errorf("+10%% flagged at a 25%% limit: %v", err)
-	}
-	bad := []entry{{Op: "DPAllocate", NsPerOp: 1500}}
-	if err := checkRegression(bad, base, "DPAllocate", 25); err == nil {
-		t.Error("+50% regression not flagged at a 25% limit")
-	}
-	if err := checkRegression(ok, base, "EngineStep", 25); err == nil {
-		t.Error("op absent from baseline not reported")
-	}
-	if err := checkRegression(ok, filepath.Join(dir, "nope.json"), "DPAllocate", 25); err == nil {
-		t.Error("missing baseline file not reported")
-	}
-}
-
-func TestScaleRowsAndMerge(t *testing.T) {
-	entries := []entry{
-		{Op: "DPAllocate", NsPerOp: 1000},
-		{Op: "ScaleRound/fixed/nodes=250", NsPerOp: 1.4e6,
-			Metrics: map[string]float64{"nodes": 250, "gpus": 1000, "jobs": 480}},
-		{Op: "ScaleRound/prop/nodes=60", NsPerOp: 4e5,
-			Metrics: map[string]float64{"nodes": 60, "gpus": 240, "jobs": 120}},
-	}
-	rows := scaleRows(entries)
-	if len(rows) != 2 {
-		t.Fatalf("rows = %v", rows)
-	}
-	if rows[0][0] != "nodes-fixed" || rows[0][1] != "250" || rows[0][3] != "480" || rows[0][4] != "1400" {
-		t.Errorf("fixed row = %v", rows[0])
-	}
-	if rows[1][0] != "nodes-prop" || rows[1][1] != "60" || rows[1][5] != "" {
-		t.Errorf("prop row = %v", rows[1])
-	}
-
-	dir := t.TempDir()
-	file := filepath.Join(dir, "fig7.csv")
-	seed := strings.Join([]string{
-		strings.Join(scaleCSVHeader, ","),
-		"jobs-sweep,15,60,32,135,282",
-		"nodes-prop,9999,1,1,1,", // stale bench row: must be replaced
-	}, "\n") + "\n"
-	if err := os.WriteFile(file, []byte(seed), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := mergeScaleCSV(file, rows); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(file)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := string(data)
-	if !strings.Contains(got, "jobs-sweep,15,60,32,135,282") {
-		t.Errorf("jobs-sweep series not preserved:\n%s", got)
-	}
-	if strings.Contains(got, "9999") {
-		t.Errorf("stale nodes-prop row survived the merge:\n%s", got)
-	}
-	if !strings.Contains(got, "nodes-prop,60,240,120,400,") {
-		t.Errorf("new prop row missing:\n%s", got)
-	}
-	if err := mergeScaleCSV(file, nil); err == nil {
-		t.Error("empty merge (no ScaleRound entries) not reported")
 	}
 }

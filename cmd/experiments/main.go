@@ -244,7 +244,7 @@ func renderPlot(v fmt.Stringer) string {
 			XLabel: "jobs", YLabel: "ms",
 		}
 		var xs, hs, gs []float64
-		for _, p := range r.Points {
+		for _, p := range r.Sweep("jobs-sweep") {
 			xs = append(xs, float64(p.Jobs))
 			hs = append(hs, float64(p.HadarLatency.Microseconds())/1000)
 			gs = append(gs, float64(p.GavelLatency.Microseconds())/1000)

@@ -6,40 +6,40 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/sched"
 	"repro/internal/trace"
 )
 
 // TestWarmScheduleAllocatesNothing gates the lent round: once a
 // scheduler has seen a queue, scheduling it again allocates nothing, on
-// the greedy path (the 64-job paper trace, over DPJobLimit) and on the
-// DP path (its first 10 jobs). The decision map, the retain arena the
+// the greedy path (a 64-job paper trace, over DPJobLimit), on the DP
+// path (a DPJobLimit-job trace), on the 5000-node fixed-backlog round of
+// BenchmarkScaleRound, and on BenchmarkStragglerRound's priced
+// per-node scan (250 nodes, two slow, 8 jobs through the DP and 480
+// through the greedy pass). The decision map, the retain arena the
 // allocations are carved from, the price table, the DP memo and every
 // queue buffer are the scheduler's own and reused.
 func TestWarmScheduleAllocatesNothing(t *testing.T) {
-	cfg := trace.DefaultConfig()
-	cfg.NumJobs = 64
-	jobs, err := trace.Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	states := make([]*sched.JobState, len(jobs))
-	horizon := 0.0
-	for i, j := range jobs {
-		states[i] = &sched.JobState{Job: j, Remaining: j.TotalIters()}
-		horizon += j.MaxDuration()
+	straggler := func(nodes int) *cluster.Cluster {
+		c := experiments.ScaleCluster(nodes)
+		c.SetSpeed(1, 0.6)
+		c.SetSpeed(nodes/2, 0.8)
+		return c
 	}
 	opts := core.DefaultOptions()
 	for _, c := range []struct {
-		path   string
-		states []*sched.JobState
+		path    string
+		cluster *cluster.Cluster
+		jobs    int
 	}{
-		{"greedy", states},
-		{"dp", states[:opts.DPJobLimit]},
+		{"greedy", experiments.SimCluster(), 64},
+		{"dp", experiments.SimCluster(), opts.DPJobLimit},
+		{"scale/fixed/nodes=5000", experiments.ScaleCluster(5000), 480},
+		{"straggler/nodes=250/jobs=8", straggler(250), 8},
+		{"straggler/nodes=250/jobs=480", straggler(250), 480},
 	} {
-		ctx := &sched.Context{
-			RoundLength: 360, Horizon: horizon,
-			Free: cluster.NewState(experiments.SimCluster()), Jobs: c.states,
+		ctx, err := experiments.RoundContext(c.cluster, c.jobs, trace.DefaultConfig().Seed)
+		if err != nil {
+			t.Fatal(err)
 		}
 		s := core.New(opts)
 		if len(s.Schedule(ctx)) == 0 {

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/checkpoint"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/gavel"
@@ -23,6 +24,7 @@ import (
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/tiresias"
+	"repro/internal/trace"
 	"repro/internal/yarncs"
 )
 
@@ -68,6 +70,31 @@ func ScaleCluster(nodes int) *cluster.Cluster {
 		fleets[i] = gpu.Fleet{mix[i%len(mix)]: 4}
 	}
 	return cluster.New(fleets...)
+}
+
+// RoundContext builds a single-round scheduling context over a fresh
+// State of c: the numJobs jobs of the default trace generated with
+// seed, all pending with their full work remaining, under a horizon
+// that is the sum of their slowest runtimes. It is the one fixture of
+// Fig. 7, the round microbenchmarks and the allocation gates.
+func RoundContext(c *cluster.Cluster, numJobs int, seed int64) (*sched.Context, error) {
+	cfg := trace.DefaultConfig()
+	cfg.NumJobs = numJobs
+	cfg.Seed = seed
+	jobs, err := trace.Generate(cfg)
+	if err != nil {
+		return nil, err
+	}
+	ctx := &sched.Context{
+		RoundLength: checkpoint.RoundSeconds,
+		Free:        cluster.NewState(c),
+		Jobs:        make([]*sched.JobState, len(jobs)),
+	}
+	for i, j := range jobs {
+		ctx.Jobs[i] = &sched.JobState{Job: j, Remaining: j.TotalIters()}
+		ctx.Horizon += j.MaxDuration()
+	}
+	return ctx, nil
 }
 
 // PhysicalCluster returns the paper's AWS prototype: 8 instances with

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -154,16 +155,36 @@ func TestFig7LatencyGrowsWithScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Points) != 3 { // 32, 64, 128
-		t.Fatalf("points = %d, want 3", len(res.Points))
+	jobs := res.Sweep("jobs-sweep")
+	if len(jobs) != 3 { // 32, 64, 128
+		t.Fatalf("jobs-sweep points = %d, want 3", len(jobs))
 	}
-	for _, p := range res.Points {
+	for _, p := range jobs {
 		if p.HadarLatency <= 0 || p.GavelLatency <= 0 {
 			t.Errorf("non-positive latency at %d jobs", p.Jobs)
 		}
 	}
-	if !strings.Contains(res.String(), "jobs") {
-		t.Error("Fig7 output malformed")
+	prop, fixed := res.Sweep("nodes-prop"), res.Sweep("nodes-fixed")
+	if len(prop) != 4 || len(fixed) != 4 || len(res.Points) != 3+4+4 {
+		t.Fatalf("node sweep: %d prop, %d fixed of %d points, want 4, 4 of 11", len(prop), len(fixed), len(res.Points))
+	}
+	for i, p := range append(prop, fixed...) {
+		wantJobs := 480
+		if i < len(prop) {
+			wantJobs = 2 * p.Nodes
+		}
+		if p.Jobs != wantJobs || p.GPUs != 4*p.Nodes {
+			t.Errorf("%s point %d nodes: %d jobs, %d GPUs, want %d jobs, %d GPUs", p.Series, p.Nodes, p.Jobs, p.GPUs, wantJobs, 4*p.Nodes)
+		}
+		if p.HadarLatency <= 0 || p.GavelLatency != 0 {
+			t.Errorf("%s at %d nodes: hadar %v, gavel %v, want positive and none", p.Series, p.Nodes, p.HadarLatency, p.GavelLatency)
+		}
+	}
+	out := res.String()
+	for _, p := range jobs {
+		if !strings.Contains(out, fmt.Sprintf("%8d %8d", p.Jobs, p.GPUs)) {
+			t.Errorf("String() lacks the %d-job row:\n%s", p.Jobs, out)
+		}
 	}
 }
 

@@ -249,6 +249,10 @@ func (f *Fig6Result) String() string {
 
 // Fig7Point is one x-value of the scalability experiment.
 type Fig7Point struct {
+	// Series is "jobs-sweep" (the paper's job-count sweep, Hadar vs
+	// Gavel) or "nodes-prop" / "nodes-fixed" (the node-count sweep,
+	// Hadar only, so GavelLatency is zero).
+	Series       string
 	Jobs         int
 	Nodes        int
 	GPUs         int
@@ -256,43 +260,58 @@ type Fig7Point struct {
 	GavelLatency time.Duration
 }
 
-// Fig7Result holds the scheduling-latency scaling sweep.
+// Fig7Result holds the scheduling-latency scaling sweeps.
 type Fig7Result struct {
 	Points []Fig7Point
 }
 
-// Fig7 measures the wall time of one scheduling decision for Hadar and
-// Gavel as the number of active jobs grows from 32 to maxJobs (2048 in
-// the paper), with the cluster scaled proportionally.
+// NodeSweep returns the node-count points of Fig. 7 with only Series,
+// Nodes and Jobs set. 60 nodes is roughly the paper's testbed scale,
+// 5000 a large production cluster. "nodes-prop" grows the queue with
+// the cluster (2 pending jobs per node keeps every size oversubscribed:
+// 4 GPUs per node, multi-worker gangs); "nodes-fixed" holds the paper's
+// 480-job backlog so the node-count term of the round cost is isolated.
+func NodeSweep() []Fig7Point {
+	nodes := []int{60, 250, 1000, 5000}
+	pts := make([]Fig7Point, 0, 2*len(nodes))
+	for _, n := range nodes {
+		pts = append(pts, Fig7Point{Series: "nodes-prop", Nodes: n, Jobs: 2 * n})
+	}
+	for _, n := range nodes {
+		pts = append(pts, Fig7Point{Series: "nodes-fixed", Nodes: n, Jobs: 480})
+	}
+	return pts
+}
+
+// Fig7 measures the wall time of one scheduling decision. The
+// "jobs-sweep" series times Hadar and Gavel as the number of active
+// jobs grows from 32 to maxJobs (2048 in the paper), with the cluster
+// scaled proportionally; the NodeSweep series then time Hadar alone on
+// ScaleCluster.
 func Fig7(seed int64, maxJobs int) (*Fig7Result, error) {
 	res := &Fig7Result{}
-	for jobs := 32; jobs <= maxJobs; jobs *= 2 {
-		perType := jobs / 24
-		if perType < 4 {
-			perType = 4
-		}
-		c := ScaledSimCluster(perType)
-		cfg := trace.DefaultConfig()
-		cfg.NumJobs = jobs
-		cfg.Seed = seed
-		tr, err := trace.Generate(cfg)
+	measure := func(p Fig7Point, c *cluster.Cluster) error {
+		ctx, err := RoundContext(c, p.Jobs, seed)
 		if err != nil {
+			return err
+		}
+		p.Nodes, p.GPUs = c.NumNodes(), c.TotalGPUs()
+		p.HadarLatency = timeDecision(NewHadar(), ctx)
+		if p.Series == "jobs-sweep" {
+			p.GavelLatency = timeDecision(NewGavel(), ctx)
+		}
+		res.Points = append(res.Points, p)
+		return nil
+	}
+	for jobs := 32; jobs <= maxJobs; jobs *= 2 {
+		if err := measure(Fig7Point{Series: "jobs-sweep", Jobs: jobs}, ScaledSimCluster(max(jobs/24, 4))); err != nil {
 			return nil, err
 		}
-		states := make([]*sched.JobState, len(tr))
-		for i, j := range tr {
-			states[i] = &sched.JobState{
-				Job: j, Remaining: j.TotalIters(),
-			}
+	}
+	for _, p := range NodeSweep() {
+		if err := measure(p, ScaleCluster(p.Nodes)); err != nil {
+			return nil, err
 		}
-		ctx := &sched.Context{
-			Now: 0, Round: 0, RoundLength: checkpoint.RoundSeconds,
-			Horizon: 1e7, Free: cluster.NewState(c), Jobs: states,
-		}
-		point := Fig7Point{Jobs: jobs, Nodes: c.NumNodes(), GPUs: c.TotalGPUs()}
-		point.HadarLatency = timeDecision(NewHadar(), ctx)
-		point.GavelLatency = timeDecision(NewGavel(), ctx)
-		res.Points = append(res.Points, point)
 	}
 	return res, nil
 }
@@ -311,13 +330,31 @@ func timeDecision(s sched.Scheduler, ctx *sched.Context) time.Duration {
 	return best
 }
 
-// String renders the latency-vs-jobs series.
+// Sweep returns the points of one series in sweep order.
+func (f *Fig7Result) Sweep(series string) []Fig7Point {
+	var pts []Fig7Point
+	for _, p := range f.Points {
+		if p.Series == series {
+			pts = append(pts, p)
+		}
+	}
+	return pts
+}
+
+// String renders the latency-vs-jobs series, then the node-count sweep.
 func (f *Fig7Result) String() string {
 	var sb strings.Builder
 	sb.WriteString("Fig. 7: scheduling decision latency vs active jobs\n")
 	fmt.Fprintf(&sb, "%8s %8s %14s %14s\n", "jobs", "GPUs", "hadar", "gavel")
-	for _, p := range f.Points {
+	for _, p := range f.Sweep("jobs-sweep") {
 		fmt.Fprintf(&sb, "%8d %8d %14s %14s\n", p.Jobs, p.GPUs, p.HadarLatency, p.GavelLatency)
+	}
+	sb.WriteString("Hadar round latency vs nodes\n")
+	fmt.Fprintf(&sb, "%12s %8s %8s %14s\n", "series", "nodes", "jobs", "hadar")
+	for _, p := range f.Points {
+		if p.Series != "jobs-sweep" {
+			fmt.Fprintf(&sb, "%12s %8d %8d %14s\n", p.Series, p.Nodes, p.Jobs, p.HadarLatency)
+		}
 	}
 	return sb.String()
 }

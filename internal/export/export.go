@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+	"time"
 
 	"repro/internal/experiments"
 	"repro/internal/metrics"
@@ -82,21 +83,21 @@ func Jobs(w io.Writer, name string, r *metrics.Report) error {
 	return writeAll(w, rows)
 }
 
-// Fig7Header is the unified schema of the scalability CSV. Two
-// producers share the file: this exporter (the paper's job-count sweep,
-// series "jobs-sweep") and cmd/benchjson's -scale-csv flag (the
-// node-count benchmark sweeps, series "nodes-prop" / "nodes-fixed").
-// The gavel column is empty for benchmark series, which time Hadar only.
-var Fig7Header = []string{"series", "nodes", "gpus", "jobs", "hadar_latency_us", "gavel_latency_us"}
-
-// Fig7 writes the job-count scalability sweep under the unified schema.
+// Fig7 writes the scalability sweeps: series, nodes, gpus, jobs,
+// hadar_latency_us, gavel_latency_us — one row per point, latencies in
+// fractional microseconds. The gavel column is empty for the node-count
+// series, which time Hadar only.
 func Fig7(w io.Writer, r *experiments.Fig7Result) error {
-	rows := [][]string{Fig7Header}
+	rows := [][]string{{"series", "nodes", "gpus", "jobs", "hadar_latency_us", "gavel_latency_us"}}
+	us := func(d time.Duration) string { return f(float64(d) / float64(time.Microsecond)) }
 	for _, p := range r.Points {
+		gavel := ""
+		if p.GavelLatency > 0 {
+			gavel = us(p.GavelLatency)
+		}
 		rows = append(rows, []string{
-			"jobs-sweep", strconv.Itoa(p.Nodes), strconv.Itoa(p.GPUs), strconv.Itoa(p.Jobs),
-			f(float64(p.HadarLatency.Microseconds())),
-			f(float64(p.GavelLatency.Microseconds())),
+			p.Series, strconv.Itoa(p.Nodes), strconv.Itoa(p.GPUs), strconv.Itoa(p.Jobs),
+			us(p.HadarLatency), gavel,
 		})
 	}
 	return writeAll(w, rows)

@@ -98,19 +98,24 @@ func TestJobsCSV(t *testing.T) {
 func TestFig7CSV(t *testing.T) {
 	var buf bytes.Buffer
 	r := &experiments.Fig7Result{Points: []experiments.Fig7Point{
-		{Jobs: 32, Nodes: 3, GPUs: 12, HadarLatency: 50 * time.Microsecond, GavelLatency: 80 * time.Microsecond},
+		{Series: "jobs-sweep", Jobs: 32, Nodes: 3, GPUs: 12, HadarLatency: 42500 * time.Nanosecond, GavelLatency: 80 * time.Microsecond},
+		{Series: "nodes-fixed", Jobs: 480, Nodes: 5000, GPUs: 20000, HadarLatency: 276498 * time.Nanosecond},
 	}}
 	if err := Fig7(&buf, r); err != nil {
 		t.Fatal(err)
 	}
 	rows := parseCSV(t, &buf)
-	if len(rows) != 2 {
+	if len(rows) != 3 {
 		t.Fatalf("Fig7 rows = %v", rows)
 	}
-	want := []string{"jobs-sweep", "3", "12", "32", "50", "80"}
-	for i, v := range want {
-		if rows[1][i] != v {
-			t.Errorf("Fig7 row col %d = %q, want %q (row %v)", i, rows[1][i], v, rows[1])
+	for r, want := range [][]string{
+		{"jobs-sweep", "3", "12", "32", "42.5", "80"},
+		{"nodes-fixed", "5000", "20000", "480", "276.498", ""},
+	} {
+		for i, v := range want {
+			if rows[r+1][i] != v {
+				t.Errorf("Fig7 row %d col %d = %q, want %q (row %v)", r+1, i, rows[r+1][i], v, rows[r+1])
+			}
 		}
 	}
 }

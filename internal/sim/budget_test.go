@@ -31,8 +31,8 @@ func TestNewEngineAllocBudget(t *testing.T) {
 }
 
 // roundAllocs is what one ProcessNextEvent allocates on average once an
-// engine is warm, over a window of 200 rounds of the BenchmarkEngineStep
-// shape: measured 1 (Go 1.24). A steady round makes none: the
+// engine is warm, over a window of 200 rounds of Hadar on a 64-job
+// backlog over the paper's cluster: measured 1 (Go 1.24). A steady round makes none: the
 // scheduler lends its decision map and retain arena until the next call
 // (core's TestWarmScheduleAllocatesNothing), and the engine's share —
 // context, job list, active index, decision IDs, apply records, digest
