@@ -163,6 +163,13 @@ var goldenDigests = map[string]map[int]uint64{
 		96:  0x2dd25b40066c2864,
 		240: 0x96b61c246134f374,
 	},
+	// Hadar on ScaleCluster(1000): uniform capacities and speeds, so
+	// every fill takes the price-free consolidated scan, and the queue
+	// never outgrows the cluster, so every job is placed.
+	"hadar-scale": {
+		96:  0x55e2fded00e1bdda,
+		480: 0x896673a04c4550d8,
+	},
 	// Every policy on SimCluster under outageWindows: what a policy
 	// reads about a down node (capacity, per-type totals, the type
 	// list, eta's total) is part of the schedule.
@@ -222,8 +229,12 @@ func TestGoldenScheduleDigests(t *testing.T) {
 		numJobs = 96
 	}
 	// Every table policy on SimCluster, with and without outages, named
-	// by the policy it builds, plus Hadar on stragglerCluster.
-	schedulers := map[string]func() sched.Scheduler{"hadar-straggler": experiments.NewHadar}
+	// by the policy it builds, plus Hadar on stragglerCluster and on a
+	// 1 000-node ScaleCluster.
+	schedulers := map[string]func() sched.Scheduler{
+		"hadar-straggler": experiments.NewHadar,
+		"hadar-scale":     experiments.NewHadar,
+	}
 	for _, p := range experiments.Policies {
 		name := p.New().Name()
 		schedulers[name] = p.New
@@ -234,11 +245,14 @@ func TestGoldenScheduleDigests(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			c, numJobs, opts := experiments.SimCluster(), numJobs, sim.ValidatedOptions()
-			if name == "hadar-straggler" {
+			switch name {
+			case "hadar-straggler":
 				c = stragglerCluster()
 				if numJobs > 240 {
 					numJobs = 240
 				}
+			case "hadar-scale":
+				c = experiments.ScaleCluster(1000)
 			}
 			if strings.HasSuffix(name, "-outage") {
 				opts.Failures = outageWindows()

@@ -60,47 +60,91 @@ func (p *probe) bind(opts *Options, pt *priceTable, free *cluster.State) {
 
 // findAlloc is the paper's FIND_ALLOC subroutine (Algorithm 2, lines
 // 22-34): generate consolidated ("packed") and consolidation-independent
-// allocations over the GPU types sorted by the job's throughput (the
-// caller passes sched.UsableTypes(j), precomputed once per round), price
-// each against the current dual prices (adding a communication surcharge
-// for multi-server allocations), and return the highest-payoff option.
-// ok is false only when no feasible allocation exists at all; the
-// admission filter mu_j > 0 is applied by the caller (the backfill pass
-// deliberately ignores it).
+// allocations over the GPU types sorted by the job's throughput
+// (st.UsableTypes, cached per job), price each against the current dual
+// prices (adding a communication surcharge for multi-server
+// allocations), and return the highest-payoff option. ok is false only
+// when no feasible allocation exists at all; the admission filter
+// mu_j > 0 is applied by the caller (the backfill pass deliberately
+// ignores it).
 //
 // This is the per-round hot path: Hadar's DP calls it once per visited
 // search node. Candidate placements are built in the probe's arena and
-// candidate list, duplicate candidates are pruned before pricing (on
-// uniform clusters the cheapest-node and most-consolidated scans often
-// coincide, and a duplicate can never win: the winner is the first
-// index attaining the best payoff), and the winner is returned straight
-// from the candidate arena, so a call performs no steady-state heap
-// allocation at all. The winner is therefore only valid until the next
-// findAlloc call: a caller that keeps it passes it through retain first.
-func (p *probe) findAlloc(st *sched.JobState, ctx *sched.Context, types []gpu.Type) (candidate, bool) {
-	j := st.Job
+// candidate list, and the winner is returned straight from the
+// candidate arena, so a call performs no steady-state heap allocation
+// at all. The winner is therefore only valid until the next findAlloc
+// call: a caller that keeps it passes it through retain first.
+func (p *probe) findAlloc(st *sched.JobState, ctx *sched.Context) (candidate, bool) {
+	cands, current := p.candidates(st)
+	return p.best(st, ctx, cands, current)
+}
+
+// candidates builds FIND_ALLOC's candidate list for the job: every
+// feasible single-type fill and consolidated fill, the one task-level
+// mixed fill, and the job's current allocation when it still fits, at
+// index current (-1 when it does not).
+//
+// It builds only candidates that are feasible and not already listed.
+// The paper's generator loop — a cheapest-node fill and a consolidated
+// fill per usable type, then every descending-throughput prefix of two
+// or more types — yields the same list once infeasible options and
+// duplicates are dropped, in the same order:
+//
+//   - a type with fewer free devices than the gang has no single-type
+//     fill at all;
+//   - under uniformFill[t] the cheapest-node fill is the consolidated
+//     fill, placement for placement (fillType takes the same
+//     sched.AppendConsolidated scan);
+//   - a prefix whose types jointly lack free devices is infeasible, and
+//     any prefix longer than the first one that covers the gang stops
+//     filling before its extra types, so it repeats that one (or, when
+//     types[0] alone covers the gang, the single-type fill of types[0]).
+//
+// appendCand still drops the duplicates that remain possible (a
+// cheapest-node fill equal to the consolidated one off the uniform
+// path, a mixed fill whose leading types have nothing free); a
+// duplicate could never win anyway, since the first index attaining the
+// best payoff wins. FuzzFindAllocMatchesReference pins the equivalence.
+func (p *probe) candidates(st *sched.JobState) ([]cluster.Alloc, int) {
+	w := st.Job.Workers
+	types := st.UsableTypes()
 	cands := p.candScratch[:0]
 	arena := p.candArena[:0]
 
-	// Single-type allocations: one candidate per usable type, on the
-	// cheapest nodes; plus the maximally consolidated variant.
+	// Single-type allocations: for each type that can hold the gang on
+	// its own, one candidate on the cheapest nodes, plus the maximally
+	// consolidated variant when it differs.
 	for _, t := range types {
-		if a, ok := p.fillOneType(&arena, j.Workers, t); ok {
+		if p.free.FreeOfType(t) < w {
+			continue
+		}
+		if a, ok := p.fillOneType(&arena, w, t); ok {
 			cands = appendCand(cands, a)
 		}
-		if a, ok := appendSingleType(&arena, p.free, t, j.Workers); ok {
+		if p.uniformFill[t] {
+			continue
+		}
+		if a, ok := appendSingleType(&arena, p.free, t, w); ok {
 			cands = appendCand(cands, a)
 		}
 	}
-	// Task-level mixed allocations: growing prefixes of the
-	// descending-throughput type list. This is the capability Gavel
-	// lacks: a gang can straddle accelerator types when no single type
-	// has enough free devices (or when mixing is simply cheaper).
+	// Task-level mixed allocation: the shortest prefix of the
+	// descending-throughput type list whose free devices cover the gang.
+	// This is the capability Gavel lacks: a gang can straddle
+	// accelerator types when no single type has enough free devices (or
+	// when mixing is simply cheaper).
 	if p.opts.TaskLevel {
-		for k := 2; k <= len(types); k++ {
-			if a, ok := p.fillTypes(&arena, j.Workers, types[:k]); ok {
-				cands = appendCand(cands, a)
+		covered := 0
+		for k, t := range types {
+			if covered += p.free.FreeOfType(t); covered < w {
+				continue
 			}
+			if k > 0 {
+				if a, ok := p.fillTypes(&arena, w, types[:k+1]); ok {
+					cands = appendCand(cands, a)
+				}
+			}
+			break
 		}
 	}
 	// Stickiness: re-offer the job's current allocation (it is feasible
@@ -114,7 +158,14 @@ func (p *probe) findAlloc(st *sched.JobState, ctx *sched.Context, types []gpu.Ty
 	}
 	p.candScratch = cands
 	p.candArena = arena
+	return cands, current
+}
 
+// best prices every candidate and returns the highest-payoff one, the
+// first index winning ties; the candidate at index current gets the
+// stickiness discount.
+func (p *probe) best(st *sched.JobState, ctx *sched.Context, cands []cluster.Alloc, current int) (candidate, bool) {
+	j := st.Job
 	bestIdx := -1
 	var best candidate
 	for i, a := range cands {

@@ -15,9 +15,11 @@ import (
 // path (a DPJobLimit-job trace), on the 5000-node fixed-backlog round of
 // BenchmarkScaleRound, and on BenchmarkStragglerRound's priced
 // per-node scan (250 nodes, two slow, 8 jobs through the DP and 480
-// through the greedy pass). The decision map, the retain arena the
-// allocations are carved from, the price table, the DP memo and every
-// queue buffer are the scheduler's own and reused.
+// through the greedy pass). The churn rows slide a window over a longer
+// trace, so between calls one job leaves and one arrives (and every
+// ninth call the window jumps back). The decision map, the retain arena
+// the allocations are carved from, the price table, the DP memo and
+// every queue buffer are the scheduler's own and reused.
 func TestWarmScheduleAllocatesNothing(t *testing.T) {
 	straggler := func(nodes int) *cluster.Cluster {
 		c := experiments.ScaleCluster(nodes)
@@ -30,22 +32,43 @@ func TestWarmScheduleAllocatesNothing(t *testing.T) {
 		path    string
 		cluster *cluster.Cluster
 		jobs    int
+		churn   bool
 	}{
-		{"greedy", experiments.SimCluster(), 64},
-		{"dp", experiments.SimCluster(), opts.DPJobLimit},
-		{"scale/fixed/nodes=5000", experiments.ScaleCluster(5000), 480},
-		{"straggler/nodes=250/jobs=8", straggler(250), 8},
-		{"straggler/nodes=250/jobs=480", straggler(250), 480},
+		{"greedy", experiments.SimCluster(), 64, false},
+		{"dp", experiments.SimCluster(), opts.DPJobLimit, false},
+		{"scale/fixed/nodes=5000", experiments.ScaleCluster(5000), 480, false},
+		{"straggler/nodes=250/jobs=8", straggler(250), 8, false},
+		{"straggler/nodes=250/jobs=480", straggler(250), 480, false},
+		{"churn/greedy", experiments.SimCluster(), 64, true},
+		{"churn/dp", experiments.SimCluster(), opts.DPJobLimit, true},
 	} {
-		ctx, err := experiments.RoundContext(c.cluster, c.jobs, trace.DefaultConfig().Seed)
+		const window = 9
+		n := c.jobs
+		if c.churn {
+			n += window
+		}
+		ctx, err := experiments.RoundContext(c.cluster, n, trace.DefaultConfig().Seed)
 		if err != nil {
 			t.Fatal(err)
 		}
 		s := core.New(opts)
+		all, calls := ctx.Jobs, 0
+		schedule := func() {
+			if c.churn {
+				ctx.Jobs = all[calls%window : calls%window+c.jobs]
+				calls++
+			}
+			s.Schedule(ctx)
+		}
+		if c.churn {
+			for calls < window {
+				schedule() // the window visits every position once
+			}
+		}
 		if len(s.Schedule(ctx)) == 0 {
 			t.Fatalf("%s: nothing placed", c.path)
 		}
-		if got := testing.AllocsPerRun(20, func() { s.Schedule(ctx) }); got != 0 {
+		if got := testing.AllocsPerRun(20, schedule); got != 0 {
 			t.Errorf("%s: a warm Schedule allocates %v times, want 0", c.path, got)
 		}
 	}

@@ -2,15 +2,15 @@ package core
 
 import (
 	"repro/internal/cluster"
-	"repro/internal/gpu"
 	"repro/internal/sched"
 )
 
-// pick is one (job, allocation) decision of the DP, linked to the picks
-// realizing the rest of its branch's total. Results share their tails,
-// so a branch that wins adds one node instead of copying a list.
+// pick is one (queue index, allocation) decision of the DP, linked to
+// the picks realizing the rest of its branch's total. Results share
+// their tails, so a branch that wins adds one node instead of copying a
+// list.
 type pick struct {
-	id    int
+	idx   int
 	alloc cluster.Alloc
 	next  int // see dpResult.picks
 }
@@ -37,12 +37,11 @@ type dpMemoKey struct {
 // every search, so a steady round reuses the memo's and the arena's
 // storage.
 type dpSearch struct {
-	s        *Scheduler
-	ctx      *sched.Context
-	queue    []*sched.JobState
-	jobTypes [][]gpu.Type
-	memo     map[dpMemoKey]dpResult
-	picks    []pick
+	s     *Scheduler
+	ctx   *sched.Context
+	queue []*sched.JobState
+	memo  map[dpMemoKey]dpResult
+	picks []pick
 }
 
 // rec is Algorithm 2's recursion: branch on "allocate the best
@@ -65,7 +64,7 @@ func (d *dpSearch) rec(idx int, free *cluster.State) dpResult {
 	// the admission filter mu_j > 0.
 	st := d.queue[idx]
 	if st.Remaining > 0 {
-		if cand, ok := d.s.probe.findAlloc(st, d.ctx, d.jobTypes[idx]); ok && cand.payoff > 0 {
+		if cand, ok := d.s.probe.findAlloc(st, d.ctx); ok && cand.payoff > 0 {
 			// The recursion's probes recycle the candidate arena.
 			alloc := d.s.probe.retain(cand.alloc)
 			sp := free.Savepoint()
@@ -75,7 +74,7 @@ func (d *dpSearch) rec(idx int, free *cluster.State) dpResult {
 				sub := d.rec(idx+1, free)
 				total := cand.payoff + sub.payoff
 				if total > best.payoff {
-					d.picks = append(d.picks, pick{st.Job.ID, alloc, sub.picks})
+					d.picks = append(d.picks, pick{idx, alloc, sub.picks})
 					best = dpResult{payoff: total, picks: len(d.picks)}
 				}
 			}
@@ -92,9 +91,9 @@ func (d *dpSearch) rec(idx int, free *cluster.State) dpResult {
 // total payoff (equivalently, minimum cost for the chosen utility). The
 // search returns the state as it found it; the winning picks are then
 // allocated on it in the order the search allocated them.
-func (s *Scheduler) dpAllocate(ctx *sched.Context, queue []*sched.JobState, jobTypes [][]gpu.Type, out map[int]cluster.Alloc) {
+func (s *Scheduler) dpAllocate(ctx *sched.Context, queue []*sched.JobState, out map[int]cluster.Alloc) {
 	d := &s.dp
-	d.s, d.ctx, d.queue, d.jobTypes = s, ctx, queue, jobTypes
+	d.s, d.ctx, d.queue = s, ctx, queue
 	if d.memo == nil {
 		d.memo = make(map[dpMemoKey]dpResult, 64)
 	}
@@ -106,6 +105,7 @@ func (s *Scheduler) dpAllocate(ctx *sched.Context, queue []*sched.JobState, jobT
 			s.noteInconsistency(err)
 			continue
 		}
-		out[p.id] = p.alloc
+		out[queue[p.idx].Job.ID] = p.alloc
+		s.decided[p.idx] = true
 	}
 }

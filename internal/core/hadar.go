@@ -101,13 +101,17 @@ type Scheduler struct {
 	dp dpSearch
 	// Per-round scratch, all recycled between rounds: the decision map
 	// Schedule returns (lent to the caller until the next call), the
-	// density-ordered queue and its sort entries, and the per-job usable
-	// type lists carved from one arena.
+	// density-ordered queue, and the per-queue-index decided flags.
 	decisions    map[int]cluster.Alloc
 	queueScratch []*sched.JobState
-	entScratch   []queueEntry
-	typesArena   []gpu.Type
-	typesScratch [][]gpu.Type
+	decided      []bool
+	// The queue order carried from round to round: the previous round's
+	// sort entries, still in their sorted order, the ctx.Jobs they were
+	// built from, and the scratch mapping an index of lastJobs to the
+	// job's index in this round's ctx.Jobs.
+	entScratch []queueEntry
+	lastJobs   []*sched.JobState
+	remap      []int
 }
 
 // New builds a Hadar scheduler. It panics on invalid options so
@@ -186,55 +190,38 @@ func (s *Scheduler) Schedule(ctx *sched.Context) map[int]cluster.Alloc {
 	s.lastPrices = pt
 
 	queue := s.orderQueue(ctx)
-	// Usable-type lists are a function of the immutable job alone;
-	// compute them once per round instead of once per FIND_ALLOC call.
-	jobTypes := s.usableTypes(queue)
+	s.decided = slices.Grow(s.decided[:0], len(queue))[:len(queue)]
+	clear(s.decided)
 	// Every pass searches the lent state: the primal-dual pass leaves
 	// its decisions allocated on it, backfill continues from there, and
 	// the one rollback hands it back as found.
 	defer ctx.Free.Rollback(ctx.Free.Savepoint())
 	s.probe.bind(&s.opts, pt, ctx.Free)
 	if len(queue) <= s.opts.DPJobLimit {
-		s.dpAllocate(ctx, queue, jobTypes, out)
+		s.dpAllocate(ctx, queue, out)
 	} else {
-		s.sweep(ctx, queue, jobTypes, out, false)
+		s.sweep(ctx, queue, out, false)
 	}
 	if s.opts.Backfill {
-		s.sweep(ctx, queue, jobTypes, out, true)
+		s.sweep(ctx, queue, out, true)
 	}
 	return out
 }
 
-// usableTypes fills the per-job usable-type lists for the round,
-// carving every list from one reused arena so the whole round costs at
-// most one allocation here.
-func (s *Scheduler) usableTypes(queue []*sched.JobState) [][]gpu.Type {
-	if want := len(queue) * int(gpu.NumTypes); cap(s.typesArena) < want {
-		s.typesArena = make([]gpu.Type, 0, want)
-	}
-	arena := s.typesArena[:0]
-	lists := s.typesScratch[:0]
-	for _, st := range queue {
-		mark := len(arena)
-		arena = sched.AppendUsableTypes(arena, st.Job)
-		lists = append(lists, arena[mark:len(arena):len(arena)])
-	}
-	s.typesArena, s.typesScratch = arena, lists
-	return lists
-}
-
 // queueEntry pairs a job with its queue-ordering density for the
-// closure-free sort.
+// closure-free sort, and with its index in the ctx.Jobs the entry was
+// built from, which the next round's orderQueue matches against.
 type queueEntry struct {
 	st      *sched.JobState
 	density float64
+	pos     int
 }
 
 // byDensity orders entries by descending density, ties by ascending job
 // ID. Job IDs are unique, so the order is total and an unstable sort
-// produces the same permutation a stable sort would. It is a
-// package-level function, not a closure or a sort.Interface, so sorting
-// allocates nothing.
+// produces the same permutation a stable sort would, from any starting
+// order. It is a package-level function, not a closure or a
+// sort.Interface, so sorting allocates nothing.
 func byDensity(a, b queueEntry) int {
 	switch {
 	case a.density > b.density:
@@ -250,33 +237,65 @@ func byDensity(a, b queueEntry) int {
 // order both the greedy pass and the DP consider jobs in. The entry and
 // queue slices are reused across rounds; callers must not retain the
 // returned slice past the round.
+//
+// The sort starts from the previous round's order, not from arrival
+// order. ctx.Jobs lists jobs in arrival order, so from one round to the
+// next it only loses jobs and gains arrivals at its end: one forward
+// walk matches last round's list against this one, the survivors keep
+// their sorted places with fresh densities, and the arrivals go last.
+// Densities drift slowly, so the sort sees an almost sorted slice.
+// byDensity is a strict total order, so the permutation is the one a
+// sort from any other start gives; a list that is not such a successor
+// (a scheduler reused across unrelated contexts) only matches less and
+// appends more.
 func (s *Scheduler) orderQueue(ctx *sched.Context) []*sched.JobState {
+	remap := s.remap[:0]
+	matched := 0
+	for _, st := range s.lastJobs {
+		at := -1
+		if matched < len(ctx.Jobs) && ctx.Jobs[matched] == st {
+			at = matched
+			matched++
+		}
+		remap = append(remap, at)
+	}
 	ents := s.entScratch[:0]
-	for _, st := range ctx.Jobs {
-		j := st.Job
-		_, best, ok := j.BestType()
-		if !ok || st.Remaining <= 0 {
-			ents = append(ents, queueEntry{st: st})
-			continue
+	for _, e := range s.entScratch {
+		if at := remap[e.pos]; at >= 0 {
+			ents = append(ents, s.entry(ctx, at))
 		}
-		age := ctx.Now - j.Arrival
-		if age < 0 {
-			age = 0
-		}
-		dur := age + st.Remaining/(float64(j.Workers)*best)
-		d := s.opts.Utility.Value(j, st.Remaining, dur) / float64(j.Workers)
-		if s.opts.Aging > 0 {
-			d *= 1 + age/s.opts.Aging
-		}
-		ents = append(ents, queueEntry{st: st, density: d})
+	}
+	for i := matched; i < len(ctx.Jobs); i++ {
+		ents = append(ents, s.entry(ctx, i))
 	}
 	slices.SortFunc(ents, byDensity)
 	queue := s.queueScratch[:0]
 	for _, e := range ents {
 		queue = append(queue, e.st)
 	}
-	s.entScratch, s.queueScratch = ents, queue
+	s.entScratch, s.queueScratch, s.remap = ents, queue, remap
+	s.lastJobs = append(s.lastJobs[:0], ctx.Jobs...)
 	return queue
+}
+
+// entry computes the queue entry of ctx.Jobs[i] for this round.
+func (s *Scheduler) entry(ctx *sched.Context, i int) queueEntry {
+	st := ctx.Jobs[i]
+	j := st.Job
+	_, best, ok := j.BestType()
+	if !ok || st.Remaining <= 0 {
+		return queueEntry{st: st, pos: i}
+	}
+	age := ctx.Now - j.Arrival
+	if age < 0 {
+		age = 0
+	}
+	dur := age + st.Remaining/(float64(j.Workers)*best)
+	d := s.opts.Utility.Value(j, st.Remaining, dur) / float64(j.Workers)
+	if s.opts.Aging > 0 {
+		d *= 1 + age/s.opts.Aging
+	}
+	return queueEntry{st: st, density: d, pos: i}
 }
 
 // sweep is one pass over the queue in payoff-density order, allocating
@@ -285,16 +304,16 @@ func (s *Scheduler) orderQueue(ctx *sched.Context) []*sched.JobState {
 // positive payoffs (the filter mu_j > 0); as the backfill pass it admits
 // every feasible candidate, offering the leftover devices to the jobs
 // the filter rejected, which makes the schedule work-conserving.
-func (s *Scheduler) sweep(ctx *sched.Context, queue []*sched.JobState, jobTypes [][]gpu.Type, out map[int]cluster.Alloc, backfill bool) {
+func (s *Scheduler) sweep(ctx *sched.Context, queue []*sched.JobState, out map[int]cluster.Alloc, backfill bool) {
 	free := ctx.Free
 	for i, st := range queue {
 		if free.TotalFree() == 0 {
 			break // every further probe would come back empty-handed
 		}
-		if _, decided := out[st.Job.ID]; decided || st.Remaining <= 0 || free.TotalFree() < st.Job.Workers {
+		if s.decided[i] || st.Remaining <= 0 || free.TotalFree() < st.Job.Workers {
 			continue
 		}
-		cand, ok := s.probe.findAlloc(st, ctx, jobTypes[i])
+		cand, ok := s.probe.findAlloc(st, ctx)
 		if !ok || (cand.payoff <= 0 && !backfill) {
 			continue
 		}
@@ -304,5 +323,6 @@ func (s *Scheduler) sweep(ctx *sched.Context, queue []*sched.JobState, jobTypes 
 			continue
 		}
 		out[st.Job.ID] = alloc
+		s.decided[i] = true
 	}
 }

@@ -38,6 +38,7 @@ package invariant
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/gpu"
@@ -154,7 +155,13 @@ type Checker struct {
 	violations          []Violation
 	dropped             int
 
-	used []int // per-(node, type) scratch for the joint capacity check
+	// Joint capacity check: used counts the round's devices per
+	// (node, type) cell, capacity is the cluster's capacity in the same
+	// flat layout, and touched lists, once each, the cells the round's
+	// placements used, the only cells that can exceed their capacity.
+	used     []int
+	capacity []int
+	touched  []int
 }
 
 // NewChecker builds a checker for one run over the given cluster (the
@@ -167,7 +174,12 @@ func NewChecker(c *cluster.Cluster) *Checker {
 			k.maxSpeed = n.Speed
 		}
 	}
-	k.used = make([]int, c.NumNodes()*int(gpu.NumTypes))
+	stride := int(gpu.NumTypes)
+	k.used = make([]int, c.NumNodes()*stride)
+	k.capacity = make([]int, len(k.used))
+	for cell := range k.capacity {
+		k.capacity[cell] = c.Capacity(cell/stride, gpu.Type(cell%stride))
+	}
 	return k
 }
 
@@ -201,9 +213,7 @@ func (k *Checker) Err() error {
 // CheckRound validates one round's joint decision and progress
 // accounting. Violations accumulate; read them with Err or Violations.
 func (k *Checker) CheckRound(r Round) {
-	for i := range k.used {
-		k.used[i] = 0
-	}
+	k.touched = k.touched[:0]
 	stride := int(gpu.NumTypes)
 	for _, jr := range r.Jobs {
 		w := jr.Alloc.Workers()
@@ -233,7 +243,11 @@ func (k *Checker) CheckRound(r Round) {
 			if r.Down[p.Node] {
 				k.violate(r.Index, "down-node", "%v placed on down node %d", jr.Job, p.Node)
 			}
-			k.used[p.Node*stride+int(p.Type)] += p.Count
+			cell := p.Node*stride + int(p.Type)
+			if k.used[cell] == 0 {
+				k.touched = append(k.touched, cell)
+			}
+			k.used[cell] += p.Count
 		}
 		// The rate model cannot be evaluated on a structurally invalid
 		// placement (already flagged above); skip the exact-progress check.
@@ -241,12 +255,16 @@ func (k *Checker) CheckRound(r Round) {
 			k.checkConservation(r, jr, w)
 		}
 	}
-	// Joint capacity (1c/1d) across all jobs of the round.
-	for cell, used := range k.used {
-		node, t := cell/stride, gpu.Type(cell%stride)
-		if cap := k.c.Capacity(node, t); used > cap {
-			k.violate(r.Index, "capacity", "node %d %v: %d allocated of %d", node, t, used, cap)
+	// Joint capacity (1c/1d) across all jobs of the round, in ascending
+	// cell order; an untouched cell holds nothing and cannot exceed its
+	// capacity. Resetting the touched cells readies used for the next
+	// round.
+	slices.Sort(k.touched)
+	for _, cell := range k.touched {
+		if used, cap := k.used[cell], k.capacity[cell]; used > cap {
+			k.violate(r.Index, "capacity", "node %d %v: %d allocated of %d", cell/stride, gpu.Type(cell%stride), used, cap)
 		}
+		k.used[cell] = 0
 	}
 	if pr, ok := r.Scheduler.(PriceReporter); ok {
 		k.checkPrices(r.Index, pr)

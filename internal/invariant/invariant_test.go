@@ -138,6 +138,51 @@ func TestJointCapacityViolation(t *testing.T) {
 	wantViolation(t, k, "capacity")
 }
 
+// TestCapacityViolationsInCellOrder checks that over-capacity cells are
+// reported in ascending (node, type) order whatever order the jobs
+// touched them in, and that one round's per-cell counts do not leak
+// into the next.
+func TestCapacityViolationsInCellOrder(t *testing.T) {
+	c := testCluster()
+	k := NewChecker(c)
+	// Node 1 holds 2 V100 and 2 K80; node 0 holds 4 V100.
+	job := func(id int, a cluster.Alloc) JobRound {
+		return JobRound{Job: testJob(id, a.Workers()), Alloc: a, RemainingBefore: 100, RemainingAfter: 100, Killed: true}
+	}
+	k.CheckRound(round(c,
+		job(0, cluster.Alloc{{Node: 1, Type: gpu.K80, Count: 3}}),
+		job(1, cluster.Alloc{{Node: 1, Type: gpu.V100, Count: 2}, {Node: 0, Type: gpu.V100, Count: 4}}),
+		job(2, cluster.Alloc{{Node: 0, Type: gpu.V100, Count: 1}, {Node: 1, Type: gpu.V100, Count: 1}}),
+	))
+	var got []string
+	for _, v := range k.Violations() {
+		got = append(got, v.String())
+	}
+	want := []string{
+		"round 0: capacity: node 0 V100: 5 allocated of 4",
+		"round 0: capacity: node 1 V100: 3 allocated of 2",
+		"round 0: capacity: node 1 K80: 3 allocated of 2",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("violations:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+
+	// Overbooked, clean, overbooked again on the same cell.
+	k = NewChecker(c)
+	v100 := func(id, n int) JobRound { return job(id, cluster.Alloc{{Node: 0, Type: gpu.V100, Count: n}}) }
+	k.CheckRound(round(c, v100(0, 4), v100(1, 4)))
+	k.CheckRound(round(c, v100(0, 4)))
+	k.CheckRound(round(c, v100(0, 4), v100(1, 1)))
+	got = got[:0]
+	for _, v := range k.Violations() {
+		got = append(got, v.Detail)
+	}
+	want = []string{"node 0 V100: 8 allocated of 4", "node 0 V100: 5 allocated of 4"}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("violations over three rounds:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
 func TestInvalidPlacementViolations(t *testing.T) {
 	c := testCluster()
 	k := NewChecker(c)

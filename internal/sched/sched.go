@@ -14,7 +14,8 @@ import (
 )
 
 // JobState is the simulator-maintained mutable state of one job.
-// Schedulers read it to make decisions; only the simulator writes it.
+// Schedulers read it to make decisions; only the simulator writes its
+// exported fields (UsableTypes fills a cache of the job's own).
 type JobState struct {
 	// Job is the immutable description.
 	Job *job.Job
@@ -37,11 +38,19 @@ type JobState struct {
 	RoundsByType [gpu.NumTypes]float64
 	// Started reports whether the job has ever been allocated;
 	// StartTime is the time of its first allocation.
-	Started   bool
+	Started bool
+	// usable caches UsableTypes(usableOf) in its first nUsable entries.
+	// The two small fields sit in Started's padding, so the cache moves
+	// the state up no allocation size class. Keying the cache by the job
+	// it was computed for keeps it exact when a copied state is pointed
+	// at another job.
+	usable    [gpu.NumTypes]gpu.Type
+	nUsable   uint8
 	StartTime float64
 	// Reallocations counts rounds in which the job kept running but its
 	// allocation changed (checkpoint-restart events).
 	Reallocations int
+	usableOf      *job.Job
 }
 
 // Done reports whether the job has completed all its iterations.
@@ -49,6 +58,18 @@ func (s *JobState) Done() bool { return s.Remaining <= 1e-9 }
 
 // Running reports whether the job held an allocation last round.
 func (s *JobState) Running() bool { return s.Alloc.Workers() > 0 }
+
+// UsableTypes returns UsableTypes(s.Job), computed once per job and
+// cached in the state: a job's usable types are a function of the
+// immutable job alone. The slice aliases the state; callers must not
+// modify it.
+func (s *JobState) UsableTypes() []gpu.Type {
+	if s.usableOf != s.Job {
+		s.nUsable = uint8(len(AppendUsableTypes(s.usable[:0], s.Job)))
+		s.usableOf = s.Job
+	}
+	return s.usable[:s.nUsable:s.nUsable]
+}
 
 // Context is the information a scheduler receives at each round
 // boundary.
