@@ -2,7 +2,7 @@
 //
 // Usage:
 //
-//	experiments -all                # everything (full paper scale: slow)
+//	experiments -all                # everything, then the scorecard (exit 1 if a rule fails)
 //	experiments -fig 3a             # one figure: 3a 3b 4 5 6 7 8 9 10
 //	experiments -table 3            # one table: 3 or 4
 //	experiments -motivation         # the Section II.A toy example
@@ -10,8 +10,8 @@
 //	experiments -federation         # federation vs mega-cluster comparison
 //	experiments -jobs 120           # scale the trace down for quick runs
 //
-// Results print as text tables mirroring the paper's rows/series; see
-// EXPERIMENTS.md for paper-vs-measured commentary.
+// Results print as text tables mirroring the paper's rows/series; -all
+// ends with the scorecard of the paper's claims that EXPERIMENTS.md embeds.
 package main
 
 import (
@@ -52,7 +52,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		os.Exit(1)
 	}
-	show := func(v fmt.Stringer, err error) {
+	show := func(v fmt.Stringer, err error) fmt.Stringer {
 		if err != nil {
 			fail(err)
 		}
@@ -66,10 +66,12 @@ func main() {
 			}
 		}
 		ran = true
+		return v
 	}
 
+	var figs experiments.Figures
 	if *motivation || *all {
-		show(experiments.Motivation())
+		figs.Motivation = show(experiments.Motivation()).(*experiments.MotivationResult)
 	}
 	if *failures || *all {
 		show(experiments.FailureScenario(setup))
@@ -81,22 +83,22 @@ func main() {
 		show(experiments.SweepSeeds(setup, *seeds))
 	}
 	if *fig == "3a" || *all {
-		show(experiments.Fig3(setup, false))
+		figs.Static = show(experiments.Fig3(setup, false)).(*experiments.Fig3Result)
 	}
 	if *fig == "3b" || *all {
-		show(experiments.Fig3(setup, true))
+		figs.Continuous = show(experiments.Fig3(setup, true)).(*experiments.Fig3Result)
 	}
 	if *fig == "4" || *all {
-		show(experiments.Fig4(setup))
+		figs.Fig4 = show(experiments.Fig4(setup)).(*experiments.Fig4Result)
 	}
 	if *fig == "5" || *all {
-		show(experiments.Fig5(setup))
+		figs.Fig5 = show(experiments.Fig5(setup)).(*experiments.Fig5Result)
 	}
 	if *fig == "6" || *all {
-		show(experiments.Fig6(setup))
+		figs.Fig6 = show(experiments.Fig6(setup)).(*experiments.Fig6Result)
 	}
 	if *fig == "7" || *all {
-		show(experiments.Fig7(setup.Seed, *maxScale))
+		figs.Fig7 = show(experiments.Fig7(setup.Seed, *maxScale)).(*experiments.Fig7Result)
 	}
 	// The 60-GPU cluster sustains ~2 jobs/hour of the Philly-like mix;
 	// the sweeps straddle that point so the load actually varies.
@@ -110,11 +112,18 @@ func main() {
 		show(experiments.Fig10(setup.Seed))
 	}
 	if *table == "3" || *all {
-		show(experiments.Table3(setup.Seed))
+		figs.Table3 = show(experiments.Table3(setup.Seed)).(*experiments.Table3Result)
 	}
 	if *table == "4" || *all {
 		fmt.Println(experiments.Table4(setup.RoundLength))
 		ran = true
+	}
+	if *all {
+		card, err := experiments.NewScorecard(figs)
+		show(card, err)
+		if bad := card.Failed(); len(bad) > 0 {
+			fail(fmt.Errorf("scorecard: %d rules fail, first %s", len(bad), bad[0].ID))
+		}
 	}
 	if !ran {
 		flag.Usage()
@@ -191,6 +200,10 @@ func writeCSV(dir string, v fmt.Stringer) error {
 		return write("federation_compare.csv", func(f *os.File) error {
 			return export.FedCompare(f, r)
 		})
+	case *experiments.Scorecard:
+		return write("scorecard.csv", func(f *os.File) error {
+			return export.Scorecard(f, r)
+		})
 	case *experiments.FailureScenarioResult:
 		if err := write("failures_outage.csv", func(f *os.File) error {
 			return export.Comparison(f, r.Cmp)
@@ -201,7 +214,7 @@ func writeCSV(dir string, v fmt.Stringer) error {
 			return export.Comparison(f, r.Baseline)
 		})
 	}
-	return nil // Table4 and others render text only
+	return fmt.Errorf("no CSV writer for %T", v)
 }
 
 // renderPlot draws an ASCII chart for results that have a natural

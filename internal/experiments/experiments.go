@@ -162,6 +162,12 @@ func RunComparison(c *cluster.Cluster, jobs []*job.Job, scheds []sched.Scheduler
 	return cmp, nil
 }
 
+// Speedup is every figure's and scorecard row's improvement factor: base
+// over hadar on a lower-is-better metric (JCT, FTF, makespan).
+func (c *Comparison) Speedup(base, hadar string, metric func(*metrics.Report) float64) float64 {
+	return metric(c.Reports[base]) / metric(c.Reports[hadar])
+}
+
 // without returns order minus name, keeping order: a comparison's
 // baselines are its Order without the Hadar series.
 func without(order []string, name string) []string {

@@ -8,6 +8,7 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/cluster"
 	"repro/internal/job"
+	"repro/internal/metrics"
 	"repro/internal/parallel"
 	"repro/internal/sched"
 	"repro/internal/sim"
@@ -119,10 +120,9 @@ func (f *Fig3Result) String() string {
 	}
 	sb.WriteString(f.Cmp.Table())
 	for _, base := range without(f.Cmp.Order, "hadar") {
-		fmt.Fprintf(&sb, "Hadar avg-JCT speedup vs %-9s: %.2fx (median %.2fx)\n",
-			base,
-			f.Cmp.Reports[base].AvgJCT()/f.Cmp.Reports["hadar"].AvgJCT(),
-			f.Cmp.Reports[base].MedianJCT()/f.Cmp.Reports["hadar"].MedianJCT())
+		fmt.Fprintf(&sb, "Hadar avg-JCT speedup vs %-9s: %.2fx (median %.2fx)\n", base,
+			f.Cmp.Speedup(base, "hadar", (*metrics.Report).AvgJCT),
+			f.Cmp.Speedup(base, "hadar", (*metrics.Report).MedianJCT))
 	}
 	return sb.String()
 }
@@ -199,12 +199,8 @@ func (f *Fig5Result) String() string {
 		r := f.Cmp.Reports[name]
 		fmt.Fprintf(&sb, "%-12s %10.2f %10.2f\n", name, r.AvgFTF(), r.MaxFTF())
 	}
-	if h, ok := f.Cmp.Reports["hadar"]; ok {
-		for _, base := range []string{"gavel", "tiresias"} {
-			if b, ok := f.Cmp.Reports[base]; ok {
-				fmt.Fprintf(&sb, "Hadar FTF improvement vs %-9s: %.2fx\n", base, b.AvgFTF()/h.AvgFTF())
-			}
-		}
+	for _, base := range without(f.Cmp.Order, "hadar") {
+		fmt.Fprintf(&sb, "Hadar FTF improvement vs %-9s: %.2fx\n", base, f.Cmp.Speedup(base, "hadar", (*metrics.Report).AvgFTF))
 	}
 	return sb.String()
 }
@@ -238,11 +234,9 @@ func (f *Fig6Result) String() string {
 	for _, name := range f.Cmp.Order {
 		fmt.Fprintf(&sb, "%-18s %14.2f\n", name, f.Cmp.Reports[name].Makespan/3600)
 	}
-	h := f.Cmp.Reports["hadar-makespan"]
-	for _, base := range []string{"gavel", "tiresias"} {
-		if b, ok := f.Cmp.Reports[base]; ok && h != nil {
-			fmt.Fprintf(&sb, "Hadar makespan improvement vs %-9s: %.2fx\n", base, b.Makespan/h.Makespan)
-		}
+	span := func(r *metrics.Report) float64 { return r.Makespan }
+	for _, base := range without(f.Cmp.Order, "hadar-makespan") {
+		fmt.Fprintf(&sb, "Hadar makespan improvement vs %-9s: %.2fx\n", base, f.Cmp.Speedup(base, "hadar-makespan", span))
 	}
 	return sb.String()
 }

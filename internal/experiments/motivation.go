@@ -78,6 +78,13 @@ func (m *MotivationResult) String() string {
 			h.Jobs[i].JCT()/3600, g.Jobs[i].JCT()/3600)
 	}
 	fmt.Fprintf(&sb, "average  %12.2f %12.2f  (improvement %.0f%%)\n",
-		h.AvgJCT()/3600, g.AvgJCT()/3600, 100*(g.AvgJCT()-h.AvgJCT())/g.AvgJCT())
+		h.AvgJCT()/3600, g.AvgJCT()/3600, m.Gain())
 	return sb.String()
+}
+
+// Gain is Hadar's average-JCT improvement over Gavel, in percent of
+// Gavel's average JCT.
+func (m *MotivationResult) Gain() float64 {
+	h, g := m.Cmp.Reports["hadar"].AvgJCT(), m.Cmp.Reports["gavel"].AvgJCT()
+	return 100 * (g - h) / g
 }

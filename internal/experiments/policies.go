@@ -27,10 +27,6 @@ type Policy struct {
 // ranges over it, so a row added here is everywhere by construction.
 // Whether a policy reports dual prices is a type assertion to
 // invariant.PriceReporter, not a column.
-//
-// profiler.Estimator is not a row: it learns throughput across rounds,
-// so an engine restored from a checkpoint with a fresh instance
-// diverges from the run it resumes (see sim.RestoreEngine).
 var Policies = []Policy{
 	{"hadar", NewHadar},
 	{"hadar-makespan", NewHadarMakespan},

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/metrics"
 	"repro/internal/sched"
 	"repro/internal/stats"
 )
@@ -48,12 +49,10 @@ func SweepSeeds(setup Setup, numSeeds int) (*SeedSweep, error) {
 		if len(sw.Order) == 0 {
 			sw.Order = cmp.Order
 		}
-		hadar := cmp.Reports["hadar"].AvgJCT()
 		for _, name := range cmp.Order {
-			avg := cmp.Reports[name].AvgJCT()
-			sw.AvgJCT[name] = append(sw.AvgJCT[name], avg)
-			if name != "hadar" && hadar > 0 {
-				sw.Speedup[name] = append(sw.Speedup[name], avg/hadar)
+			sw.AvgJCT[name] = append(sw.AvgJCT[name], cmp.Reports[name].AvgJCT())
+			if name != "hadar" {
+				sw.Speedup[name] = append(sw.Speedup[name], cmp.Speedup(name, "hadar", (*metrics.Report).AvgJCT))
 			}
 		}
 	}

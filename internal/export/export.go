@@ -144,6 +144,12 @@ func FedCompare(w io.Writer, r *experiments.FedCompareResult) error {
 	return writeAll(w, rows)
 }
 
+// Scorecard writes the claims ledger: id, claim, paper, measured,
+// rule, verdict — one row per claim.
+func Scorecard(w io.Writer, s *experiments.Scorecard) error {
+	return writeAll(w, s.Table())
+}
+
 // OccupancySeries writes a scheduler's per-round cluster occupancy:
 // round_start_s, held_workers.
 func OccupancySeries(w io.Writer, r *metrics.Report) error {

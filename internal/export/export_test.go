@@ -190,3 +190,22 @@ func TestOccupancySeriesCSV(t *testing.T) {
 		t.Errorf("round row = %v", rows[2])
 	}
 }
+
+func TestScorecardCSV(t *testing.T) {
+	card := &experiments.Scorecard{Rows: []experiments.Row{
+		{ID: "fig5-ftf-gavel", Claim: "FTF vs Gavel", Paper: "1.5x", Measured: "3.268x", Rule: "≥ 1.5x", Verdict: experiments.Meets},
+		{ID: "fig4-utilization-order", Claim: "YARN-CS highest, Hadar close", Paper: "ordering",
+			Measured: "YARN-CS 99.35, Hadar 99.24 %", Rule: "YARN-CS ≥ Hadar", Verdict: experiments.Meets},
+	}}
+	var buf bytes.Buffer
+	if err := Scorecard(&buf, card); err != nil {
+		t.Fatal(err)
+	}
+	rows := parseCSV(t, &buf)
+	if got := strings.Join(rows[0], ","); got != "id,claim,paper,measured,rule,verdict" {
+		t.Errorf("header = %s", got)
+	}
+	if len(rows) != 3 || rows[2][3] != card.Rows[1].Measured || rows[1][5] != "meets" {
+		t.Errorf("rows = %q, want the two scorecard rows, commas intact", rows)
+	}
+}

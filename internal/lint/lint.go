@@ -171,7 +171,6 @@ var schedulerPath = []string{
 	"repro/internal/yarncs",
 	"repro/internal/allox",
 	"repro/internal/policy",
-	"repro/internal/profiler",
 	"repro/internal/invariant",
 	"repro/internal/trace",
 	"repro/internal/eventq",
