@@ -126,17 +126,19 @@ profile:
 # service-smoke boots the long-lived scheduler service (cmd/hadard) in
 # smoke mode under the race detector: a single cluster, then three
 # member clusters behind the least-queue router, then the same three
-# with a write-ahead journal. loadgen drives a seeded bursty workload
-# through the bounded admission queue in closed loop, and each run fails
+# with a write-ahead journal. loadgen drives a seeded Poisson workload
+# from trace.Generate (future arrivals, so the engine's idle
+# fast-forward runs too) through the bounded admission queue in closed
+# loop, and each run fails
 # unless every accepted job completes with zero invariant violations
 # (engine, member, and federation: single ownership, iteration
 # conservation) inside the budget.
 service-smoke:
 	$(GO) build -race -o bin/hadard-race ./cmd/hadard
-	bin/hadard-race -smoke -smoke-jobs 80 -smoke-model bursty -smoke-seed 1 -smoke-timeout 120s
-	bin/hadard-race -clusters 3 -router least-queue -smoke -smoke-jobs 60 -smoke-model bursty -smoke-seed 1 -smoke-timeout 180s
+	bin/hadard-race -smoke -smoke-jobs 80 -smoke-model poisson -smoke-seed 1 -smoke-timeout 120s
+	bin/hadard-race -clusters 3 -router least-queue -smoke -smoke-jobs 60 -smoke-model poisson -smoke-seed 1 -smoke-timeout 180s
 	@dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; set -x; \
-	bin/hadard-race -clusters 3 -router least-queue -wal "$$dir" -smoke -smoke-jobs 60 -smoke-model bursty -smoke-seed 1 -smoke-timeout 180s
+	bin/hadard-race -clusters 3 -router least-queue -wal "$$dir" -smoke -smoke-jobs 60 -smoke-model poisson -smoke-seed 1 -smoke-timeout 180s
 
 # fuzz-smoke gives every fuzz target a short budget. Go fuzzes one
 # target per invocation, so each gets its own run; FUZZTIME=2m for a

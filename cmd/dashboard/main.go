@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	dashboard [-addr :8080] [-jobs 96] [-seed 1] [-pattern static]
+//	dashboard [-addr :8080] [-jobs 96] [-seed 1] [-pattern static|poisson|diurnal]
 //	          [-fail node:start:end]...
 //
 // Open http://localhost:8080 after the simulations finish. Each -fail
@@ -30,17 +30,19 @@ func main() {
 		addr    = flag.String("addr", ":8080", "listen address")
 		n       = flag.Int("jobs", 96, "trace length")
 		seed    = flag.Int64("seed", 1, "random seed")
-		pattern = flag.String("pattern", "static", "arrival pattern: static or poisson")
-		rate    = flag.Float64("rate", 2.0/3600, "poisson arrival rate (jobs/second)")
+		pattern = flag.String("pattern", "static", "arrival pattern: static, poisson or diurnal")
+		rate    = flag.Float64("rate", 2.0/3600, "poisson/diurnal arrival rate (jobs/second)")
 	)
 	var fails experiments.FailList
 	flag.Var(&fails, "fail", "inject a node outage node:start:end in seconds (repeatable)")
 	flag.Parse()
 
-	cfg := trace.Config{NumJobs: *n, Seed: *seed, Rate: *rate}
-	if *pattern == "poisson" {
-		cfg.Pattern = trace.Poisson
+	p, err := trace.ParsePattern(*pattern)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "dashboard: %v\n", err)
+		os.Exit(2)
 	}
+	cfg := trace.Config{NumJobs: *n, Seed: *seed, Pattern: p, Rate: *rate}
 	jobs, err := trace.Generate(cfg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dashboard: %v\n", err)

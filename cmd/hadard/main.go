@@ -39,7 +39,8 @@
 // is written, so the next -recover replays nothing.
 //
 // Smoke mode (-smoke) swaps the HTTP server for an internal closed-loop
-// load drive: it generates a seeded workload, pushes it through the
+// load drive: it generates a seeded workload with trace.Generate
+// (-smoke-model static, poisson or diurnal), pushes it through the
 // admission queue as fast as the engine absorbs it, waits for every
 // accepted job to finish, and exits non-zero unless the run was clean
 // (zero invariant violations, nonzero accepted submissions). CI runs
@@ -64,6 +65,7 @@ import (
 	"repro/internal/loadgen"
 	"repro/internal/service"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/wal"
 	"repro/internal/web"
 )
@@ -89,9 +91,9 @@ var (
 	fsyncEvery = flag.Duration("fsync-interval", 2*time.Millisecond, "longest a verdict waits for its group fsync (-fsync group)")
 	ckptEvery  = flag.Int("checkpoint-every", 256, "journal records between engine checkpoints")
 
-	smoke        = flag.Bool("smoke", false, "run the internal load-generator smoke test and exit")
+	smoke        = flag.Bool("smoke", false, "run the internal closed-loop smoke test and exit")
 	smokeJobs    = flag.Int("smoke-jobs", 120, "smoke: number of jobs to generate")
-	smokeModel   = flag.String("smoke-model", "bursty", "smoke: arrival model poisson, diurnal, or bursty")
+	smokeModel   = flag.String("smoke-model", "poisson", "smoke: arrival pattern static, poisson, or diurnal")
 	smokeRate    = flag.Float64("smoke-rate", 0.05, "smoke: mean arrival rate (jobs per virtual second)")
 	smokeSeed    = flag.Int64("smoke-seed", 1, "smoke: workload seed")
 	smokeTimeout = flag.Duration("smoke-timeout", 120*time.Second, "smoke: wall-clock budget for the whole run")
@@ -271,34 +273,29 @@ type smokeReport struct {
 // any engine-, member- or federation-level invariant violation. Returns
 // the process exit code.
 func runSmoke(scheduler string, svc *service.Service) int {
-	var model loadgen.Model
-	switch *smokeModel {
-	case "poisson":
-		model = loadgen.Poisson
-	case "diurnal":
-		model = loadgen.Diurnal
-	case "bursty":
-		model = loadgen.Bursty
-	default:
-		fmt.Fprintf(os.Stderr, "hadard: unknown smoke model %q\n", *smokeModel)
+	pattern, err := trace.ParsePattern(*smokeModel)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "hadard: smoke: %v\n", err)
 		return 2
 	}
 	budget := *smokeTimeout
-	trace, err := loadgen.Generate(loadgen.Config{
-		Model:     model,
-		Jobs:      *smokeJobs,
-		Seed:      *smokeSeed,
-		Rate:      *smokeRate,
-		Amplitude: 0.5,
-		BurstSize: 16,
-		BurstGap:  3600,
+	// Gangs of at most 4 GPUs keep the smoke about the admission queue,
+	// not the gang constraint, and fit the 8-GPU physical cluster.
+	jobs, err := trace.Generate(trace.Config{
+		NumJobs:       *smokeJobs,
+		Seed:          *smokeSeed,
+		Pattern:       pattern,
+		Rate:          *smokeRate,
+		Amplitude:     0.5,
+		WorkerChoices: []int{1, 2, 4},
+		WorkerWeights: []float64{0.5, 0.3, 0.2},
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "hadard: smoke: %v\n", err)
 		return 1
 	}
 	start := time.Now()
-	res, err := loadgen.Drive(svc, trace, loadgen.DriveOptions{MaxDuration: budget})
+	res, err := loadgen.Drive(svc, jobs, budget)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "hadard: smoke: drive failed: %v\n", err)
 		return 1
@@ -332,7 +329,7 @@ func runSmoke(scheduler string, svc *service.Service) int {
 	snap := svc.Snapshot()
 	out := smokeReport{
 		Scheduler:   scheduler,
-		Model:       model.String(),
+		Model:       pattern.String(),
 		Drive:       res,
 		SubmitRate:  res.PerSecond(),
 		Stats:       svc.Stats(),

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	hadarsim [-scheduler hadar] [-cluster sim|physical] [-jobs 480]
-//	         [-seed 1] [-pattern static|poisson] [-rate 0.02]
+//	         [-seed 1] [-pattern static|poisson|diurnal] [-rate 0.02]
 //	         [-round 6] [-model-costs] [-trace trace.json] [-cdf]
 //	         [-fail node:start:end]...
 //	         [-cpuprofile cpu.out] [-memprofile mem.out] [-exectrace trace.out]
@@ -84,8 +84,8 @@ func main() {
 		clusterSel = flag.String("cluster", "sim", "cluster config: sim (60 GPUs) or physical (8 GPUs)")
 		n          = flag.Int("jobs", 480, "number of synthesized jobs (ignored with -trace)")
 		seed       = flag.Int64("seed", 1, "random seed")
-		pattern    = flag.String("pattern", "static", "arrival pattern: static or poisson")
-		rate       = flag.Float64("rate", 480.0/(7*3600), "poisson arrival rate (jobs/second)")
+		pattern    = flag.String("pattern", "static", "arrival pattern: static, poisson or diurnal")
+		rate       = flag.Float64("rate", 480.0/(7*3600), "poisson/diurnal arrival rate (jobs/second)")
 		roundMin   = flag.Float64("round", 6, "scheduling round length (minutes)")
 		modelCosts = flag.Bool("model-costs", false, "use per-model Table IV checkpoint costs")
 		traceFile  = flag.String("trace", "", "load jobs from a tracegen JSON file")
@@ -120,11 +120,12 @@ func main() {
 		jobs, err = trace.Read(f)
 		f.Close()
 	} else {
-		cfg := trace.Config{NumJobs: *n, Seed: *seed, Rate: *rate}
-		if *pattern == "poisson" {
-			cfg.Pattern = trace.Poisson
+		p, perr := trace.ParsePattern(*pattern)
+		if perr != nil {
+			fmt.Fprintf(os.Stderr, "hadarsim: %v\n", perr)
+			os.Exit(2)
 		}
-		jobs, err = trace.Generate(cfg)
+		jobs, err = trace.Generate(trace.Config{NumJobs: *n, Seed: *seed, Pattern: p, Rate: *rate})
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "hadarsim: %v\n", err)

@@ -3,10 +3,11 @@
 //
 // Usage:
 //
-//	tracegen [-n 480] [-seed 1] [-pattern static|poisson] [-rate 0.02] [-o trace.json]
+//	tracegen [-n 480] [-seed 1] [-pattern static|poisson|diurnal] [-rate 0.02]
+//	         [-amplitude 0.6] [-o trace.json]
 //
-// The rate flag is the Poisson arrival rate in jobs/second and is only
-// used with -pattern poisson.
+// The rate flag is the arrival rate in jobs/second and is ignored with
+// -pattern static; -amplitude is used only with -pattern diurnal.
 package main
 
 import (
@@ -29,18 +30,12 @@ func main() {
 	)
 	flag.Parse()
 
-	cfg := trace.Config{NumJobs: *n, Seed: *seed, Rate: *rate, Amplitude: *amp}
-	switch *pattern {
-	case "static":
-		cfg.Pattern = trace.Static
-	case "poisson":
-		cfg.Pattern = trace.Poisson
-	case "diurnal":
-		cfg.Pattern = trace.Diurnal
-	default:
-		fmt.Fprintf(os.Stderr, "tracegen: unknown pattern %q\n", *pattern)
+	p, err := trace.ParsePattern(*pattern)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "tracegen: %v\n", err)
 		os.Exit(2)
 	}
+	cfg := trace.Config{NumJobs: *n, Seed: *seed, Pattern: p, Rate: *rate, Amplitude: *amp}
 	jobs, err := trace.Generate(cfg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tracegen: %v\n", err)

@@ -138,7 +138,7 @@ func fuzzProbe(t *testing.T, seed int64, nodes, gang, mode uint8) (*probe, *sche
 
 	opts := DefaultOptions()
 	opts.TaskLevel = mode&fuzzTaskLevel != 0
-	pt := newPriceTable(ctx, opts.Utility, 0, true)
+	pt := newPriceTable(ctx, opts.Utility, true)
 	if mode&fuzzPartial != 0 {
 		for k := 0; k < len(fleets); k++ {
 			n, ty := rng.Intn(len(fleets)), types[rng.Intn(len(types))]

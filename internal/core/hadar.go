@@ -24,9 +24,6 @@ type Options struct {
 	// maximizes. Swapping it expresses other scheduling policies
 	// (Section III.A, "Expressing other scheduling policies").
 	Utility Utility
-	// Eta is the price scaling factor of Eq. 7; 0 derives the
-	// theorem-compatible default from the workload.
-	Eta float64
 	// CommCost is the relative cost surcharge per additional server an
 	// allocation spans (Algorithm 2 line 27 adds a communication cost to
 	// non-consolidated allocations).
@@ -185,7 +182,7 @@ func (s *Scheduler) Schedule(ctx *sched.Context) map[int]cluster.Alloc {
 		return out
 	}
 	pt := &s.prices
-	pt.fill(ctx, s.opts.Utility, s.opts.Eta, s.opts.ExponentialPrice)
+	pt.fill(ctx, s.opts.Utility, s.opts.ExponentialPrice)
 	s.lastAlpha = pt.alpha()
 	s.lastPrices = pt
 

@@ -45,9 +45,9 @@ func newState(j *job.Job) *sched.JobState {
 
 // newPriceTable fills a fresh, one-off price table for ctx, the way
 // Schedule refills the scheduler's own.
-func newPriceTable(ctx *sched.Context, u Utility, eta float64, exponential bool) *priceTable {
+func newPriceTable(ctx *sched.Context, u Utility, exponential bool) *priceTable {
 	pt := &priceTable{}
-	pt.fill(ctx, u, eta, exponential)
+	pt.fill(ctx, u, exponential)
 	return pt
 }
 
@@ -313,7 +313,7 @@ func TestPriceIncreasesWithUtilization(t *testing.T) {
 	c := heteroCluster()
 	st := newState(mkJob(0, 2, 10000, 10, 5, 1))
 	ctx := mkCtx(c, st)
-	pt := newPriceTable(ctx, InverseJCT{}, 0, true)
+	pt := newPriceTable(ctx, InverseJCT{}, true)
 	free := cluster.NewState(c)
 	p0 := pt.price(free, 0, gpu.V100)
 	if err := free.Allocate(cluster.Alloc{{Node: 0, Type: gpu.V100, Count: 1}}); err != nil {
@@ -340,7 +340,7 @@ func TestPriceInfiniteForAbsentType(t *testing.T) {
 	c := cluster.New(gpu.Fleet{gpu.V100: 1})
 	st := newState(mkJob(0, 1, 100, 10, 5, 1))
 	ctx := mkCtx(c, st)
-	pt := newPriceTable(ctx, InverseJCT{}, 0, true)
+	pt := newPriceTable(ctx, InverseJCT{}, true)
 	if p := pt.price(cluster.NewState(c), 0, gpu.K80); !math.IsInf(p, 1) {
 		t.Errorf("price of absent type = %v, want +Inf", p)
 	}
@@ -356,7 +356,7 @@ func TestPriceTracksStateMutations(t *testing.T) {
 		gpu.Fleet{gpu.P100: 3}, gpu.Fleet{gpu.K80: 1, gpu.V100: 1},
 	)
 	ctx := mkCtx(c, newState(mkJob(0, 2, 10000, 10, 5, 1)), newState(mkJob(1, 1, 8000, 8, 6, 2)))
-	pt := newPriceTable(ctx, InverseJCT{}, 0, true)
+	pt := newPriceTable(ctx, InverseJCT{}, true)
 	free := cluster.NewState(c)
 	a := cluster.Alloc{{Node: 0, Type: gpu.V100, Count: 3}, {Node: 1, Type: gpu.V100, Count: 1}, {Node: 2, Type: gpu.P100, Count: 2}}
 	b := cluster.Alloc{{Node: 1, Type: gpu.V100, Count: 1}, {Node: 3, Type: gpu.V100, Count: 1}, {Node: 3, Type: gpu.K80, Count: 1}}
@@ -399,7 +399,7 @@ func TestPriceBoundsOrdered(t *testing.T) {
 		newState(mkJob(0, 2, 10000, 10, 5, 1)),
 		newState(mkJob(1, 1, 500, 3, 2, 1)),
 	}
-	pt := newPriceTable(mkCtx(c, states...), EffectiveThroughput{}, 0, true)
+	pt := newPriceTable(mkCtx(c, states...), EffectiveThroughput{}, true)
 	for _, typ := range []gpu.Type{gpu.V100, gpu.P100, gpu.K80} {
 		if pt.umax[typ] <= 0 {
 			t.Errorf("Umax[%v] = %v, want > 0", typ, pt.umax[typ])
@@ -456,7 +456,7 @@ func TestPriceMonotoneProperty(t *testing.T) {
 	st := newState(mkJob(0, 2, 10000, 10, 5, 1))
 	ctx := mkCtx(c, st)
 	for _, exp := range []bool{true, false} {
-		pt := newPriceTable(ctx, InverseJCT{}, 0, exp)
+		pt := newPriceTable(ctx, InverseJCT{}, exp)
 		prop := func(a, b uint8) bool {
 			ga, gb := int(a%9), int(b%9)
 			if ga > gb {

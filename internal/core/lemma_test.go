@@ -24,7 +24,7 @@ func TestLemma3AllocationCostRelationship(t *testing.T) {
 	c := cluster.New(gpu.Fleet{gpu.V100: capTotal})
 	st := newState(mkJob(0, 2, 10000, 10, 5, 1))
 	ctx := mkCtx(c, st)
-	pt := newPriceTable(ctx, InverseJCT{}, 0, true)
+	pt := newPriceTable(ctx, InverseJCT{}, true)
 	alpha := math.Log(pt.umax[gpu.V100] / pt.umin[gpu.V100])
 	if alpha <= 0 {
 		t.Fatalf("degenerate bounds: umin=%v umax=%v", pt.umin[gpu.V100], pt.umax[gpu.V100])
@@ -67,8 +67,8 @@ func TestPriceBoundsScaleWithUtilityProperty(t *testing.T) {
 		scale := float64(scaleRaw%20) + 1
 		st1 := newState(mkJob(0, 2, 10000, 10, 5, 1))
 		ctx := mkCtx(c, st1)
-		base := newPriceTable(ctx, InverseJCT{Scale: 3600}, 0, true)
-		scaled := newPriceTable(ctx, InverseJCT{Scale: 3600 * scale}, 0, true)
+		base := newPriceTable(ctx, InverseJCT{Scale: 3600}, true)
+		scaled := newPriceTable(ctx, InverseJCT{Scale: 3600 * scale}, true)
 		for _, typ := range []gpu.Type{gpu.V100, gpu.P100, gpu.K80} {
 			if base.umax[typ] <= 0 {
 				continue
@@ -96,7 +96,7 @@ func TestAlphaBoundsCompetitiveRatio(t *testing.T) {
 	st1 := newState(mkJob(0, 2, 10000, 10, 5, 1))
 	st2 := newState(mkJob(1, 1, 777, 3, 2, 1))
 	ctx := mkCtx(c, st1, st2)
-	pt := newPriceTable(ctx, EffectiveThroughput{}, 0, true)
+	pt := newPriceTable(ctx, EffectiveThroughput{}, true)
 	alpha := pt.alpha()
 	for _, typ := range []gpu.Type{gpu.V100, gpu.P100, gpu.K80} {
 		if pt.umax[typ] <= 0 || pt.umin[typ] <= 0 {

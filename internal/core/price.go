@@ -25,18 +25,16 @@ type priceTable struct {
 // fill recomputes the table for a round: the utility bounds from the
 // active job set, following Eq. 6-8 with remaining work substituted for
 // total work (the online algorithm recomputes the bounds "based on the
-// current workload of the cluster"), then the curves. The scheduler owns
-// one table and refills it every round, so it stays valid until the
-// next Schedule.
-func (pt *priceTable) fill(ctx *sched.Context, u Utility, eta float64, exponential bool) {
+// current workload of the cluster") and eta from defaultEta, then the
+// curves. The scheduler owns one table and refills it every round, so
+// it stays valid until the next Schedule.
+func (pt *priceTable) fill(ctx *sched.Context, u Utility, exponential bool) {
 	pt.exponential = exponential
 	for t := gpu.Type(0); t < gpu.NumTypes; t++ {
 		pt.umax[t] = 0
 		pt.umin[t] = math.Inf(1)
 	}
-	if eta <= 0 {
-		eta = defaultEta(ctx)
-	}
+	eta := defaultEta(ctx)
 	for _, st := range ctx.Jobs {
 		j := st.Job
 		w := float64(j.Workers)

@@ -124,11 +124,11 @@ func NewHadarMakespan() sched.Scheduler {
 }
 
 // NewGavel returns the Gavel baseline in its paper configuration.
-func NewGavel() sched.Scheduler { return gavel.New(gavel.Options{}) }
+func NewGavel() sched.Scheduler { return gavel.New() }
 
 // NewTiresias returns the Tiresias baseline (two queues, PromoteKnob
 // disabled).
-func NewTiresias() sched.Scheduler { return tiresias.New(tiresias.DefaultOptions()) }
+func NewTiresias() sched.Scheduler { return tiresias.New() }
 
 // NewYARNCS returns the YARN capacity-scheduler baseline.
 func NewYARNCS() sched.Scheduler { return yarncs.New() }

@@ -28,30 +28,20 @@ import (
 	"repro/internal/sched"
 )
 
-// Options configures the baseline.
-type Options struct {
-	// Epsilon stabilizes the priority ratio for jobs with zero rounds
-	// received.
-	Epsilon float64
-}
+// epsilon stabilizes the priority ratio for jobs with zero rounds
+// received.
+const epsilon = 1e-3
 
 // Scheduler is the Gavel baseline; it implements sched.Scheduler and is
 // not safe for concurrent use.
 type Scheduler struct {
-	opts Options
-
 	// LP solution cache, invalidated when the class histogram changes.
 	cacheSig string
 	cacheY   map[string][]float64 // class key -> per-type time fraction
 }
 
 // New builds a Gavel scheduler.
-func New(opts Options) *Scheduler {
-	if opts.Epsilon <= 0 {
-		opts.Epsilon = 1e-3
-	}
-	return &Scheduler{opts: opts}
-}
+func New() *Scheduler { return &Scheduler{} }
 
 // Name implements sched.Scheduler.
 func (s *Scheduler) Name() string { return "gavel" }
@@ -91,7 +81,7 @@ func (s *Scheduler) Schedule(ctx *sched.Context) map[int]cluster.Alloc {
 			if st.Job.Speed(t) <= 0 || frac[t] <= 0 {
 				continue
 			}
-			received := s.opts.Epsilon + st.RoundsByType[t]
+			received := epsilon + st.RoundsByType[t]
 			pairs = append(pairs, pair{st: st, t: t, priority: frac[t] / received})
 		}
 	}

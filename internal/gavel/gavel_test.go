@@ -61,7 +61,7 @@ func TestSingleTypePerJob(t *testing.T) {
 		newState(mkJob(0, 2, "A", 10, 5, 1)),
 		newState(mkJob(1, 3, "B", 8, 6, 2)),
 	}
-	out := New(Options{}).Schedule(mkCtx(c, states...))
+	out := New().Schedule(mkCtx(c, states...))
 	validate(t, c, states, out)
 	for id, a := range out {
 		if len(a.Types()) > 1 {
@@ -75,7 +75,7 @@ func TestGavelCannotMixForLargeGang(t *testing.T) {
 	// leave the job waiting — the paper's motivating limitation.
 	c := cluster.New(gpu.Fleet{gpu.V100: 2}, gpu.Fleet{gpu.K80: 2})
 	st := newState(mkJob(0, 3, "A", 10, 0, 4))
-	out := New(Options{}).Schedule(mkCtx(c, st))
+	out := New().Schedule(mkCtx(c, st))
 	if a, ok := out[0]; ok && a.Workers() > 0 {
 		t.Errorf("Gavel scheduled an impossible single-type gang: %v", a)
 	}
@@ -84,7 +84,7 @@ func TestGavelCannotMixForLargeGang(t *testing.T) {
 func TestSchedulesOnEmptyCluster(t *testing.T) {
 	c := heteroCluster()
 	st := newState(mkJob(0, 2, "A", 10, 5, 1))
-	out := New(Options{}).Schedule(mkCtx(c, st))
+	out := New().Schedule(mkCtx(c, st))
 	if out[0].Workers() != 2 {
 		t.Fatalf("single job not scheduled: %v", out)
 	}
@@ -95,7 +95,7 @@ func TestPriorityFavorsUnderservedJob(t *testing.T) {
 	starved := newState(mkJob(0, 2, "A", 10, 5, 1))
 	fed := newState(mkJob(1, 2, "A", 10, 5, 1))
 	fed.RoundsByType[gpu.V100] = 50 // has received many V100 rounds
-	out := New(Options{}).Schedule(mkCtx(c, starved, fed))
+	out := New().Schedule(mkCtx(c, starved, fed))
 	if out[0].Workers() != 2 {
 		t.Errorf("underserved job not prioritized: %v", out)
 	}
@@ -110,7 +110,7 @@ func TestTimeSharingAcrossRounds(t *testing.T) {
 	c := cluster.New(gpu.Fleet{gpu.V100: 2}, gpu.Fleet{gpu.K80: 2})
 	a := newState(mkJob(0, 2, "A", 10, 0, 1))
 	b := newState(mkJob(1, 2, "A", 10, 0, 1))
-	s := New(Options{})
+	s := New()
 	gotV100 := map[int]int{}
 	for round := 0; round < 6; round++ {
 		out := s.Schedule(mkCtx(c, a, b))
@@ -140,7 +140,7 @@ func TestTimeSharingAcrossRounds(t *testing.T) {
 
 func TestLPCacheInvalidation(t *testing.T) {
 	c := heteroCluster()
-	s := New(Options{})
+	s := New()
 	st1 := newState(mkJob(0, 2, "A", 10, 5, 1))
 	s.Schedule(mkCtx(c, st1))
 	sig1 := s.cacheSig
@@ -158,7 +158,7 @@ func TestLPCacheInvalidation(t *testing.T) {
 }
 
 func TestEmptyQueue(t *testing.T) {
-	out := New(Options{}).Schedule(mkCtx(heteroCluster()))
+	out := New().Schedule(mkCtx(heteroCluster()))
 	if len(out) != 0 {
 		t.Errorf("non-empty decision for empty queue: %v", out)
 	}
@@ -172,7 +172,7 @@ func TestHeterogeneityAwareTypeChoice(t *testing.T) {
 	c := cluster.New(gpu.Fleet{gpu.V100: 1, gpu.K80: 1})
 	sensitive := newState(mkJob(0, 1, "resnet", 10, 0, 1))
 	flat := newState(mkJob(1, 1, "a3c", 3, 0, 2))
-	out := New(Options{}).Schedule(mkCtx(c, sensitive, flat))
+	out := New().Schedule(mkCtx(c, sensitive, flat))
 	validate(t, c, []*sched.JobState{sensitive, flat}, out)
 	if len(out) != 2 {
 		t.Fatalf("both jobs should run: %v", out)
@@ -200,7 +200,7 @@ func TestManyJobsAggregateIntoSmallLP(t *testing.T) {
 		}
 		states = append(states, newState(mkJob(i, 1+i%2, model, 10, 5, 2)))
 	}
-	out := New(Options{}).Schedule(mkCtx(c, states...))
+	out := New().Schedule(mkCtx(c, states...))
 	validate(t, c, states, out)
 	if len(out) == 0 {
 		t.Error("nothing scheduled")
@@ -214,7 +214,7 @@ func TestAllocationMatrixMatchesBruteForce(t *testing.T) {
 	c := cluster.New(gpu.Fleet{gpu.V100: 2}, gpu.Fleet{gpu.K80: 2})
 	fast := newState(mkJob(0, 1, "fast", 10, 0, 1)) // 10x on V100
 	flat := newState(mkJob(1, 1, "flat", 4, 0, 3))  // barely cares
-	s := New(Options{})
+	s := New()
 	y := s.allocationMatrix(mkCtx(c, fast, flat))
 
 	// Normalized throughput of a class under fractions (v, k):
@@ -264,7 +264,7 @@ func TestAllocationMatrixFractionsValid(t *testing.T) {
 		newState(mkJob(1, 3, "B", 8, 6, 2)),
 		newState(mkJob(2, 1, "C", 3, 3, 3)),
 	}
-	s := New(Options{})
+	s := New()
 	y := s.allocationMatrix(mkCtx(c, states...))
 	capUsed := map[gpu.Type]float64{}
 	for _, st := range states {

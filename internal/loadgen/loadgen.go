@@ -1,183 +1,24 @@
-// Package loadgen synthesizes online job-arrival workloads and drives
-// a scheduler service with them in closed loop.
+// Package loadgen drives a scheduler service in closed loop with a
+// workload built elsewhere (trace.Generate).
 //
-// Generation is fully seeded: the same Config always yields the same
-// jobs with the same virtual arrival times, so load experiments replay
-// bit-identically. Three arrival models cover the regimes a cluster
-// scheduler meets in production: Poisson (memoryless steady state),
-// Diurnal (day/night rate swing, Lewis-Shedler thinning), and Bursty
-// (synchronized batch submissions separated by quiet gaps — the
-// "Monday 9am" pattern that exercises admission control hardest).
-//
-// The driver half (Drive) feeds the generated jobs to a service as
-// fast as the service admits them, honoring backpressure: a *BusyError
-// from the bounded admission queue is retried after the suggested
-// delay rather than dropped, so the measured sustained rate reflects
-// what the engine actually absorbed.
+// Drive feeds the jobs to a service as fast as the service admits them,
+// honoring backpressure: a *BusyError from the bounded admission queue
+// is retried after the suggested delay rather than dropped, so the
+// measured sustained rate reflects what the engine actually absorbed.
 package loadgen
 
 import (
 	"errors"
 	"fmt"
-	"math"
 	"time"
 
 	"repro/internal/job"
 	"repro/internal/service"
-	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
-// Model selects the arrival process.
-type Model int
-
-const (
-	// Poisson draws exponential interarrival gaps at Rate.
-	Poisson Model = iota
-	// Diurnal modulates a Poisson process with a 24h sinusoid of
-	// relative swing Amplitude (Lewis-Shedler thinning).
-	Diurnal
-	// Bursty releases BurstSize simultaneous jobs every BurstGap
-	// seconds.
-	Bursty
-)
-
-// String names the model.
-func (m Model) String() string {
-	switch m {
-	case Poisson:
-		return "poisson"
-	case Diurnal:
-		return "diurnal"
-	case Bursty:
-		return "bursty"
-	}
-	return fmt.Sprintf("Model(%d)", int(m))
-}
-
-// Config parameterizes workload synthesis.
-type Config struct {
-	// Model is the arrival process.
-	Model Model
-	// Jobs is how many jobs to generate.
-	Jobs int
-	// Seed drives all sampling; identical configs generate identical
-	// workloads.
-	Seed int64
-	// FirstID numbers the jobs FirstID, FirstID+1, ...
-	FirstID int
-	// Rate is the mean arrival rate in jobs per virtual second
-	// (Poisson and Diurnal).
-	Rate float64
-	// Amplitude is the Diurnal day/night swing in [0, 1).
-	Amplitude float64
-	// BurstSize and BurstGap shape Bursty arrivals: BurstSize jobs at
-	// t=0, BurstGap, 2*BurstGap, ...
-	BurstSize int
-	BurstGap  float64
-	// MinGPUHours and MaxGPUHours bound the per-job demand sampled
-	// uniformly between them. Defaults: [0.5, 8].
-	MinGPUHours float64
-	MaxGPUHours float64
-	// WorkerChoices and WorkerWeights define the gang-size
-	// distribution. Defaults mirror the trace package's Philly-style
-	// skew, truncated to small gangs so a load test saturates the
-	// queue, not the gang constraint: 1 GPU 50%, 2 GPUs 30%, 4 GPUs
-	// 20%.
-	WorkerChoices []int
-	WorkerWeights []float64
-}
-
-func (c *Config) workerDistribution() ([]int, []float64) {
-	if len(c.WorkerChoices) > 0 {
-		return c.WorkerChoices, c.WorkerWeights
-	}
-	return []int{1, 2, 4}, []float64{0.5, 0.3, 0.2}
-}
-
-// Validate checks the configuration.
-func (c Config) Validate() error {
-	if c.Jobs <= 0 {
-		return fmt.Errorf("loadgen: Jobs must be positive, got %d", c.Jobs)
-	}
-	if (c.Model == Poisson || c.Model == Diurnal) && c.Rate <= 0 {
-		return fmt.Errorf("loadgen: %v model requires positive Rate, got %v", c.Model, c.Rate)
-	}
-	if c.Model == Diurnal && (c.Amplitude < 0 || c.Amplitude >= 1) {
-		return fmt.Errorf("loadgen: Diurnal amplitude %v outside [0, 1)", c.Amplitude)
-	}
-	if c.Model == Bursty && (c.BurstSize <= 0 || c.BurstGap <= 0) {
-		return fmt.Errorf("loadgen: Bursty model requires positive BurstSize and BurstGap, got %d/%v",
-			c.BurstSize, c.BurstGap)
-	}
-	if c.MinGPUHours < 0 || c.MaxGPUHours < c.MinGPUHours {
-		return fmt.Errorf("loadgen: bad GPU-hour range [%v, %v]", c.MinGPUHours, c.MaxGPUHours)
-	}
-	choices, weights := c.workerDistribution()
-	if len(choices) != len(weights) {
-		return fmt.Errorf("loadgen: %d worker choices but %d weights", len(choices), len(weights))
-	}
-	for _, w := range choices {
-		if w <= 0 {
-			return fmt.Errorf("loadgen: non-positive worker choice %d", w)
-		}
-	}
-	return nil
-}
-
-// nextDiurnal samples the next arrival of a non-homogeneous Poisson
-// process with rate(t) = rate x (1 + amplitude x sin(2 pi t / day)) by
-// Lewis-Shedler thinning against the peak rate.
-func nextDiurnal(rng *stats.Rand, now, rate, amplitude float64) float64 {
-	const day = 86400.0
-	peak := rate * (1 + amplitude)
-	t := now
-	for {
-		t += rng.Exponential(peak)
-		lambda := rate * (1 + amplitude*math.Sin(2*math.Pi*t/day))
-		if rng.Float64() <= lambda/peak {
-			return t
-		}
-	}
-}
-
-// Generate synthesizes the workload: arrival times from the configured
-// model, job bodies sampled from the Table II catalog (uniform model
-// choice, weighted gang size, uniform GPU-hour demand). Arrivals are
-// nondecreasing and IDs sequential from FirstID.
-func Generate(cfg Config) ([]*job.Job, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.MaxGPUHours <= 0 {
-		cfg.MinGPUHours, cfg.MaxGPUHours = 0.5, 8
-	}
-	rng := stats.NewRand(cfg.Seed)
-	catalog := trace.Catalog()
-	choices, weights := cfg.workerDistribution()
-
-	jobs := make([]*job.Job, 0, cfg.Jobs)
-	now := 0.0
-	for i := 0; i < cfg.Jobs; i++ {
-		switch cfg.Model {
-		case Poisson:
-			now += rng.Exponential(cfg.Rate)
-		case Diurnal:
-			now = nextDiurnal(rng, now, cfg.Rate, cfg.Amplitude)
-		case Bursty:
-			now = float64(i/cfg.BurstSize) * cfg.BurstGap
-		}
-		spec := catalog[rng.Intn(len(catalog))]
-		workers := choices[rng.Choice(weights)]
-		demand := rng.Uniform(cfg.MinGPUHours, cfg.MaxGPUHours)
-		j, err := trace.FromDemand(cfg.FirstID+i, spec, workers, demand, now)
-		if err != nil {
-			return nil, fmt.Errorf("loadgen: job %d: %w", cfg.FirstID+i, err)
-		}
-		jobs = append(jobs, j)
-	}
-	return jobs, nil
-}
+// maxRetries caps back-to-back busy retries for one job before Drive
+// gives up on the run (a stuck service).
+const maxRetries = 1000
 
 // Target is the submission surface Drive exercises; *service.Service
 // satisfies it.
@@ -185,42 +26,12 @@ type Target interface {
 	Submit(j *job.Job) error
 }
 
-// KeyedTarget is the idempotent submission surface: resubmitting the
-// same key must return the original admission instead of a duplicate.
-// *service.Service satisfies it; so does an HTTP client posting the
-// key with the job spec.
-type KeyedTarget interface {
-	SubmitKeyed(key string, j *job.Job) (id int, deduped bool, err error)
-}
-
-// DriveOptions bounds a closed-loop run.
-type DriveOptions struct {
-	// MaxDuration stops the driver after this much wall time even if
-	// jobs remain unsubmitted (0 = no limit).
-	MaxDuration time.Duration
-	// MaxRetries caps back-to-back busy retries for one job before the
-	// driver gives up on the run (a stuck service). Default 1000.
-	MaxRetries int
-	// KeyFunc derives an idempotency key per job. When set and the
-	// target implements KeyedTarget, Drive submits keyed and safely
-	// retries ambiguous failures (verdict timeouts) as well as
-	// backpressure: the key guarantees a retry after a lost ack cannot
-	// double-admit.
-	KeyFunc func(j *job.Job) string
-}
-
 // Result reports what a closed-loop drive sustained.
 type Result struct {
 	// Submitted counts jobs the service accepted.
 	Submitted int `json:"submitted"`
-	// Deduped counts keyed submissions answered from the service's
-	// idempotency ledger — retries whose first attempt had actually
-	// landed.
-	Deduped int `json:"deduped"`
 	// BusyRetries counts backpressure rejections that were retried.
 	BusyRetries int `json:"busy_retries"`
-	// DeadRetries counts verdict-timeout retries (keyed drives only).
-	DeadRetries int `json:"dead_retries"`
 	// Elapsed is the wall time the drive took.
 	Elapsed time.Duration `json:"elapsed_ns"`
 }
@@ -236,54 +47,32 @@ func (r Result) PerSecond() float64 {
 // Drive submits the jobs to the target in order, as fast as the target
 // admits them: each *BusyError backoff sleeps the suggested RetryAfter
 // and resubmits the same job, so admission control is exercised without
-// losing work. With DriveOptions.KeyFunc and a KeyedTarget, verdict
-// timeouts (*service.DeadError) are retried too — the idempotency key
-// makes the ambiguous retry safe. Any other error aborts the drive.
-func Drive(t Target, jobs []*job.Job, opts DriveOptions) (res Result, err error) {
-	if opts.MaxRetries <= 0 {
-		opts.MaxRetries = 1000
-	}
-	keyed, _ := t.(KeyedTarget)
+// losing work. Any other error aborts the drive, a verdict timeout
+// (*service.DeadError) included: an unkeyed resubmission after it could
+// admit the job twice. Drive stops early, without error, once budget
+// wall time has passed (0 = no limit).
+func Drive(t Target, jobs []*job.Job, budget time.Duration) (res Result, err error) {
 	start := time.Now()
 	defer func() { res.Elapsed = time.Since(start) }()
 	for _, j := range jobs {
-		retries := 0
-		for {
-			if opts.MaxDuration > 0 && time.Since(start) >= opts.MaxDuration {
+		for retries := 1; ; retries++ {
+			if budget > 0 && time.Since(start) >= budget {
 				return res, nil
 			}
-			var deduped bool
-			var err error
-			if keyed != nil && opts.KeyFunc != nil {
-				_, deduped, err = keyed.SubmitKeyed(opts.KeyFunc(j), j)
-			} else {
-				err = t.Submit(j)
-			}
+			err := t.Submit(j)
 			if err == nil {
-				if deduped {
-					res.Deduped++
-				} else {
-					res.Submitted++
-				}
+				res.Submitted++
 				break
 			}
-			retries++
-			if retries > opts.MaxRetries {
+			if retries > maxRetries {
 				return res, fmt.Errorf("loadgen: job %d failed %d times in a row: %w", j.ID, retries, err)
 			}
 			var busy *service.BusyError
-			var dead *service.DeadError
-			switch {
-			case errors.As(err, &busy):
-				res.BusyRetries++
-				time.Sleep(busy.RetryAfter)
-			case errors.As(err, &dead) && keyed != nil && opts.KeyFunc != nil:
-				// Ambiguous: the mutation may have landed without its
-				// verdict. The key dedups the resubmission either way.
-				res.DeadRetries++
-			default:
+			if !errors.As(err, &busy) {
 				return res, fmt.Errorf("loadgen: submit %v: %w", j, err)
 			}
+			res.BusyRetries++
+			time.Sleep(busy.RetryAfter)
 		}
 	}
 	return res, nil

@@ -65,9 +65,9 @@ func FuzzSimRun(f *testing.F) {
 		case 0:
 			s = core.New(core.DefaultOptions())
 		case 1:
-			s = gavel.New(gavel.Options{})
+			s = gavel.New()
 		case 2:
-			s = tiresias.New(tiresias.DefaultOptions())
+			s = tiresias.New()
 		case 3:
 			s = yarncs.New()
 		default:

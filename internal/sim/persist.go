@@ -310,9 +310,10 @@ func sortedIntKeys(m map[int]bool) []int {
 // policy that derives its decisions from the per-round Context and the
 // JobStates restored here, its cross-round fields being caches or
 // reporting. Every policy in experiments.Policies does, which
-// conformance's TestRestoreResumesEveryPolicy checks. profiler.Estimator
-// does not: its throughput beliefs are learned across rounds and not
-// checkpointed, so a restored engine diverges at its first step.
+// conformance's TestRestoreResumesEveryPolicy checks. A policy that
+// learns state across rounds (throughput beliefs, say) and does not
+// checkpoint it diverges from the original run at the restored
+// engine's first step.
 func RestoreEngine(c *cluster.Cluster, s sched.Scheduler, opts Options, data []byte) (*Engine, error) {
 	var st engineState
 	if err := json.Unmarshal(data, &st); err != nil {

@@ -14,45 +14,27 @@ import (
 	"repro/internal/sched"
 )
 
-// Options configures the baseline.
-type Options struct {
-	// QueueThreshold is the attained-service level (GPU-seconds) that
+// The paper's configuration: two queues, PromoteKnob disabled (demoted
+// jobs never return to the high queue).
+const (
+	// queueThreshold is the attained-service level (GPU-seconds) that
 	// demotes a job from the high-priority queue to the low-priority
 	// queue. Tiresias' default corresponds to a few GPU-hours.
-	QueueThreshold float64
-	// LeaseRounds is how many rounds a job keeps its placement before
+	queueThreshold = 2 * 3600 // 2 GPU-hours
+	// leaseRounds is how many rounds a job keeps its placement before
 	// being re-placed. Tiresias preempts and re-launches jobs regularly
 	// as queue priorities evolve; since its placement is
 	// heterogeneity-unaware, re-placement makes a job's long-run
 	// throughput the free-capacity-weighted average across device types
 	// instead of whatever type it happened to start on.
-	LeaseRounds int
-}
-
-// DefaultOptions matches the paper's configuration: two queues,
-// PromoteKnob disabled (demoted jobs never return to the high queue).
-func DefaultOptions() Options {
-	return Options{
-		QueueThreshold: 2 * 3600, // 2 GPU-hours
-		LeaseRounds:    10,       // 1 hour at 6-minute rounds
-	}
-}
+	leaseRounds = 10 // 1 hour at 6-minute rounds
+)
 
 // Scheduler is the Tiresias baseline; it implements sched.Scheduler.
-type Scheduler struct {
-	opts Options
-}
+type Scheduler struct{}
 
 // New builds a Tiresias scheduler.
-func New(opts Options) *Scheduler {
-	if opts.QueueThreshold <= 0 {
-		opts.QueueThreshold = DefaultOptions().QueueThreshold
-	}
-	if opts.LeaseRounds <= 0 {
-		opts.LeaseRounds = DefaultOptions().LeaseRounds
-	}
-	return &Scheduler{opts: opts}
-}
+func New() *Scheduler { return &Scheduler{} }
 
 // Name implements sched.Scheduler.
 func (s *Scheduler) Name() string { return "tiresias" }
@@ -67,7 +49,7 @@ func (s *Scheduler) Schedule(ctx *sched.Context) map[int]cluster.Alloc {
 	// threshold), then FIFO by arrival within each queue.
 	queue := append([]*sched.JobState(nil), ctx.Jobs...)
 	qIndex := func(st *sched.JobState) int {
-		if st.Attained < s.opts.QueueThreshold {
+		if st.Attained < queueThreshold {
 			return 0
 		}
 		return 1
@@ -93,7 +75,7 @@ func (s *Scheduler) Schedule(ctx *sched.Context) map[int]cluster.Alloc {
 		// checkpoint churn; preemption still happens when a higher-queue
 		// job claims the devices first, and expired leases trigger a
 		// fresh heterogeneity-unaware placement.
-		if st.Running() && st.Rounds%s.opts.LeaseRounds != 0 {
+		if st.Running() && st.Rounds%leaseRounds != 0 {
 			if err := free.Allocate(st.Alloc); err == nil {
 				out[st.Job.ID] = st.Alloc
 				continue

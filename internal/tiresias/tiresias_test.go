@@ -30,7 +30,7 @@ func TestLeastAttainedServiceFirst(t *testing.T) {
 	veteran := newState(mkJob(0, 2, 0))
 	veteran.Attained = 10 * 3600 // above the 2 GPU-hour threshold
 	fresh := newState(mkJob(1, 2, 100))
-	out := New(DefaultOptions()).Schedule(mkCtx(c, veteran, fresh))
+	out := New().Schedule(mkCtx(c, veteran, fresh))
 	if out[1].Workers() != 2 {
 		t.Errorf("fresh job not prioritized: %v", out)
 	}
@@ -43,7 +43,7 @@ func TestFIFOWithinQueue(t *testing.T) {
 	c := cluster.New(gpu.Fleet{gpu.V100: 2})
 	early := newState(mkJob(0, 2, 0))
 	late := newState(mkJob(1, 2, 50))
-	out := New(DefaultOptions()).Schedule(mkCtx(c, late, early))
+	out := New().Schedule(mkCtx(c, late, early))
 	if out[0].Workers() != 2 {
 		t.Errorf("earlier arrival not scheduled first: %v", out)
 	}
@@ -53,7 +53,7 @@ func TestSingleTypeOnly(t *testing.T) {
 	// No single type has 3 free devices: Tiresias cannot mix, job waits.
 	c := cluster.New(gpu.Fleet{gpu.V100: 2}, gpu.Fleet{gpu.K80: 2})
 	st := newState(mkJob(0, 3, 0))
-	out := New(DefaultOptions()).Schedule(mkCtx(c, st))
+	out := New().Schedule(mkCtx(c, st))
 	if a, ok := out[0]; ok && a.Workers() > 0 {
 		t.Errorf("Tiresias mixed types: %v", a)
 	}
@@ -64,7 +64,7 @@ func TestHeterogeneityUnawareTypePick(t *testing.T) {
 	// V100 and 4 K80 free, a 1-worker job lands on K80.
 	c := cluster.New(gpu.Fleet{gpu.V100: 1, gpu.K80: 4})
 	st := newState(mkJob(0, 1, 0))
-	out := New(DefaultOptions()).Schedule(mkCtx(c, st))
+	out := New().Schedule(mkCtx(c, st))
 	if got := out[0].Types(); len(got) != 1 || got[0] != gpu.K80 {
 		t.Errorf("unaware pick = %v, want K80 (most free)", got)
 	}
@@ -74,7 +74,7 @@ func TestKeepsRunningPlacement(t *testing.T) {
 	c := cluster.New(gpu.Fleet{gpu.V100: 2}, gpu.Fleet{gpu.K80: 2})
 	st := newState(mkJob(0, 2, 0))
 	st.Alloc = cluster.Alloc{{Node: 0, Type: gpu.V100, Count: 2}}
-	out := New(DefaultOptions()).Schedule(mkCtx(c, st))
+	out := New().Schedule(mkCtx(c, st))
 	if !out[0].Equal(st.Alloc) {
 		t.Errorf("running placement churned: %v", out[0])
 	}
@@ -89,7 +89,7 @@ func TestPreemptionByHigherQueue(t *testing.T) {
 	veteran.Attained = 10 * 3600
 	veteran.Alloc = cluster.Alloc{{Node: 0, Type: gpu.V100, Count: 2}}
 	fresh := newState(mkJob(1, 2, 100))
-	out := New(DefaultOptions()).Schedule(mkCtx(c, veteran, fresh))
+	out := New().Schedule(mkCtx(c, veteran, fresh))
 	if out[1].Workers() != 2 {
 		t.Errorf("fresh job did not preempt: %v", out)
 	}
@@ -102,7 +102,7 @@ func TestCapacityRespected(t *testing.T) {
 		newState(mkJob(1, 2, 1)),
 		newState(mkJob(2, 1, 2)),
 	}
-	out := New(DefaultOptions()).Schedule(mkCtx(c, states...))
+	out := New().Schedule(mkCtx(c, states...))
 	free := cluster.NewState(c)
 	total := 0
 	for _, a := range out {
@@ -117,15 +117,8 @@ func TestCapacityRespected(t *testing.T) {
 }
 
 func TestEmptyQueue(t *testing.T) {
-	out := New(DefaultOptions()).Schedule(mkCtx(cluster.New(gpu.Fleet{gpu.V100: 1})))
+	out := New().Schedule(mkCtx(cluster.New(gpu.Fleet{gpu.V100: 1})))
 	if len(out) != 0 {
 		t.Errorf("non-empty decision: %v", out)
-	}
-}
-
-func TestZeroThresholdNormalized(t *testing.T) {
-	s := New(Options{})
-	if s.opts.QueueThreshold <= 0 {
-		t.Error("zero threshold not normalized to default")
 	}
 }

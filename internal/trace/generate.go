@@ -43,6 +43,17 @@ func (p Pattern) String() string {
 	return fmt.Sprintf("Pattern(%d)", int(p))
 }
 
+// ParsePattern is the inverse of Pattern.String; an unknown name is an
+// error listing the valid ones.
+func ParsePattern(name string) (Pattern, error) {
+	for p := Static; p <= Diurnal; p++ {
+		if name == p.String() {
+			return p, nil
+		}
+	}
+	return 0, fmt.Errorf("trace: unknown pattern %q (want %v, %v or %v)", name, Static, Poisson, Diurnal)
+}
+
 // Config parameterizes trace synthesis.
 type Config struct {
 	// NumJobs is the trace length; the paper samples 480 jobs.
@@ -99,6 +110,9 @@ func (c Config) Validate() error {
 	if c.Pattern == Diurnal && (c.Amplitude < 0 || c.Amplitude >= 1) {
 		return fmt.Errorf("trace: Diurnal amplitude %v outside [0, 1)", c.Amplitude)
 	}
+	if len(c.WorkerChoices) == 0 && len(c.WorkerWeights) > 0 {
+		return fmt.Errorf("trace: %d worker weights without worker choices", len(c.WorkerWeights))
+	}
 	choices, weights := c.workerDistribution()
 	if len(choices) != len(weights) {
 		return fmt.Errorf("trace: %d worker choices but %d weights", len(choices), len(weights))
@@ -107,6 +121,16 @@ func (c Config) Validate() error {
 		if w <= 0 {
 			return fmt.Errorf("trace: non-positive worker choice %d", w)
 		}
+	}
+	total := 0.0
+	for _, w := range weights {
+		if !(w >= 0) {
+			return fmt.Errorf("trace: worker weight %v is not non-negative", w)
+		}
+		total += w
+	}
+	if !(total > 0) {
+		return fmt.Errorf("trace: worker weights sum to %v, want positive", total)
 	}
 	return nil
 }

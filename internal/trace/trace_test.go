@@ -234,6 +234,9 @@ func TestConfigValidation(t *testing.T) {
 		{NumJobs: 5, Pattern: Poisson, Rate: 0},
 		{NumJobs: 5, WorkerChoices: []int{1, 2}, WorkerWeights: []float64{1}},
 		{NumJobs: 5, WorkerChoices: []int{0}, WorkerWeights: []float64{1}},
+		{NumJobs: 5, WorkerChoices: []int{1, 2}, WorkerWeights: []float64{0, 0}},
+		{NumJobs: 5, WorkerChoices: []int{1, 2}, WorkerWeights: []float64{-1, 2}},
+		{NumJobs: 5, WorkerWeights: []float64{1}},
 	}
 	for i, cfg := range bad {
 		if _, err := Generate(cfg); err == nil {
@@ -431,6 +434,20 @@ func TestPatternStrings(t *testing.T) {
 	}
 	if Pattern(9).String() == "" {
 		t.Error("unknown pattern stringer empty")
+	}
+}
+
+func TestParsePattern(t *testing.T) {
+	for _, p := range []Pattern{Static, Poisson, Diurnal} {
+		got, err := ParsePattern(p.String())
+		if err != nil || got != p {
+			t.Errorf("ParsePattern(%q) = %v, %v; want %v", p.String(), got, err, p)
+		}
+	}
+	for _, name := range []string{"bursty", "", "possion"} {
+		if _, err := ParsePattern(name); err == nil {
+			t.Errorf("ParsePattern(%q) accepted", name)
+		}
 	}
 }
 
