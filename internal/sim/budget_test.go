@@ -35,8 +35,8 @@ func TestNewEngineAllocBudget(t *testing.T) {
 // backlog over the paper's cluster: measured 1 (Go 1.24). A steady round makes none: the
 // scheduler lends its decision map and retain arena until the next call
 // (core's TestWarmScheduleAllocatesNothing), and the engine's share —
-// context, job list, active index, decision IDs, apply records, digest
-// — reuses scratch. What remains is per change: the engine copies each
+// context, job list, the per-job decision records and their ID-order
+// index, the round's canonical-form buffer, digest — reuses scratch. What remains is per change: the engine copies each
 // allocation that changed out of the lent arena, and a finishing job
 // adds its terminal-index entry and report row (1 each). The margin of
 // 1 absorbs a window with more changes.

@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
+	"slices"
 	"time"
 
 	"repro/internal/cluster"
@@ -120,22 +122,29 @@ type Engine struct {
 	// after it (NewEngine stays cheap: the sim benchmarks pay it as
 	// set-up every repetition). ctx is lent to the scheduler for the call
 	// only; its Jobs is a copy of active, which the round compacts in
-	// place. activeByID indexes active for validation, decisionIDs holds
-	// the decision map's keys sorted (validation and the digest walk
-	// them in that order), applied is the per-job record between the two
-	// apply passes, and canon the digest's canonicalisation buffer.
-	ctx         sched.Context
-	activeByID  map[int]*sched.JobState
-	decisionIDs []int
-	applied     []appliedJob
-	canon       cluster.Alloc
+	// place. applied holds one record per active job, in active's order,
+	// filled by the round's one decision-map lookup per job; byID indexes
+	// applied by ascending job ID (the digest and validation walk it in
+	// that order); canon holds every decision's canonical form back to
+	// back, in byID order.
+	ctx     sched.Context
+	applied []appliedJob
+	byID    []int32
+	canon   cluster.Alloc
 }
 
-// appliedJob is one active job between runRound's two apply passes: its
-// allocation before this round and whether the decision changed it.
+// appliedJob is one decision of the round. An active job's record also
+// carries it between runRound's two apply passes; a record without st
+// is a decision-map key naming no active job. decided is the
+// scheduler's allocation (lent until its next call), workers its
+// Workers(), canon[lo:hi] its canonical form, and changed whether that
+// differs from the job's allocation before this round.
 type appliedJob struct {
+	id      int
 	st      *sched.JobState
-	prev    cluster.Alloc
+	decided cluster.Alloc
+	workers int
+	lo, hi  int32
 	changed bool
 }
 
@@ -450,39 +459,29 @@ func (e *Engine) runRound() error {
 		return fmt.Errorf("sim: %s did not return the lent free state as found (%d savepoints open, %d devices booked)",
 			e.s.Name(), e.freeState.Savepoints(), e.freeState.TotalCapacity()-e.freeState.TotalFree())
 	}
-	e.decisionIDs = e.decisionIDs[:0]
-	for id := range decisions {
-		e.decisionIDs = append(e.decisionIDs, id)
-	}
-	sort.Ints(e.decisionIDs)
-	e.foldDigest(ctx.Round, e.decisionIDs, decisions)
+	n := len(e.active)
+	e.collectDecisions(decisions)
+	e.foldDigest(ctx.Round)
 
-	// Validate the joint decision.
-	if e.activeByID == nil {
-		e.activeByID = make(map[int]*sched.JobState, len(e.active))
-	}
-	clear(e.activeByID)
-	for _, st := range e.active {
-		e.activeByID[st.Job.ID] = st
-	}
-	// Validate against the same state the scheduler searched, under the
-	// engine's own savepoint: a down node has nothing free there, so a
-	// placement on it fails like any other over-allocation.
+	// Validate the joint decision against the same state the scheduler
+	// searched, under the engine's own savepoint: a down node has nothing
+	// free there, so a placement on it fails like any other
+	// over-allocation. An active job the map has no key for has a nil
+	// decision, which passes.
 	sp := e.freeState.Savepoint()
-	for _, id := range e.decisionIDs {
-		alloc := decisions[id]
-		st, ok := e.activeByID[id]
-		if !ok {
-			if alloc.Workers() > 0 {
-				return fmt.Errorf("sim: %s allocated to unknown or inactive job %d", e.s.Name(), id)
+	for _, i := range e.byID {
+		d := &e.applied[i]
+		if d.st == nil {
+			if d.workers > 0 {
+				return fmt.Errorf("sim: %s allocated to unknown or inactive job %d", e.s.Name(), d.id)
 			}
 			continue
 		}
-		if err := sched.Validate(st.Job, alloc); err != nil {
+		if err := sched.Validate(d.st.Job, d.decided); err != nil {
 			return fmt.Errorf("sim: %s: %w", e.s.Name(), err)
 		}
-		if alloc.Workers() > 0 {
-			if err := e.freeState.Allocate(alloc); err != nil {
+		if d.workers > 0 {
+			if err := e.freeState.Allocate(d.decided); err != nil {
 				return fmt.Errorf("sim: %s over-allocated: %w", e.s.Name(), err)
 			}
 		}
@@ -491,31 +490,27 @@ func (e *Engine) runRound() error {
 
 	// Apply decisions. First pass: detect reallocations and, when
 	// contention modeling is on, count how many reallocated jobs
-	// checkpoint through each node this round. The decision is compared
-	// with the held allocation in place; only a change is copied out of
-	// the scheduler's memory (in canonical form), so the engine never
+	// checkpoint through each node this round. The second pass copies a
+	// changed decision out of the round's buffer, so the engine never
 	// holds scheduler-owned memory past the round, and an unchanged job —
 	// the common case — costs no allocation.
-	e.applied = e.applied[:0]
 	var nodeCheckpoints map[int]int
 	if e.opts.CheckpointContention {
 		// Only allocated when contention modeling is on: the common
 		// no-contention round never touches the map.
 		nodeCheckpoints = map[int]int{}
 	}
-	for _, st := range e.active {
-		prev := st.Alloc
-		decided := decisions[st.Job.ID]
-		changed := !decided.Equal(prev)
-		if changed {
-			st.Alloc = decided.Canonical()
-		}
-		e.applied = append(e.applied, appliedJob{st: st, prev: prev, changed: changed})
-		if e.opts.CheckpointContention && changed {
-			for _, p := range prev.Canonical() {
+	for i := range e.applied[:n] {
+		d := &e.applied[i]
+		// The held allocation is canonical unless a checkpoint restored
+		// it otherwise; Equal canonicalises such a one before comparing.
+		next := e.canon[d.lo:d.hi]
+		d.changed = !next.Equal(d.st.Alloc)
+		if e.opts.CheckpointContention && d.changed {
+			for _, p := range d.st.Alloc.Canonical() {
 				nodeCheckpoints[p.Node]++
 			}
-			for _, p := range st.Alloc {
+			for _, p := range next {
 				nodeCheckpoints[p.Node]++
 			}
 		}
@@ -534,8 +529,12 @@ func (e *Engine) runRound() error {
 			Window: window, Killed: killed,
 		})
 	}
-	for _, aj := range e.applied {
-		st, newAlloc, prev, changed := aj.st, aj.st.Alloc, aj.prev, aj.changed
+	for _, aj := range e.applied[:n] {
+		st, prev, changed := aj.st, aj.st.Alloc, aj.changed
+		if changed {
+			st.Alloc = append(cluster.Alloc(nil), e.canon[aj.lo:aj.hi]...)
+		}
+		newAlloc := st.Alloc
 		remBefore := st.Remaining
 		w := newAlloc.Workers()
 		if w == 0 {
@@ -561,9 +560,13 @@ func (e *Engine) runRound() error {
 			}
 		}
 		e.report.JobRoundAllocs++
+		// Here and in the progress sums below, float64(…) rounds each
+		// product before it is added: Go may fuse x*y+z into one
+		// instruction (arm64, ppc64le, s390x and riscv64 do), which would
+		// move the totals by an ulp from one platform to another.
 		// Accumulates within the conservation oracle's tolerance
 		// (invariant.Tol); checked against busy time per round.
-		e.report.HeldGPUSeconds += float64(w) * e.opts.RoundLength
+		e.report.HeldGPUSeconds += float64(float64(w) * e.opts.RoundLength)
 		heldThisRound += w
 		realloc := changed && prev.Workers() > 0
 		if realloc {
@@ -644,8 +647,8 @@ func (e *Engine) runRound() error {
 			st.Remaining = 0
 			// Both accumulate within invariant.Tol tolerance; the
 			// invariant oracle re-derives them each round.
-			st.Attained += float64(w) * tau
-			e.report.BusyGPUSeconds += float64(w) * tau
+			st.Attained += float64(float64(w) * tau)
+			e.report.BusyGPUSeconds += float64(float64(w) * tau)
 			finish := e.now + delay + tau
 			if e.opts.QuantizeCompletions {
 				finish = e.now + e.opts.RoundLength
@@ -669,9 +672,9 @@ func (e *Engine) runRound() error {
 		}
 		// All three accumulate within invariant.Tol tolerance; the
 		// oracle checks conservation of work to that tolerance each round.
-		st.Remaining -= rate * window
-		st.Attained += float64(w) * window
-		e.report.BusyGPUSeconds += float64(w) * window
+		st.Remaining -= float64(rate * window)
+		st.Attained += float64(float64(w) * window)
+		e.report.BusyGPUSeconds += float64(float64(w) * window)
 		if e.chk != nil {
 			observe(st, newAlloc, remBefore, window, false)
 		}
@@ -704,41 +707,112 @@ func (e *Engine) runRound() error {
 	return nil
 }
 
+// collectDecisions reads the scheduler's decisions into the round
+// scratch with one map lookup per active job, sorts byID (active jobs
+// are admitted in ID order on every trace, so the sort is usually one
+// linear pass), and canonicalises every decision once, in that order,
+// into canon. Keys the lookups did not reach name no active job. Each
+// of those whose worker count is not zero joins applied as a record
+// without a JobState: the digest folds it, and validation fails the
+// round on it if it has workers (see runRound).
+func (e *Engine) collectDecisions(decisions map[int]cluster.Alloc) {
+	n := len(e.active)
+	e.applied = slices.Grow(e.applied[:0], n)
+	e.byID = slices.Grow(e.byID[:0], n)
+	matched, placements := 0, 0
+	for i, st := range e.active {
+		d, ok := decisions[st.Job.ID]
+		if ok {
+			matched++
+		}
+		placements += len(d)
+		e.applied = append(e.applied, appliedJob{id: st.Job.ID, st: st, decided: d, workers: d.Workers()})
+		e.byID = append(e.byID, int32(i))
+	}
+	e.sortByID()
+	if matched != len(decisions) {
+		//lint:ignore maprange the body only appends records, which sortByID puts in ID order next
+		for id, d := range decisions {
+			_, active := slices.BinarySearchFunc(e.byID[:n], id, func(i int32, id int) int {
+				return cmp.Compare(e.applied[i].id, id)
+			})
+			if active || d.Workers() == 0 {
+				continue
+			}
+			placements += len(d)
+			e.applied = append(e.applied, appliedJob{id: id, decided: d, workers: d.Workers()})
+			e.byID = append(e.byID, int32(len(e.applied)-1))
+		}
+		e.sortByID()
+	}
+	e.canon = slices.Grow(e.canon[:0], placements)
+	for _, i := range e.byID {
+		d := &e.applied[i]
+		d.lo = int32(len(e.canon))
+		e.canon = d.decided.AppendCanonical(e.canon)
+		d.hi = int32(len(e.canon))
+	}
+}
+
+// sortByID sorts the applied index by job ID.
+func (e *Engine) sortByID() {
+	slices.SortFunc(e.byID, func(a, b int32) int {
+		return cmp.Compare(e.applied[a].id, e.applied[b].id)
+	})
+}
+
 // FNV-64a parameters (hash/fnv's, folded inline by fnvWrite).
 const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211
 )
 
-// fnvWrite folds v's 8 little-endian bytes into the FNV-64a state h.
+// fnvZeros[k] is fnvPrime64 to the k-th power, modulo 2^64: what k zero
+// bytes do to an FNV-64a state, since XOR with a zero byte leaves the
+// state as it was and only the multiply remains.
+var fnvZeros = func() (p [9]uint64) {
+	p[0] = 1
+	for k := 1; k < len(p); k++ {
+		p[k] = p[k-1] * fnvPrime64
+	}
+	return p
+}()
+
+// fnvWrite folds v's 8 little-endian bytes into the FNV-64a state h. It
+// hashes the bytes up to v's highest non-zero one and folds the zero
+// bytes above them in one multiply by fnvZeros, which is exact: the
+// result equals hashing all 8 bytes one at a time.
 func fnvWrite(h uint64, v int) uint64 {
 	u := uint64(v)
-	for i := 0; i < 8; i++ {
-		h ^= uint64(byte(u >> (8 * i)))
+	k := (bits.Len64(u) + 7) / 8
+	for i := 0; i < k; i++ {
+		h ^= u & 0xff
 		h *= fnvPrime64
+		u >>= 8
 	}
-	return h
+	return h * fnvZeros[8-k]
 }
 
 // foldDigest chains this round's canonical decisions into the engine's
 // running schedule digest: an FNV-64a hash of the round index and each
 // allocated job's ID and sorted (node, type, count) placements, chained
-// across rounds so reordering cannot cancel out. ids are the decision
-// map's keys, ascending. The scheme is identical to the golden-digest
-// recorder in determinism_test.go; only integer decision data enters the
-// hash, so the digest is stable across platforms and Go versions as long
-// as the schedule itself is. Recovery uses it as its oracle: a journal
-// replay must reproduce the digest recorded after every round, byte for
-// byte.
-func (e *Engine) foldDigest(round int, ids []int, decisions map[int]cluster.Alloc) {
+// across rounds so reordering cannot cancel out. It walks the decisions
+// collectDecisions gathered, in ascending job ID order, which is the
+// order of the decision map's sorted keys. The scheme is identical to
+// the golden-digest recorder in determinism_test.go; only integer
+// decision data enters the hash, so the digest is stable across
+// platforms and Go versions as long as the schedule itself is. Recovery
+// uses it as its oracle: a journal replay must reproduce the digest
+// recorded after every round, byte for byte.
+func (e *Engine) foldDigest(round int) {
 	h := fnvWrite(fnvOffset64, round)
-	for _, id := range ids {
-		if decisions[id].Workers() == 0 {
+	for _, i := range e.byID {
+		d := &e.applied[i]
+		if d.workers == 0 {
 			continue
 		}
-		h = fnvWrite(h, id)
-		e.canon = decisions[id].AppendCanonical(e.canon[:0])
-		for _, p := range e.canon {
+		h = fnvWrite(h, d.id)
+		for _, p := range e.canon[d.lo:d.hi] {
 			h = fnvWrite(h, p.Node)
 			h = fnvWrite(h, int(p.Type))
 			h = fnvWrite(h, p.Count)

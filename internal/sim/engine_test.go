@@ -6,8 +6,11 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cluster"
+	"repro/internal/gpu"
 	"repro/internal/job"
 	"repro/internal/metrics"
+	"repro/internal/sched"
 )
 
 // driveEngine steps the engine to completion and finalizes the report.
@@ -340,5 +343,80 @@ func TestEngineIdleThenResubmit(t *testing.T) {
 	}
 	if math.IsNaN(r.Makespan) {
 		t.Error("NaN makespan")
+	}
+}
+
+// withExtra is fifo plus fixed extra decision-map entries, which
+// override fifo's own for the same job.
+type withExtra struct {
+	fifo
+	extra map[int]cluster.Alloc
+}
+
+func (s withExtra) Schedule(ctx *sched.Context) map[int]cluster.Alloc {
+	out := s.fifo.Schedule(ctx)
+	for id, a := range s.extra {
+		out[id] = a
+	}
+	return out
+}
+
+// runDigest drives an engine over jobs to completion or to its first
+// error and returns its schedule digest with that error.
+func runDigest(t *testing.T, s sched.Scheduler, jobs []*job.Job) (uint64, error) {
+	t.Helper()
+	e, err := NewEngine(twoNodeCluster(), s, ValidatedOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range jobs {
+		if err := e.SubmitJob(j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for {
+		ok, err := e.Step()
+		if err != nil || !ok {
+			return e.Digest(), err
+		}
+	}
+}
+
+// TestEngineRejectsDecisionForInactiveJob covers decision-map keys that
+// name no active job: one with workers fails the round, at its place in
+// ascending-ID order among the other decisions' errors; one with no
+// workers is ignored and leaves the digest as it was.
+func TestEngineRejectsDecisionForInactiveJob(t *testing.T) {
+	v100 := func(n int) cluster.Alloc { return cluster.Alloc{{Node: 0, Type: gpu.V100, Count: n}} }
+	jobs := []*job.Job{simpleJob(5, 2, 5000, 0)}
+	want, err := runDigest(t, fifo{}, jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		extra   map[int]cluster.Alloc
+		wantErr string // "" when the run must succeed with fifo's digest
+	}{
+		{"key with workers", map[int]cluster.Alloc{77: v100(1)}, "allocated to unknown or inactive job 77"},
+		{"zero-worker key", map[int]cluster.Alloc{77: v100(0)}, ""},
+		{"unknown ID before a bad gang", map[int]cluster.Alloc{3: v100(1), 5: v100(3)}, "allocated to unknown or inactive job 3"},
+		{"unknown ID after a bad gang", map[int]cluster.Alloc{9: v100(1), 5: v100(3)}, "job 5 allocated 3 workers"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got, err := runDigest(t, withExtra{extra: tc.extra}, jobs)
+			if tc.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("error = %v, want one containing %q", err, tc.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Errorf("digest = %#x, want %#x (the run without the key)", got, want)
+			}
+		})
 	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/allox"
@@ -90,6 +91,25 @@ func FuzzSimRun(f *testing.F) {
 		}
 		if len(rep.Jobs) != len(jobs) {
 			t.Fatalf("%d of %d jobs completed", len(rep.Jobs), len(jobs))
+		}
+	})
+}
+
+// FuzzFNVWrite checks fnvWrite against FNV-64a fed v's 8 little-endian
+// bytes one at a time, from any starting state.
+func FuzzFNVWrite(f *testing.F) {
+	for _, v := range []int64{0, 1, 255, 256, 1 << 56, -1, math.MinInt64, math.MaxInt64} {
+		f.Add(uint64(fnvOffset64), v)
+	}
+	f.Fuzz(func(t *testing.T, h uint64, v int64) {
+		want := h
+		u := uint64(int(v))
+		for i := 0; i < 8; i++ {
+			want ^= uint64(byte(u >> (8 * i)))
+			want *= fnvPrime64
+		}
+		if got := fnvWrite(h, int(v)); got != want {
+			t.Fatalf("fnvWrite(%#x, %d) = %#x, want %#x", h, int(v), got, want)
 		}
 	})
 }

@@ -193,9 +193,10 @@ func horizon(now float64, active []*sched.JobState, round float64) float64 {
 		if math.IsInf(d, 1) {
 			continue
 		}
-		// Scale the per-job worst case by its remaining fraction.
+		// Scale the per-job worst case by its remaining fraction;
+		// float64(…) keeps the sum unfused on every platform.
 		frac := st.Remaining / st.Job.TotalIters()
-		h += d * frac
+		h += float64(d * frac)
 	}
 	return h
 }
