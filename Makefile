@@ -12,7 +12,7 @@
 
 GO ?= go
 
-.PHONY: check build vet lint test test-386 race race-short bench-smoke bench-harness bench profile service-smoke experiments crash-smoke fuzz-smoke fuzz-sync cover
+.PHONY: check build vet lint test test-386 portable race race-short bench-smoke bench-harness bench profile service-smoke experiments crash-smoke fuzz-smoke fuzz-sync cover
 
 check: build vet lint test cover bench-harness
 
@@ -63,6 +63,25 @@ test-386:
 	GOARCH=386 $(GO) test -run '^(TestAppendStateMatchesReference|FuzzRestoreEngine)$$' ./internal/sim
 	GOARCH=386 $(GO) test -run '^TestAppendStateIsStateJSON$$' ./internal/federation
 	GOARCH=386 $(GO) test -run '^(FuzzRatesJSON|TestRates.*|TestValidateRejectsUndefinedType)$$' ./internal/job
+
+# portable proves the scheduling path free of fused multiply-adds on the
+# ports whose compilers fuse x*y+z (amd64 never does): it compiles core,
+# sim, cluster and sched for each with -gcflags=-S and fails on any
+# FMA mnemonic in the assembly listing. An explicit float64(…) around a
+# product rounds it and keeps the sum unfused (DESIGN §9). Cross-compiled
+# from the local toolchain, so it needs no network.
+PORTABLE_ARCHES := arm64 riscv64 ppc64le s390x
+PORTABLE_PKGS := ./internal/core ./internal/sim ./internal/cluster ./internal/sched
+portable:
+	@fail=0; \
+	for arch in $(PORTABLE_ARCHES); do \
+		asm="$$(GOARCH=$$arch $(GO) build -gcflags=-S $(PORTABLE_PKGS) 2>&1)" || { printf '%s\n' "$$asm"; exit 1; }; \
+		fused="$$(printf '%s\n' "$$asm" | grep -E '[[:space:]]FN?M(ADD|SUB)[DS]?[[:space:]]')"; \
+		n=0; [ -n "$$fused" ] && n="$$(printf '%s\n' "$$fused" | wc -l)"; \
+		echo "portable: $$arch: $$n fused multiply-adds"; \
+		[ "$$n" -eq 0 ] || { printf '%s\n' "$$fused"; fail=1; }; \
+	done; \
+	exit $$fail
 
 race:
 	$(GO) test -race ./...
@@ -168,6 +187,7 @@ fuzz-smoke: fuzz-sync
 	$(GO) test -run='^$$' -fuzz='^FuzzReadTraceJSON$$' -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -run='^$$' -fuzz='^FuzzStateTransactions$$' -fuzztime=$(FUZZTIME) ./internal/cluster
 	$(GO) test -run='^$$' -fuzz='^FuzzAppendCanonical$$' -fuzztime=$(FUZZTIME) ./internal/cluster
+	$(GO) test -run='^$$' -fuzz='^FuzzCanAllocate$$' -fuzztime=$(FUZZTIME) ./internal/cluster
 	$(GO) test -run='^$$' -fuzz='^FuzzSimRun$$' -fuzztime=$(FUZZTIME) ./internal/sim
 	$(GO) test -run='^$$' -fuzz='^FuzzRestoreEngine$$' -fuzztime=$(FUZZTIME) ./internal/sim
 	$(GO) test -run='^$$' -fuzz='^FuzzFNVWrite$$' -fuzztime=$(FUZZTIME) ./internal/sim
@@ -175,6 +195,7 @@ fuzz-smoke: fuzz-sync
 	$(GO) test -run='^$$' -fuzz='^FuzzReplayRecords$$' -fuzztime=$(FUZZTIME) ./internal/service
 	$(GO) test -run='^$$' -fuzz='^FuzzRatesJSON$$' -fuzztime=$(FUZZTIME) ./internal/job
 	$(GO) test -run='^$$' -fuzz='^FuzzFindAllocMatchesReference$$' -fuzztime=$(FUZZTIME) ./internal/core
+	$(GO) test -run='^$$' -fuzz='^FuzzPriceBounds$$' -fuzztime=$(FUZZTIME) ./internal/core
 
 # cover prints per-package statement coverage and enforces floors on
 # the packages the correctness story leans on: the Hadar core, the

@@ -109,12 +109,14 @@ func FuzzAppendCanonical(f *testing.F) {
 
 // TestCanonicalPathsAllocateNothing pins the allocation-free paths the
 // scheduling round relies on: canonicalising into a buffer with room,
-// comparing canonical allocations, and counting nodes.
+// comparing canonical allocations, counting nodes, and checking that an
+// allocation fits.
 func TestCanonicalPathsAllocateNothing(t *testing.T) {
 	a := Alloc{{2, gpu.K80, 1}, {0, gpu.V100, 1}, {0, gpu.V100, 2}, {1, gpu.P100, 0}}
 	buf := make(Alloc, 0, len(a))
 	canon := a.Canonical()
 	same := slices.Clone(canon)
+	st := NewState(New(gpu.Fleet{gpu.V100: 4}, gpu.Fleet{gpu.P100: 1}, gpu.Fleet{gpu.K80: 1}))
 	for _, c := range []struct {
 		name string
 		fn   func()
@@ -122,6 +124,7 @@ func TestCanonicalPathsAllocateNothing(t *testing.T) {
 		{"AppendCanonical", func() { buf = a.AppendCanonical(buf[:0]) }},
 		{"Equal", func() { _ = canon.Equal(same) }},
 		{"NumNodes", func() { _ = a.NumNodes() }},
+		{"CanAllocate", func() { _ = st.CanAllocate(a) }},
 	} {
 		if n := testing.AllocsPerRun(100, c.fn); n != 0 {
 			t.Errorf("%s allocates %v times, want 0", c.name, n)

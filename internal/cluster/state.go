@@ -441,17 +441,32 @@ func (s *State) Release(a Alloc) error {
 	return nil
 }
 
-// CanAllocate reports whether the allocation fits the current free
-// state, without changing it.
+// CanAllocate reports whether Allocate would accept the allocation,
+// reading the state without changing it: no savepoint, no journal
+// entry. Placements with counts <= 0 are skipped, an invalid node or
+// type fails, and placements on one (node, type) cell must fit its free
+// count together, as Allocate's in-order subtraction requires.
 func (s *State) CanAllocate(a Alloc) bool {
-	sp := s.Savepoint()
-	err := s.Allocate(a)
-	if err == nil {
-		s.Rollback(sp)
-	} else {
-		s.Commit(sp) // nothing applied; just close the savepoint
+	for i, p := range a {
+		if p.Count <= 0 {
+			continue
+		}
+		if p.Node < 0 || p.Node >= s.c.NumNodes() || !p.Type.Valid() {
+			return false
+		}
+		// Every earlier placement on this cell passed, so free stays
+		// non-negative and nothing overflows.
+		free := int(s.free[p.Node*stride+int(p.Type)])
+		for _, q := range a[:i] {
+			if q.Count > 0 && q.Node == p.Node && q.Type == p.Type {
+				free -= q.Count
+			}
+		}
+		if free < p.Count {
+			return false
+		}
 	}
-	return err == nil
+	return true
 }
 
 // Clone returns an independent copy of the state (sharing the immutable

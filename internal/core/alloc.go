@@ -182,13 +182,15 @@ func (p *probe) best(st *sched.JobState, ctx *sched.Context, cands []cluster.All
 		// Cost and node count read the raw placement list: candidate
 		// generators emit at most one placement per (node, type) and no
 		// zero counts, and both quantities are additive over duplicates
-		// anyway, so skipping Canonical here cannot change them.
+		// anyway, so skipping Canonical here cannot change them. Each
+		// float64(…) rounds a product before the sum, so no port fuses
+		// them into one multiply-add.
 		cost := 0.0
 		for _, pl := range a {
-			cost += p.pt.price(p.free, pl.Node, pl.Type) * float64(pl.Count)
+			cost += float64(p.pt.price(p.free, pl.Node, pl.Type) * float64(pl.Count))
 		}
 		if n := a.NumNodes(); n > 1 {
-			cost *= 1 + p.opts.CommCost*float64(n-1)
+			cost *= 1 + float64(p.opts.CommCost*float64(n-1))
 		}
 		if i == current {
 			cost *= 1 - p.opts.Stickiness

@@ -87,6 +87,7 @@ func TestAgingPromotesOldJobs(t *testing.T) {
 	s := New(opts)
 	ctx := mkCtx(c, oldBig, freshSmall)
 	ctx.Now = 100000 // oldBig has waited ~28 hours
+	s.prices.fill(ctx, &s.opts)
 	queue := s.orderQueue(ctx)
 	if queue[0].Job.ID != 0 {
 		t.Errorf("aging did not promote the old job: order = [%d, %d]",
@@ -95,6 +96,7 @@ func TestAgingPromotesOldJobs(t *testing.T) {
 
 	// Without aging, the fresh small job ranks first (SRPT).
 	s2 := New(DefaultOptions())
+	s2.prices.fill(ctx, &s2.opts)
 	queue2 := s2.orderQueue(ctx)
 	if queue2[0].Job.ID != 1 {
 		t.Errorf("without aging, SRPT order expected: order = [%d, %d]",

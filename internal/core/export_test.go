@@ -7,7 +7,10 @@ import "repro/internal/sched"
 func (s *Scheduler) LastQueue() []*sched.JobState { return s.queueScratch }
 
 // FreshQueue returns the density order of ctx's jobs as a scheduler
-// with no previous round sorts it: starting from arrival order.
+// with no previous round sorts it: starting from arrival order, with
+// the densities of a freshly filled price table.
 func FreshQueue(opts Options, ctx *sched.Context) []*sched.JobState {
-	return New(opts).orderQueue(ctx)
+	s := New(opts)
+	s.prices.fill(ctx, &s.opts)
+	return s.orderQueue(ctx)
 }

@@ -182,7 +182,7 @@ func (s *Scheduler) Schedule(ctx *sched.Context) map[int]cluster.Alloc {
 		return out
 	}
 	pt := &s.prices
-	pt.fill(ctx, s.opts.Utility, s.opts.ExponentialPrice)
+	pt.fill(ctx, &s.opts)
 	s.lastAlpha = pt.alpha()
 	s.lastPrices = pt
 
@@ -230,10 +230,11 @@ func byDensity(a, b queueEntry) int {
 }
 
 // orderQueue sorts jobs by descending payoff density: the utility of an
-// immediate full-speed completion per requested worker. This is the
-// order both the greedy pass and the DP consider jobs in. The entry and
-// queue slices are reused across rounds; callers must not retain the
-// returned slice past the round.
+// immediate full-speed completion per requested worker, which the
+// round's fill has already computed. This is the order both the greedy
+// pass and the DP consider jobs in. The entry and queue slices are
+// reused across rounds; callers must not retain the returned slice past
+// the round.
 //
 // The sort starts from the previous round's order, not from arrival
 // order. ctx.Jobs lists jobs in arrival order, so from one round to the
@@ -275,24 +276,10 @@ func (s *Scheduler) orderQueue(ctx *sched.Context) []*sched.JobState {
 	return queue
 }
 
-// entry computes the queue entry of ctx.Jobs[i] for this round.
+// entry is the queue entry of ctx.Jobs[i] for this round, its density
+// read from the round's price table.
 func (s *Scheduler) entry(ctx *sched.Context, i int) queueEntry {
-	st := ctx.Jobs[i]
-	j := st.Job
-	_, best, ok := j.BestType()
-	if !ok || st.Remaining <= 0 {
-		return queueEntry{st: st, pos: i}
-	}
-	age := ctx.Now - j.Arrival
-	if age < 0 {
-		age = 0
-	}
-	dur := age + st.Remaining/(float64(j.Workers)*best)
-	d := s.opts.Utility.Value(j, st.Remaining, dur) / float64(j.Workers)
-	if s.opts.Aging > 0 {
-		d *= 1 + age/s.opts.Aging
-	}
-	return queueEntry{st: st, density: d, pos: i}
+	return queueEntry{st: ctx.Jobs[i], density: s.prices.density[i], pos: i}
 }
 
 // sweep is one pass over the queue in payoff-density order, allocating

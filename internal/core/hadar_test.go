@@ -47,7 +47,7 @@ func newState(j *job.Job) *sched.JobState {
 // Schedule refills the scheduler's own.
 func newPriceTable(ctx *sched.Context, u Utility, exponential bool) *priceTable {
 	pt := &priceTable{}
-	pt.fill(ctx, u, exponential)
+	pt.fill(ctx, &Options{Utility: u, ExponentialPrice: exponential})
 	return pt
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/gpu"
@@ -10,7 +11,8 @@ import (
 
 // priceTable holds the per-round dual price state: the per-type utility
 // bounds U_max^r / U_min^r (Eq. 6-7) and the marginal price function
-// k_h^r(gamma) (Eq. 5), evaluated against the current free state.
+// k_h^r(gamma) (Eq. 5), evaluated against the current free state. The
+// same walk over the jobs also yields the queue's payoff densities.
 type priceTable struct {
 	umax, umin  [gpu.NumTypes]float64
 	exponential bool
@@ -20,6 +22,11 @@ type priceTable struct {
 	// so the per-probe hot path indexes two slices instead of calling
 	// math.Pow. Fixed for the round; the rows are refilled in place.
 	curve [gpu.NumTypes][][]float64
+	// density[i] is ctx.Jobs[i]'s queue-ordering density for the round:
+	// the utility of an immediate full-speed completion per requested
+	// worker, aged by Options.Aging, and 0 for a job with no usable type
+	// or no remaining work. orderQueue sorts by it.
+	density []float64
 }
 
 // fill recomputes the table for a round: the utility bounds from the
@@ -28,25 +35,32 @@ type priceTable struct {
 // current workload of the cluster") and eta from defaultEta, then the
 // curves. The scheduler owns one table and refills it every round, so
 // it stays valid until the next Schedule.
-func (pt *priceTable) fill(ctx *sched.Context, u Utility, exponential bool) {
-	pt.exponential = exponential
+//
+// A job's best and worst rates are the first and last entries of its
+// cached usable-type list, which is sorted by descending throughput, so
+// one walk over the jobs reads each job's rates once and evaluates
+// each of its two utilities once. The upper bound's utility, per
+// worker, is also the job's queue density.
+func (pt *priceTable) fill(ctx *sched.Context, opts *Options) {
+	pt.exponential = opts.ExponentialPrice
 	for t := gpu.Type(0); t < gpu.NumTypes; t++ {
 		pt.umax[t] = 0
 		pt.umin[t] = math.Inf(1)
 	}
+	pt.density = slices.Grow(pt.density[:0], len(ctx.Jobs))[:len(ctx.Jobs)]
+	u := opts.Utility
+	// eta scales every job's lower bound, so it needs a pass of its own.
 	eta := defaultEta(ctx)
-	for _, st := range ctx.Jobs {
+	for i, st := range ctx.Jobs {
+		pt.density[i] = 0
+		types := st.UsableTypes()
+		rem := st.Remaining
+		if len(types) == 0 || rem <= 0 {
+			continue
+		}
 		j := st.Job
 		w := float64(j.Workers)
-		_, best, ok := j.BestType()
-		if !ok {
-			continue
-		}
-		_, worst, _ := j.WorstType()
-		rem := st.Remaining
-		if rem <= 0 {
-			continue
-		}
+		best, worst := j.Throughput[types[0]], j.Throughput[types[len(types)-1]]
 		tmin := rem / (w * best)
 		tmax := rem / (w * worst)
 		age := ctx.Now - j.Arrival
@@ -55,16 +69,18 @@ func (pt *priceTable) fill(ctx *sched.Context, u Utility, exponential bool) {
 		}
 		// Highest utility: finish as fast as possible from now.
 		uBest := u.Value(j, rem, age+tmin) / w
+		d := uBest
+		if opts.Aging > 0 {
+			d *= 1 + age/opts.Aging
+		}
+		pt.density[i] = d
 		// Lowest utility: finish only at the horizon T.
 		horizonDur := ctx.Horizon - j.Arrival
 		if horizonDur < age+tmax {
 			horizonDur = age + tmax
 		}
 		uWorst := u.Value(j, rem, horizonDur) / (4 * eta * tmax * w)
-		for t := gpu.Type(0); t < gpu.NumTypes; t++ {
-			if j.Speed(t) <= 0 {
-				continue
-			}
+		for _, t := range types {
 			if uBest > pt.umax[t] {
 				pt.umax[t] = uBest
 			}
@@ -127,12 +143,12 @@ func defaultEta(ctx *sched.Context) float64 {
 	total := float64(ctx.Free.TotalCapacity())
 	eta := 1.0
 	for _, st := range ctx.Jobs {
-		j := st.Job
-		_, worst, ok := j.WorstType()
-		if !ok || st.Remaining <= 0 {
+		types := st.UsableTypes()
+		if len(types) == 0 || st.Remaining <= 0 {
 			continue
 		}
-		tmax := st.Remaining / (float64(j.Workers) * worst)
+		j := st.Job
+		tmax := st.Remaining / (float64(j.Workers) * j.Throughput[types[len(types)-1]])
 		if need := total / (tmax * float64(j.Workers)); need > eta {
 			eta = need
 		}
@@ -167,7 +183,8 @@ func (pt *priceTable) at(t gpu.Type, frac float64) float64 {
 	if pt.exponential {
 		return pt.umin[t] * math.Pow(pt.umax[t]/pt.umin[t], frac)
 	}
-	return pt.umin[t] + (pt.umax[t]-pt.umin[t])*frac
+	// float64(…) keeps the sum unfused on every platform.
+	return pt.umin[t] + float64((pt.umax[t]-pt.umin[t])*frac)
 }
 
 // alpha returns the competitive-ratio factor

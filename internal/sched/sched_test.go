@@ -3,6 +3,7 @@ package sched
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/cluster"
 	"repro/internal/gpu"
@@ -22,6 +23,20 @@ func testCluster() *cluster.Cluster {
 		gpu.Fleet{gpu.P100: 2},
 		gpu.Fleet{gpu.K80: 2},
 	)
+}
+
+// TestJobStateSize pins JobState at 128 bytes on 64-bit ports, the
+// allocation size class it shares with the 120 bytes it had before the
+// usable-type cache. DESIGN §13 measured the next class: at 144 bytes
+// svc-durable read 9-19 % slower wall_s. A new per-job field has to fit
+// in existing padding or pay for the class it moves the state into.
+func TestJobStateSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the size class is pinned on 64-bit ports")
+	}
+	if got := unsafe.Sizeof(JobState{}); got != 128 {
+		t.Fatalf("sched.JobState is %d bytes, want 128", got)
+	}
 }
 
 func TestRateBottleneck(t *testing.T) {

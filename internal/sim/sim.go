@@ -186,16 +186,23 @@ func stallFor(model string, changed bool, opts Options) float64 {
 
 // horizon estimates the scheduling horizon T for the price bounds: the
 // current time plus the serial worst-case runtime of all active jobs.
+// Each job's worst rate is the last entry of its cached usable-type
+// list, and d is Job.MaxDuration's expression over it.
 func horizon(now float64, active []*sched.JobState, round float64) float64 {
 	h := now + round
 	for _, st := range active {
-		d := st.Job.MaxDuration()
+		j := st.Job
+		types := st.UsableTypes()
+		if len(types) == 0 || j.Workers == 0 {
+			continue
+		}
+		d := j.TotalIters() / (float64(j.Workers) * j.Throughput[types[len(types)-1]])
 		if math.IsInf(d, 1) {
 			continue
 		}
 		// Scale the per-job worst case by its remaining fraction;
 		// float64(…) keeps the sum unfused on every platform.
-		frac := st.Remaining / st.Job.TotalIters()
+		frac := st.Remaining / j.TotalIters()
 		h += float64(d * frac)
 	}
 	return h
