@@ -37,8 +37,11 @@ vet:
 # and API discipline, in one pass. `go run ./cmd/repolint -rules` lists
 # the rule catalogue; suppress site-by-site with `//lint:ignore <rule>
 # <reason>`.
-POLICY_PKGS := internal/core internal/gavel internal/tiresias internal/yarncs internal/allox internal/policy
+POLICY_PKGS := internal/core internal/gavel internal/tiresias internal/yarncs internal/policy
 lint: vet
+	@for d in $(POLICY_PKGS); do \
+		if [ ! -d "$$d" ]; then echo "POLICY_PKGS names $$d, which is not a directory"; exit 1; fi; \
+	done
 	@out="$$(gofmt -l . | grep -v '^internal/lint/testdata/')"; \
 	if [ -n "$$out" ]; then echo "gofmt: needs formatting:"; echo "$$out"; exit 1; fi
 	@out="$$(grep -rn 'cluster\.NewState(' --include='*.go' $(POLICY_PKGS) | grep -v '_test\.go:')"; \

@@ -141,10 +141,6 @@ var goldenDigests = map[string]map[int]uint64{
 		96:  0x12a7dd07cabc1fcb,
 		480: 0xbd66845097d08efa,
 	},
-	"allox": {
-		96:  0xb71ee4fe0857b27a,
-		480: 0x4598ac0671e4a3b7,
-	},
 	"hadar-makespan": {
 		96:  0x84033596d382806f,
 		480: 0x3198654896cb004c,
@@ -177,7 +173,6 @@ var goldenDigests = map[string]map[int]uint64{
 	"gavel-outage":           {96: 0x26c1e0cc510ed2b7},
 	"tiresias-outage":        {96: 0x4cc3d3f3834750d7},
 	"yarn-cs-outage":         {96: 0xafd69792fa2668ac},
-	"allox-outage":           {96: 0x19502a85ee7652ef},
 	"hadar-makespan-outage":  {96: 0xedefa62d8c67bc29},
 	"ref-fifo-sticky-outage": {96: 0x479283602d93bf4d},
 	"ref-srtf-sticky-outage": {96: 0x6c5e327a72970d44},

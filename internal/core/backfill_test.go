@@ -73,37 +73,6 @@ func TestBackfillRespectsGang(t *testing.T) {
 	}
 }
 
-// TestAgingPromotesOldJobs: under continuous arrivals, aging must
-// eventually rank a long-waiting large job above a fresh small job.
-func TestAgingPromotesOldJobs(t *testing.T) {
-	c := heteroCluster()
-	oldBig := newState(mkJob(0, 2, 1e7, 10, 5, 2)) // huge job, arrived long ago
-	oldBig.Job.Arrival = 0
-	freshSmall := newState(mkJob(1, 2, 1e6, 10, 5, 2)) // 10x smaller, fresh
-	freshSmall.Job.Arrival = 100000
-
-	opts := DefaultOptions()
-	opts.Aging = 3600 // strong aging
-	s := New(opts)
-	ctx := mkCtx(c, oldBig, freshSmall)
-	ctx.Now = 100000 // oldBig has waited ~28 hours
-	s.prices.fill(ctx, &s.opts)
-	queue := s.orderQueue(ctx)
-	if queue[0].Job.ID != 0 {
-		t.Errorf("aging did not promote the old job: order = [%d, %d]",
-			queue[0].Job.ID, queue[1].Job.ID)
-	}
-
-	// Without aging, the fresh small job ranks first (SRPT).
-	s2 := New(DefaultOptions())
-	s2.prices.fill(ctx, &s2.opts)
-	queue2 := s2.orderQueue(ctx)
-	if queue2[0].Job.ID != 1 {
-		t.Errorf("without aging, SRPT order expected: order = [%d, %d]",
-			queue2[0].Job.ID, queue2[1].Job.ID)
-	}
-}
-
 // TestDPMatchesGreedyOnIndependentJobs: when jobs do not contend (plenty
 // of capacity), DP and greedy must produce identical allocations.
 func TestDPMatchesGreedyWithoutContention(t *testing.T) {

@@ -51,11 +51,6 @@ type Options struct {
 	// reports for Hadar (Fig. 4) without affecting who wins the
 	// contended devices.
 	Backfill bool
-	// Aging boosts a job's queue priority by (1 + age/Aging), in
-	// seconds, so long-pending large jobs eventually claim fast devices.
-	// This bounds the completion-time tail (the paper's Fig. 8 shows a
-	// tight min-max JCT band for Hadar). 0 disables aging.
-	Aging float64
 	// NameSuffix distinguishes ablation variants in reports.
 	NameSuffix string
 }

@@ -24,8 +24,8 @@ type priceTable struct {
 	curve [gpu.NumTypes][][]float64
 	// density[i] is ctx.Jobs[i]'s queue-ordering density for the round:
 	// the utility of an immediate full-speed completion per requested
-	// worker, aged by Options.Aging, and 0 for a job with no usable type
-	// or no remaining work. orderQueue sorts by it.
+	// worker, and 0 for a job with no usable type or no remaining work.
+	// orderQueue sorts by it.
 	density []float64
 }
 
@@ -69,11 +69,7 @@ func (pt *priceTable) fill(ctx *sched.Context, opts *Options) {
 		}
 		// Highest utility: finish as fast as possible from now.
 		uBest := u.Value(j, rem, age+tmin) / w
-		d := uBest
-		if opts.Aging > 0 {
-			d *= 1 + age/opts.Aging
-		}
-		pt.density[i] = d
+		pt.density[i] = uBest
 		// Lowest utility: finish only at the horizon T.
 		horizonDur := ctx.Horizon - j.Arrival
 		if horizonDur < age+tmax {

@@ -93,7 +93,7 @@ func referenceEta(ctx *sched.Context) float64 {
 
 // referenceDensity is the queue density orderQueue computed per job
 // before fill did: the utility of a full-speed completion from now per
-// worker, aged, and 0 for a job with no usable type or no work left.
+// worker, and 0 for a job with no usable type or no work left.
 func referenceDensity(ctx *sched.Context, opts *Options, st *sched.JobState) float64 {
 	j := st.Job
 	_, best, ok := j.BestType()
@@ -105,18 +105,13 @@ func referenceDensity(ctx *sched.Context, opts *Options, st *sched.JobState) flo
 		age = 0
 	}
 	dur := age + st.Remaining/(float64(j.Workers)*best)
-	d := opts.Utility.Value(j, st.Remaining, dur) / float64(j.Workers)
-	if opts.Aging > 0 {
-		d *= 1 + age/opts.Aging
-	}
-	return d
+	return opts.Utility.Value(j, st.Remaining, dur) / float64(j.Workers)
 }
 
 // Shape bits of FuzzPriceBounds's mode byte; the utility takes the top
 // two bits.
 const (
 	priceLinear   = 1 << iota // linear price function instead of Eq. 5's exponential
-	priceAging                // Options.Aging set
 	priceTies                 // usable types often share one speed
 	priceDone                 // some jobs have Remaining <= 0
 	priceUnusable             // some jobs have no usable type
@@ -125,17 +120,17 @@ const (
 
 // FuzzPriceBounds checks the fused price-and-density walk against the
 // three walks it replaced on random rounds: jobs with no work left and
-// with no usable type, tied throughputs, arrivals after now, Aging on
-// and off, each of the four utilities, and exponential and linear
-// prices. U_min, U_max, alpha, every curve cell and every queue
-// density must be bit-identical.
+// with no usable type, tied throughputs, arrivals after now, each of
+// the four utilities, and exponential and linear prices. U_min, U_max,
+// alpha, every curve cell and every queue density must be
+// bit-identical.
 func FuzzPriceBounds(f *testing.F) {
 	for mode := 0; mode < 256; mode += 7 {
 		f.Add(int64(mode), uint8(mode%23), uint8(mode))
 	}
-	f.Add(int64(1), uint8(12), uint8(priceTies|priceAging))
+	f.Add(int64(1), uint8(12), uint8(priceTies))
 	f.Add(int64(2), uint8(20), uint8(priceDone|priceUnusable|priceDown|priceLinear))
-	f.Add(int64(3), uint8(0), uint8(3<<6|priceAging))
+	f.Add(int64(3), uint8(0), uint8(3<<6))
 	f.Fuzz(func(t *testing.T, seed int64, jobs, mode uint8) {
 		ctx, opts := fuzzPriceRound(seed, jobs, mode)
 		got := &priceTable{}
@@ -226,9 +221,6 @@ func fuzzPriceRound(seed int64, jobs, mode uint8) (*sched.Context, *Options) {
 
 	opts := DefaultOptions()
 	opts.ExponentialPrice = mode&priceLinear == 0
-	if mode&priceAging != 0 {
-		opts.Aging = 600 + 3600*rng.Float64()
-	}
 	switch mode >> 6 {
 	case 0:
 		opts.Utility = InverseJCT{}

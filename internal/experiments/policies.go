@@ -5,7 +5,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/allox"
 	"repro/internal/cluster"
 	"repro/internal/policy"
 	"repro/internal/sched"
@@ -33,9 +32,8 @@ var Policies = []Policy{
 	{"gavel", NewGavel},
 	{"tiresias", NewTiresias},
 	{"yarn-cs", NewYARNCS},
-	{"allox", func() sched.Scheduler { return allox.New() }},
-	{"ref-fifo", func() sched.Scheduler { return policy.New(policy.FIFO, true) }},
-	{"ref-srtf", func() sched.Scheduler { return policy.New(policy.SRTF, true) }},
+	{"ref-fifo", func() sched.Scheduler { return policy.New(policy.FIFO) }},
+	{"ref-srtf", func() sched.Scheduler { return policy.New(policy.SRTF) }},
 }
 
 // LookupPolicy returns the row called name, or an error naming the

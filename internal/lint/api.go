@@ -44,7 +44,7 @@ var stdoutPrinters = map[string]bool{
 // analyzerPrint forbids writing to stdout from library code: fmt.Print*
 // (and the print/println builtins) belong in cmd/, where the binary
 // owns its output stream. Library code printing directly corrupts
-// machine-read exports and the dashboard's responses.
+// machine-read exports and the live server's responses.
 var analyzerPrint = &Analyzer{
 	Name: "printrule",
 	Doc: "forbid fmt.Print/Println/Printf and the print/println builtins outside cmd/; " +

@@ -169,7 +169,6 @@ var schedulerPath = []string{
 	"repro/internal/gavel",
 	"repro/internal/tiresias",
 	"repro/internal/yarncs",
-	"repro/internal/allox",
 	"repro/internal/policy",
 	"repro/internal/invariant",
 	"repro/internal/trace",
@@ -196,7 +195,6 @@ var reportingPath = []string{
 	"repro/internal/loadgen",
 	"repro/internal/stats",
 	"repro/internal/wal",
-	"repro/cmd/dashboard",
 }
 
 // DefaultConfig returns the repository's rule scoping.

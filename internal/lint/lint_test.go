@@ -183,7 +183,7 @@ func TestMatchPath(t *testing.T) {
 		{"repro/internal/...", "repro/internal/core", true},
 		{"repro/internal/...", "repro/internal", true},
 		{"repro/internal/...", "repro/internals", false},
-		{"repro/cmd/...", "repro/cmd/dashboard", true},
+		{"repro/cmd/...", "repro/cmd/hadard", true},
 	}
 	for _, c := range cases {
 		if got := matchPath(c.pattern, c.path); got != c.want {

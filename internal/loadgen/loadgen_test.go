@@ -113,7 +113,7 @@ func waitCompleted(t *testing.T, svc *service.Service, n int) {
 // checking every round, sized to stay fast under -race.
 func TestDriveAgainstLiveService(t *testing.T) {
 	simOpts := sim.ValidatedOptions()
-	svc, err := service.New(experiments.SimCluster(), policy.New(policy.SRTF, true), service.Options{
+	svc, err := service.New(experiments.SimCluster(), policy.New(policy.SRTF), service.Options{
 		Sim:        simOpts,
 		QueueDepth: 8,
 		RetryAfter: time.Millisecond,
@@ -159,7 +159,7 @@ func TestDriveAgainstFederatedService(t *testing.T) {
 		members[i] = federation.MemberConfig{
 			Name:      fmt.Sprintf("region%d", i),
 			Cluster:   experiments.SimCluster(),
-			Scheduler: policy.New(policy.SRTF, true),
+			Scheduler: policy.New(policy.SRTF),
 			Sim:       sim.ValidatedOptions(),
 		}
 	}

@@ -1,10 +1,10 @@
 // Package policy provides simple reference scheduling policies —
-// preemptive FIFO, shortest-remaining-time-first (SRTF), and best-type
-// greedy — used to sandwich the evaluated schedulers in tests and
-// ablations. They are heterogeneity-aware in placement (they prefer a
-// job's fastest type) but use no optimization framework, so they bound
-// what placement alone, without Hadar's pricing and task-level search,
-// can achieve.
+// sticky preemptive FIFO and shortest-remaining-time-first (SRTF) —
+// used to sandwich the evaluated schedulers in tests and ablations.
+// They are heterogeneity-aware in placement (they prefer a job's
+// fastest type) but use no optimization framework, so they bound what
+// placement alone, without Hadar's pricing and task-level search, can
+// achieve.
 package policy
 
 import (
@@ -22,9 +22,6 @@ const (
 	FIFO Order = iota
 	// SRTF orders by estimated remaining runtime on the best type.
 	SRTF
-	// LRTF orders by longest estimated remaining runtime (LPT-flavored,
-	// a makespan heuristic).
-	LRTF
 )
 
 // String names the order.
@@ -34,35 +31,29 @@ func (o Order) String() string {
 		return "fifo"
 	case SRTF:
 		return "srtf"
-	case LRTF:
-		return "lrtf"
 	}
 	return "order?"
 }
 
 // Scheduler is a preemptive list scheduler: each round it sorts the
-// queue by the configured order and places gangs greedily on each job's
-// fastest available types (task-level mixing allowed, like Hadar, so
-// differences against Hadar isolate the primal-dual framework rather
-// than placement feasibility).
+// queue by the configured order, keeps a running job's placement when
+// it still fits (reducing checkpoint churn), and places every other
+// gang greedily on the job's fastest available types (task-level
+// mixing allowed, like Hadar, so differences against Hadar isolate the
+// primal-dual framework rather than placement feasibility).
 type Scheduler struct {
-	order  Order
-	sticky bool
+	order Order
 }
 
-// New builds a reference scheduler. sticky keeps a running job's
-// placement when it still fits (reduces checkpoint churn).
-func New(order Order, sticky bool) *Scheduler {
-	return &Scheduler{order: order, sticky: sticky}
+// New builds a sticky reference scheduler.
+func New(order Order) *Scheduler {
+	return &Scheduler{order: order}
 }
 
-// Name implements sched.Scheduler.
+// Name implements sched.Scheduler. The "-sticky" suffix is part of the
+// name the golden digests are keyed by.
 func (s *Scheduler) Name() string {
-	n := "ref-" + s.order.String()
-	if s.sticky {
-		n += "-sticky"
-	}
-	return n
+	return "ref-" + s.order.String() + "-sticky"
 }
 
 // Schedule implements sched.Scheduler.
@@ -79,12 +70,6 @@ func (s *Scheduler) Schedule(ctx *sched.Context) map[int]cluster.Alloc {
 				return 1e300
 			}
 			return st.Remaining / (float64(st.Job.Workers) * best)
-		case LRTF:
-			_, best, ok := st.Job.BestType()
-			if !ok || best <= 0 {
-				return 0
-			}
-			return -st.Remaining / (float64(st.Job.Workers) * best)
 		}
 		return 0
 	}
@@ -105,7 +90,7 @@ func (s *Scheduler) Schedule(ctx *sched.Context) map[int]cluster.Alloc {
 		if st.Remaining <= 0 {
 			continue
 		}
-		if s.sticky && st.Running() {
+		if st.Running() {
 			if err := free.Allocate(st.Alloc); err == nil {
 				out[st.Job.ID] = st.Alloc
 				continue

@@ -29,14 +29,11 @@ func mkCtx(c *cluster.Cluster, states ...*sched.JobState) *sched.Context {
 }
 
 func TestNames(t *testing.T) {
-	if New(FIFO, false).Name() != "ref-fifo" {
-		t.Error(New(FIFO, false).Name())
+	if New(FIFO).Name() != "ref-fifo-sticky" {
+		t.Error(New(FIFO).Name())
 	}
-	if New(SRTF, true).Name() != "ref-srtf-sticky" {
-		t.Error(New(SRTF, true).Name())
-	}
-	if New(LRTF, false).Name() != "ref-lrtf" {
-		t.Error(New(LRTF, false).Name())
+	if New(SRTF).Name() != "ref-srtf-sticky" {
+		t.Error(New(SRTF).Name())
 	}
 }
 
@@ -44,7 +41,7 @@ func TestFIFOOrder(t *testing.T) {
 	c := cluster.New(gpu.Fleet{gpu.V100: 2})
 	early := newState(mkJob(0, 2, 100, 0))
 	late := newState(mkJob(1, 2, 100, 10))
-	out := New(FIFO, false).Schedule(mkCtx(c, late, early))
+	out := New(FIFO).Schedule(mkCtx(c, late, early))
 	if out[0].Workers() != 2 {
 		t.Errorf("FIFO did not favor earlier job: %v", out)
 	}
@@ -54,19 +51,9 @@ func TestSRTFOrder(t *testing.T) {
 	c := cluster.New(gpu.Fleet{gpu.V100: 2})
 	long := newState(mkJob(0, 2, 100000, 0))
 	short := newState(mkJob(1, 2, 100, 10))
-	out := New(SRTF, false).Schedule(mkCtx(c, long, short))
+	out := New(SRTF).Schedule(mkCtx(c, long, short))
 	if out[1].Workers() != 2 {
 		t.Errorf("SRTF did not favor short job: %v", out)
-	}
-}
-
-func TestLRTFOrder(t *testing.T) {
-	c := cluster.New(gpu.Fleet{gpu.V100: 2})
-	long := newState(mkJob(0, 2, 100000, 0))
-	short := newState(mkJob(1, 2, 100, 10))
-	out := New(LRTF, false).Schedule(mkCtx(c, long, short))
-	if out[0].Workers() != 2 {
-		t.Errorf("LRTF did not favor long job: %v", out)
 	}
 }
 
@@ -74,7 +61,7 @@ func TestStickyKeepsPlacement(t *testing.T) {
 	c := cluster.New(gpu.Fleet{gpu.V100: 2}, gpu.Fleet{gpu.V100: 2})
 	st := newState(mkJob(0, 2, 1e6, 0))
 	st.Alloc = cluster.Alloc{{Node: 1, Type: gpu.V100, Count: 2}}
-	out := New(SRTF, true).Schedule(mkCtx(c, st))
+	out := New(SRTF).Schedule(mkCtx(c, st))
 	if !out[0].Equal(st.Alloc) {
 		t.Errorf("sticky scheduler moved the job: %v", out[0])
 	}
@@ -86,7 +73,7 @@ func TestCapacityRespected(t *testing.T) {
 		newState(mkJob(0, 2, 1000, 0)),
 		newState(mkJob(1, 2, 1000, 1)),
 	}
-	out := New(FIFO, false).Schedule(mkCtx(c, states...))
+	out := New(FIFO).Schedule(mkCtx(c, states...))
 	free := cluster.NewState(c)
 	for id, a := range out {
 		if err := sched.Validate(states[id].Job, a); err != nil {
@@ -127,8 +114,8 @@ func TestHadarBeatsReferencePolicies(t *testing.T) {
 		return r.AvgJCT()
 	}
 	hadar := run(core.New(core.DefaultOptions()))
-	fifo := run(New(FIFO, true))
-	srtf := run(New(SRTF, true))
+	fifo := run(New(FIFO))
+	srtf := run(New(SRTF))
 	if hadar >= fifo {
 		t.Errorf("Hadar avgJCT %.0fs not better than FIFO %.0fs", hadar, fifo)
 	}

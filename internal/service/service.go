@@ -242,7 +242,7 @@ func New(c *cluster.Cluster, s sched.Scheduler, opts Options) (*Service, error) 
 }
 
 // single is the federation New serves: one member, named after its
-// scheduler, so the Provider view lists what a bare engine's would.
+// scheduler, so the web pages list what a bare engine's would.
 func single(c *cluster.Cluster, s sched.Scheduler, simOpts sim.Options) (*federation.Federation, error) {
 	return federation.New([]federation.MemberConfig{{Name: s.Name(), Cluster: c, Scheduler: s, Sim: simOpts}},
 		federation.RoundRobin{}, federation.Options{})
@@ -291,8 +291,8 @@ func (s *Service) Recovery() *Recovery {
 	return s.journal.recovery
 }
 
-// Order implements the web dashboard's Provider interface: one entry
-// per member, in member order (for New, the scheduler's name).
+// Order lists the names the live web pages render a report for: one
+// entry per member, in member order (for New, the scheduler's name).
 func (s *Service) Order() []string {
 	snap := s.Snapshot()
 	names := make([]string, 0, len(snap.Members))
@@ -302,8 +302,8 @@ func (s *Service) Order() []string {
 	return names
 }
 
-// Report implements the Provider interface: the named member's
-// in-progress report from the latest snapshot.
+// Report returns the named member's in-progress report from the latest
+// snapshot, for the live web pages; ok is false for unknown names.
 func (s *Service) Report(name string) (*metrics.Report, bool) {
 	m := s.Snapshot().Member(name)
 	if m == nil {

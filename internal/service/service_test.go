@@ -150,7 +150,7 @@ func (sh shape) verify(t *testing.T, dir string) *VerifyResult {
 	return res
 }
 
-// order is the Provider view's expected list: the scheduler's name for
+// order is the web pages' expected report list: the scheduler's name for
 // a single cluster, the member names otherwise.
 func (sh shape) order() []string {
 	if sh.router == "" {
@@ -405,8 +405,8 @@ func caseWallClock(t *testing.T, sh shape) {
 func TestServiceProvider(t *testing.T)    { caseProvider(t, oneCluster) }
 func TestFedServiceProvider(t *testing.T) { caseProvider(t, twoRegions) }
 
-// caseProvider checks the web dashboard Provider view of a live
-// service: one entry per scheduler (engine) or member (federation),
+// caseProvider checks the report view the live web pages render from
+// a service: one entry per scheduler (engine) or member (federation),
 // each resolving to a snapshot-backed report.
 func caseProvider(t *testing.T, sh shape) {
 	svc := sh.service(t, Options{})

@@ -103,9 +103,7 @@ func ExampleEngine() {
 	fmt.Printf("cluster: %s (node 0 is a 0.4x straggler)\n", clus)
 	fmt.Printf("workload: %d jobs, Poisson arrivals at 40 jobs/hour\n\n", len(jobs))
 
-	opts := core.DefaultOptions()
-	opts.Aging = 6 * 3600 // age-boost pending jobs under continuous load
-	eng, err := sim.NewEngine(clus, core.New(opts), sim.DefaultOptions())
+	eng, err := sim.NewEngine(clus, core.New(core.DefaultOptions()), sim.DefaultOptions())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -174,89 +172,94 @@ func ExampleEngine() {
 	//   t=  0.1h  round   1  active  0  pending 10  done  0  free 60/60 GPUs
 	//   t=  2.0h  round  20  active 49  pending  0  done 15  free  0/60 GPUs
 	//   t=  4.0h  round  40  active 42  pending  0  done 22  free  0/60 GPUs
-	//   t=  6.0h  round  60  active 40  pending  0  done 24  free  0/60 GPUs
-	//   t=  8.0h  round  80  active 36  pending  0  done 28  free  0/60 GPUs
-	//   t= 10.0h  round 100  active 33  pending  0  done 31  free  0/60 GPUs
-	//   t= 12.0h  round 120  active 33  pending  0  done 31  free  0/60 GPUs
-	//   t= 14.0h  round 140  active 31  pending  0  done 33  free  0/60 GPUs
-	//   t= 16.0h  round 160  active 30  pending  0  done 34  free  0/60 GPUs
+	//   t=  6.0h  round  60  active 39  pending  0  done 25  free  0/60 GPUs
+	//   t=  8.0h  round  80  active 38  pending  0  done 26  free  0/60 GPUs
+	//   t= 10.0h  round 100  active 35  pending  0  done 29  free  0/60 GPUs
+	//   t= 12.0h  round 120  active 35  pending  0  done 29  free  0/60 GPUs
+	//   t= 14.0h  round 140  active 32  pending  0  done 32  free  0/60 GPUs
+	//   t= 16.0h  round 160  active 31  pending  0  done 33  free  0/60 GPUs
 	//   t= 18.0h  round 180  active 29  pending  0  done 35  free  0/60 GPUs
-	//   t= 20.0h  round 200  active 26  pending  0  done 38  free  2/60 GPUs
-	//   t= 22.0h  round 220  active 25  pending  0  done 39  free  3/60 GPUs
-	//   t= 24.0h  round 240  active 25  pending  0  done 39  free  3/60 GPUs
+	//   t= 20.0h  round 200  active 29  pending  0  done 35  free  0/60 GPUs
+	//   t= 22.0h  round 220  active 25  pending  0  done 39  free  6/60 GPUs
+	//   t= 24.0h  round 240  active 24  pending  0  done 40  free  7/60 GPUs
 	//   t= 26.0h  round 260  active 23  pending  0  done 41  free 15/60 GPUs
-	//   t= 28.0h  round 280  active 23  pending  0  done 41  free 15/60 GPUs
-	//   t= 30.0h  round 300  active 22  pending  0  done 42  free 19/60 GPUs
+	//   t= 28.0h  round 280  active 22  pending  0  done 42  free 19/60 GPUs
+	//   t= 30.0h  round 300  active 21  pending  0  done 43  free 23/60 GPUs
 	//   t= 32.0h  round 320  active 21  pending  0  done 43  free 23/60 GPUs
-	//   t= 34.0h  round 340  active 20  pending  0  done 44  free 23/60 GPUs
-	//   t= 36.0h  round 360  active 19  pending  0  done 45  free 27/60 GPUs
-	//   t= 38.0h  round 380  active 18  pending  0  done 46  free 31/60 GPUs
+	//   t= 34.0h  round 340  active 20  pending  0  done 44  free 25/60 GPUs
+	//   t= 36.0h  round 360  active 19  pending  0  done 45  free 29/60 GPUs
+	//   t= 38.0h  round 380  active 18  pending  0  done 46  free 30/60 GPUs
 	//   t= 40.0h  round 400  active 17  pending  0  done 47  free 32/60 GPUs
 	//   t= 42.0h  round 420  active 17  pending  0  done 47  free 32/60 GPUs
 	//   t= 44.0h  round 440  active 17  pending  0  done 47  free 32/60 GPUs
-	//   t= 46.0h  round 460  active 16  pending  0  done 48  free 34/60 GPUs
-	//   t= 48.0h  round 480  active 16  pending  0  done 48  free 34/60 GPUs
-	//   t= 50.0h  round 500  active 15  pending  0  done 49  free 36/60 GPUs
+	//   t= 46.0h  round 460  active 16  pending  0  done 48  free 36/60 GPUs
+	//   t= 48.0h  round 480  active 15  pending  0  done 49  free 38/60 GPUs
+	//   t= 50.0h  round 500  active 14  pending  0  done 50  free 40/60 GPUs
 	//   t= 52.0h  round 520  active 14  pending  0  done 50  free 40/60 GPUs
 	//   t= 54.0h  round 540  active 13  pending  0  done 51  free 41/60 GPUs
 	//   t= 56.0h  round 560  active 13  pending  0  done 51  free 41/60 GPUs
-	//   t= 58.0h  round 580  active 13  pending  0  done 51  free 41/60 GPUs
+	//   t= 58.0h  round 580  active 12  pending  0  done 52  free 45/60 GPUs
 	//   t= 60.0h  round 600  active 12  pending  0  done 52  free 45/60 GPUs
 	//   t= 62.0h  round 620  active 12  pending  0  done 52  free 45/60 GPUs
 	//   t= 64.0h  round 640  active 12  pending  0  done 52  free 45/60 GPUs
 	//   t= 66.0h  round 660  active 11  pending  0  done 53  free 47/60 GPUs
-	//   t= 68.0h  round 680  active  9  pending  0  done 55  free 49/60 GPUs
+	//   t= 68.0h  round 680  active 11  pending  0  done 53  free 47/60 GPUs
 	//   t= 70.0h  round 700  active  9  pending  0  done 55  free 49/60 GPUs
 	//   t= 72.0h  round 720  active  9  pending  0  done 55  free 49/60 GPUs
-	//   t= 74.0h  round 740  active  8  pending  0  done 56  free 50/60 GPUs
+	//   t= 74.0h  round 740  active  9  pending  0  done 55  free 49/60 GPUs
 	//   t= 76.0h  round 760  active  8  pending  0  done 56  free 50/60 GPUs
 	//   t= 78.0h  round 780  active  8  pending  0  done 56  free 50/60 GPUs
-	//   t= 80.0h  round 800  active  7  pending  0  done 57  free 52/60 GPUs
-	//   t= 82.0h  round 820  active  7  pending  0  done 57  free 52/60 GPUs
-	//   t= 84.0h  round 840  active  6  pending  0  done 58  free 54/60 GPUs
-	//   t= 86.0h  round 860  active  6  pending  0  done 58  free 54/60 GPUs
-	//   t= 88.0h  round 880  active  5  pending  0  done 59  free 55/60 GPUs
-	//   t= 90.0h  round 900  active  5  pending  0  done 59  free 55/60 GPUs
-	//   t= 92.0h  round 920  active  5  pending  0  done 59  free 55/60 GPUs
-	//   t= 94.0h  round 940  active  5  pending  0  done 59  free 55/60 GPUs
-	//   t= 96.0h  round 960  active  5  pending  0  done 59  free 55/60 GPUs
-	//   t= 98.0h  round 980  active  5  pending  0  done 59  free 55/60 GPUs
-	//   t=100.0h  round 1000  active  5  pending  0  done 59  free 55/60 GPUs
-	//   t=102.0h  round 1020  active  5  pending  0  done 59  free 55/60 GPUs
-	//   t=104.0h  round 1040  active  5  pending  0  done 59  free 55/60 GPUs
-	//   t=106.0h  round 1060  active  4  pending  0  done 60  free 56/60 GPUs
-	//   t=108.0h  round 1080  active  4  pending  0  done 60  free 56/60 GPUs
-	//   t=110.0h  round 1100  active  4  pending  0  done 60  free 56/60 GPUs
-	//   t=112.0h  round 1120  active  4  pending  0  done 60  free 56/60 GPUs
-	//   t=114.0h  round 1140  active  4  pending  0  done 60  free 56/60 GPUs
+	//   t= 80.0h  round 800  active  8  pending  0  done 56  free 50/60 GPUs
+	//   t= 82.0h  round 820  active  8  pending  0  done 56  free 50/60 GPUs
+	//   t= 84.0h  round 840  active  7  pending  0  done 57  free 52/60 GPUs
+	//   t= 86.0h  round 860  active  7  pending  0  done 57  free 52/60 GPUs
+	//   t= 88.0h  round 880  active  7  pending  0  done 57  free 52/60 GPUs
+	//   t= 90.0h  round 900  active  5  pending  0  done 59  free 54/60 GPUs
+	//   t= 92.0h  round 920  active  5  pending  0  done 59  free 54/60 GPUs
+	//   t= 94.0h  round 940  active  5  pending  0  done 59  free 54/60 GPUs
+	//   t= 96.0h  round 960  active  3  pending  0  done 61  free 57/60 GPUs
+	//   t= 98.0h  round 980  active  3  pending  0  done 61  free 57/60 GPUs
+	//   t=100.0h  round 1000  active  3  pending  0  done 61  free 57/60 GPUs
+	//   t=102.0h  round 1020  active  3  pending  0  done 61  free 57/60 GPUs
+	//   t=104.0h  round 1040  active  3  pending  0  done 61  free 57/60 GPUs
+	//   t=106.0h  round 1060  active  3  pending  0  done 61  free 57/60 GPUs
+	//   t=108.0h  round 1080  active  3  pending  0  done 61  free 57/60 GPUs
+	//   t=110.0h  round 1100  active  3  pending  0  done 61  free 57/60 GPUs
+	//   t=112.0h  round 1120  active  3  pending  0  done 61  free 57/60 GPUs
+	//   t=114.0h  round 1140  active  3  pending  0  done 61  free 57/60 GPUs
 	//   t=116.0h  round 1160  active  3  pending  0  done 61  free 57/60 GPUs
 	//   t=118.0h  round 1180  active  3  pending  0  done 61  free 57/60 GPUs
-	//   t=120.0h  round 1200  active  2  pending  0  done 62  free 57/60 GPUs
-	//   t=122.0h  round 1220  active  2  pending  0  done 62  free 58/60 GPUs
-	//   t=124.0h  round 1240  active  2  pending  0  done 62  free 58/60 GPUs
-	//   t=126.0h  round 1260  active  1  pending  0  done 63  free 59/60 GPUs
-	//   t=128.0h  round 1280  active  1  pending  0  done 63  free 59/60 GPUs
-	//   t=130.0h  round 1300  active  1  pending  0  done 63  free 59/60 GPUs
-	//   t=132.0h  round 1320  active  1  pending  0  done 63  free 59/60 GPUs
+	//   t=120.0h  round 1200  active  3  pending  0  done 61  free 57/60 GPUs
+	//   t=122.0h  round 1220  active  3  pending  0  done 61  free 57/60 GPUs
+	//   t=124.0h  round 1240  active  3  pending  0  done 61  free 57/60 GPUs
+	//   t=126.0h  round 1260  active  3  pending  0  done 61  free 57/60 GPUs
+	//   t=128.0h  round 1280  active  3  pending  0  done 61  free 57/60 GPUs
+	//   t=130.0h  round 1300  active  2  pending  0  done 62  free 58/60 GPUs
+	//   t=132.0h  round 1320  active  2  pending  0  done 62  free 58/60 GPUs
 	//   t=134.0h  round 1340  active  1  pending  0  done 63  free 59/60 GPUs
 	//   t=136.0h  round 1360  active  1  pending  0  done 63  free 59/60 GPUs
 	//   t=138.0h  round 1380  active  1  pending  0  done 63  free 59/60 GPUs
 	//   t=140.0h  round 1400  active  1  pending  0  done 63  free 59/60 GPUs
 	//   t=142.0h  round 1420  active  1  pending  0  done 63  free 59/60 GPUs
+	//   t=144.0h  round 1440  active  1  pending  0  done 63  free 59/60 GPUs
+	//   t=146.0h  round 1460  active  1  pending  0  done 63  free 59/60 GPUs
+	//   t=148.0h  round 1480  active  1  pending  0  done 63  free 59/60 GPUs
+	//   t=150.0h  round 1500  active  1  pending  0  done 63  free 59/60 GPUs
+	//   t=152.0h  round 1520  active  0  pending  0  done 64  free 59/60 GPUs
 	//
-	// hadar: 64 jobs, avgJCT=28.59h medJCT=12.40h makespan=142.07h util=99.4% FTF=0.95
-	// avg queue delay: 190.3 min
-	// JCT band: min 0.09h / median 12.40h / max 141.40h
+	// hadar: 64 jobs, avgJCT=28.75h medJCT=13.90h makespan=151.95h util=99.4% FTF=0.98
+	// avg queue delay: 180.6 min
+	// JCT band: min 0.09h / median 13.90h / max 151.29h
 	//
 	// completion timeline:
-	//   t=  17.8h   54.7% of jobs done
-	//   t=  35.5h   68.8% of jobs done
-	//   t=  53.3h   78.1% of jobs done
-	//   t=  71.0h   85.9% of jobs done
-	//   t=  88.8h   92.2% of jobs done
-	//   t= 106.6h   93.8% of jobs done
-	//   t= 124.3h   96.9% of jobs done
-	//   t= 142.1h  100.0% of jobs done
+	//   t=  19.0h   54.7% of jobs done
+	//   t=  38.0h   71.9% of jobs done
+	//   t=  57.0h   79.7% of jobs done
+	//   t=  76.0h   87.5% of jobs done
+	//   t=  95.0h   95.3% of jobs done
+	//   t= 114.0h   95.3% of jobs done
+	//   t= 133.0h   96.9% of jobs done
+	//   t= 151.9h  100.0% of jobs done
 }
 
 // ExampleReadEvents is robustness under machine outages. A five-node

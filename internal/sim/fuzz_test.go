@@ -4,12 +4,12 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/allox"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/gavel"
 	"repro/internal/gpu"
 	"repro/internal/job"
+	"repro/internal/policy"
 	"repro/internal/sched"
 	"repro/internal/tiresias"
 	"repro/internal/yarncs"
@@ -72,7 +72,7 @@ func FuzzSimRun(f *testing.F) {
 		case 3:
 			s = yarncs.New()
 		default:
-			s = allox.New()
+			s = policy.New(policy.SRTF)
 		}
 
 		opts := ValidatedOptions()

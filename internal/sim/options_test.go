@@ -35,6 +35,20 @@ func TestNormalizeRejectsBadOptions(t *testing.T) {
 			Failures: []Failure{{Node: 99, Start: 0, End: 1000}}}, "on node 99 of 2"},
 		{"failure on a negative node", Options{RoundLength: 360,
 			Failures: []Failure{{Node: -1, Start: 0, End: 100}}}, "on node -1 of 2"},
+		// NaN passes every ordered comparison, and an infinite round
+		// ends the run after one round.
+		{"NaN round", Options{RoundLength: math.NaN()}, "round length"},
+		{"infinite round", Options{RoundLength: math.Inf(1)}, "round length"},
+		{"NaN delay", Options{RoundLength: 360, FlatDelay: math.NaN()}, "flat delay"},
+		{"infinite delay", Options{RoundLength: 360, FlatDelay: math.Inf(1)}, "flat delay"},
+		{"NaN failure start", Options{RoundLength: 360,
+			Failures: []Failure{{Node: 0, Start: math.NaN(), End: 3600}}}, "failure window"},
+		{"NaN failure end", Options{RoundLength: 360,
+			Failures: []Failure{{Node: 0, Start: 0, End: math.NaN()}}}, "failure window"},
+		{"infinite failure start", Options{RoundLength: 360,
+			Failures: []Failure{{Node: 0, Start: math.Inf(-1), End: 3600}}}, "failure window"},
+		{"infinite failure end", Options{RoundLength: 360,
+			Failures: []Failure{{Node: 0, Start: 0, End: math.Inf(1)}}}, "failure window"},
 	}
 	for _, tc := range cases {
 		opts := tc.opts

@@ -114,10 +114,13 @@ func ValidatedOptions() Options {
 // normalize validates the options against a cluster of the given node
 // count and fills in defaults.
 func (o *Options) normalize(nodes int) error {
-	if o.RoundLength <= 0 {
-		return fmt.Errorf("sim: non-positive round length %v", o.RoundLength)
+	// Every comparison below is false for NaN, so finiteness is checked
+	// first: a NaN round would never end the run, an infinite one ends
+	// it after one round, and a NaN window would never open.
+	if !finite(o.RoundLength) || o.RoundLength <= 0 {
+		return fmt.Errorf("sim: non-positive or non-finite round length %v", o.RoundLength)
 	}
-	if o.FlatDelay < 0 || o.FlatDelay >= o.RoundLength {
+	if !finite(o.FlatDelay) || o.FlatDelay < 0 || o.FlatDelay >= o.RoundLength {
 		return fmt.Errorf("sim: flat delay %v outside [0, round)", o.FlatDelay)
 	}
 	if o.MaxRounds == 0 {
@@ -127,12 +130,15 @@ func (o *Options) normalize(nodes int) error {
 		o.StallLimit = 5000
 	}
 	for _, f := range o.Failures {
-		if f.End <= f.Start || f.Start < 0 || f.Node < 0 || f.Node >= nodes {
+		if !finite(f.Start) || !finite(f.End) || f.End <= f.Start || f.Start < 0 || f.Node < 0 || f.Node >= nodes {
 			return fmt.Errorf("sim: invalid failure window [%v, %v) on node %d of %d", f.Start, f.End, f.Node, nodes)
 		}
 	}
 	return nil
 }
+
+// finite reports whether v is neither NaN nor infinite.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // Run simulates the scheduler on the trace and returns the metrics
 // report. It returns an error for malformed inputs or scheduler protocol

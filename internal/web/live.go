@@ -16,14 +16,14 @@ import (
 )
 
 // NewLiveServer serves the dashboard plus the live control API for a
-// running scheduler service: the Provider-backed pages (/, /jobs,
-// /api/summary, SVGs) render the service's latest snapshot, one report
-// per member, and the /api/jobs endpoints submit, cancel, and query
-// jobs through the service's bounded admission queue. Several members
-// answer as a federation (member names, merged snapshot); a single
-// cluster answers as the engine it is.
+// running scheduler service: the pages (/, /jobs, /api/summary, SVGs)
+// render the service's latest snapshot, one report per member, and the
+// /api/jobs endpoints submit, cancel, and query jobs through the
+// service's bounded admission queue. Several members answer as a
+// federation (member names, merged snapshot); a single cluster answers
+// as the engine it is.
 func NewLiveServer(svc *service.Service) *Server {
-	s := NewServerFrom(svc)
+	s := newServer(svc)
 	api := liveAPI{svc}
 	s.mux.HandleFunc("GET /api/snapshot", api.handleSnapshot)
 	s.mux.HandleFunc("POST /api/jobs", api.handleSubmit)

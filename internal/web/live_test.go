@@ -21,7 +21,7 @@ import (
 
 func newLiveFixture(t *testing.T) (*service.Service, *httptest.Server) {
 	t.Helper()
-	svc, err := service.New(experiments.SimCluster(), policy.New(policy.SRTF, true), service.Options{
+	svc, err := service.New(experiments.SimCluster(), policy.New(policy.SRTF), service.Options{
 		Sim: sim.ValidatedOptions(),
 	})
 	if err != nil {
@@ -43,7 +43,7 @@ func newFedFixture(t *testing.T, members int) (*service.Service, *httptest.Serve
 		configs[i] = federation.MemberConfig{
 			Name:      fmt.Sprintf("region%d", i),
 			Cluster:   experiments.SimCluster(),
-			Scheduler: policy.New(policy.SRTF, true),
+			Scheduler: policy.New(policy.SRTF),
 			Sim:       sim.ValidatedOptions(),
 		}
 	}
@@ -260,7 +260,7 @@ func TestLiveSnapshotAndSummary(t *testing.T) {
 		t.Errorf("snapshot stats = %v, want accepted=1", out["stats"])
 	}
 
-	// The Provider-backed summary endpoint serves the live report.
+	// The summary endpoint serves the live report.
 	res, err := http.Get(ts.URL + "/api/summary")
 	if err != nil {
 		t.Fatal(err)
@@ -285,8 +285,46 @@ func TestLiveSnapshotAndSummary(t *testing.T) {
 	}
 }
 
+// TestLivePages GETs every chart and the job listing of a live service
+// after one job finished: the live server is the only program that
+// serves them.
+func TestLivePages(t *testing.T) {
+	svc, ts := newLiveFixture(t)
+	resp, out := postJSON(t, ts.URL+"/api/jobs", `{"id": 11, "model": "LSTM", "workers": 1, "gpu_hours": 0.05}`)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit status = %d, body %v", resp.StatusCode, out)
+	}
+	waitCompleted(t, svc, 1)
+
+	for _, page := range []struct{ path, ctype, want string }{
+		{"/cdf.svg", "image/svg+xml", "polyline"},
+		{"/utilization.svg", "image/svg+xml", "rect"},
+		{"/occupancy.svg", "image/svg+xml", "ref-srtf-sticky"},
+		{"/jobs", "text/html", "<tr><td>11</td><td>LSTM</td>"},
+	} {
+		res, err := http.Get(ts.URL + page.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(res.Body)
+		res.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.StatusCode != http.StatusOK {
+			t.Errorf("%s status = %d", page.path, res.StatusCode)
+		}
+		if ctype := res.Header.Get("Content-Type"); !strings.HasPrefix(ctype, page.ctype) {
+			t.Errorf("%s content type = %q, want %s", page.path, ctype, page.ctype)
+		}
+		if !strings.Contains(string(body), page.want) {
+			t.Errorf("%s body lacks %q: %.200s", page.path, page.want, body)
+		}
+	}
+}
+
 // TestFedSnapshotAndDashboard checks the merged snapshot endpoint and
-// the Provider-backed dashboard pages over a federation.
+// the dashboard pages over a federation.
 func TestFedSnapshotAndDashboard(t *testing.T) {
 	_, ts := newFedFixture(t, 2)
 
@@ -422,7 +460,7 @@ func TestLiveSubmitIdempotencyKey(t *testing.T) {
 // unstarted service and checks backpressure surfaces as HTTP 429 with
 // a parseable Retry-After header.
 func TestLiveBusyMapsTo429WithRetryAfter(t *testing.T) {
-	svc, err := service.New(experiments.SimCluster(), policy.New(policy.SRTF, true), service.Options{
+	svc, err := service.New(experiments.SimCluster(), policy.New(policy.SRTF), service.Options{
 		Sim:            sim.ValidatedOptions(),
 		QueueDepth:     1,
 		RetryAfter:     3 * time.Second,
@@ -461,7 +499,7 @@ func TestLiveBusyMapsTo429WithRetryAfter(t *testing.T) {
 // TestLiveDeadVerdictMapsTo503: a verdict timeout (wedged engine loop)
 // is a retriable server-side failure, not a client error.
 func TestLiveDeadVerdictMapsTo503(t *testing.T) {
-	svc, err := service.New(experiments.SimCluster(), policy.New(policy.SRTF, true), service.Options{
+	svc, err := service.New(experiments.SimCluster(), policy.New(policy.SRTF), service.Options{
 		Sim:            sim.ValidatedOptions(),
 		RequestTimeout: 30 * time.Millisecond,
 	})

@@ -7,51 +7,30 @@ import (
 	"net/http"
 	"sort"
 
-	"repro/internal/experiments"
 	"repro/internal/metrics"
 )
 
-// Provider supplies the named reports the dashboard renders. A
-// finished experiments.Comparison satisfies it through NewServer's
-// adapter; a live scheduler service satisfies it with snapshot-backed
-// reports, so the same handlers serve both a static comparison and a
-// running engine.
-type Provider interface {
-	// Order lists the scheduler names in display order.
+// provider supplies the named reports the dashboard pages render.
+// *service.Service is the program's one implementation: one
+// snapshot-backed report per member.
+type provider interface {
+	// Order lists the report names in display order.
 	Order() []string
-	// Report returns the report for one scheduler; ok is false for
-	// unknown names. The returned report must stay immutable for as
-	// long as the caller may read it (live providers return deep-copied
-	// snapshots).
+	// Report returns the report for one name; ok is false for unknown
+	// names. The returned report must stay immutable for as long as the
+	// caller may read it (the service returns published snapshots).
 	Report(name string) (*metrics.Report, bool)
 }
 
-// Server renders a scheduling comparison — finished or live — as a web
-// dashboard.
+// Server renders a running scheduler service as a web dashboard and
+// serves its control API (see NewLiveServer).
 type Server struct {
-	src Provider
+	src provider
 	mux *http.ServeMux
 }
 
-// comparisonProvider adapts a finished comparison to the Provider
-// interface.
-type comparisonProvider struct{ cmp *experiments.Comparison }
-
-func (p comparisonProvider) Order() []string { return p.cmp.Order }
-
-func (p comparisonProvider) Report(name string) (*metrics.Report, bool) {
-	rep, ok := p.cmp.Reports[name]
-	return rep, ok
-}
-
-// NewServer wraps a comparison. The comparison must not be mutated
-// while the server runs.
-func NewServer(cmp *experiments.Comparison) *Server {
-	return NewServerFrom(comparisonProvider{cmp: cmp})
-}
-
-// NewServerFrom builds the dashboard over any report provider.
-func NewServerFrom(src Provider) *Server {
+// newServer registers the dashboard pages over src.
+func newServer(src provider) *Server {
 	s := &Server{src: src, mux: http.NewServeMux()}
 	s.mux.HandleFunc("/", s.handleIndex)
 	s.mux.HandleFunc("/cdf.svg", s.handleCDF)

@@ -8,11 +8,24 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/experiments"
 	"repro/internal/metrics"
 )
 
-func testComparison() *experiments.Comparison {
+// fakeProvider is a fixed set of reports standing in for a service.
+type fakeProvider struct {
+	order   []string
+	reports map[string]*metrics.Report
+}
+
+func (p fakeProvider) Order() []string { return p.order }
+
+func (p fakeProvider) Report(name string) (*metrics.Report, bool) {
+	rep, ok := p.reports[name]
+	return rep, ok
+}
+
+// testServer serves two finished reports, hadar and gavel.
+func testServer() *httptest.Server {
 	mk := func(name string, jct float64) *metrics.Report {
 		return &metrics.Report{
 			Scheduler: name,
@@ -31,13 +44,13 @@ func testComparison() *experiments.Comparison {
 			RoundStarts:    []float64{0, 360, 720},
 		}
 	}
-	return &experiments.Comparison{
-		Order: []string{"hadar", "gavel"},
-		Reports: map[string]*metrics.Report{
+	return httptest.NewServer(newServer(fakeProvider{
+		order: []string{"hadar", "gavel"},
+		reports: map[string]*metrics.Report{
 			"hadar": mk("hadar", 4000),
 			"gavel": mk("gavel", 6000),
 		},
-	}
+	}).Handler())
 }
 
 func get(t *testing.T, srv *httptest.Server, path string) (int, string, string) {
@@ -55,7 +68,7 @@ func get(t *testing.T, srv *httptest.Server, path string) (int, string, string) 
 }
 
 func TestIndexPage(t *testing.T) {
-	srv := httptest.NewServer(NewServer(testComparison()).Handler())
+	srv := testServer()
 	defer srv.Close()
 	code, body, ctype := get(t, srv, "/")
 	if code != http.StatusOK {
@@ -72,7 +85,7 @@ func TestIndexPage(t *testing.T) {
 }
 
 func TestIndex404OnUnknownPath(t *testing.T) {
-	srv := httptest.NewServer(NewServer(testComparison()).Handler())
+	srv := testServer()
 	defer srv.Close()
 	code, _, _ := get(t, srv, "/nope")
 	if code != http.StatusNotFound {
@@ -81,7 +94,7 @@ func TestIndex404OnUnknownPath(t *testing.T) {
 }
 
 func TestCDFSVG(t *testing.T) {
-	srv := httptest.NewServer(NewServer(testComparison()).Handler())
+	srv := testServer()
 	defer srv.Close()
 	code, body, ctype := get(t, srv, "/cdf.svg")
 	if code != http.StatusOK || !strings.Contains(ctype, "svg") {
@@ -96,7 +109,7 @@ func TestCDFSVG(t *testing.T) {
 }
 
 func TestOccupancySVG(t *testing.T) {
-	srv := httptest.NewServer(NewServer(testComparison()).Handler())
+	srv := testServer()
 	defer srv.Close()
 	code, body, _ := get(t, srv, "/occupancy.svg?scheduler=gavel")
 	if code != http.StatusOK {
@@ -112,7 +125,7 @@ func TestOccupancySVG(t *testing.T) {
 }
 
 func TestUtilizationSVG(t *testing.T) {
-	srv := httptest.NewServer(NewServer(testComparison()).Handler())
+	srv := testServer()
 	defer srv.Close()
 	code, body, _ := get(t, srv, "/utilization.svg")
 	if code != http.StatusOK || !strings.Contains(body, "rect") {
@@ -121,7 +134,7 @@ func TestUtilizationSVG(t *testing.T) {
 }
 
 func TestJobsPage(t *testing.T) {
-	srv := httptest.NewServer(NewServer(testComparison()).Handler())
+	srv := testServer()
 	defer srv.Close()
 	code, body, _ := get(t, srv, "/jobs?scheduler=hadar")
 	if code != http.StatusOK {
@@ -140,7 +153,7 @@ func TestJobsPage(t *testing.T) {
 }
 
 func TestSummaryJSON(t *testing.T) {
-	srv := httptest.NewServer(NewServer(testComparison()).Handler())
+	srv := testServer()
 	defer srv.Close()
 	code, body, ctype := get(t, srv, "/api/summary")
 	if code != http.StatusOK || !strings.Contains(ctype, "json") {

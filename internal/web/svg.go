@@ -1,8 +1,9 @@
-// Package web serves an HTML dashboard over a finished scheduling
-// comparison: summary tables, per-job listings, completion-CDF and
-// cluster-occupancy charts rendered as inline SVG, plus a JSON API.
-// Everything is stdlib (net/http, html/template) so the dashboard works
-// in the offline reproduction environment.
+// Package web is hadard's HTTP front door: an HTML dashboard over a
+// running scheduler service (summary tables, per-job listings,
+// completion-CDF and cluster-occupancy charts rendered as inline SVG,
+// a JSON summary) and the /api/jobs control API. Everything is stdlib
+// (net/http, html/template) so the dashboard works in the offline
+// reproduction environment.
 package web
 
 import (
