@@ -101,11 +101,12 @@ race-short:
 	$(GO) test -race -short -run 'Snapshot|Finish' ./internal/sim
 
 # BENCH_BENCHES selects the round benchmarks BENCH_sim.json records —
-# the DP and greedy rounds on the paper's cluster, Fig. 7's node-count
-# sweep, and the straggler (priced-scan) rounds — and BENCH_OPS lists
-# every op they must produce.
-BENCH_BENCHES = BenchmarkDPAllocate$$|BenchmarkGreedyAllocate$$|BenchmarkScaleRound|BenchmarkStragglerRound
-BENCH_OPS = DPAllocate,GreedyAllocate,$\
+# the DP and greedy rounds on the paper's cluster, the engine's whole
+# round on the paper's trace, Fig. 7's node-count sweep, and the
+# straggler (priced-scan) rounds — and BENCH_OPS lists every op they
+# must produce.
+BENCH_BENCHES = BenchmarkDPAllocate$$|BenchmarkGreedyAllocate$$|BenchmarkEngineRound$$|BenchmarkScaleRound|BenchmarkStragglerRound
+BENCH_OPS = DPAllocate,GreedyAllocate,EngineRound,$\
 	ScaleRound/prop/nodes=60,ScaleRound/prop/nodes=250,ScaleRound/prop/nodes=1000,ScaleRound/prop/nodes=5000,$\
 	ScaleRound/fixed/nodes=60,ScaleRound/fixed/nodes=250,ScaleRound/fixed/nodes=1000,ScaleRound/fixed/nodes=5000,$\
 	StragglerRound/nodes=250/jobs=8,StragglerRound/nodes=250/jobs=64,StragglerRound/nodes=250/jobs=480,$\
@@ -191,6 +192,7 @@ fuzz-smoke: fuzz-sync
 	$(GO) test -run='^$$' -fuzz='^FuzzStateTransactions$$' -fuzztime=$(FUZZTIME) ./internal/cluster
 	$(GO) test -run='^$$' -fuzz='^FuzzAppendCanonical$$' -fuzztime=$(FUZZTIME) ./internal/cluster
 	$(GO) test -run='^$$' -fuzz='^FuzzCanAllocate$$' -fuzztime=$(FUZZTIME) ./internal/cluster
+	$(GO) test -run='^$$' -fuzz='^FuzzTallyMatchesAllocate$$' -fuzztime=$(FUZZTIME) ./internal/cluster
 	$(GO) test -run='^$$' -fuzz='^FuzzSimRun$$' -fuzztime=$(FUZZTIME) ./internal/sim
 	$(GO) test -run='^$$' -fuzz='^FuzzRestoreEngine$$' -fuzztime=$(FUZZTIME) ./internal/sim
 	$(GO) test -run='^$$' -fuzz='^FuzzFNVWrite$$' -fuzztime=$(FUZZTIME) ./internal/sim

@@ -1,10 +1,10 @@
 // Package repro's benchmarks time the scheduling round in isolation:
-// the DP and greedy rounds here, the node-count sweep and straggler
-// rounds in bench_scale_test.go, the federation's routing decision in
-// bench_fed_test.go. `make bench` records the rounds as BENCH_sim.json. The
-// paper's tables and figures are not benchmarks: `go run
-// ./cmd/experiments -all` regenerates them and grades the paper's claims
-// in the scorecard (EXPERIMENTS.md).
+// the DP and greedy rounds and the engine's whole round here, the
+// node-count sweep and straggler rounds in bench_scale_test.go, the
+// federation's routing decision in bench_fed_test.go. `make bench`
+// records the rounds as BENCH_sim.json. The paper's tables and figures
+// are not benchmarks: `go run ./cmd/experiments -all` regenerates them
+// and grades the paper's claims in the scorecard (EXPERIMENTS.md).
 package repro
 
 import (
@@ -14,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/sched"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -59,5 +60,47 @@ func BenchmarkGreedyAllocate(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Schedule(ctx)
+	}
+}
+
+// BenchmarkEngineRound times one warm sim.Engine.ProcessNextEvent on the
+// paper's 480-job trace over the paper's cluster: Hadar's Schedule plus
+// the engine's round body around it (decision collection, validation,
+// digest, progress accounting), averaged over every round of the trace.
+// When the trace drains, a fresh engine is loaded with it and runs its
+// first round outside the timer.
+func BenchmarkEngineRound(b *testing.B) {
+	jobs, err := trace.Generate(trace.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := experiments.SimCluster()
+	load := func() *sim.Engine {
+		e, err := sim.NewEngine(c, core.New(core.DefaultOptions()), sim.DefaultOptions())
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, j := range jobs {
+			if err := e.SubmitJob(j); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := e.ProcessNextEvent(); err != nil {
+			b.Fatal(err)
+		}
+		return e
+	}
+	e := load()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !e.HasPendingEvents() {
+			b.StopTimer()
+			e = load()
+			b.StartTimer()
+		}
+		if err := e.ProcessNextEvent(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

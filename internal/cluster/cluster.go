@@ -35,12 +35,14 @@ type Node struct {
 // lives in State.
 type Cluster struct {
 	nodes []Node
+	// uniformSpeed caches UniformSpeed; New, Merge and SetSpeed keep it.
+	uniformSpeed bool
 }
 
 // New builds a cluster from node capacities. Node IDs are assigned in
 // order; a zero Speed is normalized to 1.0.
 func New(capacities ...gpu.Fleet) *Cluster {
-	c := &Cluster{nodes: make([]Node, len(capacities))}
+	c := &Cluster{nodes: make([]Node, len(capacities)), uniformSpeed: true}
 	for i, cap := range capacities {
 		c.nodes[i] = Node{ID: i, Capacity: cap.Clone(), Speed: 1.0}
 	}
@@ -67,6 +69,7 @@ func Merge(clusters ...*Cluster) *Cluster {
 			out.nodes = append(out.nodes, n)
 		}
 	}
+	out.uniformSpeed = out.scanSpeeds()
 	return out
 }
 
@@ -83,6 +86,7 @@ func (c *Cluster) SetSpeed(id int, speed float64) {
 		bug.Failf("cluster: non-positive speed %v for node %d", speed, id)
 	}
 	c.nodes[id].Speed = speed
+	c.uniformSpeed = c.scanSpeeds()
 }
 
 // Speed returns node id's straggler factor.
@@ -91,9 +95,14 @@ func (c *Cluster) Speed(id int) float64 { return c.nodes[id].Speed }
 // UniformSpeed reports whether every node runs at the same straggler
 // factor — the common case, since New normalizes speeds to 1.0 and only
 // the straggler experiments change them. Placement code uses it to pick
-// scan orders that need no per-node speed tiebreak.
-func (c *Cluster) UniformSpeed() bool {
-	for _, n := range c.nodes[1:] {
+// scan orders that need no per-node speed tiebreak. It reads a flag
+// kept by New, Merge and SetSpeed, so Hadar's per-round bind scans no
+// nodes.
+func (c *Cluster) UniformSpeed() bool { return c.uniformSpeed }
+
+// scanSpeeds is UniformSpeed computed from the nodes.
+func (c *Cluster) scanSpeeds() bool {
+	for _, n := range c.nodes {
 		if n.Speed < c.nodes[0].Speed || n.Speed > c.nodes[0].Speed {
 			return false
 		}

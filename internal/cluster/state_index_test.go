@@ -53,7 +53,7 @@ func TestCloneDeepCopiesIndexes(t *testing.T) {
 	}
 }
 
-// TestUniformSpeed covers the straggler classification New/SetSpeed
+// TestUniformSpeed covers the straggler classification New/SetSpeed/Merge
 // feed into the placement fast paths.
 func TestUniformSpeed(t *testing.T) {
 	c := scriptCluster()
@@ -63,6 +63,12 @@ func TestUniformSpeed(t *testing.T) {
 	c.SetSpeed(2, 0.5)
 	if c.UniformSpeed() {
 		t.Fatal("cluster with a straggler reported uniform speed")
+	}
+	if Merge(scriptCluster(), c).UniformSpeed() {
+		t.Fatal("merge with a straggler reported uniform speed")
+	}
+	if !Merge(scriptCluster(), scriptCluster()).UniformSpeed() {
+		t.Fatal("merge of uniform clusters must be uniform speed")
 	}
 	c.SetSpeed(2, 1.0)
 	if !c.UniformSpeed() {

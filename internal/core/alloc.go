@@ -164,8 +164,21 @@ func (p *probe) candidates(st *sched.JobState) ([]cluster.Alloc, int) {
 // best prices every candidate and returns the highest-payoff one, the
 // first index winning ties; the candidate at index current gets the
 // stickiness discount.
+//
+// Within one call a candidate's utility depends on its rate alone, and
+// candidates often share one (a single-type fill, the mixed fill whose
+// bottleneck is that type, the held allocation), so best evaluates the
+// utility once per distinct rate, remembering the first NumTypes of
+// them. FuzzFindAllocMatchesReference checks it against evaluating
+// every candidate.
 func (p *probe) best(st *sched.JobState, ctx *sched.Context, cands []cluster.Alloc, current int) (candidate, bool) {
 	j := st.Job
+	age := ctx.Now - j.Arrival
+	if age < 0 {
+		age = 0
+	}
+	var memoRate, memoUtility [gpu.NumTypes]float64
+	memoLen := 0
 	bestIdx := -1
 	var best candidate
 	for i, a := range cands {
@@ -173,12 +186,21 @@ func (p *probe) best(st *sched.JobState, ctx *sched.Context, cands []cluster.All
 		if rate <= 0 {
 			continue
 		}
-		age := ctx.Now - j.Arrival
-		if age < 0 {
-			age = 0
+		k := 0
+		//lint:ignore floateq memo key: the utility is a pure function of the rate here, so bitwise-equal rates have bitwise-equal utilities
+		for k < memoLen && memoRate[k] != rate {
+			k++
 		}
-		duration := age + st.Remaining/rate
-		utility := p.opts.Utility.Value(j, st.Remaining, duration)
+		var utility float64
+		if k < memoLen {
+			utility = memoUtility[k]
+		} else {
+			utility = p.opts.Utility.Value(j, st.Remaining, age+st.Remaining/rate)
+			if memoLen < len(memoRate) {
+				memoRate[memoLen], memoUtility[memoLen] = rate, utility
+				memoLen++
+			}
+		}
 		// Cost and node count read the raw placement list: candidate
 		// generators emit at most one placement per (node, type) and no
 		// zero counts, and both quantities are additive over duplicates

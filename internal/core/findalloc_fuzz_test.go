@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -43,6 +44,47 @@ func referenceCandidates(p *probe, st *sched.JobState) ([]cluster.Alloc, int) {
 		cands = append(cands, st.Alloc)
 	}
 	return cands, current
+}
+
+// referenceBest is probe.best without its utility memo: it computes
+// the rate and the utility of every candidate afresh. probe.best must
+// pick the same winner with bit-identical rate, cost and payoff.
+func referenceBest(p *probe, st *sched.JobState, ctx *sched.Context, cands []cluster.Alloc, current int) (candidate, bool) {
+	j := st.Job
+	bestIdx := -1
+	var best candidate
+	for i, a := range cands {
+		rate := sched.Rate(j, p.free.Cluster(), a)
+		if rate <= 0 {
+			continue
+		}
+		age := ctx.Now - j.Arrival
+		if age < 0 {
+			age = 0
+		}
+		duration := age + st.Remaining/rate
+		utility := p.opts.Utility.Value(j, st.Remaining, duration)
+		cost := 0.0
+		for _, pl := range a {
+			cost += float64(p.pt.price(p.free, pl.Node, pl.Type) * float64(pl.Count))
+		}
+		if n := a.NumNodes(); n > 1 {
+			cost *= 1 + float64(p.opts.CommCost*float64(n-1))
+		}
+		if i == current {
+			cost *= 1 - p.opts.Stickiness
+		}
+		payoff := utility - cost
+		if bestIdx < 0 || payoff > best.payoff {
+			best = candidate{rate: rate, cost: cost, payoff: payoff}
+			bestIdx = i
+		}
+	}
+	if bestIdx < 0 {
+		return candidate{}, false
+	}
+	best.alloc = cands[bestIdx]
+	return best, true
 }
 
 // Shape bits of FuzzFindAllocMatchesReference's mode byte.
@@ -159,7 +201,8 @@ func fuzzProbe(t *testing.T, seed int64, nodes, gang, mode uint8) (*probe, *sche
 // mixed capacities, stragglers, down nodes, partially allocated states,
 // gangs larger than any one type's free pool, and TaskLevel on and off.
 // The candidate lists, the index of the sticky candidate, and the
-// winner must all be identical.
+// winner must all be identical, and probe.best's winner must match
+// referenceBest's in placement, rate, cost and payoff, bit for bit.
 func FuzzFindAllocMatchesReference(f *testing.F) {
 	for mode := 0; mode < 1<<7; mode += 5 {
 		f.Add(int64(mode), uint8(9+mode%13), uint8(mode%17), uint8(mode))
@@ -180,14 +223,23 @@ func FuzzFindAllocMatchesReference(f *testing.F) {
 		}
 
 		win, ok := p.findAlloc(st, ctx)
-		ref, refOK := p.best(st, ctx, want, wantCur)
-		if ok != refOK || (ok && (!slices.Equal(win.alloc, ref.alloc) || win.payoff != ref.payoff)) { //lint:ignore floateq the same candidate priced twice
-			t.Fatalf("winner %v (%v, ok %v), reference %v (%v, ok %v)", win.alloc, win.payoff, ok, ref.alloc, ref.payoff, refOK)
+		ref, refOK := referenceBest(p, st, ctx, want, wantCur)
+		if ok != refOK || (ok && (!slices.Equal(win.alloc, ref.alloc) || !sameBits(win, ref))) {
+			t.Fatalf("winner %v (rate %v, cost %v, payoff %v, ok %v), reference %v (rate %v, cost %v, payoff %v, ok %v)",
+				win.alloc, win.rate, win.cost, win.payoff, ok, ref.alloc, ref.rate, ref.cost, ref.payoff, refOK)
 		}
 		if p.free.Hash() != hash {
 			t.Fatal("candidate generation changed the free state")
 		}
 	})
+}
+
+// sameBits reports whether two candidates' rate, cost and payoff are
+// bitwise equal.
+func sameBits(a, b candidate) bool {
+	return math.Float64bits(a.rate) == math.Float64bits(b.rate) &&
+		math.Float64bits(a.cost) == math.Float64bits(b.cost) &&
+		math.Float64bits(a.payoff) == math.Float64bits(b.payoff)
 }
 
 func cloneAllocs(as []cluster.Alloc) []cluster.Alloc {

@@ -122,15 +122,19 @@ type Engine struct {
 	// after it (NewEngine stays cheap: the sim benchmarks pay it as
 	// set-up every repetition). ctx is lent to the scheduler for the call
 	// only; its Jobs is a copy of active, which the round compacts in
-	// place. applied holds one record per active job, in active's order,
-	// filled by the round's one decision-map lookup per job; byID indexes
-	// applied by ascending job ID (the digest and validation walk it in
-	// that order); canon holds every decision's canonical form back to
-	// back, in byID order.
+	// place. applied holds one record per active job that is not idle
+	// (see collectDecisions), in active's order, filled by the round's one
+	// decision-map lookup per job; byID indexes applied by ascending job
+	// ID (the digest and validation walk it in that order); canon holds
+	// every decision's canonical form back to back, in byID order; tally
+	// books the decisions validation accepts. obs is the round's
+	// observations for the checker.
 	ctx     sched.Context
 	applied []appliedJob
 	byID    []int32
 	canon   cluster.Alloc
+	tally   cluster.Tally
+	obs     []invariant.JobRound
 }
 
 // appliedJob is one decision of the round. An active job's record also
@@ -459,16 +463,16 @@ func (e *Engine) runRound() error {
 		return fmt.Errorf("sim: %s did not return the lent free state as found (%d savepoints open, %d devices booked)",
 			e.s.Name(), e.freeState.Savepoints(), e.freeState.TotalCapacity()-e.freeState.TotalFree())
 	}
-	n := len(e.active)
-	e.collectDecisions(decisions)
+	n := e.collectDecisions(decisions)
 	e.foldDigest(ctx.Round)
 
 	// Validate the joint decision against the same state the scheduler
-	// searched, under the engine's own savepoint: a down node has nothing
-	// free there, so a placement on it fails like any other
-	// over-allocation. An active job the map has no key for has a nil
-	// decision, which passes.
-	sp := e.freeState.Savepoint()
+	// searched, booking it on the engine's tally, which reads the state
+	// and never writes it, so a rejected round leaves the state as it
+	// was. A down node has nothing free there, so a placement on it
+	// fails like any other over-allocation. An idle job has no record:
+	// its empty decision would pass.
+	e.tally.Reset(e.freeState)
 	for _, i := range e.byID {
 		d := &e.applied[i]
 		if d.st == nil {
@@ -481,12 +485,11 @@ func (e *Engine) runRound() error {
 			return fmt.Errorf("sim: %s: %w", e.s.Name(), err)
 		}
 		if d.workers > 0 {
-			if err := e.freeState.Allocate(d.decided); err != nil {
+			if err := e.tally.Add(d.decided); err != nil {
 				return fmt.Errorf("sim: %s over-allocated: %w", e.s.Name(), err)
 			}
 		}
 	}
-	e.freeState.Rollback(sp)
 
 	// Apply decisions. First pass: detect reallocations and, when
 	// contention modeling is on, count how many reallocated jobs
@@ -517,20 +520,26 @@ func (e *Engine) runRound() error {
 	}
 
 	// Second pass: advance each allocated job, compacting the active set
-	// in place (kept never overtakes the pass).
+	// in place (kept never overtakes the pass). It walks the active set
+	// with a cursor into the records, which follow it in order: a job
+	// with no record is idle, held nothing and gets nothing, so it only
+	// stays.
 	anyAllocated := false
 	heldThisRound := 0
 	kept := e.active[:0]
-	var obs []invariant.JobRound
-	observe := func(st *sched.JobState, alloc cluster.Alloc, before, window float64, killed bool) {
-		obs = append(obs, invariant.JobRound{
-			Job: st.Job, Alloc: alloc,
-			RemainingBefore: before, RemainingAfter: st.Remaining,
-			Window: window, Killed: killed,
-		})
-	}
-	for _, aj := range e.applied[:n] {
-		st, prev, changed := aj.st, aj.st.Alloc, aj.changed
+	e.obs = e.obs[:0]
+	rec := 0
+	for _, st := range e.active {
+		if rec == n || e.applied[rec].st != st {
+			if e.chk != nil {
+				e.observe(st, nil, st.Remaining, 0, false)
+			}
+			kept = append(kept, st)
+			continue
+		}
+		aj := &e.applied[rec]
+		rec++
+		prev, changed := st.Alloc, aj.changed
 		if changed {
 			st.Alloc = append(cluster.Alloc(nil), e.canon[aj.lo:aj.hi]...)
 		}
@@ -545,7 +554,7 @@ func (e *Engine) runRound() error {
 				}
 			}
 			if e.chk != nil {
-				observe(st, nil, remBefore, 0, false)
+				e.observe(st, nil, remBefore, 0, false)
 			}
 			kept = append(kept, st)
 			continue
@@ -613,7 +622,7 @@ func (e *Engine) runRound() error {
 				e.report.Faults.LostIterations += lost
 				e.report.Faults.Recoveries++
 				if e.chk != nil {
-					observe(st, newAlloc, remBefore, window, true)
+					e.observe(st, newAlloc, remBefore, window, true)
 				}
 				kept = append(kept, st)
 				continue
@@ -636,7 +645,7 @@ func (e *Engine) runRound() error {
 			// Allocated but cannot progress (validated types make
 			// this unreachable, but stay safe).
 			if e.chk != nil {
-				observe(st, newAlloc, remBefore, window, false)
+				e.observe(st, newAlloc, remBefore, window, false)
 			}
 			kept = append(kept, st)
 			continue
@@ -663,7 +672,7 @@ func (e *Engine) runRound() error {
 				e.report.Makespan = finish
 			}
 			if e.chk != nil {
-				observe(st, newAlloc, remBefore, window, false)
+				e.observe(st, newAlloc, remBefore, window, false)
 			}
 			// Job leaves the active set; its GPUs are free from the
 			// next boundary on (the simulator rebuilds allocations
@@ -676,7 +685,7 @@ func (e *Engine) runRound() error {
 		st.Attained += float64(float64(w) * window)
 		e.report.BusyGPUSeconds += float64(float64(w) * window)
 		if e.chk != nil {
-			observe(st, newAlloc, remBefore, window, false)
+			e.observe(st, newAlloc, remBefore, window, false)
 		}
 		kept = append(kept, st)
 	}
@@ -685,7 +694,7 @@ func (e *Engine) runRound() error {
 	if e.chk != nil {
 		e.chk.CheckRound(invariant.Round{
 			Index: e.round, Now: e.now, Length: e.opts.RoundLength,
-			Down: e.prevDown, Jobs: obs, Scheduler: e.s, Rate: e.rateModel,
+			Down: e.prevDown, Jobs: e.obs, Scheduler: e.s, Rate: e.rateModel,
 		})
 		// Fail fast so the offending round is the one in the error.
 		if err := e.chk.Err(); err != nil {
@@ -707,28 +716,47 @@ func (e *Engine) runRound() error {
 	return nil
 }
 
+// observe records one job's round for the checker.
+func (e *Engine) observe(st *sched.JobState, alloc cluster.Alloc, before, window float64, killed bool) {
+	e.obs = append(e.obs, invariant.JobRound{
+		Job: st.Job, Alloc: alloc,
+		RemainingBefore: before, RemainingAfter: st.Remaining,
+		Window: window, Killed: killed,
+	})
+}
+
 // collectDecisions reads the scheduler's decisions into the round
-// scratch with one map lookup per active job, sorts byID (active jobs
-// are admitted in ID order on every trace, so the sort is usually one
+// scratch with one map lookup per active job and returns how many
+// active jobs it recorded. It skips the idle ones, whose decision and
+// held allocation both list no placement at all: validation passes
+// them, the digest folds nothing for them, their allocation stays as
+// it is and the progress pass only keeps them. (Idleness is read from
+// the lists' lengths, not their worker counts, so a decision whose
+// counts cancel out takes the recorded path, as every decision did
+// before idle jobs were skipped.) It sorts byID (active jobs are
+// admitted in ID order on every trace, so the sort is usually one
 // linear pass), and canonicalises every decision once, in that order,
-// into canon. Keys the lookups did not reach name no active job. Each
-// of those whose worker count is not zero joins applied as a record
-// without a JobState: the digest folds it, and validation fails the
-// round on it if it has workers (see runRound).
-func (e *Engine) collectDecisions(decisions map[int]cluster.Alloc) {
-	n := len(e.active)
-	e.applied = slices.Grow(e.applied[:0], n)
-	e.byID = slices.Grow(e.byID[:0], n)
+// into canon. Keys the lookups did not reach name no active job, or an
+// idle one with an empty decision. Each of those whose worker count is
+// not zero joins applied as a record without a JobState: the digest
+// folds it, and validation fails the round on it (see runRound).
+func (e *Engine) collectDecisions(decisions map[int]cluster.Alloc) int {
+	e.applied = slices.Grow(e.applied[:0], len(e.active))
+	e.byID = slices.Grow(e.byID[:0], len(e.active))
 	matched, placements := 0, 0
-	for i, st := range e.active {
+	for _, st := range e.active {
 		d, ok := decisions[st.Job.ID]
 		if ok {
 			matched++
 		}
+		if len(d) == 0 && len(st.Alloc) == 0 {
+			continue
+		}
 		placements += len(d)
+		e.byID = append(e.byID, int32(len(e.applied)))
 		e.applied = append(e.applied, appliedJob{id: st.Job.ID, st: st, decided: d, workers: d.Workers()})
-		e.byID = append(e.byID, int32(i))
 	}
+	n := len(e.applied)
 	e.sortByID()
 	if matched != len(decisions) {
 		//lint:ignore maprange the body only appends records, which sortByID puts in ID order next
@@ -752,6 +780,7 @@ func (e *Engine) collectDecisions(decisions map[int]cluster.Alloc) {
 		e.canon = d.decided.AppendCanonical(e.canon)
 		d.hi = int32(len(e.canon))
 	}
+	return n
 }
 
 // sortByID sorts the applied index by job ID.
