@@ -187,7 +187,6 @@ fuzz-sync:
 FUZZTIME ?= 10s
 fuzz-smoke: fuzz-sync
 	$(GO) test -run='^$$' -fuzz='^FuzzSolve$$' -fuzztime=$(FUZZTIME) ./internal/lp
-	$(GO) test -run='^$$' -fuzz='^FuzzReadPhillyCSV$$' -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -run='^$$' -fuzz='^FuzzReadTraceJSON$$' -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -run='^$$' -fuzz='^FuzzStateTransactions$$' -fuzztime=$(FUZZTIME) ./internal/cluster
 	$(GO) test -run='^$$' -fuzz='^FuzzAppendCanonical$$' -fuzztime=$(FUZZTIME) ./internal/cluster

@@ -37,7 +37,7 @@ func BenchmarkFederationRouteJob(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			fed, err := federation.New(configs, router, federation.Options{})
+			fed, err := federation.New(configs, router)
 			if err != nil {
 				b.Fatal(err)
 			}

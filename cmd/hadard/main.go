@@ -194,7 +194,7 @@ func newFederation(pol experiments.Policy, simOpts sim.Options) *federation.Fede
 			Sim:       simOpts,
 		}
 	}
-	fed, err := federation.New(members, router, federation.Options{Validate: *validate})
+	fed, err := federation.New(members, router)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "hadard: %v\n", err)
 		os.Exit(1)

@@ -310,7 +310,7 @@ func TestFreeBoundsProperty(t *testing.T) {
 				held = append(held, a)
 			}
 			for id := 0; id < 2; id++ {
-				for _, typ := range gpu.AllTypes() {
+				for typ := gpu.Type(0); typ < gpu.NumTypes; typ++ {
 					f := s.Free(id, typ)
 					if f < 0 || f > c.Capacity(id, typ) {
 						return false

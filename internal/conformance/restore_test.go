@@ -41,12 +41,11 @@ func TestRestoreResumesEveryPolicy(t *testing.T) {
 					}
 					next++
 				}
-				ok, err := eng.Step()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !ok {
+				if !eng.HasPendingEvents() {
 					break
+				}
+				if err := eng.ProcessNextEvent(); err != nil {
+					t.Fatal(err)
 				}
 				digests = append(digests, eng.Digest())
 			}
@@ -60,16 +59,19 @@ func TestRestoreResumesEveryPolicy(t *testing.T) {
 					t.Fatal(err)
 				}
 				for k := cut; k < len(digests); k++ {
-					if ok, err := restored.Step(); err != nil || !ok {
-						t.Fatalf("cut %d: restored engine stopped at event %d of %d: %v", cut, k+1, len(digests), err)
+					if !restored.HasPendingEvents() {
+						t.Fatalf("cut %d: restored engine drained at event %d of %d", cut, k+1, len(digests))
+					}
+					if err := restored.ProcessNextEvent(); err != nil {
+						t.Fatalf("cut %d: restored engine failed at event %d of %d: %v", cut, k+1, len(digests), err)
 					}
 					if got := restored.Digest(); got != digests[k] {
 						t.Fatalf("cut %d: digest %#x after event %d, the uninterrupted run had %#x",
 							cut, got, k+1, digests[k])
 					}
 				}
-				if ok, err := restored.Step(); ok || err != nil {
-					t.Fatalf("cut %d: restored engine still running after the uninterrupted run drained (%v)", cut, err)
+				if restored.HasPendingEvents() {
+					t.Fatalf("cut %d: restored engine still running after the uninterrupted run drained", cut)
 				}
 			}
 		})

@@ -1,8 +1,6 @@
-// Package eventq implements the priority queues used by the simulator
-// and the schedulers: a time-ordered event queue for discrete-event
-// processing and a generic indexed min-heap that supports updating an
-// element's priority in place (needed for Tiresias' attained-service
-// queues and Gavel's priority rounds).
+// Package eventq implements the simulator's time-ordered event queue
+// for discrete-event processing: a min-heap of timestamped payloads
+// with FIFO order among simultaneous events.
 package eventq
 
 import (
@@ -94,142 +92,4 @@ func (q *EventQueue) Snapshot() []Event {
 		return out[i].Seq < out[j].Seq
 	})
 	return out
-}
-
-// Indexed is a min-heap of integer IDs keyed by a float64 priority,
-// supporting O(log n) priority updates and removals by ID. Lower
-// priority values pop first; ties break by ascending ID.
-type Indexed struct {
-	ids  []int
-	prio map[int]float64
-	pos  map[int]int
-}
-
-// NewIndexed returns an empty indexed heap.
-func NewIndexed() *Indexed {
-	return &Indexed{prio: make(map[int]float64), pos: make(map[int]int)}
-}
-
-// Len reports the number of elements.
-func (x *Indexed) Len() int { return len(x.ids) }
-
-func (x *Indexed) less(i, j int) bool {
-	pi, pj := x.prio[x.ids[i]], x.prio[x.ids[j]]
-	if pi < pj {
-		return true
-	}
-	if pi > pj {
-		return false
-	}
-	return x.ids[i] < x.ids[j]
-}
-
-func (x *Indexed) swap(i, j int) {
-	x.ids[i], x.ids[j] = x.ids[j], x.ids[i]
-	x.pos[x.ids[i]] = i
-	x.pos[x.ids[j]] = j
-}
-
-func (x *Indexed) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !x.less(i, parent) {
-			break
-		}
-		x.swap(i, parent)
-		i = parent
-	}
-}
-
-func (x *Indexed) down(i int) {
-	n := len(x.ids)
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && x.less(l, smallest) {
-			smallest = l
-		}
-		if r < n && x.less(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
-			return
-		}
-		x.swap(i, smallest)
-		i = smallest
-	}
-}
-
-// Push inserts id with the given priority. It panics if id is already
-// present; use Update instead.
-func (x *Indexed) Push(id int, priority float64) {
-	if _, ok := x.pos[id]; ok {
-		bug.Failf("eventq: duplicate id %d", id)
-	}
-	x.ids = append(x.ids, id)
-	x.prio[id] = priority
-	x.pos[id] = len(x.ids) - 1
-	x.up(len(x.ids) - 1)
-}
-
-// Pop removes and returns the id with the smallest priority, and that
-// priority. It panics on an empty heap.
-func (x *Indexed) Pop() (int, float64) {
-	if len(x.ids) == 0 {
-		bug.Failf("eventq: Pop on empty Indexed heap")
-	}
-	id := x.ids[0]
-	p := x.prio[id]
-	x.Remove(id)
-	return id, p
-}
-
-// Peek returns the minimum id and priority without removing it. It
-// panics on an empty heap.
-func (x *Indexed) Peek() (int, float64) {
-	if len(x.ids) == 0 {
-		bug.Failf("eventq: Peek on empty Indexed heap")
-	}
-	return x.ids[0], x.prio[x.ids[0]]
-}
-
-// Contains reports whether id is in the heap.
-func (x *Indexed) Contains(id int) bool {
-	_, ok := x.pos[id]
-	return ok
-}
-
-// Priority returns the priority of id and whether it is present.
-func (x *Indexed) Priority(id int) (float64, bool) {
-	p, ok := x.prio[id]
-	return p, ok
-}
-
-// Update changes id's priority, restoring heap order. It panics if id is
-// absent.
-func (x *Indexed) Update(id int, priority float64) {
-	i, ok := x.pos[id]
-	if !ok {
-		bug.Failf("eventq: Update of absent id %d", id)
-	}
-	x.prio[id] = priority
-	x.up(i)
-	x.down(x.pos[id])
-}
-
-// Remove deletes id from the heap. It panics if id is absent.
-func (x *Indexed) Remove(id int) {
-	i, ok := x.pos[id]
-	if !ok {
-		bug.Failf("eventq: Remove of absent id %d", id)
-	}
-	last := len(x.ids) - 1
-	x.swap(i, last)
-	x.ids = x.ids[:last]
-	delete(x.pos, id)
-	delete(x.prio, id)
-	if i < last {
-		x.up(i)
-		x.down(x.pos[x.ids[i]])
-	}
 }

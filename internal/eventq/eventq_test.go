@@ -2,8 +2,6 @@ package eventq
 
 import (
 	"math"
-	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -87,169 +85,5 @@ func TestEventQueueSortedProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestIndexedBasicOrder(t *testing.T) {
-	h := NewIndexed()
-	h.Push(10, 3)
-	h.Push(20, 1)
-	h.Push(30, 2)
-	id, p := h.Pop()
-	if id != 20 || p != 1 {
-		t.Fatalf("Pop = (%d,%v), want (20,1)", id, p)
-	}
-	id, _ = h.Pop()
-	if id != 30 {
-		t.Fatalf("second Pop = %d, want 30", id)
-	}
-}
-
-func TestIndexedTieBreakByID(t *testing.T) {
-	h := NewIndexed()
-	h.Push(7, 1)
-	h.Push(3, 1)
-	h.Push(5, 1)
-	want := []int{3, 5, 7}
-	for _, w := range want {
-		id, _ := h.Pop()
-		if id != w {
-			t.Fatalf("tie break: got %d, want %d", id, w)
-		}
-	}
-}
-
-func TestIndexedUpdate(t *testing.T) {
-	h := NewIndexed()
-	h.Push(1, 10)
-	h.Push(2, 20)
-	h.Update(2, 5)
-	id, _ := h.Peek()
-	if id != 2 {
-		t.Errorf("after Update, min = %d, want 2", id)
-	}
-	h.Update(2, 50)
-	id, _ = h.Peek()
-	if id != 1 {
-		t.Errorf("after second Update, min = %d, want 1", id)
-	}
-}
-
-func TestIndexedRemove(t *testing.T) {
-	h := NewIndexed()
-	for i := 0; i < 10; i++ {
-		h.Push(i, float64(i))
-	}
-	h.Remove(0)
-	h.Remove(5)
-	if h.Contains(0) || h.Contains(5) {
-		t.Error("removed ids still present")
-	}
-	var got []int
-	for h.Len() > 0 {
-		id, _ := h.Pop()
-		got = append(got, id)
-	}
-	want := []int{1, 2, 3, 4, 6, 7, 8, 9}
-	if len(got) != len(want) {
-		t.Fatalf("got %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v, want %v", got, want)
-		}
-	}
-}
-
-func TestIndexedDuplicatePushPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("duplicate Push did not panic")
-		}
-	}()
-	h := NewIndexed()
-	h.Push(1, 1)
-	h.Push(1, 2)
-}
-
-func TestIndexedAbsentUpdatePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Update of absent id did not panic")
-		}
-	}()
-	NewIndexed().Update(9, 1)
-}
-
-func TestIndexedAbsentRemovePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Remove of absent id did not panic")
-		}
-	}()
-	NewIndexed().Remove(9)
-}
-
-func TestIndexedPriorityLookup(t *testing.T) {
-	h := NewIndexed()
-	h.Push(4, 2.5)
-	if p, ok := h.Priority(4); !ok || p != 2.5 {
-		t.Errorf("Priority(4) = %v,%v", p, ok)
-	}
-	if _, ok := h.Priority(5); ok {
-		t.Error("Priority of absent id reported present")
-	}
-}
-
-func TestIndexedRandomizedHeapProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	h := NewIndexed()
-	ref := map[int]float64{}
-	for op := 0; op < 5000; op++ {
-		switch {
-		case len(ref) == 0 || rng.Float64() < 0.5:
-			id := rng.Intn(1000)
-			if _, ok := ref[id]; ok {
-				h.Update(id, rng.Float64())
-				ref[id] = 0 // placeholder; fixed below
-				p, _ := h.Priority(id)
-				ref[id] = p
-			} else {
-				p := rng.Float64()
-				h.Push(id, p)
-				ref[id] = p
-			}
-		case rng.Float64() < 0.5:
-			// remove random existing
-			for id := range ref {
-				h.Remove(id)
-				delete(ref, id)
-				break
-			}
-		default:
-			id, p := h.Pop()
-			want, ok := ref[id]
-			if !ok {
-				t.Fatal("popped unknown id")
-			}
-			if p != want {
-				t.Fatalf("popped priority %v, want %v", p, want)
-			}
-			for other, po := range ref {
-				if po < p || (po == p && other < id) {
-					t.Fatalf("pop violated min property: popped (%d,%v) but (%d,%v) present", id, p, other, po)
-				}
-			}
-			delete(ref, id)
-		}
-	}
-	// drain and check global order
-	var popped []float64
-	for h.Len() > 0 {
-		_, p := h.Pop()
-		popped = append(popped, p)
-	}
-	if !sort.Float64sAreSorted(popped) {
-		t.Error("drained priorities not sorted")
 	}
 }

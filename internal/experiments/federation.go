@@ -99,7 +99,7 @@ func runFederation(setup Setup, members int, routerName string, jobs []*job.Job)
 	if err != nil {
 		return nil, err
 	}
-	fed, err := federation.New(configs, router, federation.Options{})
+	fed, err := federation.New(configs, router)
 	if err != nil {
 		return nil, err
 	}

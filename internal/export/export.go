@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/metrics"
 )
 
 func writeAll(w io.Writer, rows [][]string) error {
@@ -61,24 +60,6 @@ func CompletionCDF(w io.Writer, cmp *experiments.Comparison) error {
 		for _, p := range cmp.Reports[name].CompletionCDF() {
 			rows = append(rows, []string{name, f(p.X), f(p.Fraction)})
 		}
-	}
-	return writeAll(w, rows)
-}
-
-// Jobs writes per-job results: scheduler, job_id, model, workers,
-// arrival_s, start_s, finish_s, jct_s, queue_delay_s, ftf,
-// reallocations.
-func Jobs(w io.Writer, name string, r *metrics.Report) error {
-	rows := [][]string{{
-		"scheduler", "job_id", "model", "workers", "arrival_s", "start_s",
-		"finish_s", "jct_s", "queue_delay_s", "ftf", "reallocations",
-	}}
-	for _, j := range r.Jobs {
-		rows = append(rows, []string{
-			name, strconv.Itoa(j.ID), j.Model, strconv.Itoa(j.Workers),
-			f(j.Arrival), f(j.Start), f(j.Finish), f(j.JCT()),
-			f(j.QueueDelay()), f(j.FTF()), strconv.Itoa(j.Reallocations),
-		})
 	}
 	return writeAll(w, rows)
 }
@@ -148,18 +129,4 @@ func FedCompare(w io.Writer, r *experiments.FedCompareResult) error {
 // rule, verdict — one row per claim.
 func Scorecard(w io.Writer, s *experiments.Scorecard) error {
 	return writeAll(w, s.Table())
-}
-
-// OccupancySeries writes a scheduler's per-round cluster occupancy:
-// round_start_s, held_workers.
-func OccupancySeries(w io.Writer, r *metrics.Report) error {
-	rows := [][]string{{"round_start_s", "held_workers"}}
-	for i, held := range r.RoundHeld {
-		start := 0.0
-		if i < len(r.RoundStarts) {
-			start = r.RoundStarts[i]
-		}
-		rows = append(rows, []string{f(start), strconv.Itoa(held)})
-	}
-	return writeAll(w, rows)
 }

@@ -80,21 +80,6 @@ func TestCompletionCDFCSV(t *testing.T) {
 	}
 }
 
-func TestJobsCSV(t *testing.T) {
-	var buf bytes.Buffer
-	cmp := sampleComparison()
-	if err := Jobs(&buf, "hadar", cmp.Reports["hadar"]); err != nil {
-		t.Fatal(err)
-	}
-	rows := parseCSV(t, &buf)
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	if rows[1][2] != "LSTM" || rows[2][2] != "ResNet-50" {
-		t.Errorf("model columns wrong: %v", rows)
-	}
-}
-
 func TestFig7CSV(t *testing.T) {
 	var buf bytes.Buffer
 	r := &experiments.Fig7Result{Points: []experiments.Fig7Point{
@@ -173,21 +158,6 @@ func TestFedCompareCSV(t *testing.T) {
 	}
 	if rows[1][1] != "2" || rows[1][7] != "2" {
 		t.Errorf("mega row = %v", rows[1])
-	}
-}
-
-func TestOccupancySeriesCSV(t *testing.T) {
-	var buf bytes.Buffer
-	cmp := sampleComparison()
-	if err := OccupancySeries(&buf, cmp.Reports["hadar"]); err != nil {
-		t.Fatal(err)
-	}
-	rows := parseCSV(t, &buf)
-	if len(rows) != 4 {
-		t.Fatalf("rows = %d, want header + 3 rounds", len(rows))
-	}
-	if rows[2][0] != "360" || rows[2][1] != "3" {
-		t.Errorf("round row = %v", rows[2])
 	}
 }
 

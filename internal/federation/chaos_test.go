@@ -143,8 +143,8 @@ func TestFederationOutageIsolation(t *testing.T) {
 			{Node: 2, Start: 5 * round, End: 15 * round},
 		}
 	}
-	run := func(failures func(int) []sim.Failure) ([]uint64, *federation.Report) {
-		r, err := federation.New(memberConfigs(2, failures), staticRouter{n: 2}, federation.Options{Validate: true})
+	run := func(failures func(int) []sim.Failure) (*federation.FedSnapshot, *federation.Report) {
+		r, err := federation.New(memberConfigs(2, failures), staticRouter{n: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,14 +153,13 @@ func TestFederationOutageIsolation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return r.MemberDigests(), rep
+		return r.Snapshot(), rep
 	}
-	baseDigests, baseRep := run(nil)
-	chaosDigests, chaosRep := run(outage)
+	baseSnap, baseRep := run(nil)
+	chaosSnap, chaosRep := run(outage)
 
-	if baseDigests[0] != chaosDigests[0] {
-		t.Errorf("surviving member's digest changed under a peer's outage: %#x vs %#x",
-			baseDigests[0], chaosDigests[0])
+	if base, chaos := baseSnap.Members[0].Snap.Digest, chaosSnap.Members[0].Snap.Digest; base != chaos {
+		t.Errorf("surviving member's digest changed under a peer's outage: %#x vs %#x", base, chaos)
 	}
 	if baseRep.Members[0].Report.Faults.Any() || baseRep.Members[1].Report.Faults.Any() {
 		t.Error("baseline run recorded faults with no failures configured")

@@ -44,16 +44,11 @@ type MemberConfig struct {
 	Scheduler sched.Scheduler
 	// Sim configures the member's engine, including its own failure
 	// windows (chaos) and per-member invariant checking (Sim.Validate).
+	// When every member sets Sim.Validate, the federation-level
+	// invariants run too: ownership uniqueness and job-count
+	// conservation after every processed event, the full
+	// iteration-conservation audit at Finish.
 	Sim sim.Options
-}
-
-// Options configures federation-level behavior.
-type Options struct {
-	// Validate enables the federation-level invariants (ownership
-	// uniqueness and job-count conservation after every processed
-	// event, full iteration-conservation audit at Finish). Member-level
-	// oracles are configured per member via MemberConfig.Sim.Validate.
-	Validate bool
 }
 
 // member pairs a config with its live engine and the static capacity
@@ -85,7 +80,8 @@ type member struct {
 type Federation struct {
 	members []*member
 	router  Router
-	opts    Options
+	// validate is set when every member validates (MemberConfig.Sim).
+	validate bool
 
 	// owner maps each submitted job ID to its member index; jobs lists
 	// the accepted jobs in submission order (the deterministic
@@ -109,7 +105,7 @@ type Federation struct {
 // New builds a federation over the given members and router. At least
 // one member is required; every member needs a cluster and a
 // scheduler, and no two members may share either.
-func New(configs []MemberConfig, router Router, opts Options) (*Federation, error) {
+func New(configs []MemberConfig, router Router) (*Federation, error) {
 	if len(configs) == 0 {
 		return nil, fmt.Errorf("federation: no members")
 	}
@@ -117,9 +113,9 @@ func New(configs []MemberConfig, router Router, opts Options) (*Federation, erro
 		return nil, fmt.Errorf("federation: nil router")
 	}
 	f := &Federation{
-		router: router,
-		opts:   opts,
-		owner:  make(map[int]int),
+		router:   router,
+		validate: true,
+		owner:    make(map[int]int),
 	}
 	for i, cfg := range configs {
 		if cfg.Cluster == nil || cfg.Scheduler == nil {
@@ -147,6 +143,7 @@ func New(configs []MemberConfig, router Router, opts Options) (*Federation, erro
 				m.typeTotal[t] += n.Capacity[t]
 			}
 		}
+		f.validate = f.validate && cfg.Sim.Validate
 		m.outages = append(m.outages, cfg.Sim.Failures...)
 		sort.SliceStable(m.outages, func(a, b int) bool { return m.outages[a].Node < m.outages[b].Node })
 		f.members = append(f.members, m)
@@ -162,15 +159,6 @@ func sharedScheduler(a, b sched.Scheduler) bool {
 	va, vb := reflect.ValueOf(a), reflect.ValueOf(b)
 	return va.Kind() == reflect.Pointer && vb.Kind() == reflect.Pointer && va.Pointer() == vb.Pointer()
 }
-
-// Members returns the number of member clusters.
-func (f *Federation) Members() int { return len(f.members) }
-
-// MemberName returns the label of member i.
-func (f *Federation) MemberName(i int) string { return f.members[i].name }
-
-// Err returns the sticky error that poisoned the federation, if any.
-func (f *Federation) Err() error { return f.err }
 
 // fail records the first error and poisons the federation.
 func (f *Federation) fail(err error) error {
@@ -294,15 +282,6 @@ func (f *Federation) Owner(id int) (int, bool) {
 	return idx, ok
 }
 
-// Phase forwards a lifecycle query to the owning member.
-func (f *Federation) Phase(id int) (sim.JobPhase, bool) {
-	idx, ok := f.owner[id]
-	if !ok {
-		return 0, false
-	}
-	return f.members[idx].eng.Phase(id)
-}
-
 // HasPendingEvents reports whether any member still has work.
 func (f *Federation) HasPendingEvents() bool {
 	if f.err != nil {
@@ -362,24 +341,12 @@ func (f *Federation) ProcessNextEvent() error {
 	if err := f.members[i].eng.ProcessNextEvent(); err != nil {
 		return f.fail(fmt.Errorf("federation: member %s: %w", f.members[i].name, err))
 	}
-	if f.opts.Validate {
+	if f.validate {
 		if err := f.checkOwnership(); err != nil {
 			return f.fail(err)
 		}
 	}
 	return nil
-}
-
-// Step processes the next event if any member has one, reporting
-// whether it did work.
-func (f *Federation) Step() (bool, error) {
-	if !f.HasPendingEvents() {
-		return false, f.err
-	}
-	if err := f.ProcessNextEvent(); err != nil {
-		return false, err
-	}
-	return true, nil
 }
 
 // Digest folds every member's chained per-round schedule digest, in
@@ -395,18 +362,6 @@ func (f *Federation) Digest() uint64 {
 		d = d*1099511628211 + m.eng.Digest()
 	}
 	return d
-}
-
-// MemberDigests returns each member's engine digest, indexed by
-// member. Chaos tests compare these across runs to prove member
-// isolation: an outage inside one member must not perturb any other
-// member's chain.
-func (f *Federation) MemberDigests() []uint64 {
-	out := make([]uint64, len(f.members))
-	for i, m := range f.members {
-		out[i] = m.eng.Digest()
-	}
-	return out
 }
 
 // MemberReport is one member's share of a federation report.
@@ -443,7 +398,7 @@ func (f *Federation) Finish() (*Report, error) {
 		}
 		rep.Members = append(rep.Members, MemberReport{Name: m.name, Report: r})
 	}
-	if f.opts.Validate {
+	if f.validate {
 		if err := f.CheckInvariants(); err != nil {
 			return nil, f.fail(err)
 		}
@@ -516,8 +471,8 @@ func (f *Federation) checkOwnership() error {
 //     and — absent cancellations, which may retire partial work — never
 //     decreases between audits.
 //
-// Finish runs it automatically under Options.Validate; tests may call
-// it between steps.
+// Finish runs it automatically when every member validates; tests may
+// call it between steps.
 func (f *Federation) CheckInvariants() error {
 	if err := f.checkOwnership(); err != nil {
 		return err

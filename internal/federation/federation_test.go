@@ -66,7 +66,7 @@ func newFed(t *testing.T, n int, routerName string, failures func(i int) []sim.F
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := federation.New(memberConfigs(n, failures), r, federation.Options{Validate: true})
+	f, err := federation.New(memberConfigs(n, failures), r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestFederationSpreadsLoad(t *testing.T) {
 			t.Parallel()
 			f := newFed(t, 2, router, nil)
 			fedDigestChain(t, f, genJobs(t, 48, 1))
-			perMember := make([]int, f.Members())
+			perMember := make([]int, 2)
 			for _, j := range jobs {
 				idx, ok := f.Owner(j.ID)
 				if !ok {
@@ -331,8 +331,8 @@ func TestFederationSnapshot(t *testing.T) {
 			t.Fatalf("FindJob(%d) not found", j.ID)
 		}
 		idx, _ := f.Owner(j.ID)
-		if member != f.MemberName(idx) {
-			t.Errorf("FindJob(%d) member %q, owner is %q", j.ID, member, f.MemberName(idx))
+		if member != snap.Members[idx].Name {
+			t.Errorf("FindJob(%d) member %q, owner is %q", j.ID, member, snap.Members[idx].Name)
 		}
 		if phase != "finished" {
 			t.Errorf("FindJob(%d) phase %q, want finished", j.ID, phase)
@@ -350,9 +350,6 @@ func TestFederationSnapshot(t *testing.T) {
 	if snap.Member("no-such-region") != nil {
 		t.Error("Member lookup resolved an unknown name")
 	}
-	if free := snap.FreeGPUs(); free != snap.TotalGPUs-snap.HeldGPUs {
-		t.Errorf("FreeGPUs %d inconsistent with total %d held %d", free, snap.TotalGPUs, snap.HeldGPUs)
-	}
 }
 
 // TestFederationConstructorValidation pins the New error paths: empty
@@ -363,25 +360,25 @@ func TestFederationConstructorValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := federation.New(nil, rr, federation.Options{}); err == nil {
+	if _, err := federation.New(nil, rr); err == nil {
 		t.Error("New accepted zero members")
 	}
-	if _, err := federation.New(memberConfigs(1, nil), nil, federation.Options{}); err == nil {
+	if _, err := federation.New(memberConfigs(1, nil), nil); err == nil {
 		t.Error("New accepted a nil router")
 	}
 	shared := memberConfigs(2, nil)
 	shared[1].Cluster = shared[0].Cluster
-	if _, err := federation.New(shared, rr, federation.Options{}); err == nil {
+	if _, err := federation.New(shared, rr); err == nil {
 		t.Error("New accepted two members sharing a cluster")
 	}
 	shared = memberConfigs(2, nil)
 	shared[1].Scheduler = shared[0].Scheduler
-	if _, err := federation.New(shared, rr, federation.Options{}); err == nil {
+	if _, err := federation.New(shared, rr); err == nil {
 		t.Error("New accepted two members sharing a scheduler")
 	}
 	missing := memberConfigs(1, nil)
 	missing[0].Scheduler = nil
-	if _, err := federation.New(missing, rr, federation.Options{}); err == nil {
+	if _, err := federation.New(missing, rr); err == nil {
 		t.Error("New accepted a member without a scheduler")
 	}
 }
@@ -410,7 +407,7 @@ func TestFederationFrontDoorErrors(t *testing.T) {
 		t.Error("unplaceable job accepted")
 	}
 
-	bad, err := federation.New(memberConfigs(2, nil), badRouter{}, federation.Options{})
+	bad, err := federation.New(memberConfigs(2, nil), badRouter{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,14 +461,15 @@ func TestFederationCancelForwarding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	snap := f.Snapshot()
 	for _, j := range jobs {
-		phase, ok := f.Phase(j.ID)
+		_, phase, _, _, ok := snap.FindJob(j.ID)
 		if !ok {
 			t.Fatalf("job %d unknown after run", j.ID)
 		}
-		want := sim.JobFinished
+		want := sim.JobFinished.String()
 		if cancelled[j.ID] {
-			want = sim.JobCancelled
+			want = sim.JobCancelled.String()
 		}
 		if phase != want {
 			t.Errorf("job %d phase %v, want %v", j.ID, phase, want)
@@ -483,16 +481,20 @@ func TestFederationCancelForwarding(t *testing.T) {
 }
 
 // TestFederationStepAndPeek exercises the shared-clock surface: the
-// federation's next-event time is the min over members, Step reports
-// idle correctly, and Now never exceeds the furthest member.
+// federation's next-event time is the min over members, an idle
+// federation reports no pending events and steps as a no-op, and Now
+// never exceeds the furthest member.
 func TestFederationStepAndPeek(t *testing.T) {
 	core.PanicOnInconsistency = true
 	f := newFed(t, 3, "round-robin", nil)
 	if _, ok := f.PeekNextEventTime(); ok {
 		t.Error("idle federation reported a next event")
 	}
-	if did, err := f.Step(); err != nil || did {
-		t.Errorf("idle Step = (%v, %v), want (false, nil)", did, err)
+	if f.HasPendingEvents() {
+		t.Error("idle federation reported pending events")
+	}
+	if err := f.ProcessNextEvent(); err != nil {
+		t.Errorf("idle ProcessNextEvent = %v, want nil", err)
 	}
 	for _, j := range genJobs(t, 12, 1) {
 		if err := f.SubmitJob(j); err != nil {
@@ -506,13 +508,9 @@ func TestFederationStepAndPeek(t *testing.T) {
 	if now := f.Now(); tNext < now {
 		t.Errorf("next event %v before shared clock %v", tNext, now)
 	}
-	for {
-		did, err := f.Step()
-		if err != nil {
+	for f.HasPendingEvents() {
+		if err := f.ProcessNextEvent(); err != nil {
 			t.Fatal(err)
-		}
-		if !did {
-			break
 		}
 	}
 	if _, err := f.Finish(); err != nil {

@@ -74,7 +74,7 @@ func (r rogueRouter) Route(j *job.Job, views []federation.View, next int) int {
 func TestRouteJobValidatesRouterPick(t *testing.T) {
 	for _, pick := range []int{-1, 3, 99} {
 		r := rogueRouter{pick: pick}
-		f, err := federation.New(memberConfigs(3, nil), r, federation.Options{Validate: true})
+		f, err := federation.New(memberConfigs(3, nil), r)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -43,9 +43,6 @@ type FedSnapshot struct {
 	Digest uint64 `json:"digest"`
 }
 
-// FreeGPUs is the devices not held in the most recent member rounds.
-func (s *FedSnapshot) FreeGPUs() int { return s.TotalGPUs - s.HeldGPUs }
-
 // Member returns the named member's snapshot, or nil.
 func (s *FedSnapshot) Member(name string) *sim.Snapshot {
 	for i := range s.Members {

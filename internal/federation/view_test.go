@@ -103,7 +103,7 @@ func TestViewMatchesNodeScan(t *testing.T) {
 		}
 		opts := sim.DefaultOptions()
 		opts.Failures = fails
-		f, err := New([]MemberConfig{{Cluster: cluster.New(fleets...), Scheduler: s, Sim: opts}}, LeastQueue{}, Options{})
+		f, err := New([]MemberConfig{{Cluster: cluster.New(fleets...), Scheduler: s, Sim: opts}}, LeastQueue{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,7 +143,7 @@ func BenchmarkView(b *testing.B) {
 		for k := 0; k < windows; k++ {
 			opts.Failures = append(opts.Failures, sim.Failure{Node: k * 3, Start: 0, End: 1000})
 		}
-		f, err := New([]MemberConfig{{Cluster: cluster.New(fleets...), Scheduler: flatPrices{}, Sim: opts}}, LeastQueue{}, Options{})
+		f, err := New([]MemberConfig{{Cluster: cluster.New(fleets...), Scheduler: flatPrices{}, Sim: opts}}, LeastQueue{})
 		if err != nil {
 			b.Fatal(err)
 		}

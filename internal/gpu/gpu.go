@@ -54,15 +54,6 @@ func Parse(s string) (Type, error) {
 	return 0, fmt.Errorf("gpu: unknown accelerator type %q", s)
 }
 
-// AllTypes returns every defined accelerator type in declaration order.
-func AllTypes() []Type {
-	out := make([]Type, NumTypes)
-	for i := range out {
-		out[i] = Type(i)
-	}
-	return out
-}
-
 // Fleet counts devices by type. A nil Fleet is an empty fleet.
 type Fleet map[Type]int
 

@@ -194,9 +194,6 @@ func (k *Checker) violate(round int, rule, format string, args ...any) {
 	})
 }
 
-// Violations returns every recorded violation in detection order.
-func (k *Checker) Violations() []Violation { return k.violations }
-
 // Err returns nil when no invariant was violated, otherwise an error
 // describing the first violation and the total count.
 func (k *Checker) Err() error {
@@ -211,7 +208,7 @@ func (k *Checker) Err() error {
 }
 
 // CheckRound validates one round's joint decision and progress
-// accounting. Violations accumulate; read them with Err or Violations.
+// accounting. Violations accumulate; read them with Err.
 func (k *Checker) CheckRound(r Round) {
 	k.touched = k.touched[:0]
 	stride := int(gpu.NumTypes)

@@ -35,7 +35,7 @@ func round(c *cluster.Cluster, jobs ...JobRound) Round {
 
 func wantViolation(t *testing.T, k *Checker, rule string) {
 	t.Helper()
-	for _, v := range k.Violations() {
+	for _, v := range k.violations {
 		if v.Rule == rule {
 			if k.Err() == nil {
 				t.Error("violations recorded but Err() is nil")
@@ -43,7 +43,7 @@ func wantViolation(t *testing.T, k *Checker, rule string) {
 			return
 		}
 	}
-	t.Errorf("no %q violation; got %v", rule, k.Violations())
+	t.Errorf("no %q violation; got %v", rule, k.violations)
 }
 
 func wantClean(t *testing.T, k *Checker) {
@@ -155,7 +155,7 @@ func TestCapacityViolationsInCellOrder(t *testing.T) {
 		job(2, cluster.Alloc{{Node: 0, Type: gpu.V100, Count: 1}, {Node: 1, Type: gpu.V100, Count: 1}}),
 	))
 	var got []string
-	for _, v := range k.Violations() {
+	for _, v := range k.violations {
 		got = append(got, v.String())
 	}
 	want := []string{
@@ -174,7 +174,7 @@ func TestCapacityViolationsInCellOrder(t *testing.T) {
 	k.CheckRound(round(c, v100(0, 4)))
 	k.CheckRound(round(c, v100(0, 4), v100(1, 1)))
 	got = got[:0]
-	for _, v := range k.Violations() {
+	for _, v := range k.violations {
 		got = append(got, v.Detail)
 	}
 	want = []string{"node 0 V100: 8 allocated of 4", "node 0 V100: 5 allocated of 4"}
@@ -406,8 +406,8 @@ func TestViolationCapAndErrSummary(t *testing.T) {
 	for i := 0; i < maxViolations+10; i++ {
 		k.CheckRound(round(c, bad))
 	}
-	if len(k.Violations()) != maxViolations {
-		t.Errorf("stored %d violations, cap is %d", len(k.Violations()), maxViolations)
+	if len(k.violations) != maxViolations {
+		t.Errorf("stored %d violations, cap is %d", len(k.violations), maxViolations)
 	}
 	err := k.Err()
 	if err == nil || !strings.Contains(err.Error(), "violations") {

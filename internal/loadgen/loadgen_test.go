@@ -167,7 +167,7 @@ func TestDriveAgainstFederatedService(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fed, err := federation.New(members, router, federation.Options{Validate: true})
+	fed, err := federation.New(members, router)
 	if err != nil {
 		t.Fatal(err)
 	}

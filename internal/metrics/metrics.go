@@ -188,9 +188,6 @@ func (r *Report) MinJCT() float64 { return stats.Min(r.jcts()) }
 // MaxJCT returns the largest completion time.
 func (r *Report) MaxJCT() float64 { return stats.Max(r.jcts()) }
 
-// JCTSummary returns the full descriptive summary of completion times.
-func (r *Report) JCTSummary() stats.Summary { return stats.Summarize(r.jcts()) }
-
 // AvgQueueDelay returns the mean wait before first allocation.
 func (r *Report) AvgQueueDelay() float64 {
 	out := make([]float64, len(r.Jobs))

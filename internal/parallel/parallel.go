@@ -1,8 +1,8 @@
-// Package parallel provides the worker-pool primitives the experiment
-// harness uses to fan simulation sweeps out across CPU cores:
-// order-preserving parallel map with first-error propagation, and a
-// bounded ForEach. Simulations are independent and CPU-bound, so the
-// default pool size is the machine's core count.
+// Package parallel provides the worker pool the experiment harness uses
+// to fan simulation sweeps out across CPU cores: an order-preserving
+// parallel map with first-error propagation. Simulations are
+// independent and CPU-bound, so the default pool size is the machine's
+// core count.
 package parallel
 
 import (
@@ -62,13 +62,4 @@ func Map[T, R any](workers int, items []T, fn func(T) (R, error)) ([]R, error) {
 		}
 	}
 	return results, nil
-}
-
-// ForEach runs fn over items concurrently, collecting the
-// smallest-index error.
-func ForEach[T any](workers int, items []T, fn func(T) error) error {
-	_, err := Map(workers, items, func(t T) (struct{}, error) {
-		return struct{}{}, fn(t)
-	})
-	return err
 }

@@ -95,20 +95,6 @@ func TestMapZeroWorkersDefaults(t *testing.T) {
 	}
 }
 
-func TestForEach(t *testing.T) {
-	var sum int64
-	err := ForEach(4, []int{1, 2, 3, 4}, func(x int) error {
-		atomic.AddInt64(&sum, int64(x))
-		return nil
-	})
-	if err != nil || sum != 10 {
-		t.Errorf("sum = %d, err = %v", sum, err)
-	}
-	if err := ForEach(2, []int{1}, func(int) error { return errors.New("x") }); err == nil {
-		t.Error("ForEach swallowed error")
-	}
-}
-
 // Property: parallel Map equals sequential map for pure functions.
 func TestMapEquivalentToSequentialProperty(t *testing.T) {
 	prop := func(xs []int16, workersRaw uint8) bool {

@@ -53,9 +53,6 @@ type JobState struct {
 	usableOf      *job.Job
 }
 
-// Done reports whether the job has completed all its iterations.
-func (s *JobState) Done() bool { return s.Remaining <= 1e-9 }
-
 // Running reports whether the job held an allocation last round.
 func (s *JobState) Running() bool { return s.Alloc.Workers() > 0 }
 
@@ -140,16 +137,17 @@ func Rate(j *job.Job, c *cluster.Cluster, a cluster.Alloc) float64 {
 }
 
 // Validate checks one job's allocation against the gang constraint and
-// usable-type requirement. Capacity is checked jointly by the simulator.
+// usable-type requirement, and rejects negative counts, which would
+// otherwise cancel out of the worker sum. Capacity is checked jointly by
+// the simulator.
 func Validate(j *job.Job, a cluster.Alloc) error {
-	w := a.Workers()
-	if w == 0 {
-		return nil
-	}
-	if w != j.Workers {
+	if w := a.Workers(); w != 0 && w != j.Workers {
 		return fmt.Errorf("sched: job %d allocated %d workers, gang requires %d", j.ID, w, j.Workers)
 	}
 	for _, p := range a {
+		if p.Count < 0 {
+			return fmt.Errorf("sched: job %d allocated %d devices of %v on node %d", j.ID, p.Count, p.Type, p.Node)
+		}
 		if p.Count > 0 && j.Speed(p.Type) <= 0 {
 			return fmt.Errorf("sched: job %d allocated unusable type %v", j.ID, p.Type)
 		}

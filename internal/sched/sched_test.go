@@ -188,15 +188,14 @@ func TestUsableTypesSortedByThroughput(t *testing.T) {
 	}
 }
 
-func TestJobStateDoneAndRunning(t *testing.T) {
+func TestJobStateRunning(t *testing.T) {
 	s := &JobState{Job: testJob(), Remaining: 100}
-	if s.Done() || s.Running() {
-		t.Error("fresh state reported done or running")
+	if s.Running() {
+		t.Error("fresh state reported running")
 	}
-	s.Remaining = 0
 	s.Alloc = cluster.Alloc{{Node: 0, Type: gpu.V100, Count: 3}}
-	if !s.Done() || !s.Running() {
-		t.Error("state transitions wrong")
+	if !s.Running() {
+		t.Error("state with an allocation not running")
 	}
 }
 

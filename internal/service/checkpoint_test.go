@@ -37,7 +37,7 @@ func pinnedFederation(t *testing.T) *federation.Federation {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fed, err := federation.New(members, router, federation.Options{Validate: true})
+	fed, err := federation.New(members, router)
 	if err != nil {
 		t.Fatal(err)
 	}

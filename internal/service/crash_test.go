@@ -324,7 +324,9 @@ func (c *crashRun) round() {
 		return
 	}
 	if !c.svc.processBoundary() {
-		c.t.Fatalf("boundary failed: fed %v, journal %v", c.svc.fed.Err(), c.svc.journal.failure())
+		// A poisoned federation answers ProcessNextEvent with its
+		// sticky error and does not step.
+		c.t.Fatalf("boundary failed: journal %v, fed %v", c.svc.journal.failure(), c.svc.fed.ProcessNextEvent())
 	}
 	c.afterAction()
 	c.svc.journal.maybeCheckpoint(c.svc.keys)

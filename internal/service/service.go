@@ -245,7 +245,7 @@ func New(c *cluster.Cluster, s sched.Scheduler, opts Options) (*Service, error) 
 // scheduler, so the web pages list what a bare engine's would.
 func single(c *cluster.Cluster, s sched.Scheduler, simOpts sim.Options) (*federation.Federation, error) {
 	return federation.New([]federation.MemberConfig{{Name: s.Name(), Cluster: c, Scheduler: s, Sim: simOpts}},
-		federation.RoundRobin{}, federation.Options{})
+		federation.RoundRobin{})
 }
 
 // NewFed builds a service over a fresh federation, which it owns from

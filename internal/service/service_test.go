@@ -103,7 +103,7 @@ func (sh shape) federation(t *testing.T) *federation.Federation {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fed, err := federation.New(members, router, federation.Options{Validate: true})
+	fed, err := federation.New(members, router)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -303,22 +303,6 @@ func (e *Engine) fastForwardTarget() float64 {
 	return skip
 }
 
-// Step processes the next event if there is one, reporting whether it
-// did any work. It is the drive-to-completion primitive:
-//
-//	for {
-//	    if ok, err := eng.Step(); err != nil { ... } else if !ok { break }
-//	}
-func (e *Engine) Step() (bool, error) {
-	if !e.HasPendingEvents() {
-		return false, e.err
-	}
-	if err := e.ProcessNextEvent(); err != nil {
-		return false, err
-	}
-	return true, nil
-}
-
 // ProcessNextEvent advances the engine by exactly one round boundary:
 // admit due arrivals and withdrawals, then either run one scheduling
 // round (active jobs exist) or fast-forward the clock to the boundary
@@ -905,9 +889,6 @@ func (e *Engine) Jobs() []*job.Job { return e.all[:len(e.all):len(e.all)] }
 // Round returns the next round index (rounds consumed so far,
 // including idle fast-forwards).
 func (e *Engine) Round() int { return e.round }
-
-// Err returns the sticky error that poisoned the engine, if any.
-func (e *Engine) Err() error { return e.err }
 
 // Phase reports the lifecycle stage of a submitted job.
 func (e *Engine) Phase(id int) (JobPhase, bool) {

@@ -16,13 +16,9 @@ import (
 // driveEngine steps the engine to completion and finalizes the report.
 func driveEngine(t *testing.T, e *Engine) *metrics.Report {
 	t.Helper()
-	for {
-		ok, err := e.Step()
-		if err != nil {
+	for e.HasPendingEvents() {
+		if err := e.ProcessNextEvent(); err != nil {
 			t.Fatal(err)
-		}
-		if !ok {
-			break
 		}
 	}
 	r, err := e.Finish()
@@ -163,11 +159,13 @@ func TestEngineCancelPendingAndActive(t *testing.T) {
 	if cancels != 2 {
 		t.Errorf("%d cancel events, want 2", cancels)
 	}
-	// After both cancellations the engine is idle but not poisoned.
+	// After both cancellations the engine is idle but not poisoned: an
+	// idle engine's ProcessNextEvent does nothing and returns the sticky
+	// error, if any.
 	if e.HasPendingEvents() {
 		t.Error("engine still has pending events after cancelling everything")
 	}
-	if err := e.Err(); err != nil {
+	if err := e.ProcessNextEvent(); err != nil {
 		t.Errorf("engine error = %v", err)
 	}
 }
@@ -374,11 +372,41 @@ func runDigest(t *testing.T, s sched.Scheduler, jobs []*job.Job) (uint64, error)
 			t.Fatal(err)
 		}
 	}
-	for {
-		ok, err := e.Step()
-		if err != nil || !ok {
+	for e.HasPendingEvents() {
+		if err := e.ProcessNextEvent(); err != nil {
 			return e.Digest(), err
 		}
+	}
+	return e.Digest(), nil
+}
+
+// TestEngineRejectsNegativePlacement: a placement with a negative count
+// fails the round, whether the counts sum to no workers ({+4, -4}) or to
+// the gang ({+6, -4} for a 2-worker job, which would book six devices).
+// The checker is off, so only the engine's own validation can refuse
+// them.
+func TestEngineRejectsNegativePlacement(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		alloc cluster.Alloc
+	}{
+		{"sums to no workers", cluster.Alloc{{Node: 0, Type: gpu.V100, Count: 4}, {Node: 1, Type: gpu.V100, Count: -4}}},
+		{"sums to the gang", cluster.Alloc{{Node: 0, Type: gpu.V100, Count: 6}, {Node: 1, Type: gpu.V100, Count: -4}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := cluster.New(gpu.Fleet{gpu.V100: 8}, gpu.Fleet{gpu.V100: 8})
+			e, err := NewEngine(c, scripted{{0: tc.alloc}}, DefaultOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e.SubmitJob(simpleJob(0, 2, 5000, 0)); err != nil {
+				t.Fatal(err)
+			}
+			const want = "sched: job 0 allocated -4 devices of V100 on node 1"
+			if err := e.ProcessNextEvent(); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("round error = %v, want one containing %q", err, want)
+			}
+		})
 	}
 }
 

@@ -143,7 +143,7 @@ func ExampleEngine() {
 		if snap := eng.Snapshot(); snap.Round >= nextStatus {
 			fmt.Printf("  t=%5.1fh  round %3d  active %2d  pending %2d  done %2d  free %2d/%2d GPUs\n",
 				snap.Now/3600, snap.Round, len(snap.Active), snap.Pending,
-				snap.Completed, snap.FreeGPUs(), snap.TotalGPUs)
+				snap.Completed, snap.TotalGPUs-snap.HeldGPUs, snap.TotalGPUs)
 			nextStatus += 20
 		}
 	}

@@ -32,12 +32,11 @@ func buildMidRunEngine(t *testing.T) *Engine {
 		}
 	}
 	for e.Round() < 4 {
-		ok, err := e.Step()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
+		if !e.HasPendingEvents() {
 			t.Fatal("engine drained before reaching round 4")
+		}
+		if err := e.ProcessNextEvent(); err != nil {
+			t.Fatal(err)
 		}
 	}
 	if err := e.CancelJob(2); err != nil {
@@ -247,11 +246,13 @@ func TestRestoreMidOutage(t *testing.T) {
 		return e
 	}
 	step := func(e *Engine) bool {
-		ok, err := e.Step()
-		if err != nil {
+		if !e.HasPendingEvents() {
+			return false
+		}
+		if err := e.ProcessNextEvent(); err != nil {
 			t.Fatal(err)
 		}
-		return ok
+		return true
 	}
 	orig, uninterrupted := mk(), mk()
 	for orig.Round() < 4 {

@@ -69,9 +69,6 @@ type Snapshot struct {
 	Report *metrics.Report `json:"-"`
 }
 
-// FreeGPUs is the devices not held in the most recent round.
-func (s *Snapshot) FreeGPUs() int { return s.TotalGPUs - s.HeldGPUs }
-
 // Result returns the finished job's result, or nil when the job has not
 // finished (or was cancelled, or never submitted).
 func (s *Snapshot) Result(id int) *metrics.JobResult {

@@ -68,10 +68,6 @@ func (r *Rand) Choice(weights []float64) int {
 	return len(weights) - 1
 }
 
-// Shuffle permutes the n-element collection using the supplied swap
-// function.
-func (r *Rand) Shuffle(n int, swap func(i, j int)) { r.r.Shuffle(n, swap) }
-
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -187,29 +183,6 @@ func CDF(xs []float64) []CDFPoint {
 			continue
 		}
 		out = append(out, CDFPoint{X: x, Fraction: float64(i+1) / n})
-	}
-	return out
-}
-
-// SampleCDF evaluates the empirical CDF of xs at the given query points,
-// returning the fraction of samples <= q for each q.
-func SampleCDF(xs []float64, queries []float64) []CDFPoint {
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	out := make([]CDFPoint, len(queries))
-	for i, q := range queries {
-		k := sort.SearchFloat64s(sorted, q)
-		// SearchFloat64s finds the first index >= q; advance over equal
-		// values so the CDF is right-continuous (counts samples <= q).
-		//lint:ignore floateq SearchFloat64s boundary walk: counts samples bitwise-equal to the query point
-		for k < len(sorted) && sorted[k] == q {
-			k++
-		}
-		frac := 0.0
-		if len(sorted) > 0 {
-			frac = float64(k) / float64(len(sorted))
-		}
-		out[i] = CDFPoint{X: q, Fraction: frac}
 	}
 	return out
 }

@@ -183,24 +183,6 @@ func TestCDFMonotoneAndComplete(t *testing.T) {
 	}
 }
 
-func TestSampleCDF(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	pts := SampleCDF(xs, []float64{0, 2, 2.5, 10})
-	want := []float64{0, 0.5, 0.5, 1}
-	for i, p := range pts {
-		if math.Abs(p.Fraction-want[i]) > 1e-12 {
-			t.Errorf("SampleCDF at %v = %v, want %v", p.X, p.Fraction, want[i])
-		}
-	}
-}
-
-func TestSampleCDFEmpty(t *testing.T) {
-	pts := SampleCDF(nil, []float64{1})
-	if pts[0].Fraction != 0 {
-		t.Error("empty sample CDF nonzero")
-	}
-}
-
 func TestCDFPropertyBounds(t *testing.T) {
 	prop := func(raw []float64) bool {
 		xs := make([]float64, 0, len(raw))

@@ -6,32 +6,6 @@ import (
 	"testing"
 )
 
-// FuzzReadPhillyCSV ensures arbitrary CSV input never panics the parser
-// and that accepted inputs survive a write/read round trip.
-func FuzzReadPhillyCSV(f *testing.F) {
-	f.Add("job_id,submit_time_s,gpus,duration_s\napp-1,0,1,1800\n")
-	f.Add("job_id,submit_time_s,gpus,duration_s\nx,5.5,8,36000\ny,9,2,60\n")
-	f.Add("garbage")
-	f.Add("")
-	f.Fuzz(func(t *testing.T, input string) {
-		rows, err := ReadPhillyCSV(strings.NewReader(input))
-		if err != nil {
-			return
-		}
-		var buf bytes.Buffer
-		if err := WritePhillyCSV(&buf, rows); err != nil {
-			t.Fatalf("accepted rows failed to serialize: %v", err)
-		}
-		back, err := ReadPhillyCSV(&buf)
-		if err != nil {
-			t.Fatalf("round trip rejected: %v", err)
-		}
-		if len(back) != len(rows) {
-			t.Fatalf("round trip changed row count: %d -> %d", len(rows), len(back))
-		}
-	})
-}
-
 // FuzzReadTraceJSON ensures arbitrary JSON never panics the trace
 // reader.
 func FuzzReadTraceJSON(f *testing.F) {

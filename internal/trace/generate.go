@@ -140,7 +140,40 @@ func (c Config) Validate() error {
 // GPU-hours uniformly within the class range, and derive epochs so that
 // the job's best-type runtime matches the sampled demand.
 func Generate(cfg Config) ([]*job.Job, error) {
-	return GenerateWithCatalog(cfg, Catalog())
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	var byClass [numSizeClasses][]ModelSpec
+	for _, m := range catalog {
+		byClass[m.Size] = append(byClass[m.Size], m)
+	}
+	rng := stats.NewRand(cfg.Seed)
+	choices, weights := cfg.workerDistribution()
+	jobs := make([]*job.Job, 0, cfg.NumJobs)
+	now := 0.0
+	for i := 0; i < cfg.NumJobs; i++ {
+		class := SizeClass(rng.Intn(int(numSizeClasses)))
+		models := byClass[class]
+		spec := models[rng.Intn(len(models))]
+		lo, hi := class.GPUHourRange()
+		gpuHours := rng.Uniform(lo, hi)
+		workers := choices[rng.Choice(weights)]
+		arrival := 0.0
+		switch cfg.Pattern {
+		case Poisson:
+			now += rng.Exponential(cfg.Rate)
+			arrival = now
+		case Diurnal:
+			now = nextDiurnal(rng, now, cfg.Rate, cfg.Amplitude)
+			arrival = now
+		}
+		j, err := FromDemand(i, spec, workers, gpuHours, arrival)
+		if err != nil {
+			return nil, err
+		}
+		jobs = append(jobs, j)
+	}
+	return jobs, nil
 }
 
 // nextDiurnal samples the next arrival of a non-homogeneous Poisson

@@ -2,7 +2,9 @@
 // paper: the Table II catalog of DNN training workloads with their
 // per-accelerator throughputs, and a synthetic generator reproducing the
 // paper's sampling recipe over the Microsoft Philly trace (heavy-tailed
-// GPU-hour buckets, static or Poisson arrivals).
+// GPU-hour buckets; static, Poisson or diurnal arrivals). The Philly
+// trace itself is not in the repository, so nothing here reads it; a
+// trace file is the JSON that Write produces.
 package trace
 
 import (
@@ -11,7 +13,6 @@ import (
 	"repro/internal/bug"
 	"repro/internal/gpu"
 	"repro/internal/job"
-	"repro/internal/stats"
 )
 
 // SizeClass buckets jobs by total GPU-hours, exactly as the paper
@@ -126,62 +127,4 @@ func ModelByName(name string) (ModelSpec, bool) {
 		}
 	}
 	return ModelSpec{}, false
-}
-
-// ModelsForClass returns the catalog entries assigned to a size class,
-// implementing the paper's recipe of specifying model and dataset from
-// the sampled GPU-hour category.
-func ModelsForClass(s SizeClass) []ModelSpec {
-	var out []ModelSpec
-	for _, m := range catalog {
-		if m.Size == s {
-			out = append(out, m)
-		}
-	}
-	return out
-}
-
-// GenerateWithCatalog synthesizes a trace like Generate but samples
-// models from the supplied catalog instead of the built-in one. Every
-// spec must cover at least one accelerator type per size class.
-func GenerateWithCatalog(cfg Config, specs []ModelSpec) ([]*job.Job, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	byClass := map[SizeClass][]ModelSpec{}
-	for _, m := range specs {
-		byClass[m.Size] = append(byClass[m.Size], m)
-	}
-	for c := SizeClass(0); c < numSizeClasses; c++ {
-		if len(byClass[c]) == 0 {
-			return nil, fmt.Errorf("trace: catalog has no models for class %v", c)
-		}
-	}
-	rng := stats.NewRand(cfg.Seed)
-	choices, weights := cfg.workerDistribution()
-	jobs := make([]*job.Job, 0, cfg.NumJobs)
-	now := 0.0
-	for i := 0; i < cfg.NumJobs; i++ {
-		class := SizeClass(rng.Intn(int(numSizeClasses)))
-		models := byClass[class]
-		spec := models[rng.Intn(len(models))]
-		lo, hi := class.GPUHourRange()
-		gpuHours := rng.Uniform(lo, hi)
-		workers := choices[rng.Choice(weights)]
-		arrival := 0.0
-		switch cfg.Pattern {
-		case Poisson:
-			now += rng.Exponential(cfg.Rate)
-			arrival = now
-		case Diurnal:
-			now = nextDiurnal(rng, now, cfg.Rate, cfg.Amplitude)
-			arrival = now
-		}
-		j, err := FromDemand(i, spec, workers, gpuHours, arrival)
-		if err != nil {
-			return nil, err
-		}
-		jobs = append(jobs, j)
-	}
-	return jobs, nil
 }

@@ -62,15 +62,20 @@ func Analyze(jobs []*job.Job) Stats {
 	return st
 }
 
-// SustainableRatePerHour estimates the arrival rate (jobs/hour) a
-// cluster of the given V100-equivalent capacity can serve at steady
-// state: capacity divided by the mean per-job GPU-hour demand. The
-// Fig. 8/9 sweeps should straddle this value for load to actually vary.
-func (s Stats) SustainableRatePerHour(v100EquivalentGPUs float64) float64 {
-	if s.Jobs == 0 || s.GPUHours.Mean <= 0 {
-		return 0
+// classOf buckets a GPU-hour demand into the paper's size classes.
+// Demands falling in the paper's unassigned gap (50-60 GPU-hours) join
+// XLarge; demands beyond 100 stay XLarge too.
+func classOf(gpuHours float64) SizeClass {
+	switch {
+	case gpuHours < 1:
+		return Small
+	case gpuHours < 10:
+		return Medium
+	case gpuHours < 50:
+		return Large
+	default:
+		return XLarge
 	}
-	return v100EquivalentGPUs / s.GPUHours.Mean
 }
 
 // String renders the summary as a report.

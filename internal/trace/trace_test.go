@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -67,9 +69,16 @@ func TestModelByNameMissing(t *testing.T) {
 	}
 }
 
+// TestModelsForClassCoversAllClasses: Generate samples a model within
+// the sampled size class, so every class needs at least one catalog
+// model.
 func TestModelsForClassCoversAllClasses(t *testing.T) {
+	var models [numSizeClasses]int
+	for _, m := range Catalog() {
+		models[m.Size]++
+	}
 	for c := SizeClass(0); c < numSizeClasses; c++ {
-		if len(ModelsForClass(c)) == 0 {
+		if models[c] == 0 {
 			t.Errorf("no models for class %v", c)
 		}
 	}
@@ -111,6 +120,39 @@ func TestGenerateDeterministic(t *testing.T) {
 		if a[i].Model != b[i].Model || a[i].Workers != b[i].Workers ||
 			a[i].Epochs != b[i].Epochs || a[i].Arrival != b[i].Arrival {
 			t.Fatalf("job %d differs between same-seed generations", i)
+		}
+	}
+}
+
+// TestGenerateBytesPinned pins Generate across commits: the SHA-256 of
+// the trace.Write bytes of the paper's 480-job workload for every
+// arrival pattern and seeds 1-2. The root package's golden digests see
+// only the static pattern's first seed.
+func TestGenerateBytesPinned(t *testing.T) {
+	want := map[string]string{
+		"static/1":  "5b6fc129541c3324ac3e1a2d3e1088f716bae92933554bfa5690b02fb2132c0b",
+		"static/2":  "8868a691631d916ed028f053740ae4090a1700f054e270b27ea85328f2b72670",
+		"poisson/1": "317acf0de2eebfefd8375f64ab21fc9132c936251ad007d269965faefd57ded5",
+		"poisson/2": "627304e4c084830a33e667d5e5947b0200bb952edcb27f5e4e6d22a923f93b78",
+		"diurnal/1": "b8c4751b0782ac2f5761cc0d14b9cf023f45cfe41092f83b3f96652568edfd54",
+		"diurnal/2": "10947827d35fe235babbfe050c3cf561977dad5aada779ad6dc5a6f8348eab0b",
+	}
+	for _, p := range []Pattern{Static, Poisson, Diurnal} {
+		for seed := int64(1); seed <= 2; seed++ {
+			cfg := DefaultConfig()
+			cfg.Pattern, cfg.Seed, cfg.Amplitude = p, seed, 0.5
+			jobs, err := Generate(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := Write(&buf, jobs); err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("%v/%d", p, seed)
+			if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want[name] {
+				t.Errorf("%s: trace bytes hash to %s, want %s", name, got, want[name])
+			}
 		}
 	}
 }
@@ -495,53 +537,17 @@ func TestAnalyzePoissonTrace(t *testing.T) {
 	}
 }
 
-func TestSustainableRate(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.NumJobs = 400
-	jobs, _ := Generate(cfg)
-	st := Analyze(jobs)
-	// ~32 V100-equivalents (20 V100 + 20 P100/2 + 20 K80/10) on the
-	// paper cluster; the sustainable rate should land near the ~2
-	// jobs/hour the Fig. 8 sweep straddles.
-	rate := st.SustainableRatePerHour(32)
-	if rate < 0.5 || rate > 4 {
-		t.Errorf("sustainable rate = %.2f jobs/h, want ~1-2", rate)
+func TestClassOfBoundaries(t *testing.T) {
+	cases := []struct {
+		hours float64
+		want  SizeClass
+	}{
+		{0.5, Small}, {1, Medium}, {9.99, Medium}, {10, Large},
+		{49.9, Large}, {55, XLarge}, {500, XLarge},
 	}
-	if (Stats{}).SustainableRatePerHour(32) != 0 {
-		t.Error("empty stats rate nonzero")
-	}
-}
-
-func TestGenerateWithCatalog(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.NumJobs = 40
-	jobs, err := GenerateWithCatalog(cfg, Catalog())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Same catalog + same seed must reproduce Generate exactly.
-	ref, err := Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range jobs {
-		if jobs[i].Model != ref[i].Model || jobs[i].Epochs != ref[i].Epochs ||
-			jobs[i].Workers != ref[i].Workers {
-			t.Fatalf("job %d differs from Generate: %v vs %v", i, jobs[i], ref[i])
+	for _, c := range cases {
+		if got := classOf(c.hours); got != c.want {
+			t.Errorf("classOf(%v) = %v, want %v", c.hours, got, c.want)
 		}
-	}
-}
-
-func TestGenerateWithCatalogMissingClass(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.NumJobs = 5
-	var onlySmall []ModelSpec
-	for _, m := range Catalog() {
-		if m.Size == Small {
-			onlySmall = append(onlySmall, m)
-		}
-	}
-	if _, err := GenerateWithCatalog(cfg, onlySmall); err == nil {
-		t.Error("catalog missing classes accepted")
 	}
 }

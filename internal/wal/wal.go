@@ -335,9 +335,6 @@ func (w *Writer) Sync() error {
 	return nil
 }
 
-// Size is the current journal length in bytes.
-func (w *Writer) Size() int64 { return w.off }
-
 // Policy reports the writer's sync policy.
 func (w *Writer) Policy() SyncPolicy { return w.policy }
 

@@ -107,16 +107,6 @@ type submitSpec struct {
 	GPUHours float64 `json:"gpu_hours"`
 }
 
-// lookupModel finds a catalog entry by name.
-func lookupModel(name string) (trace.ModelSpec, bool) {
-	for _, spec := range trace.Catalog() {
-		if spec.Name == name {
-			return spec, true
-		}
-	}
-	return trace.ModelSpec{}, false
-}
-
 func (a liveAPI) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec submitSpec
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBody)).Decode(&spec); err != nil {
@@ -128,7 +118,7 @@ func (a liveAPI) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, status, map[string]string{"error": "bad request body: " + err.Error()})
 		return
 	}
-	model, ok := lookupModel(spec.Model)
+	model, ok := trace.ModelByName(spec.Model)
 	if !ok {
 		writeJSON(w, http.StatusBadRequest, map[string]string{
 			"error": fmt.Sprintf("unknown model %q (see the workload catalog)", spec.Model)})

@@ -51,7 +51,7 @@ func newFedFixture(t *testing.T, members int) (*service.Service, *httptest.Serve
 	if err != nil {
 		t.Fatal(err)
 	}
-	fed, err := federation.New(configs, router, federation.Options{Validate: true})
+	fed, err := federation.New(configs, router)
 	if err != nil {
 		t.Fatal(err)
 	}
