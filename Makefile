@@ -149,7 +149,9 @@ profile:
 # service-smoke boots the long-lived scheduler service (cmd/hadard) in
 # smoke mode under the race detector: a single cluster, then three
 # member clusters behind the least-queue router, then the same three
-# with a write-ahead journal. loadgen drives a seeded Poisson workload
+# with a write-ahead journal, then a single cluster on the wall clock
+# (one round per 1ms tick, so the service loop's paced branch runs in
+# the real binary). loadgen drives a seeded Poisson workload
 # from trace.Generate (future arrivals, so the engine's idle
 # fast-forward runs too) through the bounded admission queue in closed
 # loop, and each run fails
@@ -162,6 +164,7 @@ service-smoke:
 	bin/hadard-race -clusters 3 -router least-queue -smoke -smoke-jobs 60 -smoke-model poisson -smoke-seed 1 -smoke-timeout 180s
 	@dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; set -x; \
 	bin/hadard-race -clusters 3 -router least-queue -wal "$$dir" -smoke -smoke-jobs 60 -smoke-model poisson -smoke-seed 1 -smoke-timeout 180s
+	bin/hadard-race -clock wall -interval 1ms -smoke -smoke-jobs 60 -smoke-model poisson -smoke-seed 1 -smoke-timeout 180s
 
 # fuzz-smoke gives every fuzz target a short budget. Go fuzzes one
 # target per invocation, so each gets its own run; FUZZTIME=2m for a

@@ -16,9 +16,9 @@
 // independent member clusters, each with its own scheduler instance,
 // advanced on one shared clock, with the -router policy picking the
 // owning member for every submission at the front door. The same HTTP
-// surface is served; job queries additionally report the owning
-// member. Every other flag, -wal and -recover included, means the same
-// for one cluster and for many.
+// surface is served, with the same bodies: every job response names the
+// owning member, for one cluster as for many. Every other flag, -wal
+// and -recover included, means the same for one cluster and for many.
 //
 // The HTTP surface combines the dashboard (/, /jobs, /api/summary)
 // with the live control API:
@@ -26,7 +26,7 @@
 //	POST   /api/jobs      {"model": "ResNet-50", "workers": 2, "gpu_hours": 4}
 //	GET    /api/jobs/{id} lifecycle phase + live/final detail
 //	DELETE /api/jobs/{id} cancel a pending or running job
-//	GET    /api/snapshot  full cluster snapshot + admission stats
+//	GET    /api/snapshot  counts, live jobs per member + admission stats
 //
 // With -wal DIR every accepted mutation is journaled before its HTTP
 // response, and -recover resumes from the journal after a crash: every
@@ -343,16 +343,11 @@ func runSmoke(scheduler string, svc *service.Service) int {
 		fmt.Fprintf(os.Stderr, "hadard: smoke: %v\n", err)
 		return 1
 	}
-	// A federation's line adds the per-member completion breakdown.
-	detail := ""
-	if len(snap.Members) > 1 {
-		perMember := make([]string, len(snap.Members))
-		for i := range snap.Members {
-			perMember[i] = fmt.Sprintf("%s=%d", snap.Members[i].Name, snap.Members[i].Snap.Completed)
-		}
-		detail = " (" + strings.Join(perMember, " ") + ")"
+	perMember := make([]string, len(snap.Members))
+	for i := range snap.Members {
+		perMember[i] = fmt.Sprintf("%s=%d", snap.Members[i].Name, snap.Members[i].Snap.Completed)
 	}
-	fmt.Printf("hadard: smoke OK: %d jobs accepted, %d completed%s, %d rounds, 0 invariant violations\n",
-		res.Submitted, snap.Completed, detail, svc.Stats().Rounds)
+	fmt.Printf("hadard: smoke OK: %d jobs accepted, %d completed (%s), %d rounds, 0 invariant violations\n",
+		res.Submitted, snap.Completed, strings.Join(perMember, " "), svc.Stats().Rounds)
 	return 0
 }

@@ -422,21 +422,22 @@ func (s *Service) Stats() Stats {
 }
 
 // run is the owning goroutine: the sole user of s.fed from Start to
-// stopped.
+// stopped. Each pass handles every waiting request, flushes a group
+// commit whose deadline has passed, and then processes one boundary if
+// one is due — under VirtualClock whenever the federation has work,
+// under WallClock once per RoundInterval tick (a tick that finds no
+// work is dropped). Otherwise it blocks on a request, the group timer,
+// the tick or stop.
 func (s *Service) run() {
 	defer close(s.stopped)
-	switch s.opts.Clock {
-	case WallClock:
-		s.runWall()
-	default:
-		s.runVirtual()
+	defer s.shutdown()
+	var tick <-chan time.Time
+	if s.opts.Clock == WallClock {
+		t := time.NewTicker(s.opts.RoundInterval)
+		defer t.Stop()
+		tick = t.C
 	}
-	s.shutdown()
-}
-
-// runVirtual drains requests and processes boundaries as fast as
-// possible, blocking only when the federation is idle and the queue empty.
-func (s *Service) runVirtual() {
+	ticked := false
 	for {
 		// Batch every waiting request into this boundary.
 		for {
@@ -454,45 +455,22 @@ func (s *Service) runVirtual() {
 			return
 		}
 		s.journal.flushGroup(false)
-		if !s.fed.HasPendingEvents() {
-			// Idle: nothing to schedule until a request, a pending
-			// group commit, or stop.
-			select {
-			case r := <-s.reqs:
-				s.handle(r)
-			case <-s.journal.groupTimer():
-				s.journal.flushGroup(true)
-			case <-s.stop:
+		due := tick == nil || ticked
+		ticked = false
+		if due && s.fed.HasPendingEvents() {
+			if !s.processBoundary() {
 				return
 			}
+			s.journal.maybeCheckpoint(s.keys)
 			continue
-		}
-		if !s.processBoundary() {
-			return
-		}
-		s.journal.maybeCheckpoint(s.keys)
-	}
-}
-
-// runWall paces one boundary per RoundInterval tick, handling requests
-// between ticks.
-func (s *Service) runWall() {
-	tick := time.NewTicker(s.opts.RoundInterval)
-	defer tick.Stop()
-	for {
-		if s.journal.failure() != nil {
-			return
 		}
 		select {
 		case r := <-s.reqs:
 			s.handle(r)
 		case <-s.journal.groupTimer():
 			s.journal.flushGroup(true)
-		case <-tick.C:
-			if s.fed.HasPendingEvents() && !s.processBoundary() {
-				return
-			}
-			s.journal.maybeCheckpoint(s.keys)
+		case <-tick:
+			ticked = true
 		case <-s.stop:
 			return
 		}

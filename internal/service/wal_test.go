@@ -482,6 +482,71 @@ func TestServiceWALGroupCommit(t *testing.T) {
 	})
 }
 
+// TestServiceWALWallClockKillAndRecover runs the wall-paced loop with
+// group commit, so its tick and group-timer branches take turns, kills
+// it, and recovers with the same clock: every acknowledged key must be
+// answered from the recovered ledger, and a replay of the journal must
+// reach the recovered service's final digest.
+func TestServiceWALWallClockKillAndRecover(t *testing.T) {
+	overWALShapes(t, func(t *testing.T, sh shape) {
+		dir := t.TempDir()
+		opts := func(recover bool) Options {
+			o := walOptions(dir, WALConfig{Policy: wal.SyncGroup, GroupInterval: time.Millisecond, Recover: recover})
+			o.Clock, o.RoundInterval = WallClock, time.Millisecond
+			return o
+		}
+		svc := sh.service(t, opts(false))
+		svc.Start()
+		type ack struct {
+			key string
+			id  int
+			err error
+		}
+		acks := make(chan ack, 8)
+		for i := 0; i < 8; i++ {
+			i := i
+			go func() {
+				key := fmt.Sprintf("key-%d", i)
+				id, _, err := svc.SubmitKeyed(key, simpleJob(i, 1+i%2, 5e4))
+				acks <- ack{key, id, err}
+			}()
+		}
+		acked := make(map[string]int)
+		for i := 0; i < 8; i++ {
+			a := <-acks
+			if a.err != nil {
+				t.Fatalf("submit %s: %v", a.key, a.err)
+			}
+			acked[a.key] = a.id
+		}
+		waitFor(t, svc, "some wall-paced rounds", func(s *federation.FedSnapshot) bool { return rounds(s) >= 3 })
+		svc.Kill()
+		if _, err := svc.Stop(); !errors.Is(err, ErrKilled) {
+			t.Fatalf("Stop after Kill = %v, want ErrKilled", err)
+		}
+
+		rec := sh.service(t, opts(true))
+		rec.Start()
+		for key, want := range acked {
+			id, deduped, err := rec.SubmitKeyed(key, simpleJob(want, 1, 5e4))
+			if err != nil || !deduped || id != want {
+				t.Errorf("retried %s = (%d, %v, %v), want (%d, true, nil)", key, id, deduped, err, want)
+			}
+		}
+		waitFor(t, rec, "recovered run drains", drained)
+		if _, err := rec.Stop(); err != nil {
+			t.Fatalf("stop recovered service: %v", err)
+		}
+		res := sh.verify(t, dir)
+		if got := rec.Snapshot().Digest; res.Digest != got {
+			t.Errorf("uninterrupted replay digest %#x, recovered service %#x", res.Digest, got)
+		}
+		if res.Submitted != len(acked) {
+			t.Errorf("journal has %d submissions, want %d", res.Submitted, len(acked))
+		}
+	})
+}
+
 // TestServiceWALRefusesExistingJournal: without Recover, New must not
 // silently clobber a journal left by a previous run.
 func TestServiceWALRefusesExistingJournal(t *testing.T) {

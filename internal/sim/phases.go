@@ -3,7 +3,6 @@ package sim
 import (
 	"cmp"
 	"slices"
-	"strconv"
 )
 
 // terminalEntry records how one job ended: ref is the job's index in
@@ -106,35 +105,4 @@ func (v *PhaseView) MaxID() (id int, ok bool) {
 		return 0, false
 	}
 	return v.maxID, true
-}
-
-// MarshalJSON emits the view as the JSON object encoding/json writes
-// for the equivalent map[int]string — keys in string order — which is
-// what this field was before it became a view.
-func (v *PhaseView) MarshalJSON() ([]byte, error) {
-	type kv struct{ key, phase string }
-	kvs := make([]kv, 0, v.Len())
-	//lint:ignore maprange collected here, sorted by key below
-	for id, p := range v.live {
-		kvs = append(kvs, kv{strconv.Itoa(id), p})
-	}
-	for _, run := range v.done.runs {
-		for _, e := range run {
-			kvs = append(kvs, kv{strconv.Itoa(e.id), e.phase().String()})
-		}
-	}
-	slices.SortFunc(kvs, func(a, b kv) int { return cmp.Compare(a.key, b.key) })
-	buf := make([]byte, 0, 24*len(kvs)+2)
-	buf = append(buf, '{')
-	for i, e := range kvs {
-		if i > 0 {
-			buf = append(buf, ',')
-		}
-		buf = append(buf, '"')
-		buf = append(buf, e.key...)
-		buf = append(buf, `":"`...)
-		buf = append(buf, e.phase...)
-		buf = append(buf, '"')
-	}
-	return append(buf, '}'), nil
 }

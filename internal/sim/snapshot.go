@@ -62,8 +62,9 @@ type Snapshot struct {
 	// Phases maps every submitted job ID to its lifecycle stage
 	// ("pending", "active", "finished", "cancelled"), so status queries
 	// resolve against the snapshot instead of the engine; nil before the
-	// first submission.
-	Phases *PhaseView `json:"phases,omitempty"`
+	// first submission. It is not encoded: it grows with every job ever
+	// submitted, and each job's phase is one lookup away.
+	Phases *PhaseView `json:"-"`
 	// Report is a view of the metrics accumulated so far (completed
 	// jobs in completion order, utilization series, fault counters).
 	Report *metrics.Report `json:"-"`

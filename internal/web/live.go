@@ -19,9 +19,9 @@ import (
 // running scheduler service: the pages (/, /jobs, /api/summary, SVGs)
 // render the service's latest snapshot, one report per member, and the
 // /api/jobs endpoints submit, cancel, and query jobs through the
-// service's bounded admission queue. Several members answer as a
-// federation (member names, merged snapshot); a single cluster answers
-// as the engine it is.
+// service's bounded admission queue. Every service answers as the
+// federation it is, a single cluster as a federation of one: the same
+// bodies, each naming the member that owns the job.
 func NewLiveServer(svc *service.Service) *Server {
 	s := newServer(svc)
 	api := liveAPI{svc}
@@ -75,21 +75,14 @@ func writeError(w http.ResponseWriter, err error, fallback int) {
 	}
 }
 
-// handleSnapshot answers with the published view — the federation's, or
-// a single cluster's one engine's — plus the admission counters.
+// handleSnapshot answers with the published federation view plus the
+// admission counters. Its size follows the live jobs: terminal jobs are
+// counted, and each one answers at GET /api/jobs/{id}.
 func (a liveAPI) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	fed, stats := a.svc.Snapshot(), a.svc.Stats()
-	if len(fed.Members) == 1 {
-		writeJSON(w, http.StatusOK, struct {
-			*sim.Snapshot
-			Stats service.Stats `json:"stats"`
-		}{fed.Members[0].Snap, stats})
-		return
-	}
 	writeJSON(w, http.StatusOK, struct {
 		*federation.FedSnapshot
 		Stats service.Stats `json:"stats"`
-	}{fed, stats})
+	}{a.svc.Snapshot(), a.svc.Stats()})
 }
 
 // submitSpec is the POST /api/jobs body. The job is built from the
@@ -136,14 +129,10 @@ func (a liveAPI) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	status := http.StatusAccepted
-	body := map[string]any{"name": j.Name}
+	body := map[string]any{}
+	deduped := false
 	if spec.Key != "" {
-		var deduped bool
-		if id, deduped, err = a.svc.SubmitKeyed(spec.Key, j); deduped {
-			// The key was already accepted (possibly before a crash);
-			// report the original admission rather than a new one.
-			status = http.StatusOK
-		}
+		id, deduped, err = a.svc.SubmitKeyed(spec.Key, j)
 		body["deduped"] = deduped
 	} else {
 		err = a.svc.Submit(j)
@@ -152,22 +141,24 @@ func (a liveAPI) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err, http.StatusConflict)
 		return
 	}
-	body["id"] = id
-	// A federation reports which member the router placed the job on:
-	// useful for debugging routing policies from the command line.
-	if fed := a.svc.Snapshot(); len(fed.Members) > 1 {
-		body["member"], _ = fed.Owner(id)
+	if deduped {
+		// The key was already accepted (possibly before a crash): report
+		// the original admission, whose name this spec does not know.
+		status = http.StatusOK
+	} else {
+		body["name"] = j.Name
 	}
+	body["id"] = id
+	body["member"], _ = a.svc.Snapshot().Owner(id)
 	writeJSON(w, status, body)
 }
 
-// queryResponse is the GET /api/jobs/{id} body: the owning member
-// (federations only), the lifecycle phase, and whichever detail exists
-// — the live JobSnapshot for admitted jobs, the final JobResult for
-// finished ones.
+// queryResponse is the GET /api/jobs/{id} body: the owning member, the
+// lifecycle phase, and whichever detail exists — the live JobSnapshot
+// for admitted jobs, the final JobResult for finished ones.
 type queryResponse struct {
 	ID     int                `json:"id"`
-	Member string             `json:"member,omitempty"`
+	Member string             `json:"member"`
 	Phase  string             `json:"phase"`
 	Job    *sim.JobSnapshot   `json:"job,omitempty"`
 	Result *metrics.JobResult `json:"result,omitempty"`
@@ -183,14 +174,10 @@ func (a liveAPI) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad job id: " + err.Error()})
 		return
 	}
-	fed := a.svc.Snapshot()
-	member, phase, js, res, ok := fed.FindJob(id)
+	member, phase, js, res, ok := a.svc.Snapshot().FindJob(id)
 	if !ok {
-		writeJSON(w, http.StatusNotFound, map[string]string{"error": fmt.Sprintf("unknown job %d", id)})
+		writeUnknownJob(w, id)
 		return
-	}
-	if len(fed.Members) == 1 {
-		member = "" // a single cluster never mentions members
 	}
 	writeJSON(w, http.StatusOK, queryResponse{ID: id, Member: member, Phase: phase, Job: js, Result: res})
 }
@@ -201,9 +188,19 @@ func (a liveAPI) handleCancel(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad job id: " + err.Error()})
 		return
 	}
+	// A job the service never accepted is unknown, as GET answers; one it
+	// knows but cannot cancel (already terminal) is a conflict.
+	if member, _ := a.svc.Snapshot().Owner(id); member == "" {
+		writeUnknownJob(w, id)
+		return
+	}
 	if err := a.svc.Cancel(id); err != nil {
 		writeError(w, err, http.StatusConflict)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"id": id, "cancelled": true})
+}
+
+func writeUnknownJob(w http.ResponseWriter, id int) {
+	writeJSON(w, http.StatusNotFound, map[string]string{"error": fmt.Sprintf("unknown job %d", id)})
 }

@@ -102,12 +102,12 @@ func do(t *testing.T, method, url string) (*http.Response, map[string]any) {
 
 func TestLiveSubmitQueryCancel(t *testing.T) {
 	svc, ts := newLiveFixture(t)
-	caseSubmitQueryCancel(t, ts.URL, false, phaseIn(svc))
+	caseSubmitQueryCancel(t, ts.URL, phaseIn(svc))
 }
 
 func TestFedSubmitQueryCancel(t *testing.T) {
 	svc, ts := newFedFixture(t, 2)
-	caseSubmitQueryCancel(t, ts.URL, true, phaseIn(svc))
+	caseSubmitQueryCancel(t, ts.URL, phaseIn(svc))
 }
 
 // phaseIn reads a job's phase from the service's latest snapshot, ""
@@ -121,9 +121,9 @@ func phaseIn(svc *service.Service) func(id int) string {
 
 // caseSubmitQueryCancel walks a job through the control API of either
 // service: submit (keyed or not), observe it become active, query it,
-// cancel it. A federation names the owning member in every response; a
-// single engine never mentions one.
-func caseSubmitQueryCancel(t *testing.T, url string, federated bool, phase func(id int) string) {
+// cancel it. Every response names the owning member, for one member as
+// for many.
+func caseSubmitQueryCancel(t *testing.T, url string, phase func(id int) string) {
 	for _, body := range []string{
 		`{"model": "ResNet-50", "workers": 2, "gpu_hours": 50000}`,
 		`{"key": "k", "model": "ResNet-50", "workers": 2, "gpu_hours": 50000}`,
@@ -136,9 +136,9 @@ func caseSubmitQueryCancel(t *testing.T, url string, federated bool, phase func(
 		if id < 1<<20 {
 			t.Errorf("auto-assigned ID %d not in the service range", id)
 		}
-		member, hasMember := out["member"].(string)
-		if hasMember != federated || (federated && member == "") {
-			t.Errorf("submit %s: member = %q (present %v), federated %v", body, member, hasMember, federated)
+		member, _ := out["member"].(string)
+		if member == "" {
+			t.Errorf("submit %s: body %v names no member", body, out)
 		}
 
 		// The engine admits the job at the next boundary; wait for it.
@@ -171,8 +171,14 @@ func caseSubmitQueryCancel(t *testing.T, url string, federated bool, phase func(
 			t.Errorf("cancelled job query status = %d, body %v; want phase only", resp.StatusCode, out)
 		}
 	}
+	// Cancelling a job the service never accepted is a 404, as querying
+	// it is; a double cancel above stays a 409.
+	resp, out := do(t, http.MethodDelete, url+"/api/jobs/999999999")
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("unknown job cancel status = %d, body %v; want 404", resp.StatusCode, out)
+	}
 	// A job that runs to completion answers with its result, by ID.
-	resp, out := postJSON(t, url+"/api/jobs", `{"model": "ResNet-50", "workers": 1, "gpu_hours": 0.01}`)
+	resp, out = postJSON(t, url+"/api/jobs", `{"model": "ResNet-50", "workers": 1, "gpu_hours": 0.01}`)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit status = %d, body %v", resp.StatusCode, out)
 	}
@@ -386,11 +392,11 @@ func TestLiveSubmitBodyTooLarge(t *testing.T) {
 	}
 }
 
-// TestLiveEngineBodiesMatchGolden pins the single-engine API bodies
-// byte for byte: testdata/live_engine_api.golden was recorded from the
-// commit before the engine and federation handlers were merged, so the
-// shared handlers cannot have changed what a single-engine client sees.
-// Each exchange is "METHOD path body" then "status response-body".
+// TestLiveEngineBodiesMatchGolden pins the API bodies of a one-member
+// service byte for byte against testdata/live_engine_api.golden: the
+// same shapes a federation of many answers with, a snapshot without the
+// per-job phases, and a deduplicated retry that names no job of its
+// own. Each exchange is "METHOD path body" then "status response-body".
 func TestLiveEngineBodiesMatchGolden(t *testing.T) {
 	svc, ts := newLiveFixture(t)
 	var got strings.Builder
@@ -428,12 +434,14 @@ func TestLiveEngineBodiesMatchGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.String() != string(want) {
-		t.Errorf("single-engine API bodies changed:\n--- got\n%s\n--- want\n%s", got.String(), want)
+		t.Errorf("one-member API bodies changed:\n--- got\n%s\n--- want\n%s", got.String(), want)
 	}
 }
 
 // TestLiveSubmitIdempotencyKey: posting the same key twice admits one
-// job and answers the retry with the original ID.
+// job and answers the retry with the original ID and member, and no
+// name: the retry's own spec (a fresh auto-assigned ID) names a job
+// that was never admitted.
 func TestLiveSubmitIdempotencyKey(t *testing.T) {
 	svc, ts := newLiveFixture(t)
 	body := `{"key": "retry-me", "model": "ResNet-50", "workers": 1, "gpu_hours": 50000}`
@@ -442,17 +450,56 @@ func TestLiveSubmitIdempotencyKey(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted || out["deduped"] != false {
 		t.Fatalf("first keyed submit status = %d, body %v", resp.StatusCode, out)
 	}
-	id := int(out["id"].(float64))
+	id, member := int(out["id"].(float64)), out["member"]
 
 	resp, out = postJSON(t, ts.URL+"/api/jobs", body)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("retried keyed submit status = %d, want 200; body %v", resp.StatusCode, out)
 	}
-	if out["deduped"] != true || int(out["id"].(float64)) != id {
-		t.Errorf("retry body = %v, want deduped=true id=%d", out, id)
+	if out["deduped"] != true || int(out["id"].(float64)) != id || out["member"] != member {
+		t.Errorf("retry body = %v, want deduped=true id=%d member=%v", out, id, member)
+	}
+	if name, ok := out["name"]; ok {
+		t.Errorf("deduplicated retry names %v, a job that was never admitted", name)
 	}
 	if got := svc.Stats(); got.Accepted != 1 || got.Deduped != 1 {
 		t.Errorf("stats = %+v, want 1 accepted + 1 deduped", got)
+	}
+}
+
+// TestLiveSnapshotBodyBoundedByLiveJobs: /api/snapshot carries the live
+// jobs and the counters, not one entry per job ever submitted, so its
+// length does not grow with completions.
+func TestLiveSnapshotBodyBoundedByLiveJobs(t *testing.T) {
+	svc, ts := newLiveFixture(t)
+	size := func() int {
+		t.Helper()
+		res, err := http.Get(ts.URL + "/api/snapshot")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer res.Body.Close()
+		body, err := io.ReadAll(res.Body)
+		if err != nil || res.StatusCode != http.StatusOK {
+			t.Fatalf("snapshot status = %d, err %v", res.StatusCode, err)
+		}
+		return len(body)
+	}
+	submit := func(from, to int) {
+		t.Helper()
+		for i := from; i < to; i++ {
+			resp, out := postJSON(t, ts.URL+"/api/jobs", `{"model": "LSTM", "workers": 1, "gpu_hours": 0.05}`)
+			if resp.StatusCode != http.StatusAccepted {
+				t.Fatalf("submit %d status = %d, body %v", i, resp.StatusCode, out)
+			}
+		}
+		waitCompleted(t, svc, to)
+	}
+	submit(0, 4)
+	small := size()
+	submit(4, 40)
+	if large := size(); large > small+64 {
+		t.Errorf("snapshot body grew from %d bytes after 4 completions to %d after 40", small, large)
 	}
 }
 
