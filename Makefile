@@ -200,6 +200,7 @@ fuzz-smoke: fuzz-sync
 	$(GO) test -run='^$$' -fuzz='^FuzzFNVWrite$$' -fuzztime=$(FUZZTIME) ./internal/sim
 	$(GO) test -run='^$$' -fuzz='^FuzzScan$$' -fuzztime=$(FUZZTIME) ./internal/wal
 	$(GO) test -run='^$$' -fuzz='^FuzzReplayRecords$$' -fuzztime=$(FUZZTIME) ./internal/service
+	$(GO) test -run='^$$' -fuzz='^FuzzCheckpointHeadMatchesMarshal$$' -fuzztime=$(FUZZTIME) ./internal/service
 	$(GO) test -run='^$$' -fuzz='^FuzzRatesJSON$$' -fuzztime=$(FUZZTIME) ./internal/job
 	$(GO) test -run='^$$' -fuzz='^FuzzFindAllocMatchesReference$$' -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz='^FuzzPriceBounds$$' -fuzztime=$(FUZZTIME) ./internal/core

@@ -240,12 +240,15 @@ func TestRefusedCheckpointWaitsItsTurn(t *testing.T) {
 
 // TestCheckpointsAllocateLessThanTheyWrite takes a checkpoint every 100
 // keyed submissions from 1 000 to 4 000 jobs and requires what those
-// checkpoints allocate, summed, to stay under what they write: a job is
-// encoded once, by the first checkpoint after its submission (0.71x on
-// amd64). The encoder the parts writer replaced, which encoded every job
-// at every checkpoint and compacted the result twice more, allocated
-// 4.96 times the payload here. Each file must also be, byte for byte,
-// the JSON of the checkpointDoc it decodes to, as that encoder wrote it.
+// checkpoints allocate, summed, to stay under 0.6 times what they
+// write: a job is encoded once, by the first checkpoint after its
+// submission, into a chunk no later checkpoint copies, and the head
+// and key ledger are appended into buffers the journal reuses (0.28x
+// on amd64, 0.47x under -race). One history buffer regrown by append
+// allocated 0.69x here, and the encoder before the parts writer, which
+// encoded every job at every checkpoint and compacted the result twice
+// more, 4.96x. Each file must also be, byte for byte, the JSON of the
+// checkpointDoc it decodes to, as that encoder wrote it.
 func TestCheckpointsAllocateLessThanTheyWrite(t *testing.T) {
 	if testing.Short() {
 		t.Skip("4 000 submissions")
@@ -286,7 +289,62 @@ func TestCheckpointsAllocateLessThanTheyWrite(t *testing.T) {
 	svc.journal.w.Abort()
 	ratio := float64(allocated) / float64(written)
 	t.Logf("31 checkpoints wrote %.1f MB and allocated %.1f MB (%.2fx)", float64(written)/1e6, float64(allocated)/1e6, ratio)
-	if ratio > 1 {
-		t.Errorf("checkpoints allocated %.2f times what they wrote, budget 1", ratio)
+	if ratio > 0.6 {
+		t.Errorf("checkpoints allocated %.2f times what they wrote, budget 0.6", ratio)
 	}
+}
+
+// FuzzCheckpointHeadMatchesMarshal requires the head writeCheckpoint
+// appends to be, for any journal position and key ledger, the JSON
+// encoding/json writes for the checkpointHead with its closing brace
+// turned into a comma. The ledger comes as records of a length byte,
+// that many key bytes and a value byte; nilLedger picks a nil map over
+// an empty one when there are none.
+func FuzzCheckpointHeadMatchesMarshal(f *testing.F) {
+	ledger := func(keys ...string) []byte {
+		var b []byte
+		for i, k := range keys {
+			b = append(b, byte(len(k)))
+			b = append(b, k...)
+			b = append(b, byte(i*37-60))
+		}
+		return b
+	}
+	f.Add(0, []byte(nil), true)
+	f.Add(7, []byte{}, false)
+	f.Add(12, ledger(""), false)
+	f.Add(-3, ledger("key-10", "key-2", "key-1"), false)
+	f.Add(1<<31-1, ledger(`"`, `\`, "<", ">", "&", `a"b\c<d>e&f`), false)
+	f.Add(5, ledger("\x00", "\x01\x1f", "\b\f\n\r\t", "\x7f", "tab\there"), false)
+	f.Add(9, ledger("\u2028", "\u2029", "line\u2028sep"), false)
+	f.Add(11, ledger("héllo", "日本語", "emoji 🚀"), false)
+	f.Add(13, ledger("\xff", "a\xc3", "\xed\xa0\x80", "ok\xfe\xffok"), false)
+
+	f.Fuzz(func(t *testing.T, seq int, data []byte, nilLedger bool) {
+		var keys map[string]int
+		if !nilLedger || len(data) > 0 {
+			keys = make(map[string]int)
+		}
+		for len(data) > 0 {
+			n := min(int(data[0]), len(data)-1)
+			k := string(data[1 : 1+n])
+			data = data[1+n:]
+			v := 0
+			if len(data) > 0 {
+				v, data = int(int8(data[0]))<<20, data[1:]
+			}
+			keys[k] = v
+		}
+		want, err := json.Marshal(&checkpointHead{Seq: seq, Keys: keys})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[len(want)-1] = ','
+		// Reused buffers, as the journal's are: stale bytes must not leak.
+		got, scratch := appendCheckpointHead([]byte("stale"), []string{"stale"}, seq, keys)
+		got, _ = appendCheckpointHead(got[:0], scratch[:0], seq, keys)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("seq %d, %d keys: appended\n%q\nencoding/json\n%q", seq, len(keys), got, want)
+		}
+	})
 }

@@ -1,11 +1,16 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
+	"strings"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/federation"
 	"repro/internal/job"
@@ -147,6 +152,13 @@ type journal struct {
 	// recovery describes what startup recovery did (nil for a journal
 	// created fresh without Recover).
 	recovery *Recovery
+	// rec and recEnc encode each journal record, head and ledger each
+	// checkpoint's head and its sorted keys; all are reused from write
+	// to write.
+	rec    bytes.Buffer
+	recEnc *json.Encoder
+	head   []byte
+	ledger []string
 }
 
 // openJournal opens the durability state in cfg.Dir for a fresh
@@ -219,12 +231,16 @@ func (j *journal) appendRecord(rec walRecord) error {
 	if j.err != nil {
 		return j.err
 	}
-	payload, err := json.Marshal(&rec)
-	if err != nil {
+	if j.recEnc == nil {
+		j.recEnc = json.NewEncoder(&j.rec)
+	}
+	j.rec.Reset()
+	if err := j.recEnc.Encode(&rec); err != nil {
 		j.err = err
 		return err
 	}
-	if err := j.w.Append(payload); err != nil {
+	// Encode ends the record's JSON with a newline the frame leaves out.
+	if err := j.w.Append(j.rec.Bytes()[:j.rec.Len()-1]); err != nil {
 		j.err = err
 		return err
 	}
@@ -289,14 +305,47 @@ func (j *journal) maybeCheckpoint(keys map[string]int) {
 // checkpoints does not cost every boundary a full encode and write.
 func (j *journal) writeCheckpoint(keys map[string]int) {
 	j.sinceCkpt = 0
-	head, err := json.Marshal(&checkpointHead{Seq: j.applied, Keys: keys})
-	if err != nil {
-		return
-	}
-	head[len(head)-1] = ',' // the federation's members follow
-	parts, err := j.fed.AppendState([][]byte{head})
+	j.head, j.ledger = appendCheckpointHead(j.head[:0], j.ledger[:0], j.applied, keys)
+	parts, err := j.fed.AppendState([][]byte{j.head})
 	if err != nil {
 		return // a poisoned federation has nothing worth persisting
 	}
 	wal.WriteCheckpointFS(j.cfg.FS, checkpointPath(j.cfg.Dir), parts)
+}
+
+// appendCheckpointHead appends to dst the JSON of a checkpointHead with
+// its closing brace turned into the comma the federation's members
+// follow, byte for byte as encoding/json writes it. ledger is scratch
+// space for the sorted keys; both grown slices are returned for reuse.
+func appendCheckpointHead(dst []byte, ledger []string, seq int, keys map[string]int) ([]byte, []string) {
+	dst = strconv.AppendInt(append(dst, `{"seq":`...), int64(seq), 10)
+	dst = append(dst, ',')
+	if len(keys) == 0 {
+		return dst, ledger // omitempty
+	}
+	for k := range keys {
+		ledger = append(ledger, k)
+	}
+	slices.Sort(ledger) // encoding/json's order for string keys
+	dst = append(dst, `"keys":{`...)
+	for i, k := range ledger {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = appendJSONKey(dst, k)
+		dst = strconv.AppendInt(append(dst, ':'), int64(keys[k]), 10)
+	}
+	return append(dst, "},"...), ledger
+}
+
+// appendJSONKey appends k as a JSON string: copied between quotes if
+// encoding/json writes it as is, marshalled otherwise.
+func appendJSONKey(dst []byte, k string) []byte {
+	for i := 0; i < len(k); i++ {
+		if c := k[i]; c < 0x20 || c >= utf8.RuneSelf || strings.IndexByte(`"\<>&`, c) >= 0 {
+			b, _ := json.Marshal(k) // a string always marshals
+			return append(dst, b...)
+		}
+	}
+	return append(append(append(dst, '"'), k...), '"')
 }

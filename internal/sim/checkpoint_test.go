@@ -86,16 +86,16 @@ func outageOptions() Options {
 	return opts
 }
 
-// hadarRun is a 96-job Poisson trace under Hadar on the paper's
+// hadarRun is an n-job Poisson trace under Hadar on the paper's
 // cluster, driven as the service drives an engine: one submission, then
 // one event, while the trace lasts. Every 12th job is cancelled after
 // the event that follows its submission unless it finished in it, so
 // visit, which sees the engine after every event, sees that cancel
 // pending.
-func hadarRun(t testing.TB, opts Options, visit func(e *Engine, event int)) *Engine {
+func hadarRun(t testing.TB, n int, opts Options, visit func(e *Engine, event int)) *Engine {
 	t.Helper()
 	cfg := trace.DefaultConfig()
-	cfg.NumJobs = 96
+	cfg.NumJobs = n
 	cfg.Pattern = trace.Poisson
 	jobs, err := trace.Generate(cfg)
 	if err != nil {
@@ -132,8 +132,11 @@ func hadarRun(t testing.TB, opts Options, visit func(e *Engine, event int)) *Eng
 // TestAppendStateMatchesReference checkpoints engines every few events
 // and requires the reference encoder's bytes each time: an empty engine
 // (every history null), the 96-job Hadar run with and without outages
-// (pending cancels, down nodes), and a restored engine stepping on from
-// a cold cache into a warm one.
+// (pending cancels, down nodes), a 320-job run whose jobs and results
+// outgrow one encode batch — one checkpoint after a gap encodes more
+// than a batch of new jobs at once — and restored engines stepping on
+// from a cold cache into a warm one, the larger one's first checkpoint
+// encoding more than a batch of jobs and of results.
 func TestAppendStateMatchesReference(t *testing.T) {
 	t.Run("empty", func(t *testing.T) {
 		e, err := NewEngine(twoNodeCluster(), fifo{}, ValidatedOptions())
@@ -149,57 +152,83 @@ func TestAppendStateMatchesReference(t *testing.T) {
 		}
 		c.check(e, "one job, no round")
 	})
+	every4 := func(event int) bool { return event%4 == 0 }
 	for _, row := range []struct {
-		name string
-		opts Options
-		want string // a field some checkpoint of the row must hold
+		name  string
+		jobs  int
+		opts  Options
+		check func(event int) bool
+		want  string // a field some checkpoint of the row must hold
 	}{
-		{"hadar-96", ValidatedOptions(), `"cancel_requested":[`},
-		{"hadar-96-outage", outageOptions(), `"prev_down":[0`},
+		{"hadar-96", 96, ValidatedOptions(), every4, `"cancel_requested":[`},
+		{"hadar-96-outage", 96, outageOptions(), every4, `"prev_down":[0`},
+		// No checkpoint between events 12 and 300, while 288 jobs arrive.
+		{"hadar-320-batches", 320, ValidatedOptions(), func(event int) bool {
+			return event%4 == 0 && (event <= 12 || event >= 300)
+		}, `"cancel_requested":[`},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			c := &stateChecker{t: t}
 			seen := false
-			e := hadarRun(t, row.opts, func(e *Engine, event int) {
-				if event%4 == 0 {
+			newJobs := 0 // the most jobs one checkpoint encoded
+			last := 0
+			e := hadarRun(t, row.jobs, row.opts, func(e *Engine, event int) {
+				if row.check(event) {
 					seen = bytes.Contains(c.check(e, row.name), []byte(row.want)) || seen
+					newJobs, last = max(newJobs, len(e.all)-last), len(e.all)
 				}
 			})
 			c.check(e, "drained")
 			if !seen {
 				t.Errorf("no checkpoint holds %s", row.want)
 			}
+			if row.jobs > encodeBatch && (newJobs <= encodeBatch || len(e.report.Jobs) <= encodeBatch) {
+				t.Errorf("one checkpoint encoded at most %d new jobs and the run has %d results: no batch boundary crossed",
+					newJobs, len(e.report.Jobs))
+			}
 			t.Logf("%d checkpoints, the last %d bytes", c.checked, len(c.joined))
 		})
 	}
-	t.Run("restored", func(t *testing.T) {
-		var cut []byte
-		hadarRun(t, outageOptions(), func(e *Engine, event int) {
-			if event == 150 {
-				var err error
-				if cut, err = e.MarshalState(); err != nil {
-					t.Fatal(err)
+	for _, row := range []struct {
+		name string
+		jobs int
+		cut  func(e *Engine, event int) bool
+	}{
+		{"restored", 96, func(_ *Engine, event int) bool { return event == 150 }},
+		{"restored-320", 320, func(e *Engine, _ int) bool { return len(e.report.Jobs) > encodeBatch+8 }},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			var cut []byte
+			hadarRun(t, row.jobs, outageOptions(), func(e *Engine, event int) {
+				if cut == nil && row.cut(e, event) {
+					var err error
+					if cut, err = e.MarshalState(); err != nil {
+						t.Fatal(err)
+					}
 				}
-			}
-		})
-		e, err := RestoreEngine(paperCluster(), core.New(core.DefaultOptions()), outageOptions(), cut)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := &stateChecker{t: t}
-		if got := c.check(e, "cold"); !bytes.Equal(got, cut) {
-			t.Fatal("the restored engine does not re-encode to the checkpoint it came from")
-		}
-		for i := 0; e.HasPendingEvents(); i++ {
-			if err := e.ProcessNextEvent(); err != nil {
+			})
+			e, err := RestoreEngine(paperCluster(), core.New(core.DefaultOptions()), outageOptions(), cut)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if i%4 == 0 {
-				c.check(e, "warm")
+			c := &stateChecker{t: t}
+			if got := c.check(e, "cold"); !bytes.Equal(got, cut) {
+				t.Fatal("the restored engine does not re-encode to the checkpoint it came from")
 			}
-		}
-		c.check(e, "drained")
-	})
+			if !e.HasPendingEvents() {
+				t.Fatal("the cut leaves nothing to step on")
+			}
+			for i := 0; e.HasPendingEvents(); i++ {
+				if err := e.ProcessNextEvent(); err != nil {
+					t.Fatal(err)
+				}
+				if i%4 == 0 {
+					c.check(e, "warm")
+				}
+			}
+			c.check(e, "drained")
+		})
+	}
 }
 
 // FuzzRestoreEngine feeds RestoreEngine engine sections cut from the
@@ -210,7 +239,7 @@ func TestAppendStateMatchesReference(t *testing.T) {
 // cache and again after a few more events.
 func FuzzRestoreEngine(f *testing.F) {
 	cuts := map[string]bool{}
-	hadarRun(f, outageOptions(), func(e *Engine, event int) {
+	hadarRun(f, 96, outageOptions(), func(e *Engine, event int) {
 		data, err := e.MarshalState()
 		if err != nil {
 			f.Fatal(err)

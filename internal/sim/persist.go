@@ -123,8 +123,8 @@ var (
 // encoded-history cache, so a call encodes only what was appended since
 // the previous one; the rest (the header, phases, active set, queue,
 // report scalars) is encoded fresh. The parts stay valid after the
-// engine steps on: the cached ones are prefixes the cache only appends
-// past. It must be called from the goroutine driving the engine,
+// engine steps on: the cached ones are chunks the cache never writes
+// again. It must be called from the goroutine driving the engine,
 // between steps, on a healthy engine (a poisoned engine has nothing
 // worth persisting).
 func (e *Engine) AppendState(parts [][]byte) ([][]byte, error) {
@@ -196,50 +196,58 @@ type encodedHistory struct {
 	jobs, results, held, starts encodedList
 }
 
-// encodedList is the JSON encoding of a prefix of an append-only slice:
-// its first n elements, comma-separated, without brackets.
-type encodedList struct {
-	buf []byte
-	n   int
-	enc *json.Encoder // writes to the list itself
-}
+// encodeBatch is the most elements appendList encodes into one chunk, so
+// a cold encode (a restored engine's first checkpoint) never grows one
+// buffer to the size of the history.
+const encodeBatch = 256
 
-// Write appends an encoder's output to buf.
-func (l *encodedList) Write(p []byte) (int, error) {
-	l.buf = append(l.buf, p...)
-	return len(p), nil
+// encodedList is the JSON encoding of a prefix of an append-only slice:
+// its first n elements, comma-separated, without brackets, as the
+// concatenation of chunks. A chunk holds at most encodeBatch elements,
+// every chunk but the first starts with the comma that joins it on, and
+// no chunk is written again once made.
+type encodedList struct {
+	chunks [][]byte
+	n      int
+	buf    bytes.Buffer  // the encoder's output for the batch being encoded
+	enc    *json.Encoder // writes to buf
 }
 
 // appendList brings l up to date with s, which must have grown only by
 // appends since the previous call, and appends s's JSON to parts: null
 // for a nil slice, as encoding/json writes it. The new elements are
-// encoded as one slice, which is as fast as encoding/json gets; the
-// part handed out is capacity-clamped, so later calls append past it,
-// never into it.
+// encoded a batch at a time, each batch as one slice (as fast as
+// encoding/json gets) into a chunk of its own; parts from an earlier
+// call still join to their old bytes.
 func appendList[T any](parts [][]byte, l *encodedList, s []T) ([][]byte, error) {
 	if s == nil {
 		return append(parts, jsonNull), nil
 	}
-	if l.n < len(s) {
-		if l.enc == nil {
-			l.enc = json.NewEncoder(l)
-		}
-		mark := len(l.buf)
-		if err := l.enc.Encode(s[l.n:]); err != nil {
-			l.buf = l.buf[:mark]
+	if l.enc == nil {
+		l.enc = json.NewEncoder(&l.buf)
+	}
+	for l.n < len(s) {
+		batch := s[l.n:min(len(s), l.n+encodeBatch)]
+		l.buf.Reset()
+		if err := l.enc.Encode(batch); err != nil {
 			return nil, err
 		}
 		// Encode wrote "[e,…,e]\n": its bracket becomes the comma after
-		// the prefix, or goes, and so does the "]\n".
-		if l.n > 0 {
-			l.buf[mark] = ','
-			l.buf = l.buf[:len(l.buf)-2]
+		// the earlier chunks, or goes, and so does the "]\n".
+		elems := l.buf.Bytes()[:l.buf.Len()-2]
+		if l.n == 0 {
+			elems = elems[1:]
 		} else {
-			l.buf = append(l.buf[:0], l.buf[1:len(l.buf)-2]...)
+			elems[0] = ','
 		}
-		l.n = len(s)
+		chunk := make([]byte, len(elems))
+		copy(chunk, elems)
+		l.chunks = append(l.chunks, chunk)
+		l.n += len(batch)
 	}
-	return append(parts, openBracket, l.buf[:len(l.buf):len(l.buf)], closeBracket), nil
+	parts = append(parts, openBracket)
+	parts = append(parts, l.chunks...)
+	return append(parts, closeBracket), nil
 }
 
 // liveState is the part of the engine's state that is not append-only
