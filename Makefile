@@ -148,8 +148,9 @@ profile:
 
 # service-smoke boots the long-lived scheduler service (cmd/hadard) in
 # smoke mode under the race detector: a single cluster, then three
-# member clusters behind the least-queue router, then the same three
-# with a write-ahead journal, then a single cluster on the wall clock
+# member clusters behind the least-queue router, then three behind the
+# affinity router (the one the federation comparison favours) with a
+# write-ahead journal, then a single cluster on the wall clock
 # (one round per 1ms tick, so the service loop's paced branch runs in
 # the real binary). loadgen drives a seeded Poisson workload
 # from trace.Generate (future arrivals, so the engine's idle
@@ -163,7 +164,7 @@ service-smoke:
 	bin/hadard-race -smoke -smoke-jobs 80 -smoke-model poisson -smoke-seed 1 -smoke-timeout 120s
 	bin/hadard-race -clusters 3 -router least-queue -smoke -smoke-jobs 60 -smoke-model poisson -smoke-seed 1 -smoke-timeout 180s
 	@dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; set -x; \
-	bin/hadard-race -clusters 3 -router least-queue -wal "$$dir" -smoke -smoke-jobs 60 -smoke-model poisson -smoke-seed 1 -smoke-timeout 180s
+	bin/hadard-race -clusters 3 -router affinity -wal "$$dir" -smoke -smoke-jobs 60 -smoke-model poisson -smoke-seed 1 -smoke-timeout 180s
 	bin/hadard-race -clock wall -interval 1ms -smoke -smoke-jobs 60 -smoke-model poisson -smoke-seed 1 -smoke-timeout 180s
 
 # fuzz-smoke gives every fuzz target a short budget. Go fuzzes one

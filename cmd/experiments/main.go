@@ -7,7 +7,7 @@
 //	experiments -table 3            # one table: 3 or 4
 //	experiments -motivation         # the Section II.A toy example
 //	experiments -failures           # node-outage robustness scenario
-//	experiments -federation         # federation vs mega-cluster comparison
+//	experiments -federation         # pooled GPU types vs one member per type behind each router
 //	experiments -jobs 120           # scale the trace down for quick runs
 //
 // Results print as text tables mirroring the paper's rows/series; -all
@@ -32,8 +32,7 @@ func main() {
 		table      = flag.String("table", "", "table to run: 3 or 4")
 		motivation = flag.Bool("motivation", false, "run the Section II.A example")
 		failures   = flag.Bool("failures", false, "run the node-outage robustness scenario")
-		fed        = flag.Bool("federation", false, "run the federation-vs-mega-cluster comparison")
-		fedMembers = flag.Int("fed-members", 3, "member clusters in the federation comparison")
+		fed        = flag.Bool("federation", false, "run the pooled-vs-type-split federation comparison")
 		jobs       = flag.Int("jobs", 480, "trace length (480 = paper scale)")
 		seed       = flag.Int64("seed", 1, "random seed")
 		maxScale   = flag.Int("fig7-max", 2048, "largest job count in the Fig. 7 sweep")
@@ -77,7 +76,7 @@ func main() {
 		show(experiments.FailureScenario(setup))
 	}
 	if *fed || *all {
-		show(experiments.FederationCompare(setup, *fedMembers, nil))
+		figs.Federation = show(experiments.FederationCompare(setup, nil)).(*experiments.FedCompareResult)
 	}
 	if *seeds > 0 {
 		show(experiments.SweepSeeds(setup, *seeds))
@@ -309,7 +308,7 @@ func renderPlot(v fmt.Stringer) string {
 	case *experiments.Fig10Result:
 		return utilizationBars("Fig. 10: prototype GPU utilization", r.Cmp)
 	case *experiments.FedCompareResult:
-		bars := &plot.BarChart{Title: "Federation vs mega-cluster: average JCT", Unit: "h"}
+		bars := &plot.BarChart{Title: "Pooled vs type-split federation: average JCT", Unit: "h"}
 		for _, s := range r.Series {
 			bars.Labels = append(bars.Labels, s.Series)
 			bars.Values = append(bars.Values, s.Report.AvgJCT()/3600)

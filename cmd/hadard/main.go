@@ -7,7 +7,7 @@
 //	hadard [-scheduler hadar] [-cluster sim|physical] [-addr :8080]
 //	       [-clock virtual|wall] [-interval 50ms] [-queue 64]
 //	       [-round 6] [-validate=true]
-//	       [-clusters N] [-router round-robin|least-queue|affinity|price]
+//	       [-clusters N] [-router round-robin|least-queue|affinity]
 //	       [-wal DIR] [-recover] [-fsync always|group|off]
 //	       [-fsync-interval 2ms] [-checkpoint-every 256]
 //
@@ -83,7 +83,7 @@ var (
 	drainWait  = flag.Duration("drain", 5*time.Second, "graceful-shutdown deadline for in-flight HTTP requests")
 
 	clusters  = flag.Int("clusters", 1, "number of federated member clusters (1 = single-cluster mode)")
-	routerSel = flag.String("router", "least-queue", "federation routing policy: round-robin, least-queue, affinity, price")
+	routerSel = flag.String("router", "least-queue", "federation routing policy: round-robin, least-queue, affinity")
 
 	walDir     = flag.String("wal", "", "write-ahead journal directory (empty = no durability)")
 	recoverWAL = flag.Bool("recover", false, "resume from the journal and checkpoint in -wal")

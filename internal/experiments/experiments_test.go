@@ -387,32 +387,36 @@ func TestFederationCompareSmallScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiment")
 	}
-	res, err := FederationCompare(smallSetup(), 2, []string{"least-queue", "round-robin"})
+	res, err := FederationCompare(smallSetup(), []string{"least-queue", "round-robin"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Series) != 3 {
-		t.Fatalf("series = %d, want mega + 2 routers", len(res.Series))
+		t.Fatalf("series = %d, want pooled + 2 routers", len(res.Series))
 	}
-	if res.Series[0].Series != "mega-cluster" {
-		t.Errorf("first series = %q, want mega-cluster", res.Series[0].Series)
+	if res.Series[0].Series != "pooled" {
+		t.Errorf("first series = %q, want pooled", res.Series[0].Series)
 	}
 	for _, s := range res.Series {
 		if got := len(s.Report.Jobs); got != res.Jobs {
 			t.Errorf("%s completed %d of %d jobs", s.Series, got, res.Jobs)
 		}
-		if s.Members != 2 {
-			t.Errorf("%s members = %d, want 2", s.Series, s.Members)
+		// The split holds the pooled cluster's devices, no more.
+		if s.Report.TotalGPUs != SimCluster().TotalGPUs() {
+			t.Errorf("%s ran on %d GPUs, want %d", s.Series, s.Report.TotalGPUs, SimCluster().TotalGPUs())
 		}
 	}
+	if g := res.PooledGain(); !(g > 0) {
+		t.Errorf("pooled gain %v, want a positive ratio", g)
+	}
 	out := res.String()
-	for _, frag := range []string{"mega-cluster", "federation/least-queue", "federation/round-robin", "avgJCT"} {
+	for _, frag := range []string{"pooled", "split/least-queue", "split/round-robin", "avgJCT"} {
 		if !strings.Contains(out, frag) {
 			t.Errorf("federation comparison output missing %q:\n%s", frag, out)
 		}
 	}
-	if _, err := FederationCompare(smallSetup(), 0, nil); err == nil {
-		t.Error("zero-member federation comparison accepted")
+	if _, err := FederationCompare(smallSetup(), []string{"price"}); err == nil {
+		t.Error("federation comparison accepted a retired router")
 	}
 }
 

@@ -2,98 +2,102 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
 	"repro/internal/cluster"
 	"repro/internal/federation"
+	"repro/internal/gpu"
 	"repro/internal/job"
 	"repro/internal/metrics"
 	"repro/internal/parallel"
 	"repro/internal/sim"
 )
 
-// FedSeries is one series of the federation comparison: either the
-// mega-cluster baseline or a federation under one routing policy.
+// FedSeries is one series of the federation comparison: the pooled
+// cluster under one Hadar, or the type split behind one router.
 type FedSeries struct {
-	// Series is "mega-cluster" or "federation/<router>".
-	Series  string
-	Members int
-	Report  *metrics.Report
+	// Series is "pooled" or "split/<router>".
+	Series string
+	Report *metrics.Report
 }
 
-// FedCompareResult quantifies the cost of partitioning: the same trace
-// run through N member clusters merged under a single Hadar instance
-// (the mega-cluster, a global-knowledge upper bound) versus an N-member
-// federation where a front-door router commits each job to one member
-// at submission time.
+// FedCompareResult asks the paper's heterogeneity question of the
+// federation: does one heterogeneity-aware scheduler over pooled GPU
+// types beat splitting them? The same trace runs on the paper's
+// simulated cluster pooled under one Hadar, and on the same devices
+// split into one member per accelerator type, each its own Hadar,
+// behind a front-door router that commits every job to one member.
 type FedCompareResult struct {
-	Members int
-	Jobs    int
-	Series  []FedSeries
+	Jobs   int
+	Series []FedSeries
 }
 
-// FederationCompare runs the comparison. Every series sees the same
-// trace; the mega-cluster merges `members` copies of the paper's
-// simulated cluster, and each federation series runs `members`
-// independent engines (each its own SimCluster + Hadar) under one of
-// the named routing policies. Empty routers means all registered
-// policies.
-func FederationCompare(setup Setup, members int, routers []string) (*FedCompareResult, error) {
-	if members < 1 {
-		return nil, fmt.Errorf("experiments: federation needs >= 1 member, got %d", members)
+// PooledGain is the best split router's avg JCT over the pooled avg
+// JCT: how much a router loses by splitting the types apart.
+func (r *FedCompareResult) PooledGain() float64 {
+	best := math.Inf(1)
+	for _, s := range r.Series[1:] {
+		best = math.Min(best, s.Report.AvgJCT())
 	}
+	return best / r.Series[0].Report.AvgJCT()
+}
+
+// FederationCompare runs the comparison on the continuous trace: the
+// pooled series first, then one split series per named router (empty
+// routers means every registered policy).
+func FederationCompare(setup Setup, routers []string) (*FedCompareResult, error) {
 	if len(routers) == 0 {
 		routers = federation.RouterNames()
 	}
 	// Continuous arrivals: a static trace (everything at t=0) would hand
-	// every router the same empty-member view, collapsing all policies
-	// into round-robin. With Poisson arrivals the front door routes each
-	// job against the queue states it would see live.
+	// every router the same empty-member view. With Poisson arrivals the
+	// front door routes each job against the queue states it would see
+	// live.
 	jobs, err := setup.continuousTrace()
 	if err != nil {
 		return nil, err
 	}
-
-	type fedRun struct {
-		series string
-		router string // empty = mega-cluster baseline
-	}
-	runs := []fedRun{{series: "mega-cluster"}}
-	for _, name := range routers {
-		runs = append(runs, fedRun{series: "federation/" + name, router: name})
-	}
-	reports, err := parallel.Map(0, runs, func(run fedRun) (*metrics.Report, error) {
-		if run.router == "" {
-			parts := make([]*cluster.Cluster, members)
-			for i := range parts {
-				parts[i] = SimCluster()
-			}
-			return sim.Run(cluster.Merge(parts...), jobs, NewHadar(), setup.simOptions())
+	runs := append([]string{""}, routers...) // "" is the pooled run
+	reports, err := parallel.Map(0, runs, func(router string) (*metrics.Report, error) {
+		if router == "" {
+			return sim.Run(SimCluster(), jobs, NewHadar(), setup.simOptions())
 		}
-		return runFederation(setup, members, run.router, jobs)
+		return runSplit(setup, router, jobs)
 	})
 	if err != nil {
 		return nil, err
 	}
-	res := &FedCompareResult{Members: members, Jobs: len(jobs)}
-	for i, run := range runs {
-		res.Series = append(res.Series, FedSeries{Series: run.series, Members: members, Report: reports[i]})
+	res := &FedCompareResult{Jobs: len(jobs), Series: []FedSeries{{Series: "pooled", Report: reports[0]}}}
+	for i, router := range routers {
+		res.Series = append(res.Series, FedSeries{Series: "split/" + router, Report: reports[i+1]})
 	}
 	return res, nil
 }
 
-// runFederation drives the whole trace through an N-member federation
-// under one routing policy and returns the merged report.
-func runFederation(setup Setup, members int, routerName string, jobs []*job.Job) (*metrics.Report, error) {
-	configs := make([]federation.MemberConfig, members)
-	for i := range configs {
-		configs[i] = federation.MemberConfig{
-			Name:      fmt.Sprintf("region%d", i),
-			Cluster:   SimCluster(),
+// runSplit drives the whole trace through the type-split federation —
+// one member per accelerator type of SimCluster, holding that type's
+// devices node for node — under one routing policy and returns the
+// merged report.
+func runSplit(setup Setup, routerName string, jobs []*job.Job) (*metrics.Report, error) {
+	var configs []federation.MemberConfig
+	for t := gpu.Type(0); t < gpu.NumTypes; t++ {
+		var fleets []gpu.Fleet
+		for _, n := range SimCluster().Nodes() {
+			if k := n.Capacity.Count(t); k > 0 {
+				fleets = append(fleets, gpu.Fleet{t: k})
+			}
+		}
+		if len(fleets) == 0 {
+			continue
+		}
+		configs = append(configs, federation.MemberConfig{
+			Name:      t.String(),
+			Cluster:   cluster.New(fleets...),
 			Scheduler: NewHadar(),
 			Sim:       setup.simOptions(),
-		}
+		})
 	}
 	router, err := federation.NewRouter(routerName)
 	if err != nil {
@@ -124,31 +128,32 @@ func runFederation(setup Setup, members int, routerName string, jobs []*job.Job)
 			t, pending := fed.PeekNextEventTime()
 			if !pending || ordered[next].Arrival <= t {
 				if err := fed.SubmitJob(ordered[next]); err != nil {
-					return nil, fmt.Errorf("experiments: federation/%s: %w", routerName, err)
+					return nil, fmt.Errorf("experiments: split/%s: %w", routerName, err)
 				}
 				next++
 				continue
 			}
 		}
 		if err := fed.ProcessNextEvent(); err != nil {
-			return nil, fmt.Errorf("experiments: federation/%s: %w", routerName, err)
+			return nil, fmt.Errorf("experiments: split/%s: %w", routerName, err)
 		}
 	}
 	rep, err := fed.Finish()
 	if err != nil {
-		return nil, fmt.Errorf("experiments: federation/%s: %w", routerName, err)
+		return nil, fmt.Errorf("experiments: split/%s: %w", routerName, err)
 	}
 	return rep.Merged, nil
 }
 
-// String renders the comparison with the mega-cluster baseline first.
+// String renders the comparison with the pooled baseline first.
 func (r *FedCompareResult) String() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "Federation vs mega-cluster: %d members, %d jobs\n", r.Members, r.Jobs)
-	fmt.Fprintf(&sb, "%-26s %10s %10s %12s %8s %10s\n",
+	fmt.Fprintf(&sb, "Pooled vs type-split federation: %d jobs, best split / pooled avg JCT %.3fx\n",
+		r.Jobs, r.PooledGain())
+	fmt.Fprintf(&sb, "%-18s %10s %10s %12s %8s %10s\n",
 		"series", "avgJCT(h)", "medJCT(h)", "makespan(h)", "util(%)", "completed")
 	for _, s := range r.Series {
-		fmt.Fprintf(&sb, "%-26s %10.3f %10.3f %12.3f %8.1f %10d\n",
+		fmt.Fprintf(&sb, "%-18s %10.3f %10.3f %12.3f %8.1f %10d\n",
 			s.Series, s.Report.AvgJCT()/3600, s.Report.MedianJCT()/3600,
 			s.Report.Makespan/3600, 100*s.Report.Utilization(), len(s.Report.Jobs))
 	}

@@ -64,6 +64,7 @@ type Figures struct {
 	Fig6               *Fig6Result
 	Fig7               *Fig7Result
 	Table3             *Table3Result
+	Federation         *FedCompareResult
 }
 
 // NewScorecard grades the headline rows from figs, then runs the design
@@ -168,6 +169,8 @@ func headline(f Figures) []Row {
 			Paper: "< 10%", Measured: fmt.Sprintf("%.2f%%", div), Rule: "≤ 10%", Verdict: grade(-div, -10, -10, false)},
 		{ID: "motivation-jct-gain", Claim: "§II.A example: avg JCT gain over Gavel",
 			Paper: "20%", Measured: fmt.Sprintf("%.1f%%", gain), Rule: "≥ 20%", Verdict: grade(gain, 20, 20, false)},
+		factor("fed-pooled-vs-split", "pooled GPU types under one Hadar beat one member per type: best split router / pooled avg JCT, continuous",
+			math.NaN(), f.Federation.PooledGain(), 1.25),
 	}
 }
 

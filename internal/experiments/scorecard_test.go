@@ -62,10 +62,12 @@ func TestScorecardRulesHold(t *testing.T) {
 	check(err)
 	figs.Table3, err = Table3(setup.Seed)
 	check(err)
+	figs.Federation, err = FederationCompare(setup, nil)
+	check(err)
 	card, err := NewScorecard(figs)
 	check(err)
-	if len(card.Rows) != 23 {
-		t.Errorf("scorecard has %d rows, want 17 headline claims and 6 ablations", len(card.Rows))
+	if len(card.Rows) != 24 {
+		t.Errorf("scorecard has %d rows, want 18 headline claims and 6 ablations", len(card.Rows))
 	}
 	for _, r := range card.Failed() {
 		t.Errorf("%s fails at 96 jobs: measured %s, rule %s", r.ID, r.Measured, r.Rule)

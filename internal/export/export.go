@@ -106,18 +106,18 @@ func Fig9(w io.Writer, r *experiments.Fig9Result) error {
 	return writeAll(w, rows)
 }
 
-// FedCompare writes the federation-vs-mega-cluster comparison: series,
-// members, jobs, avg_jct_s, median_jct_s, makespan_s, utilization,
-// completed — one row per series (the mega-cluster baseline, then one
-// federation row per routing policy).
+// FedCompare writes the pooled-vs-type-split comparison: series, jobs,
+// avg_jct_s, median_jct_s, makespan_s, utilization, completed — one row
+// per series (the pooled baseline, then one split row per routing
+// policy).
 func FedCompare(w io.Writer, r *experiments.FedCompareResult) error {
 	rows := [][]string{{
-		"series", "members", "jobs", "avg_jct_s", "median_jct_s",
+		"series", "jobs", "avg_jct_s", "median_jct_s",
 		"makespan_s", "utilization", "completed",
 	}}
 	for _, s := range r.Series {
 		rows = append(rows, []string{
-			s.Series, strconv.Itoa(s.Members), strconv.Itoa(r.Jobs),
+			s.Series, strconv.Itoa(r.Jobs),
 			f(s.Report.AvgJCT()), f(s.Report.MedianJCT()), f(s.Report.Makespan),
 			f(s.Report.Utilization()), strconv.Itoa(len(s.Report.Jobs)),
 		})

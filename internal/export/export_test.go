@@ -133,11 +133,10 @@ func TestFedCompareCSV(t *testing.T) {
 	var buf bytes.Buffer
 	cmp := sampleComparison()
 	r := &experiments.FedCompareResult{
-		Members: 2,
-		Jobs:    2,
+		Jobs: 2,
 		Series: []experiments.FedSeries{
-			{Series: "mega-cluster", Members: 2, Report: cmp.Reports["hadar"]},
-			{Series: "federation/least-queue", Members: 2, Report: cmp.Reports["gavel"]},
+			{Series: "pooled", Report: cmp.Reports["hadar"]},
+			{Series: "split/least-queue", Report: cmp.Reports["gavel"]},
 		},
 	}
 	if err := FedCompare(&buf, r); err != nil {
@@ -147,17 +146,17 @@ func TestFedCompareCSV(t *testing.T) {
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d, want header + 2 series", len(rows))
 	}
-	wantHeader := []string{"series", "members", "jobs", "avg_jct_s", "median_jct_s", "makespan_s", "utilization", "completed"}
+	wantHeader := []string{"series", "jobs", "avg_jct_s", "median_jct_s", "makespan_s", "utilization", "completed"}
 	for i, col := range wantHeader {
 		if rows[0][i] != col {
 			t.Errorf("header col %d = %q, want %q", i, rows[0][i], col)
 		}
 	}
-	if rows[1][0] != "mega-cluster" || rows[2][0] != "federation/least-queue" {
+	if rows[1][0] != "pooled" || rows[2][0] != "split/least-queue" {
 		t.Errorf("series order = %v %v", rows[1][0], rows[2][0])
 	}
-	if rows[1][1] != "2" || rows[1][7] != "2" {
-		t.Errorf("mega row = %v", rows[1])
+	if rows[1][1] != "2" || rows[1][6] != "2" {
+		t.Errorf("pooled row = %v", rows[1])
 	}
 }
 

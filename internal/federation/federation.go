@@ -58,10 +58,9 @@ type member struct {
 	cfg  MemberConfig
 	eng  *sim.Engine
 
-	// typeTotal is the fleet's device count per accelerator type and
-	// totalGPUs their sum, fixed at New.
+	// typeTotal is the fleet's device count per accelerator type, fixed
+	// at New.
 	typeTotal [gpu.NumTypes]int
-	totalGPUs int
 	// outages is cfg.Sim.Failures ordered by node, so that a view walks
 	// each node's windows together and counts a down node once.
 	outages []sim.Failure
@@ -137,7 +136,7 @@ func New(configs []MemberConfig, router Router) (*Federation, error) {
 		if err != nil {
 			return nil, fmt.Errorf("federation: member %s: %w", name, err)
 		}
-		m := &member{name: name, cfg: cfg, eng: eng, totalGPUs: cfg.Cluster.TotalGPUs()}
+		m := &member{name: name, cfg: cfg, eng: eng}
 		for _, n := range cfg.Cluster.Nodes() {
 			for t := gpu.Type(0); t < gpu.NumTypes; t++ {
 				m.typeTotal[t] += n.Capacity[t]
@@ -426,8 +425,6 @@ func (f *Federation) mergeReports(members []MemberReport) *metrics.Report {
 		merged.JobRoundReallocs += r.JobRoundReallocs
 		merged.DecisionTime += r.DecisionTime
 		merged.Decisions += r.Decisions
-		merged.Faults.RPCRetries += r.Faults.RPCRetries
-		merged.Faults.RPCTimeouts += r.Faults.RPCTimeouts
 		merged.Faults.NodeDown += r.Faults.NodeDown
 		merged.Faults.NodeUp += r.Faults.NodeUp
 		merged.Faults.Recoveries += r.Faults.Recoveries

@@ -186,19 +186,17 @@ func TestRestoreStateResumes(t *testing.T) {
 					}
 				}
 			}
-			// With the price router a restored scheduler quotes nothing
-			// until its next round, so late submissions go where the live
-			// run put them — exactly what a journal replay does.
+			// Late submissions route on the restored state exactly as on
+			// the live one, then go where the live run put them — what a
+			// journal replay does.
 			for _, j := range jobs[25:] {
 				j := j
 				if err := live.SubmitJob(j); err != nil {
 					t.Fatal(err)
 				}
 				owner, _ := live.Owner(j.ID)
-				if router != "price" {
-					if cold, err := restored.RouteJob(j); err != nil || cold != owner {
-						t.Fatalf("job %d: restored federation routes to %d (%v), live run to %d", j.ID, cold, err, owner)
-					}
+				if cold, err := restored.RouteJob(j); err != nil || cold != owner {
+					t.Fatalf("job %d: restored federation routes to %d (%v), live run to %d", j.ID, cold, err, owner)
 				}
 				if err := restored.SubmitTo(owner, j); err != nil {
 					t.Fatal(err)

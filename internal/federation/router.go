@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/gpu"
-	"repro/internal/invariant"
 	"repro/internal/job"
 )
 
@@ -13,28 +12,18 @@ import (
 // usable accelerator types, so a router never places a job on capacity
 // the job cannot run on.
 type View struct {
-	// Index is the member's index in the federation; Name its label.
+	// Index is the member's index in the federation.
 	Index int
-	Name  string
-	// TotalGPUs is the member's whole fleet; UpGPUs the devices on
-	// nodes not currently inside a failure window.
-	TotalGPUs int
-	UpGPUs    int
 	// QueueDepth is the member's pending + active job count — the
 	// backlog an arriving job queues behind.
 	QueueDepth int
 	// UsableTotal counts devices of the job's usable types across all
-	// nodes; UsableUp restricts that to up nodes; BestUp further
-	// restricts to the job's fastest usable type.
+	// nodes; UsableUp restricts that to nodes not currently inside a
+	// failure window; BestUp further restricts to the job's fastest
+	// usable type.
 	UsableTotal int
 	UsableUp    int
 	BestUp      int
-	// Price is the member's cheapest current marginal dual price
-	// across the job's usable types, evaluated at the member's present
-	// utilization. HasPrice is false when the member's scheduler does
-	// not expose prices (no invariant.PriceReporter).
-	Price    float64
-	HasPrice bool
 	// Eligible means the member could ever place the job (enough
 	// usable devices exist); Healthy means it could place it on nodes
 	// that are up right now. The federation only shows routers
@@ -47,21 +36,10 @@ type View struct {
 // time, for a job of the given gang size and per-type throughput
 // (speed[t] > 0 marks a usable type), in O(types + failure windows).
 func (m *member) view(idx, workers int, speed *[gpu.NumTypes]float64, now float64) View {
-	v := View{
-		Index:      idx,
-		Name:       m.name,
-		TotalGPUs:  m.totalGPUs,
-		QueueDepth: m.eng.PendingJobs() + m.eng.ActiveJobs(),
-	}
+	v := View{Index: idx, QueueDepth: m.eng.PendingJobs() + m.eng.ActiveJobs()}
 	up := m.upAt(now)
-	pr, priced := m.cfg.Scheduler.(invariant.PriceReporter)
-	util := 0.0
-	if priced && v.TotalGPUs > 0 {
-		util = float64(m.eng.HeldGPUs()) / float64(v.TotalGPUs)
-	}
 	best := 0.0
 	for t := gpu.Type(0); t < gpu.NumTypes; t++ {
-		v.UpGPUs += up[t]
 		if speed[t] <= 0 {
 			continue
 		}
@@ -69,11 +47,6 @@ func (m *member) view(idx, workers int, speed *[gpu.NumTypes]float64, now float6
 		v.UsableUp += up[t]
 		if speed[t] > best {
 			best, v.BestUp = speed[t], up[t]
-		}
-		if priced {
-			if p := pr.PriceAt(t, util); !v.HasPrice || p < v.Price {
-				v.Price, v.HasPrice = p, true
-			}
 		}
 	}
 	v.Eligible = v.UsableTotal >= workers
@@ -118,21 +91,18 @@ type Router interface {
 // RouterNames lists the built-in policies accepted by NewRouter, in
 // documentation order.
 func RouterNames() []string {
-	return []string{"round-robin", "least-queue", "affinity", "price"}
+	return []string{"round-robin", "least-queue", "affinity"}
 }
 
-// NewRouter builds a built-in router by name ("round-robin" or "rr",
-// "least-queue" or "queue", "affinity", "price").
+// NewRouter builds a built-in router by name (one of RouterNames).
 func NewRouter(name string) (Router, error) {
 	switch name {
-	case "round-robin", "rr":
+	case "round-robin":
 		return RoundRobin{}, nil
-	case "least-queue", "queue":
+	case "least-queue":
 		return LeastQueue{}, nil
 	case "affinity":
 		return Affinity{}, nil
-	case "price":
-		return PriceAware{}, nil
 	}
 	return nil, fmt.Errorf("federation: unknown router %q (have %v)", name, RouterNames())
 }
@@ -193,45 +163,4 @@ func (Affinity) Route(j *job.Job, views []View, next int) int {
 		}
 	}
 	return pick.Index
-}
-
-// PriceAware routes to the member quoting the cheapest marginal dual
-// price for the job's usable types — the OASiS-style policy: a low
-// price signals slack capacity, a price near U_max signals contention.
-// Members without a PriceReporter (or before their first round) rank
-// by queue depth behind every priced member; ties break by shallower
-// queue, then lowest index.
-type PriceAware struct{}
-
-// Name implements Router.
-func (PriceAware) Name() string { return "price" }
-
-// Route implements Router.
-func (PriceAware) Route(j *job.Job, views []View, next int) int {
-	pick := views[0]
-	for _, v := range views[1:] {
-		if better(v, pick) {
-			pick = v
-		}
-	}
-	return pick.Index
-}
-
-// better orders views for PriceAware: priced beats unpriced, then
-// strictly lower price, then shallower queue. Equal on all counts
-// keeps the earlier (lower-index) view, so the order is total,
-// deterministic, and built from ordered float comparisons only.
-func better(v, pick View) bool {
-	if v.HasPrice != pick.HasPrice {
-		return v.HasPrice
-	}
-	if v.HasPrice {
-		if v.Price < pick.Price {
-			return true
-		}
-		if v.Price > pick.Price {
-			return false
-		}
-	}
-	return v.QueueDepth < pick.QueueDepth
 }

@@ -13,16 +13,11 @@ var rtJob = &job.Job{ID: 1, Workers: 2}
 
 // v builds a minimal candidate view for router unit tests.
 func v(index, queue, bestUp int) federation.View {
-	return federation.View{Index: index, Name: "m", QueueDepth: queue, BestUp: bestUp, Eligible: true, Healthy: true}
+	return federation.View{Index: index, QueueDepth: queue, BestUp: bestUp, Eligible: true, Healthy: true}
 }
 
-// priced adds a dual-price quote to a view.
-func priced(view federation.View, price float64) federation.View {
-	view.Price = price
-	view.HasPrice = true
-	return view
-}
-
+// TestNewRouterNamesAndAliases: every listed name builds the router of
+// that name, and nothing else builds one — no alias, no retired policy.
 func TestNewRouterNamesAndAliases(t *testing.T) {
 	for _, name := range federation.RouterNames() {
 		r, err := federation.NewRouter(name)
@@ -33,17 +28,10 @@ func TestNewRouterNamesAndAliases(t *testing.T) {
 			t.Errorf("NewRouter(%q).Name() = %q", name, r.Name())
 		}
 	}
-	for alias, canonical := range map[string]string{"rr": "round-robin", "queue": "least-queue"} {
-		r, err := federation.NewRouter(alias)
-		if err != nil {
-			t.Fatalf("NewRouter(%q): %v", alias, err)
+	for _, name := range []string{"no-such-policy", "queue", "round_robin", "price"} {
+		if _, err := federation.NewRouter(name); err == nil {
+			t.Errorf("NewRouter accepted %q", name)
 		}
-		if r.Name() != canonical {
-			t.Errorf("NewRouter(%q).Name() = %q, want %q", alias, r.Name(), canonical)
-		}
-	}
-	if _, err := federation.NewRouter("no-such-policy"); err == nil {
-		t.Error("NewRouter accepted an unknown policy")
 	}
 }
 
@@ -100,29 +88,5 @@ func TestAffinityPicksBestCapacity(t *testing.T) {
 	tied := []federation.View{v(0, 5, 8), v(1, 2, 8), v(2, 2, 8)}
 	if got := r.Route(rtJob, tied, 0); got != 1 {
 		t.Errorf("got member %d, want 1 (capacity tie, shallower queue)", got)
-	}
-}
-
-func TestPriceAwareOrdering(t *testing.T) {
-	r := federation.PriceAware{}
-	// Cheapest priced member wins.
-	views := []federation.View{priced(v(0, 0, 0), 3.5), priced(v(1, 0, 0), 1.25), priced(v(2, 0, 0), 2)}
-	if got := r.Route(rtJob, views, 0); got != 1 {
-		t.Errorf("got member %d, want 1 (cheapest price)", got)
-	}
-	// A priced member beats an unpriced one even with a deeper queue.
-	mixed := []federation.View{v(0, 0, 0), priced(v(1, 9, 0), 10)}
-	if got := r.Route(rtJob, mixed, 0); got != 1 {
-		t.Errorf("got member %d, want 1 (priced beats unpriced)", got)
-	}
-	// All unpriced → queue depth decides.
-	unpriced := []federation.View{v(0, 4, 0), v(1, 1, 0)}
-	if got := r.Route(rtJob, unpriced, 0); got != 1 {
-		t.Errorf("got member %d, want 1 (unpriced falls back to queue)", got)
-	}
-	// Equal prices → queue depth, then lowest index.
-	tied := []federation.View{priced(v(0, 2, 0), 1), priced(v(1, 2, 0), 1)}
-	if got := r.Route(rtJob, tied, 0); got != 0 {
-		t.Errorf("price tie broke to member %d, want 0", got)
 	}
 }

@@ -6,18 +6,10 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/gpu"
-	"repro/internal/invariant"
 	"repro/internal/job"
 	"repro/internal/sched"
 	"repro/internal/sim"
 )
-
-// flatPrices is a PriceReporter whose price depends on the type alone,
-// so the cheapest usable type is a property of the job.
-type flatPrices struct{ idle }
-
-func (flatPrices) PriceAt(t gpu.Type, utilization float64) float64 { return float64(7 - t) }
-func (flatPrices) PriceBounds() (umin, umax []float64)             { return nil, nil }
 
 type idle struct{}
 
@@ -29,12 +21,7 @@ func (idle) Schedule(*sched.Context) map[int]cluster.Alloc { return nil }
 // what member.view did before it was cut to O(types + windows). It is
 // the reference the fast view must equal field for field.
 func scanView(m *member, idx int, j *job.Job, now float64) View {
-	v := View{
-		Index:      idx,
-		Name:       m.name,
-		TotalGPUs:  m.cfg.Cluster.TotalGPUs(),
-		QueueDepth: m.eng.PendingJobs() + m.eng.ActiveJobs(),
-	}
+	v := View{Index: idx, QueueDepth: m.eng.PendingJobs() + m.eng.ActiveJobs()}
 	down := map[int]bool{}
 	for _, fail := range m.cfg.Sim.Failures {
 		if fail.Start < now+1e-9 && fail.End > now {
@@ -46,9 +33,6 @@ func scanView(m *member, idx int, j *job.Job, now float64) View {
 	for _, n := range m.cfg.Cluster.Nodes() {
 		for t := gpu.Type(0); t < gpu.NumTypes; t++ {
 			c := n.Capacity[t]
-			if !down[n.ID] {
-				v.UpGPUs += c
-			}
 			for _, ut := range usable {
 				if ut != t {
 					continue
@@ -65,14 +49,6 @@ func scanView(m *member, idx int, j *job.Job, now float64) View {
 	}
 	v.Eligible = v.UsableTotal >= j.Workers
 	v.Healthy = v.UsableUp >= j.Workers
-	if pr, ok := m.cfg.Scheduler.(invariant.PriceReporter); ok {
-		for i, t := range usable {
-			if p := pr.PriceAt(t, 0); i == 0 || p < v.Price {
-				v.Price = p
-			}
-		}
-		v.HasPrice = len(usable) > 0
-	}
 	return v
 }
 
@@ -97,13 +73,9 @@ func TestViewMatchesNodeScan(t *testing.T) {
 			start := float64(rng.Intn(10)) * 100
 			fails = append(fails, sim.Failure{Node: rng.Intn(len(fleets)), Start: start, End: start + float64(1+rng.Intn(5))*100})
 		}
-		var s sched.Scheduler = idle{}
-		if trial%2 == 0 {
-			s = flatPrices{}
-		}
 		opts := sim.DefaultOptions()
 		opts.Failures = fails
-		f, err := New([]MemberConfig{{Cluster: cluster.New(fleets...), Scheduler: s, Sim: opts}}, LeastQueue{})
+		f, err := New([]MemberConfig{{Cluster: cluster.New(fleets...), Scheduler: idle{}, Sim: opts}}, LeastQueue{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,7 +115,7 @@ func BenchmarkView(b *testing.B) {
 		for k := 0; k < windows; k++ {
 			opts.Failures = append(opts.Failures, sim.Failure{Node: k * 3, Start: 0, End: 1000})
 		}
-		f, err := New([]MemberConfig{{Cluster: cluster.New(fleets...), Scheduler: flatPrices{}, Sim: opts}}, LeastQueue{})
+		f, err := New([]MemberConfig{{Cluster: cluster.New(fleets...), Scheduler: idle{}, Sim: opts}}, LeastQueue{})
 		if err != nil {
 			b.Fatal(err)
 		}

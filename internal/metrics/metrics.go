@@ -75,9 +75,10 @@ func IsolatedDuration(totalIters float64, workers int, bestThroughput float64, n
 // reports from healthy runs are unchanged by their presence.
 type FaultStats struct {
 	// RPCRetries and RPCTimeouts are always zero: nothing in the
-	// program fills them. They stay because they are part of the
-	// report encoded in engine checkpoints, so dropping them is a
-	// checkpoint format change.
+	// program fills them, and nothing reads them (Any, String, the
+	// dashboard and the federation's merge skip them). They stay
+	// because they are part of the report encoded in engine
+	// checkpoints, so dropping them is a checkpoint format change.
 	RPCRetries  int
 	RPCTimeouts int
 	// NodeDown and NodeUp count node outage begin/end transitions.
@@ -93,14 +94,13 @@ type FaultStats struct {
 
 // Any reports whether any fault counter is non-zero.
 func (f FaultStats) Any() bool {
-	return f.RPCRetries != 0 || f.RPCTimeouts != 0 || f.NodeDown != 0 ||
-		f.NodeUp != 0 || f.Recoveries != 0 || f.LostIterations > 0
+	return f.NodeDown != 0 || f.NodeUp != 0 || f.Recoveries != 0 || f.LostIterations > 0
 }
 
 // String renders the counters in one line.
 func (f FaultStats) String() string {
-	return fmt.Sprintf("retries=%d timeouts=%d down=%d up=%d recoveries=%d lostIters=%.0f",
-		f.RPCRetries, f.RPCTimeouts, f.NodeDown, f.NodeUp, f.Recoveries, f.LostIterations)
+	return fmt.Sprintf("down=%d up=%d recoveries=%d lostIters=%.0f",
+		f.NodeDown, f.NodeUp, f.Recoveries, f.LostIterations)
 }
 
 // Report aggregates one simulation run.

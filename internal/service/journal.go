@@ -81,9 +81,9 @@ type walRecord struct {
 	ID int `json:"id,omitempty"`
 	// Member is the member that accepted the submission or that the
 	// boundary stepped. Replay submits to it and never asks the Router,
-	// which reads state (a scheduler's last prices) a restored member
-	// lacks until its next round. Member 0 is left out, so a federation
-	// of one writes the journal a bare engine used to.
+	// so a router that changed since the journal was written cannot
+	// move a recovered job. Member 0 is left out, so a federation of
+	// one writes the journal a bare engine used to.
 	Member int `json:"member,omitempty"`
 	// Round and Now are the stepped member's immediately after a
 	// processed boundary, Digest the federation's (Federation.Digest;

@@ -6,17 +6,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
 	"strconv"
 	"strings"
 	"testing"
 
-	"repro/internal/core"
-	"repro/internal/experiments"
 	"repro/internal/federation"
 	"repro/internal/job"
-	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/wal"
 )
 
@@ -130,105 +125,39 @@ func TestParentJournalRecovers(t *testing.T) {
 	}
 }
 
-// hadarFederation is three paper clusters under Hadar — whose scheduler
-// quotes prices only from its latest round — behind the price router.
-func hadarFederation(t *testing.T) *federation.Federation {
-	t.Helper()
-	members := make([]federation.MemberConfig, 3)
-	for i := range members {
-		members[i] = federation.MemberConfig{
-			Cluster:   experiments.SimCluster(),
-			Scheduler: core.New(core.DefaultOptions()),
-			Sim:       sim.ValidatedOptions(),
-		}
+// TestReplayKeepsRecordedMember feeds replayRecords submissions whose
+// recorded member is never the one the federation's router would pick
+// at that point of the replay. Each job must land on its recorded
+// member: replay never routes, so a router that changes between the
+// crashed run and the recovering one cannot move a recovered job.
+func TestReplayKeepsRecordedMember(t *testing.T) {
+	for _, router := range federation.RouterNames() {
+		t.Run(router, func(t *testing.T) {
+			fed := shape{members: 3, router: router}.federation(t)
+			keys := make(map[string]int)
+			for i := 0; i < 12; i++ {
+				j := simpleJob(i, 1+i%2, float64(1000*(i+1)))
+				pick, err := fed.RouteJob(j)
+				if err != nil {
+					t.Fatal(err)
+				}
+				member := (pick + 1 + i%2) % 3
+				payload, err := json.Marshal(&walRecord{Type: recSubmit, Key: fmt.Sprintf("k%d", i), Job: j, Member: member})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := replayRecords(fed, keys, [][]byte{payload}); err != nil {
+					t.Fatalf("job %d: %v", i, err)
+				}
+				if got, _ := fed.Owner(i); got != member {
+					t.Errorf("job %d replayed onto member %d, journal recorded %d (router picks %d)", i, got, member, pick)
+				}
+			}
+			if len(keys) != 12 {
+				t.Errorf("ledger holds %d keys, want 12", len(keys))
+			}
+		})
 	}
-	fed, err := federation.New(members, federation.PriceAware{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return fed
-}
-
-// TestPriceRoutedRecoveryReplaysToRecordedMember crashes a price-routed
-// service between a checkpoint and the owning member's next round. A
-// restored member's scheduler has no prices until it runs a round, so
-// the Router would place the tail's submission elsewhere than the live
-// run did; replay must put it back where the journal says, and the
-// recovered service must then track the uninterrupted one digest for
-// digest.
-func TestPriceRoutedRecoveryReplaysToRecordedMember(t *testing.T) {
-	cfg := trace.DefaultConfig()
-	cfg.NumJobs = 30
-	jobs, err := trace.Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, j := range jobs {
-		j.Arrival = 0
-	}
-	dir := t.TempDir()
-	d := driver{t, nil}
-	if d.svc, err = NewFed(hadarFederation(t), walOptions(dir, WALConfig{Policy: wal.SyncOff, CheckpointEvery: 1 << 30})); err != nil {
-		t.Fatal(err)
-	}
-	// Load the members unevenly and run rounds, so each quotes its own
-	// price; then checkpoint.
-	for _, j := range jobs[:24] {
-		d.submit("", j)
-	}
-	d.step(12)
-	d.svc.journal.writeCheckpoint(d.svc.keys)
-
-	// The tail: submissions routed on live prices, no round after them.
-	restored := hadarFederation(t)
-	_, doc := readCheckpointFile(t, checkpointPath(dir))
-	if err := restored.RestoreState(doc.State); err != nil {
-		t.Fatal(err)
-	}
-	rerouted := 0
-	for _, j := range jobs[24:] {
-		cold, err := restored.RouteJob(j)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d.submit("", j)
-		if owner, _ := d.svc.fed.Owner(j.ID); owner != cold {
-			rerouted++
-		}
-		// Keep the cold copy's queues in step with the live run's.
-		if owner, _ := d.svc.fed.Owner(j.ID); restored.SubmitTo(owner, j) != nil {
-			t.Fatal("cold copy refused a job the live run accepted")
-		}
-	}
-	if rerouted == 0 {
-		t.Fatal("scenario is blind: a price-less router agrees with the live run on every tail submission")
-	}
-	crash := copyWALDir(t, dir)
-
-	rec, err := NewFed(hadarFederation(t), walOptions(crash, WALConfig{Policy: wal.SyncOff, Recover: true}))
-	if err != nil {
-		t.Fatalf("recover: %v", err)
-	}
-	if info := rec.Recovery(); info.CheckpointSeq == 0 || info.Replayed != len(jobs)-24 {
-		t.Errorf("recovery %+v, want the checkpoint plus %d tail submissions", info, len(jobs)-24)
-	}
-	for _, j := range jobs[24:] {
-		want, _ := d.svc.fed.Owner(j.ID)
-		if got, _ := rec.fed.Owner(j.ID); got != want {
-			t.Errorf("job %d recovered on member %d, live run put it on %d", j.ID, got, want)
-		}
-	}
-	// Both run on, boundary for boundary.
-	r := driver{t, rec}
-	for i := 0; i < 40; i++ {
-		d.step(1)
-		r.step(1)
-		if got, want := memberDigests(rec.Snapshot()), memberDigests(d.svc.Snapshot()); !slices.Equal(got, want) {
-			t.Fatalf("boundary %d after recovery: member digests %x, uninterrupted run %x", i, got, want)
-		}
-	}
-	d.svc.journal.w.Abort()
-	rec.journal.w.Abort()
 }
 
 // TestRecoveryRefusesMemberOutsideFederation: a journal naming a member

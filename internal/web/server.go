@@ -70,11 +70,10 @@ a { color: #1f77b4; }
 {{if .FaultRows}}
 <h2>Fault tolerance</h2>
 <table>
-<tr><th>scheduler</th><th>RPC retries</th><th>timeouts</th><th>node down</th>
-<th>node up</th><th>recoveries</th><th>lost iterations</th></tr>
+<tr><th>scheduler</th><th>node down</th><th>node up</th><th>recoveries</th>
+<th>lost iterations</th></tr>
 {{range .FaultRows}}
-<tr><td>{{.Name}}</td><td>{{.F.RPCRetries}}</td><td>{{.F.RPCTimeouts}}</td>
-<td>{{.F.NodeDown}}</td><td>{{.F.NodeUp}}</td><td>{{.F.Recoveries}}</td>
+<tr><td>{{.Name}}</td><td>{{.F.NodeDown}}</td><td>{{.F.NodeUp}}</td><td>{{.F.Recoveries}}</td>
 <td>{{printf "%.0f" .F.LostIterations}}</td></tr>
 {{end}}
 </table>
