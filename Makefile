@@ -205,6 +205,7 @@ fuzz-smoke: fuzz-sync
 	$(GO) test -run='^$$' -fuzz='^FuzzRatesJSON$$' -fuzztime=$(FUZZTIME) ./internal/job
 	$(GO) test -run='^$$' -fuzz='^FuzzFindAllocMatchesReference$$' -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz='^FuzzPriceBounds$$' -fuzztime=$(FUZZTIME) ./internal/core
+	$(GO) test -run='^$$' -fuzz='^FuzzSubmitBody$$' -fuzztime=$(FUZZTIME) ./internal/web
 
 # cover prints per-package statement coverage and enforces floors on
 # the packages the correctness story leans on: the Hadar core, the

@@ -22,6 +22,7 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/export"
+	"repro/internal/metrics"
 	"repro/internal/plot"
 )
 
@@ -75,8 +76,21 @@ func main() {
 	if *failures || *all {
 		show(experiments.FailureScenario(setup))
 	}
+	// Fig. 3b's Hadar run is the federation comparison's pooled series,
+	// so when both are asked for it is simulated once.
+	var continuous *experiments.Fig3Result
+	if *fig == "3b" || *all {
+		var err error
+		if continuous, err = experiments.Fig3(setup, true); err != nil {
+			fail(err)
+		}
+	}
 	if *fed || *all {
-		figs.Federation = show(experiments.FederationCompare(setup, nil)).(*experiments.FedCompareResult)
+		var pooled *metrics.Report
+		if continuous != nil {
+			pooled = continuous.Cmp.Reports["hadar"]
+		}
+		figs.Federation = show(experiments.FederationCompare(setup, nil, pooled)).(*experiments.FedCompareResult)
 	}
 	if *seeds > 0 {
 		show(experiments.SweepSeeds(setup, *seeds))
@@ -84,8 +98,8 @@ func main() {
 	if *fig == "3a" || *all {
 		figs.Static = show(experiments.Fig3(setup, false)).(*experiments.Fig3Result)
 	}
-	if *fig == "3b" || *all {
-		figs.Continuous = show(experiments.Fig3(setup, true)).(*experiments.Fig3Result)
+	if continuous != nil {
+		figs.Continuous = show(continuous, nil).(*experiments.Fig3Result)
 	}
 	if *fig == "4" || *all {
 		figs.Fig4 = show(experiments.Fig4(setup)).(*experiments.Fig4Result)

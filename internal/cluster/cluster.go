@@ -177,17 +177,6 @@ func (a Alloc) NumNodes() int {
 	return n
 }
 
-// Types returns the distinct accelerator types used, ascending.
-func (a Alloc) Types() []gpu.Type {
-	f := gpu.Fleet{}
-	for _, p := range a {
-		if p.Count > 0 {
-			f[p.Type] += p.Count
-		}
-	}
-	return f.Types()
-}
-
 // Canonical returns an equivalent allocation with zero-count placements
 // dropped, same-(node,type) placements merged, and entries sorted by
 // (node, type). Canonical forms compare with Equal.

@@ -101,9 +101,9 @@ func TestAllocWorkersNodesTypes(t *testing.T) {
 	if a.NumNodes() != 2 {
 		t.Errorf("NumNodes = %d, want 2", a.NumNodes())
 	}
-	types := a.Types()
-	if len(types) != 2 || types[0] != gpu.V100 || types[1] != gpu.K80 {
-		t.Errorf("Types = %v", types)
+	// The types, counted per node: three V100 on node 0, one K80 on 1.
+	if want := (Alloc{{Node: 0, Type: gpu.V100, Count: 3}, {Node: 1, Type: gpu.K80, Count: 1}}); !a.Canonical().Equal(want) {
+		t.Errorf("Canonical = %v, want %v", a.Canonical(), want)
 	}
 }
 

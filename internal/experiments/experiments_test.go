@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -387,7 +388,7 @@ func TestFederationCompareSmallScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiment")
 	}
-	res, err := FederationCompare(smallSetup(), []string{"least-queue", "round-robin"})
+	res, err := FederationCompare(smallSetup(), []string{"least-queue", "round-robin"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,8 +416,41 @@ func TestFederationCompareSmallScale(t *testing.T) {
 			t.Errorf("federation comparison output missing %q:\n%s", frag, out)
 		}
 	}
-	if _, err := FederationCompare(smallSetup(), []string{"price"}); err == nil {
+	if _, err := FederationCompare(smallSetup(), []string{"price"}, nil); err == nil {
 		t.Error("federation comparison accepted a retired router")
+	}
+}
+
+// TestFederationPooledIsFig3Hadar: the federation comparison's pooled
+// series is the run Fig. 3b reports as Hadar's, report for report, so
+// experiments -all hands it the Fig. 3b report instead of simulating it
+// again, and the comparison reads the same either way.
+func TestFederationPooledIsFig3Hadar(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation experiment")
+	}
+	fig3, err := Fig3(smallSetup(), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	simulated, err := FederationCompare(smallSetup(), []string{"round-robin"}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hadar := fig3.Cmp.Reports["hadar"]
+	// Everything but DecisionTime, the one wall-clock reading.
+	a, b := *simulated.Series[0].Report, *hadar
+	a.DecisionTime, b.DecisionTime = 0, 0
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("pooled series avg JCT %v, Fig. 3b Hadar %v: not the same run",
+			simulated.Series[0].Report.AvgJCT(), hadar.AvgJCT())
+	}
+	reused, err := FederationCompare(smallSetup(), []string{"round-robin"}, hadar)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := reused.String(), simulated.String(); got != want {
+		t.Errorf("comparison over the Fig. 3b report:\n%s\nsimulated:\n%s", got, want)
 	}
 }
 

@@ -46,8 +46,10 @@ func (r *FedCompareResult) PooledGain() float64 {
 
 // FederationCompare runs the comparison on the continuous trace: the
 // pooled series first, then one split series per named router (empty
-// routers means every registered policy).
-func FederationCompare(setup Setup, routers []string) (*FedCompareResult, error) {
+// routers means every registered policy). The pooled series is the run
+// Fig3(setup, true) reports as "hadar": a caller that has that report
+// passes it as pooled, and nil simulates it here.
+func FederationCompare(setup Setup, routers []string, pooled *metrics.Report) (*FedCompareResult, error) {
 	if len(routers) == 0 {
 		routers = federation.RouterNames()
 	}
@@ -59,7 +61,10 @@ func FederationCompare(setup Setup, routers []string) (*FedCompareResult, error)
 	if err != nil {
 		return nil, err
 	}
-	runs := append([]string{""}, routers...) // "" is the pooled run
+	runs := routers
+	if pooled == nil {
+		runs = append([]string{""}, routers...) // "" is the pooled run
+	}
 	reports, err := parallel.Map(0, runs, func(router string) (*metrics.Report, error) {
 		if router == "" {
 			return sim.Run(SimCluster(), jobs, NewHadar(), setup.simOptions())
@@ -69,9 +74,12 @@ func FederationCompare(setup Setup, routers []string) (*FedCompareResult, error)
 	if err != nil {
 		return nil, err
 	}
-	res := &FedCompareResult{Jobs: len(jobs), Series: []FedSeries{{Series: "pooled", Report: reports[0]}}}
+	if pooled == nil {
+		pooled, reports = reports[0], reports[1:]
+	}
+	res := &FedCompareResult{Jobs: len(jobs), Series: []FedSeries{{Series: "pooled", Report: pooled}}}
 	for i, router := range routers {
-		res.Series = append(res.Series, FedSeries{Series: "split/" + router, Report: reports[i+1]})
+		res.Series = append(res.Series, FedSeries{Series: "split/" + router, Report: reports[i]})
 	}
 	return res, nil
 }

@@ -62,7 +62,7 @@ func TestScorecardRulesHold(t *testing.T) {
 	check(err)
 	figs.Table3, err = Table3(setup.Seed)
 	check(err)
-	figs.Federation, err = FederationCompare(setup, nil)
+	figs.Federation, err = FederationCompare(setup, nil, figs.Continuous.Cmp.Reports["hadar"])
 	check(err)
 	card, err := NewScorecard(figs)
 	check(err)

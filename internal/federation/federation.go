@@ -91,6 +91,8 @@ type Federation struct {
 	// member that accepted the previous submission. Only an accepted
 	// submission moves it, and it is checkpointed.
 	next int
+	// views is RouteJob's scratch, lent to the Router for one call.
+	views []View
 
 	// lastWork is the completed-iterations watermark of the previous
 	// full invariant audit; cancelSeen tracks whether a cancellation
@@ -225,7 +227,7 @@ func (f *Federation) RouteJob(j *job.Job) (int, error) {
 	for t := gpu.Type(0); t < gpu.NumTypes; t++ {
 		speed[t] = j.Speed(t)
 	}
-	views := make([]View, 0, len(f.members))
+	views := f.views[:0]
 	healthy := 0
 	for i, m := range f.members {
 		v := m.view(i, j.Workers, &speed, now)
@@ -237,6 +239,7 @@ func (f *Federation) RouteJob(j *job.Job) (int, error) {
 			healthy++
 		}
 	}
+	f.views = views[:0]
 	if len(views) == 0 {
 		return 0, fmt.Errorf("federation: no member can ever place %v (needs %d workers)", j, j.Workers)
 	}

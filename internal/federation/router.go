@@ -84,7 +84,8 @@ type Router interface {
 	Name() string
 	// Route picks a member for the job from the candidate views. The
 	// views slice is ordered by member index and never empty; next is
-	// one past the member that accepted the previous submission.
+	// one past the member that accepted the previous submission. The
+	// views are lent for the call: Route must not keep them.
 	Route(j *job.Job, views []View, next int) int
 }
 

@@ -90,13 +90,14 @@ func (s *FedSnapshot) FindJob(id int) (member, phase string, js *sim.JobSnapshot
 // the returned value may then be shared freely.
 func (f *Federation) Snapshot() *FedSnapshot {
 	snap := &FedSnapshot{
-		Now:    f.Now(),
-		Router: f.router.Name(),
-		Digest: f.Digest(),
+		Now:     f.Now(),
+		Router:  f.router.Name(),
+		Digest:  f.Digest(),
+		Members: make([]MemberSnapshot, len(f.members)),
 	}
-	for _, m := range f.members {
+	for i, m := range f.members {
 		ms := m.eng.Snapshot()
-		snap.Members = append(snap.Members, MemberSnapshot{Name: m.name, Snap: ms})
+		snap.Members[i] = MemberSnapshot{Name: m.name, Snap: ms}
 		snap.TotalGPUs += ms.TotalGPUs
 		snap.HeldGPUs += ms.HeldGPUs
 		snap.Pending += ms.Pending

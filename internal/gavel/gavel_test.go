@@ -64,7 +64,7 @@ func TestSingleTypePerJob(t *testing.T) {
 	out := New().Schedule(mkCtx(c, states...))
 	validate(t, c, states, out)
 	for id, a := range out {
-		if len(a.Types()) > 1 {
+		if len(allocTypes(a)) > 1 {
 			t.Errorf("job %d received a mixed-type allocation %v; Gavel is job-level", id, a)
 		}
 	}
@@ -121,7 +121,7 @@ func TestTimeSharingAcrossRounds(t *testing.T) {
 				st = b
 			}
 			st.Alloc = alloc
-			for _, typ := range alloc.Types() {
+			for _, typ := range allocTypes(alloc) {
 				st.RoundsByType[typ]++
 				if typ == gpu.V100 {
 					gotV100[id]++
@@ -177,11 +177,11 @@ func TestHeterogeneityAwareTypeChoice(t *testing.T) {
 	if len(out) != 2 {
 		t.Fatalf("both jobs should run: %v", out)
 	}
-	if out[0].Types()[0] != gpu.V100 {
-		t.Errorf("heterogeneity-sensitive job on %v, want V100", out[0].Types())
+	if allocTypes(out[0])[0] != gpu.V100 {
+		t.Errorf("heterogeneity-sensitive job on %v, want V100", allocTypes(out[0]))
 	}
-	if out[1].Types()[0] != gpu.K80 {
-		t.Errorf("flat job on %v, want K80", out[1].Types())
+	if allocTypes(out[1])[0] != gpu.K80 {
+		t.Errorf("flat job on %v, want K80", allocTypes(out[1]))
 	}
 }
 
@@ -287,4 +287,13 @@ func TestAllocationMatrixFractionsValid(t *testing.T) {
 			t.Errorf("type %v over-subscribed: %v > %d", t2, capUsed[t2], free.CapacityOfType(t2))
 		}
 	}
+}
+
+// allocTypes lists the accelerator types an allocation uses, ascending.
+func allocTypes(a cluster.Alloc) []gpu.Type {
+	f := gpu.Fleet{}
+	for _, p := range a {
+		f[p.Type] += p.Count
+	}
+	return f.Types()
 }

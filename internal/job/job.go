@@ -5,8 +5,12 @@
 package job
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
+	"strconv"
+	"strings"
+	"unicode/utf8"
 
 	"repro/internal/gpu"
 )
@@ -144,4 +148,35 @@ func (j *Job) Validate() error {
 func (j *Job) String() string {
 	return fmt.Sprintf("job %d (%s, W=%d, %d x %d iters, arr=%.0fs)",
 		j.ID, j.Model, j.Workers, j.Epochs, j.ItersPerEpoch, j.Arrival)
+}
+
+// AppendJSON appends to b the JSON encoding/json writes for the job:
+// every field under its Go name, in declaration order, Throughput as
+// Rates encodes it, strings HTML-escaped. Journals encode each accepted
+// job this way into a buffer they reuse.
+func (j *Job) AppendJSON(b []byte) ([]byte, error) {
+	if math.IsNaN(j.Arrival) || math.IsInf(j.Arrival, 0) {
+		return b, fmt.Errorf("job %d: unsupported arrival %v", j.ID, j.Arrival)
+	}
+	b = strconv.AppendInt(append(b, `{"ID":`...), int64(j.ID), 10)
+	b = AppendJSONString(append(b, `,"Name":`...), j.Name)
+	b = AppendJSONString(append(b, `,"Model":`...), j.Model)
+	b = strconv.AppendInt(append(b, `,"Workers":`...), int64(j.Workers), 10)
+	b = strconv.AppendInt(append(b, `,"Epochs":`...), int64(j.Epochs), 10)
+	b = strconv.AppendInt(append(b, `,"ItersPerEpoch":`...), int64(j.ItersPerEpoch), 10)
+	b = AppendJSONFloat(append(b, `,"Arrival":`...), j.Arrival)
+	b, err := j.Throughput.AppendJSON(append(b, `,"Throughput":`...))
+	return append(b, '}'), err
+}
+
+// AppendJSONString appends s as encoding/json writes a string: copied
+// between quotes when it needs no escape, marshalled otherwise.
+func AppendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= utf8.RuneSelf || strings.IndexByte(`"\<>&`, c) >= 0 {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(b, q...)
+		}
+	}
+	return append(append(append(b, '"'), s...), '"')
 }

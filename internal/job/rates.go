@@ -29,31 +29,37 @@ var _ [10 - gpu.NumTypes]struct{}
 // MarshalJSON writes the positive entries as encoding/json writes a map
 // holding only them.
 func (r Rates) MarshalJSON() ([]byte, error) {
-	b := make([]byte, 0, 2+len(r)*32)
+	return r.AppendJSON(make([]byte, 0, 2+len(r)*32))
+}
+
+// AppendJSON appends to b what MarshalJSON returns.
+func (r *Rates) AppendJSON(b []byte) ([]byte, error) {
 	b = append(b, '{')
+	first := true
 	for t, x := range r {
 		if !(x > 0) {
 			continue
 		}
 		if math.IsInf(x, 1) {
-			return nil, fmt.Errorf("job: unsupported throughput %v on %v", x, gpu.Type(t))
+			return b, fmt.Errorf("job: unsupported throughput %v on %v", x, gpu.Type(t))
 		}
-		if len(b) > 1 {
+		if !first {
 			b = append(b, ',')
 		}
+		first = false
 		b = append(b, '"', byte('0'+t), '"', ':')
-		b = appendJSONFloat(b, x)
+		b = AppendJSONFloat(b, x)
 	}
 	return append(b, '}'), nil
 }
 
-// appendJSONFloat formats a positive finite float the way encoding/json
-// does: shortest round-trip digits, plain notation inside [1e-6, 1e21),
-// exponent notation outside it with a two-digit negative exponent
-// shortened ("1e-07" becomes "1e-7").
-func appendJSONFloat(b []byte, x float64) []byte {
+// AppendJSONFloat appends a finite float as encoding/json writes it:
+// shortest round-trip digits, plain notation for zero and inside
+// [1e-6, 1e21) in magnitude, exponent notation outside it with a
+// two-digit negative exponent shortened ("1e-07" becomes "1e-7").
+func AppendJSONFloat(b []byte, x float64) []byte {
 	format := byte('f')
-	if x < 1e-6 || x >= 1e21 {
+	if abs := math.Abs(x); abs > 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'
 	}
 	b = strconv.AppendFloat(b, x, format, -1, 64)

@@ -1,16 +1,14 @@
 package service
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
 	"strconv"
-	"strings"
 	"time"
-	"unicode/utf8"
 
 	"repro/internal/federation"
 	"repro/internal/job"
@@ -101,6 +99,42 @@ func roundRecord(member int, snap *federation.FedSnapshot) walRecord {
 	return walRecord{Type: recRound, Member: member, Round: ms.Round, Now: ms.Now, Digest: snap.Digest}
 }
 
+// appendWALRecord appends the JSON encoding/json writes for rec, field
+// by field, the job through job.AppendJSON: a journaled submission
+// costs no encoder state and no copy of its job's bytes.
+func appendWALRecord(b []byte, rec *walRecord) ([]byte, error) {
+	b = job.AppendJSONString(append(b, `{"type":`...), rec.Type)
+	if rec.Key != "" {
+		b = job.AppendJSONString(append(b, `,"key":`...), rec.Key)
+	}
+	if rec.Job != nil {
+		var err error
+		if b, err = rec.Job.AppendJSON(append(b, `,"job":`...)); err != nil {
+			return b, err
+		}
+	}
+	if rec.ID != 0 {
+		b = strconv.AppendInt(append(b, `,"id":`...), int64(rec.ID), 10)
+	}
+	if rec.Member != 0 {
+		b = strconv.AppendInt(append(b, `,"member":`...), int64(rec.Member), 10)
+	}
+	if rec.Round != 0 {
+		b = strconv.AppendInt(append(b, `,"round":`...), int64(rec.Round), 10)
+	}
+	//lint:ignore floateq omitempty's own test: only an exact zero is left out
+	if rec.Now != 0 {
+		if math.IsNaN(rec.Now) || math.IsInf(rec.Now, 0) {
+			return b, fmt.Errorf("service: unsupported round time %v", rec.Now)
+		}
+		b = job.AppendJSONFloat(append(b, `,"now_s":`...), rec.Now)
+	}
+	if rec.Digest != 0 {
+		b = strconv.AppendUint(append(b, `,"digest":`...), rec.Digest, 10)
+	}
+	return append(b, '}'), nil
+}
+
 // checkpointDoc is the payload of the checkpoint file: the serialized
 // federation plus the service-level state that must survive with it.
 type checkpointDoc struct {
@@ -152,11 +186,10 @@ type journal struct {
 	// recovery describes what startup recovery did (nil for a journal
 	// created fresh without Recover).
 	recovery *Recovery
-	// rec and recEnc encode each journal record, head and ledger each
+	// rec holds each journal record's JSON, head and ledger each
 	// checkpoint's head and its sorted keys; all are reused from write
 	// to write.
-	rec    bytes.Buffer
-	recEnc *json.Encoder
+	rec    []byte
 	head   []byte
 	ledger []string
 }
@@ -231,16 +264,12 @@ func (j *journal) appendRecord(rec walRecord) error {
 	if j.err != nil {
 		return j.err
 	}
-	if j.recEnc == nil {
-		j.recEnc = json.NewEncoder(&j.rec)
-	}
-	j.rec.Reset()
-	if err := j.recEnc.Encode(&rec); err != nil {
+	var err error
+	if j.rec, err = appendWALRecord(j.rec[:0], &rec); err != nil {
 		j.err = err
 		return err
 	}
-	// Encode ends the record's JSON with a newline the frame leaves out.
-	if err := j.w.Append(j.rec.Bytes()[:j.rec.Len()-1]); err != nil {
+	if err := j.w.Append(j.rec); err != nil {
 		j.err = err
 		return err
 	}
@@ -332,20 +361,8 @@ func appendCheckpointHead(dst []byte, ledger []string, seq int, keys map[string]
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		dst = appendJSONKey(dst, k)
+		dst = job.AppendJSONString(dst, k)
 		dst = strconv.AppendInt(append(dst, ':'), int64(keys[k]), 10)
 	}
 	return append(dst, "},"...), ledger
-}
-
-// appendJSONKey appends k as a JSON string: copied between quotes if
-// encoding/json writes it as is, marshalled otherwise.
-func appendJSONKey(dst []byte, k string) []byte {
-	for i := 0; i < len(k); i++ {
-		if c := k[i]; c < 0x20 || c >= utf8.RuneSelf || strings.IndexByte(`"\<>&`, c) >= 0 {
-			b, _ := json.Marshal(k) // a string always marshals
-			return append(dst, b...)
-		}
-	}
-	return append(append(append(dst, '"'), k...), '"')
 }

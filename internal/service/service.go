@@ -347,7 +347,7 @@ func (s *Service) Stop() (*federation.Report, error) {
 // placement, duplicate ID). With a journal enabled the verdict is
 // durable before it returns.
 func (s *Service) Submit(j *job.Job) error {
-	return s.send(request{kind: submitReq, job: j, reply: make(chan verdict, 1)}).err
+	return s.send(request{kind: submitReq, job: j}).err
 }
 
 // SubmitKeyed is Submit with an idempotency key: resubmitting the same
@@ -356,14 +356,52 @@ func (s *Service) Submit(j *job.Job) error {
 // admitting a duplicate. With a journal the key ledger is journaled
 // and survives recovery.
 func (s *Service) SubmitKeyed(key string, j *job.Job) (id int, deduped bool, err error) {
-	v := s.send(request{kind: submitReq, job: j, key: key, reply: make(chan verdict, 1)})
+	v := s.send(request{kind: submitReq, job: j, key: key})
 	return v.id, v.deduped, v.err
 }
 
 // Cancel withdraws a submitted job (pending or running) at the next
 // boundary. Backpressure and shutdown behave exactly as in Submit.
 func (s *Service) Cancel(id int) error {
-	return s.send(request{kind: cancelReq, id: id, reply: make(chan verdict, 1)}).err
+	return s.send(request{kind: cancelReq, id: id}).err
+}
+
+// verdictWait is what one caller of send waits on: the reply channel
+// the loop writes the verdict to and the RequestTimeout timer. It is
+// reused through verdictWaits, but only once its verdict was received:
+// a request that timed out or met a stop may still be answered, so its
+// verdictWait is dropped.
+type verdictWait struct {
+	reply chan verdict
+	timer *time.Timer
+}
+
+var verdictWaits = sync.Pool{New: func() any { return &verdictWait{reply: make(chan verdict, 1)} }}
+
+// arm starts the wait's deadline d from now (nil: none).
+func (w *verdictWait) arm(d time.Duration) <-chan time.Time {
+	if d <= 0 {
+		return nil
+	}
+	if w.timer == nil {
+		w.timer = time.NewTimer(d)
+	} else {
+		w.timer.Reset(d)
+	}
+	return w.timer.C
+}
+
+// disarm stops the wait's timer and drains an expiry it may already
+// have delivered. go.mod's go 1.22 keeps timer channels asynchronous:
+// a timer that fired before Stop holds its tick in the channel, and the
+// next wait would read it as a stale deadline.
+func (w *verdictWait) disarm() {
+	if w.timer != nil && !w.timer.Stop() {
+		select {
+		case <-w.timer.C:
+		default:
+		}
+	}
 }
 
 func (s *Service) send(r request) verdict {
@@ -372,26 +410,28 @@ func (s *Service) send(r request) verdict {
 		return verdict{err: ErrStopped}
 	default:
 	}
+	w := verdictWaits.Get().(*verdictWait)
+	r.reply = w.reply
 	select {
 	case s.reqs <- r:
 	default:
+		verdictWaits.Put(w)
 		s.rejectedBusy.Add(1)
 		return verdict{err: &BusyError{RetryAfter: s.opts.RetryAfter}}
 	}
-	var deadline <-chan time.Time
-	if s.opts.RequestTimeout > 0 {
-		t := time.NewTimer(s.opts.RequestTimeout)
-		defer t.Stop()
-		deadline = t.C
-	}
+	deadline := w.arm(s.opts.RequestTimeout)
 	select {
 	case v := <-r.reply:
+		w.disarm()
+		verdictWaits.Put(w)
 		return v
 	case <-s.stopped:
 		// The loop drains the queue before closing stopped, so a reply
 		// may already be waiting; prefer it over the shutdown signal.
+		w.disarm()
 		select {
 		case v := <-r.reply:
+			verdictWaits.Put(w)
 			return v
 		default:
 			return verdict{err: ErrStopped}

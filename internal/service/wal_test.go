@@ -638,6 +638,42 @@ func TestServiceDeadError(t *testing.T) {
 	svc.Stop()
 }
 
+// TestReusedVerdictWaitHasNoStaleExpiry: a wait whose deadline fired
+// after its verdict arrived goes back for reuse with the expiry still in
+// its timer's channel (timer channels are asynchronous under go.mod's
+// go 1.22). Reusing it must not hand the next request that expiry as an
+// instant DeadError.
+func TestReusedVerdictWaitHasNoStaleExpiry(t *testing.T) {
+	w := &verdictWait{reply: make(chan verdict, 1)}
+	w.arm(time.Nanosecond)
+	time.Sleep(5 * time.Millisecond) // the timer fires; nobody reads it
+	w.disarm()
+	deadline := w.arm(time.Hour)
+	select {
+	case <-deadline:
+		t.Fatal("a reused wait delivered the previous deadline's expiry")
+	default:
+	}
+	w.disarm()
+
+	// Through the service: a request that times out drops its wait,
+	// and the requests after it, on reused waits, get their verdicts.
+	svc := newTestService(t, Options{RequestTimeout: 50 * time.Millisecond})
+	var dead *DeadError
+	if err := svc.Submit(simpleJob(0, 1, 100)); !errors.As(err, &dead) {
+		t.Fatalf("submit on an unstarted service = %v, want *DeadError", err)
+	}
+	svc.Start()
+	for i := 1; i <= 200; i++ {
+		if err := svc.Submit(simpleJob(i, 1, 100)); err != nil {
+			t.Fatalf("submit %d after a timed-out one: %v", i, err)
+		}
+	}
+	if _, err := svc.Stop(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestServiceNextIDClearsRecoveredIDs: after recovery NextID must not
 // collide with journaled IDs from the service range, whichever member
 // holds them.

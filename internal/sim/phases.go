@@ -63,16 +63,34 @@ func (t terminalIndex) get(id int) (terminalEntry, bool) {
 	return terminalEntry{}, false
 }
 
+// livePhase is one pending or active job's stage in a PhaseView.
+type livePhase struct {
+	id    int
+	phase JobPhase
+}
+
 // PhaseView answers "what stage is job id in" for every job an engine
-// had been given when a snapshot was published. It holds a small map of
-// the jobs then pending or active — bounded by the queue, built per
-// publish — and the engine's terminalIndex by value, so a publish costs
-// nothing per job that has already ended. A nil *PhaseView is the view
-// of an engine that was never given a job.
+// had been given when a snapshot was published. It holds a copy of the
+// jobs then pending or active — one slice sorted by ID, bounded by the
+// queue, built per publish — and the engine's terminalIndex by value,
+// so a publish costs nothing per job that has already ended. A nil
+// *PhaseView is the view of an engine that was never given a job.
 type PhaseView struct {
-	live  map[int]string
+	live  []livePhase
 	done  terminalIndex
 	maxID int
+}
+
+// newPhaseView copies the engine's live phases, sorted by ID, beside
+// its terminal index.
+func newPhaseView(live map[int]JobPhase, done terminalIndex, maxID int) *PhaseView {
+	v := &PhaseView{live: make([]livePhase, 0, len(live)), done: done, maxID: maxID}
+	//lint:ignore maprange the copy is sorted by ID below
+	for id, p := range live {
+		v.live = append(v.live, livePhase{id: id, phase: p})
+	}
+	slices.SortFunc(v.live, func(a, b livePhase) int { return cmp.Compare(a.id, b.id) })
+	return v
 }
 
 // Get returns the job's lifecycle stage ("pending", "active",
@@ -81,8 +99,8 @@ func (v *PhaseView) Get(id int) (phase string, ok bool) {
 	if v == nil {
 		return "", false
 	}
-	if p, ok := v.live[id]; ok {
-		return p, true
+	if i, ok := slices.BinarySearchFunc(v.live, id, func(p livePhase, id int) int { return cmp.Compare(p.id, id) }); ok {
+		return v.live[i].phase.String(), true
 	}
 	if e, ok := v.done.get(id); ok {
 		return e.phase().String(), true

@@ -99,12 +99,7 @@ func (e *Engine) Snapshot() *Snapshot {
 		Report:    e.report.View(),
 	}
 	if len(e.all) > 0 {
-		live := make(map[int]string, len(e.live))
-		//lint:ignore maprange map-to-map copy; no order to observe
-		for id, p := range e.live {
-			live[id] = p.String()
-		}
-		snap.Phases = &PhaseView{live: live, done: e.done, maxID: e.maxID}
+		snap.Phases = newPhaseView(e.live, e.done, e.maxID)
 	}
 	snap.Active = make([]JobSnapshot, 0, len(e.active))
 	for _, st := range e.active {

@@ -65,7 +65,7 @@ func TestHeterogeneityUnawareTypePick(t *testing.T) {
 	c := cluster.New(gpu.Fleet{gpu.V100: 1, gpu.K80: 4})
 	st := newState(mkJob(0, 1, 0))
 	out := New().Schedule(mkCtx(c, st))
-	if got := out[0].Types(); len(got) != 1 || got[0] != gpu.K80 {
+	if got := allocTypes(out[0]); len(got) != 1 || got[0] != gpu.K80 {
 		t.Errorf("unaware pick = %v, want K80 (most free)", got)
 	}
 }
@@ -121,4 +121,13 @@ func TestEmptyQueue(t *testing.T) {
 	if len(out) != 0 {
 		t.Errorf("non-empty decision: %v", out)
 	}
+}
+
+// allocTypes lists the accelerator types an allocation uses, ascending.
+func allocTypes(a cluster.Alloc) []gpu.Type {
+	f := gpu.Fleet{}
+	for _, p := range a {
+		f[p.Type] += p.Count
+	}
+	return f.Types()
 }

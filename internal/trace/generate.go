@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"sort"
+	"strconv"
 
 	"repro/internal/bug"
 	"repro/internal/gpu"
@@ -225,7 +226,7 @@ func FromDemand(id int, spec ModelSpec, workers int, gpuHours, arrival float64) 
 	}
 	j := &job.Job{
 		ID:            id,
-		Name:          fmt.Sprintf("%s-%d", spec.Name, id),
+		Name:          spec.Name + "-" + strconv.Itoa(id),
 		Model:         spec.Name,
 		Workers:       workers,
 		Epochs:        int(epochs),

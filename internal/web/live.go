@@ -1,11 +1,14 @@
 package web
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/federation"
@@ -39,14 +42,23 @@ type liveAPI struct{ svc *service.Service }
 // bytes.
 const maxSubmitBody = 64 << 10
 
+// jsonContentType is every JSON response's Content-Type value, shared
+// so that a response does not allocate its own. net/http only reads it.
+var jsonContentType = []string{"application/json"}
+
 // writeJSON emits one JSON response body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	if err := json.NewEncoder(w).Encode(v); err != nil {
 		// Headers are gone; nothing useful left to do.
 		_ = err
 	}
+}
+
+// errorBody is every error response: {"error": "..."}.
+type errorBody struct {
+	Error string `json:"error"`
 }
 
 // writeError maps a service error to an HTTP status: backpressure
@@ -62,16 +74,16 @@ func writeError(w http.ResponseWriter, err error, fallback int) {
 			secs = 1
 		}
 		w.Header().Set("Retry-After", strconv.Itoa(secs))
-		writeJSON(w, http.StatusTooManyRequests, map[string]string{"error": err.Error()})
+		writeJSON(w, http.StatusTooManyRequests, errorBody{err.Error()})
 	case errors.As(err, &dead):
 		// The engine loop missed the verdict deadline: the request may
 		// or may not have been applied, so the client should retry with
 		// an idempotency key.
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": err.Error()})
+		writeJSON(w, http.StatusServiceUnavailable, errorBody{err.Error()})
 	case errors.Is(err, service.ErrStopped):
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": err.Error()})
+		writeJSON(w, http.StatusServiceUnavailable, errorBody{err.Error()})
 	default:
-		writeJSON(w, fallback, map[string]string{"error": err.Error()})
+		writeJSON(w, fallback, errorBody{err.Error()})
 	}
 }
 
@@ -100,21 +112,75 @@ type submitSpec struct {
 	GPUHours float64 `json:"gpu_hours"`
 }
 
+// submitVerdict is the POST /api/jobs body of an accepted submission,
+// its fields in sorted key order as a map would write them. Deduped
+// appears only on keyed posts, Name only when the post admitted a job.
+type submitVerdict struct {
+	Deduped *bool  `json:"deduped,omitempty"`
+	ID      int    `json:"id"`
+	Member  string `json:"member"`
+	Name    string `json:"name,omitempty"`
+}
+
+// dedupedNo and dedupedYes are what a keyed post's Deduped points at.
+var dedupedNo, dedupedYes = false, true
+
+// cancelVerdict is the DELETE /api/jobs/{id} body of a cancellation.
+type cancelVerdict struct {
+	Cancelled bool `json:"cancelled"`
+	ID        int  `json:"id"`
+}
+
+// bodyPool holds the buffers submit bodies are read into.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// decodeSubmit reads a POST /api/jobs body, at most maxSubmitBody bytes
+// of it, into spec. It decodes exactly as json.NewDecoder over the
+// capped body would — the first JSON value, whatever follows it — but
+// without a Decoder for the common body that is one value and nothing
+// else: the body is read into a pooled buffer and handed to
+// json.Unmarshal. When the read fails or Unmarshal refuses the bytes,
+// a Decoder reads the same bytes followed by the same read error, so
+// the outcome and its error text are the Decoder's. The one difference
+// is how much is read: an oversized body whose first value ends early
+// is now read up to the cap, so net/http closes that connection after
+// answering.
+func decodeSubmit(w http.ResponseWriter, body io.ReadCloser, spec *submitSpec) error {
+	buf := bodyPool.Get().(*bytes.Buffer)
+	defer bodyPool.Put(buf)
+	buf.Reset()
+	_, rerr := buf.ReadFrom(http.MaxBytesReader(w, body, maxSubmitBody))
+	if rerr == nil && json.Unmarshal(buf.Bytes(), spec) == nil {
+		return nil
+	}
+	*spec = submitSpec{}
+	var rest io.Reader = bytes.NewReader(buf.Bytes())
+	if rerr != nil {
+		rest = io.MultiReader(rest, errReader{rerr})
+	}
+	return json.NewDecoder(rest).Decode(spec)
+}
+
+// errReader fails every read with err.
+type errReader struct{ err error }
+
+func (r errReader) Read([]byte) (int, error) { return 0, r.err }
+
 func (a liveAPI) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec submitSpec
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBody)).Decode(&spec); err != nil {
+	if err := decodeSubmit(w, r.Body, &spec); err != nil {
 		status := http.StatusBadRequest
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			status = http.StatusRequestEntityTooLarge
 		}
-		writeJSON(w, status, map[string]string{"error": "bad request body: " + err.Error()})
+		writeJSON(w, status, errorBody{"bad request body: " + err.Error()})
 		return
 	}
 	model, ok := trace.ModelByName(spec.Model)
 	if !ok {
-		writeJSON(w, http.StatusBadRequest, map[string]string{
-			"error": fmt.Sprintf("unknown model %q (see the workload catalog)", spec.Model)})
+		writeJSON(w, http.StatusBadRequest, errorBody{
+			fmt.Sprintf("unknown model %q (see the workload catalog)", spec.Model)})
 		return
 	}
 	id := a.svc.NextID()
@@ -125,15 +191,18 @@ func (a liveAPI) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// simulated time, i.e. "arrives now".
 	j, err := trace.FromDemand(id, model, spec.Workers, spec.GPUHours, 0)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+		writeJSON(w, http.StatusBadRequest, errorBody{err.Error()})
 		return
 	}
 	status := http.StatusAccepted
-	body := map[string]any{}
+	var body submitVerdict
 	deduped := false
 	if spec.Key != "" {
 		id, deduped, err = a.svc.SubmitKeyed(spec.Key, j)
-		body["deduped"] = deduped
+		body.Deduped = &dedupedNo
+		if deduped {
+			body.Deduped = &dedupedYes
+		}
 	} else {
 		err = a.svc.Submit(j)
 	}
@@ -146,11 +215,11 @@ func (a liveAPI) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// the original admission, whose name this spec does not know.
 		status = http.StatusOK
 	} else {
-		body["name"] = j.Name
+		body.Name = j.Name
 	}
-	body["id"] = id
-	body["member"], _ = a.svc.Snapshot().Owner(id)
-	writeJSON(w, status, body)
+	body.ID = id
+	body.Member, _ = a.svc.Snapshot().Owner(id)
+	writeJSON(w, status, &body)
 }
 
 // queryResponse is the GET /api/jobs/{id} body: the owning member, the
@@ -171,7 +240,7 @@ func jobID(r *http.Request) (int, error) {
 func (a liveAPI) handleQuery(w http.ResponseWriter, r *http.Request) {
 	id, err := jobID(r)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad job id: " + err.Error()})
+		writeJSON(w, http.StatusBadRequest, errorBody{"bad job id: " + err.Error()})
 		return
 	}
 	member, phase, js, res, ok := a.svc.Snapshot().FindJob(id)
@@ -185,7 +254,7 @@ func (a liveAPI) handleQuery(w http.ResponseWriter, r *http.Request) {
 func (a liveAPI) handleCancel(w http.ResponseWriter, r *http.Request) {
 	id, err := jobID(r)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad job id: " + err.Error()})
+		writeJSON(w, http.StatusBadRequest, errorBody{"bad job id: " + err.Error()})
 		return
 	}
 	// A job the service never accepted is unknown, as GET answers; one it
@@ -198,9 +267,9 @@ func (a liveAPI) handleCancel(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err, http.StatusConflict)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"id": id, "cancelled": true})
+	writeJSON(w, http.StatusOK, cancelVerdict{Cancelled: true, ID: id})
 }
 
 func writeUnknownJob(w http.ResponseWriter, id int) {
-	writeJSON(w, http.StatusNotFound, map[string]string{"error": fmt.Sprintf("unknown job %d", id)})
+	writeJSON(w, http.StatusNotFound, errorBody{fmt.Sprintf("unknown job %d", id)})
 }
