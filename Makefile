@@ -12,7 +12,7 @@
 
 GO ?= go
 
-.PHONY: check build vet lint test test-386 portable race race-short bench-smoke bench-harness bench profile service-smoke experiments crash-smoke fuzz-smoke fuzz-sync cover
+.PHONY: check build vet lint test test-386 portable race race-short bench-smoke bench-harness bench profile experiments crash-smoke fuzz-smoke fuzz-sync cover
 
 check: build vet lint test cover bench-harness
 
@@ -90,14 +90,14 @@ race:
 	$(GO) test -race ./...
 
 # race-short runs the concurrent packages — scheduler service,
-# federation (shared clock + share-on-publish snapshots), web API, load
-# generator — under the race detector in short mode, plus the engine's
+# federation (shared clock + share-on-publish snapshots), web API —
+# under the race detector in short mode, plus the engine's
 # own snapshot tests: a reader goroutine encodes held snapshots while
 # the engine keeps appending to what they share. The quick local gate
 # before touching any of those packages; `race` is the full-suite
 # version CI runs.
 race-short:
-	$(GO) test -race -short ./internal/federation ./internal/service ./internal/web ./internal/loadgen
+	$(GO) test -race -short ./internal/federation ./internal/service ./internal/web
 	$(GO) test -race -short -run 'Snapshot|Finish' ./internal/sim
 
 # BENCH_BENCHES selects the round benchmarks BENCH_sim.json records —
@@ -145,27 +145,6 @@ profile:
 	$(GO) run ./cmd/hadarsim -jobs 480 \
 		-cpuprofile profiles/cpu.out -memprofile profiles/mem.out -exectrace profiles/trace.out
 	@echo "profiles written: go tool pprof profiles/cpu.out | go tool trace profiles/trace.out"
-
-# service-smoke boots the long-lived scheduler service (cmd/hadard) in
-# smoke mode under the race detector: a single cluster, then three
-# member clusters behind the least-queue router, then three behind the
-# affinity router (the one the federation comparison favours) with a
-# write-ahead journal, then a single cluster on the wall clock
-# (one round per 1ms tick, so the service loop's paced branch runs in
-# the real binary). loadgen drives a seeded Poisson workload
-# from trace.Generate (future arrivals, so the engine's idle
-# fast-forward runs too) through the bounded admission queue in closed
-# loop, and each run fails
-# unless every accepted job completes with zero invariant violations
-# (engine, member, and federation: single ownership, iteration
-# conservation) inside the budget.
-service-smoke:
-	$(GO) build -race -o bin/hadard-race ./cmd/hadard
-	bin/hadard-race -smoke -smoke-jobs 80 -smoke-model poisson -smoke-seed 1 -smoke-timeout 120s
-	bin/hadard-race -clusters 3 -router least-queue -smoke -smoke-jobs 60 -smoke-model poisson -smoke-seed 1 -smoke-timeout 180s
-	@dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; set -x; \
-	bin/hadard-race -clusters 3 -router affinity -wal "$$dir" -smoke -smoke-jobs 60 -smoke-model poisson -smoke-seed 1 -smoke-timeout 180s
-	bin/hadard-race -clock wall -interval 1ms -smoke -smoke-jobs 60 -smoke-model poisson -smoke-seed 1 -smoke-timeout 180s
 
 # fuzz-smoke gives every fuzz target a short budget. Go fuzzes one
 # target per invocation, so each gets its own run; FUZZTIME=2m for a

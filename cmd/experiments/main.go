@@ -23,7 +23,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/export"
 	"repro/internal/metrics"
-	"repro/internal/plot"
 )
 
 func main() {
@@ -38,7 +37,6 @@ func main() {
 		seed       = flag.Int64("seed", 1, "random seed")
 		maxScale   = flag.Int("fig7-max", 2048, "largest job count in the Fig. 7 sweep")
 		csvDir     = flag.String("csv", "", "also write results as CSV files into this directory")
-		doPlot     = flag.Bool("plot", false, "render ASCII charts of the figures")
 		seeds      = flag.Int("seeds", 0, "run the static comparison across N seeds with bootstrap CIs")
 	)
 	flag.Parse()
@@ -57,9 +55,6 @@ func main() {
 			fail(err)
 		}
 		fmt.Println(v)
-		if *doPlot {
-			fmt.Println(renderPlot(v))
-		}
 		if *csvDir != "" {
 			if err := writeCSV(*csvDir, v); err != nil {
 				fail(err)
@@ -228,115 +223,4 @@ func writeCSV(dir string, v fmt.Stringer) error {
 		})
 	}
 	return fmt.Errorf("no CSV writer for %T", v)
-}
-
-// renderPlot draws an ASCII chart for results that have a natural
-// graphical form; other results return an empty string.
-func renderPlot(v fmt.Stringer) string {
-	switch r := v.(type) {
-	case *experiments.Fig3Result:
-		chart := &plot.LineChart{
-			Title: "Fig. 3 (" + r.Arrival + "): completion CDF", Width: 72, Height: 18,
-			XLabel: "hours", YLabel: "fraction complete",
-		}
-		for _, name := range r.Cmp.Order {
-			var xs, ys []float64
-			for _, p := range r.Cmp.Reports[name].CompletionCDF() {
-				xs = append(xs, p.X/3600)
-				ys = append(ys, p.Fraction)
-			}
-			chart.Series = append(chart.Series, plot.Series{Name: name, X: xs, Y: ys})
-		}
-		return chart.Render()
-	case *experiments.Fig4Result:
-		return utilizationBars("Fig. 4: GPU utilization", r.Cmp)
-	case *experiments.Fig5Result:
-		bars := &plot.BarChart{Title: "Fig. 5: average finish-time fairness (lower is better)"}
-		for _, name := range r.Cmp.Order {
-			bars.Labels = append(bars.Labels, name)
-			bars.Values = append(bars.Values, r.Cmp.Reports[name].AvgFTF())
-		}
-		return bars.Render()
-	case *experiments.Fig6Result:
-		bars := &plot.BarChart{Title: "Fig. 6: makespan", Unit: "h"}
-		for _, name := range r.Cmp.Order {
-			bars.Labels = append(bars.Labels, name)
-			bars.Values = append(bars.Values, r.Cmp.Reports[name].Makespan/3600)
-		}
-		return bars.Render()
-	case *experiments.Fig7Result:
-		chart := &plot.LineChart{
-			Title: "Fig. 7: decision latency", Width: 72, Height: 14,
-			XLabel: "jobs", YLabel: "ms",
-		}
-		var xs, hs, gs []float64
-		for _, p := range r.Sweep("jobs-sweep") {
-			xs = append(xs, float64(p.Jobs))
-			hs = append(hs, float64(p.HadarLatency.Microseconds())/1000)
-			gs = append(gs, float64(p.GavelLatency.Microseconds())/1000)
-		}
-		chart.Series = []plot.Series{{Name: "hadar", X: xs, Y: hs}, {Name: "gavel", X: xs, Y: gs}}
-		return chart.Render()
-	case *experiments.Fig8Result:
-		chart := &plot.LineChart{
-			Title: "Fig. 8: average JCT vs arrival rate", Width: 72, Height: 14,
-			XLabel: "jobs/hour", YLabel: "avg JCT (h)",
-		}
-		series := map[string]*plot.Series{}
-		var order []string
-		for _, p := range r.Points {
-			s, ok := series[p.Scheduler]
-			if !ok {
-				s = &plot.Series{Name: p.Scheduler}
-				series[p.Scheduler] = s
-				order = append(order, p.Scheduler)
-			}
-			s.X = append(s.X, p.RatePerHour)
-			s.Y = append(s.Y, p.AvgJCT/3600)
-		}
-		for _, name := range order {
-			chart.Series = append(chart.Series, *series[name])
-		}
-		return chart.Render()
-	case *experiments.Fig9Result:
-		chart := &plot.LineChart{
-			Title: "Fig. 9: avg JCT vs round length", Width: 72, Height: 14,
-			XLabel: "round (min)", YLabel: "avg JCT (h)",
-		}
-		series := map[float64]*plot.Series{}
-		var order []float64
-		for _, p := range r.Points {
-			s, ok := series[p.RatePerHour]
-			if !ok {
-				s = &plot.Series{Name: fmt.Sprintf("%.1f jobs/h", p.RatePerHour)}
-				series[p.RatePerHour] = s
-				order = append(order, p.RatePerHour)
-			}
-			s.X = append(s.X, p.RoundMinutes)
-			s.Y = append(s.Y, p.AvgJCT/3600)
-		}
-		for _, rate := range order {
-			chart.Series = append(chart.Series, *series[rate])
-		}
-		return chart.Render()
-	case *experiments.Fig10Result:
-		return utilizationBars("Fig. 10: prototype GPU utilization", r.Cmp)
-	case *experiments.FedCompareResult:
-		bars := &plot.BarChart{Title: "Pooled vs type-split federation: average JCT", Unit: "h"}
-		for _, s := range r.Series {
-			bars.Labels = append(bars.Labels, s.Series)
-			bars.Values = append(bars.Values, s.Report.AvgJCT()/3600)
-		}
-		return bars.Render()
-	}
-	return ""
-}
-
-func utilizationBars(title string, cmp *experiments.Comparison) string {
-	bars := &plot.BarChart{Title: title, Unit: "%"}
-	for _, name := range cmp.Order {
-		bars.Labels = append(bars.Labels, name)
-		bars.Values = append(bars.Values, 100*cmp.Reports[name].Utilization())
-	}
-	return bars.Render()
 }

@@ -37,14 +37,6 @@
 // graceful shutdown — in-flight HTTP requests drain, the queue is
 // rejected-and-emptied, the journal is flushed, and a final checkpoint
 // is written, so the next -recover replays nothing.
-//
-// Smoke mode (-smoke) swaps the HTTP server for an internal closed-loop
-// load drive: it generates a seeded workload with trace.Generate
-// (-smoke-model static, poisson or diurnal), pushes it through the
-// admission queue as fast as the engine absorbs it, waits for every
-// accepted job to finish, and exits non-zero unless the run was clean
-// (zero invariant violations, nonzero accepted submissions). CI runs
-// this under -race.
 package main
 
 import (
@@ -56,16 +48,13 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	"repro/internal/experiments"
 	"repro/internal/federation"
-	"repro/internal/loadgen"
 	"repro/internal/service"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/wal"
 	"repro/internal/web"
 )
@@ -90,13 +79,6 @@ var (
 	fsyncSel   = flag.String("fsync", "group", "journal fsync policy: always, group, or off")
 	fsyncEvery = flag.Duration("fsync-interval", 2*time.Millisecond, "longest a verdict waits for its group fsync (-fsync group)")
 	ckptEvery  = flag.Int("checkpoint-every", 256, "journal records between engine checkpoints")
-
-	smoke        = flag.Bool("smoke", false, "run the internal closed-loop smoke test and exit")
-	smokeJobs    = flag.Int("smoke-jobs", 120, "smoke: number of jobs to generate")
-	smokeModel   = flag.String("smoke-model", "poisson", "smoke: arrival pattern static, poisson, or diurnal")
-	smokeRate    = flag.Float64("smoke-rate", 0.05, "smoke: mean arrival rate (jobs per virtual second)")
-	smokeSeed    = flag.Int64("smoke-seed", 1, "smoke: workload seed")
-	smokeTimeout = flag.Duration("smoke-timeout", 120*time.Second, "smoke: wall-clock budget for the whole run")
 )
 
 func main() {
@@ -172,7 +154,7 @@ func main() {
 		doc, _ := json.Marshal(r)
 		fmt.Printf("hadard: recovered: %s\n", doc)
 	}
-	os.Exit(run(s.Name(), banner, svc))
+	os.Exit(run(banner, svc))
 }
 
 // newFederation builds -clusters members, each with its own cluster and
@@ -202,14 +184,10 @@ func newFederation(pol experiments.Policy, simOpts sim.Options) *federation.Fede
 	return fed
 }
 
-// run starts the service and either smoke-tests it or serves it until
-// SIGINT/SIGTERM, then shuts down gracefully. Returns the process exit
-// code.
-func run(scheduler, banner string, svc *service.Service) int {
+// run starts the service and serves it until SIGINT/SIGTERM, then
+// shuts down gracefully. Returns the process exit code.
+func run(banner string, svc *service.Service) int {
 	svc.Start()
-	if *smoke {
-		return runSmoke(scheduler, svc)
-	}
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -252,102 +230,5 @@ func run(scheduler, banner string, svc *service.Service) int {
 		return 1
 	}
 	fmt.Println("hadard: clean shutdown")
-	return 0
-}
-
-// smokeReport is the JSON document the smoke run prints for CI logs.
-type smokeReport struct {
-	Scheduler   string         `json:"scheduler"`
-	Model       string         `json:"model"`
-	Drive       loadgen.Result `json:"drive"`
-	SubmitRate  float64        `json:"sustained_submissions_per_s"`
-	Stats       service.Stats  `json:"stats"`
-	Completed   int            `json:"completed"`
-	SimSeconds  float64        `json:"simulated_seconds"`
-	WallSeconds float64        `json:"wall_seconds"`
-}
-
-// runSmoke drives a seeded workload through the service — a single
-// engine or the federated front door — waits for every accepted job to
-// reach a terminal phase, and verifies the run was clean: Stop fails on
-// any engine-, member- or federation-level invariant violation. Returns
-// the process exit code.
-func runSmoke(scheduler string, svc *service.Service) int {
-	pattern, err := trace.ParsePattern(*smokeModel)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "hadard: smoke: %v\n", err)
-		return 2
-	}
-	budget := *smokeTimeout
-	// Gangs of at most 4 GPUs keep the smoke about the admission queue,
-	// not the gang constraint, and fit the 8-GPU physical cluster.
-	jobs, err := trace.Generate(trace.Config{
-		NumJobs:       *smokeJobs,
-		Seed:          *smokeSeed,
-		Pattern:       pattern,
-		Rate:          *smokeRate,
-		Amplitude:     0.5,
-		WorkerChoices: []int{1, 2, 4},
-		WorkerWeights: []float64{0.5, 0.3, 0.2},
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "hadard: smoke: %v\n", err)
-		return 1
-	}
-	start := time.Now()
-	res, err := loadgen.Drive(svc, jobs, budget)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "hadard: smoke: drive failed: %v\n", err)
-		return 1
-	}
-
-	// Wait until every accepted job reaches a terminal phase, within
-	// the wall budget.
-	deadline := start.Add(budget)
-	for {
-		snap := svc.Snapshot()
-		if snap.Completed+snap.Cancelled >= res.Submitted {
-			break
-		}
-		if time.Now().After(deadline) {
-			fmt.Fprintf(os.Stderr, "hadard: smoke: %d of %d jobs unfinished after %v\n",
-				res.Submitted-snap.Completed-snap.Cancelled, res.Submitted, budget)
-			return 1
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-
-	if _, err := svc.Stop(); err != nil {
-		fmt.Fprintf(os.Stderr, "hadard: smoke: invariant violation or engine failure: %v\n", err)
-		return 1
-	}
-	if res.Submitted == 0 {
-		fmt.Fprintln(os.Stderr, "hadard: smoke: zero accepted submissions")
-		return 1
-	}
-
-	snap := svc.Snapshot()
-	out := smokeReport{
-		Scheduler:   scheduler,
-		Model:       pattern.String(),
-		Drive:       res,
-		SubmitRate:  res.PerSecond(),
-		Stats:       svc.Stats(),
-		Completed:   snap.Completed,
-		SimSeconds:  snap.Now,
-		WallSeconds: time.Since(start).Seconds(),
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(out); err != nil {
-		fmt.Fprintf(os.Stderr, "hadard: smoke: %v\n", err)
-		return 1
-	}
-	perMember := make([]string, len(snap.Members))
-	for i := range snap.Members {
-		perMember[i] = fmt.Sprintf("%s=%d", snap.Members[i].Name, snap.Members[i].Snap.Completed)
-	}
-	fmt.Printf("hadard: smoke OK: %d jobs accepted, %d completed (%s), %d rounds, 0 invariant violations\n",
-		res.Submitted, snap.Completed, strings.Join(perMember, " "), svc.Stats().Rounds)
 	return 0
 }

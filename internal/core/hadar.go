@@ -75,6 +75,7 @@ func DefaultOptions() Options {
 // sched.Scheduler and is not safe for concurrent use.
 type Scheduler struct {
 	opts      Options
+	name      string
 	lastAlpha float64
 	// prices is the round's price table, refilled in place by every
 	// Schedule; lastPrices points at it once a round has run (nil
@@ -118,11 +119,11 @@ func New(opts Options) *Scheduler {
 	if opts.DPJobLimit < 0 {
 		bug.Failf("core: negative DPJobLimit %d", opts.DPJobLimit)
 	}
-	return &Scheduler{opts: opts}
+	return &Scheduler{opts: opts, name: "hadar" + opts.NameSuffix}
 }
 
 // Name implements sched.Scheduler.
-func (s *Scheduler) Name() string { return "hadar" + s.opts.NameSuffix }
+func (s *Scheduler) Name() string { return s.name }
 
 // LastAlpha returns the competitive-ratio factor alpha (Theorem 2) of
 // the most recent round's price bounds; Hadar is 2*alpha competitive.

@@ -290,9 +290,9 @@ func Fig7(seed int64, maxJobs int) (*Fig7Result, error) {
 			return err
 		}
 		p.Nodes, p.GPUs = c.NumNodes(), c.TotalGPUs()
-		p.HadarLatency = timeDecision(NewHadar(), ctx)
+		p.HadarLatency = timeDecision(NewHadar, ctx)
 		if p.Series == "jobs-sweep" {
-			p.GavelLatency = timeDecision(NewGavel(), ctx)
+			p.GavelLatency = timeDecision(NewGavel, ctx)
 		}
 		res.Points = append(res.Points, p)
 		return nil
@@ -310,10 +310,16 @@ func Fig7(seed int64, maxJobs int) (*Fig7Result, error) {
 	return res, nil
 }
 
-func timeDecision(s sched.Scheduler, ctx *sched.Context) time.Duration {
+// timeDecision is the best of three decisions on ctx, each by a fresh
+// scheduler: the decision for a workload the scheduler has not seen.
+// Repeating the call on one scheduler would time its caches instead —
+// Gavel's LP solution, kept while the class histogram holds, and
+// Hadar's carried queue order and arenas.
+func timeDecision(newSched func() sched.Scheduler, ctx *sched.Context) time.Duration {
 	const reps = 3
 	best := time.Duration(0)
 	for i := 0; i < reps; i++ {
+		s := newSched()
 		start := time.Now()
 		s.Schedule(ctx)
 		d := time.Since(start)

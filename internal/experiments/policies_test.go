@@ -33,6 +33,17 @@ func TestLookupPolicy(t *testing.T) {
 	}
 }
 
+// TestPolicyNamesAllocateNothing: the engine names its scheduler in
+// every published snapshot, so Name must return a stored string.
+func TestPolicyNamesAllocateNothing(t *testing.T) {
+	for _, p := range Policies {
+		s := p.New()
+		if n := testing.AllocsPerRun(100, func() { _ = s.Name() }); n != 0 {
+			t.Errorf("%s: Name() allocates %v times per call, want 0", p.Name, n)
+		}
+	}
+}
+
 func TestLookupCluster(t *testing.T) {
 	for name, gpus := range map[string]int{"sim": 60, "physical": 8} {
 		c, err := LookupCluster(name)

@@ -18,7 +18,9 @@
 package gavel
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/cluster"
@@ -35,9 +37,13 @@ const epsilon = 1e-3
 // Scheduler is the Gavel baseline; it implements sched.Scheduler and is
 // not safe for concurrent use.
 type Scheduler struct {
-	// LP solution cache, invalidated when the class histogram changes.
-	cacheSig string
-	cacheY   map[string][]float64 // class key -> per-type time fraction
+	// keys holds the rendered key of every class seen so far, so each is
+	// formatted once; the LP's columns are sorted by it.
+	keys map[class]string
+	// LP solution cache, invalidated when the sorted class histogram
+	// changes.
+	cacheHist []classCount
+	cacheY    map[class][]float64 // class -> per-type time fraction
 }
 
 // New builds a Gavel scheduler.
@@ -46,13 +52,38 @@ func New() *Scheduler { return &Scheduler{} }
 // Name implements sched.Scheduler.
 func (s *Scheduler) Name() string { return "gavel" }
 
-// classKey groups jobs that are interchangeable in the allocation LP.
-func classKey(j *job.Job) string {
-	key := fmt.Sprintf("%s/%d", j.Model, j.Workers)
-	for t := gpu.Type(0); t < gpu.NumTypes; t++ {
-		key += fmt.Sprintf("/%g", j.Speed(t))
+// class groups jobs that are interchangeable in the allocation LP.
+type class struct {
+	model   string
+	workers int
+	rates   job.Rates
+}
+
+func classOf(j *job.Job) class { return class{j.Model, j.Workers, j.Throughput} }
+
+// key is the class rendered as model/workers/rate/..., every rate in
+// %g.
+func (s *Scheduler) key(c class) string {
+	if key, ok := s.keys[c]; ok {
+		return key
 	}
+	key := fmt.Sprintf("%s/%d", c.model, c.workers)
+	for _, x := range c.rates {
+		key += fmt.Sprintf("/%g", x)
+	}
+	if s.keys == nil {
+		s.keys = map[class]string{}
+	}
+	s.keys[c] = key
 	return key
+}
+
+// classCount is one class of the histogram: its rendered key, how many
+// jobs it has, and the first of them.
+type classCount struct {
+	key string
+	n   int
+	rep *job.Job
 }
 
 // Schedule implements sched.Scheduler.
@@ -73,7 +104,7 @@ func (s *Scheduler) Schedule(ctx *sched.Context) map[int]cluster.Alloc {
 	var pairs []pair
 	types := ctx.Free.Types()
 	for _, st := range ctx.Jobs {
-		frac, ok := y[classKey(st.Job)]
+		frac, ok := y[classOf(st.Job)]
 		if !ok {
 			continue
 		}
@@ -85,17 +116,14 @@ func (s *Scheduler) Schedule(ctx *sched.Context) map[int]cluster.Alloc {
 			pairs = append(pairs, pair{st: st, t: t, priority: frac[t] / received})
 		}
 	}
-	sort.SliceStable(pairs, func(a, b int) bool {
-		if pairs[a].priority > pairs[b].priority {
-			return true
+	slices.SortStableFunc(pairs, func(a, b pair) int {
+		if c := cmp.Compare(b.priority, a.priority); c != 0 {
+			return c
 		}
-		if pairs[a].priority < pairs[b].priority {
-			return false
+		if c := cmp.Compare(a.st.Job.ID, b.st.Job.ID); c != 0 {
+			return c
 		}
-		if pairs[a].st.Job.ID != pairs[b].st.Job.ID {
-			return pairs[a].st.Job.ID < pairs[b].st.Job.ID
-		}
-		return pairs[a].t < pairs[b].t
+		return cmp.Compare(a.t, b.t)
 	})
 
 	defer ctx.Free.Rollback(ctx.Free.Savepoint())
@@ -115,30 +143,29 @@ func (s *Scheduler) Schedule(ctx *sched.Context) map[int]cluster.Alloc {
 // allocationMatrix returns, per class, the optimal per-type time
 // fractions from the max-min LP, recomputing only when the active class
 // histogram changes.
-func (s *Scheduler) allocationMatrix(ctx *sched.Context) map[string][]float64 {
-	// Histogram of classes.
-	counts := map[string]int{}
-	rep := map[string]*job.Job{}
-	var keys []string
+func (s *Scheduler) allocationMatrix(ctx *sched.Context) map[class][]float64 {
+	at := map[class]int{} // class -> its index in hist
+	var hist []classCount
 	for _, st := range ctx.Jobs {
-		k := classKey(st.Job)
-		if counts[k] == 0 {
-			keys = append(keys, k)
-			rep[k] = st.Job
+		c := classOf(st.Job)
+		i, ok := at[c]
+		if !ok {
+			i = len(hist)
+			at[c] = i
+			hist = append(hist, classCount{key: s.key(c), rep: st.Job})
 		}
-		counts[k]++
+		hist[i].n++
 	}
-	sort.Strings(keys)
-	sig := ""
-	for _, k := range keys {
-		sig += fmt.Sprintf("%s=%d;", k, counts[k])
-	}
-	if sig == s.cacheSig && s.cacheY != nil {
+	sort.Slice(hist, func(a, b int) bool { return hist[a].key < hist[b].key })
+	if s.cacheY != nil && slices.EqualFunc(hist, s.cacheHist, func(a, b classCount) bool {
+		return a.key == b.key && a.n == b.n
+	}) {
 		return s.cacheY
 	}
+	s.cacheHist = hist
 
 	types := ctx.Free.Types()
-	ng, nr := len(keys), len(types)
+	ng, nr := len(hist), len(types)
 	// Variables: Y[g][r] laid out row-major, then lambda.
 	nv := ng*nr + 1
 	idx := func(g, r int) int { return g*nr + r }
@@ -148,8 +175,8 @@ func (s *Scheduler) allocationMatrix(ctx *sched.Context) map[string][]float64 {
 	var B []float64
 	row := func() []float64 { return make([]float64, nv) }
 
-	for g, k := range keys {
-		j := rep[k]
+	for g, h := range hist {
+		j := h.rep
 		// scale_g: best achievable per-job throughput, so lambda is the
 		// min normalized throughput across classes.
 		_, best, ok := j.BestType()
@@ -185,8 +212,8 @@ func (s *Scheduler) allocationMatrix(ctx *sched.Context) map[string][]float64 {
 	// Capacity per type: sum_g count_g * W_g * Y_gr <= C_r.
 	for r, t := range types {
 		rc := row()
-		for g, k := range keys {
-			rc[idx(g, r)] = float64(counts[k]) * float64(rep[k].Workers)
+		for g, h := range hist {
+			rc[idx(g, r)] = float64(h.n) * float64(h.rep.Workers)
 		}
 		A = append(A, rc)
 		B = append(B, float64(ctx.Free.CapacityOfType(t)))
@@ -195,29 +222,28 @@ func (s *Scheduler) allocationMatrix(ctx *sched.Context) map[string][]float64 {
 	c[lambdaIdx] = 1
 
 	sol, err := lp.Solve(lp.Problem{C: c, A: A, B: B})
-	y := make(map[string][]float64, ng)
+	y := make(map[class][]float64, ng)
 	if err != nil || sol.Status != lp.Optimal {
 		// Degenerate fallback: every class prefers its best type full
 		// time. The priority rounds still enforce capacity.
-		for _, k := range keys {
+		for _, h := range hist {
 			frac := make([]float64, gpu.NumTypes)
-			if t, _, ok := rep[k].BestType(); ok {
+			if t, _, ok := h.rep.BestType(); ok {
 				frac[t] = 1
 			}
-			y[k] = frac
+			y[classOf(h.rep)] = frac
 		}
 	} else {
-		for g, k := range keys {
+		for g, h := range hist {
 			frac := make([]float64, gpu.NumTypes)
 			for r, t := range types {
 				if v := sol.X[idx(g, r)]; v > 1e-9 {
 					frac[t] = v
 				}
 			}
-			y[k] = frac
+			y[classOf(h.rep)] = frac
 		}
 	}
-	s.cacheSig = sig
 	s.cacheY = y
 	return y
 }

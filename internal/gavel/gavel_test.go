@@ -143,16 +143,18 @@ func TestLPCacheInvalidation(t *testing.T) {
 	s := New()
 	st1 := newState(mkJob(0, 2, "A", 10, 5, 1))
 	s.Schedule(mkCtx(c, st1))
-	sig1 := s.cacheSig
+	// A marker entry survives exactly as long as the cached solution.
+	marker := class{model: "marker"}
+	s.cacheY[marker] = nil
 	// Same class set: cache retained.
 	s.Schedule(mkCtx(c, st1))
-	if s.cacheSig != sig1 {
-		t.Error("cache signature changed without workload change")
+	if _, ok := s.cacheY[marker]; !ok {
+		t.Error("cache recomputed without workload change")
 	}
 	// New class arrives: cache recomputed.
 	st2 := newState(mkJob(1, 1, "B", 3, 2, 1))
 	s.Schedule(mkCtx(c, st1, st2))
-	if s.cacheSig == sig1 {
+	if _, ok := s.cacheY[marker]; ok {
 		t.Error("cache not invalidated on workload change")
 	}
 }
@@ -246,8 +248,8 @@ func TestAllocationMatrixMatchesBruteForce(t *testing.T) {
 			}
 		}
 	}
-	yFast := y[classKey(fast.Job)]
-	yFlat := y[classKey(flat.Job)]
+	yFast := y[classOf(fast.Job)]
+	yFlat := y[classOf(flat.Job)]
 	lpScore := score(yFast[gpu.V100], yFast[gpu.K80], yFlat[gpu.V100], yFlat[gpu.K80])
 	if lpScore < best-0.06 { // grid resolution slack
 		t.Errorf("LP max-min %.3f below brute force %.3f (fast=%v flat=%v)",
@@ -268,7 +270,7 @@ func TestAllocationMatrixFractionsValid(t *testing.T) {
 	y := s.allocationMatrix(mkCtx(c, states...))
 	capUsed := map[gpu.Type]float64{}
 	for _, st := range states {
-		frac := y[classKey(st.Job)]
+		frac := y[classOf(st.Job)]
 		sum := 0.0
 		for t2 := gpu.Type(0); t2 < gpu.NumTypes; t2++ {
 			if frac[t2] < -1e-9 {

@@ -180,10 +180,9 @@ var schedulerPath = []string{
 // reportingPath lists packages whose *output* must be reproducible run
 // to run (metrics tables, exported CSV/JSON, dashboard rendering, the
 // service's snapshots), even though they are not priced into the
-// schedule itself. service and loadgen belong here, not in
-// schedulerPath: their seeded workloads and snapshots must replay
-// identically, but their pacing (wall-clock rounds, retry backoff) is
-// legitimately real-time. wal is here too: its frames and checkpoints
+// schedule itself. service belongs here, not in schedulerPath: its
+// snapshots must replay identically, but its pacing (wall-clock rounds,
+// admission timeouts) is legitimately real-time. wal is here too: its frames and checkpoints
 // must be byte-reproducible, but fsync pacing (group-commit deadlines)
 // is wall-clock by nature, so it stays out of the wallclock rule's
 // scope below.
@@ -192,7 +191,6 @@ var reportingPath = []string{
 	"repro/internal/export",
 	"repro/internal/web",
 	"repro/internal/service",
-	"repro/internal/loadgen",
 	"repro/internal/stats",
 	"repro/internal/wal",
 }
@@ -204,8 +202,8 @@ func DefaultConfig() *Config {
 		Only: map[string][]string{
 			// Wall-clock reads are forbidden where simulated time is the
 			// only legitimate clock. Of reportingPath only metrics and
-			// export are in scope: service, loadgen and wal pace rounds,
-			// retries and fsyncs on the wall clock by design.
+			// export are in scope: service and wal pace rounds, timeouts
+			// and fsyncs on the wall clock by design.
 			//
 			// The linter lints itself: analyzer output ordering must be
 			// deterministic (findings are diffed in CI), so the wall

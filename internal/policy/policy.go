@@ -43,18 +43,17 @@ func (o Order) String() string {
 // primal-dual framework rather than placement feasibility).
 type Scheduler struct {
 	order Order
+	name  string
 }
 
-// New builds a sticky reference scheduler.
+// New builds a sticky reference scheduler. The "-sticky" suffix is part
+// of the name the golden digests are keyed by.
 func New(order Order) *Scheduler {
-	return &Scheduler{order: order}
+	return &Scheduler{order: order, name: "ref-" + order.String() + "-sticky"}
 }
 
-// Name implements sched.Scheduler. The "-sticky" suffix is part of the
-// name the golden digests are keyed by.
-func (s *Scheduler) Name() string {
-	return "ref-" + s.order.String() + "-sticky"
-}
+// Name implements sched.Scheduler.
+func (s *Scheduler) Name() string { return s.name }
 
 // Schedule implements sched.Scheduler.
 func (s *Scheduler) Schedule(ctx *sched.Context) map[int]cluster.Alloc {

@@ -9,11 +9,14 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/federation"
 	"repro/internal/gpu"
 	"repro/internal/job"
 	"repro/internal/sched"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // fifo is a minimal gang scheduler for driving the service in tests:
@@ -62,11 +65,16 @@ func twoNodeCluster() *cluster.Cluster {
 type shape struct {
 	members int
 	router  string // "" for New's federation of one
+	// hadar swaps New's fifo on two nodes for core.Scheduler, whose
+	// decision map is lent until its next call, on the paper's 60-GPU
+	// cluster, and the cases' jobs for a seeded Poisson trace.
+	hadar bool
 }
 
 var (
 	oneCluster = shape{members: 1}
 	twoRegions = shape{members: 2, router: "least-queue"}
+	hadarSim   = shape{members: 1, hadar: true}
 )
 
 // walShapes is what every durability case runs on: one member, and
@@ -80,6 +88,9 @@ func walShapes() []shape {
 }
 
 func (sh shape) String() string {
+	if sh.hadar {
+		return "hadar-sim"
+	}
 	if sh.router == "" {
 		return "one-cluster"
 	}
@@ -119,6 +130,9 @@ func (sh shape) build(t *testing.T, opts Options) (*Service, error) {
 	}
 	if !opts.Sim.Validate {
 		opts.Sim = sim.ValidatedOptions()
+	}
+	if sh.hadar {
+		return New(experiments.SimCluster(), core.New(core.DefaultOptions()), opts)
 	}
 	return New(twoNodeCluster(), fifo{}, opts)
 }
@@ -161,6 +175,28 @@ func (sh shape) order() []string {
 		names[i] = fmt.Sprintf("region%d", i)
 	}
 	return names
+}
+
+// jobs is a case's n submissions, IDs 0..n-1: simple(id) on the fifo
+// shapes; on the Hadar shape, a seeded Poisson trace of 1, 2 and 4-GPU
+// gangs, whose future arrivals also run the engine's idle fast-forward.
+func (sh shape) jobs(t *testing.T, n int, simple func(id int) *job.Job) []*job.Job {
+	t.Helper()
+	if !sh.hadar {
+		jobs := make([]*job.Job, n)
+		for id := range jobs {
+			jobs[id] = simple(id)
+		}
+		return jobs
+	}
+	jobs, err := trace.Generate(trace.Config{
+		NumJobs: n, Seed: 1, Pattern: trace.Poisson, Rate: 0.05,
+		WorkerChoices: []int{1, 2, 4}, WorkerWeights: []float64{0.5, 0.3, 0.2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return jobs
 }
 
 func newTestService(t *testing.T, opts Options) *Service {
@@ -227,34 +263,38 @@ func stopJobs(t *testing.T, svc *Service) (jobs int, err error) {
 
 // The shared cases below run once over a single cluster
 // (TestService...) and once over a federation of two
-// (TestFedService...): the same Service, the same assertions.
+// (TestFedService...): the same Service, the same assertions. The
+// lifecycle and concurrent-client cases also run Hadar itself
+// (TestHadarService...).
 
-func TestServiceRunsJobsToCompletion(t *testing.T)    { caseLifecycle(t, oneCluster) }
-func TestFedServiceRunsJobsToCompletion(t *testing.T) { caseLifecycle(t, twoRegions) }
+func TestServiceRunsJobsToCompletion(t *testing.T)      { caseLifecycle(t, oneCluster) }
+func TestFedServiceRunsJobsToCompletion(t *testing.T)   { caseLifecycle(t, twoRegions) }
+func TestHadarServiceRunsJobsToCompletion(t *testing.T) { caseLifecycle(t, hadarSim) }
 
 func caseLifecycle(t *testing.T, sh shape) {
 	svc := sh.service(t, Options{})
 	svc.Start()
-	for i := 0; i < 6; i++ {
-		if err := svc.Submit(simpleJob(i, 1+i%2, 5000)); err != nil {
+	jobs := sh.jobs(t, 6, func(id int) *job.Job { return simpleJob(id, 1+id%2, 5000) })
+	for i, j := range jobs {
+		if err := svc.Submit(j); err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
 	}
 	waitCompleted(t, svc, 6)
-	jobs, err := stopJobs(t, svc)
+	done, err := stopJobs(t, svc)
 	if err != nil {
 		t.Fatalf("stop: %v", err)
 	}
-	if jobs != 6 {
-		t.Errorf("report has %d jobs, want 6", jobs)
+	if done != 6 {
+		t.Errorf("report has %d jobs, want 6", done)
 	}
 	st := svc.Stats()
 	if st.Accepted != 6 || st.RejectedInvalid != 0 || st.Rounds == 0 {
 		t.Errorf("stats = %+v, want 6 accepted, 0 invalid, >0 rounds", st)
 	}
 	// A second Stop returns the same result.
-	if again, err := stopJobs(t, svc); err != nil || again != jobs {
-		t.Errorf("second Stop = (%d jobs, %v), want (%d, nil)", again, err, jobs)
+	if again, err := stopJobs(t, svc); err != nil || again != done {
+		t.Errorf("second Stop = (%d jobs, %v), want (%d, nil)", again, err, done)
 	}
 }
 
@@ -456,8 +496,9 @@ func caseKill(t *testing.T, sh shape) {
 	}
 }
 
-func TestServiceConcurrentClients(t *testing.T)    { caseConcurrentClients(t, oneCluster) }
-func TestFedServiceConcurrentClients(t *testing.T) { caseConcurrentClients(t, twoRegions) }
+func TestServiceConcurrentClients(t *testing.T)      { caseConcurrentClients(t, oneCluster) }
+func TestFedServiceConcurrentClients(t *testing.T)   { caseConcurrentClients(t, twoRegions) }
+func TestHadarServiceConcurrentClients(t *testing.T) { caseConcurrentClients(t, hadarSim) }
 
 // caseConcurrentClients is the shared-clock/snapshot race test:
 // submitters, cancellers, and snapshot readers hammer the service from
@@ -475,6 +516,7 @@ func caseConcurrentClients(t *testing.T, sh shape) {
 		cancellers = 2
 		total      = writers * perWriter
 	)
+	jobs := sh.jobs(t, total, func(id int) *job.Job { return simpleJob(id, 1, 2000) })
 	var wg sync.WaitGroup
 	// Submitters: disjoint ID ranges, half keyed.
 	for w := 0; w < writers; w++ {
@@ -485,9 +527,9 @@ func caseConcurrentClients(t *testing.T, sh shape) {
 				id := w*perWriter + i
 				var err error
 				if i%2 == 0 {
-					_, _, err = svc.SubmitKeyed(fmt.Sprintf("w%d-%d", w, i), simpleJob(id, 1, 2000))
+					_, _, err = svc.SubmitKeyed(fmt.Sprintf("w%d-%d", w, i), jobs[id])
 				} else {
-					err = svc.Submit(simpleJob(id, 1, 2000))
+					err = svc.Submit(jobs[id])
 				}
 				var busy *BusyError
 				if errors.As(err, &busy) {
