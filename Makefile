@@ -207,7 +207,7 @@ cover:
 		END { exit bad }'
 
 # experiments regenerates every table, figure and the scorecard at the
-# paper's scale into results/ (about 1 min on 2 vCPU). It fails if a
+# paper's scale into results/ (about 5 s on 2 vCPU). It fails if a
 # scorecard rule fails (the command exits 1), or if results/ then
 # differs from the committed files in any way but the timing-dependent
 # fig7_scalability.csv: a drifted CSV or an uncommitted new output.

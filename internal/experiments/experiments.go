@@ -180,6 +180,16 @@ func without(order []string, name string) []string {
 	return out
 }
 
+// only returns a view of c holding the named series, in that order:
+// the same reports, in a map of their own.
+func (c *Comparison) only(names ...string) *Comparison {
+	v := &Comparison{Order: names, Reports: make(map[string]*metrics.Report, len(names))}
+	for _, name := range names {
+		v.Reports[name] = c.Reports[name]
+	}
+	return v
+}
+
 // Table renders the headline metrics of every scheduler.
 func (c *Comparison) Table() string {
 	var sb strings.Builder

@@ -129,14 +129,15 @@ func TestFig5And6SmallScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiment")
 	}
-	f5, err := Fig5(smallSetup())
+	e := NewEval(smallSetup(), 32)
+	f5, err := get[*Fig5Result](e, "5")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(f5.String(), "FTF") {
 		t.Error("Fig5 output missing FTF")
 	}
-	f6, err := Fig6(smallSetup())
+	f6, err := get[*Fig6Result](e, "6")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +359,9 @@ func TestFig10SmallScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiment")
 	}
-	res, err := Fig10(7)
+	setup := smallSetup()
+	setup.Seed = 7
+	res, err := get[*Fig10Result](NewEval(setup, 32), "10")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +377,7 @@ func TestFig6StringSpeedups(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiment")
 	}
-	res, err := Fig6(smallSetup())
+	res, err := get[*Fig6Result](NewEval(smallSetup(), 32), "6")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +391,12 @@ func TestFederationCompareSmallScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiment")
 	}
-	res, err := FederationCompare(smallSetup(), []string{"least-queue", "round-robin"}, nil)
+	fig3, err := Fig3(smallSetup(), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pooled := fig3.Cmp.Reports["hadar"]
+	res, err := FederationCompare(smallSetup(), []string{"least-queue", "round-robin"}, pooled)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,15 +424,15 @@ func TestFederationCompareSmallScale(t *testing.T) {
 			t.Errorf("federation comparison output missing %q:\n%s", frag, out)
 		}
 	}
-	if _, err := FederationCompare(smallSetup(), []string{"price"}, nil); err == nil {
+	if _, err := FederationCompare(smallSetup(), []string{"price"}, pooled); err == nil {
 		t.Error("federation comparison accepted a retired router")
 	}
 }
 
 // TestFederationPooledIsFig3Hadar: the federation comparison's pooled
-// series is the run Fig. 3b reports as Hadar's, report for report, so
-// experiments -all hands it the Fig. 3b report instead of simulating it
-// again, and the comparison reads the same either way.
+// series — one Hadar on SimCluster over the continuous trace — is the
+// run Fig. 3b reports as Hadar's, report for report, so the comparison
+// takes the Fig. 3b report instead of simulating it again.
 func TestFederationPooledIsFig3Hadar(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiment")
@@ -433,24 +441,20 @@ func TestFederationPooledIsFig3Hadar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	simulated, err := FederationCompare(smallSetup(), []string{"round-robin"}, nil)
+	jobs, err := smallSetup().jobs(smallSetup().Rate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pooled, err := sim.Run(SimCluster(), jobs, NewHadar(), smallSetup().simOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	hadar := fig3.Cmp.Reports["hadar"]
 	// Everything but DecisionTime, the one wall-clock reading.
-	a, b := *simulated.Series[0].Report, *hadar
+	a, b := *pooled, *hadar
 	a.DecisionTime, b.DecisionTime = 0, 0
 	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("pooled series avg JCT %v, Fig. 3b Hadar %v: not the same run",
-			simulated.Series[0].Report.AvgJCT(), hadar.AvgJCT())
-	}
-	reused, err := FederationCompare(smallSetup(), []string{"round-robin"}, hadar)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := reused.String(), simulated.String(); got != want {
-		t.Errorf("comparison over the Fig. 3b report:\n%s\nsimulated:\n%s", got, want)
+		t.Fatalf("pooled Hadar avg JCT %v, Fig. 3b Hadar %v: not the same run", pooled.AvgJCT(), hadar.AvgJCT())
 	}
 }
 
@@ -458,7 +462,7 @@ func TestFailureScenarioSmallScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiment")
 	}
-	res, err := FailureScenario(smallSetup())
+	res, err := get[*FailureScenarioResult](NewEval(smallSetup(), 32), "failures")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,22 +14,15 @@ import (
 // destroy (progress since the last checkpoint of every killed gang).
 type FailureScenarioResult struct {
 	Cmp      *Comparison // runs with outages
-	Baseline *Comparison // clean runs of the same trace
+	Baseline *Comparison // clean runs of the same trace: the static comparison
 	Failures []sim.Failure
 }
 
-// FailureScenario runs the static trace through every scheduler twice —
-// once clean, once with two rolling node outages (a V100 node and a K80
-// node, eight hours each).
-func FailureScenario(setup Setup) (*FailureScenarioResult, error) {
-	jobs, err := setup.staticTrace()
-	if err != nil {
-		return nil, err
-	}
-	scheds := func() []sched.Scheduler {
-		return []sched.Scheduler{NewHadar(), NewGavel(), NewTiresias(), NewYARNCS()}
-	}
-	clean, err := RunComparison(SimCluster(), jobs, scheds(), setup.simOptions())
+// FailureScenario runs the static trace through every scheduler with
+// two rolling node outages (a V100 node and a K80 node, eight hours
+// each) and sets the runs beside clean, the static comparison.
+func FailureScenario(setup Setup, clean *Comparison) (*FailureScenarioResult, error) {
+	jobs, err := setup.jobs(0)
 	if err != nil {
 		return nil, err
 	}
@@ -45,7 +38,8 @@ func FailureScenario(setup Setup) (*FailureScenarioResult, error) {
 	}
 	opts := setup.simOptions()
 	opts.Failures = failures
-	faulty, err := RunComparison(SimCluster(), jobs, scheds(), opts)
+	scheds := []sched.Scheduler{NewHadar(), NewGavel(), NewTiresias(), NewYARNCS()}
+	faulty, err := RunComparison(SimCluster(), jobs, scheds, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -12,7 +12,6 @@ import (
 	"repro/internal/job"
 	"repro/internal/metrics"
 	"repro/internal/parallel"
-	"repro/internal/sim"
 )
 
 // FedSeries is one series of the federation comparison: the pooled
@@ -47,8 +46,8 @@ func (r *FedCompareResult) PooledGain() float64 {
 // FederationCompare runs the comparison on the continuous trace: the
 // pooled series first, then one split series per named router (empty
 // routers means every registered policy). The pooled series is the run
-// Fig3(setup, true) reports as "hadar": a caller that has that report
-// passes it as pooled, and nil simulates it here.
+// Fig3(setup, true) reports as "hadar", which the caller passes as
+// pooled.
 func FederationCompare(setup Setup, routers []string, pooled *metrics.Report) (*FedCompareResult, error) {
 	if len(routers) == 0 {
 		routers = federation.RouterNames()
@@ -57,25 +56,15 @@ func FederationCompare(setup Setup, routers []string, pooled *metrics.Report) (*
 	// every router the same empty-member view. With Poisson arrivals the
 	// front door routes each job against the queue states it would see
 	// live.
-	jobs, err := setup.continuousTrace()
+	jobs, err := setup.jobs(setup.Rate)
 	if err != nil {
 		return nil, err
 	}
-	runs := routers
-	if pooled == nil {
-		runs = append([]string{""}, routers...) // "" is the pooled run
-	}
-	reports, err := parallel.Map(0, runs, func(router string) (*metrics.Report, error) {
-		if router == "" {
-			return sim.Run(SimCluster(), jobs, NewHadar(), setup.simOptions())
-		}
+	reports, err := parallel.Map(0, routers, func(router string) (*metrics.Report, error) {
 		return runSplit(setup, router, jobs)
 	})
 	if err != nil {
 		return nil, err
-	}
-	if pooled == nil {
-		pooled, reports = reports[0], reports[1:]
 	}
 	res := &FedCompareResult{Jobs: len(jobs), Series: []FedSeries{{Series: "pooled", Report: pooled}}}
 	for i, router := range routers {

@@ -44,19 +44,15 @@ func (s Setup) simOptions() sim.Options {
 	return o
 }
 
-func (s Setup) staticTrace() ([]*job.Job, error) {
+// jobs generates the setup's trace: every job arriving at t=0 for rate
+// 0, Poisson arrivals at rate jobs/second otherwise.
+func (s Setup) jobs(rate float64) ([]*job.Job, error) {
 	cfg := trace.DefaultConfig()
 	cfg.NumJobs = s.NumJobs
 	cfg.Seed = s.Seed
-	return trace.Generate(cfg)
-}
-
-func (s Setup) continuousTrace() ([]*job.Job, error) {
-	cfg := trace.DefaultConfig()
-	cfg.NumJobs = s.NumJobs
-	cfg.Seed = s.Seed
-	cfg.Pattern = trace.Poisson
-	cfg.Rate = s.Rate
+	if rate > 0 {
+		cfg.Pattern, cfg.Rate = trace.Poisson, rate
+	}
 	return trace.Generate(cfg)
 }
 
@@ -71,15 +67,11 @@ type Fig3Result struct {
 // Fig3 runs the JCT experiment for one arrival pattern ("static" or
 // "continuous"): Hadar vs Gavel vs Tiresias vs YARN-CS.
 func Fig3(setup Setup, continuous bool) (*Fig3Result, error) {
-	var jobs []*job.Job
-	var err error
-	arrival := "static"
+	arrival, rate := "static", 0.0
 	if continuous {
-		arrival = "continuous"
-		jobs, err = setup.continuousTrace()
-	} else {
-		jobs, err = setup.staticTrace()
+		arrival, rate = "continuous", setup.Rate
 	}
+	jobs, err := setup.jobs(rate)
 	if err != nil {
 		return nil, err
 	}
@@ -99,10 +91,8 @@ func (f *Fig3Result) String() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "Fig. 3 (%s trace): fraction of jobs completed along the timeline\n", f.Arrival)
 	maxSpan := 0.0
-	for _, r := range f.Cmp.Reports {
-		if r.Makespan > maxSpan {
-			maxSpan = r.Makespan
-		}
+	for _, name := range f.Cmp.Order {
+		maxSpan = max(maxSpan, f.Cmp.Reports[name].Makespan)
 	}
 	fmt.Fprintf(&sb, "%-12s", "time(h)")
 	for _, name := range f.Cmp.Order {
@@ -137,7 +127,7 @@ type Fig4Result struct {
 // the static trace, with the Table IV per-model checkpoint cost model
 // enabled so preemptive schedulers pay realistic save/restore time.
 func Fig4(setup Setup) (*Fig4Result, error) {
-	jobs, err := setup.staticTrace()
+	jobs, err := setup.jobs(0)
 	if err != nil {
 		return nil, err
 	}
@@ -176,18 +166,10 @@ type Fig5Result struct {
 }
 
 // Fig5 compares finish-time fairness across Hadar, Gavel and Tiresias
-// (the paper omits YARN-CS here) on the static trace.
-func Fig5(setup Setup) (*Fig5Result, error) {
-	jobs, err := setup.staticTrace()
-	if err != nil {
-		return nil, err
-	}
-	scheds := []sched.Scheduler{NewHadar(), NewGavel(), NewTiresias()}
-	cmp, err := RunComparison(SimCluster(), jobs, scheds, setup.simOptions())
-	if err != nil {
-		return nil, err
-	}
-	return &Fig5Result{Cmp: cmp}, nil
+// (the paper omits YARN-CS here): the static comparison without its
+// YARN-CS series.
+func Fig5(static *Comparison) *Fig5Result {
+	return &Fig5Result{Cmp: static.only("hadar", "gavel", "tiresias")}
 }
 
 // String renders average and worst-case FTF per scheduler.
@@ -212,17 +194,21 @@ type Fig6Result struct {
 
 // Fig6 compares makespan with the scheduling policy "flexibly specified
 // towards makespan minimization": Hadar runs with the
-// effective-throughput utility, against Gavel and Tiresias.
-func Fig6(setup Setup) (*Fig6Result, error) {
-	jobs, err := setup.staticTrace()
+// effective-throughput utility on the static trace, against the static
+// comparison's Gavel and Tiresias runs.
+func Fig6(setup Setup, static *Comparison) (*Fig6Result, error) {
+	jobs, err := setup.jobs(0)
 	if err != nil {
 		return nil, err
 	}
-	scheds := []sched.Scheduler{NewHadarMakespan(), NewGavel(), NewTiresias()}
-	cmp, err := RunComparison(SimCluster(), jobs, scheds, setup.simOptions())
+	s := NewHadarMakespan()
+	r, err := sim.Run(SimCluster(), jobs, s, setup.simOptions())
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("experiments: %s: %w", s.Name(), err)
 	}
+	cmp := static.only("gavel", "tiresias")
+	cmp.Order = append([]string{s.Name()}, cmp.Order...)
+	cmp.Reports[s.Name()] = r
 	return &Fig6Result{Cmp: cmp}, nil
 }
 
@@ -378,12 +364,7 @@ type Fig8Result struct {
 // comparison. Rates run in parallel across cores.
 func Fig8(setup Setup, ratesPerHour []float64) (*Fig8Result, error) {
 	perRate, err := parallel.Map(0, ratesPerHour, func(rate float64) ([]Fig8Point, error) {
-		cfg := trace.DefaultConfig()
-		cfg.NumJobs = setup.NumJobs
-		cfg.Seed = setup.Seed
-		cfg.Pattern = trace.Poisson
-		cfg.Rate = rate / 3600
-		jobs, err := trace.Generate(cfg)
+		jobs, err := setup.jobs(rate / 3600)
 		if err != nil {
 			return nil, err
 		}
@@ -434,6 +415,8 @@ type Fig9Point struct {
 }
 
 // Fig9Result holds Hadar's avg JCT across round lengths and loads.
+// The points run row by row: one row per round length, each holding
+// every rate in the same order.
 type Fig9Result struct {
 	Points []Fig9Point
 }
@@ -449,12 +432,7 @@ func Fig9(setup Setup, roundMinutes, ratesPerHour []float64) (*Fig9Result, error
 		}
 	}
 	points, err := parallel.Map(0, cells, func(c cell) (Fig9Point, error) {
-		cfg := trace.DefaultConfig()
-		cfg.NumJobs = setup.NumJobs
-		cfg.Seed = setup.Seed
-		cfg.Pattern = trace.Poisson
-		cfg.Rate = c.rate / 3600
-		jobs, err := trace.Generate(cfg)
+		jobs, err := setup.jobs(c.rate / 3600)
 		if err != nil {
 			return Fig9Point{}, err
 		}
@@ -476,7 +454,6 @@ func Fig9(setup Setup, roundMinutes, ratesPerHour []float64) (*Fig9Result, error
 func (f *Fig9Result) String() string {
 	var sb strings.Builder
 	sb.WriteString("Fig. 9: impact of round length on Hadar's average JCT (hours)\n")
-	// Collect distinct rates preserving order.
 	var rates []float64
 	seen := map[float64]bool{}
 	for _, p := range f.Points {
@@ -489,27 +466,14 @@ func (f *Fig9Result) String() string {
 	for _, r := range rates {
 		fmt.Fprintf(&sb, "%12.1f", r)
 	}
-	sb.WriteString("  <- rate (jobs/h)\n")
-	var rounds []float64
-	seenR := map[float64]bool{}
-	for _, p := range f.Points {
-		if !seenR[p.RoundMinutes] {
-			seenR[p.RoundMinutes] = true
-			rounds = append(rounds, p.RoundMinutes)
+	sb.WriteString("  <- rate (jobs/h)")
+	for i, p := range f.Points {
+		if i%len(rates) == 0 {
+			fmt.Fprintf(&sb, "\n%14.0f", p.RoundMinutes)
 		}
+		fmt.Fprintf(&sb, "%12.2f", p.AvgJCT/3600)
 	}
-	for _, rm := range rounds {
-		fmt.Fprintf(&sb, "%14.0f", rm)
-		for _, rate := range rates {
-			for _, p := range f.Points {
-				//lint:ignore floateq exact grid identity: rm and rate were copied, never computed, from these same points
-				if p.RoundMinutes == rm && p.RatePerHour == rate {
-					fmt.Fprintf(&sb, "%12.2f", p.AvgJCT/3600)
-				}
-			}
-		}
-		sb.WriteByte('\n')
-	}
+	sb.WriteByte('\n')
 	return sb.String()
 }
 
@@ -565,23 +529,10 @@ func (t *Table3Result) String() string {
 	return sb.String()
 }
 
-// Fig10Result holds the prototype-cluster GPU utilization comparison.
+// Fig10Result holds the prototype-cluster GPU utilization comparison:
+// Table III's physical-mode runs.
 type Fig10Result struct {
 	Cmp *Comparison
-}
-
-// Fig10 reports GPU utilization on the physical-cluster configuration.
-func Fig10(seed int64) (*Fig10Result, error) {
-	c := PhysicalCluster()
-	jobs := trace.PrototypeWorkload(seed)
-	opts := sim.DefaultOptions()
-	opts.UseModelCosts = true
-	cmp, err := RunComparison(c, jobs,
-		[]sched.Scheduler{NewHadar(), NewGavel(), NewTiresias()}, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &Fig10Result{Cmp: cmp}, nil
 }
 
 // String renders utilization per scheduler.

@@ -36,36 +36,16 @@ func TestScorecardRulesHold(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiment")
 	}
-	check := func(err error) {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
 	setup := DefaultSetup()
 	setup.NumJobs = 96
-	var figs Figures
-	var err error
-	figs.Motivation, err = Motivation()
-	check(err)
-	figs.Static, err = Fig3(setup, false)
-	check(err)
-	figs.Continuous, err = Fig3(setup, true)
-	check(err)
-	figs.Fig4, err = Fig4(setup)
-	check(err)
-	figs.Fig5, err = Fig5(setup)
-	check(err)
-	figs.Fig6, err = Fig6(setup)
-	check(err)
-	figs.Fig7, err = Fig7(setup.Seed, 512)
-	check(err)
-	figs.Table3, err = Table3(setup.Seed)
-	check(err)
-	figs.Federation, err = FederationCompare(setup, nil, figs.Continuous.Cmp.Reports["hadar"])
-	check(err)
+	figs, err := NewEval(setup, 512).Graded()
+	if err != nil {
+		t.Fatal(err)
+	}
 	card, err := NewScorecard(figs)
-	check(err)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(card.Rows) != 24 {
 		t.Errorf("scorecard has %d rows, want 18 headline claims and 6 ablations", len(card.Rows))
 	}

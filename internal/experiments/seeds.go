@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/metrics"
-	"repro/internal/sched"
 	"repro/internal/stats"
 )
 
@@ -37,15 +36,11 @@ func SweepSeeds(setup Setup, numSeeds int) (*SeedSweep, error) {
 		sw.Seeds = append(sw.Seeds, seed)
 		s := setup
 		s.Seed = seed
-		jobs, err := s.staticTrace()
+		fig3, err := Fig3(s, false)
 		if err != nil {
 			return nil, err
 		}
-		scheds := []sched.Scheduler{NewHadar(), NewGavel(), NewTiresias(), NewYARNCS()}
-		cmp, err := RunComparison(SimCluster(), jobs, scheds, s.simOptions())
-		if err != nil {
-			return nil, err
-		}
+		cmp := fig3.Cmp
 		if len(sw.Order) == 0 {
 			sw.Order = cmp.Order
 		}

@@ -178,17 +178,18 @@ var schedulerPath = []string{
 }
 
 // reportingPath lists packages whose *output* must be reproducible run
-// to run (metrics tables, exported CSV/JSON, dashboard rendering, the
-// service's snapshots), even though they are not priced into the
-// schedule itself. service belongs here, not in schedulerPath: its
-// snapshots must replay identically, but its pacing (wall-clock rounds,
-// admission timeouts) is legitimately real-time. wal is here too: its frames and checkpoints
-// must be byte-reproducible, but fsync pacing (group-commit deadlines)
-// is wall-clock by nature, so it stays out of the wallclock rule's
-// scope below.
+// to run (metrics tables, the experiments' figures and CSV rows,
+// dashboard rendering, the service's snapshots), even though they are
+// not priced into the schedule itself. service belongs here, not in
+// schedulerPath: its snapshots must replay identically, but its pacing
+// (wall-clock rounds, admission timeouts) is legitimately real-time.
+// wal is here too: its frames and checkpoints must be
+// byte-reproducible, but fsync pacing (group-commit deadlines) is
+// wall-clock by nature, so it stays out of the wallclock rule's scope
+// below, as does experiments, whose Fig. 7 times decisions.
 var reportingPath = []string{
 	"repro/internal/metrics",
-	"repro/internal/export",
+	"repro/internal/experiments",
 	"repro/internal/web",
 	"repro/internal/service",
 	"repro/internal/stats",
@@ -201,15 +202,15 @@ func DefaultConfig() *Config {
 	return &Config{
 		Only: map[string][]string{
 			// Wall-clock reads are forbidden where simulated time is the
-			// only legitimate clock. Of reportingPath only metrics and
-			// export are in scope: service and wal pace rounds, timeouts
-			// and fsyncs on the wall clock by design.
+			// only legitimate clock. Of reportingPath only metrics is in
+			// scope: service and wal pace rounds, timeouts and fsyncs on
+			// the wall clock by design, and experiments times Fig. 7.
 			//
 			// The linter lints itself: analyzer output ordering must be
 			// deterministic (findings are diffed in CI), so the wall
 			// clock, map ranges and global rand are policed here too.
 			"wallclock": append(append([]string(nil), schedulerPath...),
-				"repro/internal/metrics", "repro/internal/export", "repro/internal/lint"),
+				"repro/internal/metrics", "repro/internal/lint"),
 			"globalrand": append(append([]string(nil), detScope...), "repro/internal/lint"),
 			"maprange":   append(append([]string(nil), detScope...), "repro/internal/lint"),
 			// Cross-round accumulation matters where exact conservation

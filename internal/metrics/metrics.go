@@ -8,8 +8,10 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"time"
 
+	"repro/internal/job"
 	"repro/internal/stats"
 )
 
@@ -50,6 +52,28 @@ func (r JobResult) FTF() float64 {
 		return math.Inf(1)
 	}
 	return r.JCT() / r.IsolatedDuration
+}
+
+// AppendJSON appends to b the JSON encoding/json writes for r: every
+// field under its Go name, in declaration order, strings HTML-escaped.
+// Like encoding/json it fails on a non-finite float. Checkpoints encode
+// the report's job history this way.
+func (r JobResult) AppendJSON(b []byte) ([]byte, error) {
+	for _, x := range [...]float64{r.Arrival, r.Start, r.Finish, r.TotalIters, r.IsolatedDuration} {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return b, fmt.Errorf("metrics: job %d: unsupported value %v", r.ID, x)
+		}
+	}
+	b = strconv.AppendInt(append(b, `{"ID":`...), int64(r.ID), 10)
+	b = job.AppendJSONString(append(b, `,"Model":`...), r.Model)
+	b = strconv.AppendInt(append(b, `,"Workers":`...), int64(r.Workers), 10)
+	b = job.AppendJSONFloat(append(b, `,"Arrival":`...), r.Arrival)
+	b = job.AppendJSONFloat(append(b, `,"Start":`...), r.Start)
+	b = job.AppendJSONFloat(append(b, `,"Finish":`...), r.Finish)
+	b = job.AppendJSONFloat(append(b, `,"TotalIters":`...), r.TotalIters)
+	b = job.AppendJSONFloat(append(b, `,"IsolatedDuration":`...), r.IsolatedDuration)
+	b = strconv.AppendInt(append(b, `,"Reallocations":`...), int64(r.Reallocations), 10)
+	return append(b, '}'), nil
 }
 
 // IsolatedDuration computes the FTF denominator for a job: the runtime

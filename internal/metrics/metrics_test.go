@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"encoding/json"
 	"math"
 	"testing"
 	"testing/quick"
@@ -254,5 +255,36 @@ func TestOccupancyUntil(t *testing.T) {
 	}
 	if (&Report{}).OccupancyUntil(10) != 0 {
 		t.Error("empty report occupancy nonzero")
+	}
+}
+
+// TestJobResultAppendJSONMatchesMarshal: AppendJSON writes the bytes
+// json.Marshal writes for a JobResult, odd strings and floats included,
+// and fails where json.Marshal fails.
+func TestJobResultAppendJSONMatchesMarshal(t *testing.T) {
+	odd := []string{"", "LSTM", `q"uote`, `back\slash`, "tab\there", "<b>&amp;</b>", "héllo", "bad\xffutf8", "sep\u2028\u2029", "\x00\x1f\x7f"}
+	floats := []float64{0, 1, -2.5, 1e-7, 1.5e-6, 123456.789, 1e20, 1e21, 3e300, 5e-324, 0.1 + 0.2}
+	var buf []byte
+	for i := 0; i < 200; i++ {
+		r := JobResult{
+			ID: i*7919 - 300, Model: odd[i%len(odd)], Workers: i % 9,
+			Arrival: floats[i%len(floats)], Start: floats[(i/2)%len(floats)], Finish: floats[(i/3)%len(floats)],
+			TotalIters: floats[(i/5)%len(floats)], IsolatedDuration: floats[(i/7)%len(floats)], Reallocations: i % 4,
+		}
+		want, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if buf, err = r.AppendJSON(buf[:0]); err != nil {
+			t.Fatal(err)
+		}
+		if string(buf) != string(want) {
+			t.Fatalf("JobResult bytes differ:\n got %s\nwant %s", buf, want)
+		}
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := (JobResult{Finish: bad}).AppendJSON(nil); err == nil {
+			t.Errorf("finish %v encoded, want an error as encoding/json gives", bad)
+		}
 	}
 }

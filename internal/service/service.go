@@ -33,7 +33,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/federation"
 	"repro/internal/job"
-	"repro/internal/metrics"
 	"repro/internal/sched"
 	"repro/internal/sim"
 )
@@ -289,27 +288,6 @@ func (s *Service) Recovery() *Recovery {
 		return nil
 	}
 	return s.journal.recovery
-}
-
-// Order lists the names the live web pages render a report for: one
-// entry per member, in member order (for New, the scheduler's name).
-func (s *Service) Order() []string {
-	snap := s.Snapshot()
-	names := make([]string, 0, len(snap.Members))
-	for i := range snap.Members {
-		names = append(names, snap.Members[i].Name)
-	}
-	return names
-}
-
-// Report returns the named member's in-progress report from the latest
-// snapshot, for the live web pages; ok is false for unknown names.
-func (s *Service) Report(name string) (*metrics.Report, bool) {
-	m := s.Snapshot().Member(name)
-	if m == nil {
-		return nil, false
-	}
-	return m.Report, true
 }
 
 // Kill simulates a crash: the loop exits without draining the

@@ -445,9 +445,9 @@ func caseWallClock(t *testing.T, sh shape) {
 func TestServiceProvider(t *testing.T)    { caseProvider(t, oneCluster) }
 func TestFedServiceProvider(t *testing.T) { caseProvider(t, twoRegions) }
 
-// caseProvider checks the report view the live web pages render from
-// a service: one entry per scheduler (engine) or member (federation),
-// each resolving to a snapshot-backed report.
+// caseProvider checks the snapshot the live web pages render from a
+// service: one member per scheduler (engine) or member (federation),
+// each with a snapshot-backed report.
 func caseProvider(t *testing.T, sh shape) {
 	svc := sh.service(t, Options{})
 	svc.Start()
@@ -456,23 +456,24 @@ func caseProvider(t *testing.T, sh shape) {
 		t.Fatal(err)
 	}
 	waitCompleted(t, svc, 1)
-	order := svc.Order()
-	if !slices.Equal(order, sh.order()) {
-		t.Fatalf("Order() = %v, want %v", order, sh.order())
-	}
+	snap := svc.Snapshot()
+	var order []string
 	jobs := 0
-	for _, name := range order {
-		rep, ok := svc.Report(name)
-		if !ok || rep == nil {
-			t.Fatalf("Report(%q) = (%v, %v)", name, rep, ok)
+	for _, m := range snap.Members {
+		if m.Snap == nil || m.Snap.Report == nil {
+			t.Fatalf("member %q has no report", m.Name)
 		}
-		jobs += len(rep.Jobs)
+		order = append(order, m.Name)
+		jobs += len(m.Snap.Report.Jobs)
+	}
+	if !slices.Equal(order, sh.order()) {
+		t.Fatalf("members = %v, want %v", order, sh.order())
 	}
 	if jobs != 1 {
 		t.Errorf("reports hold %d jobs, want the 1 completed", jobs)
 	}
-	if _, ok := svc.Report("nonexistent"); ok {
-		t.Error("Report accepted an unknown name")
+	if snap.Member("nonexistent") != nil {
+		t.Error("Member accepted an unknown name")
 	}
 }
 

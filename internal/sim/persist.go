@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"sort"
+	"strconv"
 
 	"repro/internal/cluster"
 	"repro/internal/job"
@@ -156,19 +158,19 @@ func (e *Engine) AppendState(parts [][]byte) ([][]byte, error) {
 	}
 	c := &e.encoded
 	parts = append(parts, head)
-	if parts, err = appendList(parts, &c.jobs, e.all); err != nil {
+	if parts, err = appendList(parts, &c.jobs, e.all, (*job.Job).AppendJSON); err != nil {
 		return nil, fmt.Errorf("sim: marshal state: %w", err)
 	}
 	parts = append(parts, mid, rhead)
-	if parts, err = appendList(parts, &c.results, e.report.Jobs); err != nil {
+	if parts, err = appendList(parts, &c.results, e.report.Jobs, metrics.JobResult.AppendJSON); err != nil {
 		return nil, fmt.Errorf("sim: marshal report: %w", err)
 	}
 	parts = append(parts, rmid)
-	if parts, err = appendList(parts, &c.held, e.report.RoundHeld); err != nil {
+	if parts, err = appendList(parts, &c.held, e.report.RoundHeld, appendHeld); err != nil {
 		return nil, fmt.Errorf("sim: marshal report: %w", err)
 	}
 	parts = append(parts, roundStarts)
-	if parts, err = appendList(parts, &c.starts, e.report.RoundStarts); err != nil {
+	if parts, err = appendList(parts, &c.starts, e.report.RoundStarts, appendStart); err != nil {
 		return nil, fmt.Errorf("sim: marshal report: %w", err)
 	}
 	return append(parts, closeState), nil
@@ -209,45 +211,50 @@ const encodeBatch = 256
 type encodedList struct {
 	chunks [][]byte
 	n      int
-	buf    bytes.Buffer  // the encoder's output for the batch being encoded
-	enc    *json.Encoder // writes to buf
+	buf    []byte // the batch being encoded, reused
 }
 
 // appendList brings l up to date with s, which must have grown only by
 // appends since the previous call, and appends s's JSON to parts: null
-// for a nil slice, as encoding/json writes it. The new elements are
-// encoded a batch at a time, each batch as one slice (as fast as
-// encoding/json gets) into a chunk of its own; parts from an earlier
-// call still join to their old bytes.
-func appendList[T any](parts [][]byte, l *encodedList, s []T) ([][]byte, error) {
+// for a nil slice, as encoding/json writes it. appendElem appends one
+// element's JSON. The new elements are encoded a batch at a time, each
+// batch into a chunk of its own; parts from an earlier call still join
+// to their old bytes.
+func appendList[T any](parts [][]byte, l *encodedList, s []T, appendElem func(T, []byte) ([]byte, error)) ([][]byte, error) {
 	if s == nil {
 		return append(parts, jsonNull), nil
 	}
-	if l.enc == nil {
-		l.enc = json.NewEncoder(&l.buf)
-	}
 	for l.n < len(s) {
 		batch := s[l.n:min(len(s), l.n+encodeBatch)]
-		l.buf.Reset()
-		if err := l.enc.Encode(batch); err != nil {
-			return nil, err
+		b := l.buf[:0]
+		var err error
+		for i, x := range batch {
+			if i > 0 || l.n > 0 {
+				b = append(b, ',')
+			}
+			if b, err = appendElem(x, b); err != nil {
+				return nil, err
+			}
 		}
-		// Encode wrote "[e,…,e]\n": its bracket becomes the comma after
-		// the earlier chunks, or goes, and so does the "]\n".
-		elems := l.buf.Bytes()[:l.buf.Len()-2]
-		if l.n == 0 {
-			elems = elems[1:]
-		} else {
-			elems[0] = ','
-		}
-		chunk := make([]byte, len(elems))
-		copy(chunk, elems)
-		l.chunks = append(l.chunks, chunk)
+		l.buf = b
+		l.chunks = append(l.chunks, bytes.Clone(b))
 		l.n += len(batch)
 	}
 	parts = append(parts, openBracket)
 	parts = append(parts, l.chunks...)
 	return append(parts, closeBracket), nil
+}
+
+// appendHeld appends a held-worker count as encoding/json writes it.
+func appendHeld(n int, b []byte) ([]byte, error) { return strconv.AppendInt(b, int64(n), 10), nil }
+
+// appendStart appends a round start as encoding/json writes it, failing
+// as it does on a non-finite one.
+func appendStart(x float64, b []byte) ([]byte, error) {
+	if math.IsNaN(x) || math.IsInf(x, 0) {
+		return b, fmt.Errorf("sim: unsupported round start %v", x)
+	}
+	return job.AppendJSONFloat(b, x), nil
 }
 
 // liveState is the part of the engine's state that is not append-only

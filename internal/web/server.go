@@ -7,19 +7,16 @@ import (
 	"net/http"
 	"sort"
 
+	"repro/internal/federation"
 	"repro/internal/metrics"
 )
 
-// provider supplies the named reports the dashboard pages render.
-// *service.Service is the program's one implementation: one
-// snapshot-backed report per member.
+// provider supplies the snapshot the dashboard pages render, one
+// report per member in display order. *service.Service is the
+// program's one implementation. Each request loads one snapshot, so a
+// page never mixes members from different instants.
 type provider interface {
-	// Order lists the report names in display order.
-	Order() []string
-	// Report returns the report for one name; ok is false for unknown
-	// names. The returned report must stay immutable for as long as the
-	// caller may read it (the service returns published snapshots).
-	Report(name string) (*metrics.Report, bool)
+	Snapshot() *federation.FedSnapshot
 }
 
 // Server renders a running scheduler service as a web dashboard and
@@ -113,11 +110,9 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 		FaultRows []faultRow
 		First     string
 	}{}
-	for _, name := range s.src.Order() {
-		rep, ok := s.src.Report(name)
-		if !ok {
-			continue
-		}
+	snap := s.src.Snapshot()
+	for _, m := range snap.Members {
+		name, rep := m.Name, m.Snap.Report
 		if rep.Faults.Any() {
 			data.FaultRows = append(data.FaultRows, faultRow{Name: name, F: rep.Faults})
 		}
@@ -132,8 +127,8 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 			Realloc:     100 * rep.ReallocationFraction(),
 		})
 	}
-	if order := s.src.Order(); len(order) > 0 {
-		data.First = order[0]
+	if len(snap.Members) > 0 {
+		data.First = snap.Members[0].Name
 	}
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
 	if err := indexTmpl.Execute(w, data); err != nil {
@@ -143,15 +138,11 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleCDF(w http.ResponseWriter, r *http.Request) {
 	var series []svgSeries
-	for _, name := range s.src.Order() {
-		rep, ok := s.src.Report(name)
-		if !ok {
-			continue
-		}
-		sv := svgSeries{Name: name, Step: true}
+	for _, m := range s.src.Snapshot().Members {
+		sv := svgSeries{Name: m.Name, Step: true}
 		sv.X = append(sv.X, 0)
 		sv.Y = append(sv.Y, 0)
-		for _, p := range rep.CompletionCDF() {
+		for _, p := range m.Snap.Report.CompletionCDF() {
 			sv.X = append(sv.X, p.X/3600)
 			sv.Y = append(sv.Y, p.Fraction)
 		}
@@ -161,15 +152,18 @@ func (s *Server) handleCDF(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprint(w, lineSVG("fraction of jobs completed over time", "hours", "fraction", 760, 380, series))
 }
 
-func (s *Server) report(r *http.Request) (*metrics.Report, string, bool) {
-	name := r.URL.Query().Get("scheduler")
-	if name == "" {
-		if order := s.src.Order(); len(order) > 0 {
-			name = order[0]
-		}
+// report returns the report of the member the request's scheduler
+// parameter names, by default the first; ok is false for unknown names.
+func (s *Server) report(r *http.Request) (rep *metrics.Report, name string, ok bool) {
+	snap := s.src.Snapshot()
+	name = r.URL.Query().Get("scheduler")
+	if name == "" && len(snap.Members) > 0 {
+		name = snap.Members[0].Name
 	}
-	rep, ok := s.src.Report(name)
-	return rep, name, ok
+	if m := snap.Member(name); m != nil {
+		return m.Report, name, true
+	}
+	return nil, name, false
 }
 
 func (s *Server) handleOccupancy(w http.ResponseWriter, r *http.Request) {
@@ -194,13 +188,9 @@ func (s *Server) handleOccupancy(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleUtilization(w http.ResponseWriter, r *http.Request) {
 	var labels []string
 	var values []float64
-	for _, name := range s.src.Order() {
-		rep, ok := s.src.Report(name)
-		if !ok {
-			continue
-		}
-		labels = append(labels, name)
-		values = append(values, 100*rep.Utilization())
+	for _, m := range s.src.Snapshot().Members {
+		labels = append(labels, m.Name)
+		values = append(values, 100*m.Snap.Report.Utilization())
 	}
 	w.Header().Set("Content-Type", "image/svg+xml")
 	fmt.Fprint(w, barSVG("GPU utilization", "%", 560, labels, values))
@@ -280,13 +270,10 @@ type summaryEntry struct {
 
 func (s *Server) handleSummary(w http.ResponseWriter, r *http.Request) {
 	var out []summaryEntry
-	for _, name := range s.src.Order() {
-		rep, ok := s.src.Report(name)
-		if !ok {
-			continue
-		}
+	for _, m := range s.src.Snapshot().Members {
+		rep := m.Snap.Report
 		e := summaryEntry{
-			Scheduler: name, AvgJCTSec: rep.AvgJCT(), MedianJCTSec: rep.MedianJCT(),
+			Scheduler: m.Name, AvgJCTSec: rep.AvgJCT(), MedianJCTSec: rep.MedianJCT(),
 			MakespanSec: rep.Makespan, Utilization: rep.Utilization(),
 			Occupancy: rep.Occupancy(), AvgFTF: rep.AvgFTF(),
 			QueueDelaySec: rep.AvgQueueDelay(), Jobs: len(rep.Jobs),

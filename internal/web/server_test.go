@@ -8,21 +8,15 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/federation"
 	"repro/internal/metrics"
+	"repro/internal/sim"
 )
 
-// fakeProvider is a fixed set of reports standing in for a service.
-type fakeProvider struct {
-	order   []string
-	reports map[string]*metrics.Report
-}
+// fakeProvider is a fixed snapshot standing in for a service.
+type fakeProvider struct{ snap *federation.FedSnapshot }
 
-func (p fakeProvider) Order() []string { return p.order }
-
-func (p fakeProvider) Report(name string) (*metrics.Report, bool) {
-	rep, ok := p.reports[name]
-	return rep, ok
-}
+func (p fakeProvider) Snapshot() *federation.FedSnapshot { return p.snap }
 
 // testServer serves two finished reports, hadar and gavel.
 func testServer() *httptest.Server {
@@ -44,13 +38,12 @@ func testServer() *httptest.Server {
 			RoundStarts:    []float64{0, 360, 720},
 		}
 	}
-	return httptest.NewServer(newServer(fakeProvider{
-		order: []string{"hadar", "gavel"},
-		reports: map[string]*metrics.Report{
-			"hadar": mk("hadar", 4000),
-			"gavel": mk("gavel", 6000),
+	return httptest.NewServer(newServer(fakeProvider{&federation.FedSnapshot{
+		Members: []federation.MemberSnapshot{
+			{Name: "hadar", Snap: &sim.Snapshot{Report: mk("hadar", 4000)}},
+			{Name: "gavel", Snap: &sim.Snapshot{Report: mk("gavel", 6000)}},
 		},
-	}).Handler())
+	}}).Handler())
 }
 
 func get(t *testing.T, srv *httptest.Server, path string) (int, string, string) {
