@@ -102,11 +102,12 @@ race-short:
 
 # BENCH_BENCHES selects the round benchmarks BENCH_sim.json records —
 # the DP and greedy rounds on the paper's cluster, the engine's whole
-# round on the paper's trace, Fig. 7's node-count sweep, and the
-# straggler (priced-scan) rounds — and BENCH_OPS lists every op they
-# must produce.
-BENCH_BENCHES = BenchmarkDPAllocate$$|BenchmarkGreedyAllocate$$|BenchmarkEngineRound$$|BenchmarkScaleRound|BenchmarkStragglerRound
+# round on the paper's trace, Fig. 7's node-count sweep, the
+# straggler (priced-scan) rounds, and the cluster-and-engine set-up at
+# three node counts — and BENCH_OPS lists every op they must produce.
+BENCH_BENCHES = BenchmarkDPAllocate$$|BenchmarkGreedyAllocate$$|BenchmarkEngineRound$$|BenchmarkScaleRound|BenchmarkStragglerRound|BenchmarkClusterSetup
 BENCH_OPS = DPAllocate,GreedyAllocate,EngineRound,$\
+	ClusterSetup/nodes=60,ClusterSetup/nodes=1000,ClusterSetup/nodes=5000,$\
 	ScaleRound/prop/nodes=60,ScaleRound/prop/nodes=250,ScaleRound/prop/nodes=1000,ScaleRound/prop/nodes=5000,$\
 	ScaleRound/fixed/nodes=60,ScaleRound/fixed/nodes=250,ScaleRound/fixed/nodes=1000,ScaleRound/fixed/nodes=5000,$\
 	StragglerRound/nodes=250/jobs=8,StragglerRound/nodes=250/jobs=64,StragglerRound/nodes=250/jobs=480,$\

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/sched"
+	"repro/internal/sim"
 )
 
 // BenchmarkScaleRound measures one full Hadar scheduling round (queue
@@ -49,5 +50,24 @@ func BenchmarkStragglerRound(b *testing.B) {
 				benchRounds(b, roundContext(b, c, jobs))
 			})
 		}
+	}
+}
+
+// BenchmarkClusterSetup times what a simulation builds before its first
+// event at each node count: the ScaleCluster, and a Hadar engine over
+// it, whose free state is the per-node flat table. ns/op is the set-up
+// latency; allocs/op must not grow with the node count (see
+// cluster.TestClusterBuildAllocs).
+func BenchmarkClusterSetup(b *testing.B) {
+	for _, nodes := range []int{60, 1000, 5000} {
+		b.Run(fmt.Sprintf("nodes=%d", nodes), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c := experiments.ScaleCluster(nodes)
+				if _, err := sim.NewEngine(c, core.New(core.DefaultOptions()), sim.DefaultOptions()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

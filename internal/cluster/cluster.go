@@ -35,6 +35,9 @@ type Node struct {
 // lives in State.
 type Cluster struct {
 	nodes []Node
+	// fleet is the per-type device count over all nodes; New and Merge
+	// set it, so Fleet and TotalGPUs scan no nodes.
+	fleet gpu.Fleet
 	// uniformSpeed caches UniformSpeed; New, Merge and SetSpeed keep it.
 	uniformSpeed bool
 }
@@ -44,7 +47,8 @@ type Cluster struct {
 func New(capacities ...gpu.Fleet) *Cluster {
 	c := &Cluster{nodes: make([]Node, len(capacities)), uniformSpeed: true}
 	for i, cap := range capacities {
-		c.nodes[i] = Node{ID: i, Capacity: cap.Clone(), Speed: 1.0}
+		c.nodes[i] = Node{ID: i, Capacity: cap, Speed: 1.0}
+		c.fleet.Add(cap)
 	}
 	return c
 }
@@ -54,7 +58,7 @@ func New(capacities ...gpu.Fleet) *Cluster {
 func Homogeneous(n int, t gpu.Type, perNode int) *Cluster {
 	fleets := make([]gpu.Fleet, n)
 	for i := range fleets {
-		fleets[i] = gpu.Fleet{t: perNode}
+		fleets[i][t] = perNode
 	}
 	return New(fleets...)
 }
@@ -68,6 +72,7 @@ func Merge(clusters ...*Cluster) *Cluster {
 			n.ID = len(out.nodes)
 			out.nodes = append(out.nodes, n)
 		}
+		out.fleet.Add(c.fleet)
 	}
 	out.uniformSpeed = out.scanSpeeds()
 	return out
@@ -115,22 +120,15 @@ func (c *Cluster) Capacity(id int, t gpu.Type) int {
 	return c.nodes[id].Capacity.Count(t)
 }
 
+// Fleet returns the cluster-wide accelerator count of each type.
+func (c *Cluster) Fleet() gpu.Fleet { return c.fleet }
+
 // TotalGPUs returns the cluster-wide accelerator count across all types.
-func (c *Cluster) TotalGPUs() int {
-	n := 0
-	for _, node := range c.nodes {
-		n += node.Capacity.Total()
-	}
-	return n
-}
+func (c *Cluster) TotalGPUs() int { return c.fleet.Total() }
 
 // String renders a short description, e.g. "cluster[15 nodes, {V100:20 P100:20 K80:20}]".
 func (c *Cluster) String() string {
-	total := gpu.Fleet{}
-	for _, node := range c.nodes {
-		total.Add(node.Capacity)
-	}
-	return fmt.Sprintf("cluster[%d nodes, %s]", len(c.nodes), total)
+	return fmt.Sprintf("cluster[%d nodes, %s]", len(c.nodes), c.fleet)
 }
 
 // Placement assigns Count accelerators of one type on one node to a job.

@@ -61,6 +61,35 @@ func TestHomogeneousAndMerge(t *testing.T) {
 	}
 }
 
+func TestFleetKeptByNewAndMerge(t *testing.T) {
+	c := Merge(New(gpu.Fleet{gpu.V100: 2, gpu.K80: 1}), Homogeneous(3, gpu.P100, 4))
+	if want := (gpu.Fleet{gpu.V100: 2, gpu.P100: 12, gpu.K80: 1}); c.Fleet() != want {
+		t.Errorf("Fleet() = %v, want %v", c.Fleet(), want)
+	}
+	if c.TotalGPUs() != 15 {
+		t.Errorf("TotalGPUs = %d, want 15", c.TotalGPUs())
+	}
+	if got, want := c.String(), "cluster[4 nodes, {V100:2 P100:12 K80:1}]"; got != want {
+		t.Errorf("String() = %q, want %q", got, want)
+	}
+}
+
+// TestClusterBuildAllocs requires building a cluster and its free state
+// to allocate as many objects at 5 000 nodes as at 500: capacities are
+// stored by value, so nothing is allocated per node.
+func TestClusterBuildAllocs(t *testing.T) {
+	build := func(nodes int) float64 {
+		fleets := make([]gpu.Fleet, nodes)
+		for i := range fleets {
+			fleets[i][i%3] = 4
+		}
+		return testing.AllocsPerRun(10, func() { NewState(New(fleets...)) })
+	}
+	if small, large := build(500), build(5000); small != large {
+		t.Errorf("building 500 nodes allocates %v objects, 5 000 nodes %v; want equal", small, large)
+	}
+}
+
 func TestTypesSorted(t *testing.T) {
 	c := paperSimCluster()
 	types := NewState(c).Types()

@@ -137,8 +137,8 @@ func (s *State) TotalFree() int { return s.total }
 func (s *State) Hash() uint64 { return s.hash }
 
 // Capacity returns node id's total accelerator count of type t — 0
-// while the node is down — read from the state's flat table, not the
-// node's gpu.Fleet map.
+// while the node is down — read from the state's flat table, which
+// carries the down marks the cluster's capacities do not.
 func (s *State) Capacity(id int, t gpu.Type) int {
 	if s.down[id] {
 		return 0

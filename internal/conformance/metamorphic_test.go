@@ -104,9 +104,11 @@ func TestTypeRelabelIsomorphism(t *testing.T) {
 	}
 	relabeled := make([]gpu.Fleet, len(baseFleets))
 	for i, f := range baseFleets {
-		g := gpu.Fleet{}
+		var g gpu.Fleet
 		for t, n := range f {
-			g[perm[t]] = n
+			if n > 0 {
+				g[perm[gpu.Type(t)]] = n
+			}
 		}
 		relabeled[i] = g
 	}

@@ -110,10 +110,11 @@ func fuzzProbe(t *testing.T, seed int64, nodes, gang, mode uint8) (*probe, *sche
 	fleets := make([]gpu.Fleet, 1+int(nodes)%24)
 	for i := range fleets {
 		if mode&fuzzMixedCaps == 0 {
-			fleets[i] = gpu.Fleet{types[i%len(types)]: 4}
+			fleets[i][types[i%len(types)]] = 4
 			continue
 		}
-		fleets[i] = gpu.Fleet{types[rng.Intn(len(types))]: 1 + rng.Intn(8)}
+		typ := types[rng.Intn(len(types))]
+		fleets[i][typ] = 1 + rng.Intn(8)
 		if rng.Intn(3) == 0 {
 			fleets[i][types[rng.Intn(len(types))]] += 1 + rng.Intn(4)
 		}

@@ -156,9 +156,9 @@ func defaultEta(ctx *sched.Context) float64 {
 // from the free state: gamma = capacity - free (Eq. 5). Nodes without
 // the type price at +Inf so they are never selected. The value comes
 // from the precomputed curve, indexed by the node's capacity and used
-// count. Capacity is read from the state's flat table: Cluster.Capacity
-// is a gpu.Fleet map lookup, and this runs once per free node per probe
-// in fillType's priced scan.
+// count. Capacity is read from the state's flat table, which prices a
+// down node at zero capacity; this runs once per free node per probe in
+// fillType's priced scan.
 func (pt *priceTable) price(free *cluster.State, node int, t gpu.Type) float64 {
 	cap := free.Capacity(node, t)
 	if cap == 0 {

@@ -179,7 +179,8 @@ func fuzzPriceRound(seed int64, jobs, mode uint8) (*sched.Context, *Options) {
 	rng := rand.New(rand.NewSource(seed))
 	fleets := make([]gpu.Fleet, 1+rng.Intn(16))
 	for i := range fleets {
-		fleets[i] = gpu.Fleet{gpu.Type(rng.Intn(int(gpu.NumTypes))): 1 + rng.Intn(8)}
+		t := gpu.Type(rng.Intn(int(gpu.NumTypes)))
+		fleets[i][t] = 1 + rng.Intn(8)
 		if rng.Intn(3) == 0 {
 			fleets[i][gpu.Type(rng.Intn(int(gpu.NumTypes)))] += 1 + rng.Intn(4)
 		}

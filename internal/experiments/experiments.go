@@ -51,7 +51,9 @@ func ScaledSimCluster(perType int) *cluster.Cluster {
 				n = remaining
 			}
 			if n > 0 {
-				fleets = append(fleets, gpu.Fleet{t: n})
+				var f gpu.Fleet
+				f[t] = n
+				fleets = append(fleets, f)
 			}
 			remaining -= n
 		}
@@ -67,7 +69,7 @@ func ScaleCluster(nodes int) *cluster.Cluster {
 	mix := []gpu.Type{gpu.V100, gpu.P100, gpu.K80}
 	fleets := make([]gpu.Fleet, nodes)
 	for i := range fleets {
-		fleets[i] = gpu.Fleet{mix[i%len(mix)]: 4}
+		fleets[i][mix[i%len(mix)]] = 4
 	}
 	return cluster.New(fleets...)
 }

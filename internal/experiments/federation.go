@@ -82,8 +82,10 @@ func runSplit(setup Setup, routerName string, jobs []*job.Job) (*metrics.Report,
 	for t := gpu.Type(0); t < gpu.NumTypes; t++ {
 		var fleets []gpu.Fleet
 		for _, n := range SimCluster().Nodes() {
-			if k := n.Capacity.Count(t); k > 0 {
-				fleets = append(fleets, gpu.Fleet{t: k})
+			if k := n.Capacity[t]; k > 0 {
+				var f gpu.Fleet
+				f[t] = k
+				fleets = append(fleets, f)
 			}
 		}
 		if len(fleets) == 0 {

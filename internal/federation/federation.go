@@ -58,9 +58,6 @@ type member struct {
 	cfg  MemberConfig
 	eng  *sim.Engine
 
-	// typeTotal is the fleet's device count per accelerator type, fixed
-	// at New.
-	typeTotal [gpu.NumTypes]int
 	// outages is cfg.Sim.Failures ordered by node, so that a view walks
 	// each node's windows together and counts a down node once.
 	outages []sim.Failure
@@ -139,11 +136,6 @@ func New(configs []MemberConfig, router Router) (*Federation, error) {
 			return nil, fmt.Errorf("federation: member %s: %w", name, err)
 		}
 		m := &member{name: name, cfg: cfg, eng: eng}
-		for _, n := range cfg.Cluster.Nodes() {
-			for t := gpu.Type(0); t < gpu.NumTypes; t++ {
-				m.typeTotal[t] += n.Capacity[t]
-			}
-		}
 		f.validate = f.validate && cfg.Sim.Validate
 		m.outages = append(m.outages, cfg.Sim.Failures...)
 		sort.SliceStable(m.outages, func(a, b int) bool { return m.outages[a].Node < m.outages[b].Node })

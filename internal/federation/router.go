@@ -37,13 +37,13 @@ type View struct {
 // (speed[t] > 0 marks a usable type), in O(types + failure windows).
 func (m *member) view(idx, workers int, speed *[gpu.NumTypes]float64, now float64) View {
 	v := View{Index: idx, QueueDepth: m.eng.PendingJobs() + m.eng.ActiveJobs()}
-	up := m.upAt(now)
+	total, up := m.cfg.Cluster.Fleet(), m.upAt(now)
 	best := 0.0
 	for t := gpu.Type(0); t < gpu.NumTypes; t++ {
 		if speed[t] <= 0 {
 			continue
 		}
-		v.UsableTotal += m.typeTotal[t]
+		v.UsableTotal += total[t]
 		v.UsableUp += up[t]
 		if speed[t] > best {
 			best, v.BestUp = speed[t], up[t]
@@ -58,8 +58,8 @@ func (m *member) view(idx, workers int, speed *[gpu.NumTypes]float64, now float6
 // failure window at the given instant, mirroring the engine's
 // scheduler-visible outage view (a node is down when a window covers
 // [now, now+epsilon)).
-func (m *member) upAt(now float64) [gpu.NumTypes]int {
-	up := m.typeTotal
+func (m *member) upAt(now float64) gpu.Fleet {
+	up := m.cfg.Cluster.Fleet()
 	down := -1 // the node last subtracted; outages are ordered by node
 	for _, w := range m.outages {
 		if w.Node == down || w.Start >= now+1e-9 || w.End <= now {

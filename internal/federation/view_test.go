@@ -108,7 +108,7 @@ var viewSink View
 func BenchmarkView(b *testing.B) {
 	fleets := make([]gpu.Fleet, 15)
 	for i := range fleets {
-		fleets[i] = gpu.Fleet{gpu.Type(i % int(gpu.NumTypes)): 4}
+		fleets[i][i%int(gpu.NumTypes)] = 4
 	}
 	for _, windows := range []int{0, 4} {
 		opts := sim.DefaultOptions()

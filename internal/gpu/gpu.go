@@ -7,10 +7,7 @@
 // types are modeled here.
 package gpu
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Type identifies an accelerator model.
 type Type uint8
@@ -54,8 +51,9 @@ func Parse(s string) (Type, error) {
 	return 0, fmt.Errorf("gpu: unknown accelerator type %q", s)
 }
 
-// Fleet counts devices by type. A nil Fleet is an empty fleet.
-type Fleet map[Type]int
+// Fleet counts devices by type, indexed by Type. The zero Fleet is an
+// empty fleet; a Fleet is a value, so assignment copies it.
+type Fleet [NumTypes]int
 
 // Total returns the number of devices across all types.
 func (f Fleet) Total() int {
@@ -66,36 +64,30 @@ func (f Fleet) Total() int {
 	return n
 }
 
-// Count returns the number of devices of type t (0 if absent).
-func (f Fleet) Count(t Type) int { return f[t] }
-
-// Clone returns an independent copy of the fleet.
-func (f Fleet) Clone() Fleet {
-	out := make(Fleet, len(f))
-	for t, c := range f {
-		out[t] = c
+// Count returns the number of devices of type t (0 for an invalid type).
+func (f Fleet) Count(t Type) int {
+	if t >= NumTypes {
+		return 0
 	}
-	return out
+	return f[t]
 }
 
-// Add merges other into f, returning f for chaining. f must be non-nil.
-func (f Fleet) Add(other Fleet) Fleet {
+// Add merges other into f.
+func (f *Fleet) Add(other Fleet) {
 	for t, c := range other {
 		f[t] += c
 	}
-	return f
 }
 
 // Types returns the device types present (count > 0) in ascending Type
-// order, so iteration is deterministic.
+// order.
 func (f Fleet) Types() []Type {
-	out := make([]Type, 0, len(f))
+	var out []Type
 	for t, c := range f {
 		if c > 0 {
-			out = append(out, t)
+			out = append(out, Type(t))
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 

@@ -81,12 +81,22 @@ func TestFleetNil(t *testing.T) {
 	}
 }
 
-func TestFleetCloneIndependent(t *testing.T) {
+func TestFleetCopyIndependent(t *testing.T) {
 	f := Fleet{V100: 1}
-	g := f.Clone()
+	g := f
 	g[V100] = 99
 	if f[V100] != 1 {
-		t.Error("Clone shares storage with original")
+		t.Error("a copy shares storage with the original")
+	}
+}
+
+func TestFleetCountInvalidType(t *testing.T) {
+	f := Fleet{V100: 1, K520: 2}
+	if got := f.Count(NumTypes); got != 0 {
+		t.Errorf("Count(NumTypes) = %d, want 0", got)
+	}
+	if got := f.Count(Type(200)); got != 0 {
+		t.Errorf("Count(Type(200)) = %d, want 0", got)
 	}
 }
 
@@ -133,8 +143,9 @@ func TestFleetAddCommutesWithTotalProperty(t *testing.T) {
 	prop := func(a, b uint8) bool {
 		f := Fleet{V100: int(a)}
 		g := Fleet{P100: int(b)}
-		total := f.Clone().Add(g).Total()
-		return total == f.Total()+g.Total()
+		sum := f
+		sum.Add(g)
+		return sum.Total() == f.Total()+g.Total()
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Error(err)

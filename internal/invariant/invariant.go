@@ -156,12 +156,11 @@ type Checker struct {
 	dropped             int
 
 	// Joint capacity check: used counts the round's devices per
-	// (node, type) cell, capacity is the cluster's capacity in the same
-	// flat layout, and touched lists, once each, the cells the round's
-	// placements used, the only cells that can exceed their capacity.
-	used     []int
-	capacity []int
-	touched  []int
+	// (node, type) cell, and touched lists, once each, the cells the
+	// round's placements used, the only cells that can exceed their
+	// capacity.
+	used    []int
+	touched []int
 }
 
 // NewChecker builds a checker for one run over the given cluster (the
@@ -174,12 +173,7 @@ func NewChecker(c *cluster.Cluster) *Checker {
 			k.maxSpeed = n.Speed
 		}
 	}
-	stride := int(gpu.NumTypes)
-	k.used = make([]int, c.NumNodes()*stride)
-	k.capacity = make([]int, len(k.used))
-	for cell := range k.capacity {
-		k.capacity[cell] = c.Capacity(cell/stride, gpu.Type(cell%stride))
-	}
+	k.used = make([]int, c.NumNodes()*int(gpu.NumTypes))
 	return k
 }
 
@@ -258,8 +252,9 @@ func (k *Checker) CheckRound(r Round) {
 	// round.
 	slices.Sort(k.touched)
 	for _, cell := range k.touched {
-		if used, cap := k.used[cell], k.capacity[cell]; used > cap {
-			k.violate(r.Index, "capacity", "node %d %v: %d allocated of %d", cell/stride, gpu.Type(cell%stride), used, cap)
+		node, t := cell/stride, gpu.Type(cell%stride)
+		if used, cap := k.used[cell], k.c.Capacity(node, t); used > cap {
+			k.violate(r.Index, "capacity", "node %d %v: %d allocated of %d", node, t, used, cap)
 		}
 		k.used[cell] = 0
 	}

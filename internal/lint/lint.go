@@ -209,10 +209,12 @@ func DefaultConfig() *Config {
 			// The linter lints itself: analyzer output ordering must be
 			// deterministic (findings are diffed in CI), so the wall
 			// clock, map ranges and global rand are policed here too.
+			// offline's brute force and replay must also be: their
+			// slot order and first error may not vary run to run.
 			"wallclock": append(append([]string(nil), schedulerPath...),
 				"repro/internal/metrics", "repro/internal/lint"),
-			"globalrand": append(append([]string(nil), detScope...), "repro/internal/lint"),
-			"maprange":   append(append([]string(nil), detScope...), "repro/internal/lint"),
+			"globalrand": append(append([]string(nil), detScope...), "repro/internal/lint", "repro/internal/offline"),
+			"maprange":   append(append([]string(nil), detScope...), "repro/internal/lint", "repro/internal/offline"),
 			// Cross-round accumulation matters where exact conservation
 			// and dual-price arithmetic live.
 			"floataccum": {"repro/internal/core", "repro/internal/invariant", "repro/internal/sim"},

@@ -14,6 +14,7 @@ package offline
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"repro/internal/bug"
 	"repro/internal/cluster"
@@ -86,8 +87,8 @@ func candidates(c *cluster.Cluster, j *job.Job) []cluster.Alloc {
 	var slots []slot
 	for _, n := range c.Nodes() {
 		for t, cap := range n.Capacity {
-			if cap > 0 && j.Speed(t) > 0 {
-				slots = append(slots, slot{node: n.ID, typ: t, cap: cap})
+			if cap > 0 && j.Speed(gpu.Type(t)) > 0 {
+				slots = append(slots, slot{node: n.ID, typ: gpu.Type(t), cap: cap})
 			}
 		}
 	}
@@ -282,8 +283,14 @@ func Replay(in Instance, s sched.Scheduler) (utility, alpha float64, err error) 
 				alpha = a
 			}
 		}
+		ids := make([]int, 0, len(decisions))
+		for id := range decisions {
+			ids = append(ids, id)
+		}
+		sort.Ints(ids)
 		sp := free.Savepoint()
-		for id, a := range decisions {
+		for _, id := range ids {
+			a := decisions[id]
 			i, ok := idx[id]
 			if !ok {
 				return 0, 0, fmt.Errorf("offline: allocation for inactive job %d", id)

@@ -721,3 +721,47 @@ func journalSyncFailedAfter(m *memFS, from int) bool {
 	}
 	return false
 }
+
+// TestSyncAlwaysSyncsOncePerMutation counts the journal's fsyncs on the
+// recording FS under SyncAlways: one per acknowledged submit or cancel,
+// plus the header's at create and Close's. Round records are appended
+// between them and add none.
+func TestSyncAlwaysSyncsOncePerMutation(t *testing.T) {
+	fs := newMemFS()
+	svc := oneCluster.service(t, walOptions(t.TempDir(), WALConfig{Policy: wal.SyncAlways, CheckpointEvery: 1 << 20, FS: fs}))
+	mutations, rounds := 0, 0
+	do := func(r request) {
+		t.Helper()
+		r.reply = make(chan verdict, 1)
+		svc.handle(r)
+		if v := <-r.reply; v.err != nil {
+			t.Fatal(v.err)
+		}
+		mutations++
+	}
+	for i := 1; i <= 6; i++ {
+		do(request{kind: submitReq, key: fmt.Sprintf("key-%d", i), job: simpleJob(i, 1, 1e6)})
+		for k := 0; k < 3 && svc.fed.HasPendingEvents(); k++ {
+			if !svc.processBoundary() {
+				t.Fatalf("boundary failed: %v", svc.journal.failure())
+			}
+			rounds++
+		}
+	}
+	do(request{kind: cancelReq, id: 6})
+	if err := svc.journal.w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if rounds == 0 {
+		t.Fatal("no round record was journaled")
+	}
+	syncs := 0
+	for _, op := range fs.ops {
+		if op.kind == "sync" && filepath.Base(op.name) == "journal.wal" {
+			syncs++
+		}
+	}
+	if syncs != mutations+2 {
+		t.Errorf("%d journal syncs for %d mutations and %d round records, want %d", syncs, mutations, rounds, mutations+2)
+	}
+}

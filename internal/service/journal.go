@@ -258,8 +258,11 @@ func (j *journal) release(reply chan verdict, v verdict) {
 }
 
 // appendRecord marshals and appends one journal frame, tracking the
-// absolute record count for checkpoint addressing. A failed append
-// poisons the journal path: err sticks and the run loop exits.
+// absolute record count for checkpoint addressing. A round record is
+// appended without a sync under every policy: no caller waits on it,
+// and the next synced record makes it durable first (the journal is
+// sequential). A failed append poisons the journal path: err sticks
+// and the run loop exits.
 func (j *journal) appendRecord(rec walRecord) error {
 	if j.err != nil {
 		return j.err
@@ -269,7 +272,12 @@ func (j *journal) appendRecord(rec walRecord) error {
 		j.err = err
 		return err
 	}
-	if err := j.w.Append(j.rec); err != nil {
+	if rec.Type == recRound {
+		err = j.w.AppendUnsynced(j.rec)
+	} else {
+		err = j.w.Append(j.rec)
+	}
+	if err != nil {
 		j.err = err
 		return err
 	}
@@ -323,6 +331,21 @@ func (j *journal) flushGroup(force bool) {
 func (j *journal) maybeCheckpoint(keys map[string]int) {
 	if j == nil || j.sinceCkpt < j.cfg.CheckpointEvery {
 		return
+	}
+	j.checkpoint(keys)
+}
+
+// checkpoint writes a checkpoint at the current journal position.
+// Under SyncAlways it syncs the journal first: round records are
+// appended unsynced, and a machine crash must not keep a checkpoint of
+// records it took from the journal. A failed sync poisons the journal
+// and writes no checkpoint.
+func (j *journal) checkpoint(keys map[string]int) {
+	if j.w.Policy() == wal.SyncAlways {
+		if err := j.w.Sync(); err != nil {
+			j.err = err
+			return
+		}
 	}
 	j.writeCheckpoint(keys)
 }

@@ -497,9 +497,8 @@ func (s *Service) run() {
 
 // processBoundary advances the federation one boundary, publishes a
 // fresh snapshot, and journals the boundary; false means the federation
-// or journal hit a sticky error and the loop must exit. Round records
-// need no eager fsync: no caller waits on them, and any later synced
-// record makes them durable first (the journal is sequential).
+// or journal hit a sticky error and the loop must exit. Its round
+// record is not fsynced (see journal.appendRecord).
 func (s *Service) processBoundary() bool {
 	member := s.fed.NextMember()
 	if err := s.fed.ProcessNextEvent(); err != nil {
@@ -585,7 +584,7 @@ func (s *Service) shutdown() {
 	if s.journal != nil {
 		// Checkpoint before Finish: Finish finalizes the report for
 		// consumption and the federation must be persisted resumable.
-		s.journal.writeCheckpoint(s.keys)
+		s.journal.checkpoint(s.keys)
 	}
 	// Finish returns the federation's sticky error, if any, so a crashed
 	// loop and a clean shutdown take the same path.

@@ -84,10 +84,6 @@ type Engine struct {
 	// scheduler every round, then used to validate what it returned;
 	// fully free between rounds, except for the nodes marked down.
 	freeState *cluster.State
-	totalGPUs int
-	// typeTotals is the full cluster's per-type device count (outages
-	// not applied): SubmitJob's "can this ever be placed" test.
-	typeTotals [gpu.NumTypes]int
 
 	queue           eventq.EventQueue
 	pendingArrivals int
@@ -165,12 +161,8 @@ func NewEngine(c *cluster.Cluster, s sched.Scheduler, opts Options) (*Engine, er
 		report:    &metrics.Report{Scheduler: s.Name(), TotalGPUs: c.TotalGPUs()},
 		log:       newEventLogger(opts.EventLog),
 		freeState: cluster.NewState(c),
-		totalGPUs: c.TotalGPUs(),
 
 		cancelRequested: make(map[int]bool),
-	}
-	for t := range e.typeTotals {
-		e.typeTotals[t] = e.freeState.CapacityOfType(gpu.Type(t))
 	}
 	// Correctness oracle, enabled by Options.Validate: observes every
 	// round's decisions and progress accounting and fails the run on
@@ -199,8 +191,9 @@ func (e *Engine) SubmitJob(j *job.Job) error {
 	if err := j.Validate(); err != nil {
 		return fmt.Errorf("sim: %w", err)
 	}
+	// Can j ever be placed on the full cluster, outages not applied?
 	usable := 0
-	for t, n := range e.typeTotals {
+	for t, n := range e.freeState.Cluster().Fleet() {
 		if j.Speed(gpu.Type(t)) > 0 {
 			usable += n
 		}
@@ -647,7 +640,7 @@ func (e *Engine) runRound() error {
 				finish = e.now + e.opts.RoundLength
 			}
 			e.retire(st.Job.ID, len(e.report.Jobs))
-			e.report.Jobs = append(e.report.Jobs, jobResult(st, finish, len(e.all), e.totalGPUs))
+			e.report.Jobs = append(e.report.Jobs, jobResult(st, finish, len(e.all), e.freeState.Cluster().TotalGPUs()))
 			if err := e.log.emit(Event{Time: finish, Round: e.round, Type: EventFinish,
 				Job: st.Job.ID, Node: -1}); err != nil {
 				return err

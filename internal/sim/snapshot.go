@@ -90,7 +90,7 @@ func (e *Engine) Snapshot() *Snapshot {
 		Now:       e.now,
 		Round:     e.round,
 		Scheduler: e.s.Name(),
-		TotalGPUs: e.totalGPUs,
+		TotalGPUs: e.freeState.Cluster().TotalGPUs(),
 		Pending:   e.pendingArrivals,
 		Completed: len(e.report.Jobs),
 		Cancelled: e.cancelled,

@@ -31,7 +31,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 )
@@ -64,7 +63,8 @@ type SyncPolicy int
 
 const (
 	// SyncAlways fsyncs before every Append returns: an acknowledged
-	// record survives machine crashes, at one fsync per record.
+	// record survives machine crashes, at one fsync per Append (an
+	// AppendUnsynced record rides along with the next one).
 	SyncAlways SyncPolicy = iota
 	// SyncGroup leaves fsync to the caller's group-commit loop (Sync is
 	// called for a batch of records at once); acknowledgements are
@@ -179,61 +179,39 @@ type ScanResult struct {
 // ErrNotJournal — that is a misconfiguration, not a crash artifact.
 func Scan(path string) (*ScanResult, error) {
 	res := &ScanResult{}
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
 		return res, nil
 	}
 	if err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	defer f.Close()
 	res.Existed = true
-
-	info, err := f.Stat()
-	if err != nil {
-		return nil, fmt.Errorf("wal: %w", err)
-	}
-	size := info.Size()
+	size := int64(len(data))
 	if size < headerSize {
 		// Killed between create and header write: everything is tail.
 		res.TruncatedBytes = size
 		return res, nil
 	}
-	var hdr [headerSize]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil {
-		return nil, fmt.Errorf("wal: %w", err)
-	}
-	if hdr != magic {
+	if [headerSize]byte(data[:headerSize]) != magic {
 		return nil, fmt.Errorf("%w: %s", ErrNotJournal, path)
 	}
 	res.ValidSize = headerSize
-
-	var fh [frameHead]byte
-	for {
-		remaining := size - res.ValidSize
-		if remaining == 0 {
-			return res, nil
-		}
-		if remaining < frameHead {
-			break // torn frame header
-		}
-		if _, err := io.ReadFull(f, fh[:]); err != nil {
-			return nil, fmt.Errorf("wal: %w", err)
-		}
-		length := int64(binary.LittleEndian.Uint32(fh[0:4]))
-		sum := binary.LittleEndian.Uint32(fh[4:8])
-		if length > MaxRecord || length > remaining-frameHead {
+	// Each record is a capped subslice of the one read, so appending to
+	// one cannot overwrite the next.
+	for rest := data[headerSize:]; len(rest) >= frameHead; {
+		length := int64(binary.LittleEndian.Uint32(rest[0:4]))
+		sum := binary.LittleEndian.Uint32(rest[4:8])
+		if length > MaxRecord || length > int64(len(rest))-frameHead {
 			break // implausible or past EOF: torn length/payload
 		}
-		payload := make([]byte, length)
-		if _, err := io.ReadFull(f, payload); err != nil {
-			return nil, fmt.Errorf("wal: %w", err)
-		}
+		payload := rest[frameHead : frameHead+length : frameHead+length]
 		if crc32.ChecksumIEEE(payload) != sum {
 			break // corrupt tail frame
 		}
 		res.Records = append(res.Records, payload)
 		res.ValidSize += frameHead + length
+		rest = rest[frameHead+length:]
 	}
 	res.TruncatedBytes = size - res.ValidSize
 	return res, nil
@@ -301,6 +279,19 @@ func OpenAppend(path string, validSize int64, policy SyncPolicy, fsys FS) (*Writ
 // Under SyncAlways it also fsyncs before returning, so a nil result
 // means the record is on stable storage.
 func (w *Writer) Append(payload []byte) error {
+	if err := w.AppendUnsynced(payload); err != nil {
+		return err
+	}
+	if w.policy == SyncAlways {
+		return w.Sync()
+	}
+	return nil
+}
+
+// AppendUnsynced is Append without the fsync under any policy, for a
+// record no caller waits on: it becomes durable with the next Sync,
+// SyncAlways Append or Close, which the file's order guarantees.
+func (w *Writer) AppendUnsynced(payload []byte) error {
 	if len(payload) > MaxRecord {
 		return fmt.Errorf("wal: record of %d bytes exceeds MaxRecord", len(payload))
 	}
@@ -316,9 +307,6 @@ func (w *Writer) Append(payload []byte) error {
 		return fmt.Errorf("wal: %w", err)
 	}
 	w.unsynced = true
-	if w.policy == SyncAlways {
-		return w.Sync()
-	}
 	return nil
 }
 
